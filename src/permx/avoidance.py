@@ -1,12 +1,32 @@
-"""Avoidance-class enumeration, growth-rate estimates, and two-color
-merge membership.
+"""Avoidance-class counting and enumeration, growth-rate estimates, and
+two-color merge membership.
 
-Counting builds permutations value by value, left to right, and rejects
-a partial prefix as soon as the new entry completes an occurrence of the
-forbidden pattern; only occurrences ending at the new entry need
-checking.  For patterns of length 3 the completion test reduces to a
-comparison against a running statistic of the prefix, carried down the
-recursion, so the inner loop does no scanning at all.
+Counting builds permutations left to right and describes a prefix by
+the number r of unused values and, for each pattern prefix pvals[:j]
+(j < k), the set of its occurrences in the prefix, recorded in gap
+coordinates: the gap of an entry is the number of unused values below
+it.  Appending the u-th smallest unused value (u = 0..r-1) lowers every
+gap above u by one and puts the new entry in gap u; it extends an
+occurrence exactly when each entry that must lie below it has gap <= u
+and each entry that must lie above it has gap > u.  The count of
+completions depends on the prefix only through that state, so equal
+states are merged with their multiplicities, one length at a time.
+Three exact reductions keep the state sets small:
+
+* projection: an occurrence keeps only the entries that are the value
+  neighbours of some later pattern value, the only ones a future entry
+  is compared with;
+* liveness: an occurrence is dropped once it cannot complete, because
+  too few values are left or a value it still needs lies outside the
+  unused ones;
+* dominance: among occurrences of one length only the Pareto-minimal
+  gap tuples stay, one dominating another when its lower-bound gaps are
+  no larger and its upper-bound gaps no smaller, since every completion
+  of the other is then one of it too.
+
+A counting node is one distinct state expanded.  Enumeration
+(:func:`avoiders`) stays a plain prefix-pruned backtracker, so the two
+check each other.
 
 The merge searcher 2-colors host entries left to right and prunes a
 branch the moment either color class contains its forbidden pattern.
@@ -21,7 +41,6 @@ from dataclasses import dataclass
 from .core import (
     Permutation,
     completes_at_end,
-    contains_values,
     direct_sum,
 )
 from .errors import EmptyPattern, PreconditionViolated, ResourceLimit
@@ -32,20 +51,10 @@ from .limits import (
     DEFAULT_NODE_BUDGET,
 )
 
-_LOW = -(1 << 60)
-_HIGH = 1 << 60
-
 
 # ---------------------------------------------------------------------------
 # report records
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AvoidanceCount:
-    pattern: Permutation
-    n: int
-    count: int
-
 
 @dataclass(frozen=True)
 class SwEstimate:
@@ -144,7 +153,11 @@ def count_avoiders(
     max_n: int = DEFAULT_COUNT_LENGTH_LIMIT,
     node_budget: int | None = None,
 ) -> int:
-    """Exact number of length-n permutations avoiding ``pattern``."""
+    """Exact number of length-n permutations avoiding ``pattern``.
+
+    Counted as a sum over prefix states (see the module docstring), not
+    by visiting avoiders.  ``node_budget`` caps the number of distinct
+    states expanded, a count that depends only on the pattern and n."""
     if pattern.n == 0:
         raise EmptyPattern("avoidance is defined for nonempty patterns")
     if n < 0:
@@ -152,230 +165,104 @@ def count_avoiders(
     if n > max_n:
         raise ResourceLimit(f"n={n} exceeds the configured limit {max_n}")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    k = pattern.n
-    if k > n:
-        return math.factorial(n)
-    if k == 1:
-        return 0
-    if k == 3:
-        return _count3(pattern.entries, n, budget)
-    return _count_generic(pattern.entries, n, budget)
+    return _count_states(pattern.entries, n, budget)
 
 
-def _count_generic(pvals, n, budget):
-    used = bytearray(n + 1)
-    prefix = []
-    total = 0
+def _neighbours(head, q):
+    """Greatest value of ``head`` below q and least above it (None if absent)."""
+    return (
+        max((v for v in head if v < q), default=None),
+        min((v for v in head if v > q), default=None),
+    )
+
+
+def _occurrence_plan(pvals):
+    """Per prefix length j = 1..k: how an occurrence of pvals[:j-1] takes
+    the new entry as its j-th one, and which entries of pvals[:j] a
+    partial occurrence keeps.
+
+    Entry j is ``(lo, hi, src, lows, ups)``: lo/hi are the tuple positions
+    of the value-neighbours of pvals[j-1] in the parent tuple (-1 when
+    absent); src maps each kept entry to its parent position (-1 for the
+    new entry); lows/ups are the positions kept as a lower/upper bound of
+    some later pattern value.  Position order is pattern-value order."""
+    k = len(pvals)
+    bounds = [[_neighbours(pvals[:j], q) for q in pvals[j:]] for j in range(k)]
+    kept = [sorted({v for pair in b for v in pair if v is not None}) for b in bounds]
+    kept.append([])
+    plan = []
+    for j in range(1, k + 1):
+        parent, cur = kept[j - 1], kept[j]
+        lo, hi = bounds[j - 1][0]
+        later = bounds[j] if j < k else []
+        plan.append((
+            -1 if lo is None else parent.index(lo),
+            -1 if hi is None else parent.index(hi),
+            tuple(-1 if v == pvals[j - 1] else parent.index(v) for v in cur),
+            tuple(i for i, v in enumerate(cur) if any(b[0] == v for b in later)),
+            tuple(i for i, v in enumerate(cur) if any(b[1] == v for b in later)),
+        ))
+    return plan
+
+
+def _count_states(pvals, n, budget):
+    """|Av_n(pvals)| by merging equal prefix states, one length at a time."""
+    k = len(pvals)
+    plan = _occurrence_plan(pvals)
+    last_lo, last_hi = plan[-1][:2]
+
+    def extends(t, lo, hi, u):
+        return (lo < 0 or t[lo] <= u) and (hi < 0 or u < t[hi])
+
+    def reduce(tuples, lows, ups, left):
+        # gaps grow with value along a tuple, so liveness needs only the
+        # highest lower bound and the lowest upper bound
+        live = {
+            t for t in tuples
+            if (not lows or t[lows[-1]] < left) and (not ups or t[ups[0]])
+        }
+        if len(live) < 2:
+            return frozenset(live)
+        # sorting puts every dominator before what it dominates
+        order = sorted(live, key=lambda t: [t[i] for i in lows] + [-t[i] for i in ups])
+        out = []
+        for t in order:
+            if not any(all(s[i] <= t[i] for i in lows)
+                       and all(s[i] >= t[i] for i in ups) for s in out):
+                out.append(t)
+        return frozenset(out)
+
+    # state: one set of gap tuples per prefix length 0..k-1, with the
+    # empty occurrence always present; states merge with their multiplicity
+    empty = frozenset()
+    layer = {(frozenset([()]),) + (empty,) * (k - 1): 1}
     nodes = 0
-
-    def rec(depth):
-        nonlocal total, nodes
-        if depth == n:
-            total += 1
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
+    for r in range(n, 0, -1):
+        following = {}
+        for state, mult in layer.items():
             nodes += 1
             if nodes > budget:
                 raise ResourceLimit(f"node budget {budget} exhausted")
-            if completes_at_end(prefix, v, pvals):
-                continue
-            used[v] = 1
-            prefix.append(v)
-            rec(depth + 1)
-            prefix.pop()
-            used[v] = 0
-
-    rec(0)
-    return total
-
-
-def _count3(pvals, n, budget):
-    # each 3-pattern gets its own machine; all six are cross-checked
-    # against the naive filter in the tests
-    if pvals == (1, 2, 3):
-        return _count_123(n, budget)
-    if pvals == (3, 2, 1):
-        return _count_321(n, budget)
-    if pvals == (2, 1, 3):
-        return _count_213(n, budget)
-    if pvals == (2, 3, 1):
-        return _count_231(n, budget)
-    if pvals == (1, 3, 2):
-        return _count_mid(n, budget, rising_pairs=True)
-    return _count_mid(n, budget, rising_pairs=False)  # (3, 1, 2)
-
-
-def _budget_guard(budget):
-    raise ResourceLimit(f"node budget {budget} exhausted")
-
-
-def _count_123(n, budget):
-    # a new max entry v completes 123 iff some rising pair sits wholly
-    # below it; th = least top of a rising pair, mn = least entry
-    used = bytearray(n + 1)
-    total = 0
-    nodes = 0
-
-    def rec(depth, mn, th):
-        nonlocal total, nodes
-        nodes += 1
-        if nodes > budget:
-            _budget_guard(budget)
-        if depth == n:
-            total += 1
-            return
-        for v in range(1, n + 1):
-            if used[v] or v > th:
-                continue
-            used[v] = 1
-            rec(depth + 1, v if v < mn else mn, v if v > mn else th)
-            used[v] = 0
-
-    rec(0, _HIGH, _HIGH)
-    return total
-
-
-def _count_321(n, budget):
-    used = bytearray(n + 1)
-    total = 0
-    nodes = 0
-
-    def rec(depth, mx, th):
-        nonlocal total, nodes
-        nodes += 1
-        if nodes > budget:
-            _budget_guard(budget)
-        if depth == n:
-            total += 1
-            return
-        for v in range(1, n + 1):
-            if used[v] or v < th:
-                continue
-            used[v] = 1
-            rec(depth + 1, v if v > mx else mx, v if v < mx else th)
-            used[v] = 0
-
-    rec(0, _LOW, _LOW)
-    return total
-
-
-def _count_213(n, budget):
-    # v completes 213 iff some falling pair sits wholly below it;
-    # th = least top of a falling pair.  Appending v creates falling
-    # pairs whose top is the least used value above v.
-    used = bytearray(n + 1)
-    total = 0
-    nodes = 0
-
-    def rec(depth, th):
-        nonlocal total, nodes
-        nodes += 1
-        if nodes > budget:
-            _budget_guard(budget)
-        if depth == n:
-            total += 1
-            return
-        for v in range(1, n + 1):
-            if used[v] or v > th:
-                continue
-            w = v + 1
-            while w <= n and not used[w]:
-                w += 1
-            child = th if w > n or w >= th else w
-            used[v] = 1
-            rec(depth + 1, child)
-            used[v] = 0
-
-    rec(0, _HIGH)
-    return total
-
-
-def _count_231(n, budget):
-    # v completes 231 iff some rising pair sits wholly above it;
-    # th = greatest bottom of a rising pair
-    used = bytearray(n + 1)
-    total = 0
-    nodes = 0
-
-    def rec(depth, th):
-        nonlocal total, nodes
-        nodes += 1
-        if nodes > budget:
-            _budget_guard(budget)
-        if depth == n:
-            total += 1
-            return
-        for v in range(1, n + 1):
-            if used[v] or v < th:
-                continue
-            w = v - 1
-            while w >= 1 and not used[w]:
-                w -= 1
-            child = th if w < 1 or w <= th else w
-            used[v] = 1
-            rec(depth + 1, child)
-            used[v] = 0
-
-    rec(0, _LOW)
-    return total
-
-
-def _count_mid(n, budget, rising_pairs):
-    # patterns whose last entry is the middle value: v completes iff it
-    # falls strictly inside the value gap of some ordered pair.  Per
-    # node, bucket each pair by its lower end and sweep candidates in
-    # increasing order with a running max of upper ends.
-    used = bytearray(n + 1)
-    prefix = []
-    total = 0
-    nodes = 0
-    low_to_high = [0] * (n + 2)
-
-    def rec(depth):
-        nonlocal total, nodes
-        nodes += 1
-        if nodes > budget:
-            _budget_guard(budget)
-        if depth == n:
-            total += 1
-            return
-        touched = []
-        if rising_pairs:
-            run = _HIGH  # least entry so far; pairs are (run, w) rising
-            for w in prefix:
-                if run < w:
-                    if w > low_to_high[run]:
-                        low_to_high[run] = w
-                        touched.append(run)
-                if w < run:
-                    run = w
-        else:
-            run = _LOW  # greatest entry so far; pairs are (run, w) falling
-            for w in prefix:
-                if run > w:
-                    if run > low_to_high[w]:
-                        low_to_high[w] = run
-                        touched.append(w)
-                if w > run:
-                    run = w
-        top = 0
-        for v in range(1, n + 1):
-            if low_to_high[v - 1] > top:
-                top = low_to_high[v - 1]
-            if used[v] or top > v:
-                continue
-            used[v] = 1
-            prefix.append(v)
-            rec(depth + 1)
-            prefix.pop()
-            used[v] = 0
-        for w in touched:
-            low_to_high[w] = 0
-
-    rec(0)
-    return total
+            for u in range(r):
+                if any(extends(t, last_lo, last_hi, u) for t in state[k - 1]):
+                    continue
+                shift = [g - (g > u) for g in range(r + 1)]
+                child = [state[0]]
+                for j in range(1, k):
+                    if r - 1 < k - j:  # too few values left to complete
+                        child.append(empty)
+                        continue
+                    lo, hi, src, lows, ups = plan[j - 1]
+                    tuples = [tuple([shift[g] for g in t]) for t in state[j]]
+                    tuples += [
+                        tuple([u if i < 0 else shift[t[i]] for i in src])
+                        for t in state[j - 1] if extends(t, lo, hi, u)
+                    ]
+                    child.append(reduce(tuples, lows, ups, r - 1))
+                child = tuple(child)
+                following[child] = following.get(child, 0) + mult
+        layer = following
+    return sum(layer.values())
 
 
 def avoiders(

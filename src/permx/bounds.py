@@ -117,8 +117,10 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
 def theorem24_alpha(a, c: int) -> float:
     """Exponent alpha = 2a + 8c^2 + 32ac^2 ln c in the k^alpha * n
     extremal bound."""
-    if not a > 0:
-        raise PreconditionViolated(f"need a > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise PreconditionViolated(f"need finite a > 0, got {a}")
+    if not _is_integral(c):
+        raise PreconditionViolated(f"block count c must be an integer, got {c}")
     if c < 2:
         raise PreconditionViolated(f"need c >= 2, got {c}")
     return 2.0 * a + 8.0 * c * c + 32.0 * a * c * c * math.log(c)
@@ -159,12 +161,14 @@ class BoundParams:
     c: int
 
     def __post_init__(self):
+        if not math.isfinite(self.k):
+            raise BadConstants(f"need finite k, got {self.k}")
         if self.k < 2:
             raise BadConstants(f"need k >= 2, got {self.k}")
         if self.c < 2:
             raise BadConstants(f"need c >= 2, got {self.c}")
-        if not self.a > 0:
-            raise BadConstants(f"need a > 0, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise BadConstants(f"need finite a > 0, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +256,12 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
     l2y = math.log2(y_frac.numerator) - math.log2(y_frac.denominator)
     l2k = math.log2(k)
     log2_beta_k = math.log2(2 * c) + a * l2k
-    beta = 2.0 ** (math.log2(2 * c) + (a - 1.0) * l2k)
+    try:
+        beta = 2.0 ** (math.log2(2 * c) + (a - 1.0) * l2k)
+    except OverflowError as exc:
+        raise BadConstants(
+            f"beta = 2c*k^(a-1) overflows a double at k={k}, a={a}"
+        ) from exc
 
     # step count: contraction ratio of sqrt(t)/s must close the gap
     denom = math.log(y_b) - 0.5 * math.log(x_b)

@@ -3,6 +3,7 @@ merge membership."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,84 @@ def test_count_validation():
         count_avoiders(perm("123"), 13)
     with pytest.raises(ResourceLimit):
         count_avoiders(perm("123"), 9, node_budget=10)
+
+
+def test_count_budget_counts_states():
+    # a counting node is one distinct prefix state expanded, so whether a
+    # budget suffices depends only on the pattern, n and the budget
+    with pytest.raises(ResourceLimit):
+        count_avoiders(perm("1324"), 10, node_budget=100)
+    pattern, n = perm("2413"), 8
+    lo, hi = 1, 10 ** 5
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            count_avoiders(pattern, n, node_budget=mid)
+            hi = mid
+        except ResourceLimit:
+            lo = mid + 1
+    for _ in range(2):
+        assert count_avoiders(pattern, n, node_budget=lo) == 15485
+        with pytest.raises(ResourceLimit):
+            count_avoiders(pattern, n, node_budget=lo - 1)
+
+
+# -- closed forms that share no code with the counter -----------------------
+
+def gessel_1234(n):
+    """|Av_n(1234)| by Gessel (1990)."""
+    total = sum(
+        Fraction(
+            math.comb(2 * k, k) * math.comb(n, k) ** 2
+            * (3 * k * k + 2 * k + 1 - n - 2 * n * k),
+            (k + 1) ** 2 * (k + 2) * (n - k + 1),
+        )
+        for k in range(n + 1)
+    )
+    return 2 * total
+
+
+def bona_1342(n):
+    """|Av_n(1342)| for n >= 1 by Bona (1997)."""
+    total = Fraction((-1) ** (n - 1) * (7 * n * n - 3 * n - 2), 2)
+    for i in range(2, n + 1):
+        total += (
+            3 * (-1) ** (n - i)
+            * Fraction(2 ** (i + 1) * math.factorial(2 * i - 4),
+                       math.factorial(i) * math.factorial(i - 2))
+            * math.comb(n - i + 2, 2)
+        )
+    return total
+
+
+def test_gessel_1234_closed_form():
+    pattern = perm("1234")
+    for n in range(0, 8):
+        assert gessel_1234(n) == naive_count(pattern, n)
+    assert gessel_1234(12) == 24792705
+    for n in range(0, 13):
+        assert count_avoiders(pattern, n) == gessel_1234(n)
+
+
+def test_bona_1342_closed_form():
+    pattern = perm("1342")
+    for n in range(1, 8):
+        assert bona_1342(n) == naive_count(pattern, n)
+    assert bona_1342(11) == 3475090
+    for n in range(1, 12):
+        assert count_avoiders(pattern, n) == bona_1342(n)
+
+
+def test_count_1324_oeis():
+    assert count_avoiders(perm("1324"), 11) == 3824112  # A061552
+
+
+@given(permutations_upto(6, min_n=4), st.integers(0, 7))
+@settings(max_examples=25)
+def test_count_long_patterns_match_filter_and_enumeration(pattern, n):
+    count = count_avoiders(pattern, n)
+    assert count == naive_count(pattern, n)
+    assert count == len(list(avoiders(pattern, n)))
 
 
 def test_avoiders_enumeration():

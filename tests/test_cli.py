@@ -62,6 +62,21 @@ class TestExitCodes:
         assert code == EXIT_BAD_INPUT
         assert "rejected" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--k", "nan", "--a", "1", "--c", "2"),
+        ("crude", "--k", "inf", "--a", "1", "--c", "2"),
+        ("alpha", "--a", "1", "--c", "2.5"),
+        ("alpha", "--a", "inf", "--c", "2"),
+        ("schedule", "--k", "1e300", "--a", "5", "--c", "4"),
+        ("schedule", "--k", "1e6", "--a", "inf", "--c", "2"),
+    ])
+    def test_out_of_domain_bounds_constants(self, capsys, argv):
+        code, out, err = invoke(capsys, "bounds", *argv)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("rejected")
+        assert "Traceback" not in err and "internal error" not in err
+
 
 class TestJsonOutput:
     def test_count_av_shape(self, capsys):
