@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 from .core import (
     Permutation,
+    _occurrence_plan,
+    _pareto_min,
     completes_at_end,
     direct_sum,
 )
@@ -168,43 +170,6 @@ def count_avoiders(
     return _count_states(pattern.entries, n, budget)
 
 
-def _neighbours(head, q):
-    """Greatest value of ``head`` below q and least above it (None if absent)."""
-    return (
-        max((v for v in head if v < q), default=None),
-        min((v for v in head if v > q), default=None),
-    )
-
-
-def _occurrence_plan(pvals):
-    """Per prefix length j = 1..k: how an occurrence of pvals[:j-1] takes
-    the new entry as its j-th one, and which entries of pvals[:j] a
-    partial occurrence keeps.
-
-    Entry j is ``(lo, hi, src, lows, ups)``: lo/hi are the tuple positions
-    of the value-neighbours of pvals[j-1] in the parent tuple (-1 when
-    absent); src maps each kept entry to its parent position (-1 for the
-    new entry); lows/ups are the positions kept as a lower/upper bound of
-    some later pattern value.  Position order is pattern-value order."""
-    k = len(pvals)
-    bounds = [[_neighbours(pvals[:j], q) for q in pvals[j:]] for j in range(k)]
-    kept = [sorted({v for pair in b for v in pair if v is not None}) for b in bounds]
-    kept.append([])
-    plan = []
-    for j in range(1, k + 1):
-        parent, cur = kept[j - 1], kept[j]
-        lo, hi = bounds[j - 1][0]
-        later = bounds[j] if j < k else []
-        plan.append((
-            -1 if lo is None else parent.index(lo),
-            -1 if hi is None else parent.index(hi),
-            tuple(-1 if v == pvals[j - 1] else parent.index(v) for v in cur),
-            tuple(i for i, v in enumerate(cur) if any(b[0] == v for b in later)),
-            tuple(i for i, v in enumerate(cur) if any(b[1] == v for b in later)),
-        ))
-    return plan
-
-
 def _count_states(pvals, n, budget):
     """|Av_n(pvals)| by merging equal prefix states, one length at a time."""
     k = len(pvals)
@@ -221,16 +186,7 @@ def _count_states(pvals, n, budget):
             t for t in tuples
             if (not lows or t[lows[-1]] < left) and (not ups or t[ups[0]])
         }
-        if len(live) < 2:
-            return frozenset(live)
-        # sorting puts every dominator before what it dominates
-        order = sorted(live, key=lambda t: [t[i] for i in lows] + [-t[i] for i in ups])
-        out = []
-        for t in order:
-            if not any(all(s[i] <= t[i] for i in lows)
-                       and all(s[i] >= t[i] for i in ups) for s in out):
-                out.append(t)
-        return frozenset(out)
+        return _pareto_min(live, lows, ups)
 
     # state: one set of gap tuples per prefix length 0..k-1, with the
     # empty occurrence always present; states merge with their multiplicity

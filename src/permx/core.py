@@ -482,6 +482,139 @@ def matrix_avoids(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# partial occurrences, shared by the permutation and 0-1 matrix searches
+# ---------------------------------------------------------------------------
+#
+# Both searches grow a host one step at a time (an entry of a permutation,
+# a row of a matrix) and describe what has been built by its partial
+# occurrences: for each pattern prefix pvals[:j], the host coordinates
+# of the entries an occurrence of it still needs to compare against.
+# For permutations pvals is the pattern itself, and the step (in gap
+# coordinates) is avoidance._count_states; for a permutation matrix it is
+# col_of_row(), with host rows as positions and host columns as values,
+# and the step is _row_states below.
+
+def _neighbours(head, q):
+    """Greatest value of ``head`` below q and least above it (None if absent)."""
+    return (
+        max((v for v in head if v < q), default=None),
+        min((v for v in head if v > q), default=None),
+    )
+
+
+def _occurrence_plan(pvals):
+    """Per prefix length j = 1..k: how an occurrence of pvals[:j-1] takes
+    the new entry as its j-th one, and which entries of pvals[:j] a
+    partial occurrence keeps.
+
+    Entry j is ``(lo, hi, src, lows, ups)``: lo/hi are the tuple positions
+    of the value-neighbours of pvals[j-1] in the parent tuple (-1 when
+    absent); src maps each kept entry to its parent position (-1 for the
+    new entry); lows/ups are the positions kept as a lower/upper bound of
+    some later pattern value.  Position order is pattern-value order."""
+    k = len(pvals)
+    bounds = [[_neighbours(pvals[:j], q) for q in pvals[j:]] for j in range(k)]
+    kept = [sorted({v for pair in b for v in pair if v is not None}) for b in bounds]
+    kept.append([])
+    plan = []
+    for j in range(1, k + 1):
+        parent, cur = kept[j - 1], kept[j]
+        lo, hi = bounds[j - 1][0]
+        later = bounds[j] if j < k else []
+        plan.append((
+            -1 if lo is None else parent.index(lo),
+            -1 if hi is None else parent.index(hi),
+            tuple(-1 if v == pvals[j - 1] else parent.index(v) for v in cur),
+            tuple(i for i, v in enumerate(cur) if any(b[0] == v for b in later)),
+            tuple(i for i, v in enumerate(cur) if any(b[1] == v for b in later)),
+        ))
+    return plan
+
+
+def _pareto_min(tuples, lows, ups):
+    """The partial occurrences no other one dominates.  One dominates
+    another when its lower-bound entries are no larger and its
+    upper-bound entries no smaller: every completion of the other is then
+    one of it too."""
+    if len(tuples) < 2:
+        return frozenset(tuples)
+    # sorting puts every dominator before what it dominates
+    order = sorted(tuples, key=lambda t: [t[i] for i in lows] + [-t[i] for i in ups])
+    out = []
+    for t in order:
+        if not any(all(s[i] <= t[i] for i in lows)
+                   and all(s[i] >= t[i] for i in ups) for s in out):
+            out.append(t)
+    return frozenset(out)
+
+
+def _row_states(P: PermutationMatrix, width: int):
+    """The row-state model of width-``width`` hosts avoiding P, as
+    ``(root, forbidden, step)``: the empty host's state, the columns a
+    next row may not use, and the state after a row.
+
+    A state holds, per pattern-row prefix of length j < k, the column
+    tuples of its partial occurrences.  A one at column x extends an
+    occurrence t when t[lo] < x < t[hi], strictly, since the ones of a
+    pattern lie in distinct columns.  step's rows_left, when given, is
+    how many rows may still follow; occurrences that need more are
+    dropped, as are those with too few columns left (liveness), and only
+    Pareto-minimal tuples stay (dominance)."""
+    k = P.k
+    plan = _occurrence_plan(P.col_of_row())
+    last_lo, last_hi = plan[-1][:2]
+    # dominance keeps only the lowest new column of an extension that
+    # keeps it as a lower bound alone (or not at all), and only the
+    # highest of one that keeps it as an upper bound alone
+    keep = []
+    for _, _, src, lows, ups in plan:
+        new = src.index(-1) if -1 in src else None
+        keep.append("all" if new in lows and new in ups else "high" if new in ups else "low")
+
+    def between(t, lo, hi):
+        # columns strictly between the bounds at tuple positions lo and hi
+        low = t[lo] + 1 if lo >= 0 else 0
+        high = t[hi] if hi >= 0 else width
+        return ((1 << high) - 1) ^ ((1 << low) - 1)
+
+    def forbidden(state):
+        out = 0
+        for t in state[k - 1]:
+            out |= between(t, last_lo, last_hi)
+        return out
+
+    def step(state, row, rows_left=None):
+        child = [state[0]]
+        for j in range(1, k):
+            if rows_left is not None and rows_left < k - j:
+                child.append(empty)
+                continue
+            lo, hi, src, lows, ups = plan[j - 1]
+            tuples = set(state[j])
+            for t in state[j - 1]:
+                cols = row & between(t, lo, hi)
+                if keep[j - 1] == "low":
+                    cols &= -cols
+                elif keep[j - 1] == "high":
+                    cols = 1 << cols.bit_length() >> 1
+                while cols:
+                    x = (cols & -cols).bit_length() - 1
+                    tuples.add(tuple([x if i < 0 else t[i] for i in src]))
+                    cols &= cols - 1
+            # columns grow with value along a tuple, so liveness needs only
+            # the highest lower bound and the lowest upper bound
+            live = {
+                t for t in tuples
+                if (not lows or t[lows[-1]] < width - 1) and (not ups or t[ups[0]])
+            }
+            child.append(_pareto_min(live, lows, ups))
+        return tuple(child)
+
+    empty = frozenset()
+    return (frozenset([()]),) + (empty,) * (k - 1), forbidden, step
+
+
+# ---------------------------------------------------------------------------
 # permutation <-> matrix
 # ---------------------------------------------------------------------------
 

@@ -7,15 +7,21 @@ the column analog, computed through a quarter-turn rotation.  On top of
 the searches sit two certifiers that compare exact values against the
 closed-form bounds from the bounds module.
 
-Hosts grow one cell (or one row) at a time, so containment checks only
-need to consider occurrences whose bottom pattern row lands on the new
-cell or row: all earlier configurations were checked when they appeared.
-Rows are column bitmasks; transversals are greedy lowest-bit scans.
+Both searches grow hosts one row (a column bitmask) at a time and merge
+hosts with equal row states (core._row_states: the pattern's partial
+occurrences keyed by host column).  exfn_exact is a memoised max-ones
+recursion over (rows left, state), fpts_exact a longest path from the
+empty state.  Rows only add occurrences, so states grow along a host:
+the row graph is acyclic apart from rows that leave the state unchanged,
+which can repeat forever and are reported as reaching the row cap.
+
+A search node is one candidate row tried from one distinct state.
+Witnesses are read back from the memo as the first optimal host in
+candidate order, the one a depth-first search in that order finds first.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +29,7 @@ from .bounds import _as_fraction, _pow_ka, lemma21_bound, lemma22_rhs
 from .core import (
     BinaryMatrix,
     PermutationMatrix,
+    _row_states,
     blockable_decompositions,
     from_matrix,
     matrix_from_masks,
@@ -79,114 +86,78 @@ class FptsResult:
         }
 
 
-def _pattern_order(P: PermutationMatrix):
-    """Pattern rows sorted by the column of their one; the greedy
-    transversal consumes rows in this order."""
-    cols = P.col_of_row()
-    return sorted(range(len(cols)), key=cols.__getitem__)
+class _Stop(Exception):
+    """Ends a search early: budget spent, or a host of n_cap rows found."""
 
 
-def _cell_completes(masks, r: int, c: int, order, k: int) -> bool:
-    """Would setting cell (r, c) create an occurrence?  Any new
-    occurrence must use (r, c) for the bottom pattern row, with the
-    other pattern rows on earlier nonempty host rows."""
-    if k == 1:
-        return True
-    prev_rows = [i for i in range(r) if masks[i]]
-    if len(prev_rows) < k - 1:
-        return False
-    last = k - 1
-    for combo in itertools.combinations(prev_rows, k - 1):
-        col = -1
-        ok = True
-        for j in order:
-            if j == last:
-                if c <= col:
-                    ok = False
-                    break
-                col = c
-            else:
-                m = masks[combo[j]] >> (col + 1)
-                if m == 0:
-                    ok = False
-                    break
-                col += (m & -m).bit_length()
-        if ok:
-            return True
-    return False
+def _low_columns_first(allowed: int, width: int):
+    """Every submask of ``allowed`` in the order a cell-by-cell search
+    that sets each cell, column 0 first, before leaving it clear meets
+    them: descending in the bit-reversed value."""
+    def flip(mask):
+        return int(format(mask, f"0{width}b")[::-1], 2)
 
-
-def _row_completes(prev_masks, new_mask: int, order, k: int) -> bool:
-    """Would appending new_mask as the next host row create an
-    occurrence ending in that row?"""
-    if k == 1:
-        return new_mask != 0
-    if len(prev_masks) < k - 1:
-        return False
-    last = k - 1
-    for combo in itertools.combinations(range(len(prev_masks)), k - 1):
-        col = -1
-        ok = True
-        for j in order:
-            m = (new_mask if j == last else prev_masks[combo[j]]) >> (col + 1)
-            if m == 0:
-                ok = False
-                break
-            col += (m & -m).bit_length()
-        if ok:
-            return True
-    return False
+    a = m = flip(allowed)
+    yield allowed
+    while m:
+        m = (m - 1) & a
+        yield flip(m)
 
 
 def exfn_exact(
     P: PermutationMatrix, n: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> ExtremalResult:
-    """Maximum number of ones in an n x n matrix avoiding P, by
-    branch-and-bound over cells in row-major order.
+    """Maximum number of ones in an n x n matrix avoiding P.
 
-    Tries to set each cell before leaving it clear, prunes when even
-    filling every remaining cell cannot beat the best, and checks
-    containment incrementally at the newly set cell only.  Budget
-    exhaustion returns the best-so-far flagged not proven.
+    best(r, state) = max over the rows the state allows of the row's
+    ones plus best(r - 1, state after it), memoised; the last row takes
+    every allowed column.  Rows are tried in ``_low_columns_first``
+    order.  Budget exhaustion returns the best host completed on the
+    search stack, flagged not proven.
     """
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
-    k = P.k
-    if k == 1:
-        return ExtremalResult(0, BinaryMatrix(n, n, frozenset()), 0, True)
-    order = _pattern_order(P)
-    total = n * n
-    masks = [0] * n
-    best_value = 0
-    best_masks = list(masks)
+    if n > MAX_WIDTH:
+        raise ResourceLimit(f"width {n} exceeds the {MAX_WIDTH}-bit row limit")
+    root, forbidden, step = _row_states(P, n)
+    memo = {}  # (rows left, state) -> (most ones, first best row, state after it)
+    stack: list[int] = []
+    best_value, best_rows = 0, [0] * n
     nodes = 0
-    exceeded = False
 
-    def rec(idx: int, ones: int):
-        nonlocal best_value, best_masks, nodes, exceeded
-        nodes += 1
-        if nodes > budget:
-            exceeded = True
-            return
-        if idx == total:
+    def best(r, state):
+        nonlocal best_value, best_rows, nodes
+        if r == 0:
+            ones = sum(m.bit_count() for m in stack)
             if ones > best_value:
-                best_value = ones
-                best_masks = list(masks)
-            return
-        if ones + (total - idx) <= best_value:
-            return
-        r, c = divmod(idx, n)
-        if not _cell_completes(masks, r, c, order, k):
-            masks[r] |= 1 << c
-            rec(idx + 1, ones + 1)
-            masks[r] &= ~(1 << c)
-            if exceeded:
-                return
-        rec(idx + 1, ones)
+                best_value, best_rows = ones, list(stack)
+            return 0
+        key = (r, state)
+        if key not in memo:
+            allowed = ((1 << n) - 1) & ~forbidden(state)
+            entry = (-1, 0, None)
+            for m in [allowed] if r == 1 else _low_columns_first(allowed, n):
+                nodes += 1
+                if nodes > budget:
+                    raise _Stop
+                child = step(state, m, r - 1) if r > 1 else None
+                stack.append(m)
+                value = m.bit_count() + best(r - 1, child)
+                stack.pop()
+                if value > entry[0]:
+                    entry = (value, m, child)
+            memo[key] = entry
+        return memo[key][0]
 
-    rec(0, 0)
-    witness = matrix_from_masks(best_masks, n)
-    return ExtremalResult(best_value, witness, nodes, not exceeded)
+    try:
+        value = best(n, root)
+    except _Stop:
+        return ExtremalResult(best_value, matrix_from_masks(best_rows, n), nodes, False)
+    host, state = [], root
+    for r in range(n, 0, -1):
+        _, m, state = memo[(r, state)]
+        host.append(m)
+    return ExtremalResult(value, matrix_from_masks(host, n), nodes, True)
 
 
 def exfn_enumerate(P: PermutationMatrix, n: int) -> int:
@@ -216,13 +187,13 @@ def fpts_exact(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> FptsResult:
     """Maximum N such that some N x t matrix with at least s ones per
-    row avoids P, found by depth-first search over row contents.
+    row avoids P: the longest path from the empty state, memoised.
 
-    Candidate rows are the weight >= s masks in descending numeric
-    order, a witness-finding heuristic only: every extension of every
-    prefix is explored, because row order matters for containment.
-    Reaching n_cap sets hit_row_cap (the true value may be larger);
-    budget exhaustion returns best-so-far flagged not proven.
+    Candidate rows are the allowed weight >= s masks in descending
+    numeric order.  Reaching n_cap, which includes finding a row that
+    leaves the state unchanged and so can repeat forever, sets
+    hit_row_cap (the true value may be larger); budget exhaustion
+    returns the deepest host on the search stack flagged not proven.
     """
     if t < 1:
         raise PreconditionViolated(f"need t >= 1, got {t}")
@@ -234,41 +205,69 @@ def fpts_exact(
         raise ZeroRowWeight("s = 0 admits unlimited all-zero rows; refusing")
     if n_cap < 1:
         raise PreconditionViolated(f"need n_cap >= 1, got {n_cap}")
-    k = P.k
-    if s > t or k == 1:
+    if s > t:
         return FptsResult(0, matrix_from_masks([], t), 0, True, False)
+    root, forbidden, step = _row_states(P, t)
 
-    order = _pattern_order(P)
-    candidates = [m for m in range((1 << t) - 1, 0, -1) if m.bit_count() >= s]
-    rows: list[int] = []
-    best_rows: list[int] = []
+    def candidates(state):
+        m = allowed = ((1 << t) - 1) & ~forbidden(state)
+        while m:
+            if m.bit_count() >= s:
+                yield m
+            m = (m - 1) & allowed
+
+    def follow(state, need):
+        # the first `need` rows, in candidate order, that can follow state
+        out = []
+        while len(out) < need:
+            for m in candidates(state):
+                child = step(state, m)
+                if child == state or memo[child] >= need - len(out) - 1:
+                    break
+            out.append(m)
+            state = child
+        return out
+
+    memo = {}  # state -> most rows that can follow it, always < n_cap
+    stack: list[int] = []
+    deepest: list[int] = []
+    capped = None
     nodes = 0
-    hit_cap = False
-    exceeded = False
 
-    def rec():
-        nonlocal best_rows, nodes, hit_cap, exceeded
-        if len(rows) > len(best_rows):
-            best_rows = list(rows)
-        if len(rows) == n_cap:
-            hit_cap = True
-            return
-        for m in candidates:
+    def longest(state):
+        # stops at the first host of n_cap rows in candidate order: the
+        # stack, one more row, and the best continuation after it
+        nonlocal capped, deepest, nodes
+        value = 0
+        for m in candidates(state):
             nodes += 1
             if nodes > budget:
-                exceeded = True
-                return
-            if not _row_completes(rows, m, order, k):
-                rows.append(m)
-                rec()
-                rows.pop()
-                if exceeded or hit_cap:
-                    return
+                raise _Stop
+            child = step(state, m)
+            if child == state or len(stack) + 1 >= n_cap:
+                more = n_cap
+            else:
+                more = memo.get(child)
+            if more is None:
+                stack.append(m)
+                if len(stack) > len(deepest):
+                    deepest = list(stack)
+                more = longest(child)
+                stack.pop()
+            if len(stack) + 1 + more >= n_cap:
+                capped = stack + [m] + follow(child, n_cap - len(stack) - 1)
+                raise _Stop
+            value = max(value, 1 + more)
+        memo[state] = value
+        return value
 
-    rec()
-    witness = matrix_from_masks(best_rows, t)
-    proven = not exceeded and not hit_cap
-    return FptsResult(len(best_rows), witness, nodes, proven, hit_cap)
+    try:
+        value = longest(root)
+    except _Stop:
+        if capped is not None:
+            return FptsResult(n_cap, matrix_from_masks(capped, t), nodes, False, True)
+        return FptsResult(len(deepest), matrix_from_masks(deepest, t), nodes, False, False)
+    return FptsResult(value, matrix_from_masks(follow(root, value), t), nodes, True, False)
 
 
 def gpts_exact(

@@ -75,6 +75,21 @@ class TestSmallestPassingK:
         assert out.read_bytes() == ARTIFACT.read_bytes()
 
 
+class TestExtremalTables:
+    def test_script_regenerates_identically(self, tmp_path):
+        # values and node counts both: a drift in either is a diff
+        outs = {name: tmp_path / name for name in ("ex_values.csv", "f_values.csv")}
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "extremal_tables.py"),
+             "--ex-out", str(outs["ex_values.csv"]),
+             "--f-out", str(outs["f_values.csv"])],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        for name, out in outs.items():
+            assert out.read_bytes() == (REPO / "artifacts" / name).read_bytes(), name
+
+
 class TestScriptSmoke:
     def test_schedule_sweep_stdout(self):
         proc = subprocess.run(

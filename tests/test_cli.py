@@ -15,6 +15,7 @@ from permx.cli import (
     run,
 )
 from permx.errors import PreconditionViolated
+from permx.limits import MAX_WIDTH
 
 
 def invoke(capsys, *argv):
@@ -75,6 +76,27 @@ class TestExitCodes:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("rejected")
+        assert "Traceback" not in err and "internal error" not in err
+
+
+    def test_exfn_past_the_budget_is_unproven(self, capsys):
+        code, out, err = invoke(
+            capsys, "exfn", "--pattern", "12", "--n", "40", "--budget", "100000",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["proven_optimal"] is False
+        assert len(data["witness"]["ones"]) == data["value"] <= 2 * 40 - 1
+        assert "Traceback" not in err and "internal error" not in err
+
+    def test_exfn_wider_than_row_masks(self, capsys):
+        code, out, err = invoke(
+            capsys, "exfn", "--pattern", "12", "--n", str(MAX_WIDTH + 1)
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource limit")
         assert "Traceback" not in err and "internal error" not in err
 
 

@@ -9,11 +9,12 @@ that zone must cap out flagged rather than report a value as proven.
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permx.core import (
     BinaryMatrix,
+    Permutation,
     PermutationMatrix,
     matrix_avoids,
     matrix_occurrence_masks,
@@ -57,7 +58,8 @@ def vflip(P: PermutationMatrix) -> PermutationMatrix:
 
 def oracle_fpts(P: PermutationMatrix, t: int, s: int, cap: int) -> int:
     """Independent row-sequence enumeration using the generic
-    containment routine after every append."""
+    containment routine after every append; stops once a host reaches
+    the cap, since nothing can beat it."""
     pat = P.matrix.row_masks()
     cands = [m for m in range(1, 1 << t) if m.bit_count() >= s]
     best = 0
@@ -68,6 +70,8 @@ def oracle_fpts(P: PermutationMatrix, t: int, s: int, cap: int) -> int:
         if len(rows) == cap:
             return
         for m in cands:
+            if best == cap:
+                return
             new = rows + [m]
             if matrix_occurrence_masks(new, t, pat, P.k) is None:
                 rec(new)
@@ -117,6 +121,18 @@ class TestExfn:
         res = exfn_exact(I2, 4, budget=50)
         assert not res.proven_optimal
         assert res.value <= 7
+
+    def test_budget_exhaustion_witness_is_valid(self):
+        res = exfn_exact(I2, 4, budget=50)
+        assert not res.proven_optimal
+        assert res.witness.count_ones() == res.value
+        assert matrix_avoids(res.witness, I2.matrix)
+
+    def test_pinned_witness(self):
+        # the first optimum in cell order, setting a cell before clearing it
+        res = exfn_exact(pm("132"), 4)
+        assert res.value == 12
+        assert res.witness.row_masks() == [15, 15, 12, 12]
 
     def test_bad_n(self):
         with pytest.raises(PreconditionViolated):
@@ -210,6 +226,47 @@ class TestFpts:
         res = fpts_exact(I3, 5, 3, budget=10)
         assert not res.proven_optimal
 
+    def test_budget_exhaustion_witness_is_valid(self):
+        res = fpts_exact(I3, 5, 3, budget=10)
+        assert not res.proven_optimal and not res.hit_row_cap
+        w = res.witness
+        assert w.rows == res.value >= 1
+        assert all(m.bit_count() >= 3 for m in w.row_masks())
+        assert matrix_avoids(w, I3.matrix)
+
+    def test_pinned_witnesses(self):
+        # the first longest host with rows tried in descending numeric order
+        res = fpts_exact(pm("123"), 6, 3)
+        assert (res.value, res.proven_optimal) == (8, True)
+        assert res.witness.row_masks() == [7, 13, 25, 49, 35, 38, 44, 56]
+        res = gpts_exact(pm("132"), 6, 3)
+        assert (res.value, res.proven_optimal) == (8, True)
+        assert res.witness.row_masks() == [56, 56, 44, 44, 38, 38, 35, 35]
+        res = fpts_exact(pm("12"), 3, 1, n_cap=6)
+        assert res.hit_row_cap
+        assert res.witness.row_masks() == [7, 4, 4, 4, 4, 4]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_small_cases_match_oracle(self, data):
+        # includes s < k, where some row repeats forever and the cap is hit
+        k = data.draw(st.integers(1, 3))
+        P = to_matrix(Permutation(tuple(data.draw(st.permutations(range(1, k + 1))))))
+        t = data.draw(st.integers(1, 4))
+        s = data.draw(st.integers(1, t))
+        res = fpts_exact(P, t, s, n_cap=6)
+        expected = oracle_fpts(P, t, s, cap=6)
+        assert (res.value, res.hit_row_cap) == (expected, expected == 6)
+        assert res.witness.rows == res.value
+        assert all(m.bit_count() >= s for m in res.witness.row_masks())
+        assert res.value == 0 or matrix_avoids(res.witness, P.matrix)
+
+    def test_width8_is_proven(self):
+        res = fpts_exact(pm("123"), 8, 3)
+        assert (res.value, res.proven_optimal, res.hit_row_cap) == (12, True, False)
+        assert all(m.bit_count() >= 3 for m in res.witness.row_masks())
+        assert matrix_avoids(res.witness, pm("123").matrix)
+
     def test_validation_errors(self):
         with pytest.raises(PreconditionViolated):
             fpts_exact(I2, 0, 1)
@@ -227,6 +284,32 @@ class TestFpts:
         # one full row never contains a pattern needing two host rows
         P = to_matrix(parse_permutation(" ".join(map(str, values))))
         assert fpts_exact(P, 3, 3, n_cap=4).value >= 1
+
+
+class TestClosedForms:
+    """Exact values known in closed form; they share no code with the
+    searches."""
+
+    @staticmethod
+    def check(P, n, value):
+        res = exfn_exact(P, n)
+        assert (res.value, res.proven_optimal) == (value, True)
+        assert res.witness.count_ones() == value
+        assert matrix_avoids(res.witness, P.matrix)
+
+    @pytest.mark.parametrize("text", ["123", "132", "213", "231", "312", "321"])
+    def test_three_by_three(self, text):
+        # Tardos (2005): ex(n, P) = 4n - 4 for every 3 x 3 permutation matrix
+        self.check(pm(text), 6, 4 * 6 - 4)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_identity4(self, n):
+        # Fueredi-Hajnal (1992): ex(n, I_k) = 2(k-1)n - (k-1)^2; the matrix
+        # of 1234 is I_4 reflected, which leaves ex unchanged
+        self.check(pm("1234"), n, 2 * 3 * n - 3 ** 2)
+
+    def test_identity2_n10(self):
+        self.check(pm("12"), 10, 2 * 10 - 1)
 
 
 ROT_INVARIANT = PermutationMatrix(
