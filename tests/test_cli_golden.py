@@ -1,0 +1,29 @@
+"""Golden CLI outputs, replayed through ``main`` in process.
+
+Each case in ``data/cli_golden.json`` holds an argv, optional
+environment variables, and the exit code, stdout and stderr they
+produce.  The corpus covers every subcommand except ``selftest`` in all
+three formats, plus rejected and resource-limit cases.  It was captured
+before the CLI became table driven; an entry changes only when a
+command's output is meant to change.  Help and usage text are left out
+because argparse words them differently across Python versions.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from permx.cli import main
+
+CASES = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(case, capsys, monkeypatch):
+    monkeypatch.delenv("PERMX_BUDGET", raising=False)
+    for key, value in case.get("env", {}).items():
+        monkeypatch.setenv(key, value)
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
