@@ -28,6 +28,7 @@ from .errors import (
     PreconditionViolated,
     ResourceLimit,
 )
+from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS
 
 _LN2 = math.log(2.0)
 _MILESTONE_NOTE = (
@@ -49,16 +50,39 @@ def _as_fraction(value, name: str) -> Fraction:
         raise BadConstants(f"{name} is not a rational constant: {value!r}") from exc
 
 
-def _pow_ka(k, a) -> Fraction:
+def _pow_ka(k, a, s, error=PreconditionViolated) -> Fraction:
     """k**a as an exact rational when a is integral, else the exact
-    value of the double-precision power."""
-    if isinstance(a, int) or (isinstance(a, float) and a.is_integer()):
-        return _as_fraction(k, "k") ** int(a)
+    value of the double-precision power.
+
+    k^a must lie within 2^-1023 .. 2^1023, and every caller needs
+    k^a < s: a k^a above 2s raises ``error``.  Both are decided in log2
+    space before any power is built, so a huge exponent neither builds a
+    huge exact power nor overflows a double.
+    """
+    kf = _as_fraction(k, "k")
+    if kf < 1:
+        raise PreconditionViolated(f"need k >= 1, got {k}")
+    if not math.isfinite(a):
+        raise BadConstants(f"a must be finite, got {a!r}")
+    log2_ka = a * math.log2(k)
+    if abs(log2_ka) > 1023:
+        raise BadConstants(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
+    if log2_ka > math.log2(s) + 1:
+        raise error(f"need s > k^a, got s={s}, k^a=2^{log2_ka:g}")
+    if _is_integral(a):
+        return kf ** int(a)
     return Fraction(float(k) ** float(a))
 
 
 def _is_integral(a) -> bool:
     return isinstance(a, int) or (isinstance(a, float) and a.is_integer())
+
+
+def _binom_digits(n: int, k: int) -> float:
+    """Upper bound on the decimal digits of binom(n, k), from
+    binom(n, k) <= (e*n/k)^k; cheap enough to check before math.comb."""
+    k = min(k, n - k)
+    return 1 + (k * math.log10(math.e * n / k) if k > 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +93,11 @@ def marcus_tardos_bound(k: int) -> int:
     """Linear coefficient 2*k^4*binom(k^2, k), exact."""
     if k < 1:
         raise PreconditionViolated(f"need k >= 1, got {k}")
+    digits = math.log10(2 * k ** 4) + _binom_digits(k * k, k)
+    if digits > MAX_REPORT_DIGITS:
+        raise ResourceLimit(
+            f"2k^4*binom(k^2, k) may have {digits:.0f} digits, over {MAX_REPORT_DIGITS}"
+        )
     return 2 * k ** 4 * math.comb(k * k, k)
 
 
@@ -79,7 +108,7 @@ def lemma21_bound(k: int, a, t: int, s: int) -> Fraction:
         raise PreconditionViolated(f"need k >= 1, got {k}")
     if not 1 <= s <= t:
         raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
-    ka = _pow_ka(k, a)
+    ka = _pow_ka(k, a, s)
     s_f = _as_fraction(s, "s")
     if s_f <= ka:
         raise PreconditionViolated(f"need s > k^a, got s={s}, k^a={float(ka):g}")
@@ -105,11 +134,16 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
     if xf <= Fraction(1, c):
         raise BadConstants(f"need x > 1/c, got x={x}, c={c}")
     fxc = int(xf * c)  # floor; >= 1 because x > 1/c
-    ka = _pow_ka(k, a)
+    ka = _pow_ka(k, a, s, DenominatorNonpositive)
     denom = _as_fraction(s, "s") * (1 - yf * Fraction(c - 1, fxc)) * c - ka * c
     if denom <= 0:
         raise DenominatorNonpositive(
             f"s(1 - y(c-1)/floor(xc))c - k^a c = {float(denom):g} <= 0"
+        )
+    digits = _binom_digits(c, fxc)
+    if digits > MAX_REPORT_DIGITS:
+        raise ResourceLimit(
+            f"binom(c, floor(xc)) may have {digits:.0f} digits, over {MAX_REPORT_DIGITS}"
         )
     return math.comb(c, fxc) * Fraction(f_sub) + ka * _as_fraction(t, "t") / denom
 
@@ -256,18 +290,20 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
     l2y = math.log2(y_frac.numerator) - math.log2(y_frac.denominator)
     l2k = math.log2(k)
     log2_beta_k = math.log2(2 * c) + a * l2k
-    try:
-        beta = 2.0 ** (math.log2(2 * c) + (a - 1.0) * l2k)
-    except OverflowError as exc:
-        raise BadConstants(
-            f"beta = 2c*k^(a-1) overflows a double at k={k}, a={a}"
-        ) from exc
+    log2_beta = math.log2(2 * c) + (a - 1.0) * l2k
+    if log2_beta >= 1024:
+        raise BadConstants(f"beta = 2c*k^(a-1) overflows a double at k={k}, a={a}")
+    beta = 2.0 ** log2_beta
 
     # step count: contraction ratio of sqrt(t)/s must close the gap
     denom = math.log(y_b) - 0.5 * math.log(x_b)
     if denom <= 0:
         raise BadConstants("bulk multipliers cannot close the weight gap")
     q = 1.0 + (math.log(c) + 0.5 * log2_beta_k * _LN2) / denom
+    if q > MAX_SCHEDULE_STEPS:
+        raise ResourceLimit(
+            f"the schedule needs {q:.0f} bulk steps, over the {MAX_SCHEDULE_STEPS}-step limit"
+        )
     bulk_steps = math.ceil(q)
 
     lt0 = log2_beta_k - (bulk_steps + 2) * l2x
@@ -431,6 +467,8 @@ def certify_schedule(
       floors (integral a only): floored final t and s stay at or below
         the target and the s shortfall is at most 1/(1-y_b).
     """
+    if not 0 <= tol < math.inf:
+        raise BadConstants(f"need finite tol >= 0, got {tol}")
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
     x_b, y_b, y_1 = schedule.x_bulk, schedule.y_bulk, schedule.y_penultimate

@@ -11,6 +11,9 @@ internal error or failed selftest.  Diagnostics go to stderr.
 
 The node budget resolves in order: --budget flag, PERMX_BUDGET
 environment variable, library default.
+
+Every subcommand is declared once, in ``COMMANDS``: its flags, the call
+that builds its report payload, and the payload's csv and text layout.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from .avoidance import (
     count_avoiders,
@@ -70,16 +75,6 @@ EXIT_RESOURCE = 3
 
 FORMATS = ("json", "csv", "text")
 
-# csv table layouts per command; commands not listed flatten their
-# scalar fields into a single row
-CSV_TABLES = {
-    "decompose": ("decompositions", ["skeleton", "blocks"]),
-    "sw-estimate": ("sequence", ["n", "count", "estimate"]),
-    "bounds schedule": ("states", ["i", "log2_t", "log2_s", "t", "s"]),
-    "bounds certify": ("checks", ["name", "holds", "lhs", "rhs"]),
-    "selftest": ("criteria", ["id", "pass", "description", "detail"]),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -114,6 +109,8 @@ def _parse_matrix(text: str) -> BinaryMatrix:
         raise MalformedInput("empty matrix text")
     if any(ch not in "01" for row in rows for ch in row):
         raise MalformedInput(f"matrix rows must be 0/1 strings: {text!r}")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise MalformedInput(f"matrix rows must all have the same length: {text!r}")
     return BinaryMatrix.from_strings(rows)
 
 
@@ -169,15 +166,15 @@ def _scalar_text(value) -> str:
 def render(command: str, payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_norm(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    spec = COMMANDS[command]
     if fmt == "csv":
-        return _render_csv(command, payload)
-    return _render_text(command, payload)
+        return _render_csv(spec.table, payload)
+    return _render_text(spec.text_key, payload)
 
 
-def _render_csv(command: str, payload: dict) -> str:
+def _render_csv(table, payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    table = CSV_TABLES.get(command)
     if table is not None:
         key, columns = table
         writer.writerow(columns)
@@ -190,17 +187,7 @@ def _render_csv(command: str, payload: dict) -> str:
     return buf.getvalue()
 
 
-_TEXT_KEY = {
-    "contains": "contains",
-    "matrix-contains": "contains",
-    "sum": "result",
-    "skew": "result",
-    "inflate": "result",
-}
-
-
-def _render_text(command: str, payload: dict) -> str:
-    key = _TEXT_KEY.get(command)
+def _render_text(key, payload: dict) -> str:
     if key is not None:
         return _scalar_text(payload[key]) + "\n"
     lines = []
@@ -214,291 +201,261 @@ def _render_text(command: str, payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# handlers: opts dict in, (payload, exit code) out
+# commands
 # ---------------------------------------------------------------------------
 
-def _cmd_contains(opts, config):
-    host = parse_permutation(opts["host"])
-    pattern = parse_permutation(opts["pattern"])
-    return {
-        "host": str(host),
-        "pattern": str(pattern),
-        "contains": contains(host, pattern),
-    }, EXIT_OK
+@dataclass(frozen=True)
+class Command:
+    """One subcommand, declared once.
+
+    ``call(opts, config)`` turns the parsed options and the run
+    configuration (node budget, seed) into the report payload; it names
+    library functions at call time, so wrappers set on this module's
+    globals see them.  csv output writes ``table`` (payload key,
+    columns) if set, else the scalar fields as one row sorted by key;
+    text output writes the ``text_key`` field alone if set, else one
+    ``key = value`` line per field.  A false ``verdict`` field in the
+    payload makes the exit code 1.
+    """
+
+    flags: tuple
+    call: Callable[[dict, RunConfig], dict]
+    budgeted: bool = False
+    table: tuple[str, tuple[str, ...]] | None = None
+    text_key: str | None = None
+    verdict: str | None = None
 
 
-def _cmd_matrix_contains(opts, config):
-    host = _parse_matrix(opts["host"])
-    pattern = _parse_matrix(opts["pattern"])
-    return {"contains": matrix_contains(host, pattern)}, EXIT_OK
+def _flag(name: str, type=str, **kwargs) -> tuple[str, dict]:
+    """An argparse flag, required unless it has a default."""
+    return name, {"type": type, "required": "default" not in kwargs, **kwargs}
 
 
-def _cmd_sum(opts, config):
-    left = parse_permutation(opts["left"])
-    right = parse_permutation(opts["right"])
-    return {
-        "left": str(left),
-        "right": str(right),
-        "result": str(direct_sum(left, right)),
-    }, EXIT_OK
+def _contains(o, cfg):
+    host = parse_permutation(o["host"])
+    pattern = parse_permutation(o["pattern"])
+    return {"host": str(host), "pattern": str(pattern), "contains": contains(host, pattern)}
 
 
-def _cmd_skew(opts, config):
-    left = parse_permutation(opts["left"])
-    right = parse_permutation(opts["right"])
-    return {
-        "left": str(left),
-        "right": str(right),
-        "result": str(skew_sum(left, right)),
-    }, EXIT_OK
+def _matrix_contains(o, cfg):
+    host = _parse_matrix(o["host"])
+    pattern = _parse_matrix(o["pattern"])
+    return {"contains": matrix_contains(host, pattern)}
 
 
-def _cmd_inflate(opts, config):
-    skeleton = parse_permutation(opts["skeleton"])
-    blocks = [parse_permutation(b) for b in opts["blocks"].split(",") if b]
-    return {
-        "skeleton": str(skeleton),
-        "blocks": [str(b) for b in blocks],
-        "result": str(inflate(skeleton, blocks)),
-    }, EXIT_OK
+def _pair(op, o):
+    """Echo two permutations and the one ``op`` builds from them."""
+    left = parse_permutation(o["left"])
+    right = parse_permutation(o["right"])
+    return {"left": str(left), "right": str(right), "result": str(op(left, right))}
 
 
-def _cmd_decompose(opts, config):
-    p = parse_permutation(opts["pattern"])
-    decomps = blockable_decompositions(p, opts["c"])
+def _inflate(o, cfg):
+    skeleton = parse_permutation(o["skeleton"])
+    blocks = [parse_permutation(b) for b in o["blocks"].split(",") if b]
+    return {"skeleton": str(skeleton), "blocks": [str(b) for b in blocks],
+            "result": str(inflate(skeleton, blocks))}
+
+
+def _decompose(o, cfg):
+    p = parse_permutation(o["pattern"])
+    decomps = blockable_decompositions(p, o["c"])
     return {
         "pattern": str(p),
-        "c": opts["c"],
+        "c": o["c"],
         "count": len(decomps),
         "decompositions": [
             {"skeleton": str(d.skeleton), "blocks": " ".join(str(b) for b in d.blocks)}
             for d in decomps
         ],
-    }, EXIT_OK
+    }
 
 
-def _cmd_count_av(opts, config):
-    p = parse_permutation(opts["pattern"])
-    value = count_avoiders(p, opts["n"], node_budget=config.node_budget)
-    return {"pattern": str(p), "n": opts["n"], "count": str(value)}, EXIT_OK
+def _count_av(o, cfg):
+    p = parse_permutation(o["pattern"])
+    value = count_avoiders(p, o["n"], node_budget=cfg.node_budget)
+    return {"pattern": str(p), "n": o["n"], "count": str(value)}
 
 
-def _cmd_sw_estimate(opts, config):
-    p = parse_permutation(opts["pattern"])
-    seq = sw_estimate_sequence(p, opts["n_max"], node_budget=config.node_budget)
+def _sw_estimate(o, cfg):
+    p = parse_permutation(o["pattern"])
+    seq = sw_estimate_sequence(p, o["n_max"], node_budget=cfg.node_budget)
     return {
         "pattern": str(p),
-        "sequence": [
-            {"n": e.n, "count": str(e.count), "estimate": e.value} for e in seq
-        ],
-    }, EXIT_OK
+        "sequence": [{"n": e.n, "count": str(e.count), "estimate": e.value} for e in seq],
+    }
 
 
-def _cmd_merge_check(opts, config):
-    red = parse_permutation(opts["red"])
-    blue = parse_permutation(opts["blue"])
-    report = merge_count_upper_check(
-        red, blue, opts["n"], node_budget=config.node_budget
-    )
-    return report.to_jsonable(), EXIT_OK
+def _perm_report(check, o, cfg, *names):
+    """A report on the named permutations at length n."""
+    perms = [parse_permutation(o[name]) for name in names]
+    return check(*perms, o["n"], node_budget=cfg.node_budget).to_jsonable()
 
 
-def _cmd_verify_jv(opts, config):
-    report = verify_jv_inclusion(
-        parse_permutation(opts["a"]),
-        parse_permutation(opts["b"]),
-        parse_permutation(opts["c"]),
-        opts["n"],
-        node_budget=config.node_budget,
-    )
-    return report.to_jsonable(), EXIT_OK
+def _pattern_search(search, o, cfg, *names, echo=()):
+    """Run a search or certifier on the pattern's permutation matrix with
+    the named options, echoing the pattern and the ``echo`` options."""
+    P = _parse_pattern_matrix(o["pattern"])
+    result = search(P, *(o[name] for name in names), budget=cfg.node_budget)
+    echoed = {name: o[name] for name in ("pattern", *echo)}
+    return {**echoed, **result.to_jsonable()}
 
 
-def _cmd_exfn(opts, config):
-    P = _parse_pattern_matrix(opts["pattern"])
-    res = exfn_exact(P, opts["n"], budget=config.node_budget)
-    return {"pattern": opts["pattern"], "n": opts["n"], **res.to_jsonable()}, EXIT_OK
+def _closed_form(fn, key, o, *names):
+    """Evaluate a closed form on the named options and echo them."""
+    value = fn(*(o[name] for name in names))
+    return {**{name: o[name] for name in names}, key: str(value)}
 
 
-def _cmd_fpts(opts, config):
-    P = _parse_pattern_matrix(opts["pattern"])
-    res = fpts_exact(
-        P, opts["t"], opts["s"], n_cap=opts["n_cap"], budget=config.node_budget
-    )
-    return {
-        "pattern": opts["pattern"],
-        "t": opts["t"],
-        "s": opts["s"],
-        **res.to_jsonable(),
-    }, EXIT_OK
+def _alpha(o, cfg):
+    a, c = o["a"], o["c"]
+    alpha = theorem24_alpha(a, c)
+    return {"a": a, "c": c, "alpha": alpha, "theorem12_exponent": theorem12_exponent(a, c)}
 
 
-def _cmd_gpts(opts, config):
-    P = _parse_pattern_matrix(opts["pattern"])
-    res = gpts_exact(
-        P, opts["t"], opts["s"], n_cap=opts["n_cap"], budget=config.node_budget
-    )
-    return {
-        "pattern": opts["pattern"],
-        "t": opts["t"],
-        "s": opts["s"],
-        **res.to_jsonable(),
-    }, EXIT_OK
+def _schedule(o):
+    params = BoundParams(o["k"], o["a"], o["c"])
+    return build_schedule(params, apply_floors=o.get("floors", False))
 
 
-def _cmd_check_lemma21(opts, config):
-    P = _parse_pattern_matrix(opts["pattern"])
-    report = check_lemma21(
-        P,
-        opts["a"],
-        opts["t"],
-        opts["s"],
-        hypothesis_n=opts["hypothesis_n"],
-        budget=config.node_budget,
-    )
-    return {"pattern": opts["pattern"], **report.to_jsonable()}, EXIT_OK
+def _certify(o, cfg):
+    schedule = _schedule(o)
+    p = schedule.params
+    report = certify_schedule(schedule, p, tol=o["tol"])
+    return {"params": {"k": p.k, "a": p.a, "c": p.c}, **report.to_jsonable()}
 
 
-def _cmd_check_lemma22(opts, config):
-    P = _parse_pattern_matrix(opts["pattern"])
-    report = check_lemma22(
-        P,
-        opts["a"],
-        opts["c"],
-        opts["t"],
-        opts["s"],
-        opts["x"],
-        opts["y"],
-        budget=config.node_budget,
-    )
-    return {"pattern": opts["pattern"], **report.to_jsonable()}, EXIT_OK
+def _crude(o, cfg):
+    schedule = _schedule(o)
+    p = schedule.params
+    return {"k": p.k, "a": p.a, "c": p.c, "log2_bound": crude_fpts_bound(schedule, p)}
 
 
-def _cmd_bounds_mt(opts, config):
-    return {"k": opts["k"], "bound": str(marcus_tardos_bound(opts["k"]))}, EXIT_OK
-
-
-def _cmd_bounds_lemma21(opts, config):
-    bound = lemma21_bound(opts["k"], opts["a"], opts["t"], opts["s"])
-    return {
-        "k": opts["k"],
-        "a": opts["a"],
-        "t": opts["t"],
-        "s": opts["s"],
-        "bound": bound,
-    }, EXIT_OK
-
-
-def _cmd_bounds_lemma22_rhs(opts, config):
-    value = lemma22_rhs(
-        opts["k"], opts["a"], opts["c"], opts["t"], opts["s"], opts["x"], opts["y"],
-        opts["f_sub"],
-    )
-    return {
-        "k": opts["k"],
-        "a": opts["a"],
-        "c": opts["c"],
-        "t": opts["t"],
-        "s": opts["s"],
-        "x": opts["x"],
-        "y": opts["y"],
-        "f_sub": opts["f_sub"],
-        "rhs": value,
-    }, EXIT_OK
-
-
-def _cmd_bounds_alpha(opts, config):
-    a, c = opts["a"], opts["c"]
-    return {
-        "a": a,
-        "c": c,
-        "alpha": theorem24_alpha(a, c),
-        "theorem12_exponent": theorem12_exponent(a, c),
-    }, EXIT_OK
-
-
-def _cmd_bounds_schedule(opts, config):
-    params = BoundParams(opts["k"], opts["a"], opts["c"])
-    schedule = build_schedule(params, apply_floors=opts["floors"])
-    return schedule.to_jsonable(), EXIT_OK
-
-
-def _cmd_bounds_certify(opts, config):
-    params = BoundParams(opts["k"], opts["a"], opts["c"])
-    schedule = build_schedule(params, apply_floors=opts["floors"])
-    report = certify_schedule(schedule, params, tol=opts["tol"])
-    return {
-        "params": {"k": params.k, "a": params.a, "c": params.c},
-        **report.to_jsonable(),
-    }, EXIT_OK
-
-
-def _cmd_bounds_crude(opts, config):
-    params = BoundParams(opts["k"], opts["a"], opts["c"])
-    schedule = build_schedule(params)
-    return {
-        "k": params.k,
-        "a": params.a,
-        "c": params.c,
-        "log2_bound": crude_fpts_bound(schedule, params),
-    }, EXIT_OK
-
-
-def _cmd_bounds_fox_rhs(opts, config):
-    table = _parse_ex_table(opts["ex_table"])
-    value = fox_rhs(table, opts["t"], opts["s"], opts["f"], opts["g"], opts["n"])
-    return {
-        "t": opts["t"],
-        "s": opts["s"],
-        "f": opts["f"],
-        "g": opts["g"],
-        "n": opts["n"],
-        "rhs": str(value),
-    }, EXIT_OK
-
-
-def _cmd_selftest(opts, config):
+def _selftest(o, cfg):
     from .selftest import run_selftest
 
-    payload, all_pass = run_selftest(seed=config.seed)
-    return payload, EXIT_OK if all_pass else EXIT_INTERNAL
+    return run_selftest(seed=cfg.seed)[0]
 
 
-HANDLERS = {
-    "contains": _cmd_contains,
-    "matrix-contains": _cmd_matrix_contains,
-    "sum": _cmd_sum,
-    "skew": _cmd_skew,
-    "inflate": _cmd_inflate,
-    "decompose": _cmd_decompose,
-    "count-av": _cmd_count_av,
-    "sw-estimate": _cmd_sw_estimate,
-    "merge-check": _cmd_merge_check,
-    "verify-jv": _cmd_verify_jv,
-    "exfn": _cmd_exfn,
-    "fpts": _cmd_fpts,
-    "gpts": _cmd_gpts,
-    "check-lemma21": _cmd_check_lemma21,
-    "check-lemma22": _cmd_check_lemma22,
-    "bounds mt": _cmd_bounds_mt,
-    "bounds lemma21": _cmd_bounds_lemma21,
-    "bounds lemma22-rhs": _cmd_bounds_lemma22_rhs,
-    "bounds alpha": _cmd_bounds_alpha,
-    "bounds schedule": _cmd_bounds_schedule,
-    "bounds certify": _cmd_bounds_certify,
-    "bounds crude": _cmd_bounds_crude,
-    "bounds fox-rhs": _cmd_bounds_fox_rhs,
-    "selftest": _cmd_selftest,
+PATTERN = _flag("--pattern")
+LEFT, RIGHT = _flag("--left"), _flag("--right")
+A, C = _flag("--a", float), _flag("--c", int)
+N, T, S = _flag("--n", int), _flag("--t", int), _flag("--s", int)
+X, Y = _flag("--x", float), _flag("--y", float)
+REAL_K, REAL_T, REAL_S = _flag("--k", float), _flag("--t", float), _flag("--s", float)
+N_CAP = _flag("--n-cap", int, default=DEFAULT_ROW_CAP)
+FLOORS = ("--floors", {"action": "store_true"})
+
+COMMANDS = {
+    "contains": Command((_flag("--host"), PATTERN), _contains, text_key="contains"),
+    "matrix-contains": Command(
+        (_flag("--host", help="rows as 0/1 strings joined by commas"), PATTERN),
+        _matrix_contains,
+        text_key="contains",
+    ),
+    "sum": Command((LEFT, RIGHT), lambda o, cfg: _pair(direct_sum, o), text_key="result"),
+    "skew": Command((LEFT, RIGHT), lambda o, cfg: _pair(skew_sum, o), text_key="result"),
+    "inflate": Command(
+        (_flag("--skeleton"), _flag("--blocks", help="comma-separated block permutations")),
+        _inflate,
+        text_key="result",
+    ),
+    "decompose": Command(
+        (PATTERN, C), _decompose, table=("decompositions", ("skeleton", "blocks"))
+    ),
+    "count-av": Command((PATTERN, N), _count_av, budgeted=True),
+    "sw-estimate": Command(
+        (PATTERN, _flag("--n-max", int)),
+        _sw_estimate,
+        budgeted=True,
+        table=("sequence", ("n", "count", "estimate")),
+    ),
+    "merge-check": Command(
+        (_flag("--red"), _flag("--blue"), N),
+        lambda o, cfg: _perm_report(merge_count_upper_check, o, cfg, "red", "blue"),
+        budgeted=True,
+    ),
+    "verify-jv": Command(
+        (_flag("--a"), _flag("--b"), _flag("--c"), N),
+        lambda o, cfg: _perm_report(verify_jv_inclusion, o, cfg, "a", "b", "c"),
+        budgeted=True,
+    ),
+    "exfn": Command(
+        (PATTERN, N),
+        lambda o, cfg: _pattern_search(exfn_exact, o, cfg, "n", echo=("n",)),
+        budgeted=True,
+    ),
+    "fpts": Command(
+        (PATTERN, T, S, N_CAP),
+        lambda o, cfg: _pattern_search(fpts_exact, o, cfg, "t", "s", "n_cap", echo=("t", "s")),
+        budgeted=True,
+    ),
+    "gpts": Command(
+        (PATTERN, T, S, N_CAP),
+        lambda o, cfg: _pattern_search(gpts_exact, o, cfg, "t", "s", "n_cap", echo=("t", "s")),
+        budgeted=True,
+    ),
+    "check-lemma21": Command(
+        (PATTERN, A, T, S, _flag("--hypothesis-n", int, default=4)),
+        lambda o, cfg: _pattern_search(check_lemma21, o, cfg, "a", "t", "s", "hypothesis_n"),
+        budgeted=True,
+    ),
+    "check-lemma22": Command(
+        (PATTERN, A, C, T, S, X, Y),
+        lambda o, cfg: _pattern_search(check_lemma22, o, cfg, "a", "c", "t", "s", "x", "y"),
+        budgeted=True,
+    ),
+    "bounds mt": Command(
+        (_flag("--k", int),),
+        lambda o, cfg: _closed_form(marcus_tardos_bound, "bound", o, "k"),
+    ),
+    "bounds lemma21": Command(
+        (REAL_K, A, REAL_T, REAL_S),
+        lambda o, cfg: _closed_form(lemma21_bound, "bound", o, "k", "a", "t", "s"),
+    ),
+    "bounds lemma22-rhs": Command(
+        (REAL_K, A, C, REAL_T, REAL_S, X, Y, _flag("--f-sub", int, default=0)),
+        lambda o, cfg: _closed_form(
+            lemma22_rhs, "rhs", o, "k", "a", "c", "t", "s", "x", "y", "f_sub"
+        ),
+    ),
+    "bounds alpha": Command((A, _flag("--c", float)), _alpha),
+    "bounds schedule": Command(
+        (REAL_K, A, C, FLOORS),
+        lambda o, cfg: _schedule(o).to_jsonable(),
+        table=("states", ("i", "log2_t", "log2_s", "t", "s")),
+    ),
+    "bounds certify": Command(
+        (REAL_K, A, C, FLOORS, _flag("--tol", float, default=1e-9)),
+        _certify,
+        table=("checks", ("name", "holds", "lhs", "rhs")),
+    ),
+    "bounds crude": Command((REAL_K, A, C), _crude),
+    "bounds fox-rhs": Command(
+        (_flag("--ex-table", help="entries like 1=1,2=3,3=5"),
+         T, S, _flag("--f", int), _flag("--g", int), N),
+        lambda o, cfg: _closed_form(
+            partial(fox_rhs, _parse_ex_table(o["ex_table"])), "rhs", o, "t", "s", "f", "g", "n"
+        ),
+    ),
+    "selftest": Command(
+        (_flag("--seed", int, default=None,
+               help="shuffles criterion execution order only, never results"),),
+        _selftest,
+        table=("criteria", ("id", "pass", "description", "detail")),
+        verdict="all_pass",
+    ),
 }
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one configuration and return (exit code, rendered
     report).  Raises domain errors for the caller to map to exit codes."""
-    handler = HANDLERS.get(config.command)
-    if handler is None:
+    spec = COMMANDS.get(config.command)
+    if spec is None:
         raise PreconditionViolated(f"unknown command {config.command!r}")
-    payload, code = handler(config.opts(), config)
+    payload = spec.call(config.opts(), config)
+    code = EXIT_INTERNAL if spec.verdict and not payload[spec.verdict] else EXIT_OK
     return code, render(config.command, payload, config.output_format)
 
 
@@ -518,126 +475,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="pattern containment, avoidance enumeration, and extremal bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("contains", parents=[common])
-    p.add_argument("--host", required=True)
-    p.add_argument("--pattern", required=True)
-
-    p = sub.add_parser("matrix-contains", parents=[common])
-    p.add_argument("--host", required=True, help="rows as 0/1 strings joined by commas")
-    p.add_argument("--pattern", required=True)
-
-    for name in ("sum", "skew"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-
-    p = sub.add_parser("inflate", parents=[common])
-    p.add_argument("--skeleton", required=True)
-    p.add_argument("--blocks", required=True, help="comma-separated block permutations")
-
-    p = sub.add_parser("decompose", parents=[common])
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--c", type=int, required=True)
-
-    p = sub.add_parser("count-av", parents=[common, budgeted])
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("sw-estimate", parents=[common, budgeted])
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-
-    p = sub.add_parser("merge-check", parents=[common, budgeted])
-    p.add_argument("--red", required=True)
-    p.add_argument("--blue", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("verify-jv", parents=[common, budgeted])
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("exfn", parents=[common, budgeted])
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    for name in ("fpts", "gpts"):
-        p = sub.add_parser(name, parents=[common, budgeted])
-        p.add_argument("--pattern", required=True)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--s", type=int, required=True)
-        p.add_argument("--n-cap", type=int, default=DEFAULT_ROW_CAP)
-
-    p = sub.add_parser("check-lemma21", parents=[common, budgeted])
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--hypothesis-n", type=int, default=4)
-
-    p = sub.add_parser("check-lemma22", parents=[common, budgeted])
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-
-    bounds = sub.add_parser("bounds")
-    bsub = bounds.add_subparsers(dest="bounds_command", required=True)
-
-    p = bsub.add_parser("mt", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-
-    p = bsub.add_parser("lemma21", parents=[common])
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-
-    p = bsub.add_parser("lemma22-rhs", parents=[common])
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--f-sub", type=int, default=0)
-
-    p = bsub.add_parser("alpha", parents=[common])
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-
-    for name in ("schedule", "certify"):
-        p = bsub.add_parser(name, parents=[common])
-        p.add_argument("--k", type=float, required=True)
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--c", type=int, required=True)
-        p.add_argument("--floors", action="store_true")
-        if name == "certify":
-            p.add_argument("--tol", type=float, default=1e-9)
-
-    p = bsub.add_parser("crude", parents=[common])
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--c", type=int, required=True)
-
-    p = bsub.add_parser("fox-rhs", parents=[common])
-    p.add_argument("--ex-table", required=True, help="entries like 1=1,2=3,3=5")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("selftest", parents=[common])
-    p.add_argument("--seed", type=int, default=None,
-                   help="shuffles criterion execution order only, never results")
-
+    groups = {}  # "bounds" -> its subparsers, made at its first command
+    for name, spec in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(
+                dest=f"{group}_command", required=True
+            )
+        p = (groups[group] if group else sub).add_parser(
+            leaf, parents=[common, budgeted] if spec.budgeted else [common]
+        )
+        for flag, kwargs in spec.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 

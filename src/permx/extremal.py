@@ -43,7 +43,7 @@ from .errors import (
     ResourceLimit,
     ZeroRowWeight,
 )
-from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_WIDTH
+from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP, MAX_WIDTH
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,8 @@ def fpts_exact(
         raise ZeroRowWeight("s = 0 admits unlimited all-zero rows; refusing")
     if n_cap < 1:
         raise PreconditionViolated(f"need n_cap >= 1, got {n_cap}")
+    if n_cap > MAX_ROW_CAP:
+        raise ResourceLimit(f"row cap {n_cap} exceeds the {MAX_ROW_CAP}-row limit")
     if s > t:
         return FptsResult(0, matrix_from_masks([], t), 0, True, False)
     root, forbidden, step = _row_states(P, t)
@@ -369,7 +371,7 @@ def check_lemma21(
     """
     k = P.k
     bound = lemma21_bound(k, a, t, s)
-    ka = _pow_ka(k, a)
+    ka = _pow_ka(k, a, s)
     nodes = 0
     for n in range(1, hypothesis_n + 1):
         res = exfn_exact(P, n, budget)

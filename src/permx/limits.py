@@ -11,6 +11,17 @@ DEFAULT_COUNT_LENGTH_LIMIT = 12
 DEFAULT_MERGE_LENGTH_LIMIT = 14
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 8
 
-# row-search caps for the row-density searches; width is bitmask-bound
+# row-search caps for the row-density searches; width is bitmask-bound.
+# A capped search builds a witness of n_cap rows, so n_cap has a ceiling.
 DEFAULT_ROW_CAP = 64
+MAX_ROW_CAP = 10_000
 MAX_WIDTH = 64
+
+# bulk steps of a bound schedule: the count grows like c^2 * a * log2(k),
+# and every step is a state in the report.  The heaviest documented grid
+# point (k = 2^40, a = 3, c = 6) needs 19802.
+MAX_SCHEDULE_STEPS = 30_000
+
+# decimal digits of the largest exact integer a report prints; CPython's
+# default int-to-str conversion stops at 4300
+MAX_REPORT_DIGITS = 4300

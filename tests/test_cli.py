@@ -1,13 +1,19 @@
 """Command line surface: exit codes, output formats, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permx.cli import (
+    COMMANDS,
     EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_RESOURCE,
+    FORMATS,
     RunConfig,
     config_from_args,
     build_parser,
@@ -70,12 +76,61 @@ class TestExitCodes:
         ("alpha", "--a", "inf", "--c", "2"),
         ("schedule", "--k", "1e300", "--a", "5", "--c", "4"),
         ("schedule", "--k", "1e6", "--a", "inf", "--c", "2"),
+        ("lemma21", "--k", "3", "--a", "nan", "--t", "5", "--s", "4"),
+        ("lemma21", "--k", "3", "--a", "inf", "--t", "5", "--s", "4"),
+        ("lemma21", "--k", "3", "--a", "1e6", "--t", "5", "--s", "4"),
+        ("lemma21", "--k", "3", "--a", "1e8", "--t", "5", "--s", "4"),
+        ("lemma21", "--k", "3", "--a=-1e308", "--t", "5", "--s", "4"),
+        ("lemma22-rhs", "--k", "3", "--a", "nan", "--c", "3", "--t", "40", "--s", "30",
+         "--x", "0.7", "--y", "0.2"),
+        ("schedule", "--k", "21", "--a", "1e308", "--c", "132", "--floors"),
+        ("certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol", "nan"),
+        ("certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol=-1"),
+        ("certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol", "inf"),
+        ("lemma22-rhs", "--k=-1", "--a", "2.5", "--c", "3", "--t", "40", "--s", "30",
+         "--x", "0.7", "--y", "0.2"),
     ])
     def test_out_of_domain_bounds_constants(self, capsys, argv):
         code, out, err = invoke(capsys, "bounds", *argv)
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("rejected")
+        assert "Traceback" not in err and "internal error" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check-lemma21", "--pattern", "12", "--a", "nan", "--t", "3", "--s", "2"),
+        ("check-lemma21", "--pattern", "12", "--a", "inf", "--t", "3", "--s", "2"),
+        ("check-lemma21", "--pattern", "12", "--a", "1e8", "--t", "3", "--s", "2"),
+        ("check-lemma22", "--pattern", "12", "--a", "nan", "--c", "2", "--t", "5", "--s", "5",
+         "--x", "0.6", "--y", "0.5"),
+    ])
+    def test_out_of_domain_lemma_check_constants(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("rejected")
+        assert "Traceback" not in err and "internal error" not in err
+
+    def test_ragged_matrix_rows(self, capsys):
+        code, out, err = invoke(capsys, "matrix-contains", "--host", "01,1", "--pattern", "1")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("rejected") and "same length" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "mt", "--k", "3000"),
+        ("bounds", "mt", "--k", str(10**30)),
+        ("bounds", "lemma22-rhs", "--k", "2", "--a", "1", "--c", str(10**30),
+         "--t", "1e308", "--s", "1e308", "--x", "0.5", "--y", "0.5"),
+        ("bounds", "schedule", "--k", "2", "--a", "132", "--c", "12"),
+        ("fpts", "--pattern", "12", "--t", "1", "--s", "1", "--n-cap", str(10**30),
+         "--budget", "1000"),
+    ])
+    def test_oversized_results_hit_resource_limits(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource limit")
         assert "Traceback" not in err and "internal error" not in err
 
 
@@ -366,3 +421,45 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert first == second and first
+
+
+# Values drawn for every flag of every subcommand: non-finite, negative,
+# zero, huge and non-numeric numbers, empty text, small permutations, a
+# matrix and an ex-table.
+EDGE_VALUES = (
+    "nan", "inf", "-1", "0", "1", "2", "2.5", "1e308", str(10**30), "abc", "",
+    "12", "21", "132", "10,01", "1=1,2=3",
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """An argv for one subcommand, its flags read from the command table;
+    optional flags are left out half the time."""
+    name = draw(st.sampled_from(sorted(n for n in COMMANDS if n != "selftest")))
+    spec = COMMANDS[name]
+    argv = name.split()
+    for flag, kwargs in spec.flags:
+        if kwargs.get("required") or draw(st.booleans()):
+            if kwargs.get("action") == "store_true":
+                argv.append(flag)
+            else:
+                argv.append(f"{flag}={draw(st.sampled_from(EDGE_VALUES))}")
+    argv.append(f"--format={draw(st.sampled_from(FORMATS))}")
+    if spec.budgeted:
+        argv.append("--budget=1000")
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=fuzzed_argv())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_RESOURCE), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
