@@ -24,24 +24,38 @@ Three exact reductions keep the state sets small:
   no larger and its upper-bound gaps no smaller, since every completion
   of the other is then one of it too.
 
-A counting node is one distinct state expanded.  Enumeration
-(:func:`avoiders`) stays a plain prefix-pruned backtracker, so the two
-check each other.
+The step itself is :func:`core._perm_states`.  A counting node is one
+distinct state expanded.  Enumeration (:func:`avoiders`) stays a plain
+prefix-pruned backtracker, so the two check each other.
 
-The merge searcher 2-colors host entries left to right and prunes a
-branch the moment either color class contains its forbidden pattern.
+A merge is a permutation whose entries colour red and blue so that each
+colour avoids its own pattern.  Merges are counted on the same states:
+a merge state is the set of (red state, blue state) pairs of the
+colourings still alive, both colours in gap coordinates of the one
+shared set of unused values.  Appending gap u sends each pair to a red
+child, where the new entry joins the red occurrences and only shifts the
+blue gaps, and to a blue child, and drops a child whose joining colour
+completes its pattern.  A pair is dropped when another pair of the set
+is no more constrained in both colours (each of its partial occurrences
+is one of the first pair's or dominated by one), since every colouring
+of the rest that works from the first works from the other too.  The
+count sums multiplicities over distinct pair sets, one length at a
+time.  The JV inclusion check searches the product of the three-part
+sum's avoider state and the merge state of the two-part sums, and fails
+iff some avoider is left with an empty pair set.  Single hosts
+(:func:`merge_coloring`) are 2-coloured by a backtracker that prunes a
+branch the moment either colour class contains its forbidden pattern.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .core import (
     Permutation,
     _occurrence_plan,
-    _pareto_min,
+    _perm_states,
     completes_at_end,
     direct_sum,
 )
@@ -167,31 +181,15 @@ def count_avoiders(
     if n > max_n:
         raise ResourceLimit(f"n={n} exceeds the configured limit {max_n}")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    return _count_states(pattern.entries, n, budget)
+    root, step = _perm_states(pattern.entries)
+    return _sum_over_states(root, step, n, budget)
 
 
-def _count_states(pvals, n, budget):
-    """|Av_n(pvals)| by merging equal prefix states, one length at a time."""
-    k = len(pvals)
-    plan = _occurrence_plan(pvals)
-    last_lo, last_hi = plan[-1][:2]
-
-    def extends(t, lo, hi, u):
-        return (lo < 0 or t[lo] <= u) and (hi < 0 or u < t[hi])
-
-    def reduce(tuples, lows, ups, left):
-        # gaps grow with value along a tuple, so liveness needs only the
-        # highest lower bound and the lowest upper bound
-        live = {
-            t for t in tuples
-            if (not lows or t[lows[-1]] < left) and (not ups or t[ups[0]])
-        }
-        return _pareto_min(live, lows, ups)
-
-    # state: one set of gap tuples per prefix length 0..k-1, with the
-    # empty occurrence always present; states merge with their multiplicity
-    empty = frozenset()
-    layer = {(frozenset([()]),) + (empty,) * (k - 1): 1}
+def _sum_over_states(root, step, n, budget):
+    """Number of length-n sequences of gap choices that ``step`` accepts
+    from ``root``, merging equal states with their multiplicities one
+    length at a time; ``step(state, u, r)`` returns None to reject."""
+    layer = {root: 1}
     nodes = 0
     for r in range(n, 0, -1):
         following = {}
@@ -200,23 +198,9 @@ def _count_states(pvals, n, budget):
             if nodes > budget:
                 raise ResourceLimit(f"node budget {budget} exhausted")
             for u in range(r):
-                if any(extends(t, last_lo, last_hi, u) for t in state[k - 1]):
-                    continue
-                shift = [g - (g > u) for g in range(r + 1)]
-                child = [state[0]]
-                for j in range(1, k):
-                    if r - 1 < k - j:  # too few values left to complete
-                        child.append(empty)
-                        continue
-                    lo, hi, src, lows, ups = plan[j - 1]
-                    tuples = [tuple([shift[g] for g in t]) for t in state[j]]
-                    tuples += [
-                        tuple([u if i < 0 else shift[t[i]] for i in src])
-                        for t in state[j - 1] if extends(t, lo, hi, u)
-                    ]
-                    child.append(reduce(tuples, lows, ups, r - 1))
-                child = tuple(child)
-                following[child] = following.get(child, 0) + mult
+                child = step(state, u, r)
+                if child is not None:
+                    following[child] = following.get(child, 0) + mult
         layer = following
     return sum(layer.values())
 
@@ -343,6 +327,151 @@ def merge_member(
     return merge_coloring(q, max_n=max_n, node_budget=node_budget) is not None
 
 
+def _interned(root, step):
+    """``(states, step)`` with the states of a ``(root, step)`` model
+    numbered as they are met (the root is 0) and the step memoised over
+    those numbers; None stays None."""
+    states, ids, steps = [root], {root: 0}, {}
+
+    def id_step(i, *args):
+        key = (i, *args)
+        if key not in steps:
+            child = step(states[i], *args)
+            if child is not None:
+                if child not in ids:
+                    ids[child] = len(states)
+                    states.append(child)
+                child = ids[child]
+            steps[key] = child
+        return steps[key]
+
+    return states, id_step
+
+
+def _colour(pvals):
+    """One colour of a merge as ``(step, weaker)`` over interned prefix
+    states, both memoised: one colour's state recurs across many pairs
+    and pair sets.
+
+    ``weaker(i, j)`` asks whether state i is no more constrained than
+    state j: each partial occurrence of i, at each prefix length, is one
+    of j's or dominated by one.  Then every continuation that avoids the
+    pattern from j avoids it from i too."""
+    states, step = _interned(*_perm_states(pvals))
+    bounds = [(lows, ups) for _, _, _, lows, ups in _occurrence_plan(pvals)]
+    order = {}
+
+    def covered(q, p):
+        for j in range(1, len(q)):
+            lows, ups = bounds[j - 1]
+            for t in q[j] - p[j]:
+                if not any(all(s[i] <= t[i] for i in lows)
+                           and all(s[i] >= t[i] for i in ups) for s in p[j]):
+                    return False
+        return True
+
+    def weaker(i, j):
+        if i == j:
+            return True
+        key = (i, j)
+        if key not in order:
+            order[key] = covered(states[i], states[j])
+        return order[key]
+
+    return step, weaker
+
+
+def _merge_states(rvals, bvals):
+    """The prefix-state model of merges, as ``(root, step)``.
+
+    A state is the set of (red state, blue state) pairs of the colourings
+    of the prefix still alive, both in gap coordinates of the one shared
+    set of unused values.  ``step(pairs, u, r)`` sends each pair to a red
+    child, where the new entry joins red and only shifts blue's gaps, and
+    a blue child, dropping a child whose joining colour completes its
+    pattern.  A pair is dropped when another pair of the set is no more
+    constrained in both colours; equally constrained pairs are equal, so
+    the reduced set is canonical.  Returns None when no pair is left."""
+    red_step, red_weaker = _colour(rvals)
+    blue_step, blue_weaker = _colour(bvals)
+
+    def step(pairs, u, r):
+        children = set()
+        for red, blue in pairs:
+            child = red_step(red, u, r, True)
+            if child is not None:
+                children.add((child, blue_step(blue, u, r, False)))
+            child = blue_step(blue, u, r, True)
+            if child is not None:
+                children.add((red_step(red, u, r, False), child))
+        if not children:
+            return None
+        return frozenset(
+            p for p in children
+            if not any(q is not p and red_weaker(q[0], p[0]) and blue_weaker(q[1], p[1])
+                       for q in children)
+        )
+
+    return frozenset([(0, 0)]), step
+
+
+def _jv_search(hvals, rvals, bvals, n, budget):
+    """``(checked, holds, counterexample)`` for the claim that every
+    length-n avoider of ``hvals`` merges from an avoider of ``rvals`` and
+    one of ``bvals``.
+
+    A memoised search over products of the host pattern's prefix state
+    and the merge state (None once no colouring is left): the claim fails
+    iff some avoider reaches None.  ``checked`` is the number of
+    avoiders, or on failure the 1-based rank of the lexicographically
+    first failing one, which is read back as the counterexample (gap
+    order is value order).  A node is one distinct product state
+    expanded."""
+    _, host_step = _interned(*_perm_states(hvals))
+    _, merge_step = _interned(*_merge_states(rvals, bvals))
+    seen = {}  # (host state, merge state, r) -> (avoiders below, whether one fails)
+    nodes = 0
+
+    def children(host, pairs, r):
+        for u in range(r):
+            child = host_step(host, u, r, True)
+            if child is not None:
+                yield u, child, None if pairs is None else merge_step(pairs, u, r)
+
+    def visit(host, pairs, r):
+        nonlocal nodes
+        if r == 0:
+            return 1, pairs is None
+        key = (host, pairs, r)
+        found = seen.get(key)
+        if found is None:
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimit(f"node budget {budget} exhausted")
+            total, fails = 0, False
+            for _, child, child_pairs in children(host, pairs, r):
+                count, child_fails = visit(child, child_pairs, r - 1)
+                total += count
+                fails = fails or child_fails
+            found = seen[key] = (total, fails)
+        return found
+
+    checked, fails = visit(0, 0, n)
+    if not fails:
+        return checked, True, None
+    host, pairs, rank = 0, 0, 0
+    unused, values = list(range(1, n + 1)), []
+    for r in range(n, 0, -1):
+        for u, child, child_pairs in children(host, pairs, r):
+            count, child_fails = visit(child, child_pairs, r - 1)
+            if child_fails:
+                break
+            rank += count
+        values.append(unused.pop(u))
+        host, pairs = child, child_pairs
+    return rank + 1, False, Permutation(tuple(values))
+
+
 def verify_jv_inclusion(
     a: Permutation,
     b: Permutation,
@@ -355,22 +484,25 @@ def verify_jv_inclusion(
     """Check, for every length-n avoider of a+b+c (direct sum), that it
     merges from an avoider of a+b and an avoider of b+c.
 
-    Exhaustive at desk scale; reports the first counterexample if the
-    inclusion ever failed (none is expected).
+    Runs as a search over prefix states (see the module docstring), not
+    by visiting avoiders.  ``checked`` is the number of avoiders, or,
+    when the inclusion fails, the lexicographic rank of the first failing
+    avoider, which is reported as the counterexample (none is expected).
+    ``node_budget`` caps the number of distinct states expanded.
     """
     if a.n == 0 or b.n == 0 or c.n == 0:
         raise EmptyPattern("all three parts must be nonempty")
+    if n < 0:
+        raise PreconditionViolated(f"need n >= 0, got {n}")
+    if n > max_n:
+        raise ResourceLimit(f"n={n} exceeds the configured limit {max_n}")
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     combined = direct_sum(direct_sum(a, b), c)
     red_pattern = direct_sum(a, b)
     blue_pattern = direct_sum(b, c)
-    checked = 0
-    counterexample = None
-    for values in avoiders(combined, n, max_n=max_n, node_budget=node_budget):
-        checked += 1
-        q = MergeQuery(Permutation(values), red_pattern, blue_pattern)
-        if not merge_member(q, node_budget=node_budget):
-            counterexample = Permutation(values)
-            break
+    checked, holds, counterexample = _jv_search(
+        combined.entries, red_pattern.entries, blue_pattern.entries, n, budget
+    )
     return JvInclusionReport(
         parts=(a, b, c),
         n=n,
@@ -378,7 +510,7 @@ def verify_jv_inclusion(
         red_pattern=red_pattern,
         blue_pattern=blue_pattern,
         checked=checked,
-        holds=counterexample is None,
+        holds=holds,
         counterexample=counterexample,
     )
 
@@ -392,18 +524,21 @@ def merge_count_upper_check(
     node_budget: int | None = None,
 ) -> MergeCountReport:
     """Count mergeable length-n permutations and compare against the
-    binomial-sum right-hand sides (see :class:`MergeCountReport`)."""
+    binomial-sum right-hand sides (see :class:`MergeCountReport`).
+
+    The count is a sum over merge states (see the module docstring), not
+    a test of each host.  ``node_budget`` caps the number of distinct
+    states expanded, by the count and by each avoider count of the
+    right-hand sides separately."""
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise EmptyPattern("merge patterns must be nonempty")
     if n < 0:
         raise PreconditionViolated(f"need n >= 0, got {n}")
     if n > max_n:
         raise ResourceLimit(f"n={n} exceeds the configured limit {max_n}")
-    lhs = 0
-    for values in itertools.permutations(range(1, n + 1)):
-        q = MergeQuery(Permutation(values), red_pattern, blue_pattern)
-        if merge_member(q, node_budget=node_budget):
-            lhs += 1
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    root, step = _merge_states(red_pattern.entries, blue_pattern.entries)
+    lhs = _sum_over_states(root, step, n, budget)
     red_counts = [
         count_avoiders(red_pattern, i, node_budget=node_budget) for i in range(n + 1)
     ]

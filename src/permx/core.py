@@ -289,8 +289,8 @@ def completes_at_end(prefix, v, pvals) -> bool:
     This is the incremental step used by avoidance enumeration and merge
     coloring: a previously avoiding sequence can only start containing
     the pattern through an occurrence that ends at the new entry.
-    Patterns of length <= 3 get linear scans; longer patterns fall back
-    to pinned backtracking.
+    Patterns of length <= 2 get linear scans; longer patterns use pinned
+    backtracking.
     """
     k = len(pvals)
     if k == 1:
@@ -299,46 +299,7 @@ def completes_at_end(prefix, v, pvals) -> bool:
         if pvals[0] < pvals[1]:
             return any(w < v for w in prefix)
         return any(w > v for w in prefix)
-    if k == 3:
-        return _completes3(prefix, v, pvals[0] < pvals[1], pvals[0] < pvals[2],
-                           pvals[1] < pvals[2])
     return _completes_pinned(prefix, v, pvals)
-
-
-def _completes3(prefix, v, p01, p02, p12):
-    # One pass over candidate middle entries; a running extremum stands in
-    # for the best possible first entry.
-    if p01:
-        if p02:
-            m = _HIGH  # min so far
-            for w in prefix:
-                if ((w < v) == p12) and m < w and m < v:
-                    return True
-                if w < m:
-                    m = w
-        else:
-            m = _HIGH  # min of values above v
-            for w in prefix:
-                if ((w < v) == p12) and m < w:
-                    return True
-                if v < w < m:
-                    m = w
-    else:
-        if p02:
-            m = _LOW  # max of values below v
-            for w in prefix:
-                if ((w < v) == p12) and m > w:
-                    return True
-                if m < w < v:
-                    m = w
-        else:
-            m = _LOW  # max so far
-            for w in prefix:
-                if ((w < v) == p12) and m > w and m > v:
-                    return True
-                if w > m:
-                    m = w
-    return False
 
 
 def _completes_pinned(prefix, v, pvals):
@@ -490,9 +451,9 @@ def matrix_avoids(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
 # occurrences: for each pattern prefix pvals[:j], the host coordinates
 # of the entries an occurrence of it still needs to compare against.
 # For permutations pvals is the pattern itself, and the step (in gap
-# coordinates) is avoidance._count_states; for a permutation matrix it is
+# coordinates) is _perm_states below; for a permutation matrix it is
 # col_of_row(), with host rows as positions and host columns as values,
-# and the step is _row_states below.
+# and the step is _row_states.
 
 def _neighbours(head, q):
     """Greatest value of ``head`` below q and least above it (None if absent)."""
@@ -546,6 +507,60 @@ def _pareto_min(tuples, lows, ups):
                    and all(s[i] >= t[i] for i in ups) for s in out):
             out.append(t)
     return frozenset(out)
+
+
+def _perm_states(pvals):
+    """The prefix-state model of permutations avoiding ``pvals``, as
+    ``(root, step)``: the empty prefix's state and the state after one
+    more entry.
+
+    A prefix is described in gap coordinates: the gap of an entry is the
+    number of unused values below it.  A state holds, per pattern prefix
+    of length j < k, the gap tuples of its partial occurrences.
+    ``step(state, u, r, join=True)`` appends the u-th smallest of the r
+    unused values: every gap above u drops by one, and when ``join`` is
+    true the new entry, in gap u, also extends each occurrence t with
+    t[lo] <= u < t[hi].  It returns None when a joining entry completes
+    the pattern.  A step with ``join`` false is an entry of some other
+    sequence drawn from the same values, as in a two-colour merge.
+    Occurrences that need more values than are left, or a value outside
+    the unused ones, are dropped (liveness), and only Pareto-minimal
+    tuples stay (dominance)."""
+    k = len(pvals)
+    plan = _occurrence_plan(pvals)
+    last_lo, last_hi = plan[-1][:2]
+
+    def extends(t, lo, hi, u):
+        return (lo < 0 or t[lo] <= u) and (hi < 0 or u < t[hi])
+
+    def step(state, u, r, join=True):
+        if join and any(extends(t, last_lo, last_hi, u) for t in state[k - 1]):
+            return None
+        shift = [g - (g > u) for g in range(r + 1)]
+        left = r - 1
+        child = [state[0]]
+        for j in range(1, k):
+            if left < k - j:  # too few values left to complete
+                child.append(empty)
+                continue
+            lo, hi, src, lows, ups = plan[j - 1]
+            tuples = [tuple([shift[g] for g in t]) for t in state[j]]
+            if join:
+                tuples += [
+                    tuple([u if i < 0 else shift[t[i]] for i in src])
+                    for t in state[j - 1] if extends(t, lo, hi, u)
+                ]
+            # gaps grow with value along a tuple, so liveness needs only
+            # the highest lower bound and the lowest upper bound
+            live = {
+                t for t in tuples
+                if (not lows or t[lows[-1]] < left) and (not ups or t[ups[0]])
+            }
+            child.append(_pareto_min(live, lows, ups))
+        return tuple(child)
+
+    empty = frozenset()
+    return (frozenset([()]),) + (empty,) * (k - 1), step
 
 
 def _row_states(P: PermutationMatrix, width: int):

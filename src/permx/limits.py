@@ -9,7 +9,7 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 # length caps that keep worst-case runtimes in minutes, not hours
 DEFAULT_COUNT_LENGTH_LIMIT = 12
 DEFAULT_MERGE_LENGTH_LIMIT = 14
-DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 8
+DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 10
 
 # row-search caps for the row-density searches; width is bitmask-bound.
 # A capped search builds a witness of n_cap rows, so n_cap has a ceiling.

@@ -6,11 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permx.avoidance import (
     MergeQuery,
+    _jv_search,
     avoiders,
     count_avoiders,
     merge_coloring,
@@ -19,7 +20,16 @@ from permx.avoidance import (
     sw_estimate_sequence,
     verify_jv_inclusion,
 )
-from permx.core import Permutation, avoids, complement, contains, inverse, parse_permutation, reverse
+from permx.core import (
+    Permutation,
+    avoids,
+    complement,
+    contains,
+    direct_sum,
+    inverse,
+    parse_permutation,
+    reverse,
+)
 from permx.errors import EmptyPattern, PreconditionViolated, ResourceLimit
 
 THREE_PATTERNS = ["123", "132", "213", "231", "312", "321"]
@@ -325,6 +335,47 @@ def test_jv_inclusion_validation():
         verify_jv_inclusion(perm("1"), Permutation(()), perm("1"), 3)
 
 
+def oracle_jv(host_p, red_p, blue_p, n):
+    """(checked, holds, counterexample) by merging every avoider in turn."""
+    checked = 0
+    for values in avoiders(host_p, n):
+        checked += 1
+        host = Permutation(values)
+        if not merge_member(MergeQuery(host, red_p, blue_p)):
+            return checked, False, host
+    return checked, True, None
+
+
+@given(
+    permutations_upto(4), permutations_upto(3), permutations_upto(3),
+    st.integers(0, 6),
+)
+@example(perm("321"), perm("12"), perm("12"), 3)
+@example(perm("321"), perm("12"), perm("12"), 6)
+@example(perm("1234"), perm("21"), perm("12"), 5)
+@example(perm("4321"), perm("123"), perm("12"), 6)
+@settings(max_examples=60, deadline=None)
+def test_jv_search_matches_avoider_loop(host_p, red_p, blue_p, n):
+    # arbitrary triples, so the failing side is exercised too: 321 with
+    # red = blue = 12 fails first at 123, the first avoider
+    got = _jv_search(host_p.entries, red_p.entries, blue_p.entries, n, 10 ** 6)
+    assert got == oracle_jv(host_p, red_p, blue_p, n)
+
+
+def test_jv_search_failing_triple():
+    assert _jv_search((3, 2, 1), (1, 2), (1, 2), 3, 100) == (1, False, perm("123"))
+
+
+@pytest.mark.parametrize("parts", [("1", "12", "21"), ("21", "1", "12")])
+def test_jv_inclusion_counts_every_avoider(parts):
+    a, b, c = (perm(t) for t in parts)
+    combined = direct_sum(direct_sum(a, b), c)
+    for n in range(0, 8):
+        report = verify_jv_inclusion(a, b, c, n)
+        assert report.holds and report.counterexample is None
+        assert report.checked == count_avoiders(combined, n)
+
+
 def test_jv_report_serializes():
     report = verify_jv_inclusion(perm("1"), perm("1"), perm("1"), 3)
     data = report.to_jsonable()
@@ -360,6 +411,116 @@ def test_merge_count_plain_rhs_can_fail():
     assert report.rhs == 2 ** 8
     assert not report.holds
     assert report.holds_refined
+
+
+def atkinson_skew_merged(n):
+    """Number of skew-merged permutations of length n, Atkinson (1998)."""
+    return math.comb(2 * n, n) - sum(
+        2 ** (n - m - 1) * math.comb(2 * m, m) for m in range(n)
+    )
+
+
+def test_merge_count_skew_merged_closed_form():
+    # merges of an increasing and a decreasing sequence
+    assert [atkinson_skew_merged(n) for n in range(12)] == [
+        1, 1, 2, 6, 22, 86, 340, 1340, 5254, 20518, 79932, 311028,
+    ]
+    for n in range(0, 11):
+        assert merge_count_upper_check(perm("12"), perm("21"), n).lhs == atkinson_skew_merged(n)
+
+
+def test_merge_count_two_decreasing_is_catalan():
+    # a union of two decreasing sequences is exactly a 123-avoider
+    for n in range(0, 11):
+        assert merge_count_upper_check(perm("12"), perm("12"), n).lhs == catalan(n)
+
+
+def test_merge_count_limit():
+    with pytest.raises(ResourceLimit):
+        merge_count_upper_check(perm("12"), perm("21"), 11)
+    with pytest.raises(PreconditionViolated):
+        merge_count_upper_check(perm("12"), perm("21"), -1)
+
+
+SMALL_PATTERNS = [
+    Permutation(values)
+    for k in (1, 2, 3)
+    for values in itertools.permutations(range(1, k + 1))
+]
+ORACLE_HOSTS = [
+    Permutation(values) for n in range(8) for values in itertools.permutations(range(1, n + 1))
+]
+
+
+def pair_images(red_p, blue_p):
+    """The pattern pairs with the same merge counts: swap the colours, or
+    apply one symmetry of the square to both patterns."""
+    seen, todo = {(red_p, blue_p)}, [(red_p, blue_p)]
+    while todo:
+        r, b = todo.pop()
+        for image in ((b, r), (reverse(r), reverse(b)), (complement(r), complement(b)),
+                      (inverse(r), inverse(b))):
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def pair_classes():
+    classes = {}
+    for red_p in SMALL_PATTERNS:
+        for blue_p in SMALL_PATTERNS:
+            images = sorted(pair_images(red_p, blue_p),
+                            key=lambda pair: (pair[0].entries, pair[1].entries))
+            classes[images[0]] = images
+    return [pytest.param(rep, images, id=f"{rep[0]}-{rep[1]}")
+            for rep, images in sorted(classes.items(), key=lambda item: str(item[0]))]
+
+
+@pytest.mark.parametrize("rep, images", pair_classes())
+def test_merge_count_matches_host_loop(rep, images):
+    # every ordered pair of patterns of length <= 3 against a loop of the
+    # single-host backtracker over all n! hosts, run once per symmetry class
+    red_p, blue_p = rep
+    lhs = [0] * 8
+    for host in ORACLE_HOSTS:
+        if merge_member(MergeQuery(host, red_p, blue_p)):
+            lhs[host.n] += 1
+    for red_i, blue_i in images:
+        for n in range(8):
+            assert merge_count_upper_check(red_i, blue_i, n).lhs == lhs[n]
+
+
+def test_merge_count_reports_pinned():
+    # reports of the former host-by-host count, unchanged
+    report = merge_count_upper_check(perm("123"), perm("132"), 8)
+    assert (report.lhs, report.rhs, report.rhs_refined) == (40245, 61748, 2749244)
+    assert report.holds and report.holds_refined
+    report = merge_count_upper_check(perm("213"), perm("132"), 8)
+    assert report.lhs == merge_count_upper_check(perm("132"), perm("213"), 8).lhs
+
+
+@pytest.mark.parametrize("run", [
+    lambda budget: merge_count_upper_check(perm("123"), perm("132"), 6, node_budget=budget),
+    lambda budget: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 6, node_budget=budget),
+], ids=["merge-count", "jv"])
+def test_merge_budget_counts_states(run):
+    # a node is one distinct state expanded, so the smallest sufficient
+    # budget is a property of the inputs alone
+    lo, hi = 1, 10 ** 5
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+            hi = mid
+        except ResourceLimit:
+            lo = mid + 1
+    assert lo > 1
+    first = run(lo)
+    for _ in range(2):
+        assert run(lo) == first
+        with pytest.raises(ResourceLimit):
+            run(lo - 1)
 
 
 @given(

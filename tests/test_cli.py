@@ -125,6 +125,7 @@ class TestExitCodes:
         ("bounds", "schedule", "--k", "2", "--a", "132", "--c", "12"),
         ("fpts", "--pattern", "12", "--t", "1", "--s", "1", "--n-cap", str(10**30),
          "--budget", "1000"),
+        ("merge-check", "--red", "12", "--blue", "21", "--n", "11"),
     ])
     def test_oversized_results_hit_resource_limits(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
@@ -357,6 +358,29 @@ class TestBudgets:
         )
         assert code == EXIT_OK
         assert json.loads(out)["count"] == "1430"
+
+    @pytest.mark.parametrize("argv", [
+        ("merge-check", "--red", "123", "--blue", "132", "--n", "6"),
+        ("verify-jv", "--a", "1", "--b", "12", "--c", "21", "--n", "6"),
+    ])
+    def test_smallest_state_budget(self, capsys, argv):
+        # the budget counts distinct states, so the smallest one that
+        # suffices is fixed: one less exits 3
+        def outcome(budget):
+            code, _, err = invoke(capsys, *argv, "--budget", str(budget))
+            assert "Traceback" not in err
+            return code
+
+        lo, hi = 1, 10 ** 5
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if outcome(mid) == EXIT_OK:
+                hi = mid
+            else:
+                lo = mid + 1
+        assert lo > 1
+        assert outcome(lo) == EXIT_OK
+        assert outcome(lo - 1) == EXIT_RESOURCE
 
     def test_invalid_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMX_BUDGET", "lots")
