@@ -166,7 +166,6 @@ def count_avoiders(
     pattern: Permutation,
     n: int,
     *,
-    max_n: int = DEFAULT_COUNT_LENGTH_LIMIT,
     node_budget: int | None = None,
 ) -> int:
     """Exact number of length-n permutations avoiding ``pattern``.
@@ -178,8 +177,10 @@ def count_avoiders(
         raise EmptyPattern("avoidance is defined for nonempty patterns")
     if n < 0:
         raise PreconditionViolated(f"need n >= 0, got {n}")
-    if n > max_n:
-        raise ResourceLimit(f"n={n} exceeds the configured limit {max_n}")
+    if n > DEFAULT_COUNT_LENGTH_LIMIT:
+        raise ResourceLimit(
+            f"n={n} exceeds the configured limit {DEFAULT_COUNT_LENGTH_LIMIT}"
+        )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     root, step = _perm_states(pattern.entries)
     return _sum_over_states(root, step, n, budget)
@@ -209,7 +210,6 @@ def avoiders(
     pattern: Permutation,
     n: int,
     *,
-    max_n: int = DEFAULT_COUNT_LENGTH_LIMIT,
     node_budget: int | None = None,
 ):
     """Yield every length-n avoider of ``pattern`` as a value tuple, in
@@ -218,8 +218,10 @@ def avoiders(
         raise EmptyPattern("avoidance is defined for nonempty patterns")
     if n < 0:
         raise PreconditionViolated(f"need n >= 0, got {n}")
-    if n > max_n:
-        raise ResourceLimit(f"n={n} exceeds the configured limit {max_n}")
+    if n > DEFAULT_COUNT_LENGTH_LIMIT:
+        raise ResourceLimit(
+            f"n={n} exceeds the configured limit {DEFAULT_COUNT_LENGTH_LIMIT}"
+        )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     pvals = pattern.entries
     used = bytearray(n + 1)
@@ -252,7 +254,6 @@ def sw_estimate_sequence(
     pattern: Permutation,
     n_max: int,
     *,
-    max_n: int = DEFAULT_COUNT_LENGTH_LIMIT,
     node_budget: int | None = None,
 ) -> list[SwEstimate]:
     """Exact counts with count**(1/n) growth estimates for n = 1..n_max."""
@@ -260,7 +261,7 @@ def sw_estimate_sequence(
         raise PreconditionViolated(f"need n_max >= 1, got {n_max}")
     out = []
     for n in range(1, n_max + 1):
-        count = count_avoiders(pattern, n, max_n=max_n, node_budget=node_budget)
+        count = count_avoiders(pattern, n, node_budget=node_budget)
         value = float(count) ** (1.0 / n) if count > 0 else 0.0
         out.append(SwEstimate(n, count, value))
     return out
@@ -273,15 +274,16 @@ def sw_estimate_sequence(
 def merge_coloring(
     q: MergeQuery,
     *,
-    max_n: int = DEFAULT_MERGE_LENGTH_LIMIT,
     node_budget: int | None = None,
 ) -> tuple[str, ...] | None:
     """A per-entry ("red"/"blue") coloring whose red subsequence avoids
     the red pattern and blue subsequence avoids the blue pattern, or
     None if no such coloring exists."""
     n = q.host.n
-    if n > max_n:
-        raise ResourceLimit(f"host length {n} exceeds the configured limit {max_n}")
+    if n > DEFAULT_MERGE_LENGTH_LIMIT:
+        raise ResourceLimit(
+            f"host length {n} exceeds the configured limit {DEFAULT_MERGE_LENGTH_LIMIT}"
+        )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     hvals = q.host.entries
     rvals, bvals = q.red_pattern.entries, q.blue_pattern.entries
@@ -319,12 +321,11 @@ def merge_coloring(
 def merge_member(
     q: MergeQuery,
     *,
-    max_n: int = DEFAULT_MERGE_LENGTH_LIMIT,
     node_budget: int | None = None,
 ) -> bool:
     """True iff the host's entries 2-color so that red avoids the red
     pattern and blue avoids the blue pattern."""
-    return merge_coloring(q, max_n=max_n, node_budget=node_budget) is not None
+    return merge_coloring(q, node_budget=node_budget) is not None
 
 
 def _interned(root, step):
@@ -478,7 +479,6 @@ def verify_jv_inclusion(
     c: Permutation,
     n: int,
     *,
-    max_n: int = DEFAULT_COUNT_LENGTH_LIMIT,
     node_budget: int | None = None,
 ) -> JvInclusionReport:
     """Check, for every length-n avoider of a+b+c (direct sum), that it
@@ -494,8 +494,10 @@ def verify_jv_inclusion(
         raise EmptyPattern("all three parts must be nonempty")
     if n < 0:
         raise PreconditionViolated(f"need n >= 0, got {n}")
-    if n > max_n:
-        raise ResourceLimit(f"n={n} exceeds the configured limit {max_n}")
+    if n > DEFAULT_COUNT_LENGTH_LIMIT:
+        raise ResourceLimit(
+            f"n={n} exceeds the configured limit {DEFAULT_COUNT_LENGTH_LIMIT}"
+        )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     combined = direct_sum(direct_sum(a, b), c)
     red_pattern = direct_sum(a, b)
@@ -520,7 +522,6 @@ def merge_count_upper_check(
     blue_pattern: Permutation,
     n: int,
     *,
-    max_n: int = DEFAULT_MERGE_COUNT_LENGTH_LIMIT,
     node_budget: int | None = None,
 ) -> MergeCountReport:
     """Count mergeable length-n permutations and compare against the
@@ -534,8 +535,10 @@ def merge_count_upper_check(
         raise EmptyPattern("merge patterns must be nonempty")
     if n < 0:
         raise PreconditionViolated(f"need n >= 0, got {n}")
-    if n > max_n:
-        raise ResourceLimit(f"n={n} exceeds the configured limit {max_n}")
+    if n > DEFAULT_MERGE_COUNT_LENGTH_LIMIT:
+        raise ResourceLimit(
+            f"n={n} exceeds the configured limit {DEFAULT_MERGE_COUNT_LENGTH_LIMIT}"
+        )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     root, step = _merge_states(red_pattern.entries, blue_pattern.entries)
     lhs = _sum_over_states(root, step, n, budget)

@@ -176,12 +176,6 @@ def fox_rhs(ex_table, t: int, s: int, f_val: int, g_val: int, n: int) -> int:
     return out[s - 1] * out[n] + out[t] * (f_val + g_val) * n
 
 
-def cibulka_note(c_val) -> dict:
-    """Annotation for the quadratic growth-rate/extremal-constant
-    relation; asymptotic only, never a certified bound."""
-    return {"relation": "L = O(c^2)", "square": c_val * c_val, "certified": False}
-
-
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
@@ -365,36 +359,33 @@ def _beta_k_int(params: BoundParams) -> int:
     return 2 * params.c * int(params.k) ** int(params.a)
 
 
-def _floor_sqrt_fraction(f: Fraction) -> int:
-    # floor(sqrt(p/q)) = isqrt(floor(p/q)): (m+1)^2 > floor(p/q) implies
-    # (m+1)^2 >= floor(p/q)+1 > p/q
-    return math.isqrt(f.numerator // f.denominator)
-
-
 def _floored_replay(params: BoundParams, bulk_steps: int, *, collect: bool = False):
     """Exact integer trajectory with every t and s floored, starting
     from floor(t_0) and floor(sqrt(t_0)); returns (t_final, s_final)
     as integers, plus the state list when requested."""
-    x_frac, y_frac = _bulk_constants(params)
+    (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in _bulk_constants(params))
     beta_k = _beta_k_int(params)
-    t0 = Fraction(beta_k) * (1 / x_frac) ** (bulk_steps + 2)
+    R = bulk_steps
 
-    t = t0.numerator // t0.denominator
+    # t_0 = beta k / x^(R+2)
+    t = beta_k * xd ** (R + 2) // xn ** (R + 2)
     s = math.isqrt(t)
     states = [ScheduleState(0, _log2_int(t), _log2_int(s))]
-    for i in range(1, bulk_steps + 1):
-        t = t * x_frac.numerator // x_frac.denominator
-        s = s * y_frac.numerator // y_frac.denominator
+    for i in range(1, R + 1):
+        t = t * xn // xd
+        s = s * yn // yd
         if collect:
             states.append(ScheduleState(i, _log2_int(t), _log2_int(s)))
-    # penultimate step: y_1 = sqrt(beta k x^R) / y^R, applied exactly
-    t = t * x_frac.numerator // x_frac.denominator
-    w = Fraction(s) / y_frac ** bulk_steps
-    s = _floor_sqrt_fraction(w * w * beta_k * x_frac ** bulk_steps)
-    states.append(ScheduleState(bulk_steps + 1, _log2_int(t), _log2_int(s)))
-    t = t * x_frac.numerator // x_frac.denominator
-    s = s * x_frac.numerator // x_frac.denominator
-    states.append(ScheduleState(bulk_steps + 2, _log2_int(t), _log2_int(s)))
+    # penultimate step: y_1 = sqrt(beta k x^R) / y^R, applied exactly, so
+    # s becomes floor(sqrt(p/q)) with p/q = s^2 beta k x^R / y^(2R).
+    # floor(sqrt(p/q)) = isqrt(p // q): (m+1)^2 > p // q implies
+    # (m+1)^2 >= p // q + 1 > p/q
+    t = t * xn // xd
+    s = math.isqrt(s * s * beta_k * (yd * yd * xn) ** R // (yn * yn * xd) ** R)
+    states.append(ScheduleState(R + 1, _log2_int(t), _log2_int(s)))
+    t = t * xn // xd
+    s = s * xn // xd
+    states.append(ScheduleState(R + 2, _log2_int(t), _log2_int(s)))
     if collect:
         return t, s, tuple(states)
     return t, s

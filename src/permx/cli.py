@@ -25,7 +25,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -137,22 +136,6 @@ def _parse_ex_table(text: str) -> dict[int, int]:
 # output rendering
 # ---------------------------------------------------------------------------
 
-def _norm(value):
-    """Make a payload JSON-ready: fractions and oversized integers
-    become decimal strings, tuples become lists."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) >= 2**53 else value
-    if isinstance(value, dict):
-        return {str(k): _norm(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    return value
-
-
 def _scalar_text(value) -> str:
     if value is True:
         return "true"
@@ -165,7 +148,7 @@ def _scalar_text(value) -> str:
 
 def render(command: str, payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_norm(payload), sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     spec = COMMANDS[command]
     if fmt == "csv":
         return _render_csv(spec.table, payload)
@@ -179,11 +162,11 @@ def _render_csv(table, payload: dict) -> str:
         key, columns = table
         writer.writerow(columns)
         for row in payload.get(key, []):
-            writer.writerow([_scalar_text(_norm(row.get(col))) for col in columns])
+            writer.writerow([_scalar_text(row.get(col)) for col in columns])
         return buf.getvalue()
     keys = [k for k in sorted(payload) if not isinstance(payload[k], (dict, list))]
     writer.writerow(keys)
-    writer.writerow([_scalar_text(_norm(payload[k])) for k in keys])
+    writer.writerow([_scalar_text(payload[k]) for k in keys])
     return buf.getvalue()
 
 
@@ -192,7 +175,7 @@ def _render_text(key, payload: dict) -> str:
         return _scalar_text(payload[key]) + "\n"
     lines = []
     for k in sorted(payload):
-        v = _norm(payload[k])
+        v = payload[k]
         if isinstance(v, (dict, list)):
             lines.append(f"{k} = {json.dumps(v, sort_keys=True)}")
         else:
@@ -292,19 +275,27 @@ def _perm_report(check, o, cfg, *names):
     return check(*perms, o["n"], node_budget=cfg.node_budget).to_jsonable()
 
 
+def _echo(value):
+    """An option as a report echoes it: integers of 2**53 or more, which
+    a double cannot hold exactly, become decimal strings."""
+    if isinstance(value, int) and abs(value) >= 2**53:
+        return str(value)
+    return value
+
+
 def _pattern_search(search, o, cfg, *names, echo=()):
     """Run a search or certifier on the pattern's permutation matrix with
     the named options, echoing the pattern and the ``echo`` options."""
     P = _parse_pattern_matrix(o["pattern"])
     result = search(P, *(o[name] for name in names), budget=cfg.node_budget)
-    echoed = {name: o[name] for name in ("pattern", *echo)}
+    echoed = {name: _echo(o[name]) for name in ("pattern", *echo)}
     return {**echoed, **result.to_jsonable()}
 
 
 def _closed_form(fn, key, o, *names):
     """Evaluate a closed form on the named options and echo them."""
     value = fn(*(o[name] for name in names))
-    return {**{name: o[name] for name in names}, key: str(value)}
+    return {**{name: _echo(o[name]) for name in names}, key: str(value)}
 
 
 def _alpha(o, cfg):

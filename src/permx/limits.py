@@ -1,7 +1,9 @@
-"""Default desk-scale search limits.
+"""Desk-scale search limits.
 
-Callers override per call; the CLI also honors the PERMX_BUDGET
-environment variable for the node budget.
+The length limits and the ceilings are fixed; raise one by editing it
+here.  Per call, a caller sets only the node budget (``node_budget`` or
+``budget``, or the PERMX_BUDGET environment variable in the CLI) and
+the row cap of the row-density searches, up to its ceiling.
 """
 
 DEFAULT_NODE_BUDGET = 10 ** 8

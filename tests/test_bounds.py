@@ -15,7 +15,6 @@ from permx.bounds import (
     ScheduleState,
     build_schedule,
     certify_schedule,
-    cibulka_note,
     crude_fpts_bound,
     fox_rhs,
     lemma21_bound,
@@ -23,6 +22,7 @@ from permx.bounds import (
     marcus_tardos_bound,
     theorem12_exponent,
     theorem24_alpha,
+    _floored_replay,
 )
 from permx.errors import (
     BadConstants,
@@ -171,22 +171,6 @@ class TestFoxRhs:
             fox_rhs({2: 3, 3: 5}, 3, 2, 1, 1, 2)
 
 
-class TestCibulkaNote:
-    def test_shape(self):
-        assert cibulka_note(10) == {
-            "relation": "L = O(c^2)",
-            "square": 100,
-            "certified": False,
-        }
-
-    def test_zero(self):
-        assert cibulka_note(0)["square"] == 0
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_never_certified(self, v):
-        assert cibulka_note(v)["certified"] is False
-
-
 class TestBoundParams:
     @pytest.mark.parametrize("kwargs", [
         {"k": 1, "a": 1, "c": 2},
@@ -283,6 +267,35 @@ class TestFlooredReplay:
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
         assert not sch.floors_applied
         assert sch.floor_drift_t is None and sch.floor_drift_s is None
+
+    @staticmethod
+    def fraction_replay(params, R):
+        """The floored replay in exact rationals, one Fraction per step."""
+        c = params.c
+        x = Fraction(c - 1, c)
+        y = Fraction(16 * c * c - 8 * c - 1, 16 * c * c)
+        beta_k = 2 * c * int(params.k) ** int(params.a)
+        t0 = Fraction(beta_k) * (1 / x) ** (R + 2)
+        t = t0.numerator // t0.denominator
+        s = math.isqrt(t)
+        for _ in range(R):
+            t = t * x.numerator // x.denominator
+            s = s * y.numerator // y.denominator
+        t = t * x.numerator // x.denominator
+        w = Fraction(s) / y ** R
+        f = w * w * beta_k * x ** R
+        s = math.isqrt(f.numerator // f.denominator)
+        t = t * x.numerator // x.denominator
+        s = s * x.numerator // x.denominator
+        return t, s
+
+    @pytest.mark.parametrize("k, a, c", [
+        (2 ** 40, 3, 6), (2 ** 40, 3, 5), (2 ** 22, 3, 6), (10 ** 6, 1, 2),
+    ])
+    def test_integer_replay_matches_fractions(self, k, a, c):
+        params = BoundParams(k=k, a=a, c=c)
+        R = build_schedule(params).bulk_steps
+        assert _floored_replay(params, R) == self.fraction_replay(params, R)
 
 
 GRID = [(a, c) for a in (1, 2) for c in (2, 3)]

@@ -219,6 +219,28 @@ class TestJsonOutput:
         data = json.loads(out)
         assert isinstance(data["bound"], str)
         assert int(data["bound"]) > 2**53
+        big = "100000000000000000000"
+        _, out, _ = invoke(
+            capsys, "fpts", "--pattern", "12", "--t", "3", "--s", big, "--format", "json"
+        )
+        assert f'"s":"{big}"' in out
+        _, out, _ = invoke(
+            capsys, "bounds", "lemma22-rhs", "--k", "3", "--a", "1", "--c", "3",
+            "--t", "9", "--s", "9", "--x", "0.9", "--y", "0.1", "--f-sub", big,
+            "--format", "json",
+        )
+        assert out == (
+            '{"a":1.0,"c":3,"f_sub":"100000000000000000000","k":3.0,'
+            '"rhs":"5100000000000000000030/17","s":9.0,"t":9.0,"x":0.9,"y":0.1}\n'
+        )
+        fox = ("bounds", "fox-rhs", "--ex-table", f"1=1,2=3,{big}=5",
+               "--t", "2", "--s", "2", "--f", "1", "--g", "1", "--n", big)
+        _, out, _ = invoke(capsys, *fox, "--format", "json")
+        assert f'"n":"{big}"' in out
+        _, out, _ = invoke(capsys, *fox, "--format", "csv")
+        assert f"1,1,{big},600000000000000000005,2,2\n" in out
+        _, out, _ = invoke(capsys, *fox, "--format", "text")
+        assert f"n = {big}\n" in out
 
     def test_lemma22_rhs_exact(self, capsys):
         _, out, _ = invoke(
