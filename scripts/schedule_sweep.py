@@ -32,7 +32,7 @@ COLUMNS = [
 def sweep_row(k: int, a: int, c: int) -> dict:
     params = BoundParams(k, a, c)
     schedule = build_schedule(params)
-    report = certify_schedule(schedule, params)
+    report = certify_schedule(schedule)
     failing = sorted(ch.name for ch in report.checks if not ch.holds)
     st0 = schedule.states[0]
     return {
@@ -47,7 +47,7 @@ def sweep_row(k: int, a: int, c: int) -> dict:
         "log2_t0": st0.log2_t,
         "log2_s0": st0.log2_s,
         "log2_beta_k": schedule.log2_beta_k,
-        "crude_log2_bound": crude_fpts_bound(schedule, params),
+        "crude_log2_bound": crude_fpts_bound(schedule),
         "all_pass": report.all_pass,
         "failing_checks": ";".join(failing),
     }

@@ -26,7 +26,7 @@ K_CEILING = 2**40
 
 def failing_checks(k: int, a: int, c: int) -> list[str]:
     params = BoundParams(k, a, c)
-    report = certify_schedule(build_schedule(params), params)
+    report = certify_schedule(build_schedule(params))
     return sorted(
         ch.name
         for ch in report.checks

@@ -275,7 +275,8 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
     States are ideal (floor-free) by default.  With ``apply_floors`` the
     reported states come from the exact floored replay instead and the
     drift fields record how far the final state fell below the target;
-    this needs integral a.
+    this needs integral k and a.  The certifier and the crude bound take
+    only ideal schedules.
     """
     k, a, c = params.k, params.a, params.c
     x_frac, y_frac = _bulk_constants(params)
@@ -328,8 +329,12 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
 
     drift_t = drift_s = None
     if apply_floors:
-        t_fl, s_fl, states = _floored_replay(params, bulk_steps, collect=True)
+        replay = _floored_replay(params, bulk_steps)
+        states = tuple(
+            ScheduleState(i, _log2_int(t), _log2_int(s)) for i, (t, s) in enumerate(replay)
+        )
         beta_k_exact = _beta_k_int(params)
+        t_fl, s_fl = replay[-1]
         drift_t = float(beta_k_exact - t_fl)
         drift_s = float(beta_k_exact - s_fl)
     else:
@@ -359,10 +364,10 @@ def _beta_k_int(params: BoundParams) -> int:
     return 2 * params.c * int(params.k) ** int(params.a)
 
 
-def _floored_replay(params: BoundParams, bulk_steps: int, *, collect: bool = False):
+def _floored_replay(params: BoundParams, bulk_steps: int) -> list[tuple[int, int]]:
     """Exact integer trajectory with every t and s floored, starting
-    from floor(t_0) and floor(sqrt(t_0)); returns (t_final, s_final)
-    as integers, plus the state list when requested."""
+    from floor(t_0) and floor(sqrt(t_0)); returns the integer (t, s) of
+    every state, indices 0 to bulk_steps + 2."""
     (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in _bulk_constants(params))
     beta_k = _beta_k_int(params)
     R = bulk_steps
@@ -370,25 +375,20 @@ def _floored_replay(params: BoundParams, bulk_steps: int, *, collect: bool = Fal
     # t_0 = beta k / x^(R+2)
     t = beta_k * xd ** (R + 2) // xn ** (R + 2)
     s = math.isqrt(t)
-    states = [ScheduleState(0, _log2_int(t), _log2_int(s))]
-    for i in range(1, R + 1):
+    states = [(t, s)]
+    for _ in range(R):
         t = t * xn // xd
         s = s * yn // yd
-        if collect:
-            states.append(ScheduleState(i, _log2_int(t), _log2_int(s)))
+        states.append((t, s))
     # penultimate step: y_1 = sqrt(beta k x^R) / y^R, applied exactly, so
     # s becomes floor(sqrt(p/q)) with p/q = s^2 beta k x^R / y^(2R).
     # floor(sqrt(p/q)) = isqrt(p // q): (m+1)^2 > p // q implies
     # (m+1)^2 >= p // q + 1 > p/q
     t = t * xn // xd
     s = math.isqrt(s * s * beta_k * (yd * yd * xn) ** R // (yn * yn * xd) ** R)
-    states.append(ScheduleState(R + 1, _log2_int(t), _log2_int(s)))
-    t = t * xn // xd
-    s = s * xn // xd
-    states.append(ScheduleState(R + 2, _log2_int(t), _log2_int(s)))
-    if collect:
-        return t, s, tuple(states)
-    return t, s
+    states.append((t, s))
+    states.append((t * xn // xd, s * xn // xd))
+    return states
 
 
 def _log2_int(v: int) -> float:
@@ -439,12 +439,12 @@ class CertReport:
         }
 
 
-def certify_schedule(
-    schedule: Schedule, params: BoundParams, *, tol: float = 1e-9
-) -> CertReport:
+def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     """Numerically verify every constraint the schedule construction
-    needs.  Failures are report entries, never exceptions: small k
-    legitimately fails.
+    needs, reading k, a and c from ``schedule.params`` and taking
+    ``schedule.states`` as the ideal states.  A floored schedule raises
+    PreconditionViolated.  Failing constraints are report entries, never
+    exceptions: small k legitimately fails.
 
     Checks (lhs vs rhs):
       multiplier admissibility: 1/c < x_b; y_1 < 1; y_1 equals its
@@ -455,21 +455,20 @@ def certify_schedule(
         within A_0;
       milestones (log2 scale): bulk-end, penultimate, and final states
         match their closed forms; final state hits the target;
-      floors (integral a only): floored final t and s stay at or below
-        the target and the s shortfall is at most 1/(1-y_b).
+      floors (integral k and a only): the last state of the exact
+        floored replay stays at or below the target in t and s, and the
+        s shortfall is at most 1/(1-y_b).
     """
     if not 0 <= tol < math.inf:
         raise BadConstants(f"need finite tol >= 0, got {tol}")
+    ideal = _ideal_states(schedule)
+    params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
     x_b, y_b, y_1 = schedule.x_bulk, schedule.y_bulk, schedule.y_penultimate
     l2k = math.log2(k)
     lbk = schedule.log2_beta_k
     l2x = math.log2(x_b)
-
-    ideal = schedule.states if not schedule.floors_applied else None
-    if ideal is None:
-        ideal = build_schedule(params).states
 
     checks: list[CertCheck] = []
 
@@ -563,7 +562,7 @@ def certify_schedule(
     )
 
     if _is_integral(a) and _is_integral(params.k):
-        t_fl, s_fl = _floored_replay(params, R)
+        t_fl, s_fl = _floored_replay(params, R)[-1]
         beta_k = _beta_k_int(params)
         envelope = 16.0 * c * c / (8.0 * c + 1.0)  # 1/(1-y_b)
         add(
@@ -589,18 +588,19 @@ def certify_schedule(
     return CertReport(tuple(checks))
 
 
-def crude_fpts_bound(schedule: Schedule, params: BoundParams) -> float:
+def crude_fpts_bound(schedule: Schedule) -> float:
     """log2 of the unrolled-recursion bound
     c^(R+2)*k*binom(beta k, m) + (2c)^(R+2)*k^a*t_0/(s_0(1-y_b)c - k^a c)
-    with m = ceil(1/(1-y_b)); the linear value overflows floats."""
+    with m = ceil(1/(1-y_b)); the linear value overflows floats.  k, a
+    and c come from ``schedule.params`` and (t_0, s_0) is its first
+    ideal state; a floored schedule raises PreconditionViolated."""
+    st0 = _ideal_states(schedule)[0]
+    params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
     y_b = schedule.y_bulk
     lbk = schedule.log2_beta_k
     l2k = math.log2(k)
-    st0 = schedule.states[0] if not schedule.floors_applied else None
-    if st0 is None:
-        st0 = build_schedule(params).states[0]
     lt0, ls0 = st0.log2_t, st0.log2_s
 
     m = (16 * c * c + 8 * c) // (8 * c + 1)  # ceil(1/(1-y_b)) exactly
@@ -626,6 +626,14 @@ def crude_fpts_bound(schedule: Schedule, params: BoundParams) -> float:
 
     hi, lo = max(term1, term2), min(term1, term2)
     return hi + math.log1p(2.0 ** (lo - hi)) / _LN2
+
+
+def _ideal_states(schedule: Schedule) -> tuple[ScheduleState, ...]:
+    if schedule.floors_applied:
+        raise PreconditionViolated(
+            "needs the ideal schedule; build it without apply_floors"
+        )
+    return schedule.states
 
 
 def _log2_sub(log2_value: float, delta: int) -> float:

@@ -36,6 +36,7 @@ from .avoidance import (
 )
 from .bounds import (
     BoundParams,
+    _beta_k_int,
     build_schedule,
     certify_schedule,
     crude_fpts_bound,
@@ -304,22 +305,24 @@ def _alpha(o, cfg):
     return {"a": a, "c": c, "alpha": alpha, "theorem12_exponent": theorem12_exponent(a, c)}
 
 
-def _schedule(o):
-    params = BoundParams(o["k"], o["a"], o["c"])
-    return build_schedule(params, apply_floors=o.get("floors", False))
+def _schedule(o, floors=False):
+    return build_schedule(BoundParams(o["k"], o["a"], o["c"]), apply_floors=floors)
 
 
 def _certify(o, cfg):
     schedule = _schedule(o)
     p = schedule.params
-    report = certify_schedule(schedule, p, tol=o["tol"])
+    if o.get("floors"):
+        # the report is the same either way; --floors only demands integral k and a
+        _beta_k_int(p)
+    report = certify_schedule(schedule, tol=o["tol"])
     return {"params": {"k": p.k, "a": p.a, "c": p.c}, **report.to_jsonable()}
 
 
 def _crude(o, cfg):
     schedule = _schedule(o)
     p = schedule.params
-    return {"k": p.k, "a": p.a, "c": p.c, "log2_bound": crude_fpts_bound(schedule, p)}
+    return {"k": p.k, "a": p.a, "c": p.c, "log2_bound": crude_fpts_bound(schedule)}
 
 
 def _selftest(o, cfg):
@@ -413,7 +416,7 @@ COMMANDS = {
     "bounds alpha": Command((A, _flag("--c", float)), _alpha),
     "bounds schedule": Command(
         (REAL_K, A, C, FLOORS),
-        lambda o, cfg: _schedule(o).to_jsonable(),
+        lambda o, cfg: _schedule(o, o.get("floors", False)).to_jsonable(),
         table=("states", ("i", "log2_t", "log2_s", "t", "s")),
     ),
     "bounds certify": Command(

@@ -289,16 +289,11 @@ def completes_at_end(prefix, v, pvals) -> bool:
     This is the incremental step used by avoidance enumeration and merge
     coloring: a previously avoiding sequence can only start containing
     the pattern through an occurrence that ends at the new entry.
-    Patterns of length <= 2 get linear scans; longer patterns use pinned
+    A length-1 pattern always completes; longer patterns use pinned
     backtracking.
     """
-    k = len(pvals)
-    if k == 1:
+    if len(pvals) == 1:
         return True
-    if k == 2:
-        if pvals[0] < pvals[1]:
-            return any(w < v for w in prefix)
-        return any(w > v for w in prefix)
     return _completes_pinned(prefix, v, pvals)
 
 

@@ -336,7 +336,6 @@ class Lemma21Report:
     holds: bool
     nodes_explored: int
     hypothesis_checked_upto: int
-    wall_ms: float | None = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -344,7 +343,6 @@ class Lemma21Report:
             "rhs": str(self.rhs_bound),
             "pass": self.holds,
             "nodes": self.nodes_explored,
-            "wall_ms": self.wall_ms,
             "k": self.k,
             "a": self.a,
             "t": self.t,
@@ -367,14 +365,19 @@ def check_lemma21(
     for n up to hypothesis_n via exfn_exact (HypothesisUnverified
     otherwise), then compares the exact search against the bound.  The
     row cap is set just above the bound, so hitting the cap refutes the
-    inequality decisively rather than leaving it open.
+    inequality decisively rather than leaving it open.  The hypothesis
+    searches and the final one share the one node budget.
     """
     k = P.k
     bound = lemma21_bound(k, a, t, s)
     ka = _pow_ka(k, a, s)
+    if hypothesis_n > MAX_WIDTH:
+        raise ResourceLimit(
+            f"hypothesis width {hypothesis_n} exceeds the {MAX_WIDTH}-bit row limit"
+        )
     nodes = 0
     for n in range(1, hypothesis_n + 1):
-        res = exfn_exact(P, n, budget)
+        res = exfn_exact(P, n, budget - nodes)
         nodes += res.nodes_explored
         if not res.proven_optimal:
             raise ResourceLimit(f"budget exhausted while verifying ex at n={n}")
@@ -383,7 +386,7 @@ def check_lemma21(
                 f"ex(n={n}) = {res.value} exceeds k^a*n = {float(ka) * n:g}"
             )
     cap = min(DEFAULT_ROW_CAP, bound.numerator // bound.denominator + 1)
-    fres = fpts_exact(P, t, s, cap, budget)
+    fres = fpts_exact(P, t, s, cap, budget - nodes)
     nodes += fres.nodes_explored
     if fres.hit_row_cap and Fraction(cap) <= bound:
         raise ResourceLimit("row cap reached below the bound; verdict open")
@@ -411,7 +414,6 @@ class Lemma22Report:
     rhs_value: Fraction
     holds: bool
     nodes_explored: int
-    wall_ms: float | None = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -419,7 +421,6 @@ class Lemma22Report:
             "rhs": str(self.rhs_value),
             "pass": self.holds,
             "nodes": self.nodes_explored,
-            "wall_ms": self.wall_ms,
             "k": self.k,
             "a": self.a,
             "c": self.c,

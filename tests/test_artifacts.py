@@ -27,7 +27,7 @@ EXCLUDED = set(DATA["excluded_checks"])
 
 def failing_names(k: int, a: int, c: int) -> list[str]:
     params = BoundParams(k, a, c)
-    report = certify_schedule(build_schedule(params), params)
+    report = certify_schedule(build_schedule(params))
     return sorted(ch.name for ch in report.checks if not ch.holds)
 
 
@@ -73,6 +73,18 @@ class TestSmallestPassingK:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert out.read_bytes() == ARTIFACT.read_bytes()
+
+
+class TestScheduleSweep:
+    def test_script_regenerates_identically(self, tmp_path):
+        # certify and crude values at every grid point: a drift is a diff
+        out = tmp_path / "schedule_sweep.csv"
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "schedule_sweep.py"), "--out", str(out)],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert out.read_bytes() == (REPO / "artifacts" / "schedule_sweep.csv").read_bytes()
 
 
 class TestExtremalTables:

@@ -263,6 +263,12 @@ class TestFlooredReplay:
         with pytest.raises(PreconditionViolated):
             build_schedule(BoundParams(k=100, a=1.5, c=2), apply_floors=True)
 
+    @pytest.mark.parametrize("consumer", [certify_schedule, crude_fpts_bound])
+    def test_consumers_refuse_floored_schedule(self, consumer):
+        sch = build_schedule(BoundParams(k=100, a=2, c=2), apply_floors=True)
+        with pytest.raises(PreconditionViolated):
+            consumer(sch)
+
     def test_ideal_default_has_no_drift(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
         assert not sch.floors_applied
@@ -295,7 +301,7 @@ class TestFlooredReplay:
     def test_integer_replay_matches_fractions(self, k, a, c):
         params = BoundParams(k=k, a=a, c=c)
         R = build_schedule(params).bulk_steps
-        assert _floored_replay(params, R) == self.fraction_replay(params, R)
+        assert _floored_replay(params, R)[-1] == self.fraction_replay(params, R)
 
 
 GRID = [(a, c) for a in (1, 2) for c in (2, 3)]
@@ -313,14 +319,14 @@ class TestCertifySchedule:
     @pytest.mark.parametrize("a,c", GRID)
     def test_large_k_grid(self, a, c):
         p = BoundParams(k=10**6, a=a, c=c)
-        report = certify_schedule(build_schedule(p), p)
+        report = certify_schedule(build_schedule(p))
         failing = {ch.name for ch in report.checks if not ch.holds}
         assert failing == {EXPECTED_GRID_FAILURE}
 
     @pytest.mark.parametrize("a,c", GRID)
     def test_grid_constraint_values(self, a, c):
         p = BoundParams(k=10**6, a=a, c=c)
-        report = certify_schedule(build_schedule(p), p)
+        report = certify_schedule(build_schedule(p))
         assert report.by_name("y_penultimate_below_one").lhs < 1
         assert report.by_name("bulk_cost_ratio_at_most_two").lhs <= 2
         assert report.by_name("penultimate_cost_within_initial").lhs <= 1
@@ -330,12 +336,12 @@ class TestCertifySchedule:
 
     def test_small_k_fails(self):
         p = BoundParams(k=2, a=1, c=2)
-        report = certify_schedule(build_schedule(p), p)
+        report = certify_schedule(build_schedule(p))
         assert not report.all_pass
 
     def test_y1_closed_form_cross_check(self):
         p = BoundParams(k=10**6, a=2, c=2)
-        report = certify_schedule(build_schedule(p), p)
+        report = certify_schedule(build_schedule(p))
         check = report.by_name("y_penultimate_closed_form")
         assert check.holds
         assert check.lhs == pytest.approx(check.rhs, rel=1e-9)
@@ -343,29 +349,29 @@ class TestCertifySchedule:
     def test_x_b_boundary_tolerated_at_c2(self):
         # x_b equals 1/c exactly at c = 2; the floor it guards is fine
         p = BoundParams(k=10**6, a=1, c=2)
-        report = certify_schedule(build_schedule(p), p)
+        report = certify_schedule(build_schedule(p))
         assert report.by_name("x_b_above_inverse_c").holds
 
     def test_unique_check_names(self):
         p = BoundParams(k=10**6, a=1, c=2)
-        report = certify_schedule(build_schedule(p), p)
+        report = certify_schedule(build_schedule(p))
         names = [ch.name for ch in report.checks]
         assert len(names) == len(set(names))
 
     def test_deterministic(self):
         p = BoundParams(k=10**5, a=1, c=3)
-        r1 = certify_schedule(build_schedule(p), p)
-        r2 = certify_schedule(build_schedule(p), p)
+        r1 = certify_schedule(build_schedule(p))
+        r2 = certify_schedule(build_schedule(p))
         assert r1.to_jsonable() == r2.to_jsonable()
 
     def test_non_integral_a_skips_floor_checks(self):
         p = BoundParams(k=10**6, a=1.5, c=2)
-        report = certify_schedule(build_schedule(p), p)
+        report = certify_schedule(build_schedule(p))
         assert all("floored" not in ch.name for ch in report.checks)
 
     def test_duplicate_names_rejected(self):
         p = BoundParams(k=10**4, a=1, c=2)
-        report = certify_schedule(build_schedule(p), p)
+        report = certify_schedule(build_schedule(p))
         with pytest.raises(PreconditionViolated):
             CertReport(report.checks + (report.checks[0],))
 
@@ -373,19 +379,17 @@ class TestCertifySchedule:
 class TestCrudeFptsBound:
     def test_finite_positive(self):
         p = BoundParams(k=10**6, a=2, c=2)
-        v = crude_fpts_bound(build_schedule(p), p)
+        v = crude_fpts_bound(build_schedule(p))
         assert math.isfinite(v) and v > 0
 
     def test_monotone_in_k(self):
         lo = BoundParams(k=10**6, a=2, c=2)
         hi = BoundParams(k=2 * 10**6, a=2, c=2)
-        assert crude_fpts_bound(build_schedule(lo), lo) < crude_fpts_bound(
-            build_schedule(hi), hi
-        )
+        assert crude_fpts_bound(build_schedule(lo)) < crude_fpts_bound(build_schedule(hi))
 
     def test_large_grid_finite(self):
         p = BoundParams(k=10**6, a=3, c=4)
-        assert math.isfinite(crude_fpts_bound(build_schedule(p), p))
+        assert math.isfinite(crude_fpts_bound(build_schedule(p)))
 
     def test_degenerate_start_rejected(self):
         # a schedule whose start state cannot clear k^a: the guard fires
@@ -396,8 +400,8 @@ class TestCrudeFptsBound:
             states=(ScheduleState(0, sch.states[0].log2_t, 2.0),) + sch.states[1:],
         )
         with pytest.raises(DenominatorNonpositive):
-            crude_fpts_bound(crippled, p)
+            crude_fpts_bound(crippled)
 
     def test_fractional_exponent_supported(self):
         p = BoundParams(k=10**4, a=1.5, c=2)
-        assert math.isfinite(crude_fpts_bound(build_schedule(p), p))
+        assert math.isfinite(crude_fpts_bound(build_schedule(p)))

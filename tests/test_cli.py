@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -134,6 +135,36 @@ class TestExitCodes:
         assert err.startswith("resource limit")
         assert "Traceback" not in err and "internal error" not in err
 
+    def test_lemma21_hypothesis_wider_than_row_masks(self, capsys):
+        # refused before any search: one exfn per n up to 10^20 never ends
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "check-lemma21", "--pattern", "12", "--a", "1", "--t", "5", "--s", "3",
+            "--hypothesis-n", str(10**20),
+        )
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource limit") and f"{MAX_WIDTH}-bit" in err
+        assert "Traceback" not in err and "internal error" not in err
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("k, a, c", [("4096", "1", "2"), ("1e6", "2", "3")])
+    def test_certify_floors_keeps_report(self, capsys, fmt, k, a, c):
+        argv = ("bounds", "certify", "--k", k, "--a", a, "--c", c, "--format", fmt)
+        plain = invoke(capsys, *argv)
+        floored = invoke(capsys, *argv, "--floors")
+        assert plain == floored
+        assert plain[0] == EXIT_OK and plain[1]
+
+    def test_certify_floors_needs_integral_exponent(self, capsys):
+        argv = ("bounds", "certify", "--k", "1e6", "--a", "1.5", "--c", "2")
+        assert invoke(capsys, *argv)[0] == EXIT_OK
+        code, out, err = invoke(capsys, *argv, "--floors")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("rejected") and "integral" in err
+
 
     def test_exfn_past_the_budget_is_unproven(self, capsys):
         code, out, err = invoke(
@@ -198,7 +229,7 @@ class TestJsonOutput:
         data = json.loads(out)
         assert data["pass"] is True
         assert data["rhs"] == "6"
-        assert data["wall_ms"] is None
+        assert "wall_ms" not in data
 
     def test_check_lemma22(self, capsys):
         _, out, _ = invoke(
