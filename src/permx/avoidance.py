@@ -40,9 +40,11 @@ is no more constrained in both colours (each of its partial occurrences
 is one of the first pair's or dominated by one), since every colouring
 of the rest that works from the first works from the other too.  The
 count sums multiplicities over distinct pair sets, one length at a
-time.  The JV inclusion check searches the product of the three-part
-sum's avoider state and the merge state of the two-part sums, and fails
-iff some avoider is left with an empty pair set.  Single hosts
+time.  The JV inclusion check runs the same layered sum over the product
+of the three-part sum's avoider state and the merge state of the
+two-part sums, and fails iff some avoider is left with an empty pair
+set; only then does a descent that re-sums from each child in gap order
+find the first failing avoider.  Single hosts
 (:func:`merge_coloring`) are 2-coloured by a backtracker that prunes a
 branch the moment either colour class contains its forbidden pattern.
 """
@@ -166,7 +168,7 @@ def count_avoiders(
     pattern: Permutation,
     n: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Exact number of length-n permutations avoiding ``pattern``.
 
@@ -175,21 +177,23 @@ def count_avoiders(
     states expanded, a count that depends only on the pattern and n."""
     if pattern.n == 0:
         raise EmptyPattern("avoidance is defined for nonempty patterns")
+    _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
+    root, step = _perm_states(pattern.entries)
+    return sum(_sum_over_states(root, step, n, node_budget).values())
+
+
+def _check_length(n, limit):
     if n < 0:
         raise PreconditionViolated(f"need n >= 0, got {n}")
-    if n > DEFAULT_COUNT_LENGTH_LIMIT:
-        raise ResourceLimit(
-            f"n={n} exceeds the configured limit {DEFAULT_COUNT_LENGTH_LIMIT}"
-        )
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    root, step = _perm_states(pattern.entries)
-    return _sum_over_states(root, step, n, budget)
+    if n > limit:
+        raise ResourceLimit(f"n={n} exceeds the configured limit {limit}")
 
 
 def _sum_over_states(root, step, n, budget):
-    """Number of length-n sequences of gap choices that ``step`` accepts
-    from ``root``, merging equal states with their multiplicities one
-    length at a time; ``step(state, u, r)`` returns None to reject."""
+    """The states reached from ``root`` by length-n sequences of gap
+    choices that ``step`` accepts, each with the number of sequences
+    reaching it; equal states are merged with their multiplicities one
+    length at a time.  ``step(state, u, r)`` returns None to reject."""
     layer = {root: 1}
     nodes = 0
     for r in range(n, 0, -1):
@@ -203,26 +207,20 @@ def _sum_over_states(root, step, n, budget):
                 if child is not None:
                     following[child] = following.get(child, 0) + mult
         layer = following
-    return sum(layer.values())
+    return layer
 
 
 def avoiders(
     pattern: Permutation,
     n: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ):
     """Yield every length-n avoider of ``pattern`` as a value tuple, in
     lexicographic order."""
     if pattern.n == 0:
         raise EmptyPattern("avoidance is defined for nonempty patterns")
-    if n < 0:
-        raise PreconditionViolated(f"need n >= 0, got {n}")
-    if n > DEFAULT_COUNT_LENGTH_LIMIT:
-        raise ResourceLimit(
-            f"n={n} exceeds the configured limit {DEFAULT_COUNT_LENGTH_LIMIT}"
-        )
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
     pvals = pattern.entries
     used = bytearray(n + 1)
     prefix = []
@@ -237,8 +235,8 @@ def avoiders(
             if used[v]:
                 continue
             nodes += 1
-            if nodes > budget:
-                raise ResourceLimit(f"node budget {budget} exhausted")
+            if nodes > node_budget:
+                raise ResourceLimit(f"node budget {node_budget} exhausted")
             if completes_at_end(prefix, v, pvals):
                 continue
             used[v] = 1
@@ -254,7 +252,7 @@ def sw_estimate_sequence(
     pattern: Permutation,
     n_max: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SwEstimate]:
     """Exact counts with count**(1/n) growth estimates for n = 1..n_max."""
     if n_max < 1:
@@ -274,7 +272,7 @@ def sw_estimate_sequence(
 def merge_coloring(
     q: MergeQuery,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[str, ...] | None:
     """A per-entry ("red"/"blue") coloring whose red subsequence avoids
     the red pattern and blue subsequence avoids the blue pattern, or
@@ -284,7 +282,6 @@ def merge_coloring(
         raise ResourceLimit(
             f"host length {n} exceeds the configured limit {DEFAULT_MERGE_LENGTH_LIMIT}"
         )
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     hvals = q.host.entries
     rvals, bvals = q.red_pattern.entries, q.blue_pattern.entries
     red, blue = [], []
@@ -294,8 +291,8 @@ def merge_coloring(
     def rec(i):
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise ResourceLimit(f"node budget {budget} exhausted")
+        if nodes > node_budget:
+            raise ResourceLimit(f"node budget {node_budget} exhausted")
         if i == n:
             return True
         v = hvals[i]
@@ -321,7 +318,7 @@ def merge_coloring(
 def merge_member(
     q: MergeQuery,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """True iff the host's entries 2-color so that red avoids the red
     pattern and blue avoids the blue pattern."""
@@ -421,55 +418,41 @@ def _jv_search(hvals, rvals, bvals, n, budget):
     length-n avoider of ``hvals`` merges from an avoider of ``rvals`` and
     one of ``bvals``.
 
-    A memoised search over products of the host pattern's prefix state
-    and the merge state (None once no colouring is left): the claim fails
-    iff some avoider reaches None.  ``checked`` is the number of
-    avoiders, or on failure the 1-based rank of the lexicographically
-    first failing one, which is read back as the counterexample (gap
-    order is value order).  A node is one distinct product state
-    expanded."""
+    A sum over products of the host pattern's prefix state and the merge
+    state (None once no colouring is left): the claim fails iff some
+    avoider ends on None.  ``checked`` is the number of avoiders, or on
+    failure the 1-based rank of the lexicographically first failing one,
+    found by a descent that re-sums from each child in gap order (gap
+    order is value order).  The re-sums expand only states the first sum
+    expanded, so a node is one distinct product state expanded."""
     _, host_step = _interned(*_perm_states(hvals))
     _, merge_step = _interned(*_merge_states(rvals, bvals))
-    seen = {}  # (host state, merge state, r) -> (avoiders below, whether one fails)
-    nodes = 0
 
-    def children(host, pairs, r):
-        for u in range(r):
-            child = host_step(host, u, r, True)
-            if child is not None:
-                yield u, child, None if pairs is None else merge_step(pairs, u, r)
+    def step(state, u, r):
+        host, pairs = state
+        child = host_step(host, u, r, True)
+        if child is None:
+            return None
+        return child, None if pairs is None else merge_step(pairs, u, r)
 
-    def visit(host, pairs, r):
-        nonlocal nodes
-        if r == 0:
-            return 1, pairs is None
-        key = (host, pairs, r)
-        found = seen.get(key)
-        if found is None:
-            nodes += 1
-            if nodes > budget:
-                raise ResourceLimit(f"node budget {budget} exhausted")
-            total, fails = 0, False
-            for _, child, child_pairs in children(host, pairs, r):
-                count, child_fails = visit(child, child_pairs, r - 1)
-                total += count
-                fails = fails or child_fails
-            found = seen[key] = (total, fails)
-        return found
+    def fails(layer):
+        return any(pairs is None for _, pairs in layer)
 
-    checked, fails = visit(0, 0, n)
-    if not fails:
-        return checked, True, None
-    host, pairs, rank = 0, 0, 0
+    layer = _sum_over_states((0, 0), step, n, budget)
+    if not fails(layer):
+        return sum(layer.values()), True, None
+    state, rank = (0, 0), 0
     unused, values = list(range(1, n + 1)), []
     for r in range(n, 0, -1):
-        for u, child, child_pairs in children(host, pairs, r):
-            count, child_fails = visit(child, child_pairs, r - 1)
-            if child_fails:
-                break
-            rank += count
+        for u in range(r):
+            child = step(state, u, r)
+            if child is not None:
+                layer = _sum_over_states(child, step, r - 1, budget)
+                if fails(layer):
+                    break
+                rank += sum(layer.values())
         values.append(unused.pop(u))
-        host, pairs = child, child_pairs
+        state = child
     return rank + 1, False, Permutation(tuple(values))
 
 
@@ -479,7 +462,7 @@ def verify_jv_inclusion(
     c: Permutation,
     n: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> JvInclusionReport:
     """Check, for every length-n avoider of a+b+c (direct sum), that it
     merges from an avoider of a+b and an avoider of b+c.
@@ -492,18 +475,12 @@ def verify_jv_inclusion(
     """
     if a.n == 0 or b.n == 0 or c.n == 0:
         raise EmptyPattern("all three parts must be nonempty")
-    if n < 0:
-        raise PreconditionViolated(f"need n >= 0, got {n}")
-    if n > DEFAULT_COUNT_LENGTH_LIMIT:
-        raise ResourceLimit(
-            f"n={n} exceeds the configured limit {DEFAULT_COUNT_LENGTH_LIMIT}"
-        )
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
     combined = direct_sum(direct_sum(a, b), c)
     red_pattern = direct_sum(a, b)
     blue_pattern = direct_sum(b, c)
     checked, holds, counterexample = _jv_search(
-        combined.entries, red_pattern.entries, blue_pattern.entries, n, budget
+        combined.entries, red_pattern.entries, blue_pattern.entries, n, node_budget
     )
     return JvInclusionReport(
         parts=(a, b, c),
@@ -522,7 +499,7 @@ def merge_count_upper_check(
     blue_pattern: Permutation,
     n: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> MergeCountReport:
     """Count mergeable length-n permutations and compare against the
     binomial-sum right-hand sides (see :class:`MergeCountReport`).
@@ -533,15 +510,9 @@ def merge_count_upper_check(
     right-hand sides separately."""
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise EmptyPattern("merge patterns must be nonempty")
-    if n < 0:
-        raise PreconditionViolated(f"need n >= 0, got {n}")
-    if n > DEFAULT_MERGE_COUNT_LENGTH_LIMIT:
-        raise ResourceLimit(
-            f"n={n} exceeds the configured limit {DEFAULT_MERGE_COUNT_LENGTH_LIMIT}"
-        )
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    _check_length(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT)
     root, step = _merge_states(red_pattern.entries, blue_pattern.entries)
-    lhs = _sum_over_states(root, step, n, budget)
+    lhs = sum(_sum_over_states(root, step, n, node_budget).values())
     red_counts = [
         count_avoiders(red_pattern, i, node_budget=node_budget) for i in range(n + 1)
     ]

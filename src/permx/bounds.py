@@ -18,6 +18,8 @@ state arithmetic is carried in log2 space; integer/rational quantities
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -329,7 +331,7 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
 
     drift_t = drift_s = None
     if apply_floors:
-        replay = _floored_replay(params, bulk_steps)
+        replay = list(_floored_replay(params, bulk_steps))
         states = tuple(
             ScheduleState(i, _log2_int(t), _log2_int(s)) for i, (t, s) in enumerate(replay)
         )
@@ -364,9 +366,9 @@ def _beta_k_int(params: BoundParams) -> int:
     return 2 * params.c * int(params.k) ** int(params.a)
 
 
-def _floored_replay(params: BoundParams, bulk_steps: int) -> list[tuple[int, int]]:
+def _floored_replay(params: BoundParams, bulk_steps: int) -> Iterator[tuple[int, int]]:
     """Exact integer trajectory with every t and s floored, starting
-    from floor(t_0) and floor(sqrt(t_0)); returns the integer (t, s) of
+    from floor(t_0) and floor(sqrt(t_0)); yields the integer (t, s) of
     every state, indices 0 to bulk_steps + 2."""
     (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in _bulk_constants(params))
     beta_k = _beta_k_int(params)
@@ -375,20 +377,19 @@ def _floored_replay(params: BoundParams, bulk_steps: int) -> list[tuple[int, int
     # t_0 = beta k / x^(R+2)
     t = beta_k * xd ** (R + 2) // xn ** (R + 2)
     s = math.isqrt(t)
-    states = [(t, s)]
+    yield t, s
     for _ in range(R):
         t = t * xn // xd
         s = s * yn // yd
-        states.append((t, s))
+        yield t, s
     # penultimate step: y_1 = sqrt(beta k x^R) / y^R, applied exactly, so
     # s becomes floor(sqrt(p/q)) with p/q = s^2 beta k x^R / y^(2R).
     # floor(sqrt(p/q)) = isqrt(p // q): (m+1)^2 > p // q implies
     # (m+1)^2 >= p // q + 1 > p/q
     t = t * xn // xd
     s = math.isqrt(s * s * beta_k * (yd * yd * xn) ** R // (yn * yn * xd) ** R)
-    states.append((t, s))
-    states.append((t * xn // xd, s * xn // xd))
-    return states
+    yield t, s
+    yield t * xn // xd, s * xn // xd
 
 
 def _log2_int(v: int) -> float:
@@ -562,7 +563,9 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     )
 
     if _is_integral(a) and _is_integral(params.k):
-        t_fl, s_fl = _floored_replay(params, R)[-1]
+        # only the final state is checked; holding the whole trajectory
+        # of wide integers costs megabytes at large k
+        t_fl, s_fl = deque(_floored_replay(params, R), maxlen=1)[0]
         beta_k = _beta_k_int(params)
         envelope = 16.0 * c * c / (8.0 * c + 1.0)  # 1/(1-y_b)
         add(

@@ -84,7 +84,6 @@ class RunConfig:
     options: tuple[tuple[str, object], ...] = ()
     output_format: str = "text"
     node_budget: int = DEFAULT_NODE_BUDGET
-    seed: int | None = None
 
     def __post_init__(self):
         if self.output_format not in FORMATS:
@@ -193,7 +192,7 @@ class Command:
     """One subcommand, declared once.
 
     ``call(opts, config)`` turns the parsed options and the run
-    configuration (node budget, seed) into the report payload; it names
+    configuration (node budget) into the report payload; it names
     library functions at call time, so wrappers set on this module's
     globals see them.  csv output writes ``table`` (payload key,
     columns) if set, else the scalar fields as one row sorted by key;
@@ -328,7 +327,7 @@ def _crude(o, cfg):
 def _selftest(o, cfg):
     from .selftest import run_selftest
 
-    return run_selftest(seed=cfg.seed)[0]
+    return run_selftest(seed=o.get("seed"))[0]
 
 
 PATTERN = _flag("--pattern")
@@ -484,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NON_OPTION_KEYS = {"command", "bounds_command", "format", "budget", "seed"}
+_NON_OPTION_KEYS = {"command", "bounds_command", "format", "budget"}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -511,7 +510,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         options=options,
         output_format=args.format,
         node_budget=budget,
-        seed=getattr(args, "seed", None),
     )
 
 

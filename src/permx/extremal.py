@@ -179,6 +179,29 @@ def exfn_enumerate(P: PermutationMatrix, n: int) -> int:
     return best
 
 
+def _heavy_submasks(allowed: int, s: int):
+    """The submasks of ``allowed`` with at least s bits, in descending
+    numeric order.  From a lighter submask the walk jumps to the largest
+    smaller heavy one: clear the lowest set bit that leaves enough
+    allowed bits below it, then set every allowed bit below that one."""
+    m = allowed
+    while m:
+        if m.bit_count() >= s:
+            yield m
+            m = (m - 1) & allowed
+            continue
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            below = allowed & (low - 1)
+            if rest.bit_count() + below.bit_count() >= s:
+                break
+        else:
+            return
+        m = rest | below
+
+
 def fpts_exact(
     P: PermutationMatrix,
     t: int,
@@ -212,11 +235,7 @@ def fpts_exact(
     root, forbidden, step = _row_states(P, t)
 
     def candidates(state):
-        m = allowed = ((1 << t) - 1) & ~forbidden(state)
-        while m:
-            if m.bit_count() >= s:
-                yield m
-            m = (m - 1) & allowed
+        return _heavy_submasks(((1 << t) - 1) & ~forbidden(state), s)
 
     def follow(state, need):
         # the first `need` rows, in candidate order, that can follow state
@@ -452,7 +471,9 @@ def check_lemma22(
     apply.  The right side is assembled from an exact sub-search; the
     verdict is only reported when it is decisive (an under-resolved
     sub-search can understate the right side, so a failed comparison
-    against it raises ResourceLimit instead of reporting False).
+    against it raises ResourceLimit instead of reporting False).  The
+    sub-search and the search for the left side share the one node
+    budget.
     """
     k = P.k
     if not blockable_decompositions(from_matrix(P), c):
@@ -472,7 +493,7 @@ def check_lemma22(
     sub_exact = sub.proven_optimal
     rhs = lemma22_rhs(k, a, c, t, s, x, y, sub.value)
     cap = min(DEFAULT_ROW_CAP, rhs.numerator // rhs.denominator + 1)
-    lhs_res = fpts_exact(P, t, s, cap, budget)
+    lhs_res = fpts_exact(P, t, s, cap, budget - sub.nodes_explored)
     nodes = sub.nodes_explored + lhs_res.nodes_explored
 
     if lhs_res.proven_optimal:

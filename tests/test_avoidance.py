@@ -523,6 +523,22 @@ def test_merge_budget_counts_states(run):
             run(lo - 1)
 
 
+@pytest.mark.parametrize("run, nodes", [
+    (lambda budget: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 6,
+                                        node_budget=budget), 62),
+    # failing triples: the descent to the counterexample re-sums only
+    # states the first sum expanded, so it costs no further nodes
+    (lambda budget: _jv_search((3, 2, 1), (1, 2), (1, 2), 6, budget), 84),
+    (lambda budget: _jv_search((4, 3, 2, 1), (1, 2, 3), (1, 2), 6, budget), 134),
+    (lambda budget: _jv_search((1, 2, 3, 4), (2, 1), (1, 2), 5, budget), 54),
+], ids=["holds", "321-12-12", "4321-123-12", "1234-21-12"])
+def test_jv_smallest_budget_pinned(run, nodes):
+    # the node counts of the former memoised search, unchanged
+    run(nodes)
+    with pytest.raises(ResourceLimit):
+        run(nodes - 1)
+
+
 @given(
     st.integers(0, 5),
     permutations_upto(3),

@@ -3,6 +3,7 @@ certification and floored replay."""
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -301,7 +302,22 @@ class TestFlooredReplay:
     def test_integer_replay_matches_fractions(self, k, a, c):
         params = BoundParams(k=k, a=a, c=c)
         R = build_schedule(params).bulk_steps
-        assert _floored_replay(params, R)[-1] == self.fraction_replay(params, R)
+        states = list(_floored_replay(params, R))
+        assert len(states) == R + 3
+        assert states[-1] == self.fraction_replay(params, R)
+
+    def test_certify_holds_only_the_final_state(self):
+        # the (2^40, 3, 6) trajectory has 19805 states of wide integers,
+        # about 13.7 MB when kept whole; the certifier reads only the last
+        sch = build_schedule(BoundParams(k=2 ** 40, a=3, c=6))
+        tracemalloc.start()
+        try:
+            report = certify_schedule(sch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.by_name("floored_final_width_le_target").holds
+        assert peak < 4 * 2 ** 20
 
 
 GRID = [(a, c) for a in (1, 2) for c in (2, 3)]

@@ -148,6 +148,19 @@ class TestExitCodes:
         assert err.startswith("resource limit") and f"{MAX_WIDTH}-bit" in err
         assert "Traceback" not in err and "internal error" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("fpts", "--pattern", "21", "--t", "64", "--s", "64", "--n-cap", "10000"),
+        # its sub-search is t = s = 32
+        ("check-lemma22", "--pattern", "12", "--a", "1", "--c", "2", "--t", "64",
+         "--s", "64", "--x", "0.6", "--y", "0.5"),
+    ])
+    def test_weight_close_to_width_is_quick(self, capsys, argv):
+        # candidate rows skip every underweight submask in one jump
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_OK and out
+
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("k, a, c", [("4096", "1", "2"), ("1e6", "2", "3")])
     def test_certify_floors_keeps_report(self, capsys, fmt, k, a, c):
@@ -467,6 +480,23 @@ class TestRunConfig:
         cfg = config_from_args(args)
         assert cfg.command == "bounds alpha"
         assert cfg.output_format == "json"
+
+    def test_selftest_seed_is_an_option(self, capsys, monkeypatch):
+        import permx.selftest
+
+        seeds = []
+
+        def fake_selftest(seed=None):
+            seeds.append(seed)
+            return {"criteria": [], "all_pass": True}, True
+
+        monkeypatch.setattr(permx.selftest, "run_selftest", fake_selftest)
+        args = build_parser().parse_args(["selftest", "--seed", "3"])
+        assert ("seed", 3) in config_from_args(args).options
+        plain = invoke(capsys, "selftest")
+        seeded = invoke(capsys, "selftest", "--seed", "3")
+        assert seeds == [None, 3]
+        assert plain == seeded
 
 
 class TestDeterminism:

@@ -32,6 +32,7 @@ from permx.errors import (
     ZeroRowWeight,
 )
 from permx.extremal import (
+    _heavy_submasks,
     check_lemma21,
     check_lemma22,
     exfn_enumerate,
@@ -384,7 +385,29 @@ class TestCheckLemma21:
 P12 = pm("12")
 
 
+def test_heavy_submasks_match_walk_and_filter():
+    # oracle: the plain walk over every submask, filtered by weight
+    for allowed in range(1 << 10):
+        walk, m = [], allowed
+        while m:
+            walk.append(m)
+            m = (m - 1) & allowed
+        for s in range(1, 12):
+            expected = [m for m in walk if m.bit_count() >= s]
+            assert list(_heavy_submasks(allowed, s)) == expected, (allowed, s)
+
+
 class TestCheckLemma22:
+    def test_one_budget_for_both_searches(self):
+        # the sub-search and the left side draw on one budget, so the
+        # reported total is exactly the budget that suffices
+        P, args = pm("123"), (1, 2, 8, 5, 0.6, 0.3)
+        nodes = check_lemma22(P, *args).nodes_explored
+        assert nodes == 551
+        assert check_lemma22(P, *args, budget=nodes).holds
+        with pytest.raises(ResourceLimit):
+            check_lemma22(P, *args, budget=nodes - 1)
+
     def test_reference_case(self):
         rep = check_lemma22(P12, 1, 2, 5, 5, 0.6, 0.5)
         assert rep.holds
