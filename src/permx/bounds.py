@@ -152,18 +152,24 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
 
 def theorem24_alpha(a, c: int) -> float:
     """Exponent alpha = 2a + 8c^2 + 32ac^2 ln c in the k^alpha * n
-    extremal bound."""
+    extremal bound.  Constants whose alpha, or twice it, overflows a
+    double are rejected."""
     if not 0 < a < math.inf:
         raise PreconditionViolated(f"need finite a > 0, got {a}")
     if not _is_integral(c):
         raise PreconditionViolated(f"block count c must be an integer, got {c}")
     if c < 2:
         raise PreconditionViolated(f"need c >= 2, got {c}")
-    return 2.0 * a + 8.0 * c * c + 32.0 * a * c * c * math.log(c)
+    alpha = 2.0 * a + 8.0 * c * c + 32.0 * a * c * c * math.log(c)
+    if not math.isfinite(2.0 * alpha):
+        raise BadConstants(f"2*alpha = 4a + 16c^2 + 64ac^2 ln c overflows a double "
+                           f"at a={a}, c={c}")
+    return alpha
 
 
 def theorem12_exponent(a, c: int) -> float:
-    """Growth-rate exponent, exactly twice :func:`theorem24_alpha`."""
+    """Growth-rate exponent, exactly twice :func:`theorem24_alpha`;
+    finite, since that function rejects an alpha whose double is not."""
     return 2.0 * theorem24_alpha(a, c)
 
 

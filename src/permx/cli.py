@@ -14,6 +14,8 @@ environment variable, library default.
 
 Every subcommand is declared once, in ``COMMANDS``: its flags, the call
 that builds its report payload, and the payload's csv and text layout.
+The argument parser is built from it once per process, at the first
+call to ``main``, and reused by every later call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .avoidance import (
@@ -103,9 +105,11 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _parse_matrix(text: str) -> BinaryMatrix:
-    rows = [r for r in text.strip().split(",") if r]
-    if not rows:
+    rows = text.strip().split(",")
+    if rows == [""]:
         raise MalformedInput("empty matrix text")
+    if not all(rows):
+        raise MalformedInput(f"matrix rows must not be empty: {text!r}")
     if any(ch not in "01" for row in rows for ch in row):
         raise MalformedInput(f"matrix rows must be 0/1 strings: {text!r}")
     if any(len(row) != len(rows[0]) for row in rows):
@@ -456,7 +460,16 @@ def run(config: RunConfig) -> tuple[int, str]:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand in ``COMMANDS``, built on the
+    first call and returned as the same object after that.
+
+    ``COMMANDS`` is fixed at import, so the cached parser cannot go
+    stale.  Callers must not mutate it.  Nothing per call lives in it:
+    the node budget's PERMX_BUDGET fallback is read by
+    ``config_from_args``, not set as a parser default.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
     budgeted = argparse.ArgumentParser(add_help=False)
@@ -514,8 +527,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         code, out = run(config)

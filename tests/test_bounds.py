@@ -154,6 +154,13 @@ class TestExponents:
         with pytest.raises(PreconditionViolated):
             theorem24_alpha(1, 1)
 
+    @pytest.mark.parametrize("a, c", [(1e308, 6), (5e304, 6), (1, 1e200)])
+    def test_overflowing_exponents_rejected(self, a, c):
+        # alpha itself overflows at a=1e308; at a=5e304 only its double does
+        for fn in (theorem24_alpha, theorem12_exponent):
+            with pytest.raises(PreconditionViolated, match="overflows"):
+                fn(a, c)
+
 
 class TestFoxRhs:
     TABLE = {1: 1, 2: 3, 3: 5}

@@ -90,6 +90,8 @@ class TestExitCodes:
         ("certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol", "inf"),
         ("lemma22-rhs", "--k=-1", "--a", "2.5", "--c", "3", "--t", "40", "--s", "30",
          "--x", "0.7", "--y", "0.2"),
+        ("alpha", "--a", "1e308", "--c", "6"),
+        ("alpha", "--a", "5e304", "--c", "6"),
     ])
     def test_out_of_domain_bounds_constants(self, capsys, argv):
         code, out, err = invoke(capsys, "bounds", *argv)
@@ -397,6 +399,15 @@ class TestTextOutput:
         )
         assert code == EXIT_OK and out == "true\n"
 
+    @pytest.mark.parametrize("flag", ["--host", "--pattern"])
+    @pytest.mark.parametrize("text", ["1,,1", "10,01,", ",1"])
+    def test_empty_matrix_row(self, capsys, flag, text):
+        other = "--pattern" if flag == "--host" else "--host"
+        code, out, err = invoke(capsys, "matrix-contains", flag, text, other, "1")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("rejected") and "empty" in err
+
     def test_bad_matrix(self, capsys):
         code, _, err = invoke(
             capsys, "matrix-contains", "--host", "01x,100", "--pattern", "1"
@@ -453,6 +464,32 @@ class TestBudgets:
         code, _, err = invoke(capsys, "count-av", "--pattern", "123", "--n", "4")
         assert code == EXIT_BAD_INPUT
         assert "PERMX_BUDGET" in err
+
+
+class TestOneParser:
+    """``main`` reuses one parser; nothing of one call leaks into the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_valid_request_after_usage_error(self, capsys):
+        argv = ("contains", "--host", "42153", "--pattern", "312", "--format", "json")
+        before = invoke(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["contains", "--host", "12"])
+        assert exc.value.code == 2
+        usage = capsys.readouterr()
+        assert usage.out == "" and "required" in usage.err
+        assert invoke(capsys, *argv) == before
+
+    def test_budget_env_read_per_call(self, capsys, monkeypatch):
+        argv = ("count-av", "--pattern", "123", "--n", "8")
+        monkeypatch.setenv("PERMX_BUDGET", "10")
+        assert invoke(capsys, *argv)[0] == EXIT_RESOURCE
+        monkeypatch.setenv("PERMX_BUDGET", "10000000")
+        assert invoke(capsys, *argv)[:2] == (EXIT_OK, "count = 1430\nn = 8\npattern = 123\n")
+        monkeypatch.setenv("PERMX_BUDGET", "10")
+        assert invoke(capsys, *argv)[0] == EXIT_RESOURCE
 
 
 class TestRunConfig:
@@ -570,3 +607,9 @@ def test_fuzzed_arguments_exit_cleanly(argv):
     assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_RESOURCE), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue()
+    if code == EXIT_OK and "--format=json" in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"json output holds {name}, which is not valid JSON")
