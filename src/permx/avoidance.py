@@ -22,11 +22,18 @@ Three exact reductions keep the state sets small:
 * dominance: among occurrences of one length only the Pareto-minimal
   gap tuples stay, one dominating another when its lower-bound gaps are
   no larger and its upper-bound gaps no smaller, since every completion
-  of the other is then one of it too.
+  of the other is then one of it too.  A gap that is both a lower and
+  an upper bound must be equal, so the tuples are grouped on those
+  gaps; every pattern of length at most 4 leaves at most two other
+  gaps, and a group's minima then come from one sort and a sweep with a
+  running best.  Only three or more free gaps (patterns of length 5 and
+  up) fall back to comparing pairs.
 
-The step itself is :func:`core._perm_states`.  A counting node is one
-distinct state expanded.  Enumeration (:func:`avoiders`) stays a plain
-prefix-pruned backtracker, so the two check each other.
+The step itself is :func:`core._perm_states`.  It memoises each level of
+a child on the parent levels it is built from, u and r, and forgets the
+memo when r changes, so it holds one layer at most.  A counting node is
+one distinct state expanded.  Enumeration (:func:`avoiders`) stays a
+plain prefix-pruned backtracker, so the two check each other.
 
 A merge is a permutation whose entries colour red and blue so that each
 colour avoids its own pattern.  Merges are counted on the same states:

@@ -160,7 +160,10 @@ def theorem24_alpha(a, c: int) -> float:
         raise PreconditionViolated(f"block count c must be an integer, got {c}")
     if c < 2:
         raise PreconditionViolated(f"need c >= 2, got {c}")
-    alpha = 2.0 * a + 8.0 * c * c + 32.0 * a * c * c * math.log(c)
+    try:
+        alpha = 2.0 * a + 8.0 * c * c + 32.0 * a * c * c * math.log(c)
+    except OverflowError:  # an int a or c beyond the double range
+        alpha = math.inf
     if not math.isfinite(2.0 * alpha):
         raise BadConstants(f"2*alpha = 4a + 16c^2 + 64ac^2 ln c overflows a double "
                            f"at a={a}, c={c}")

@@ -17,6 +17,7 @@ bitmask rows; the dataclass API wraps them.  Callers in hot loops
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -487,13 +488,49 @@ def _occurrence_plan(pvals):
     return plan
 
 
+@functools.lru_cache(maxsize=None)
+def _dominance_shape(lows, ups):
+    """The positions both bounds share, and every other position with
+    the sign that makes smaller better."""
+    return (tuple(i for i in lows if i in ups),
+            tuple((i, 1) for i in lows if i not in ups)
+            + tuple((i, -1) for i in ups if i not in lows))
+
+
 def _pareto_min(tuples, lows, ups):
     """The partial occurrences no other one dominates.  One dominates
     another when its lower-bound entries are no larger and its
     upper-bound entries no smaller: every completion of the other is then
-    one of it too."""
+    one of it too.
+
+    A position that is both a lower and an upper bound must be equal, so
+    the tuples fall into groups on those positions; every other position
+    is free.  With no free position each tuple stands alone.  With one or
+    two, a sort on (group, first, second), each free coordinate oriented
+    so that smaller is better, puts every dominator first, and a tuple
+    stays iff its second coordinate beats the best of its group so far
+    (the maxima-of-vectors sweep of Kung, Luccio and Preparata); with
+    one, only the first of each group stays.  Three or more free
+    positions, which only patterns of length 5 and up have, fall back to
+    comparing each tuple with every one kept."""
     if len(tuples) < 2:
         return frozenset(tuples)
+    eq, free = _dominance_shape(lows, ups)
+    if not free:
+        return frozenset(tuples)
+    if len(free) <= 2:
+        # with one free position the second coordinate is a constant 0
+        (a, sa), (b, sb) = (free + ((0, 0),))[:2]
+        out, group, best = [], None, 0
+        for g, _, y, t in sorted([([t[i] for i in eq], sa * t[a], sb * t[b], t)
+                                  for t in tuples]):
+            if g != group:
+                group, best = g, y
+                out.append(t)
+            elif y < best:
+                best = y
+                out.append(t)
+        return frozenset(out)
     # sorting puts every dominator before what it dominates
     order = sorted(tuples, key=lambda t: [t[i] for i in lows] + [-t[i] for i in ups])
     out = []
@@ -520,7 +557,14 @@ def _perm_states(pvals):
     sequence drawn from the same values, as in a two-colour merge.
     Occurrences that need more values than are left, or a value outside
     the unused ones, are dropped (liveness), and only Pareto-minimal
-    tuples stay (dominance)."""
+    tuples stay (dominance, :func:`_pareto_min`).
+
+    Child level j depends only on parent levels j-1 (when joining) and
+    j, u and r, and the states of one layer share most of their levels,
+    so each level is memoised on those inputs, and equal levels are
+    kept once.  The memo and the gap shift lists are rebuilt whenever r
+    changes, so they hold one layer at most; an empty parent and own
+    level give an empty child."""
     k = len(pvals)
     plan = _occurrence_plan(pvals)
     last_lo, last_hi = plan[-1][:2]
@@ -528,33 +572,50 @@ def _perm_states(pvals):
     def extends(t, lo, hi, u):
         return (lo < 0 or t[lo] <= u) and (hi < 0 or u < t[hi])
 
+    def level(j, parent, own, u, r):
+        lo, hi, src, lows, ups = plan[j - 1]
+        shift = shifts[u]
+        tuples = [tuple([shift[g] for g in t]) for t in own]
+        tuples += [
+            tuple([u if i < 0 else shift[t[i]] for i in src])
+            for t in parent if extends(t, lo, hi, u)
+        ]
+        # gaps grow with value along a tuple, so liveness needs only the
+        # highest lower bound and the lowest upper bound
+        live = {
+            t for t in tuples
+            if (not lows or t[lows[-1]] < r - 1) and (not ups or t[ups[0]])
+        }
+        return _pareto_min(live, lows, ups)
+
     def step(state, u, r, join=True):
+        nonlocal memo_r, shifts
         if join and any(extends(t, last_lo, last_hi, u) for t in state[k - 1]):
             return None
-        shift = [g - (g > u) for g in range(r + 1)]
-        left = r - 1
+        if r != memo_r:  # the memo holds one layer at most
+            memo.clear()
+            memo_r = r
+            shifts = [[g - (g > v) for g in range(r + 1)] for v in range(r)]
         child = [state[0]]
         for j in range(1, k):
-            if left < k - j:  # too few values left to complete
+            parent = state[j - 1] if join else empty
+            own = state[j]
+            # too few values left to complete, or nothing to carry over
+            if r - 1 < k - j or not (parent or own):
                 child.append(empty)
                 continue
-            lo, hi, src, lows, ups = plan[j - 1]
-            tuples = [tuple([shift[g] for g in t]) for t in state[j]]
-            if join:
-                tuples += [
-                    tuple([u if i < 0 else shift[t[i]] for i in src])
-                    for t in state[j - 1] if extends(t, lo, hi, u)
-                ]
-            # gaps grow with value along a tuple, so liveness needs only
-            # the highest lower bound and the lowest upper bound
-            live = {
-                t for t in tuples
-                if (not lows or t[lows[-1]] < left) and (not ups or t[ups[0]])
-            }
-            child.append(_pareto_min(live, lows, ups))
+            key = (j, parent, own, u)
+            out = memo.get(key)
+            if out is None:
+                # the memo also maps each level to itself, so that the
+                # states of a layer share one copy of each equal level
+                out = level(j, parent, own, u, r)
+                out = memo[key] = memo.setdefault(out, out)
+            child.append(out)
         return tuple(child)
 
     empty = frozenset()
+    memo, memo_r, shifts = {}, None, []
     return (frozenset([()]),) + (empty,) * (k - 1), step
 
 

@@ -106,26 +106,27 @@ def test_count_validation():
         count_avoiders(perm("123"), 13)
     with pytest.raises(ResourceLimit):
         count_avoiders(perm("123"), 9, node_budget=10)
-
-
-def test_count_budget_counts_states():
-    # a counting node is one distinct prefix state expanded, so whether a
-    # budget suffices depends only on the pattern, n and the budget
     with pytest.raises(ResourceLimit):
         count_avoiders(perm("1324"), 10, node_budget=100)
-    pattern, n = perm("2413"), 8
-    lo, hi = 1, 10 ** 5
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            count_avoiders(pattern, n, node_budget=mid)
-            hi = mid
-        except ResourceLimit:
-            lo = mid + 1
+
+
+@pytest.mark.parametrize("pattern, n, budget, count", [
+    ("2413", 8, 384, 15485),
+    ("1234", 9, 249, 94359),
+    ("1324", 9, 696, 94776),
+    ("2413", 9, 997, 91245),
+    ("132", 10, 684, 16796),
+    ("213", 10, 420, 16796),
+])
+def test_count_budget_counts_states(pattern, n, budget, count):
+    # a counting node is one distinct prefix state expanded, so whether a
+    # budget suffices depends only on the pattern, n and the budget; the
+    # smallest sufficient budget pins how many distinct reduced states the
+    # step builds, and repeating it shows no memo leaks between calls
     for _ in range(2):
-        assert count_avoiders(pattern, n, node_budget=lo) == 15485
+        assert count_avoiders(perm(pattern), n, node_budget=budget) == count
         with pytest.raises(ResourceLimit):
-            count_avoiders(pattern, n, node_budget=lo - 1)
+            count_avoiders(perm(pattern), n, node_budget=budget - 1)
 
 
 # -- closed forms that share no code with the counter -----------------------

@@ -154,11 +154,14 @@ class TestExponents:
         with pytest.raises(PreconditionViolated):
             theorem24_alpha(1, 1)
 
-    @pytest.mark.parametrize("a, c", [(1e308, 6), (5e304, 6), (1, 1e200)])
+    @pytest.mark.parametrize("a, c", [
+        (1e308, 6), (5e304, 6), (1, 1e200), (1, 10 ** 400), (10 ** 400, 2),
+    ])
     def test_overflowing_exponents_rejected(self, a, c):
-        # alpha itself overflows at a=1e308; at a=5e304 only its double does
+        # alpha itself overflows at a=1e308; at a=5e304 only its double
+        # does; an int beyond the double range does not convert at all
         for fn in (theorem24_alpha, theorem12_exponent):
-            with pytest.raises(PreconditionViolated, match="overflows"):
+            with pytest.raises(BadConstants, match="overflows"):
                 fn(a, c)
 
 

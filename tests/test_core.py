@@ -2,6 +2,7 @@
 inflation round trips, and the matrix correspondence."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,8 @@ from permx.core import (
     BlockDecomposition,
     Permutation,
     PermutationMatrix,
+    _occurrence_plan,
+    _pareto_min,
     avoids,
     blockable_decompositions,
     complement,
@@ -432,3 +435,39 @@ def test_rotate90_preserves_permutation_matrices(p):
     rotated = rotate90(pm)
     assert isinstance(rotated, PermutationMatrix)
     assert rotated.k == pm.k
+
+
+# -- dominance: grouping and sweep against the pairwise definition ---------
+
+def oracle_pareto_min(tuples, lows, ups):
+    def dominates(s, t):
+        return all(s[i] <= t[i] for i in lows) and all(s[i] >= t[i] for i in ups)
+
+    return frozenset(t for t in tuples if not any(s != t and dominates(s, t) for s in tuples))
+
+
+# every (lows, ups) a pattern of length <= 5 uses, with its tuple width:
+# 0 to 2 positions shared by both bounds and 0 to 3 free ones, plus the
+# two one-sided shapes of two free positions no such pattern has
+PARETO_SHAPES = sorted(
+    {
+        (lows, ups, len(src))
+        for k in range(1, 6)
+        for p in itertools.permutations(range(1, k + 1))
+        for _, _, src, lows, ups in _occurrence_plan(p)
+    }
+    | {((0, 1), (), 2), ((), (0, 1), 2)}
+)
+
+
+@pytest.mark.parametrize("lows, ups, width", PARETO_SHAPES)
+def test_pareto_min_matches_pairwise_definition(lows, ups, width):
+    rng = random.Random(repr((lows, ups)))
+    for size in (0, 1, 2, 3, 5, 8, 20, 50, 120, 200):
+        # few distinct values, so ties on every coordinate are common
+        top = rng.choice((1, 2, 4, 9))
+        tuples = [tuple(rng.randint(0, top) for _ in range(width)) for _ in range(size)]
+        expected = oracle_pareto_min(set(tuples), lows, ups)
+        assert _pareto_min(set(tuples), lows, ups) == expected
+        rng.shuffle(tuples)
+        assert _pareto_min(tuples, lows, ups) == expected

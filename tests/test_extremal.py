@@ -135,6 +135,13 @@ class TestExfn:
         assert res.value == 12
         assert res.witness.row_masks() == [15, 15, 12, 12]
 
+    def test_wide_host_budget_pinned(self):
+        # a 64-column host grows row states far larger than any count at
+        # n <= 10 does, so dominance runs on large grouped tuple sets
+        res = exfn_exact(pm("2413"), 64, budget=100)
+        assert (res.value, res.proven_optimal, res.nodes_explored) == (375, False, 101)
+        assert res.witness.count_ones() == 375
+
     def test_bad_n(self):
         with pytest.raises(PreconditionViolated):
             exfn_exact(I2, 0)
