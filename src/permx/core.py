@@ -450,6 +450,13 @@ def matrix_avoids(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
 # coordinates) is _perm_states below; for a permutation matrix it is
 # col_of_row(), with host rows as positions and host columns as values,
 # and the step is _row_states.
+#
+# Both steps build a child level j from parent levels j-1 and j alone,
+# and memoise it: _perm_states on (j, levels, u) for one layer r at a
+# time, _row_states on (j, levels, row) for the whole search, since a
+# row model has no layer to clear on and rows_left only blanks levels
+# before the lookup.  Each memo maps a level to itself too, so equal
+# levels are one object.
 
 def _neighbours(head, q):
     """Greatest value of ``head`` below q and least above it (None if absent)."""
@@ -630,7 +637,15 @@ def _row_states(P: PermutationMatrix, width: int):
     pattern lie in distinct columns.  step's rows_left, when given, is
     how many rows may still follow; occurrences that need more are
     dropped, as are those with too few columns left (liveness), and only
-    Pareto-minimal tuples stay (dominance)."""
+    Pareto-minimal tuples stay (dominance).
+
+    Child level j depends only on parent levels j-1 and j and the row,
+    so each level is memoised on (j, parent level j-1, parent level j,
+    row), and equal levels are kept once.  rows_left is not part of the
+    key: it only blanks the levels with rows_left < k - j, and it does
+    so before the lookup; the width is fixed per model.  The memo lives
+    in this call's closure, so it lasts as long as one search holds the
+    step; an empty parent and own level give an empty child."""
     k = P.k
     plan = _occurrence_plan(P.col_of_row())
     last_lo, last_hi = plan[-1][:2]
@@ -654,34 +669,48 @@ def _row_states(P: PermutationMatrix, width: int):
             out |= between(t, last_lo, last_hi)
         return out
 
+    def level(j, parent, own, row):
+        lo, hi, src, lows, ups = plan[j - 1]
+        low, high = keep[j - 1] == "low", keep[j - 1] == "high"
+        tuples = set(own)
+        for t in parent:
+            cols = row & between(t, lo, hi)
+            if low:
+                cols &= -cols
+            elif high:
+                cols = 1 << cols.bit_length() >> 1
+            while cols:
+                x = (cols & -cols).bit_length() - 1
+                tuples.add(tuple([x if i < 0 else t[i] for i in src]))
+                cols &= cols - 1
+        # columns grow with value along a tuple, so liveness needs only
+        # the highest lower bound and the lowest upper bound
+        live = {
+            t for t in tuples
+            if (not lows or t[lows[-1]] < width - 1) and (not ups or t[ups[0]])
+        }
+        return _pareto_min(live, lows, ups)
+
     def step(state, row, rows_left=None):
         child = [state[0]]
         for j in range(1, k):
-            if rows_left is not None and rows_left < k - j:
+            parent, own = state[j - 1], state[j]
+            # too few rows left to complete, or nothing to carry over
+            if (rows_left is not None and rows_left < k - j) or not (parent or own):
                 child.append(empty)
                 continue
-            lo, hi, src, lows, ups = plan[j - 1]
-            tuples = set(state[j])
-            for t in state[j - 1]:
-                cols = row & between(t, lo, hi)
-                if keep[j - 1] == "low":
-                    cols &= -cols
-                elif keep[j - 1] == "high":
-                    cols = 1 << cols.bit_length() >> 1
-                while cols:
-                    x = (cols & -cols).bit_length() - 1
-                    tuples.add(tuple([x if i < 0 else t[i] for i in src]))
-                    cols &= cols - 1
-            # columns grow with value along a tuple, so liveness needs only
-            # the highest lower bound and the lowest upper bound
-            live = {
-                t for t in tuples
-                if (not lows or t[lows[-1]] < width - 1) and (not ups or t[ups[0]])
-            }
-            child.append(_pareto_min(live, lows, ups))
+            key = (j, parent, own, row)
+            out = memo.get(key)
+            if out is None:
+                # the memo also maps each level to itself, so that the
+                # states of a search share one copy of each equal level
+                out = level(j, parent, own, row)
+                out = memo[key] = memo.setdefault(out, out)
+            child.append(out)
         return tuple(child)
 
     empty = frozenset()
+    memo = {empty: empty}  # so a level built empty is ``empty`` itself
     return (frozenset([()]),) + (empty,) * (k - 1), forbidden, step
 
 

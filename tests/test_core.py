@@ -15,6 +15,7 @@ from permx.core import (
     PermutationMatrix,
     _occurrence_plan,
     _pareto_min,
+    _row_states,
     avoids,
     blockable_decompositions,
     complement,
@@ -471,3 +472,33 @@ def test_pareto_min_matches_pairwise_definition(lows, ups, width):
         assert _pareto_min(set(tuples), lows, ups) == expected
         rng.shuffle(tuples)
         assert _pareto_min(tuples, lows, ups) == expected
+
+
+# -- row-state level memo: one long-lived model against fresh ones ---------
+
+MEMO_PATTERNS = [
+    p for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))
+] + [(1, 3, 4, 2, 5), (2, 4, 1, 5, 3), (5, 3, 2, 4, 1)]
+
+
+@pytest.mark.parametrize("pvals", MEMO_PATTERNS, ids=lambda p: "".join(map(str, p)))
+def test_row_state_memo_matches_fresh_models(pvals):
+    # a fresh model has an empty memo, so every level it returns is built
+    # from scratch; the long-lived one answers from its memo wherever a
+    # (level, parent levels, row) repeats, whatever rows_left was then
+    P = to_matrix(Permutation(pvals))
+    k = len(pvals)
+    rng = random.Random(repr(pvals))
+    for width in range(1, 9):
+        root, _, step = _row_states(P, width)
+        seen = {}
+        for _ in range(12):
+            state = root
+            for _ in range(k + 2):
+                row = rng.randrange(1 << width)
+                rows_left = rng.choice((None, None, 0, 1, 2, 3))
+                child = step(state, row, rows_left)
+                assert child == _row_states(P, width)[2](state, row, rows_left)
+                for lv in child:
+                    assert seen.setdefault(lv, lv) is lv
+                state = child

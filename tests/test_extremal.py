@@ -6,7 +6,9 @@ supplying the k distinct columns an occurrence needs, so searches in
 that zone must cap out flagged rather than report a value as proven.
 """
 
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,17 @@ class TestExfn:
         assert (res.value, res.proven_optimal, res.nodes_explored) == (375, False, 101)
         assert res.witness.count_ones() == 375
 
+    @pytest.mark.parametrize("text, n, value, nodes, rows", [
+        ("2413", 6, 27, 56385, [63, 63, 63, 35, 35, 35]),
+        ("1342", 7, 33, 72573, [127, 127, 127, 112, 112, 112, 112]),
+    ])
+    def test_frontier_searches_pinned(self, text, n, value, nodes, rows):
+        # 4 x 4 patterns, beyond the length-3 tables in artifacts/
+        res = exfn_exact(pm(text), n)
+        assert (res.value, res.nodes_explored, res.proven_optimal) == (value, nodes, True)
+        assert res.witness.row_masks() == rows
+        assert matrix_avoids(res.witness, pm(text).matrix)
+
     def test_bad_n(self):
         with pytest.raises(PreconditionViolated):
             exfn_exact(I2, 0)
@@ -163,6 +176,27 @@ class TestExfn:
         a = exfn_exact(pm("132"), 4)
         b = exfn_exact(pm("132"), 4)
         assert a == b
+
+
+def test_row_state_memo_lasts_one_search():
+    # the level memo lives in one search's row model, so a search leaves
+    # nothing behind once it returns; the warm-up runs each pattern at a
+    # smaller size first, so the measured searches build levels it never saw
+    exfn_exact(pm("2413"), 4)
+    fpts_exact(pm("123"), 5, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for search in (lambda: exfn_exact(pm("2413"), 5), lambda: fpts_exact(pm("123"), 8, 3)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            search()
+            gc.collect()
+            current, peak = tracemalloc.get_traced_memory()
+            assert peak - before > 200_000  # the search did build a memo
+            assert current - before < 20_000
+    finally:
+        tracemalloc.stop()
 
 
 class TestFpts:
@@ -268,6 +302,13 @@ class TestFpts:
         assert res.witness.rows == res.value
         assert all(m.bit_count() >= s for m in res.witness.row_masks())
         assert res.value == 0 or matrix_avoids(res.witness, P.matrix)
+
+    def test_frontier_search_pinned(self):
+        res = fpts_exact(pm("123"), 9, 3)
+        assert (res.value, res.nodes_explored, res.proven_optimal, res.hit_row_cap) == (
+            14, 6146, True, False)
+        assert res.witness.row_masks() == [
+            7, 13, 25, 49, 97, 193, 385, 259, 262, 268, 280, 304, 352, 448]
 
     def test_width8_is_proven(self):
         res = fpts_exact(pm("123"), 8, 3)
