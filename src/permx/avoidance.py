@@ -29,10 +29,9 @@ Three exact reductions keep the state sets small:
   running best.  Only three or more free gaps (patterns of length 5 and
   up) fall back to comparing pairs.
 
-The step itself is :func:`core._perm_states`.  It memoises each level of
-a child on the parent levels it is built from, u and r, and forgets the
-memo when r changes, so it holds one layer at most.  A counting node is
-one distinct state expanded.  Enumeration (:func:`avoiders`) stays a
+The step itself is :func:`core._perm_states`, memoised as
+:func:`core._memo_step` describes.  A counting node is one distinct
+state expanded.  Enumeration (:func:`avoiders`) stays a
 plain prefix-pruned backtracker, so the two check each other.
 
 A merge is a permutation whose entries colour red and blue so that each
@@ -63,6 +62,7 @@ from dataclasses import dataclass
 
 from .core import (
     Permutation,
+    _dominated,
     _occurrence_plan,
     _perm_states,
     completes_at_end,
@@ -264,6 +264,7 @@ def sw_estimate_sequence(
     """Exact counts with count**(1/n) growth estimates for n = 1..n_max."""
     if n_max < 1:
         raise PreconditionViolated(f"need n_max >= 1, got {n_max}")
+    _check_length(n_max, DEFAULT_COUNT_LENGTH_LIMIT)
     out = []
     for n in range(1, n_max + 1):
         count = count_avoiders(pattern, n, node_budget=node_budget)
@@ -367,13 +368,8 @@ def _colour(pvals):
     order = {}
 
     def covered(q, p):
-        for j in range(1, len(q)):
-            lows, ups = bounds[j - 1]
-            for t in q[j] - p[j]:
-                if not any(all(s[i] <= t[i] for i in lows)
-                           and all(s[i] >= t[i] for i in ups) for s in p[j]):
-                    return False
-        return True
+        return all(_dominated(t, p[j], *bounds[j - 1])
+                   for j in range(1, len(q)) for t in q[j] - p[j])
 
     def weaker(i, j):
         if i == j:

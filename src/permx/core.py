@@ -289,17 +289,13 @@ def completes_at_end(prefix, v, pvals) -> bool:
 
     This is the incremental step used by avoidance enumeration and merge
     coloring: a previously avoiding sequence can only start containing
-    the pattern through an occurrence that ends at the new entry.
-    A length-1 pattern always completes; longer patterns use pinned
-    backtracking.
+    the pattern through an occurrence that ends at the new entry.  It
+    backtracks over the other pattern entries left to right, each
+    confined by the new entry and the ones already placed.
     """
-    if len(pvals) == 1:
-        return True
-    return _completes_pinned(prefix, v, pvals)
-
-
-def _completes_pinned(prefix, v, pvals):
     k = len(pvals)
+    if k == 0:
+        raise EmptyPattern("containment is defined for nonempty patterns")
     n = len(prefix)
     if k - 1 > n:
         return False
@@ -307,6 +303,8 @@ def _completes_pinned(prefix, v, pvals):
     vals = [0] * (k - 1)
 
     def extend(j, start):
+        if j == k - 1:
+            return True
         pj = pvals[j]
         lo, hi = (_LOW, v) if pj < plast else (v, _HIGH)
         for m in range(j):
@@ -315,12 +313,11 @@ def _completes_pinned(prefix, v, pvals):
                     lo = vals[m]
             elif vals[m] < hi:
                 hi = vals[m]
-        last = j == k - 2
         for i in range(start, n - (k - 2 - j)):
             w = prefix[i]
             if lo < w < hi:
                 vals[j] = w
-                if last or extend(j + 1, i + 1):
+                if extend(j + 1, i + 1):
                     return True
         return False
 
@@ -446,17 +443,13 @@ def matrix_avoids(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
 # a row of a matrix) and describe what has been built by its partial
 # occurrences: for each pattern prefix pvals[:j], the host coordinates
 # of the entries an occurrence of it still needs to compare against.
-# For permutations pvals is the pattern itself, and the step (in gap
-# coordinates) is _perm_states below; for a permutation matrix it is
-# col_of_row(), with host rows as positions and host columns as values,
-# and the step is _row_states.
-#
-# Both steps build a child level j from parent levels j-1 and j alone,
-# and memoise it: _perm_states on (j, levels, u) for one layer r at a
-# time, _row_states on (j, levels, row) for the whole search, since a
-# row model has no layer to clear on and rows_left only blanks levels
-# before the lookup.  Each memo maps a level to itself too, so equal
-# levels are one object.
+# For permutations pvals is the pattern itself and the coordinates are
+# gaps (_perm_states); for a permutation matrix it is col_of_row(), with
+# host rows as positions and host columns as values (_row_states).  Both
+# models build their states with the one memoised step of _memo_step.
+
+_EMPTY = frozenset()
+
 
 def _neighbours(head, q):
     """Greatest value of ``head`` below q and least above it (None if absent)."""
@@ -495,6 +488,15 @@ def _occurrence_plan(pvals):
     return plan
 
 
+def _dominated(t, among, lows, ups):
+    """Whether some tuple of ``among`` dominates the partial occurrence t:
+    its lower-bound entries are no larger and its upper-bound entries no
+    smaller, so every completion of t is one of it too.  A tuple
+    dominates itself."""
+    return any(all(s[i] <= t[i] for i in lows) and all(s[i] >= t[i] for i in ups)
+               for s in among)
+
+
 @functools.lru_cache(maxsize=None)
 def _dominance_shape(lows, ups):
     """The positions both bounds share, and every other position with
@@ -505,10 +507,7 @@ def _dominance_shape(lows, ups):
 
 
 def _pareto_min(tuples, lows, ups):
-    """The partial occurrences no other one dominates.  One dominates
-    another when its lower-bound entries are no larger and its
-    upper-bound entries no smaller: every completion of the other is then
-    one of it too.
+    """The partial occurrences no other one dominates (:func:`_dominated`).
 
     A position that is both a lower and an upper bound must be equal, so
     the tuples fall into groups on those positions; every other position
@@ -542,10 +541,63 @@ def _pareto_min(tuples, lows, ups):
     order = sorted(tuples, key=lambda t: [t[i] for i in lows] + [-t[i] for i in ups])
     out = []
     for t in order:
-        if not any(all(s[i] <= t[i] for i in lows)
-                   and all(s[i] >= t[i] for i in ups) for s in out):
+        if not _dominated(t, out, lows, ups):
             out.append(t)
     return frozenset(out)
+
+
+def _live_minima(tuples, lows, ups, top):
+    """The Pareto minima of the tuples that can still complete.  Host
+    coordinates run from 0 to top - 1 and grow with value along a tuple,
+    so a tuple is live when its highest lower bound lies below top - 1
+    and its lowest upper bound above 0: some free coordinate is left
+    above every lower bound and below every upper one."""
+    return _pareto_min(
+        {t for t in tuples if (not lows or t[lows[-1]] < top - 1) and (not ups or t[ups[0]])},
+        lows, ups,
+    )
+
+
+def _memo_step(k, level, memo):
+    """The root state and the memoised step both state models share, as
+    ``(root, step)``.
+
+    A state holds, per pattern prefix of length j < k, the tuples of its
+    partial occurrences, reduced by :func:`_live_minima`; the root holds
+    the empty occurrence alone.  ``step(state, tail, left=None,
+    parents=None)`` builds child level j = 1..k-1 as
+    ``level(j, parent, own, tail)``: ``parent`` is level j - 1 of
+    ``parents``, whose occurrences the new entry may extend, and ``own``
+    is level j of ``state``, carried over.  ``parents`` defaults to
+    ``state``; a step whose entry joins no occurrence passes all-empty
+    levels.  ``tail`` is the rest of what the model's level reads.
+    ``left``, when given, is how many entries may still follow.
+
+    Level j is empty when both of its inputs are, or when left < k - j:
+    an occurrence of the prefix needs k - j more entries.  Otherwise it
+    is looked up in ``memo`` on (j, parent, own, tail), and built on a
+    miss.  The memo also maps each level to itself, so equal levels are
+    one object, and every empty level is ``_EMPTY``, for as long as the
+    memo lives.  Anything else ``level`` reads must stay fixed that
+    long; the model decides when to clear the memo."""
+    def step(state, tail, left=None, parents=None):
+        if parents is None:
+            parents = state
+        child = [state[0]]
+        for j in range(1, k):
+            parent, own = parents[j - 1], state[j]
+            if not (parent or own) or (left is not None and left < k - j):
+                child.append(_EMPTY)
+                continue
+            key = (j, parent, own, tail)
+            out = memo.get(key)
+            if out is None:
+                out = level(j, parent, own, tail) or _EMPTY
+                out = memo[key] = memo.setdefault(out, out)
+            child.append(out)
+        return tuple(child)
+
+    return (frozenset([()]),) + (_EMPTY,) * (k - 1), step
 
 
 def _perm_states(pvals):
@@ -553,25 +605,19 @@ def _perm_states(pvals):
     ``(root, step)``: the empty prefix's state and the state after one
     more entry.
 
-    A prefix is described in gap coordinates: the gap of an entry is the
-    number of unused values below it.  A state holds, per pattern prefix
-    of length j < k, the gap tuples of its partial occurrences.
-    ``step(state, u, r, join=True)`` appends the u-th smallest of the r
-    unused values: every gap above u drops by one, and when ``join`` is
-    true the new entry, in gap u, also extends each occurrence t with
-    t[lo] <= u < t[hi].  It returns None when a joining entry completes
-    the pattern.  A step with ``join`` false is an entry of some other
-    sequence drawn from the same values, as in a two-colour merge.
-    Occurrences that need more values than are left, or a value outside
-    the unused ones, are dropped (liveness), and only Pareto-minimal
-    tuples stay (dominance, :func:`_pareto_min`).
+    Coordinates are gaps: the gap of an entry is the number of unused
+    values below it.  ``step(state, u, r, join=True)`` appends the u-th
+    smallest of the r unused values: every gap above u drops by one, and
+    when ``join`` is true the new entry, in gap u, also extends each
+    occurrence t with t[lo] <= u < t[hi].  It returns None when a joining
+    entry completes the pattern.  A step with ``join`` false is an entry
+    of some other sequence drawn from the same values, as in a two-colour
+    merge.
 
-    Child level j depends only on parent levels j-1 (when joining) and
-    j, u and r, and the states of one layer share most of their levels,
-    so each level is memoised on those inputs, and equal levels are
-    kept once.  The memo and the gap shift lists are rebuilt whenever r
-    changes, so they hold one layer at most; an empty parent and own
-    level give an empty child."""
+    The levels come from :func:`_memo_step` with tail u and r - 1 values
+    left.  They also depend on r, which is not in the key: the memo and
+    the gap shift lists are rebuilt whenever r changes, so they hold one
+    layer at most."""
     k = len(pvals)
     plan = _occurrence_plan(pvals)
     last_lo, last_hi = plan[-1][:2]
@@ -579,7 +625,7 @@ def _perm_states(pvals):
     def extends(t, lo, hi, u):
         return (lo < 0 or t[lo] <= u) and (hi < 0 or u < t[hi])
 
-    def level(j, parent, own, u, r):
+    def level(j, parent, own, u):
         lo, hi, src, lows, ups = plan[j - 1]
         shift = shifts[u]
         tuples = [tuple([shift[g] for g in t]) for t in own]
@@ -587,43 +633,22 @@ def _perm_states(pvals):
             tuple([u if i < 0 else shift[t[i]] for i in src])
             for t in parent if extends(t, lo, hi, u)
         ]
-        # gaps grow with value along a tuple, so liveness needs only the
-        # highest lower bound and the lowest upper bound
-        live = {
-            t for t in tuples
-            if (not lows or t[lows[-1]] < r - 1) and (not ups or t[ups[0]])
-        }
-        return _pareto_min(live, lows, ups)
+        return _live_minima(tuples, lows, ups, top)
 
     def step(state, u, r, join=True):
-        nonlocal memo_r, shifts
+        nonlocal top, shifts
         if join and any(extends(t, last_lo, last_hi, u) for t in state[k - 1]):
             return None
-        if r != memo_r:  # the memo holds one layer at most
+        if r != top:
             memo.clear()
-            memo_r = r
+            top = r
             shifts = [[g - (g > v) for g in range(r + 1)] for v in range(r)]
-        child = [state[0]]
-        for j in range(1, k):
-            parent = state[j - 1] if join else empty
-            own = state[j]
-            # too few values left to complete, or nothing to carry over
-            if r - 1 < k - j or not (parent or own):
-                child.append(empty)
-                continue
-            key = (j, parent, own, u)
-            out = memo.get(key)
-            if out is None:
-                # the memo also maps each level to itself, so that the
-                # states of a layer share one copy of each equal level
-                out = level(j, parent, own, u, r)
-                out = memo[key] = memo.setdefault(out, out)
-            child.append(out)
-        return tuple(child)
+        return shared(state, u, r - 1, None if join else blank)
 
-    empty = frozenset()
-    memo, memo_r, shifts = {}, None, []
-    return (frozenset([()]),) + (empty,) * (k - 1), step
+    memo, top, shifts = {}, None, []
+    root, shared = _memo_step(k, level, memo)
+    blank = (_EMPTY,) * k
+    return root, step
 
 
 def _row_states(P: PermutationMatrix, width: int):
@@ -631,21 +656,14 @@ def _row_states(P: PermutationMatrix, width: int):
     ``(root, forbidden, step)``: the empty host's state, the columns a
     next row may not use, and the state after a row.
 
-    A state holds, per pattern-row prefix of length j < k, the column
-    tuples of its partial occurrences.  A one at column x extends an
+    Coordinates are host columns.  A one at column x extends an
     occurrence t when t[lo] < x < t[hi], strictly, since the ones of a
-    pattern lie in distinct columns.  step's rows_left, when given, is
-    how many rows may still follow; occurrences that need more are
-    dropped, as are those with too few columns left (liveness), and only
-    Pareto-minimal tuples stay (dominance).
-
-    Child level j depends only on parent levels j-1 and j and the row,
-    so each level is memoised on (j, parent level j-1, parent level j,
-    row), and equal levels are kept once.  rows_left is not part of the
-    key: it only blanks the levels with rows_left < k - j, and it does
-    so before the lookup; the width is fixed per model.  The memo lives
-    in this call's closure, so it lasts as long as one search holds the
-    step; an empty parent and own level give an empty child."""
+    pattern lie in distinct columns.  ``step(state, row, rows_left=None)``
+    is :func:`_memo_step`'s step with the row as tail, and rows_left,
+    when given, is how many rows may still follow.  rows_left is not part
+    of the key, since it only blanks levels before the lookup, and the
+    width is fixed per model, so the memo lives in this call's closure:
+    as long as one search holds the step."""
     k = P.k
     plan = _occurrence_plan(P.col_of_row())
     last_lo, last_hi = plan[-1][:2]
@@ -683,35 +701,10 @@ def _row_states(P: PermutationMatrix, width: int):
                 x = (cols & -cols).bit_length() - 1
                 tuples.add(tuple([x if i < 0 else t[i] for i in src]))
                 cols &= cols - 1
-        # columns grow with value along a tuple, so liveness needs only
-        # the highest lower bound and the lowest upper bound
-        live = {
-            t for t in tuples
-            if (not lows or t[lows[-1]] < width - 1) and (not ups or t[ups[0]])
-        }
-        return _pareto_min(live, lows, ups)
+        return _live_minima(tuples, lows, ups, width)
 
-    def step(state, row, rows_left=None):
-        child = [state[0]]
-        for j in range(1, k):
-            parent, own = state[j - 1], state[j]
-            # too few rows left to complete, or nothing to carry over
-            if (rows_left is not None and rows_left < k - j) or not (parent or own):
-                child.append(empty)
-                continue
-            key = (j, parent, own, row)
-            out = memo.get(key)
-            if out is None:
-                # the memo also maps each level to itself, so that the
-                # states of a search share one copy of each equal level
-                out = level(j, parent, own, row)
-                out = memo[key] = memo.setdefault(out, out)
-            child.append(out)
-        return tuple(child)
-
-    empty = frozenset()
-    memo = {empty: empty}  # so a level built empty is ``empty`` itself
-    return (frozenset([()]),) + (empty,) * (k - 1), forbidden, step
+    root, step = _memo_step(k, level, {})
+    return root, forbidden, step
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,8 @@ empty state.  Rows only add occurrences, so states grow along a host:
 the row graph is acyclic apart from rows that leave the state unchanged,
 which can repeat forever and are reported as reaching the row cap.
 
-The row model memoises each level of a child state on (level index,
-the parent's two levels it is built from, row), and keeps equal levels
-once.  exfn_exact's rows-left count is not part of that key: it only
-blanks the levels that could no longer complete, before the lookup.
-The memo belongs to the model each search builds, so it lasts one
+The row model's step is memoised as core._memo_step describes, and
+its memo belongs to the model each search builds, so it lasts one
 search and is freed when the search returns.
 
 A search node is one candidate row tried from one distinct state.

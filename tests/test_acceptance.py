@@ -12,8 +12,10 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import acceptance_log
+import permx
 from permx.selftest import CRITERIA
 
 
@@ -113,6 +115,10 @@ def test_criterion_12_inflation_round_trip():
 def test_criterion_13_selftest_determinism():
     start = time.perf_counter()
     env = {k: v for k, v in os.environ.items() if k != "PERMX_BUDGET"}
+    # the subprocesses import the package this suite imported, installed
+    # or not
+    src = str(Path(permx.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "permx.cli", "selftest", "--format", "json"]
     first = subprocess.run(cmd, capture_output=True, env=env)
     second = subprocess.run(cmd, capture_output=True, env=env)

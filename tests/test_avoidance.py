@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permx import avoidance
 from permx.avoidance import (
     MergeQuery,
     _jv_search,
@@ -227,6 +228,15 @@ def test_sw_estimates_zero_counts():
 def test_sw_estimates_validation():
     with pytest.raises(PreconditionViolated):
         sw_estimate_sequence(perm("123"), 0)
+
+
+def test_sw_estimate_checks_length_before_counting(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted before checking the length limit")
+
+    monkeypatch.setattr(avoidance, "count_avoiders", refuse)
+    with pytest.raises(ResourceLimit):
+        sw_estimate_sequence(perm("2413"), 13)
 
 
 @given(permutations_upto(3, min_n=2), st.integers(1, 6))

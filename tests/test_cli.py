@@ -53,6 +53,12 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert "resource limit" in err
 
+    def test_sw_estimate_length_limit(self, capsys):
+        code, out, err = invoke(capsys, "sw-estimate", "--pattern", "2413", "--n-max", "13")
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "resource limit" in err
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

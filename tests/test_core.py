@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permx.avoidance import count_avoiders
 from permx.core import (
     BinaryMatrix,
     BlockDecomposition,
@@ -15,6 +16,7 @@ from permx.core import (
     PermutationMatrix,
     _occurrence_plan,
     _pareto_min,
+    _perm_states,
     _row_states,
     avoids,
     blockable_decompositions,
@@ -161,6 +163,8 @@ def test_occurrence_none_when_avoiding():
 def test_empty_pattern_rejected():
     with pytest.raises(EmptyPattern):
         contains(perm("1"), Permutation(()))
+    with pytest.raises(EmptyPattern):
+        completes_at_end([], 1, ())
 
 
 def test_pattern_longer_than_host():
@@ -474,31 +478,82 @@ def test_pareto_min_matches_pairwise_definition(lows, ups, width):
         assert _pareto_min(tuples, lows, ups) == expected
 
 
-# -- row-state level memo: one long-lived model against fresh ones ---------
+# -- level memo: one long-lived model against fresh ones --------------------
 
 MEMO_PATTERNS = [
     p for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))
 ] + [(1, 3, 4, 2, 5), (2, 4, 1, 5, 3), (5, 3, 2, 4, 1)]
 
 
-@pytest.mark.parametrize("pvals", MEMO_PATTERNS, ids=lambda p: "".join(map(str, p)))
-def test_row_state_memo_matches_fresh_models(pvals):
+def checked_step(step, fresh_step, args, seen):
     # a fresh model has an empty memo, so every level it returns is built
     # from scratch; the long-lived one answers from its memo wherever a
-    # (level, parent levels, row) repeats, whatever rows_left was then
+    # (level, parent levels, tail) repeats, whatever was not in the key
+    child = step(*args)
+    assert child == fresh_step(*args)
+    for lv in child or ():
+        assert seen.setdefault(lv, lv) is lv
+    return child
+
+
+def walk_perm_model(pvals, rng):
+    # the layers r = n..1 of a layered sum, a dozen seeded steps each; the
+    # memo lives one layer, so levels are one object within each
+    root, step = _perm_states(pvals)
+    for n in range(1, 9):
+        layer = [root]
+        for r in range(n, 0, -1):
+            seen = {}
+            following = [
+                checked_step(step, _perm_states(pvals)[1],
+                             (rng.choice(layer), rng.randrange(r), r, rng.random() < 0.75),
+                             seen)
+                for _ in range(12)
+            ]
+            layer = [state for state in following if state is not None]
+            if not layer:
+                break
+
+
+def walk_row_model(pvals, rng):
+    # seeded rows and rows_left; the memo lives as long as the model, so
+    # levels are one object across the whole walk
     P = to_matrix(Permutation(pvals))
-    k = len(pvals)
-    rng = random.Random(repr(pvals))
     for width in range(1, 9):
         root, _, step = _row_states(P, width)
         seen = {}
         for _ in range(12):
             state = root
-            for _ in range(k + 2):
-                row = rng.randrange(1 << width)
-                rows_left = rng.choice((None, None, 0, 1, 2, 3))
-                child = step(state, row, rows_left)
-                assert child == _row_states(P, width)[2](state, row, rows_left)
-                for lv in child:
-                    assert seen.setdefault(lv, lv) is lv
-                state = child
+            for _ in range(len(pvals) + 2):
+                args = (state, rng.randrange(1 << width), rng.choice((None, None, 0, 1, 2, 3)))
+                state = checked_step(step, _row_states(P, width)[2], args, seen)
+
+
+@pytest.mark.parametrize("walk", [walk_perm_model, walk_row_model], ids=["perm", "row"])
+@pytest.mark.parametrize("pvals", MEMO_PATTERNS, ids=lambda p: "".join(map(str, p)))
+def test_state_memo_matches_fresh_models(walk, pvals):
+    walk(pvals, random.Random(repr(pvals)))
+
+
+# -- the two models count the same permutations ----------------------------
+
+@pytest.mark.parametrize("pvals", MEMO_PATTERNS, ids=lambda p: "".join(map(str, p)))
+def test_row_model_counts_permutation_hosts(pvals):
+    # a width-n host with one 1 per row and per column is a permutation,
+    # and it avoids to_matrix(p) iff the permutation avoids p
+    pattern = Permutation(pvals)
+    for n in range(7):
+        root, forbidden, step = _row_states(to_matrix(pattern), n)
+
+        def hosts(state, used, rows_left):
+            if rows_left == 0:
+                return 1
+            free = ((1 << n) - 1) & ~used & ~forbidden(state)
+            total = 0
+            while free:
+                bit = free & -free
+                free ^= bit
+                total += hosts(step(state, bit, rows_left - 1), used | bit, rows_left - 1)
+            return total
+
+        assert hosts(root, 0, n) == count_avoiders(pattern, n)
