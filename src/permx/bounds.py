@@ -3,12 +3,18 @@
 The schedule shrinks a (width t, row-weight s) state through R_A "bulk"
 steps with fixed multipliers (x_b, y_b), one step with a specially
 chosen weight multiplier y_1, and one final (x_b, x_b) step, landing on
-the target state (beta*k, beta*k).  Certification re-evaluates every
+the target state (beta*k, beta*k).  Certification checks every
 constraint the construction relies on: the multipliers stay admissible,
-every intermediate state keeps s(1-y) above k^a and t >= s, the per-step
-additive cost A_j at most doubles across bulk steps and never exceeds
-its initial value at the end, and applying floors to every step drifts
-the final state by at most 1/(1-y_b).
+every state keeps s(1-y) above k^a and t >= s, the per-step additive
+cost A_j at most doubles across bulk steps and never exceeds its initial
+value at the end, and applying floors to every step drifts the final
+state by at most 1/(1-y_b).
+
+The ideal states are arithmetic progressions in log2, so each per-state
+constraint is monotone along the bulk steps and is decided at the start,
+the last bulk indices and the two special steps: the certifier reads six
+states whatever R_A is (see :func:`certify_schedule`), and an ideal
+schedule builds a state only when one is read.
 
 Widths along the schedule overflow double precision for large k, so all
 state arithmetic is carried in log2 space; integer/rational quantities
@@ -18,8 +24,9 @@ state arithmetic is carried in log2 space; integer/rational quantities
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,13 +234,57 @@ class ScheduleState:
         return 2.0 ** self.log2_s if self.log2_s < 1024 else math.inf
 
     def to_jsonable(self) -> dict:
+        t, s = self.t, self.s
         return {
             "i": self.index,
             "log2_t": self.log2_t,
             "log2_s": self.log2_s,
-            "t": self.t if math.isfinite(self.t) else None,
-            "s": self.s if math.isfinite(self.s) else None,
+            "t": t if math.isfinite(t) else None,
+            "s": s if math.isfinite(s) else None,
         }
+
+
+@dataclass(frozen=True, slots=True)
+class _IdealStates(Sequence):
+    """The R_A + 3 ideal states of a schedule, each built when read
+    from the closed-form constants it holds.  Indexing accepts negative
+    indices and a slice returns a tuple; equal constants compare equal.
+    """
+
+    R: int
+    lt0: float
+    ls0: float
+    l2x: float
+    l2y: float
+    ls_bulk_end: float
+    l2y1: float
+
+    def __len__(self) -> int:
+        return self.R + 3
+
+    def __getitem__(self, i):
+        n = self.R + 3
+        if isinstance(i, slice):
+            return tuple(self._state(j) for j in range(*i.indices(n)))
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("schedule state index out of range")
+        return self._state(i)
+
+    def __iter__(self) -> Iterator[ScheduleState]:
+        return map(self._state, range(self.R + 3))
+
+    def _state(self, i: int) -> ScheduleState:
+        lt = self.lt0 + i * self.l2x
+        if i <= self.R:
+            ls = self.ls0 + i * self.l2y
+        elif i == self.R + 1:
+            ls = self.ls_bulk_end + self.l2y1
+        else:
+            ls = self.ls_bulk_end + self.l2y1 + self.l2x
+        return ScheduleState(i, lt, ls)
 
 
 @dataclass(frozen=True)
@@ -245,7 +296,7 @@ class Schedule:
     y_bulk: float
     y_penultimate: float
     bulk_steps: int
-    states: tuple[ScheduleState, ...]
+    states: Sequence[ScheduleState]
     milestones: tuple[ScheduleState, ScheduleState, ScheduleState]
     floors_applied: bool
     floor_drift_t: float | None
@@ -286,8 +337,10 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
     States are ideal (floor-free) by default.  With ``apply_floors`` the
     reported states come from the exact floored replay instead and the
     drift fields record how far the final state fell below the target;
-    this needs integral k and a.  The certifier and the crude bound take
-    only ideal schedules.
+    this needs integral k and a, and the states are a tuple.  Ideal
+    states are a read-only sequence over the closed-form constants that
+    builds each state when it is read.  The certifier and the crude
+    bound take only ideal schedules.
     """
     k, a, c = params.k, params.a, params.c
     x_frac, y_frac = _bulk_constants(params)
@@ -318,16 +371,6 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
     l2y1 = log2_beta_k - l2x - ls_bulk_end
     y_penultimate = 2.0 ** l2y1
 
-    def ideal_state(i: int) -> ScheduleState:
-        lt = lt0 + i * l2x
-        if i <= bulk_steps:
-            ls = ls0 + i * l2y
-        elif i == bulk_steps + 1:
-            ls = ls_bulk_end + l2y1
-        else:
-            ls = ls_bulk_end + l2y1 + l2x
-        return ScheduleState(i, lt, ls)
-
     milestones = (
         ScheduleState(
             bulk_steps,
@@ -349,7 +392,7 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
         drift_t = float(beta_k_exact - t_fl)
         drift_s = float(beta_k_exact - s_fl)
     else:
-        states = tuple(ideal_state(i) for i in range(bulk_steps + 3))
+        states = _IdealStates(bulk_steps, lt0, ls0, l2x, l2y, ls_bulk_end, l2y1)
 
     return Schedule(
         params=params,
@@ -457,8 +500,10 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     exceptions: small k legitimately fails.
 
     Checks (lhs vs rhs):
-      multiplier admissibility: 1/c < x_b; y_1 < 1; y_1 equals its
-        closed form sqrt(beta k) * x_b^(R_A/2) / y_b^R_A;
+      multiplier admissibility: 1/c <= x_b + tol, since x_b = 1 - 1/c
+        equals 1/c at c = 2, where floor(x_b c) = 1 is still the floor
+        the construction needs; y_1 < 1; y_1 equals its closed form
+        sqrt(beta k) * x_b^(R_A/2) / y_b^R_A;
       per-step state constraints (log2 scale): k^a below min_j
         s_j(1-y_j); max_j (log2 s_j - log2 t_j) <= 0;
       step costs: bulk ratio A_(j+1)/A_j <= 2; A_R_A and A_(R_A+1)
@@ -468,6 +513,25 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
       floors (integral k and a only): the last state of the exact
         floored replay stays at or below the target in t and s, and the
         s shortfall is at most 1/(1-y_b).
+
+    The per-step constraints read only the states at i = 0, R-2, R-1,
+    R and R+1 (y_j = y_b before R, y_1 at R, x_b at R+1) and the shape
+    check also R+2, with the same float expressions a loop over every
+    step would use, so the report is the one such a loop gives:
+      - in the bulk steps log2 s_i falls by |log2 y_b| per step, so the
+        weight margin log2 s_i + log2(1-y_b) is least at R-1;
+      - log2 s_i - log2 t_i rises by log2 y_b - log2 x_b > 0 per step,
+        so its maximum is at the end;
+      - a cost is infinite iff k^a c reaches s_i(1-y_i)c; adding the
+        same log2 c to both sides keeps that float comparison monotone,
+        so an infinite cost appears somewhere iff it appears at the
+        weight-margin minimum;
+      - the bulk cost ratio x_b(S - K)/(y_b S - K), with S = s_j(1-y_b)c
+        and K = k^a c, rises as S falls, so its maximum is at j = R-2;
+      - the penultimate and final ratios compare A_R and A_(R+1) with
+        A_0.
+    ``build_schedule`` takes R_A = ceil(q) for some q > 1, so R_A >= 2
+    and the indices are states of the schedule.
     """
     if not 0 <= tol < math.inf:
         raise BadConstants(f"need finite tol >= 0, got {tol}")
@@ -475,6 +539,7 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
+    assert R >= 2, R
     x_b, y_b, y_1 = schedule.x_bulk, schedule.y_bulk, schedule.y_penultimate
     l2k = math.log2(k)
     lbk = schedule.log2_beta_k
@@ -498,29 +563,26 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
         y1_closed,
     )
 
-    # per-step y value: bulk steps use y_b, then y_1, then x_b
-    step_y = [y_b] * R + [y_1, x_b]
+    steps = (0, R - 2, R - 1, R, R + 1)
+    states = {i: ideal[i] for i in (*steps, R + 2)}
     la = a * l2k
 
     min_weight_margin = math.inf
-    max_shape_margin = -math.inf
-    log_costs = []
-    for i, y_i in enumerate(step_y):
-        st = ideal[i]
+    log_costs = {}
+    for i in steps:
+        st = states[i]
+        y_i = y_b if i < R else y_1 if i == R else x_b
         lw = st.log2_s + math.log2(1.0 - y_i)
         min_weight_margin = min(min_weight_margin, lw)
-        max_shape_margin = max(max_shape_margin, st.log2_s - st.log2_t)
         # cost A_i = k^a t_i / (s_i (1-y_i) c - k^a c), in log2
         l_big = lw + math.log2(c)
         l_small = la + math.log2(c)
         if l_small >= l_big:
-            log_costs.append(math.inf)
+            log_costs[i] = math.inf
         else:
             l_den = l_big + math.log1p(-(2.0 ** (l_small - l_big))) / _LN2
-            log_costs.append(la + st.log2_t - l_den)
-    max_shape_margin = max(
-        max_shape_margin, ideal[R + 2].log2_s - ideal[R + 2].log2_t
-    )
+            log_costs[i] = la + st.log2_t - l_den
+    max_shape_margin = max(st.log2_s - st.log2_t for st in states.values())
 
     add(
         "row_weight_exceeds_hypothesis_log2",
@@ -530,15 +592,12 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     )
     add("width_at_least_weight_log2", max_shape_margin <= tol, max_shape_margin, 0.0)
 
-    if any(math.isinf(lc) for lc in log_costs):
+    if any(math.isinf(lc) for lc in log_costs.values()):
         add("bulk_cost_ratio_at_most_two", False, math.inf, 2.0)
         add("penultimate_cost_within_initial", False, math.inf, 1.0)
         add("final_cost_within_initial", False, math.inf, 1.0)
     else:
-        bulk_ratio = max(
-            (2.0 ** (log_costs[j + 1] - log_costs[j]) for j in range(R - 1)),
-            default=0.0,
-        )
+        bulk_ratio = 2.0 ** (log_costs[R - 1] - log_costs[R - 2])
         add("bulk_cost_ratio_at_most_two", bulk_ratio <= 2.0 + tol, bulk_ratio, 2.0)
         pen_ratio = 2.0 ** (log_costs[R] - log_costs[0])
         add("penultimate_cost_within_initial", pen_ratio <= 1.0 + tol, pen_ratio, 1.0)
@@ -547,9 +606,9 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
 
     scale = max(1.0, abs(lbk))
     for label, state, target in (
-        ("bulk_end", ideal[R], schedule.milestones[0]),
-        ("penultimate", ideal[R + 1], schedule.milestones[1]),
-        ("final", ideal[R + 2], schedule.milestones[2]),
+        ("bulk_end", states[R], schedule.milestones[0]),
+        ("penultimate", states[R + 1], schedule.milestones[1]),
+        ("final", states[R + 2], schedule.milestones[2]),
     ):
         add(
             f"milestone_{label}_t_log2",
@@ -565,9 +624,9 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
         )
     add(
         "final_state_hits_target_log2",
-        abs(ideal[R + 2].log2_t - lbk) <= tol * scale
-        and abs(ideal[R + 2].log2_s - lbk) <= tol * scale,
-        ideal[R + 2].log2_t,
+        abs(states[R + 2].log2_t - lbk) <= tol * scale
+        and abs(states[R + 2].log2_s - lbk) <= tol * scale,
+        states[R + 2].log2_t,
         lbk,
     )
 
@@ -640,7 +699,7 @@ def crude_fpts_bound(schedule: Schedule) -> float:
     return hi + math.log1p(2.0 ** (lo - hi)) / _LN2
 
 
-def _ideal_states(schedule: Schedule) -> tuple[ScheduleState, ...]:
+def _ideal_states(schedule: Schedule) -> Sequence[ScheduleState]:
     if schedule.floors_applied:
         raise PreconditionViolated(
             "needs the ideal schedule; build it without apply_floors"

@@ -2,8 +2,12 @@
 certification and floored replay."""
 
 import dataclasses
+import json
 import math
+import random
 import tracemalloc
+from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -11,7 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permx.bounds import (
+    _LN2,
     BoundParams,
+    CertCheck,
     CertReport,
     ScheduleState,
     build_schedule,
@@ -23,13 +29,19 @@ from permx.bounds import (
     marcus_tardos_bound,
     theorem12_exponent,
     theorem24_alpha,
+    _beta_k_int,
+    _bulk_constants,
     _floored_replay,
+    _ideal_states,
+    _is_integral,
 )
+from permx.cli import main
 from permx.errors import (
     BadConstants,
     DenominatorNonpositive,
     MissingTableEntry,
     PreconditionViolated,
+    ResourceLimit,
 )
 
 
@@ -400,6 +412,326 @@ class TestCertifySchedule:
         report = certify_schedule(build_schedule(p))
         with pytest.raises(PreconditionViolated):
             CertReport(report.checks + (report.checks[0],))
+
+
+def reference_certify_schedule(schedule, *, tol: float = 1e-9) -> CertReport:
+    """The certifier as a loop over every step, kept as an oracle for
+    the five-index certifier: O(R_A) in time, same checks and floats."""
+    if not 0 <= tol < math.inf:
+        raise BadConstants(f"need finite tol >= 0, got {tol}")
+    ideal = _ideal_states(schedule)
+    params = schedule.params
+    k, a, c = params.k, params.a, params.c
+    R = schedule.bulk_steps
+    x_b, y_b, y_1 = schedule.x_bulk, schedule.y_bulk, schedule.y_penultimate
+    l2k = math.log2(k)
+    lbk = schedule.log2_beta_k
+    l2x = math.log2(x_b)
+
+    checks: list[CertCheck] = []
+
+    def add(name, holds, lhs, rhs):
+        checks.append(CertCheck(name, bool(holds), float(lhs), float(rhs)))
+
+    # x_b = 1 - 1/c touches 1/c exactly at c = 2; the floor the
+    # constraint protects is still >= 1 there, so tolerance applies
+    add("x_b_above_inverse_c", 1.0 / c <= x_b + tol, 1.0 / c, x_b)
+    add("y_penultimate_below_one", y_1 < 1.0, y_1, 1.0)
+
+    y1_closed = 2.0 ** (0.5 * lbk + (R / 2.0) * l2x - R * math.log2(y_b))
+    add(
+        "y_penultimate_closed_form",
+        abs(y_1 - y1_closed) <= tol * max(y_1, y1_closed),
+        y_1,
+        y1_closed,
+    )
+
+    # per-step y value: bulk steps use y_b, then y_1, then x_b
+    step_y = [y_b] * R + [y_1, x_b]
+    la = a * l2k
+
+    min_weight_margin = math.inf
+    max_shape_margin = -math.inf
+    log_costs = []
+    for i, y_i in enumerate(step_y):
+        st = ideal[i]
+        lw = st.log2_s + math.log2(1.0 - y_i)
+        min_weight_margin = min(min_weight_margin, lw)
+        max_shape_margin = max(max_shape_margin, st.log2_s - st.log2_t)
+        # cost A_i = k^a t_i / (s_i (1-y_i) c - k^a c), in log2
+        l_big = lw + math.log2(c)
+        l_small = la + math.log2(c)
+        if l_small >= l_big:
+            log_costs.append(math.inf)
+        else:
+            l_den = l_big + math.log1p(-(2.0 ** (l_small - l_big))) / _LN2
+            log_costs.append(la + st.log2_t - l_den)
+    max_shape_margin = max(
+        max_shape_margin, ideal[R + 2].log2_s - ideal[R + 2].log2_t
+    )
+
+    add(
+        "row_weight_exceeds_hypothesis_log2",
+        la < min_weight_margin,
+        la,
+        min_weight_margin,
+    )
+    add("width_at_least_weight_log2", max_shape_margin <= tol, max_shape_margin, 0.0)
+
+    if any(math.isinf(lc) for lc in log_costs):
+        add("bulk_cost_ratio_at_most_two", False, math.inf, 2.0)
+        add("penultimate_cost_within_initial", False, math.inf, 1.0)
+        add("final_cost_within_initial", False, math.inf, 1.0)
+    else:
+        bulk_ratio = max(
+            (2.0 ** (log_costs[j + 1] - log_costs[j]) for j in range(R - 1)),
+            default=0.0,
+        )
+        add("bulk_cost_ratio_at_most_two", bulk_ratio <= 2.0 + tol, bulk_ratio, 2.0)
+        pen_ratio = 2.0 ** (log_costs[R] - log_costs[0])
+        add("penultimate_cost_within_initial", pen_ratio <= 1.0 + tol, pen_ratio, 1.0)
+        last_ratio = 2.0 ** (log_costs[R + 1] - log_costs[0])
+        add("final_cost_within_initial", last_ratio <= 1.0 + tol, last_ratio, 1.0)
+
+    scale = max(1.0, abs(lbk))
+    for label, state, target in (
+        ("bulk_end", ideal[R], schedule.milestones[0]),
+        ("penultimate", ideal[R + 1], schedule.milestones[1]),
+        ("final", ideal[R + 2], schedule.milestones[2]),
+    ):
+        add(
+            f"milestone_{label}_t_log2",
+            abs(state.log2_t - target.log2_t) <= tol * scale,
+            state.log2_t,
+            target.log2_t,
+        )
+        add(
+            f"milestone_{label}_s_log2",
+            abs(state.log2_s - target.log2_s) <= tol * scale,
+            state.log2_s,
+            target.log2_s,
+        )
+    add(
+        "final_state_hits_target_log2",
+        abs(ideal[R + 2].log2_t - lbk) <= tol * scale
+        and abs(ideal[R + 2].log2_s - lbk) <= tol * scale,
+        ideal[R + 2].log2_t,
+        lbk,
+    )
+
+    if _is_integral(a) and _is_integral(params.k):
+        # only the final state is checked; holding the whole trajectory
+        # of wide integers costs megabytes at large k
+        t_fl, s_fl = deque(_floored_replay(params, R), maxlen=1)[0]
+        beta_k = _beta_k_int(params)
+        envelope = 16.0 * c * c / (8.0 * c + 1.0)  # 1/(1-y_b)
+        add(
+            "floored_final_width_le_target",
+            t_fl <= beta_k,
+            t_fl / beta_k,
+            1.0,
+        )
+        add(
+            "floored_final_weight_le_target",
+            s_fl <= beta_k,
+            s_fl / beta_k,
+            1.0,
+        )
+        drift = float(beta_k - s_fl)
+        add(
+            "floored_final_weight_drift_le_envelope",
+            drift <= envelope + tol,
+            drift,
+            envelope,
+        )
+
+    return CertReport(tuple(checks))
+
+
+def _certify_both(schedule) -> tuple[str, str]:
+    return (
+        json.dumps(certify_schedule(schedule).to_jsonable()),
+        json.dumps(reference_certify_schedule(schedule).to_jsonable()),
+    )
+
+
+def _random_cases(seed: int, count: int):
+    """Seeded (k, a, c) with fractional k and a, so the floored replay
+    (the same code in both certifiers) is skipped; small k included."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        k = rng.choice([rng.uniform(2.0, 12.0), 2.0 ** rng.uniform(1.0, 45.0)])
+        a = rng.uniform(0.05, 3.0)
+        c = rng.choice([2, 2, 3, 3, 4, rng.randint(2, 8)])
+        try:
+            cases.append(build_schedule(BoundParams(k, a, c)))
+        except (BadConstants, ResourceLimit):
+            continue
+    return cases
+
+
+class TestFiveIndexCertifier:
+    """The certifier reads six states; its report must be byte-identical
+    to the loop over every step."""
+
+    # scripts/schedule_sweep.py defaults
+    SWEEP_GRID = [(k, a, c) for k in (1000, 10**6, 10**9) for a in (1, 2, 3)
+                  for c in (2, 3, 4)]
+    QUERY_GRID = [(2 ** e, a, c) for e in (6, 22, 40) for a in (1, 2, 3)
+                  for c in range(2, 7)]
+
+    @pytest.mark.parametrize("k, a, c", SWEEP_GRID + QUERY_GRID)
+    def test_grids_match_loop(self, k, a, c):
+        new, ref = _certify_both(build_schedule(BoundParams(k, a, c)))
+        assert new == ref
+
+    def test_random_schedules_match_loop(self):
+        schedules = _random_cases(20261018, 1000)
+        assert min(s.bulk_steps for s in schedules) < 100
+        assert max(s.bulk_steps for s in schedules) > 10000
+        for sch in schedules:
+            new, ref = _certify_both(sch)
+            assert new == ref, sch.params
+
+    def test_infinite_costs_match_loop(self):
+        # a built schedule keeps s(1-y) at least 2k^a/x_b at every step,
+        # so its costs are finite; raising a (or y_1) after the build
+        # moves k^a c past some steps' s(1-y)c
+        rng = random.Random(7)
+        fired = 0
+        for sch in _random_cases(11, 150):
+            k, a, c = sch.params.k, sch.params.a, sch.params.c
+            margin = certify_schedule(sch).by_name(
+                "row_weight_exceeds_hypothesis_log2"
+            ).rhs
+            la = margin + rng.uniform(-0.5, 3.0)
+            variants = [
+                dataclasses.replace(sch, params=BoundParams(k, la / math.log2(k), c)),
+                dataclasses.replace(sch, y_penultimate=1.0 - 2.0 ** -rng.uniform(1, 40)),
+            ]
+            for variant in variants:
+                new, ref = _certify_both(variant)
+                assert new == ref, (variant.params, variant.y_penultimate)
+                fired += '"lhs": Infinity' in new
+        assert fired > 50
+
+    def test_degenerate_start_matches_loop(self):
+        sch = build_schedule(BoundParams(k=100, a=2, c=2))
+        for log2_s in (2.0, 14.0, 30.0):
+            crippled = dataclasses.replace(
+                sch,
+                states=(ScheduleState(0, sch.states[0].log2_t, log2_s),)
+                + sch.states[1:],
+            )
+            new, ref = _certify_both(crippled)
+            assert new == ref
+
+
+class CountingStates(Sequence):
+    """Wraps a state sequence and counts the states read from it."""
+
+    def __init__(self, states):
+        self.states = states
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.states)
+
+    def __getitem__(self, i):
+        out = self.states[i]
+        self.reads += len(out) if isinstance(i, slice) else 1
+        return out
+
+
+def formula_state(params: BoundParams, i: int) -> ScheduleState:
+    """Ideal state i from build_schedule's closed forms, restated."""
+    x_frac, y_frac = _bulk_constants(params)
+    x_b, y_b = float(x_frac), float(y_frac)
+    l2x = math.log2(x_frac.numerator) - math.log2(x_frac.denominator)
+    l2y = math.log2(y_frac.numerator) - math.log2(y_frac.denominator)
+    log2_beta_k = math.log2(2 * params.c) + params.a * math.log2(params.k)
+    denom = math.log(y_b) - 0.5 * math.log(x_b)
+    q = 1.0 + (math.log(params.c) + 0.5 * log2_beta_k * _LN2) / denom
+    R = math.ceil(q)
+    lt0 = log2_beta_k - (R + 2) * l2x
+    ls0 = lt0 / 2.0
+    ls_bulk_end = ls0 + R * l2y
+    l2y1 = log2_beta_k - l2x - ls_bulk_end
+    lt = lt0 + i * l2x
+    if i <= R:
+        ls = ls0 + i * l2y
+    elif i == R + 1:
+        ls = ls_bulk_end + l2y1
+    else:
+        ls = ls_bulk_end + l2y1 + l2x
+    return ScheduleState(i, lt, ls)
+
+
+def _bits(st: ScheduleState):
+    return st.index, st.log2_t.hex(), st.log2_s.hex()
+
+
+class TestLazyStates:
+    PARAMS = [BoundParams(100, 2, 2), BoundParams(2 ** 40, 3, 6)]
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_states_equal_formula_bitwise(self, params):
+        sch = build_schedule(params)
+        states = sch.states
+        n = len(states)
+        expect = [_bits(formula_state(params, i)) for i in range(n)]
+        assert n == sch.bulk_steps + 3
+        assert _bits(states[-1]) == expect[-1]
+        assert _bits(states[-n]) == expect[0]
+        assert [_bits(st) for st in states[1:4]] == expect[1:4]
+        assert [_bits(st) for st in states] == expect
+
+    def test_sequence_semantics(self):
+        states = build_schedule(BoundParams(100, 2, 2)).states
+        assert build_schedule(BoundParams(100, 2, 2)) == build_schedule(
+            BoundParams(100, 2, 2)
+        )
+        assert isinstance(states[1:4], tuple)
+        assert states[::-50] == tuple(states)[::-50]
+        assert states[5:2] == ()
+        for i in (len(states), -len(states) - 1):
+            with pytest.raises(IndexError):
+                states[i]
+
+    def test_floored_states_stay_a_tuple(self):
+        sch = build_schedule(BoundParams(100, 2, 2), apply_floors=True)
+        assert isinstance(sch.states, tuple)
+
+    @pytest.mark.parametrize("params", PARAMS + [BoundParams(10**4, 1.5, 2)])
+    def test_certifier_reads_at_most_six_states(self, params):
+        sch = build_schedule(params)
+        counting = CountingStates(sch.states)
+        report = certify_schedule(dataclasses.replace(sch, states=counting))
+        assert 0 < counting.reads <= 6
+        assert report == certify_schedule(sch)
+
+    @pytest.mark.parametrize("params", PARAMS + [BoundParams(10**4, 1.5, 2)])
+    def test_crude_bound_reads_one_state(self, params):
+        sch = build_schedule(params)
+        counting = CountingStates(sch.states)
+        value = crude_fpts_bound(dataclasses.replace(sch, states=counting))
+        assert counting.reads == 1
+        assert value == crude_fpts_bound(sch)
+
+    def test_certify_command_peak_memory(self, capsys):
+        argv = ["bounds", "certify", "--k", "1099511627776", "--a", "3", "--c", "6"]
+        assert main(argv) == 0  # builds the parser outside the measurement
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        # a materialised schedule alone is about 3.5 MB here
+        assert peak < 1.5 * 2 ** 20
 
 
 class TestCrudeFptsBound:
