@@ -91,19 +91,6 @@ class SwEstimate:
 
 
 @dataclass(frozen=True)
-class MergeQuery:
-    """Host permutation plus the two forbidden patterns, one per color."""
-
-    host: Permutation
-    red_pattern: Permutation
-    blue_pattern: Permutation
-
-    def __post_init__(self):
-        if self.red_pattern.n == 0 or self.blue_pattern.n == 0:
-            raise EmptyPattern("merge patterns must be nonempty")
-
-
-@dataclass(frozen=True)
 class JvInclusionReport:
     """Result of checking that every avoider of the three-part sum splits
     into a red part avoiding part1+part2 and a blue part avoiding
@@ -278,20 +265,24 @@ def sw_estimate_sequence(
 # ---------------------------------------------------------------------------
 
 def merge_coloring(
-    q: MergeQuery,
+    host: Permutation,
+    red_pattern: Permutation,
+    blue_pattern: Permutation,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[str, ...] | None:
     """A per-entry ("red"/"blue") coloring whose red subsequence avoids
     the red pattern and blue subsequence avoids the blue pattern, or
     None if no such coloring exists."""
-    n = q.host.n
+    if red_pattern.n == 0 or blue_pattern.n == 0:
+        raise EmptyPattern("merge patterns must be nonempty")
+    n = host.n
     if n > DEFAULT_MERGE_LENGTH_LIMIT:
         raise ResourceLimit(
             f"host length {n} exceeds the configured limit {DEFAULT_MERGE_LENGTH_LIMIT}"
         )
-    hvals = q.host.entries
-    rvals, bvals = q.red_pattern.entries, q.blue_pattern.entries
+    hvals = host.entries
+    rvals, bvals = red_pattern.entries, blue_pattern.entries
     red, blue = [], []
     color = [""] * n
     nodes = 0
@@ -324,13 +315,15 @@ def merge_coloring(
 
 
 def merge_member(
-    q: MergeQuery,
+    host: Permutation,
+    red_pattern: Permutation,
+    blue_pattern: Permutation,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """True iff the host's entries 2-color so that red avoids the red
     pattern and blue avoids the blue pattern."""
-    return merge_coloring(q, node_budget=node_budget) is not None
+    return merge_coloring(host, red_pattern, blue_pattern, node_budget=node_budget) is not None
 
 
 def _interned(root, step):

@@ -9,13 +9,17 @@ exceed 2**53 are emitted as decimal strings.
 Exit codes: 0 success, 2 rejected input, 3 resource limit hit, 1
 internal error or failed selftest.  Diagnostics go to stderr.
 
-The node budget resolves in order: --budget flag, PERMX_BUDGET
-environment variable, library default.
-
 Every subcommand is declared once, in ``COMMANDS``: its flags, the call
 that builds its report payload, and the payload's csv and text layout.
 The argument parser is built from it once per process, at the first
-call to ``main``, and reused by every later call.
+call, and reused by every later call.
+
+A command line takes one path to its report: ``run(argv)`` parses it,
+resolves the node budget (--budget flag, else the PERMX_BUDGET
+environment variable read on every call, else the library default),
+calls the command with its options and returns (exit code, report).
+``main`` is ``run`` plus the mapping from errors to exit codes and the
+write to stdout.
 """
 
 from __future__ import annotations
@@ -76,28 +80,6 @@ EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 
 FORMATS = ("json", "csv", "text")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation, fully determining the emitted report bytes."""
-
-    command: str
-    options: tuple[tuple[str, object], ...] = ()
-    output_format: str = "text"
-    node_budget: int = DEFAULT_NODE_BUDGET
-
-    def __post_init__(self):
-        if self.output_format not in FORMATS:
-            raise PreconditionViolated(
-                f"format must be one of {FORMATS}, got {self.output_format!r}"
-            )
-        if self.node_budget < 1:
-            raise PreconditionViolated(f"budget must be positive, got {self.node_budget}")
-        object.__setattr__(self, "options", tuple(sorted(tuple(self.options))))
-
-    def opts(self) -> dict:
-        return dict(self.options)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +177,8 @@ def _render_text(key, payload: dict) -> str:
 class Command:
     """One subcommand, declared once.
 
-    ``call(opts, config)`` turns the parsed options and the run
-    configuration (node budget) into the report payload; it names
+    ``call(opts)`` turns the parsed options, the resolved node budget
+    among them as ``"budget"``, into the report payload; it names
     library functions at call time, so wrappers set on this module's
     globals see them.  csv output writes ``table`` (payload key,
     columns) if set, else the scalar fields as one row sorted by key;
@@ -206,7 +188,7 @@ class Command:
     """
 
     flags: tuple
-    call: Callable[[dict, RunConfig], dict]
+    call: Callable[[dict], dict]
     budgeted: bool = False
     table: tuple[str, tuple[str, ...]] | None = None
     text_key: str | None = None
@@ -218,13 +200,13 @@ def _flag(name: str, type=str, **kwargs) -> tuple[str, dict]:
     return name, {"type": type, "required": "default" not in kwargs, **kwargs}
 
 
-def _contains(o, cfg):
+def _contains(o):
     host = parse_permutation(o["host"])
     pattern = parse_permutation(o["pattern"])
     return {"host": str(host), "pattern": str(pattern), "contains": contains(host, pattern)}
 
 
-def _matrix_contains(o, cfg):
+def _matrix_contains(o):
     host = _parse_matrix(o["host"])
     pattern = _parse_matrix(o["pattern"])
     return {"contains": matrix_contains(host, pattern)}
@@ -237,14 +219,14 @@ def _pair(op, o):
     return {"left": str(left), "right": str(right), "result": str(op(left, right))}
 
 
-def _inflate(o, cfg):
+def _inflate(o):
     skeleton = parse_permutation(o["skeleton"])
     blocks = [parse_permutation(b) for b in o["blocks"].split(",") if b]
     return {"skeleton": str(skeleton), "blocks": [str(b) for b in blocks],
             "result": str(inflate(skeleton, blocks))}
 
 
-def _decompose(o, cfg):
+def _decompose(o):
     p = parse_permutation(o["pattern"])
     decomps = blockable_decompositions(p, o["c"])
     return {
@@ -258,25 +240,25 @@ def _decompose(o, cfg):
     }
 
 
-def _count_av(o, cfg):
+def _count_av(o):
     p = parse_permutation(o["pattern"])
-    value = count_avoiders(p, o["n"], node_budget=cfg.node_budget)
+    value = count_avoiders(p, o["n"], node_budget=o["budget"])
     return {"pattern": str(p), "n": o["n"], "count": str(value)}
 
 
-def _sw_estimate(o, cfg):
+def _sw_estimate(o):
     p = parse_permutation(o["pattern"])
-    seq = sw_estimate_sequence(p, o["n_max"], node_budget=cfg.node_budget)
+    seq = sw_estimate_sequence(p, o["n_max"], node_budget=o["budget"])
     return {
         "pattern": str(p),
         "sequence": [{"n": e.n, "count": str(e.count), "estimate": e.value} for e in seq],
     }
 
 
-def _perm_report(check, o, cfg, *names):
+def _perm_report(check, o, *names):
     """A report on the named permutations at length n."""
     perms = [parse_permutation(o[name]) for name in names]
-    return check(*perms, o["n"], node_budget=cfg.node_budget).to_jsonable()
+    return check(*perms, o["n"], node_budget=o["budget"]).to_jsonable()
 
 
 def _echo(value):
@@ -287,11 +269,11 @@ def _echo(value):
     return value
 
 
-def _pattern_search(search, o, cfg, *names, echo=()):
+def _pattern_search(search, o, *names, echo=()):
     """Run a search or certifier on the pattern's permutation matrix with
     the named options, echoing the pattern and the ``echo`` options."""
     P = _parse_pattern_matrix(o["pattern"])
-    result = search(P, *(o[name] for name in names), budget=cfg.node_budget)
+    result = search(P, *(o[name] for name in names), budget=o["budget"])
     echoed = {name: _echo(o[name]) for name in ("pattern", *echo)}
     return {**echoed, **result.to_jsonable()}
 
@@ -302,7 +284,7 @@ def _closed_form(fn, key, o, *names):
     return {**{name: _echo(o[name]) for name in names}, key: str(value)}
 
 
-def _alpha(o, cfg):
+def _alpha(o):
     a, c = o["a"], o["c"]
     alpha = theorem24_alpha(a, c)
     return {"a": a, "c": c, "alpha": alpha, "theorem12_exponent": theorem12_exponent(a, c)}
@@ -312,26 +294,26 @@ def _schedule(o, floors=False):
     return build_schedule(BoundParams(o["k"], o["a"], o["c"]), apply_floors=floors)
 
 
-def _certify(o, cfg):
+def _certify(o):
     schedule = _schedule(o)
     p = schedule.params
-    if o.get("floors"):
+    if o["floors"]:
         # the report is the same either way; --floors only demands integral k and a
         _beta_k_int(p)
     report = certify_schedule(schedule, tol=o["tol"])
     return {"params": {"k": p.k, "a": p.a, "c": p.c}, **report.to_jsonable()}
 
 
-def _crude(o, cfg):
+def _crude(o):
     schedule = _schedule(o)
     p = schedule.params
     return {"k": p.k, "a": p.a, "c": p.c, "log2_bound": crude_fpts_bound(schedule)}
 
 
-def _selftest(o, cfg):
+def _selftest(o):
     from .selftest import run_selftest
 
-    return run_selftest(seed=o.get("seed"))[0]
+    return run_selftest(seed=o["seed"])
 
 
 PATTERN = _flag("--pattern")
@@ -350,8 +332,8 @@ COMMANDS = {
         _matrix_contains,
         text_key="contains",
     ),
-    "sum": Command((LEFT, RIGHT), lambda o, cfg: _pair(direct_sum, o), text_key="result"),
-    "skew": Command((LEFT, RIGHT), lambda o, cfg: _pair(skew_sum, o), text_key="result"),
+    "sum": Command((LEFT, RIGHT), lambda o: _pair(direct_sum, o), text_key="result"),
+    "skew": Command((LEFT, RIGHT), lambda o: _pair(skew_sum, o), text_key="result"),
     "inflate": Command(
         (_flag("--skeleton"), _flag("--blocks", help="comma-separated block permutations")),
         _inflate,
@@ -369,57 +351,57 @@ COMMANDS = {
     ),
     "merge-check": Command(
         (_flag("--red"), _flag("--blue"), N),
-        lambda o, cfg: _perm_report(merge_count_upper_check, o, cfg, "red", "blue"),
+        lambda o: _perm_report(merge_count_upper_check, o, "red", "blue"),
         budgeted=True,
     ),
     "verify-jv": Command(
         (_flag("--a"), _flag("--b"), _flag("--c"), N),
-        lambda o, cfg: _perm_report(verify_jv_inclusion, o, cfg, "a", "b", "c"),
+        lambda o: _perm_report(verify_jv_inclusion, o, "a", "b", "c"),
         budgeted=True,
     ),
     "exfn": Command(
         (PATTERN, N),
-        lambda o, cfg: _pattern_search(exfn_exact, o, cfg, "n", echo=("n",)),
+        lambda o: _pattern_search(exfn_exact, o, "n", echo=("n",)),
         budgeted=True,
     ),
     "fpts": Command(
         (PATTERN, T, S, N_CAP),
-        lambda o, cfg: _pattern_search(fpts_exact, o, cfg, "t", "s", "n_cap", echo=("t", "s")),
+        lambda o: _pattern_search(fpts_exact, o, "t", "s", "n_cap", echo=("t", "s")),
         budgeted=True,
     ),
     "gpts": Command(
         (PATTERN, T, S, N_CAP),
-        lambda o, cfg: _pattern_search(gpts_exact, o, cfg, "t", "s", "n_cap", echo=("t", "s")),
+        lambda o: _pattern_search(gpts_exact, o, "t", "s", "n_cap", echo=("t", "s")),
         budgeted=True,
     ),
     "check-lemma21": Command(
         (PATTERN, A, T, S, _flag("--hypothesis-n", int, default=4)),
-        lambda o, cfg: _pattern_search(check_lemma21, o, cfg, "a", "t", "s", "hypothesis_n"),
+        lambda o: _pattern_search(check_lemma21, o, "a", "t", "s", "hypothesis_n"),
         budgeted=True,
     ),
     "check-lemma22": Command(
         (PATTERN, A, C, T, S, X, Y),
-        lambda o, cfg: _pattern_search(check_lemma22, o, cfg, "a", "c", "t", "s", "x", "y"),
+        lambda o: _pattern_search(check_lemma22, o, "a", "c", "t", "s", "x", "y"),
         budgeted=True,
     ),
     "bounds mt": Command(
         (_flag("--k", int),),
-        lambda o, cfg: _closed_form(marcus_tardos_bound, "bound", o, "k"),
+        lambda o: _closed_form(marcus_tardos_bound, "bound", o, "k"),
     ),
     "bounds lemma21": Command(
         (REAL_K, A, REAL_T, REAL_S),
-        lambda o, cfg: _closed_form(lemma21_bound, "bound", o, "k", "a", "t", "s"),
+        lambda o: _closed_form(lemma21_bound, "bound", o, "k", "a", "t", "s"),
     ),
     "bounds lemma22-rhs": Command(
         (REAL_K, A, C, REAL_T, REAL_S, X, Y, _flag("--f-sub", int, default=0)),
-        lambda o, cfg: _closed_form(
+        lambda o: _closed_form(
             lemma22_rhs, "rhs", o, "k", "a", "c", "t", "s", "x", "y", "f_sub"
         ),
     ),
     "bounds alpha": Command((A, _flag("--c", float)), _alpha),
     "bounds schedule": Command(
         (REAL_K, A, C, FLOORS),
-        lambda o, cfg: _schedule(o, o.get("floors", False)).to_jsonable(),
+        lambda o: _schedule(o, o["floors"]).to_jsonable(),
         table=("states", ("i", "log2_t", "log2_s", "t", "s")),
     ),
     "bounds certify": Command(
@@ -431,7 +413,7 @@ COMMANDS = {
     "bounds fox-rhs": Command(
         (_flag("--ex-table", help="entries like 1=1,2=3,3=5"),
          T, S, _flag("--f", int), _flag("--g", int), N),
-        lambda o, cfg: _closed_form(
+        lambda o: _closed_form(
             partial(fox_rhs, _parse_ex_table(o["ex_table"])), "rhs", o, "t", "s", "f", "g", "n"
         ),
     ),
@@ -445,17 +427,6 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one configuration and return (exit code, rendered
-    report).  Raises domain errors for the caller to map to exit codes."""
-    spec = COMMANDS.get(config.command)
-    if spec is None:
-        raise PreconditionViolated(f"unknown command {config.command!r}")
-    payload = spec.call(config.opts(), config)
-    code = EXIT_INTERNAL if spec.verdict and not payload[spec.verdict] else EXIT_OK
-    return code, render(config.command, payload, config.output_format)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -467,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ``COMMANDS`` is fixed at import, so the cached parser cannot go
     stale.  Callers must not mutate it.  Nothing per call lives in it:
-    the node budget's PERMX_BUDGET fallback is read by
-    ``config_from_args``, not set as a parser default.
+    the node budget's PERMX_BUDGET fallback is read by ``run``, not
+    set as a parser default.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
@@ -496,41 +467,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NON_OPTION_KEYS = {"command", "bounds_command", "format", "budget"}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "bounds":
-        command = f"bounds {args.bounds_command}"
-    budget = getattr(args, "budget", None)
+def _node_budget(flag: int | None) -> int:
+    """The --budget flag, else PERMX_BUDGET, else the library default."""
+    budget = flag
     if budget is None:
         env = os.environ.get("PERMX_BUDGET")
-        if env is not None:
-            try:
-                budget = int(env)
-            except ValueError as exc:
-                raise MalformedInput(f"PERMX_BUDGET must be an integer: {env!r}") from exc
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    options = tuple(
-        (key, value)
-        for key, value in vars(args).items()
-        if key not in _NON_OPTION_KEYS
-    )
-    return RunConfig(
-        command=command,
-        options=options,
-        output_format=args.format,
-        node_budget=budget,
-    )
+        try:
+            budget = DEFAULT_NODE_BUDGET if env is None else int(env)
+        except ValueError as exc:
+            raise MalformedInput(f"PERMX_BUDGET must be an integer: {env!r}") from exc
+    if budget < 1:
+        raise PreconditionViolated(f"budget must be positive, got {budget}")
+    return budget
+
+
+def run(argv=None) -> tuple[int, str]:
+    """Run one command line and return (exit code, rendered report).
+
+    Usage errors raise SystemExit(2) from argparse; domain errors are
+    raised for ``main`` to map to exit codes."""
+    opts = vars(build_parser().parse_args(argv))
+    name = opts.pop("command")
+    if name == "bounds":
+        name += " " + opts.pop("bounds_command")
+    fmt = opts.pop("format")
+    opts["budget"] = _node_budget(opts.get("budget"))
+    spec = COMMANDS[name]
+    payload = spec.call(opts)
+    code = EXIT_INTERNAL if spec.verdict and not payload[spec.verdict] else EXIT_OK
+    return code, render(name, payload, fmt)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        code, out = run(config)
+        code, out = run(argv)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

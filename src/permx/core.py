@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,7 +31,9 @@ from .errors import (
     NotABijection,
     NotPermutationMatrix,
     PreconditionViolated,
+    ResourceLimit,
 )
+from .limits import MAX_DECOMPOSITIONS
 
 _LOW = -(1 << 60)
 _HIGH = 1 << 60
@@ -797,33 +800,77 @@ def inflate(skeleton: Permutation, blocks) -> Permutation:
     return Permutation(tuple(out))
 
 
+def _block_counts(entries, c: int) -> tuple[int, list[bytes], list[bytes]]:
+    """Cuts of ``entries`` into contiguous segments of consecutive
+    values: ``(count, starts, suffix_cuts)``.
+
+    ``count`` is the number of cuts into exactly c segments.  Byte d of
+    ``starts[i]`` is 1 iff ``entries[i:i + d + 1]`` is such a segment
+    (its max - min equals d).  Byte i of ``suffix_cuts[m]`` is 1 iff
+    ``entries[i:]`` cuts into exactly m of them, for m <= c.  The suffix
+    counts for m segments sum those for m - 1 over the ends of each
+    first segment, one layer per m: O(n^2 c) time, O(n^2) flag bytes.
+    """
+    n = len(entries)
+    starts = []
+    for i in range(n):
+        seg = entries[i:]
+        spans = map(operator.sub, itertools.accumulate(seg, max), itertools.accumulate(seg, min))
+        starts.append(bytes(map(operator.eq, spans, itertools.count())))
+    ways = [0] * n + [1]
+    suffix_cuts = [bytes(map(bool, ways))]
+    for _ in range(c):
+        prev = ways
+        ways = [sum(itertools.compress(prev[i + 1:], starts[i])) for i in range(n)] + [0]
+        suffix_cuts.append(bytes(map(bool, ways)))
+    return ways[0], starts, suffix_cuts
+
+
+def count_block_decompositions(p: Permutation, c: int) -> int:
+    """The number of decompositions :func:`blockable_decompositions`
+    would return, counted without building them."""
+    if not 1 <= c <= p.n:
+        raise PreconditionViolated(f"need 1 <= c <= {p.n}, got {c}")
+    return _block_counts(p.entries, c)[0]
+
+
 def blockable_decompositions(p: Permutation, c: int) -> list[BlockDecomposition]:
     """All ways to cut the positions of ``p`` into exactly ``c``
-    contiguous segments whose value sets are contiguous intervals.
+    contiguous segments whose value sets are contiguous intervals, in
+    lexicographic order of the cut positions.
 
-    Enumerates all C(n-1, c-1) cut sets directly; empty list means ``p``
-    is not c-blockable.  Every returned decomposition round-trips through
-    :func:`inflate`.
+    Counts them first and raises ResourceLimit above
+    ``MAX_DECOMPOSITIONS``; otherwise walks only interval segments that
+    can be completed.  Empty list means ``p`` is not c-blockable.  Every
+    returned decomposition round-trips through :func:`inflate`.
     """
     n = p.n
     if not 1 <= c <= n:
         raise PreconditionViolated(f"need 1 <= c <= {n}, got {c}")
     entries = p.entries
+    total, starts, suffix_cuts = _block_counts(entries, c)
+    if total > MAX_DECOMPOSITIONS:
+        raise ResourceLimit(
+            f"{total} decompositions into {c} blocks exceed the limit {MAX_DECOMPOSITIONS}"
+        )
+    # each cut tuple is extended in increasing order by the segments whose
+    # remainder still cuts into the blocks left, so the order stays
+    # lexicographic and every tuple kept has a completion; the last
+    # segment is the whole remainder
+    cuts = [(0,)]
+    for left in range(c - 1, 0, -1):
+        fits = suffix_cuts[left]
+        cuts = [
+            (*b, j)
+            for b in cuts
+            for j in itertools.compress(itertools.count(b[-1] + 1), starts[b[-1]])
+            if fits[j]
+        ]
     found = []
-    for cuts in itertools.combinations(range(1, n), c - 1):
-        bounds = (0, *cuts, n)
+    for b in cuts:
+        bounds = (*b, n)
         segments = [entries[bounds[i]:bounds[i + 1]] for i in range(c)]
-        mins = []
-        ok = True
-        for seg in segments:
-            lo, hi = min(seg), max(seg)
-            if hi - lo + 1 != len(seg):
-                ok = False
-                break
-            mins.append(lo)
-        if not ok:
-            continue
-        skeleton = Permutation(pattern_of(mins))
+        skeleton = Permutation(pattern_of([min(seg) for seg in segments]))
         blocks = tuple(Permutation(pattern_of(seg)) for seg in segments)
         found.append(BlockDecomposition(skeleton, blocks))
     return found

@@ -34,7 +34,7 @@ from .core import (
     BinaryMatrix,
     PermutationMatrix,
     _row_states,
-    blockable_decompositions,
+    count_block_decompositions,
     from_matrix,
     matrix_from_masks,
     matrix_occurrence_masks,
@@ -309,43 +309,6 @@ def gpts_exact(
     return fpts_exact(rotate90(P), t, s, n_cap, budget)
 
 
-def gpts_direct(P: PermutationMatrix, t: int, s: int, n_cap: int) -> int:
-    """Slow column-by-column oracle for the rotation identity; grows the
-    host one column at a time and re-checks containment from scratch."""
-    if t < 1:
-        raise PreconditionViolated(f"need t >= 1, got {t}")
-    if s < 0:
-        raise PreconditionViolated(f"need s >= 0, got {s}")
-    if s == 0:
-        raise ZeroRowWeight("s = 0 admits unlimited all-zero columns; refusing")
-    if s > t or P.k == 1:
-        return 0
-    pat_masks = P.matrix.row_masks()
-    candidates = [m for m in range((1 << t) - 1, 0, -1) if m.bit_count() >= s]
-    best = 0
-
-    def avoids(col_masks) -> bool:
-        width = len(col_masks)
-        rows = [
-            sum(((col_masks[j] >> i) & 1) << j for j in range(width))
-            for i in range(t)
-        ]
-        return matrix_occurrence_masks(rows, width, pat_masks, P.k) is None
-
-    def rec(cols):
-        nonlocal best
-        if len(cols) > best:
-            best = len(cols)
-        if len(cols) == n_cap:
-            return
-        for m in candidates:
-            if avoids(cols + [m]):
-                rec(cols + [m])
-
-    rec([])
-    return best
-
-
 @dataclass(frozen=True)
 class Lemma21Report:
     """Exact row count versus the closed-form row bound."""
@@ -385,8 +348,8 @@ def check_lemma21(
     """Certify fpts_exact(P, t, s) <= k^a * t / (s - k^a).
 
     First verifies the linear extremal hypothesis ex_P(n) <= k^a * n
-    for n up to hypothesis_n via exfn_exact (HypothesisUnverified
-    otherwise), then compares the exact search against the bound.  The
+    for 1 <= n <= hypothesis_n via exfn_exact (HypothesisUnverified
+    otherwise; hypothesis_n below 1 is refused), then compares the exact search against the bound.  The
     row cap is set just above the bound, so hitting the cap refutes the
     inequality decisively rather than leaving it open.  The hypothesis
     searches and the final one share the one node budget.
@@ -394,6 +357,8 @@ def check_lemma21(
     k = P.k
     bound = lemma21_bound(k, a, t, s)
     ka = _pow_ka(k, a, s)
+    if hypothesis_n < 1:
+        raise PreconditionViolated(f"need hypothesis_n >= 1, got {hypothesis_n}")
     if hypothesis_n > MAX_WIDTH:
         raise ResourceLimit(
             f"hypothesis width {hypothesis_n} exceeds the {MAX_WIDTH}-bit row limit"
@@ -480,7 +445,7 @@ def check_lemma22(
     budget.
     """
     k = P.k
-    if not blockable_decompositions(from_matrix(P), c):
+    if not count_block_decompositions(from_matrix(P), c):
         raise NotBlockable(f"pattern admits no {c}-block decomposition")
     # validates constants and the denominator before any search runs
     remainder = lemma22_rhs(k, a, c, t, s, x, y, 0)

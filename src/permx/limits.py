@@ -24,6 +24,11 @@ MAX_WIDTH = 64
 # point (k = 2^40, a = 3, c = 6) needs 19802.
 MAX_SCHEDULE_STEPS = 30_000
 
+# decompositions that blockable_decompositions lists, counted before any
+# is built; the identity of length 26 has C(25, 12), about 5.2 million,
+# into 13 blocks
+MAX_DECOMPOSITIONS = 10_000
+
 # decimal digits of the largest exact integer a report prints; CPython's
 # default int-to-str conversion stops at 4300
 MAX_REPORT_DIGITS = 4300

@@ -45,6 +45,7 @@ from .extremal import (
     fpts_exact,
     gpts_exact,
 )
+from .limits import DEFAULT_NODE_BUDGET
 
 I2 = PermutationMatrix.identity(2)
 
@@ -208,32 +209,27 @@ def _criterion_inflation_roundtrip():
 
 
 def _criterion_output_stability():
-    from .cli import RunConfig, run
+    from .cli import run
 
-    configs = [
-        RunConfig("count-av", (("pattern", "123"), ("n", 8)), "json"),
-        RunConfig(
-            "bounds certify",
-            (("k", 1e6), ("a", 1), ("c", 2), ("floors", False), ("tol", 1e-9)),
-            "json",
-        ),
-        RunConfig(
-            "bounds schedule",
-            (("k", 1e6), ("a", 2), ("c", 3), ("floors", False)),
-            "json",
-        ),
-        RunConfig("sw-estimate", (("pattern", "132"), ("n_max", 6)), "json"),
-        RunConfig("fpts", (("pattern", "12"), ("t", 5), ("s", 2), ("n_cap", 16)), "json"),
-        RunConfig("decompose", (("pattern", "479832156"), ("c", 4)), "json"),
+    # searches get the library default budget, as in every other
+    # criterion, whatever PERMX_BUDGET says
+    budget = ["--budget", str(DEFAULT_NODE_BUDGET)]
+    argvs = [
+        ["count-av", "--pattern", "123", "--n", "8", *budget],
+        ["bounds", "certify", "--k", "1e6", "--a", "1", "--c", "2"],
+        ["bounds", "schedule", "--k", "1e6", "--a", "2", "--c", "3"],
+        ["sw-estimate", "--pattern", "132", "--n-max", "6", *budget],
+        ["fpts", "--pattern", "12", "--t", "5", "--s", "2", "--n-cap", "16", *budget],
+        ["decompose", "--pattern", "479832156", "--c", "4"],
     ]
 
     def snapshot() -> bytes:
-        return "".join(run(cfg)[1] for cfg in configs).encode()
+        return "".join(run([*argv, "--format", "json"])[1] for argv in argvs).encode()
 
     first, second = snapshot(), snapshot()
     if first != second:
         return False, "report bytes differ between two identical runs"
-    return True, f"{len(configs)} commands, {len(first)} report bytes stable"
+    return True, f"{len(argvs)} commands, {len(first)} report bytes stable"
 
 
 @dataclass(frozen=True)
@@ -271,14 +267,13 @@ CRITERIA = (
 )
 
 
-def run_selftest(seed: int | None = None, stream=None) -> tuple[dict, bool]:
-    """Run every criterion and return (report payload, all passed).
+def run_selftest(seed: int | None = None) -> dict:
+    """Run every criterion and return the report payload.
 
-    Progress lines carry wall times and go to ``stream`` (stderr by
-    default); the returned payload contains no timings so that repeated
-    runs serialize identically.
+    Progress lines carry wall times and go to stderr; the returned
+    payload contains no timings so that repeated runs serialize
+    identically.
     """
-    stream = sys.stderr if stream is None else stream
     order = list(range(len(CRITERIA)))
     if seed is not None:
         random.Random(seed).shuffle(order)
@@ -295,7 +290,7 @@ def run_selftest(seed: int | None = None, stream=None) -> tuple[dict, bool]:
         print(
             f"criterion {crit.id:2d} {status} ({elapsed:7.2f}s)  "
             f"{crit.description}: {detail}",
-            file=stream,
+            file=sys.stderr,
         )
         results[crit.id] = {
             "id": crit.id,
@@ -304,5 +299,4 @@ def run_selftest(seed: int | None = None, stream=None) -> tuple[dict, bool]:
             "detail": detail,
         }
     ordered = [results[i] for i in sorted(results)]
-    all_pass = all(r["pass"] for r in ordered)
-    return {"criteria": ordered, "all_pass": all_pass}, all_pass
+    return {"criteria": ordered, "all_pass": all(r["pass"] for r in ordered)}

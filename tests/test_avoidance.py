@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from permx import avoidance
 from permx.avoidance import (
-    MergeQuery,
     _jv_search,
     avoiders,
     count_avoiders,
@@ -251,14 +250,13 @@ def test_sw_estimate_at_least_one_when_nonempty(pattern, n):
 # -- merge membership -------------------------------------------------------
 
 def test_merge_known_negative():
-    assert not merge_member(MergeQuery(perm("123"), perm("12"), perm("12")))
+    assert not merge_member(perm("123"), perm("12"), perm("12"))
 
 
 def test_merge_known_positive_with_witness():
-    q = MergeQuery(perm("2143"), perm("12"), perm("12"))
-    coloring = merge_coloring(q)
+    host = perm("2143").entries
+    coloring = merge_coloring(perm("2143"), perm("12"), perm("12"))
     assert coloring is not None
-    host = q.host.entries
     red = [v for v, col in zip(host, coloring) if col == "red"]
     blue = [v for v, col in zip(host, coloring) if col == "blue"]
     assert not contains_seq(red, (1, 2))
@@ -272,22 +270,22 @@ def contains_seq(values, pvals):
 
 
 def test_merge_all_red_shortcut():
-    assert merge_member(MergeQuery(perm("321"), perm("12"), perm("123")))
-    assert merge_member(MergeQuery(perm("321"), perm("12"), perm("1")))
+    assert merge_member(perm("321"), perm("12"), perm("123"))
+    assert merge_member(perm("321"), perm("12"), perm("1"))
 
 
 def test_merge_single_pattern_blocks_everything():
-    assert not merge_member(MergeQuery(perm("1"), perm("1"), perm("1")))
-    assert merge_member(MergeQuery(Permutation(()), perm("1"), perm("1")))
+    assert not merge_member(perm("1"), perm("1"), perm("1"))
+    assert merge_member(Permutation(()), perm("1"), perm("1"))
 
 
 def test_merge_validation():
     with pytest.raises(EmptyPattern):
-        MergeQuery(perm("1"), Permutation(()), perm("1"))
+        merge_member(perm("1"), Permutation(()), perm("1"))
+    with pytest.raises(EmptyPattern):
+        merge_coloring(perm("1"), perm("1"), Permutation(()))
     with pytest.raises(ResourceLimit):
-        merge_member(
-            MergeQuery(Permutation(tuple(range(1, 16))), perm("12"), perm("21"))
-        )
+        merge_member(Permutation(tuple(range(1, 16))), perm("12"), perm("21"))
 
 
 def oracle_merge(host, red_p, blue_p):
@@ -305,14 +303,13 @@ def oracle_merge(host, red_p, blue_p):
 @given(permutations_upto(5), permutations_upto(3), permutations_upto(3))
 @settings(max_examples=40)
 def test_merge_matches_coloring_oracle(host, red_p, blue_p):
-    q = MergeQuery(host, red_p, blue_p)
-    assert merge_member(q) == oracle_merge(host, red_p, blue_p)
+    assert merge_member(host, red_p, blue_p) == oracle_merge(host, red_p, blue_p)
 
 
 @given(permutations_upto(5, min_n=2), permutations_upto(3), permutations_upto(3))
 @settings(max_examples=30)
 def test_merge_closed_under_entry_deletion(host, red_p, blue_p):
-    if not merge_member(MergeQuery(host, red_p, blue_p)):
+    if not merge_member(host, red_p, blue_p):
         return
     from permx.core import pattern_of
 
@@ -320,7 +317,7 @@ def test_merge_closed_under_entry_deletion(host, red_p, blue_p):
         smaller = Permutation(
             pattern_of(host.entries[:i] + host.entries[i + 1:])
         )
-        assert merge_member(MergeQuery(smaller, red_p, blue_p))
+        assert merge_member(smaller, red_p, blue_p)
 
 
 # -- inclusion verifier -----------------------------------------------------
@@ -352,7 +349,7 @@ def oracle_jv(host_p, red_p, blue_p, n):
     for values in avoiders(host_p, n):
         checked += 1
         host = Permutation(values)
-        if not merge_member(MergeQuery(host, red_p, blue_p)):
+        if not merge_member(host, red_p, blue_p):
             return checked, False, host
     return checked, True, None
 
@@ -495,7 +492,7 @@ def test_merge_count_matches_host_loop(rep, images):
     red_p, blue_p = rep
     lhs = [0] * 8
     for host in ORACLE_HOSTS:
-        if merge_member(MergeQuery(host, red_p, blue_p)):
+        if merge_member(host, red_p, blue_p):
             lhs[host.n] += 1
     for red_i, blue_i in images:
         for n in range(8):

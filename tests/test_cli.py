@@ -15,8 +15,6 @@ from permx.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     FORMATS,
-    RunConfig,
-    config_from_args,
     build_parser,
     main,
     run,
@@ -155,6 +153,32 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("resource limit") and f"{MAX_WIDTH}-bit" in err
         assert "Traceback" not in err and "internal error" not in err
+
+    @pytest.mark.parametrize("argv, want", [
+        # C(25, 12) cut sets, all of them intervals: above the ceiling
+        (("decompose", "--pattern", " ".join(map(str, range(1, 27))), "--c", "13"),
+         EXIT_RESOURCE),
+        # blockable, so the check goes on to reject s <= k^a
+        (("check-lemma22", "--pattern", " ".join(map(str, range(26, 0, -1))),
+          "--a", "1", "--c", "13", "--t", "5", "--s", "5", "--x", "0.95", "--y", "0.1"),
+         EXIT_BAD_INPUT),
+    ], ids=["decompose", "check-lemma22"])
+    def test_long_pattern_decompositions_are_counted(self, capsys, argv, want):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (want, "")
+        assert "Traceback" not in err and "internal error" not in err
+
+    @pytest.mark.parametrize("hypothesis_n", ["0", "-5"])
+    def test_lemma21_hypothesis_below_one(self, capsys, hypothesis_n):
+        code, out, err = invoke(
+            capsys, "check-lemma21", "--pattern", "12", "--a", "1", "--t", "5", "--s", "3",
+            "--hypothesis-n", hypothesis_n, "--format", "json",
+        )
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("rejected") and "hypothesis_n >= 1" in err
 
     @pytest.mark.parametrize("argv", [
         ("fpts", "--pattern", "21", "--t", "64", "--s", "64", "--n-cap", "10000"),
@@ -498,31 +522,34 @@ class TestOneParser:
         assert invoke(capsys, *argv)[0] == EXIT_RESOURCE
 
 
-class TestRunConfig:
-    def test_bad_format(self):
-        with pytest.raises(PreconditionViolated):
-            RunConfig("contains", (), "yaml")
+class TestOnePath:
+    """``run(argv)`` is the one way from a command line to its report."""
 
-    def test_bad_budget(self):
-        with pytest.raises(PreconditionViolated):
-            RunConfig("contains", (), "json", 0)
+    def test_bad_format_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["contains", "--host", "1", "--pattern", "1", "--format", "yaml"])
+        assert exc.value.code == 2
 
-    def test_unknown_command(self):
-        with pytest.raises(PreconditionViolated):
-            run(RunConfig("no-such", (), "json"))
+    def test_zero_budget_flag(self, capsys):
+        with pytest.raises(PreconditionViolated, match="budget must be positive"):
+            run(["count-av", "--pattern", "1", "--n", "1", "--budget", "0"])
+        code, out, err = invoke(capsys, "count-av", "--pattern", "1", "--n", "1", "--budget", "0")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("rejected")
 
-    def test_options_sorted(self):
-        cfg = RunConfig("contains", (("pattern", "1"), ("host", "1")), "json")
-        assert cfg.options == (("host", "1"), ("pattern", "1"))
+    def test_zero_budget_env_on_unbudgeted_command(self, capsys, monkeypatch):
+        # the budget is resolved and validated on every call
+        monkeypatch.setenv("PERMX_BUDGET", "0")
+        code, out, err = invoke(capsys, "sum", "--left", "1", "--right", "1")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert "budget must be positive" in err
 
-    def test_from_args_resolves_bounds_namespace(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["bounds", "alpha", "--a", "1", "--c", "2", "--format", "json"]
-        )
-        cfg = config_from_args(args)
-        assert cfg.command == "bounds alpha"
-        assert cfg.output_format == "json"
+    def test_bounds_subcommand_resolves(self):
+        code, out = run(["bounds", "alpha", "--a", "1", "--c", "2", "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["a"] == 1.0 and payload["c"] == 2.0
+        assert abs(payload["alpha"] - 122.7226) < 1e-3
 
     def test_selftest_seed_is_an_option(self, capsys, monkeypatch):
         import permx.selftest
@@ -531,35 +558,36 @@ class TestRunConfig:
 
         def fake_selftest(seed=None):
             seeds.append(seed)
-            return {"criteria": [], "all_pass": True}, True
+            return {"criteria": [], "all_pass": True}
 
         monkeypatch.setattr(permx.selftest, "run_selftest", fake_selftest)
-        args = build_parser().parse_args(["selftest", "--seed", "3"])
-        assert ("seed", 3) in config_from_args(args).options
         plain = invoke(capsys, "selftest")
         seeded = invoke(capsys, "selftest", "--seed", "3")
         assert seeds == [None, 3]
         assert plain == seeded
 
+    def test_stability_criterion_ignores_budget_env(self, monkeypatch):
+        # criterion 13 drives run(argv) at the library default budget
+        from permx.selftest import CRITERIA
+
+        monkeypatch.setenv("PERMX_BUDGET", "10")
+        ok, detail = CRITERIA[12].fn()
+        assert ok, detail
+        assert detail == "6 commands, 158820 report bytes stable"
+
 
 class TestDeterminism:
-    CONFIGS = [
-        RunConfig("count-av", (("pattern", "132"), ("n", 7)), "json"),
-        RunConfig(
-            "bounds certify",
-            (("k", 10**6), ("a", 1), ("c", 3), ("floors", False), ("tol", 1e-9)),
-            "json",
-        ),
-        RunConfig("exfn", (("pattern", "21"), ("n", 4)), "json"),
-        RunConfig(
-            "gpts", (("pattern", "12"), ("t", 4), ("s", 2), ("n_cap", 8)), "csv"
-        ),
+    ARGVS = [
+        ["count-av", "--pattern", "132", "--n", "7", "--format", "json"],
+        ["bounds", "certify", "--k", "1000000", "--a", "1", "--c", "3", "--format", "json"],
+        ["exfn", "--pattern", "21", "--n", "4", "--format", "json"],
+        ["gpts", "--pattern", "12", "--t", "4", "--s", "2", "--n-cap", "8", "--format", "csv"],
     ]
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.command)
-    def test_repeat_runs_byte_identical(self, config):
-        first = run(config)
-        second = run(config)
+    @pytest.mark.parametrize("argv", ARGVS, ids=["count-av", "bounds certify", "exfn", "gpts"])
+    def test_repeat_runs_byte_identical(self, argv):
+        first = run(argv)
+        second = run(argv)
         assert first == second
         assert first[0] == EXIT_OK
 

@@ -2,6 +2,7 @@
 inflation round trips, and the matrix correspondence."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from permx.core import (
     complement,
     completes_at_end,
     contains,
+    count_block_decompositions,
     direct_sum,
     find_matrix_occurrence,
     find_occurrence,
@@ -46,7 +48,9 @@ from permx.errors import (
     NotABijection,
     NotPermutationMatrix,
     PreconditionViolated,
+    ResourceLimit,
 )
+from permx.limits import MAX_DECOMPOSITIONS
 
 
 def perm(text: str) -> Permutation:
@@ -310,10 +314,53 @@ def test_blockable_recovers_inflation():
 
 
 def test_blockable_bad_c():
-    with pytest.raises(PreconditionViolated):
-        blockable_decompositions(perm("21"), 3)
-    with pytest.raises(PreconditionViolated):
-        blockable_decompositions(perm("21"), 0)
+    for c in (0, 3):
+        with pytest.raises(PreconditionViolated):
+            blockable_decompositions(perm("21"), c)
+        with pytest.raises(PreconditionViolated):
+            count_block_decompositions(perm("21"), c)
+
+
+def brute_decompositions(entries, c):
+    """(skeleton, blocks) of every one of the C(n-1, c-1) cut sets whose
+    segments are value intervals, in the order combinations yields them."""
+    n = len(entries)
+    out = []
+    for cuts in itertools.combinations(range(1, n), c - 1):
+        bounds = (0, *cuts, n)
+        segments = [entries[bounds[i]:bounds[i + 1]] for i in range(c)]
+        if all(max(seg) - min(seg) + 1 == len(seg) for seg in segments):
+            out.append((pattern_of([min(seg) for seg in segments]),
+                        tuple(pattern_of(seg) for seg in segments)))
+    return out
+
+
+def test_blockable_matches_cut_set_enumeration():
+    # every permutation of length <= 7 and every c: same decompositions
+    # in the same order, and the count agrees
+    for n in range(1, 8):
+        for entries in itertools.permutations(range(1, n + 1)):
+            p = Permutation(entries)
+            for c in range(1, n + 1):
+                want = brute_decompositions(entries, c)
+                got = [(d.skeleton.entries, tuple(b.entries for b in d.blocks))
+                       for d in blockable_decompositions(p, c)]
+                assert got == want, (entries, c)
+                assert count_block_decompositions(p, c) == len(want), (entries, c)
+
+
+def test_decomposition_ceiling():
+    # the identity of length 26 cuts into 13 intervals in C(25, 12) ways
+    identity = Permutation(tuple(range(1, 27)))
+    assert count_block_decompositions(identity, 13) == math.comb(25, 12)
+    assert count_block_decompositions(identity, 13) > MAX_DECOMPOSITIONS
+    with pytest.raises(ResourceLimit):
+        blockable_decompositions(identity, 13)
+    # the largest identity whose 3-block count stays within the ceiling
+    # still lists every decomposition
+    n = next(n for n in itertools.count(2) if math.comb(n - 1, 2) > MAX_DECOMPOSITIONS) - 1
+    ident = Permutation(tuple(range(1, n + 1)))
+    assert len(blockable_decompositions(ident, 3)) == math.comb(n - 1, 2)
 
 
 @given(permutations_upto(6), st.data())

@@ -40,7 +40,6 @@ from permx.extremal import (
     exfn_enumerate,
     exfn_exact,
     fpts_exact,
-    gpts_direct,
     gpts_exact,
 )
 
@@ -366,6 +365,44 @@ ROT_INVARIANT = PermutationMatrix(
 )
 
 
+def gpts_direct(P: PermutationMatrix, t: int, s: int, n_cap: int) -> int:
+    """Slow column-by-column oracle for the rotation identity; grows the
+    host one column at a time and re-checks containment from scratch.
+    Shares no search code with ``gpts_exact``."""
+    if t < 1:
+        raise PreconditionViolated(f"need t >= 1, got {t}")
+    if s < 0:
+        raise PreconditionViolated(f"need s >= 0, got {s}")
+    if s == 0:
+        raise ZeroRowWeight("s = 0 admits unlimited all-zero columns; refusing")
+    if s > t or P.k == 1:
+        return 0
+    pat_masks = P.matrix.row_masks()
+    candidates = [m for m in range((1 << t) - 1, 0, -1) if m.bit_count() >= s]
+    best = 0
+
+    def avoids(col_masks) -> bool:
+        width = len(col_masks)
+        rows = [
+            sum(((col_masks[j] >> i) & 1) << j for j in range(width))
+            for i in range(t)
+        ]
+        return matrix_occurrence_masks(rows, width, pat_masks, P.k) is None
+
+    def rec(cols):
+        nonlocal best
+        if len(cols) > best:
+            best = len(cols)
+        if len(cols) == n_cap:
+            return
+        for m in candidates:
+            if avoids(cols + [m]):
+                rec(cols + [m])
+
+    rec([])
+    return best
+
+
 class TestGpts:
     def test_reference_value(self):
         assert gpts_exact(I2, 3, 2).value == 2
@@ -409,6 +446,20 @@ class TestCheckLemma21:
     def test_precondition_s_at_most_ka(self):
         with pytest.raises(PreconditionViolated):
             check_lemma21(I2, 1, 4, 2)
+
+    @pytest.mark.parametrize("hypothesis_n", [0, -5])
+    def test_hypothesis_n_below_one(self, hypothesis_n, monkeypatch):
+        # an empty hypothesis range would certify nothing; refused before
+        # any search
+        import permx.extremal
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(permx.extremal, "exfn_exact", no_search)
+        monkeypatch.setattr(permx.extremal, "fpts_exact", no_search)
+        with pytest.raises(PreconditionViolated, match="hypothesis_n >= 1"):
+            check_lemma21(I2, 1, 5, 3, hypothesis_n)
 
     def test_hypothesis_failure(self):
         # ex(2) = 3 > 2 * sqrt(2), so a = 0.5 cannot be verified
