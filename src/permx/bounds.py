@@ -14,7 +14,11 @@ The ideal states are arithmetic progressions in log2, so each per-state
 constraint is monotone along the bulk steps and is decided at the start,
 the last bulk indices and the two special steps: the certifier reads six
 states whatever R_A is (see :func:`certify_schedule`), and an ideal
-schedule builds a state only when one is read.
+schedule computes a state only when one is read.  A report that lists
+every state walks them as plain ``(i, log2_t, log2_s)`` rows
+(``Schedule.states.rows()``), with no object per state; the floored
+schedule keeps only the log2 of each replayed integer pair, two doubles
+a state, and drops the wide integers as the replay steps.
 
 Widths along the schedule overflow double precision for large k, so all
 state arithmetic is carried in log2 space; integer/rational quantities
@@ -29,6 +33,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
 from .errors import (
     BadConstants,
@@ -244,11 +249,41 @@ class ScheduleState:
         }
 
 
+class _StateRows(Sequence):
+    """The states of a schedule as plain ``(i, log2_t, log2_s)`` rows.
+
+    ``rows()`` yields every row in order with no per-state object, for
+    writers that walk the whole schedule; indexing builds one
+    :class:`ScheduleState` from its row, accepts negative indices, and
+    a slice returns a tuple.  Subclasses give ``__len__`` and
+    ``_row(i)`` for 0 <= i < len.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return tuple(ScheduleState(*self._row(j)) for j in range(*i.indices(n)))
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("schedule state index out of range")
+        return ScheduleState(*self._row(i))
+
+    def __iter__(self) -> Iterator[ScheduleState]:
+        return starmap(ScheduleState, self.rows())
+
+    def rows(self) -> Iterator[tuple[int, float, float]]:
+        return map(self._row, range(len(self)))
+
+
 @dataclass(frozen=True, slots=True)
-class _IdealStates(Sequence):
-    """The R_A + 3 ideal states of a schedule, each built when read
-    from the closed-form constants it holds.  Indexing accepts negative
-    indices and a slice returns a tuple; equal constants compare equal.
+class _IdealStates(_StateRows):
+    """The R_A + 3 ideal states of a schedule, each row computed when
+    read from the closed-form constants held here; equal constants
+    compare equal.
     """
 
     R: int
@@ -262,21 +297,7 @@ class _IdealStates(Sequence):
     def __len__(self) -> int:
         return self.R + 3
 
-    def __getitem__(self, i):
-        n = self.R + 3
-        if isinstance(i, slice):
-            return tuple(self._state(j) for j in range(*i.indices(n)))
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("schedule state index out of range")
-        return self._state(i)
-
-    def __iter__(self) -> Iterator[ScheduleState]:
-        return map(self._state, range(self.R + 3))
-
-    def _state(self, i: int) -> ScheduleState:
+    def _row(self, i: int) -> tuple[int, float, float]:
         lt = self.lt0 + i * self.l2x
         if i <= self.R:
             ls = self.ls0 + i * self.l2y
@@ -284,11 +305,45 @@ class _IdealStates(Sequence):
             ls = self.ls_bulk_end + self.l2y1
         else:
             ls = self.ls_bulk_end + self.l2y1 + self.l2x
-        return ScheduleState(i, lt, ls)
+        return i, lt, ls
+
+
+class _FlooredStates(_StateRows):
+    """The states of the exact floored replay: the log2 of each floored
+    integer width and weight, taken as the replay steps, in two arrays
+    of doubles (16 bytes a state).  A plain class, as a dataclass would
+    cost every cold start its build."""
+
+    __slots__ = ("log2_t", "log2_s")
+
+    def __init__(self, log2_t: array, log2_s: array):
+        self.log2_t = log2_t
+        self.log2_s = log2_s
+
+    def __len__(self) -> int:
+        return len(self.log2_t)
+
+    def _row(self, i: int) -> tuple[int, float, float]:
+        return i, self.log2_t[i], self.log2_s[i]
+
+    def rows(self) -> Iterator[tuple[int, float, float]]:
+        return zip(range(len(self.log2_t)), self.log2_t, self.log2_s)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _FlooredStates and (
+            (self.log2_t, self.log2_s) == (other.log2_t, other.log2_s)
+        )
+
+    def __hash__(self) -> int:
+        # arrays are unhashable; a frozen Schedule holding these stays hashable
+        return hash((tuple(self.log2_t), tuple(self.log2_s)))
 
 
 @dataclass(frozen=True)
 class Schedule:
+    """A built schedule.  ``states`` as ``build_schedule`` makes them
+    also yield plain ``(i, log2_t, log2_s)`` rows through ``rows()``."""
+
     params: BoundParams
     beta: float
     log2_beta_k: float
@@ -302,7 +357,8 @@ class Schedule:
     floor_drift_t: float | None
     floor_drift_s: float | None
 
-    def to_jsonable(self) -> dict:
+    def header(self) -> dict:
+        """Every report field of the schedule except its states."""
         return {
             "params": {"k": self.params.k, "a": self.params.a, "c": self.params.c},
             "beta": self.beta,
@@ -320,8 +376,13 @@ class Schedule:
                 "penultimate": self.milestones[1].to_jsonable(),
                 "final": self.milestones[2].to_jsonable(),
             },
-            "states": [st.to_jsonable() for st in self.states],
         }
+
+    def to_jsonable(self) -> dict:
+        """The header fields plus one dict per state, built from the
+        state rows."""
+        states = [ScheduleState(*row).to_jsonable() for row in self.states.rows()]
+        return {**self.header(), "states": states}
 
 
 def _bulk_constants(params: BoundParams):
@@ -337,10 +398,11 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
     States are ideal (floor-free) by default.  With ``apply_floors`` the
     reported states come from the exact floored replay instead and the
     drift fields record how far the final state fell below the target;
-    this needs integral k and a, and the states are a tuple.  Ideal
-    states are a read-only sequence over the closed-form constants that
-    builds each state when it is read.  The certifier and the crude
-    bound take only ideal schedules.
+    this needs integral k and a.  Ideal states are a read-only sequence
+    over the closed-form constants that computes each state when it is
+    read; floored states keep only the log2 of each replayed integer,
+    as the replay steps.  The certifier and the crude bound take only
+    ideal schedules.
     """
     k, a, c = params.k, params.a, params.c
     x_frac, y_frac = _bulk_constants(params)
@@ -383,12 +445,15 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
 
     drift_t = drift_s = None
     if apply_floors:
-        replay = list(_floored_replay(params, bulk_steps))
-        states = tuple(
-            ScheduleState(i, _log2_int(t), _log2_int(s)) for i, (t, s) in enumerate(replay)
-        )
+        from array import array  # here, not at import: it costs every cold start
+
+        # each wide integer pair is dropped once its log2 is stored
+        log2_t, log2_s = array("d"), array("d")
+        for t_fl, s_fl in _floored_replay(params, bulk_steps):
+            log2_t.append(_log2_int(t_fl))
+            log2_s.append(_log2_int(s_fl))
+        states = _FlooredStates(log2_t, log2_s)
         beta_k_exact = _beta_k_int(params)
-        t_fl, s_fl = replay[-1]
         drift_t = float(beta_k_exact - t_fl)
         drift_s = float(beta_k_exact - s_fl)
     else:

@@ -32,7 +32,8 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable
+from itertools import starmap
+from typing import Callable, Iterable
 
 from .avoidance import (
     count_avoiders,
@@ -132,13 +133,59 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
+class Rows:
+    """A report table given as tuples of cells in ``columns`` order, so
+    that no row becomes a dict.  Every cell must print, under ``str``,
+    as its own JSON literal: an int, a finite float or ``"null"``.
+
+    Each format writes a row through one ``str.format`` template; json
+    and text order the cells by column name, as ``json.dumps`` with
+    sorted keys writes the row as a dict.  The cells are read once.
+    A plain class: a dataclass would cost every cold start its build.
+    """
+
+    __slots__ = ("columns", "cells")
+
+    def __init__(self, columns: tuple[str, ...], cells: Iterable[tuple]):
+        self.columns = columns
+        self.cells = cells
+
+    def write(self, fmt: str) -> str:
+        order = range(len(self.columns))
+        if fmt == "csv":
+            template = ",".join(f"{{{j}}}" for j in order) + "\n"
+            return "".join(starmap(template.format, self.cells))
+        colon, comma = (":", ",") if fmt == "json" else (": ", ", ")
+        fields = (f'"{self.columns[j]}"{colon}{{{j}}}'
+                  for j in sorted(order, key=self.columns.__getitem__))
+        template = "{{" + comma.join(fields) + "}}"
+        return "[" + comma.join(starmap(template.format, self.cells)) + "]"
+
+
 def render(command: str, payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return _render_json(payload)
     spec = COMMANDS[command]
     if fmt == "csv":
         return _render_csv(spec.table, payload)
     return _render_text(spec.text_key, payload)
+
+
+def _render_json(payload: dict) -> str:
+    """``json.dumps`` of the payload, compact with sorted keys.  A
+    payload with a ``Rows`` field is written field by field, so that
+    the table is written by its template."""
+    if not any(isinstance(v, Rows) for v in payload.values()):
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    parts = []
+    for k in sorted(payload):
+        v = payload[k]
+        text = (v.write("json") if isinstance(v, Rows)
+                else json.dumps(v, sort_keys=True, separators=(",", ":")))
+        parts += (",", json.dumps(k), ":", text)
+    parts[:1] = ["{"]  # in place of the first field's comma
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def _render_csv(table, payload: dict) -> str:
@@ -147,7 +194,10 @@ def _render_csv(table, payload: dict) -> str:
     if table is not None:
         key, columns = table
         writer.writerow(columns)
-        for row in payload.get(key, []):
+        rows = payload.get(key, [])
+        if isinstance(rows, Rows):
+            return buf.getvalue() + rows.write("csv")
+        for row in rows:
             writer.writerow([_scalar_text(row.get(col)) for col in columns])
         return buf.getvalue()
     keys = [k for k in sorted(payload) if not isinstance(payload[k], (dict, list))]
@@ -159,14 +209,17 @@ def _render_csv(table, payload: dict) -> str:
 def _render_text(key, payload: dict) -> str:
     if key is not None:
         return _scalar_text(payload[key]) + "\n"
-    lines = []
+    parts = []
     for k in sorted(payload):
         v = payload[k]
-        if isinstance(v, (dict, list)):
-            lines.append(f"{k} = {json.dumps(v, sort_keys=True)}")
+        if isinstance(v, Rows):
+            text = v.write("text")
+        elif isinstance(v, (dict, list)):
+            text = json.dumps(v, sort_keys=True)
         else:
-            lines.append(f"{k} = {_scalar_text(v)}")
-    return "\n".join(lines) + "\n"
+            text = _scalar_text(v)
+        parts += (k, " = ", text, "\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +347,19 @@ def _schedule(o, floors=False):
     return build_schedule(BoundParams(o["k"], o["a"], o["c"]), apply_floors=floors)
 
 
+STATE_COLUMNS = ("i", "log2_t", "log2_s", "t", "s")
+
+
+def _schedule_report(o):
+    """The schedule's header fields and its states as ``Rows``; t and s
+    are null where 2**log2 overflows a double, as ``ScheduleState.t``
+    and ``.s`` decide."""
+    schedule = _schedule(o, o["floors"])
+    cells = ((i, lt, ls, 2.0 ** lt if lt < 1024 else "null", 2.0 ** ls if ls < 1024 else "null")
+             for i, lt, ls in schedule.states.rows())
+    return {**schedule.header(), "states": Rows(STATE_COLUMNS, cells)}
+
+
 def _certify(o):
     schedule = _schedule(o)
     p = schedule.params
@@ -401,8 +467,8 @@ COMMANDS = {
     "bounds alpha": Command((A, _flag("--c", float)), _alpha),
     "bounds schedule": Command(
         (REAL_K, A, C, FLOORS),
-        lambda o: _schedule(o, o["floors"]).to_jsonable(),
-        table=("states", ("i", "log2_t", "log2_s", "t", "s")),
+        _schedule_report,
+        table=("states", STATE_COLUMNS),
     ),
     "bounds certify": Command(
         (REAL_K, A, C, FLOORS, _flag("--tol", float, default=1e-9)),

@@ -34,6 +34,7 @@ from permx.bounds import (
     _floored_replay,
     _ideal_states,
     _is_integral,
+    _log2_int,
 )
 from permx.cli import main
 from permx.errors import (
@@ -281,6 +282,20 @@ class TestFlooredReplay:
         for state in sch.states[1:4]:
             t = 2.0 ** state.log2_t
             assert t == pytest.approx(round(t), rel=1e-12)
+
+    @pytest.mark.parametrize("k, a, c", [(100, 2, 2), (4096, 1, 3), (2 ** 40, 3, 6)])
+    def test_floored_states_match_replay(self, k, a, c):
+        params = BoundParams(k=k, a=a, c=c)
+        sch = build_schedule(params, apply_floors=True)
+        replay = list(_floored_replay(params, sch.bulk_steps))
+        want = [(i, _log2_int(t), _log2_int(s)) for i, (t, s) in enumerate(replay)]
+        assert [(st.index, st.log2_t, st.log2_s) for st in sch.states] == want
+        assert list(sch.states.rows()) == want
+        beta_k = 2 * c * k ** a
+        t_fl, s_fl = replay[-1]
+        assert (sch.floor_drift_t, sch.floor_drift_s) == (
+            float(beta_k - t_fl), float(beta_k - s_fl)
+        )
 
     def test_non_integral_exponent_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -699,9 +714,22 @@ class TestLazyStates:
             with pytest.raises(IndexError):
                 states[i]
 
-    def test_floored_states_stay_a_tuple(self):
+    def test_floored_states_are_stored_rows(self):
+        # two doubles a state, not a tuple of ScheduleState objects
         sch = build_schedule(BoundParams(100, 2, 2), apply_floors=True)
-        assert isinstance(sch.states, tuple)
+        again = build_schedule(BoundParams(100, 2, 2), apply_floors=True)
+        assert sch == again and hash(sch) == hash(again)
+        states = sch.states
+        n = len(states)
+        assert [column.itemsize for column in (states.log2_t, states.log2_s)] == [8, 8]
+        rows = list(states.rows())
+        assert rows == [(st.index, st.log2_t, st.log2_s) for st in states]
+        assert states[-1] == states[n - 1] == ScheduleState(*rows[-1])
+        assert isinstance(states[1:4], tuple)
+        assert states[::-50] == tuple(states)[::-50]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                states[i]
 
     @pytest.mark.parametrize("params", PARAMS + [BoundParams(10**4, 1.5, 2)])
     def test_certifier_reads_at_most_six_states(self, params):

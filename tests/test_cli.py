@@ -1,14 +1,17 @@
 """Command line surface: exit codes, output formats, determinism."""
 
+import hashlib
 import io
 import json
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permx.bounds import BoundParams, build_schedule
 from permx.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
@@ -379,6 +382,96 @@ class TestJsonOutput:
         )
         data = json.loads(out)
         assert data["holds_refined"] is True
+
+
+class TestLargeSchedules:
+    """``bounds schedule`` at grid points whose early widths pass 2^1024,
+    so t and s print null.  The digests and lengths were taken from the
+    reports of the commit before schedule states were written as rows;
+    the golden corpus reaches only k = 64."""
+
+    PINS = [
+        ("1099511627776", "3", "6", False, "json",
+         "31786c1fe0aa80973d89fa43e68ba0b42c9c36766ad1635ceb8d96915ec684c7", 1859259),
+        ("1099511627776", "3", "6", False, "csv",
+         "62577e375ab1097edb03831b4ce30ba51f1de92f5ec26d4290cedd38331d6608", 1224705),
+        ("1099511627776", "3", "6", False, "text",
+         "637e4cece842e4db38abd8d56aed77f4b93f57bf24cb19d9a95005565c7423a4", 2057341),
+        ("1099511627776", "3", "6", True, "json",
+         "539e06c87732dff328cac9698f3df9f8105473f09aeab51d81331fb86e4c4b8c", 1859184),
+        ("1099511627776", "3", "6", True, "csv",
+         "c17e8a788e1b029eb7abff185c937a1bedfa15dfceec3aaf5481b4aefa92e755", 1224633),
+        ("1099511627776", "3", "6", True, "text",
+         "2994548fd261ec2728818e28aa2f049cf2346f34b015e0499ab73fa832d22fb8", 2057266),
+        ("4194304", "2", "6", False, "json",
+         "fbdd6afa6992ae9799f34ed6221091bffa2e01cc74a1102a3bc5829766deb64f", 883125),
+        ("4194304", "2", "6", False, "csv",
+         "2f27603425456b4e695bfeef1525cb2a5d84f01642af2a14de70bd620d26bff8", 622625),
+        ("4194304", "2", "6", False, "text",
+         "a370f96917ee32fd4161dd2b3d71685b3ea0df06aac49a88df37c57215c6ab50", 964327),
+        ("4194304", "2", "6", True, "json",
+         "59b4443dc44e5e4c9ae5c87d7f5d2f035e75b6e8f23ff996cfcebdea89f049c9", 883055),
+        ("4194304", "2", "6", True, "csv",
+         "ae7ab1a06a898c9d9f715225d80de4691aa024d1b162ddde29f15452f57effd2", 622558),
+        ("4194304", "2", "6", True, "text",
+         "5d1835c1f03a701777acf4b1da21dcfe8d76157a40e6b53498a05a0f92f5f5fc", 964257),
+        ("1e6", "2", "3", False, "json",
+         "e688b65dd7b3ff44145056c2a801d90a721ecf3c426dececb9545573b9ec38f1", 156432),
+        ("1e6", "2", "3", False, "csv",
+         "cebad105d825bff1ab521490c48ec91af8d6f232307e741f9c8a04420d29861a", 113543),
+        ("1e6", "2", "3", False, "text",
+         "0bd98ce67411f7d54d40658c0d453af1b5213647a81694c1d1037ad52cd0afad", 169634),
+    ]
+
+    @staticmethod
+    def argv(k, a, c, floors, fmt):
+        return ["bounds", "schedule", "--k", k, "--a", a, "--c", c, "--format", fmt,
+                *(["--floors"] if floors else [])]
+
+    @pytest.mark.parametrize(
+        "k, a, c, floors, fmt, sha256, length", PINS,
+        ids=[f"{k}-{a}-{c}-{'floors-' * fl}{fmt}" for k, a, c, fl, fmt, *_ in PINS],
+    )
+    def test_report_bytes_pinned(self, k, a, c, floors, fmt, sha256, length):
+        code, out = run(self.argv(k, a, c, floors, fmt))
+        data = out.encode()
+        assert code == EXIT_OK
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, length)
+
+    @pytest.mark.parametrize("floors", [False, True])
+    def test_json_report_is_the_library_dict(self, floors):
+        # the rows written by the CLI and Schedule.to_jsonable agree,
+        # null t and s included
+        schedule = build_schedule(BoundParams(2.0 ** 40, 3.0, 6), apply_floors=floors)
+        _, out = run(self.argv("1099511627776", "3", "6", floors, "json"))
+        want = json.dumps(schedule.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        same = out == want + "\n"  # a bare comparison would diff 1.8 MB on failure
+        assert same
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("floors", [False, True])
+    def test_peak_memory_within_five_outputs(self, fmt, floors):
+        argv = self.argv("1099511627776", "3", "6", floors, fmt)
+        build_parser()  # the parser is built once per process, outside the measurement
+        tracemalloc.start()
+        try:
+            code, out = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        # one dict per state and the JSON of them all peaked at 5.7-13.6
+        # outputs; rows written through a template stay near 3
+        assert peak <= 5 * len(out), (peak, len(out))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_floors_precondition_prints_nothing(self, capsys, fmt):
+        argv = ["bounds", "schedule", "--k", "1e6", "--a", "1.5", "--c", "2", "--format", fmt]
+        assert invoke(capsys, *argv)[0] == EXIT_OK
+        code, out, err = invoke(capsys, *argv, "--floors")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("rejected") and "integral" in err
 
 
 class TestCsvOutput:
