@@ -32,7 +32,9 @@ Three exact reductions keep the state sets small:
 The step itself is :func:`core._perm_states`, memoised as
 :func:`core._memo_step` describes.  A counting node is one distinct
 state expanded.  Enumeration (:func:`avoiders`) stays a
-plain prefix-pruned backtracker, so the two check each other.
+plain prefix-pruned backtracker, so the two check each other: it drops
+an entry when :func:`core.completes_at_end`, the core containment
+search pinned to the new entry, finds an occurrence ending there.
 
 A merge is a permutation whose entries colour red and blue so that each
 colour avoids its own pattern.  Merges are counted on the same states:
@@ -52,7 +54,8 @@ two-part sums, and fails iff some avoider is left with an empty pair
 set; only then does a descent that re-sums from each child in gap order
 find the first failing avoider.  Single hosts
 (:func:`merge_coloring`) are 2-coloured by a backtracker that prunes a
-branch the moment either colour class contains its forbidden pattern.
+branch the moment either colour class contains its forbidden pattern,
+found by the same pinned search on the entry just coloured.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ bitmask rows; the dataclass API wraps them.  Callers in hot loops
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -244,46 +245,70 @@ def pattern_of(values) -> tuple[int, ...]:
 # permutation containment
 # ---------------------------------------------------------------------------
 
-def occurrence_in_values(hvals, pvals):
-    """First occurrence (0-based host indices) of the pattern ``pvals``
-    in the value sequence ``hvals``, or None.
+def _occurrence_ending(hvals, pvals, ends):
+    """The first occurrence of the pattern ``pvals`` in the value
+    sequence ``hvals`` whose last entry is ``hvals[end]`` for an end of
+    ``ends``, as 0-based host indices, or None.
 
-    Backtracks over pattern positions left to right; at each step the
-    candidate value must sit strictly inside the window forced by the
-    already-placed entries, which prunes most of the search.
+    This is the one permutation-containment search.  Ends are tried in
+    the order given; for each, pattern positions 0..k-2 are filled left
+    to right from ``hvals[:end]``, each entry strictly inside the window
+    that ``hvals[end]`` and the entries already placed leave for it, and
+    the first fill found is returned.  So among the occurrences ending at
+    the first end that has one, the witness is the lexicographically
+    first.  Each pattern position keeps its own cursor into the host, so
+    no pattern length reaches the recursion limit.
     """
-    n, k = len(hvals), len(pvals)
-    if k > n:
-        return None
+    k = len(pvals)
+    if k == 0:
+        raise EmptyPattern("containment is defined for nonempty patterns")
+    last = k - 1
+    # vals holds the placed host values in pattern order, the end's value
+    # at ``last`` and the two open bounds after it; below[j] and above[j]
+    # index the value neighbours of pvals[j] among pvals[:j] and the last
+    # pattern value, the only entries that bound position j's window
+    vals = [0] * k + [_LOW, _HIGH]
+    slot = {pvals[last]: last}
+    placed = [pvals[last]]
+    below, above = [], []
+    for j in range(last):
+        q = pvals[j]
+        at = bisect.bisect(placed, q)
+        below.append(slot[placed[at - 1]] if at else k)
+        above.append(slot[placed[at]] if at < len(placed) else k + 1)
+        placed.insert(at, q)
+        slot[q] = j
     chosen = [0] * k
-
-    def extend(j, start):
-        pj = pvals[j]
-        lo, hi = _LOW, _HIGH
-        for m in range(j):
-            if pvals[m] < pj:
-                v = hvals[chosen[m]]
-                if v > lo:
-                    lo = v
+    for end in ends:
+        vals[last] = hvals[end]
+        chosen[last] = end
+        j = i = 0
+        while j >= 0:
+            if j == last:
+                return tuple(chosen)
+            lo, hi = vals[below[j]], vals[above[j]]
+            # leave room before the end for positions j+1..k-2
+            stop = end - last + j + 1
+            while i < stop:
+                w = hvals[i]
+                if lo < w < hi:
+                    chosen[j], vals[j] = i, w
+                    j += 1
+                    break
+                i += 1
             else:
-                v = hvals[chosen[m]]
-                if v < hi:
-                    hi = v
-        last = j == k - 1
-        for i in range(start, n - (k - 1 - j)):
-            if lo < hvals[i] < hi:
-                chosen[j] = i
-                if last or extend(j + 1, i + 1):
-                    return True
-        return False
-
-    if extend(0, 0):
-        return tuple(chosen)
+                # position j is exhausted: move position j-1 on
+                j -= 1
+                i = chosen[j]
+            i += 1
     return None
 
 
 def contains_values(hvals, pvals) -> bool:
-    return occurrence_in_values(hvals, pvals) is not None
+    """Whether the pattern ``pvals`` occurs in the value sequence
+    ``hvals``: an occurrence ending at some host entry, tried from the
+    earliest entry that can end one."""
+    return _occurrence_ending(hvals, pvals, range(len(pvals) - 1, len(hvals))) is not None
 
 
 def completes_at_end(prefix, v, pvals) -> bool:
@@ -292,54 +317,26 @@ def completes_at_end(prefix, v, pvals) -> bool:
 
     This is the incremental step used by avoidance enumeration and merge
     coloring: a previously avoiding sequence can only start containing
-    the pattern through an occurrence that ends at the new entry.  It
-    backtracks over the other pattern entries left to right, each
-    confined by the new entry and the ones already placed.
+    the pattern through an occurrence that ends at the new entry.  It is
+    the shared search :func:`_occurrence_ending` with the single end of
+    ``[*prefix, v]``.
     """
-    k = len(pvals)
-    if k == 0:
-        raise EmptyPattern("containment is defined for nonempty patterns")
-    n = len(prefix)
-    if k - 1 > n:
-        return False
-    plast = pvals[k - 1]
-    vals = [0] * (k - 1)
-
-    def extend(j, start):
-        if j == k - 1:
-            return True
-        pj = pvals[j]
-        lo, hi = (_LOW, v) if pj < plast else (v, _HIGH)
-        for m in range(j):
-            if pvals[m] < pj:
-                if vals[m] > lo:
-                    lo = vals[m]
-            elif vals[m] < hi:
-                hi = vals[m]
-        for i in range(start, n - (k - 2 - j)):
-            w = prefix[i]
-            if lo < w < hi:
-                vals[j] = w
-                if extend(j + 1, i + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
+    return _occurrence_ending([*prefix, v], pvals, (len(prefix),)) is not None
 
 
 def contains(host: Permutation, pattern: Permutation) -> bool:
     """True iff some subsequence of the host has the same relative order
-    as the pattern."""
-    if pattern.n == 0:
-        raise EmptyPattern("containment is defined for nonempty patterns")
+    as the pattern: the shared search :func:`_occurrence_ending` tries
+    to end an occurrence at each host entry in turn."""
     return contains_values(host.entries, pattern.entries)
 
 
 def find_occurrence(host: Permutation, pattern: Permutation) -> Occurrence | None:
-    """Like :func:`contains` but returns 1-based witness positions."""
-    if pattern.n == 0:
-        raise EmptyPattern("containment is defined for nonempty patterns")
-    idx = occurrence_in_values(host.entries, pattern.entries)
+    """Like :func:`contains` but returns 1-based witness positions: of
+    the occurrences whose last entry comes earliest in the host, the
+    lexicographically first.  The witness is the minimum of all
+    occurrences by (last position, positions)."""
+    idx = _occurrence_ending(host.entries, pattern.entries, range(pattern.n - 1, host.n))
     if idx is None:
         return None
     return Occurrence(tuple(i + 1 for i in idx))
@@ -380,29 +377,19 @@ def matrix_occurrence_masks(host_masks, host_cols, pat_masks, pat_cols):
     # per pattern column, the pattern rows that require a one there
     need = [[a for a in range(pk) if pat_masks[a] >> b & 1] for b in range(pat_cols)]
     full = (1 << host_cols) - 1
-    rows_sel = [0] * pk
-
-    def choose(a, start):
-        if a == pk:
-            allowed = []
-            for b in range(pat_cols):
-                mask = full
-                for r in need[b]:
-                    mask &= host_masks[rows_sel[r]]
-                allowed.append(mask)
-            cols = _greedy_transversal(allowed)
-            return cols
-        for i in range(start, hk - (pk - 1 - a)):
-            rows_sel[a] = i
-            cols = choose(a + 1, i + 1)
-            if cols is not None:
-                return cols
-        return None
-
-    cols = choose(0, 0)
-    if cols is None:
-        return None
-    return list(rows_sel), cols
+    # row subsets in lexicographic order, so the first witness is the
+    # first in that order
+    for rows_sel in itertools.combinations(range(hk), pk):
+        allowed = []
+        for b in range(pat_cols):
+            mask = full
+            for r in need[b]:
+                mask &= host_masks[rows_sel[r]]
+            allowed.append(mask)
+        cols = _greedy_transversal(allowed)
+        if cols is not None:
+            return list(rows_sel), cols
+    return None
 
 
 def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:

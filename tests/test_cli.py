@@ -234,6 +234,24 @@ class TestExitCodes:
         assert err.startswith("resource limit")
         assert "Traceback" not in err and "internal error" not in err
 
+    @pytest.mark.parametrize("pattern, want", [
+        (range(1, 1201), "true\n"),
+        (range(1200, 0, -1), "false\n"),
+    ], ids=["increasing", "decreasing"])
+    def test_tall_permutation_pattern(self, capsys, pattern, want):
+        # longer than the interpreter's recursion limit
+        host = " ".join(map(str, range(1, 1501)))
+        code, out, err = invoke(
+            capsys, "contains", "--host", host, "--pattern", " ".join(map(str, pattern))
+        )
+        assert (code, out, err) == (EXIT_OK, want, "")
+
+    def test_tall_matrix_pattern(self, capsys):
+        # one pattern row per host row, more rows than the recursion limit
+        column = ",".join(["1"] * 1100)
+        code, out, err = invoke(capsys, "matrix-contains", "--host", column, "--pattern", column)
+        assert (code, out, err) == (EXIT_OK, "true\n", "")
+
 
 class TestJsonOutput:
     def test_count_av_shape(self, capsys):

@@ -160,6 +160,26 @@ def test_occurrence_witness_positions():
     assert occ.positions == tuple(sorted(occ.positions))
 
 
+def test_witness_ends_earliest_then_lexicographic():
+    # the lexicographically first occurrence overall would be (1, 2, 6)
+    assert find_occurrence(perm("253146"), perm("123")).positions == (1, 3, 5)
+    for n in range(8):
+        for host in itertools.permutations(range(1, n + 1)):
+            # per pattern, the least occurrence by (last position, positions)
+            first = {}
+            for k in range(1, 5):
+                for combo in itertools.combinations(range(1, n + 1), k):
+                    p = pattern_of([host[i - 1] for i in combo])
+                    key = (combo[-1], combo)
+                    if p not in first or key < first[p]:
+                        first[p] = key
+            for k in range(1, 5):
+                for p in itertools.permutations(range(1, k + 1)):
+                    occ = find_occurrence(Permutation(host), Permutation(p))
+                    want = first[p][1] if p in first else None
+                    assert (None if occ is None else occ.positions) == want, (host, p)
+
+
 def test_occurrence_none_when_avoiding():
     assert find_occurrence(perm("321"), perm("123")) is None
 
