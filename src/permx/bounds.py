@@ -16,9 +16,11 @@ the last bulk indices and the two special steps: the certifier reads six
 states whatever R_A is (see :func:`certify_schedule`), and an ideal
 schedule computes a state only when one is read.  A report that lists
 every state walks them as plain ``(i, log2_t, log2_s)`` rows
-(``Schedule.states.rows()``), with no object per state; the floored
-schedule keeps only the log2 of each replayed integer pair, two doubles
-a state, and drops the wide integers as the replay steps.
+(``Schedule.states.rows()``), with no object per state.  A schedule is
+always the ideal one; its exact floored replay is a function of it,
+:func:`floored_states`, which keeps only the log2 of each replayed
+integer pair, two doubles a state, and drops the wide integers as the
+replay steps.
 
 Widths along the schedule overflow double precision for large k, so all
 state arithmetic is carried in log2 space; integer/rational quantities
@@ -249,17 +251,28 @@ class ScheduleState:
         }
 
 
-class _StateRows(Sequence):
-    """The states of a schedule as plain ``(i, log2_t, log2_s)`` rows.
+@dataclass(frozen=True, slots=True)
+class _IdealStates(Sequence):
+    """The R_A + 3 ideal states of a schedule as plain
+    ``(i, log2_t, log2_s)`` rows, each computed when read from the
+    closed-form constants held here; equal constants compare equal.
 
     ``rows()`` yields every row in order with no per-state object, for
     writers that walk the whole schedule; indexing builds one
     :class:`ScheduleState` from its row, accepts negative indices, and
-    a slice returns a tuple.  Subclasses give ``__len__`` and
-    ``_row(i)`` for 0 <= i < len.
+    a slice returns a tuple.
     """
 
-    __slots__ = ()
+    R: int
+    lt0: float
+    ls0: float
+    l2x: float
+    l2y: float
+    ls_bulk_end: float
+    l2y1: float
+
+    def __len__(self) -> int:
+        return self.R + 3
 
     def __getitem__(self, i):
         n = len(self)
@@ -278,25 +291,6 @@ class _StateRows(Sequence):
     def rows(self) -> Iterator[tuple[int, float, float]]:
         return map(self._row, range(len(self)))
 
-
-@dataclass(frozen=True, slots=True)
-class _IdealStates(_StateRows):
-    """The R_A + 3 ideal states of a schedule, each row computed when
-    read from the closed-form constants held here; equal constants
-    compare equal.
-    """
-
-    R: int
-    lt0: float
-    ls0: float
-    l2x: float
-    l2y: float
-    ls_bulk_end: float
-    l2y1: float
-
-    def __len__(self) -> int:
-        return self.R + 3
-
     def _row(self, i: int) -> tuple[int, float, float]:
         lt = self.lt0 + i * self.l2x
         if i <= self.R:
@@ -308,41 +302,12 @@ class _IdealStates(_StateRows):
         return i, lt, ls
 
 
-class _FlooredStates(_StateRows):
-    """The states of the exact floored replay: the log2 of each floored
-    integer width and weight, taken as the replay steps, in two arrays
-    of doubles (16 bytes a state).  A plain class, as a dataclass would
-    cost every cold start its build."""
-
-    __slots__ = ("log2_t", "log2_s")
-
-    def __init__(self, log2_t: array, log2_s: array):
-        self.log2_t = log2_t
-        self.log2_s = log2_s
-
-    def __len__(self) -> int:
-        return len(self.log2_t)
-
-    def _row(self, i: int) -> tuple[int, float, float]:
-        return i, self.log2_t[i], self.log2_s[i]
-
-    def rows(self) -> Iterator[tuple[int, float, float]]:
-        return zip(range(len(self.log2_t)), self.log2_t, self.log2_s)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is _FlooredStates and (
-            (self.log2_t, self.log2_s) == (other.log2_t, other.log2_s)
-        )
-
-    def __hash__(self) -> int:
-        # arrays are unhashable; a frozen Schedule holding these stays hashable
-        return hash((tuple(self.log2_t), tuple(self.log2_s)))
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """A built schedule.  ``states`` as ``build_schedule`` makes them
-    also yield plain ``(i, log2_t, log2_s)`` rows through ``rows()``."""
+    """A built schedule, always the ideal one.  ``states`` as
+    ``build_schedule`` makes them also yield plain ``(i, log2_t, log2_s)``
+    rows through ``rows()``; :func:`floored_states` replays it with
+    floors."""
 
     params: BoundParams
     beta: float
@@ -353,12 +318,11 @@ class Schedule:
     bulk_steps: int
     states: Sequence[ScheduleState]
     milestones: tuple[ScheduleState, ScheduleState, ScheduleState]
-    floors_applied: bool
-    floor_drift_t: float | None
-    floor_drift_s: float | None
 
     def header(self) -> dict:
-        """Every report field of the schedule except its states."""
+        """Every report field of the schedule except its states.  The
+        three floor fields hold their ideal values; a floored report
+        overrides them from :func:`floored_states`."""
         return {
             "params": {"k": self.params.k, "a": self.params.a, "c": self.params.c},
             "beta": self.beta,
@@ -367,9 +331,9 @@ class Schedule:
             "y_1": self.y_penultimate,
             "R_A": self.bulk_steps,
             "log2_beta_k": self.log2_beta_k,
-            "floors_applied": self.floors_applied,
-            "floor_drift_t": self.floor_drift_t,
-            "floor_drift_s": self.floor_drift_s,
+            "floors_applied": False,
+            "floor_drift_t": None,
+            "floor_drift_s": None,
             "milestone_note": _MILESTONE_NOTE,
             "milestones": {
                 "bulk_end": self.milestones[0].to_jsonable(),
@@ -392,17 +356,11 @@ def _bulk_constants(params: BoundParams):
     return x_frac, y_frac
 
 
-def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedule:
-    """Assemble the full recursion schedule for the given constants.
-
-    States are ideal (floor-free) by default.  With ``apply_floors`` the
-    reported states come from the exact floored replay instead and the
-    drift fields record how far the final state fell below the target;
-    this needs integral k and a.  Ideal states are a read-only sequence
-    over the closed-form constants that computes each state when it is
-    read; floored states keep only the log2 of each replayed integer,
-    as the replay steps.  The certifier and the crude bound take only
-    ideal schedules.
+def build_schedule(params: BoundParams) -> Schedule:
+    """Assemble the ideal (floor-free) recursion schedule for the given
+    constants.  Its states are a read-only sequence over the closed-form
+    constants that computes each state when it is read.  The exact
+    floored replay of the schedule is :func:`floored_states`.
     """
     k, a, c = params.k, params.a, params.c
     x_frac, y_frac = _bulk_constants(params)
@@ -443,22 +401,6 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
         ScheduleState(bulk_steps + 2, log2_beta_k, log2_beta_k),
     )
 
-    drift_t = drift_s = None
-    if apply_floors:
-        from array import array  # here, not at import: it costs every cold start
-
-        # each wide integer pair is dropped once its log2 is stored
-        log2_t, log2_s = array("d"), array("d")
-        for t_fl, s_fl in _floored_replay(params, bulk_steps):
-            log2_t.append(_log2_int(t_fl))
-            log2_s.append(_log2_int(s_fl))
-        states = _FlooredStates(log2_t, log2_s)
-        beta_k_exact = _beta_k_int(params)
-        drift_t = float(beta_k_exact - t_fl)
-        drift_s = float(beta_k_exact - s_fl)
-    else:
-        states = _IdealStates(bulk_steps, lt0, ls0, l2x, l2y, ls_bulk_end, l2y1)
-
     return Schedule(
         params=params,
         beta=beta,
@@ -467,12 +409,31 @@ def build_schedule(params: BoundParams, *, apply_floors: bool = False) -> Schedu
         y_bulk=y_b,
         y_penultimate=y_penultimate,
         bulk_steps=bulk_steps,
-        states=states,
+        states=_IdealStates(bulk_steps, lt0, ls0, l2x, l2y, ls_bulk_end, l2y1),
         milestones=milestones,
-        floors_applied=apply_floors,
-        floor_drift_t=drift_t,
-        floor_drift_s=drift_s,
     )
+
+
+def floored_states(schedule: Schedule) -> tuple[array, array, float, float]:
+    """The exact floored replay of an ideal schedule, as
+    ``(log2_t, log2_s, drift_t, drift_s)``.
+
+    ``log2_t`` and ``log2_s`` are two ``array("d")`` columns holding the
+    log2 of each floored integer width and weight, indices 0 to
+    R_A + 2, filled as the replay steps, so each wide integer pair is
+    dropped once its log2 is stored.  The drifts are beta*k minus the
+    last integer pair, taken exactly and then as floats: how far the
+    final state fell below the target.  Needs integral k and a, else
+    raises PreconditionViolated before any step is replayed.
+    """
+    from array import array  # here, not at import: it costs every cold start
+
+    beta_k = _beta_k_int(schedule.params)
+    log2_t, log2_s = array("d"), array("d")
+    for t_fl, s_fl in _floored_replay(schedule.params, schedule.bulk_steps):
+        log2_t.append(_log2_int(t_fl))
+        log2_s.append(_log2_int(s_fl))
+    return log2_t, log2_s, float(beta_k - t_fl), float(beta_k - s_fl)
 
 
 def _beta_k_int(params: BoundParams) -> int:
@@ -480,7 +441,7 @@ def _beta_k_int(params: BoundParams) -> int:
         raise PreconditionViolated(
             "exact floored replay needs integral k and hypothesis exponent"
         )
-    return 2 * params.c * int(params.k) ** int(params.a)
+    return 2 * params.c * int(_as_fraction(params.k, "k")) ** int(params.a)
 
 
 def _floored_replay(params: BoundParams, bulk_steps: int) -> Iterator[tuple[int, int]]:
@@ -559,10 +520,9 @@ class CertReport:
 
 def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     """Numerically verify every constraint the schedule construction
-    needs, reading k, a and c from ``schedule.params`` and taking
-    ``schedule.states`` as the ideal states.  A floored schedule raises
-    PreconditionViolated.  Failing constraints are report entries, never
-    exceptions: small k legitimately fails.
+    needs, reading k, a and c from ``schedule.params`` and the ideal
+    states from ``schedule.states``.  Failing constraints are report
+    entries, never exceptions: small k legitimately fails.
 
     Checks (lhs vs rhs):
       multiplier admissibility: 1/c <= x_b + tol, since x_b = 1 - 1/c
@@ -600,7 +560,6 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     """
     if not 0 <= tol < math.inf:
         raise BadConstants(f"need finite tol >= 0, got {tol}")
-    ideal = _ideal_states(schedule)
     params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
@@ -629,7 +588,7 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     )
 
     steps = (0, R - 2, R - 1, R, R + 1)
-    states = {i: ideal[i] for i in (*steps, R + 2)}
+    states = {i: schedule.states[i] for i in (*steps, R + 2)}
     la = a * l2k
 
     min_weight_margin = math.inf
@@ -729,8 +688,8 @@ def crude_fpts_bound(schedule: Schedule) -> float:
     c^(R+2)*k*binom(beta k, m) + (2c)^(R+2)*k^a*t_0/(s_0(1-y_b)c - k^a c)
     with m = ceil(1/(1-y_b)); the linear value overflows floats.  k, a
     and c come from ``schedule.params`` and (t_0, s_0) is its first
-    ideal state; a floored schedule raises PreconditionViolated."""
-    st0 = _ideal_states(schedule)[0]
+    state."""
+    st0 = schedule.states[0]
     params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
@@ -762,14 +721,6 @@ def crude_fpts_bound(schedule: Schedule) -> float:
 
     hi, lo = max(term1, term2), min(term1, term2)
     return hi + math.log1p(2.0 ** (lo - hi)) / _LN2
-
-
-def _ideal_states(schedule: Schedule) -> Sequence[ScheduleState]:
-    if schedule.floors_applied:
-        raise PreconditionViolated(
-            "needs the ideal schedule; build it without apply_floors"
-        )
-    return schedule.states
 
 
 def _log2_sub(log2_value: float, delta: int) -> float:

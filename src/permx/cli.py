@@ -47,6 +47,7 @@ from .bounds import (
     build_schedule,
     certify_schedule,
     crude_fpts_bound,
+    floored_states,
     fox_rhs,
     lemma21_bound,
     lemma22_rhs,
@@ -343,8 +344,8 @@ def _alpha(o):
     return {"a": a, "c": c, "alpha": alpha, "theorem12_exponent": theorem12_exponent(a, c)}
 
 
-def _schedule(o, floors=False):
-    return build_schedule(BoundParams(o["k"], o["a"], o["c"]), apply_floors=floors)
+def _schedule(o):
+    return build_schedule(BoundParams(o["k"], o["a"], o["c"]))
 
 
 STATE_COLUMNS = ("i", "log2_t", "log2_s", "t", "s")
@@ -353,11 +354,19 @@ STATE_COLUMNS = ("i", "log2_t", "log2_s", "t", "s")
 def _schedule_report(o):
     """The schedule's header fields and its states as ``Rows``; t and s
     are null where 2**log2 overflows a double, as ``ScheduleState.t``
-    and ``.s`` decide."""
-    schedule = _schedule(o, o["floors"])
+    and ``.s`` decide.  With ``--floors`` the states and the three floor
+    fields come from the exact floored replay."""
+    schedule = _schedule(o)
+    header = schedule.header()
+    if o["floors"]:
+        log2_t, log2_s, drift_t, drift_s = floored_states(schedule)
+        header.update(floors_applied=True, floor_drift_t=drift_t, floor_drift_s=drift_s)
+        rows = zip(range(len(log2_t)), log2_t, log2_s)
+    else:
+        rows = schedule.states.rows()
     cells = ((i, lt, ls, 2.0 ** lt if lt < 1024 else "null", 2.0 ** ls if ls < 1024 else "null")
-             for i, lt, ls in schedule.states.rows())
-    return {**schedule.header(), "states": Rows(STATE_COLUMNS, cells)}
+             for i, lt, ls in rows)
+    return {**header, "states": Rows(STATE_COLUMNS, cells)}
 
 
 def _certify(o):

@@ -370,26 +370,42 @@ def matrix_occurrence_masks(host_masks, host_cols, pat_masks, pat_cols):
     Returns (row_selection, col_selection) in 0-based indices, or None.
     Extra ones in the host are allowed; a host 1 is required wherever the
     pattern has one.
+
+    Pattern rows take host rows depth first, in increasing order, so the
+    first witness has the lexicographically first row subset.  Each
+    partial choice keeps, per pattern column, the AND of the host rows
+    chosen for the pattern rows with a one there; later rows only narrow
+    these masks, so a choice is dropped as soon as they admit no
+    increasing column transversal.
     """
     hk, pk = len(host_masks), len(pat_masks)
     if pk > hk or pat_cols > host_cols:
         return None
-    # per pattern column, the pattern rows that require a one there
-    need = [[a for a in range(pk) if pat_masks[a] >> b & 1] for b in range(pat_cols)]
-    full = (1 << host_cols) - 1
-    # row subsets in lexicographic order, so the first witness is the
-    # first in that order
-    for rows_sel in itertools.combinations(range(hk), pk):
-        allowed = []
-        for b in range(pat_cols):
-            mask = full
-            for r in need[b]:
-                mask &= host_masks[rows_sel[r]]
-            allowed.append(mask)
-        cols = _greedy_transversal(allowed)
-        if cols is not None:
-            return list(rows_sel), cols
-    return None
+    # per pattern row, the pattern columns where it requires a one
+    need = [[b for b in range(pat_cols) if pat_masks[a] >> b & 1] for a in range(pk)]
+    # masks[j]: the per-column masks of the first j chosen rows
+    masks = [[(1 << host_cols) - 1] * pat_cols]
+    cols = _greedy_transversal(masks[0])
+    chosen = []
+    r = 0
+    while len(chosen) < pk:
+        j = len(chosen)
+        if r > hk - pk + j:  # too few host rows left for the pattern rows
+            if not chosen:
+                return None
+            r = chosen.pop() + 1
+            masks.pop()
+            continue
+        narrowed = masks[j].copy()
+        for b in need[j]:
+            narrowed[b] &= host_masks[r]
+        found = _greedy_transversal(narrowed)
+        if found is not None:
+            chosen.append(r)
+            masks.append(narrowed)
+            cols = found
+        r += 1
+    return chosen, cols
 
 
 def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:

@@ -23,6 +23,7 @@ from permx.bounds import (
     build_schedule,
     certify_schedule,
     crude_fpts_bound,
+    floored_states,
     fox_rhs,
     lemma21_bound,
     lemma22_rhs,
@@ -32,7 +33,6 @@ from permx.bounds import (
     _beta_k_int,
     _bulk_constants,
     _floored_replay,
-    _ideal_states,
     _is_integral,
     _log2_int,
 )
@@ -271,54 +271,58 @@ class TestBuildSchedule:
 
 class TestFlooredReplay:
     def test_drift_fields(self):
-        sch = build_schedule(BoundParams(k=100, a=2, c=2), apply_floors=True)
-        assert sch.floors_applied
+        sch = build_schedule(BoundParams(k=100, a=2, c=2))
+        _, _, drift_t, drift_s = floored_states(sch)
         envelope = 1.0 / (1.0 - sch.y_bulk)
-        assert sch.floor_drift_t >= 0
-        assert 0 <= sch.floor_drift_s <= envelope
+        assert drift_t >= 0
+        assert 0 <= drift_s <= envelope
 
     def test_floored_states_are_integral(self):
-        sch = build_schedule(BoundParams(k=100, a=2, c=2), apply_floors=True)
-        for state in sch.states[1:4]:
-            t = 2.0 ** state.log2_t
+        log2_t, _, _, _ = floored_states(build_schedule(BoundParams(k=100, a=2, c=2)))
+        for lt in log2_t[1:4]:
+            t = 2.0 ** lt
             assert t == pytest.approx(round(t), rel=1e-12)
 
     @pytest.mark.parametrize("k, a, c", [(100, 2, 2), (4096, 1, 3), (2 ** 40, 3, 6)])
     def test_floored_states_match_replay(self, k, a, c):
         params = BoundParams(k=k, a=a, c=c)
-        sch = build_schedule(params, apply_floors=True)
+        sch = build_schedule(params)
         replay = list(_floored_replay(params, sch.bulk_steps))
-        want = [(i, _log2_int(t), _log2_int(s)) for i, (t, s) in enumerate(replay)]
-        assert [(st.index, st.log2_t, st.log2_s) for st in sch.states] == want
-        assert list(sch.states.rows()) == want
+        log2_t, log2_s, drift_t, drift_s = floored_states(sch)
+        assert len(log2_t) == len(log2_s) == len(replay) == sch.bulk_steps + 3
+        for i, (t, s) in enumerate(replay):
+            assert (log2_t[i], log2_s[i]) == (_log2_int(t), _log2_int(s))
         beta_k = 2 * c * k ** a
         t_fl, s_fl = replay[-1]
-        assert (sch.floor_drift_t, sch.floor_drift_s) == (
-            float(beta_k - t_fl), float(beta_k - s_fl)
-        )
+        assert (drift_t, drift_s) == (float(beta_k - t_fl), float(beta_k - s_fl))
 
     def test_non_integral_exponent_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            build_schedule(BoundParams(k=100, a=1.5, c=2), apply_floors=True)
+        for k, a in ((100, 1.5), (100.5, 2)):
+            with pytest.raises(PreconditionViolated):
+                floored_states(build_schedule(BoundParams(k=k, a=a, c=2)))
 
-    @pytest.mark.parametrize("consumer", [certify_schedule, crude_fpts_bound])
-    def test_consumers_refuse_floored_schedule(self, consumer):
-        sch = build_schedule(BoundParams(k=100, a=2, c=2), apply_floors=True)
-        with pytest.raises(PreconditionViolated):
-            consumer(sch)
-
-    def test_ideal_default_has_no_drift(self):
-        sch = build_schedule(BoundParams(k=100, a=2, c=2))
-        assert not sch.floors_applied
-        assert sch.floor_drift_t is None and sch.floor_drift_s is None
+    def test_beta_k_reads_k_at_its_decimal_repr(self):
+        # 1e23 is 99999999999999991611392 as a double; like every other
+        # exact value, beta*k takes the constant at its repr, 10^23
+        params = BoundParams(k=1e23, a=1, c=2)
+        assert _beta_k_int(params) == 4 * 10 ** 23
+        sch = build_schedule(params)
+        replay = list(_floored_replay(params, sch.bulk_steps))
+        assert replay[-1] == self.fraction_replay(params, sch.bulk_steps)
+        _, _, drift_t, drift_s = floored_states(sch)
+        t_fl, s_fl = replay[-1]
+        assert (drift_t, drift_s) == (float(4 * 10 ** 23 - t_fl), float(4 * 10 ** 23 - s_fl))
+        assert 0 <= drift_s <= 1.0 / (1.0 - sch.y_bulk)
 
     @staticmethod
     def fraction_replay(params, R):
-        """The floored replay in exact rationals, one Fraction per step."""
+        """The floored replay in exact rationals, one Fraction per step;
+        a float k is read at its decimal repr."""
         c = params.c
         x = Fraction(c - 1, c)
         y = Fraction(16 * c * c - 8 * c - 1, 16 * c * c)
-        beta_k = 2 * c * int(params.k) ** int(params.a)
+        k = Fraction(str(params.k)) if isinstance(params.k, float) else Fraction(params.k)
+        beta_k = 2 * c * int(k) ** int(params.a)
         t0 = Fraction(beta_k) * (1 / x) ** (R + 2)
         t = t0.numerator // t0.denominator
         s = math.isqrt(t)
@@ -434,7 +438,7 @@ def reference_certify_schedule(schedule, *, tol: float = 1e-9) -> CertReport:
     the five-index certifier: O(R_A) in time, same checks and floats."""
     if not 0 <= tol < math.inf:
         raise BadConstants(f"need finite tol >= 0, got {tol}")
-    ideal = _ideal_states(schedule)
+    ideal = schedule.states
     params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
@@ -716,20 +720,8 @@ class TestLazyStates:
 
     def test_floored_states_are_stored_rows(self):
         # two doubles a state, not a tuple of ScheduleState objects
-        sch = build_schedule(BoundParams(100, 2, 2), apply_floors=True)
-        again = build_schedule(BoundParams(100, 2, 2), apply_floors=True)
-        assert sch == again and hash(sch) == hash(again)
-        states = sch.states
-        n = len(states)
-        assert [column.itemsize for column in (states.log2_t, states.log2_s)] == [8, 8]
-        rows = list(states.rows())
-        assert rows == [(st.index, st.log2_t, st.log2_s) for st in states]
-        assert states[-1] == states[n - 1] == ScheduleState(*rows[-1])
-        assert isinstance(states[1:4], tuple)
-        assert states[::-50] == tuple(states)[::-50]
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                states[i]
+        log2_t, log2_s, _, _ = floored_states(build_schedule(BoundParams(100, 2, 2)))
+        assert [column.itemsize for column in (log2_t, log2_s)] == [8, 8]
 
     @pytest.mark.parametrize("params", PARAMS + [BoundParams(10**4, 1.5, 2)])
     def test_certifier_reads_at_most_six_states(self, params):

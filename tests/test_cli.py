@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permx.bounds import BoundParams, build_schedule
+from permx.bounds import BoundParams, ScheduleState, build_schedule, floored_states
 from permx.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
@@ -252,6 +252,15 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "matrix-contains", "--host", column, "--pattern", column)
         assert (code, out, err) == (EXIT_OK, "true\n", "")
 
+    def test_matrix_pattern_rows_no_host_row_holds(self, capsys):
+        # C(40, 20) row subsets; a pattern row that fits no host row ends
+        # every partial choice at its first row
+        host, pattern = ",".join(["10"] * 40), ",".join(["11"] * 20)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "matrix-contains", "--host", host, "--pattern", pattern)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (EXIT_OK, "false\n", "")
+
 
 class TestJsonOutput:
     def test_count_av_shape(self, capsys):
@@ -459,10 +468,20 @@ class TestLargeSchedules:
     @pytest.mark.parametrize("floors", [False, True])
     def test_json_report_is_the_library_dict(self, floors):
         # the rows written by the CLI and Schedule.to_jsonable agree,
-        # null t and s included
-        schedule = build_schedule(BoundParams(2.0 ** 40, 3.0, 6), apply_floors=floors)
+        # null t and s included; the floored report swaps in the replay
+        schedule = build_schedule(BoundParams(2.0 ** 40, 3.0, 6))
+        want = schedule.to_jsonable()
+        if floors:
+            log2_t, log2_s, drift_t, drift_s = floored_states(schedule)
+            want.update(
+                floors_applied=True,
+                floor_drift_t=drift_t,
+                floor_drift_s=drift_s,
+                states=[ScheduleState(*row).to_jsonable()
+                        for row in zip(range(len(log2_t)), log2_t, log2_s)],
+            )
         _, out = run(self.argv("1099511627776", "3", "6", floors, "json"))
-        want = json.dumps(schedule.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        want = json.dumps(want, sort_keys=True, separators=(",", ":"))
         same = out == want + "\n"  # a bare comparison would diff 1.8 MB on failure
         assert same
 

@@ -32,6 +32,7 @@ from permx.core import (
     inflate,
     inverse,
     matrix_contains,
+    matrix_occurrence_masks,
     parse_permutation,
     pattern_of,
     reverse,
@@ -472,6 +473,42 @@ def test_matrix_occurrence_witness():
     (r1, c1), (r2, c2) = occ.positions
     assert r1 == r2 and c1 < c2
     assert (r1, c1) in host.ones and (r2, c2) in host.ones
+
+
+def combinations_occurrence_masks(host_masks, host_cols, pat_masks, pat_cols):
+    """Every row subset in lexicographic order, each with its greedy
+    column choice: the first witness by row subset."""
+    if len(pat_masks) > len(host_masks) or pat_cols > host_cols:
+        return None
+    for rows_sel in itertools.combinations(range(len(host_masks)), len(pat_masks)):
+        allowed = [(1 << host_cols) - 1] * pat_cols
+        for r, p in zip(rows_sel, pat_masks):
+            for b in range(pat_cols):
+                if p >> b & 1:
+                    allowed[b] &= host_masks[r]
+        cols, c = [], -1
+        for mask in allowed:
+            c = next((j for j in range(c + 1, host_cols) if mask >> j & 1), None)
+            if c is None:
+                break
+            cols.append(c)
+        else:
+            return list(rows_sel), cols
+    return None
+
+
+def test_matrix_occurrence_masks_first_witness():
+    rng = random.Random(18)
+    hits = 0
+    for _ in range(3000):
+        hr, hc, pr, pc = rng.randint(0, 8), rng.randint(1, 8), rng.randint(0, 4), rng.randint(1, 4)
+        host_p, pat_p = rng.random(), rng.random()
+        host = [sum(1 << b for b in range(hc) if rng.random() < host_p) for _ in range(hr)]
+        pat = [sum(1 << b for b in range(pc) if rng.random() < pat_p) for _ in range(pr)]
+        want = combinations_occurrence_masks(host, hc, pat, pc)
+        assert matrix_occurrence_masks(host, hc, pat, pc) == want, (host, hc, pat, pc)
+        hits += want is not None
+    assert 500 < hits < 2500  # both answers are well represented
 
 
 @given(binary_matrices(), binary_matrices(max_dim=3))
