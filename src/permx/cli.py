@@ -15,9 +15,9 @@ The argument parser is built from it once per process, at the first
 call, and reused by every later call.
 
 A command line takes one path to its report: ``run(argv)`` parses it,
-resolves the node budget (--budget flag, else the PERMX_BUDGET
-environment variable read on every call, else the library default),
 calls the command with its options and returns (exit code, report).
+The report depends on the command line alone: a budgeted command's node
+budget is its --budget flag, whose default is the library default.
 ``main`` is ``run`` plus the mapping from errors to exit codes and the
 write to stdout.
 """
@@ -28,7 +28,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
@@ -231,10 +230,10 @@ def _render_text(key, payload: dict) -> str:
 class Command:
     """One subcommand, declared once.
 
-    ``call(opts)`` turns the parsed options, the resolved node budget
-    among them as ``"budget"``, into the report payload; it names
-    library functions at call time, so wrappers set on this module's
-    globals see them.  csv output writes ``table`` (payload key,
+    ``call(opts)`` turns the parsed options into the report payload (a
+    ``budgeted`` command's --budget flag among them as ``"budget"``);
+    it names library functions at call time, so wrappers set on this
+    module's globals see them.  csv output writes ``table`` (payload key,
     columns) if set, else the scalar fields as one row sorted by key;
     text output writes the ``text_key`` field alone if set, else one
     ``key = value`` line per field.  A false ``verdict`` field in the
@@ -388,7 +387,7 @@ def _crude(o):
 def _selftest(o):
     from .selftest import run_selftest
 
-    return run_selftest(seed=o["seed"])
+    return run_selftest()
 
 
 PATTERN = _flag("--pattern")
@@ -493,8 +492,7 @@ COMMANDS = {
         ),
     ),
     "selftest": Command(
-        (_flag("--seed", int, default=None,
-               help="shuffles criterion execution order only, never results"),),
+        (),
         _selftest,
         table=("criteria", ("id", "pass", "description", "detail")),
         verdict="all_pass",
@@ -512,15 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     first call and returned as the same object after that.
 
     ``COMMANDS`` is fixed at import, so the cached parser cannot go
-    stale.  Callers must not mutate it.  Nothing per call lives in it:
-    the node budget's PERMX_BUDGET fallback is read by ``run``, not
-    set as a parser default.
+    stale.  Callers must not mutate it.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
     budgeted = argparse.ArgumentParser(add_help=False)
-    budgeted.add_argument("--budget", type=int, default=None,
-                          help="node budget (default: PERMX_BUDGET or library default)")
+    budgeted.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                          help="node budget (default: %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="permx",
@@ -542,20 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _node_budget(flag: int | None) -> int:
-    """The --budget flag, else PERMX_BUDGET, else the library default."""
-    budget = flag
-    if budget is None:
-        env = os.environ.get("PERMX_BUDGET")
-        try:
-            budget = DEFAULT_NODE_BUDGET if env is None else int(env)
-        except ValueError as exc:
-            raise MalformedInput(f"PERMX_BUDGET must be an integer: {env!r}") from exc
-    if budget < 1:
-        raise PreconditionViolated(f"budget must be positive, got {budget}")
-    return budget
-
-
 def run(argv=None) -> tuple[int, str]:
     """Run one command line and return (exit code, rendered report).
 
@@ -566,8 +548,9 @@ def run(argv=None) -> tuple[int, str]:
     if name == "bounds":
         name += " " + opts.pop("bounds_command")
     fmt = opts.pop("format")
-    opts["budget"] = _node_budget(opts.get("budget"))
     spec = COMMANDS[name]
+    if spec.budgeted and opts["budget"] < 1:
+        raise PreconditionViolated(f"budget must be positive, got {opts['budget']}")
     payload = spec.call(opts)
     code = EXIT_INTERNAL if spec.verdict and not payload[spec.verdict] else EXIT_OK
     return code, render(name, payload, fmt)

@@ -229,7 +229,9 @@ def parse_permutation(text: str) -> Permutation:
         except ValueError as exc:
             raise MalformedInput(f"non-integer token in {text!r}") from exc
     else:
-        if not text.isdigit():
+        # isdecimal, not isdigit: int() reads every decimal digit, but
+        # not superscripts such as "²" or circled digits such as "①"
+        if not text.isdecimal():
             raise MalformedInput(f"not a digit string: {text!r}")
         values = tuple(int(ch) for ch in text)
     return Permutation(values)

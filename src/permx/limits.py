@@ -2,8 +2,8 @@
 
 The length limits and the ceilings are fixed; raise one by editing it
 here.  Per call, a caller sets only the node budget (``node_budget`` or
-``budget``, or the PERMX_BUDGET environment variable in the CLI) and
-the row cap of the row-density searches, up to its ceiling.
+``budget``, or the --budget flag in the CLI) and the row cap of the
+row-density searches, up to its ceiling.
 """
 
 DEFAULT_NODE_BUDGET = 10 ** 8

@@ -2,9 +2,9 @@
 
 Thirteen deterministic criteria cover counting, containment, extremal
 search, inequality certification, schedule certification, and output
-stability.  Each run prints one progress line per criterion on the
-diagnostic stream and returns a JSON-ready report; a seed shuffles the
-execution order only, never any result.
+stability.  A run takes the criteria in id order, prints one progress
+line per criterion on the diagnostic stream and returns a JSON-ready
+report.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .extremal import (
     fpts_exact,
     gpts_exact,
 )
-from .limits import DEFAULT_NODE_BUDGET
 
 I2 = PermutationMatrix.identity(2)
 
@@ -211,15 +210,12 @@ def _criterion_inflation_roundtrip():
 def _criterion_output_stability():
     from .cli import run
 
-    # searches get the library default budget, as in every other
-    # criterion, whatever PERMX_BUDGET says
-    budget = ["--budget", str(DEFAULT_NODE_BUDGET)]
     argvs = [
-        ["count-av", "--pattern", "123", "--n", "8", *budget],
+        ["count-av", "--pattern", "123", "--n", "8"],
         ["bounds", "certify", "--k", "1e6", "--a", "1", "--c", "2"],
         ["bounds", "schedule", "--k", "1e6", "--a", "2", "--c", "3"],
-        ["sw-estimate", "--pattern", "132", "--n-max", "6", *budget],
-        ["fpts", "--pattern", "12", "--t", "5", "--s", "2", "--n-cap", "16", *budget],
+        ["sw-estimate", "--pattern", "132", "--n-max", "6"],
+        ["fpts", "--pattern", "12", "--t", "5", "--s", "2", "--n-cap", "16"],
         ["decompose", "--pattern", "479832156", "--c", "4"],
     ]
 
@@ -267,19 +263,15 @@ CRITERIA = (
 )
 
 
-def run_selftest(seed: int | None = None) -> dict:
-    """Run every criterion and return the report payload.
+def run_selftest() -> dict:
+    """Run every criterion in id order and return the report payload.
 
     Progress lines carry wall times and go to stderr; the returned
     payload contains no timings so that repeated runs serialize
     identically.
     """
-    order = list(range(len(CRITERIA)))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
-    results = {}
-    for idx in order:
-        crit = CRITERIA[idx]
+    results = []
+    for crit in CRITERIA:
         start = time.perf_counter()
         try:
             ok, detail = crit.fn()
@@ -292,11 +284,10 @@ def run_selftest(seed: int | None = None) -> dict:
             f"{crit.description}: {detail}",
             file=sys.stderr,
         )
-        results[crit.id] = {
+        results.append({
             "id": crit.id,
             "description": crit.description,
             "pass": ok,
             "detail": detail,
-        }
-    ordered = [results[i] for i in sorted(results)]
-    return {"criteria": ordered, "all_pass": all(r["pass"] for r in ordered)}
+        })
+    return {"criteria": results, "all_pass": all(r["pass"] for r in results)}

@@ -166,8 +166,10 @@ def test_gessel_1234_closed_form():
         assert count_avoiders(pattern, n) == gessel_1234(n)
 
 
-def test_bona_1342_closed_form():
-    pattern = perm("1342")
+@pytest.mark.parametrize("text", ["1342", "2413"])
+def test_bona_1342_closed_form(text):
+    # Stankova (1994): Av(2413) and Av(1342) are equinumerous
+    pattern = perm(text)
     for n in range(1, 8):
         assert bona_1342(n) == naive_count(pattern, n)
     assert bona_1342(11) == 3475090

@@ -49,6 +49,19 @@ class TestExitCodes:
         assert out == ""
         assert "rejected" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("contains", "--host", "1²", "--pattern", "1"),
+        ("contains", "--host", "12³", "--pattern", "1"),
+        ("inflate", "--skeleton", "1", "--blocks", "①"),
+        ("decompose", "--pattern", "1²", "--c", "2"),
+        ("sum", "--left", "1²", "--right", "1"),
+    ])
+    def test_non_decimal_digits_rejected(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("rejected")
+        assert "Traceback" not in err and "internal error" not in err
+
     def test_resource_limit(self, capsys):
         code, _, err = invoke(capsys, "count-av", "--pattern", "123", "--n", "40")
         assert code == EXIT_RESOURCE
@@ -581,20 +594,11 @@ class TestTextOutput:
 
 
 class TestBudgets:
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("PERMX_BUDGET", "10")
-        code, _, err = invoke(capsys, "count-av", "--pattern", "123", "--n", "8")
+    def test_env_budget(self, capsys):
+        code, _, err = invoke(capsys, "count-av", "--pattern", "123", "--n", "8",
+                              "--budget", "10")
         assert code == EXIT_RESOURCE
         assert "budget" in err
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PERMX_BUDGET", "10")
-        code, out, _ = invoke(
-            capsys, "count-av", "--pattern", "123", "--n", "8",
-            "--budget", "10000000", "--format", "json",
-        )
-        assert code == EXIT_OK
-        assert json.loads(out)["count"] == "1430"
 
     @pytest.mark.parametrize("argv", [
         ("merge-check", "--red", "123", "--blue", "132", "--n", "6"),
@@ -619,12 +623,6 @@ class TestBudgets:
         assert outcome(lo) == EXIT_OK
         assert outcome(lo - 1) == EXIT_RESOURCE
 
-    def test_invalid_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("PERMX_BUDGET", "lots")
-        code, _, err = invoke(capsys, "count-av", "--pattern", "123", "--n", "4")
-        assert code == EXIT_BAD_INPUT
-        assert "PERMX_BUDGET" in err
-
 
 class TestOneParser:
     """``main`` reuses one parser; nothing of one call leaks into the next."""
@@ -642,15 +640,6 @@ class TestOneParser:
         assert usage.out == "" and "required" in usage.err
         assert invoke(capsys, *argv) == before
 
-    def test_budget_env_read_per_call(self, capsys, monkeypatch):
-        argv = ("count-av", "--pattern", "123", "--n", "8")
-        monkeypatch.setenv("PERMX_BUDGET", "10")
-        assert invoke(capsys, *argv)[0] == EXIT_RESOURCE
-        monkeypatch.setenv("PERMX_BUDGET", "10000000")
-        assert invoke(capsys, *argv)[:2] == (EXIT_OK, "count = 1430\nn = 8\npattern = 123\n")
-        monkeypatch.setenv("PERMX_BUDGET", "10")
-        assert invoke(capsys, *argv)[0] == EXIT_RESOURCE
-
 
 class TestOnePath:
     """``run(argv)`` is the one way from a command line to its report."""
@@ -667,12 +656,17 @@ class TestOnePath:
         assert (code, out) == (EXIT_BAD_INPUT, "")
         assert err.startswith("rejected")
 
-    def test_zero_budget_env_on_unbudgeted_command(self, capsys, monkeypatch):
-        # the budget is resolved and validated on every call
-        monkeypatch.setenv("PERMX_BUDGET", "0")
-        code, out, err = invoke(capsys, "sum", "--left", "1", "--right", "1")
-        assert (code, out) == (EXIT_BAD_INPUT, "")
-        assert "budget must be positive" in err
+    def test_budget_flag_on_unbudgeted_command(self):
+        # only the budgeted commands have a budget
+        with pytest.raises(SystemExit) as exc:
+            run(["sum", "--left", "1", "--right", "1", "--budget", "10"])
+        assert exc.value.code == 2
+
+    def test_selftest_takes_no_seed(self):
+        # the criteria run in id order; no option reorders them
+        with pytest.raises(SystemExit) as exc:
+            run(["selftest", "--seed", "3"])
+        assert exc.value.code == 2
 
     def test_bounds_subcommand_resolves(self):
         code, out = run(["bounds", "alpha", "--a", "1", "--c", "2", "--format", "json"])
@@ -681,26 +675,10 @@ class TestOnePath:
         assert payload["a"] == 1.0 and payload["c"] == 2.0
         assert abs(payload["alpha"] - 122.7226) < 1e-3
 
-    def test_selftest_seed_is_an_option(self, capsys, monkeypatch):
-        import permx.selftest
-
-        seeds = []
-
-        def fake_selftest(seed=None):
-            seeds.append(seed)
-            return {"criteria": [], "all_pass": True}
-
-        monkeypatch.setattr(permx.selftest, "run_selftest", fake_selftest)
-        plain = invoke(capsys, "selftest")
-        seeded = invoke(capsys, "selftest", "--seed", "3")
-        assert seeds == [None, 3]
-        assert plain == seeded
-
-    def test_stability_criterion_ignores_budget_env(self, monkeypatch):
+    def test_stability_criterion_ignores_budget_env(self):
         # criterion 13 drives run(argv) at the library default budget
         from permx.selftest import CRITERIA
 
-        monkeypatch.setenv("PERMX_BUDGET", "10")
         ok, detail = CRITERIA[12].fn()
         assert ok, detail
         assert detail == "6 commands, 158820 report bytes stable"
@@ -736,7 +714,7 @@ class TestDeterminism:
 # matrix and an ex-table.
 EDGE_VALUES = (
     "nan", "inf", "-1", "0", "1", "2", "2.5", "1e308", str(10**30), "abc", "",
-    "12", "21", "132", "10,01", "1=1,2=3",
+    "12", "21", "132", "10,01", "1=1,2=3", "1²",
 )
 
 

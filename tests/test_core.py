@@ -127,6 +127,17 @@ def test_parse_rejects_garbage():
         parse_permutation("12x3")
 
 
+@pytest.mark.parametrize("text", ["²", "1²", "①"])
+def test_parse_rejects_digits_int_cannot_read(text):
+    # str.isdigit accepts superscript and circled digits; int() does not
+    with pytest.raises(MalformedInput):
+        parse_permutation(text)
+
+
+def test_parse_compact_decimal_digits_of_any_script():
+    assert parse_permutation("١٢").entries == (1, 2)
+
+
 def test_permutation_validates():
     with pytest.raises(NotABijection):
         Permutation((1, 3))
