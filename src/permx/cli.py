@@ -14,6 +14,13 @@ that builds its report payload, and the payload's csv and text layout.
 The argument parser is built from it once per process, at the first
 call, and reused by every later call.
 
+Each operand flag's argparse ``type`` is its parser, so commands get
+parsed values and reports echo them.  A permutation is a digit string
+or whitespace-separated decimal tokens; matrices, blocks and ex-tables
+are comma lists with no empty item.  The parsers raise
+``PreconditionViolated``, which argparse passes on: the first malformed
+operand on the command line exits 2.
+
 A command line takes one path to its report: ``run(argv)`` parses it,
 calls the command with its options and returns (exit code, report).
 The report depends on the command line alone: a budgeted command's node
@@ -56,6 +63,7 @@ from .bounds import (
 )
 from .core import (
     BinaryMatrix,
+    Permutation,
     blockable_decompositions,
     contains,
     direct_sum,
@@ -84,38 +92,28 @@ FORMATS = ("json", "csv", "text")
 
 
 # ---------------------------------------------------------------------------
-# input parsing helpers
+# operand parsers, each a flag's argparse type
 # ---------------------------------------------------------------------------
 
 def _parse_matrix(text: str) -> BinaryMatrix:
-    rows = text.strip().split(",")
-    if rows == [""]:
-        raise MalformedInput("empty matrix text")
-    if not all(rows):
-        raise MalformedInput(f"matrix rows must not be empty: {text!r}")
-    if any(ch not in "01" for row in rows for ch in row):
-        raise MalformedInput(f"matrix rows must be 0/1 strings: {text!r}")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise MalformedInput(f"matrix rows must all have the same length: {text!r}")
-    return BinaryMatrix.from_strings(rows)
+    return BinaryMatrix.from_strings(text.strip().split(","))
 
 
-def _parse_pattern_matrix(text: str):
-    return to_matrix(parse_permutation(text))
+def _parse_blocks(text: str) -> list[Permutation]:
+    # parse_permutation rejects an empty item
+    return [parse_permutation(item) for item in text.split(",")]
 
 
 def _parse_ex_table(text: str) -> dict[int, int]:
     table = {}
     for item in text.strip().split(","):
-        if not item:
-            continue
         key, _, value = item.partition("=")
         try:
-            table[int(key)] = int(value)
-        except ValueError as exc:
-            raise MalformedInput(f"ex-table entries look like n=value: {item!r}") from exc
-    if not table:
-        raise MalformedInput("empty ex-table")
+            if not (key.isdecimal() and value.isdecimal()):
+                raise ValueError(item)
+            table[int(key)] = int(value)  # fails past int's digit limit
+        except ValueError:
+            raise MalformedInput(f"ex-table entries look like n=value: {item!r}") from None
     return table
 
 
@@ -248,39 +246,30 @@ class Command:
     verdict: str | None = None
 
 
-def _flag(name: str, type=str, **kwargs) -> tuple[str, dict]:
-    """An argparse flag, required unless it has a default."""
+def _flag(name: str, type, **kwargs) -> tuple[str, dict]:
+    """An argparse flag parsed by ``type``, required unless it has a default."""
     return name, {"type": type, "required": "default" not in kwargs, **kwargs}
 
 
 def _contains(o):
-    host = parse_permutation(o["host"])
-    pattern = parse_permutation(o["pattern"])
+    host, pattern = o["host"], o["pattern"]
     return {"host": str(host), "pattern": str(pattern), "contains": contains(host, pattern)}
-
-
-def _matrix_contains(o):
-    host = _parse_matrix(o["host"])
-    pattern = _parse_matrix(o["pattern"])
-    return {"contains": matrix_contains(host, pattern)}
 
 
 def _pair(op, o):
     """Echo two permutations and the one ``op`` builds from them."""
-    left = parse_permutation(o["left"])
-    right = parse_permutation(o["right"])
+    left, right = o["left"], o["right"]
     return {"left": str(left), "right": str(right), "result": str(op(left, right))}
 
 
 def _inflate(o):
-    skeleton = parse_permutation(o["skeleton"])
-    blocks = [parse_permutation(b) for b in o["blocks"].split(",") if b]
+    skeleton, blocks = o["skeleton"], o["blocks"]
     return {"skeleton": str(skeleton), "blocks": [str(b) for b in blocks],
             "result": str(inflate(skeleton, blocks))}
 
 
 def _decompose(o):
-    p = parse_permutation(o["pattern"])
+    p = o["pattern"]
     decomps = blockable_decompositions(p, o["c"])
     return {
         "pattern": str(p),
@@ -294,13 +283,13 @@ def _decompose(o):
 
 
 def _count_av(o):
-    p = parse_permutation(o["pattern"])
+    p = o["pattern"]
     value = count_avoiders(p, o["n"], node_budget=o["budget"])
     return {"pattern": str(p), "n": o["n"], "count": str(value)}
 
 
 def _sw_estimate(o):
-    p = parse_permutation(o["pattern"])
+    p = o["pattern"]
     seq = sw_estimate_sequence(p, o["n_max"], node_budget=o["budget"])
     return {
         "pattern": str(p),
@@ -310,8 +299,7 @@ def _sw_estimate(o):
 
 def _perm_report(check, o, *names):
     """A report on the named permutations at length n."""
-    perms = [parse_permutation(o[name]) for name in names]
-    return check(*perms, o["n"], node_budget=o["budget"]).to_jsonable()
+    return check(*(o[name] for name in names), o["n"], node_budget=o["budget"]).to_jsonable()
 
 
 def _echo(value):
@@ -325,10 +313,10 @@ def _echo(value):
 def _pattern_search(search, o, *names, echo=()):
     """Run a search or certifier on the pattern's permutation matrix with
     the named options, echoing the pattern and the ``echo`` options."""
-    P = _parse_pattern_matrix(o["pattern"])
-    result = search(P, *(o[name] for name in names), budget=o["budget"])
-    echoed = {name: _echo(o[name]) for name in ("pattern", *echo)}
-    return {**echoed, **result.to_jsonable()}
+    p = o["pattern"]
+    result = search(to_matrix(p), *(o[name] for name in names), budget=o["budget"])
+    echoed = {name: _echo(o[name]) for name in echo}
+    return {"pattern": str(p), **echoed, **result.to_jsonable()}
 
 
 def _closed_form(fn, key, o, *names):
@@ -390,8 +378,8 @@ def _selftest(o):
     return run_selftest()
 
 
-PATTERN = _flag("--pattern")
-LEFT, RIGHT = _flag("--left"), _flag("--right")
+PATTERN = _flag("--pattern", parse_permutation)
+LEFT, RIGHT = _flag("--left", parse_permutation), _flag("--right", parse_permutation)
 A, C = _flag("--a", float), _flag("--c", int)
 N, T, S = _flag("--n", int), _flag("--t", int), _flag("--s", int)
 X, Y = _flag("--x", float), _flag("--y", float)
@@ -400,16 +388,20 @@ N_CAP = _flag("--n-cap", int, default=DEFAULT_ROW_CAP)
 FLOORS = ("--floors", {"action": "store_true"})
 
 COMMANDS = {
-    "contains": Command((_flag("--host"), PATTERN), _contains, text_key="contains"),
+    "contains": Command(
+        (_flag("--host", parse_permutation), PATTERN), _contains, text_key="contains"
+    ),
     "matrix-contains": Command(
-        (_flag("--host", help="rows as 0/1 strings joined by commas"), PATTERN),
-        _matrix_contains,
+        (_flag("--host", _parse_matrix, help="rows as 0/1 strings joined by commas"),
+         _flag("--pattern", _parse_matrix)),
+        lambda o: {"contains": matrix_contains(o["host"], o["pattern"])},
         text_key="contains",
     ),
     "sum": Command((LEFT, RIGHT), lambda o: _pair(direct_sum, o), text_key="result"),
     "skew": Command((LEFT, RIGHT), lambda o: _pair(skew_sum, o), text_key="result"),
     "inflate": Command(
-        (_flag("--skeleton"), _flag("--blocks", help="comma-separated block permutations")),
+        (_flag("--skeleton", parse_permutation),
+         _flag("--blocks", _parse_blocks, help="comma-separated block permutations")),
         _inflate,
         text_key="result",
     ),
@@ -424,12 +416,13 @@ COMMANDS = {
         table=("sequence", ("n", "count", "estimate")),
     ),
     "merge-check": Command(
-        (_flag("--red"), _flag("--blue"), N),
+        (_flag("--red", parse_permutation), _flag("--blue", parse_permutation), N),
         lambda o: _perm_report(merge_count_upper_check, o, "red", "blue"),
         budgeted=True,
     ),
     "verify-jv": Command(
-        (_flag("--a"), _flag("--b"), _flag("--c"), N),
+        (_flag("--a", parse_permutation), _flag("--b", parse_permutation),
+         _flag("--c", parse_permutation), N),
         lambda o: _perm_report(verify_jv_inclusion, o, "a", "b", "c"),
         budgeted=True,
     ),
@@ -485,10 +478,10 @@ COMMANDS = {
     ),
     "bounds crude": Command((REAL_K, A, C), _crude),
     "bounds fox-rhs": Command(
-        (_flag("--ex-table", help="entries like 1=1,2=3,3=5"),
+        (_flag("--ex-table", _parse_ex_table, help="entries like 1=1,2=3,3=5"),
          T, S, _flag("--f", int), _flag("--g", int), N),
         lambda o: _closed_form(
-            partial(fox_rhs, _parse_ex_table(o["ex_table"])), "rhs", o, "t", "s", "f", "g", "n"
+            partial(fox_rhs, o["ex_table"]), "rhs", o, "t", "s", "f", "g", "n"
         ),
     ),
     "selftest": Command(

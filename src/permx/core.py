@@ -95,8 +95,19 @@ class BinaryMatrix:
 
     @classmethod
     def from_strings(cls, rows: list[str]) -> "BinaryMatrix":
-        """Build from rows of '0'/'1' characters, e.g. ["01", "10"]."""
+        """Build from rows of '0'/'1' characters, e.g. ["01", "10"].
+
+        The rows must be nonempty 0/1 strings of one length; anything
+        else raises ``MalformedInput`` naming the rows joined by commas,
+        as the CLI's matrix text gives them."""
+        text = ",".join(rows)
+        if not all(rows):
+            raise MalformedInput(f"matrix rows must not be empty: {text!r}")
+        if any(ch not in "01" for row in rows for ch in row):
+            raise MalformedInput(f"matrix rows must be 0/1 strings: {text!r}")
         ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise MalformedInput(f"matrix rows must all have the same length: {text!r}")
         ones = {
             (i + 1, j + 1)
             for i, row in enumerate(rows)
@@ -218,22 +229,27 @@ class BlockDecomposition:
 # ---------------------------------------------------------------------------
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse whitespace-separated values, or a compact digit string when
-    every value is a single digit ("42153")."""
+    """Parse whitespace-separated decimal tokens ("10 2 1"), or a compact
+    digit string when every value is a single digit ("42153").
+
+    Both paths accept only ``str.isdecimal`` text, not all that ``int``
+    reads: no sign, no "_" separator, no superscript ("²") or circled
+    ("①") digit.  Every failure is a ``PreconditionViolated``."""
     text = text.strip()
     if not text:
         raise MalformedInput("empty permutation text")
     if any(ch.isspace() for ch in text):
+        tokens = text.split()
         try:
-            values = tuple(int(tok) for tok in text.split())
-        except ValueError as exc:
-            raise MalformedInput(f"non-integer token in {text!r}") from exc
+            if not all(map(str.isdecimal, tokens)):
+                raise ValueError(text)
+            values = tuple(map(int, tokens))  # fails past int's digit limit
+        except ValueError:
+            raise MalformedInput(f"non-integer token in {text!r}") from None
     else:
-        # isdecimal, not isdigit: int() reads every decimal digit, but
-        # not superscripts such as "²" or circled digits such as "①"
         if not text.isdecimal():
             raise MalformedInput(f"not a digit string: {text!r}")
-        values = tuple(int(ch) for ch in text)
+        values = tuple(map(int, text))
     return Permutation(values)
 
 

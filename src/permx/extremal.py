@@ -94,18 +94,19 @@ class _Stop(Exception):
     """Ends a search early: budget spent, or a host of n_cap rows found."""
 
 
-def _low_columns_first(allowed: int, width: int):
+def _low_columns_first(allowed: int):
     """Every submask of ``allowed`` in the order a cell-by-cell search
     that sets each cell, column 0 first, before leaving it clear meets
-    them: descending in the bit-reversed value."""
-    def flip(mask):
-        return int(format(mask, f"0{width}b")[::-1], 2)
+    them: descending in the bit-reversed value.
 
-    a = m = flip(allowed)
-    yield allowed
+    Counting down in that order clears the highest set bit and sets
+    every allowed bit above it, as m - 1 does to the lowest set bit."""
+    m = allowed
+    yield m
     while m:
-        m = (m - 1) & a
-        yield flip(m)
+        high = m.bit_length()
+        m = (m ^ 1 << high - 1) | (allowed >> high << high)
+        yield m
 
 
 def exfn_exact(
@@ -140,7 +141,7 @@ def exfn_exact(
         if key not in memo:
             allowed = ((1 << n) - 1) & ~forbidden(state)
             entry = (-1, 0, None)
-            for m in [allowed] if r == 1 else _low_columns_first(allowed, n):
+            for m in [allowed] if r == 1 else _low_columns_first(allowed):
                 nodes += 1
                 if nodes > budget:
                     raise _Stop

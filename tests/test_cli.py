@@ -684,6 +684,47 @@ class TestOnePath:
         assert detail == "6 commands, 158820 report bytes stable"
 
 
+class TestOperands:
+    """Each operand is parsed once, by its flag's type, and echoed from
+    its parsed value."""
+
+    FOX = ("--t", "3", "--s", "3", "--f", "1", "--g", "1", "--n", "2")
+
+    @pytest.mark.parametrize("argv", [
+        ("contains", "--host", "2 1_0 1 3 4 5 6 7 8 9", "--pattern", "+2 1", "--format", "json"),
+        ("inflate", "--skeleton", "21", "--blocks", "1,,21"),
+        ("inflate", "--skeleton", "21", "--blocks", ",1,21,"),
+        ("bounds", "fox-rhs", "--ex-table", "1=1,,2=+3,3=1_0", *FOX),
+        ("bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=5,", *FOX),
+        ("bounds", "fox-rhs", "--ex-table", "1=1,2=+3,3=5", *FOX),
+        ("bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=1_0", *FOX),
+    ])
+    def test_malformed_operand_rejected(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("rejected: ") and err.count("\n") == 1
+
+    def test_first_malformed_operand_is_reported(self, capsys):
+        code, _, err = invoke(capsys, "contains", "--pattern", "1x", "--host", "4x2")
+        assert (code, err) == (EXIT_BAD_INPUT, "rejected: not a digit string: '1x'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("exfn", "--n", "3"),
+        ("fpts", "--t", "3", "--s", "2"),
+        ("gpts", "--t", "3", "--s", "2"),
+        ("check-lemma21", "--a", "1", "--t", "3", "--s", "3"),
+        ("check-lemma22", "--a", "1", "--c", "2", "--t", "5", "--s", "5", "--x", "0.6",
+         "--y", "0.5"),
+    ])
+    def test_searches_echo_the_parsed_pattern(self, argv):
+        def echoed(*args):
+            code, out = run([*args, "--pattern", " 1 2 ", "--format", "json"])
+            assert code == EXIT_OK
+            return json.loads(out)["pattern"]
+
+        assert echoed(*argv) == echoed("count-av", "--n", "3") == "12"
+
+
 class TestDeterminism:
     ARGVS = [
         ["count-av", "--pattern", "132", "--n", "7", "--format", "json"],
@@ -711,10 +752,11 @@ class TestDeterminism:
 
 # Values drawn for every flag of every subcommand: non-finite, negative,
 # zero, huge and non-numeric numbers, empty text, small permutations, a
-# matrix and an ex-table.
+# matrix, an ex-table, and operand text that int() reads but the
+# operand parsers refuse.
 EDGE_VALUES = (
     "nan", "inf", "-1", "0", "1", "2", "2.5", "1e308", str(10**30), "abc", "",
-    "12", "21", "132", "10,01", "1=1,2=3", "1²",
+    "12", "21", "132", "10,01", "1=1,2=3", "1²", "1_0", "+2 1", "1,,2", " 1 2 ",
 )
 
 

@@ -134,6 +134,14 @@ def test_parse_rejects_digits_int_cannot_read(text):
         parse_permutation(text)
 
 
+@pytest.mark.parametrize("text", ["+2 1", "2 1_0 1", "1 ²", "1 " + "9" * 5000])
+def test_parse_spaced_tokens_must_be_decimal(text):
+    # int() reads "+2" and "1_0", which the compact path refuses; a token
+    # past int's digit limit is refused too
+    with pytest.raises(MalformedInput, match="non-integer token"):
+        parse_permutation(text)
+
+
 def test_parse_compact_decimal_digits_of_any_script():
     assert parse_permutation("١٢").entries == (1, 2)
 
@@ -444,6 +452,16 @@ def test_matrix_from_strings_and_str():
     m = BinaryMatrix.from_strings(["01", "10"])
     assert m.ones == frozenset({(1, 2), (2, 1)})
     assert str(m) == "01\n10"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["10", "1"], "same length"),
+    (["1", ""], "must not be empty"),
+    (["012"], "0/1 strings: '012'"),
+])
+def test_matrix_from_strings_rejects_malformed_rows(rows, message):
+    with pytest.raises(MalformedInput, match=message):
+        BinaryMatrix.from_strings(rows)
 
 
 def test_matrix_json_roundtrip():

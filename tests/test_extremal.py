@@ -8,6 +8,7 @@ that zone must cap out flagged rather than report a value as proven.
 
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -35,6 +36,7 @@ from permx.errors import (
 )
 from permx.extremal import (
     _heavy_submasks,
+    _low_columns_first,
     check_lemma21,
     check_lemma22,
     exfn_enumerate,
@@ -482,6 +484,29 @@ class TestCheckLemma21:
 
 
 P12 = pm("12")
+
+
+def test_low_columns_first_matches_bit_reversed_countdown():
+    # oracle: count down the submasks of the bit-reversed mask, reversing
+    # each back through its binary string; widths up to 64 with at most
+    # 12 set bits, so every submask is compared
+    def oracle(allowed, width):
+        def flip(mask):
+            return int(format(mask, f"0{width}b")[::-1], 2)
+
+        a = m = flip(allowed)
+        yield allowed
+        while m:
+            m = (m - 1) & a
+            yield flip(m)
+
+    rng = random.Random(20)
+    for _ in range(400):
+        width = rng.randint(1, 64)
+        allowed = 0
+        for bit in rng.sample(range(width), min(width, rng.randint(0, 12))):
+            allowed |= 1 << bit
+        assert list(_low_columns_first(allowed)) == list(oracle(allowed, width)), allowed
 
 
 def test_heavy_submasks_match_walk_and_filter():
