@@ -192,7 +192,10 @@ def theorem12_exponent(a, c: int) -> float:
 
 def fox_rhs(ex_table, t: int, s: int, f_val: int, g_val: int, n: int) -> int:
     """Right side ex(s-1)*ex(n) + ex(t)*(f+g)*n of the blow-up
-    inequality, from caller-supplied exact table values."""
+    inequality, from caller-supplied exact table values.  The row
+    counts f and g must be nonnegative."""
+    if f_val < 0 or g_val < 0:
+        raise PreconditionViolated(f"need f, g >= 0, got f={f_val}, g={g_val}")
     out = {}
     for key in (s - 1, t, n):
         if key not in ex_table:
@@ -414,7 +417,7 @@ def build_schedule(params: BoundParams) -> Schedule:
     )
 
 
-def floored_states(schedule: Schedule) -> tuple[array, array, float, float]:
+def floored_states(schedule: Schedule) -> tuple[Sequence[float], Sequence[float], float, float]:
     """The exact floored replay of an ideal schedule, as
     ``(log2_t, log2_s, drift_t, drift_s)``.
 

@@ -17,9 +17,11 @@ call, and reused by every later call.
 Each operand flag's argparse ``type`` is its parser, so commands get
 parsed values and reports echo them.  A permutation is a digit string
 or whitespace-separated decimal tokens; matrices, blocks and ex-tables
-are comma lists with no empty item.  The parsers raise
+are comma lists with no empty item.  An integer flag takes an optional
+"-" and decimal digits; a real flag takes what ``float`` reads, less
+"_" separators and a leading "+".  The parsers raise
 ``PreconditionViolated``, which argparse passes on: the first malformed
-operand on the command line exits 2.
+operand or number on the command line exits 2.
 
 A command line takes one path to its report: ``run(argv)`` parses it,
 calls the command with its options and returns (exit code, report).
@@ -95,6 +97,26 @@ FORMATS = ("json", "csv", "text")
 # operand parsers, each a flag's argparse type
 # ---------------------------------------------------------------------------
 
+def _parse_int(text: str) -> int:
+    # an optional "-" and decimal digits: no "+", "_" or surrounding space
+    try:
+        if text.removeprefix("-").isdecimal():
+            return int(text)  # fails past int's digit limit
+    except ValueError:
+        pass
+    raise MalformedInput(f"not a decimal integer: {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    # what float() reads, less "_" separators and a leading "+"
+    try:
+        if "_" not in text and not text.strip().startswith("+"):
+            return float(text)
+    except ValueError:
+        pass
+    raise MalformedInput(f"not a number: {text!r}")
+
+
 def _parse_matrix(text: str) -> BinaryMatrix:
     return BinaryMatrix.from_strings(text.strip().split(","))
 
@@ -108,12 +130,9 @@ def _parse_ex_table(text: str) -> dict[int, int]:
     table = {}
     for item in text.strip().split(","):
         key, _, value = item.partition("=")
-        try:
-            if not (key.isdecimal() and value.isdecimal()):
-                raise ValueError(item)
-            table[int(key)] = int(value)  # fails past int's digit limit
-        except ValueError:
-            raise MalformedInput(f"ex-table entries look like n=value: {item!r}") from None
+        if not (key.isdecimal() and value.isdecimal()):
+            raise MalformedInput(f"ex-table entries look like n=value: {item!r}")
+        table[_parse_int(key)] = _parse_int(value)
     return table
 
 
@@ -380,11 +399,11 @@ def _selftest(o):
 
 PATTERN = _flag("--pattern", parse_permutation)
 LEFT, RIGHT = _flag("--left", parse_permutation), _flag("--right", parse_permutation)
-A, C = _flag("--a", float), _flag("--c", int)
-N, T, S = _flag("--n", int), _flag("--t", int), _flag("--s", int)
-X, Y = _flag("--x", float), _flag("--y", float)
-REAL_K, REAL_T, REAL_S = _flag("--k", float), _flag("--t", float), _flag("--s", float)
-N_CAP = _flag("--n-cap", int, default=DEFAULT_ROW_CAP)
+A, C = _flag("--a", _parse_float), _flag("--c", _parse_int)
+N, T, S = _flag("--n", _parse_int), _flag("--t", _parse_int), _flag("--s", _parse_int)
+X, Y = _flag("--x", _parse_float), _flag("--y", _parse_float)
+REAL_K, REAL_T, REAL_S = (_flag(flag, _parse_float) for flag in ("--k", "--t", "--s"))
+N_CAP = _flag("--n-cap", _parse_int, default=DEFAULT_ROW_CAP)
 FLOORS = ("--floors", {"action": "store_true"})
 
 COMMANDS = {
@@ -410,7 +429,7 @@ COMMANDS = {
     ),
     "count-av": Command((PATTERN, N), _count_av, budgeted=True),
     "sw-estimate": Command(
-        (PATTERN, _flag("--n-max", int)),
+        (PATTERN, _flag("--n-max", _parse_int)),
         _sw_estimate,
         budgeted=True,
         table=("sequence", ("n", "count", "estimate")),
@@ -442,7 +461,7 @@ COMMANDS = {
         budgeted=True,
     ),
     "check-lemma21": Command(
-        (PATTERN, A, T, S, _flag("--hypothesis-n", int, default=4)),
+        (PATTERN, A, T, S, _flag("--hypothesis-n", _parse_int, default=4)),
         lambda o: _pattern_search(check_lemma21, o, "a", "t", "s", "hypothesis_n"),
         budgeted=True,
     ),
@@ -452,7 +471,7 @@ COMMANDS = {
         budgeted=True,
     ),
     "bounds mt": Command(
-        (_flag("--k", int),),
+        (_flag("--k", _parse_int),),
         lambda o: _closed_form(marcus_tardos_bound, "bound", o, "k"),
     ),
     "bounds lemma21": Command(
@@ -460,26 +479,26 @@ COMMANDS = {
         lambda o: _closed_form(lemma21_bound, "bound", o, "k", "a", "t", "s"),
     ),
     "bounds lemma22-rhs": Command(
-        (REAL_K, A, C, REAL_T, REAL_S, X, Y, _flag("--f-sub", int, default=0)),
+        (REAL_K, A, C, REAL_T, REAL_S, X, Y, _flag("--f-sub", _parse_int, default=0)),
         lambda o: _closed_form(
             lemma22_rhs, "rhs", o, "k", "a", "c", "t", "s", "x", "y", "f_sub"
         ),
     ),
-    "bounds alpha": Command((A, _flag("--c", float)), _alpha),
+    "bounds alpha": Command((A, _flag("--c", _parse_float)), _alpha),
     "bounds schedule": Command(
         (REAL_K, A, C, FLOORS),
         _schedule_report,
         table=("states", STATE_COLUMNS),
     ),
     "bounds certify": Command(
-        (REAL_K, A, C, FLOORS, _flag("--tol", float, default=1e-9)),
+        (REAL_K, A, C, FLOORS, _flag("--tol", _parse_float, default=1e-9)),
         _certify,
         table=("checks", ("name", "holds", "lhs", "rhs")),
     ),
     "bounds crude": Command((REAL_K, A, C), _crude),
     "bounds fox-rhs": Command(
         (_flag("--ex-table", _parse_ex_table, help="entries like 1=1,2=3,3=5"),
-         T, S, _flag("--f", int), _flag("--g", int), N),
+         T, S, _flag("--f", _parse_int), _flag("--g", _parse_int), N),
         lambda o: _closed_form(
             partial(fox_rhs, o["ex_table"]), "rhs", o, "t", "s", "f", "g", "n"
         ),
@@ -508,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
     budgeted = argparse.ArgumentParser(add_help=False)
-    budgeted.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    budgeted.add_argument("--budget", type=_parse_int, default=DEFAULT_NODE_BUDGET,
                           help="node budget (default: %(default)s)")
 
     parser = argparse.ArgumentParser(

@@ -4,14 +4,16 @@ Conventions fixed once, used everywhere:
 
 * A permutation of length n is a tuple of the values 1..n in one-line
   notation; ``entries[i]`` is the image of position i+1.
-* Matrix cells are (row, col), 1-indexed, row 1 drawn at the top.
+* A 0-1 matrix is stored as its row bitmasks, row 1 (drawn at the top)
+  first, with bit c-1 of a row set iff its column c holds a one.  Its
+  cells (row, col), 1-indexed, and its JSON cell list are derived.
 * A permutation p of length k corresponds to the permutation matrix with
   ones at cells (k + 1 - p[j], j+1), so the dot plot read bottom-up
   matches one-line notation.  ``to_matrix``/``from_matrix`` implement
   exactly this correspondence and nothing else relies on a drawing.
 
 The containment kernels at the bottom operate on raw value sequences and
-bitmask rows; the dataclass API wraps them.  Callers in hot loops
+the row bitmasks; the dataclass API wraps them.  Callers in hot loops
 (enumeration, search) use the kernels directly.
 """
 
@@ -74,24 +76,38 @@ class Permutation:
         return " ".join(str(v) for v in self.entries)
 
 
+def _bits(mask: int):
+    """The 0-based indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """An m x n 0-1 matrix stored as its set of one-cells (1-indexed)."""
+    """A 0-1 matrix with ``cols`` columns stored as its row bitmasks, top
+    row first: bit c-1 of ``masks[r-1]`` is set iff cell (r, c) is a one.
+    The row count, the cells and the JSON form are read off the masks."""
 
-    rows: int
+    masks: tuple[int, ...]
     cols: int
-    ones: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        ones = frozenset((int(r), int(c)) for r, c in self.ones)
-        object.__setattr__(self, "ones", ones)
-        if self.rows < 0 or self.cols < 0:
-            raise PreconditionViolated("matrix dimensions must be nonnegative")
-        for r, c in ones:
-            if not (1 <= r <= self.rows and 1 <= c <= self.cols):
-                raise PreconditionViolated(
-                    f"cell {(r, c)} outside {self.rows}x{self.cols}"
-                )
+        masks = tuple(self.masks)
+        object.__setattr__(self, "masks", masks)
+        if self.cols < 0 or not all(0 <= m < 1 << self.cols for m in masks):
+            raise PreconditionViolated(f"need row masks in [0, 2**cols), cols >= 0: "
+                                       f"{masks!r}, cols={self.cols}")
+
+    @property
+    def rows(self) -> int:
+        return len(self.masks)
+
+    @property
+    def ones(self) -> frozenset[tuple[int, int]]:
+        """The one-cells (row, col), 1-indexed."""
+        return frozenset((r, c + 1) for r, m in enumerate(self.masks, 1) for c in _bits(m))
 
     @classmethod
     def from_strings(cls, rows: list[str]) -> "BinaryMatrix":
@@ -108,23 +124,11 @@ class BinaryMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise MalformedInput(f"matrix rows must all have the same length: {text!r}")
-        ones = {
-            (i + 1, j + 1)
-            for i, row in enumerate(rows)
-            for j, ch in enumerate(row)
-            if ch == "1"
-        }
-        return cls(len(rows), ncols, frozenset(ones))
-
-    def row_masks(self) -> list[int]:
-        """Rows as bitmasks; bit c-1 set iff (row, c) is a one."""
-        masks = [0] * self.rows
-        for r, c in self.ones:
-            masks[r - 1] |= 1 << (c - 1)
-        return masks
+        # the first character is column 1, the lowest bit
+        return cls(tuple(int(row[::-1], 2) for row in rows), ncols)
 
     def count_ones(self) -> int:
-        return len(self.ones)
+        return sum(m.bit_count() for m in self.masks)
 
     def to_json(self) -> dict:
         return {
@@ -133,33 +137,9 @@ class BinaryMatrix:
             "ones": sorted([r, c] for r, c in self.ones),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BinaryMatrix":
-        try:
-            return cls(
-                int(data["rows"]),
-                int(data["cols"]),
-                frozenset((int(r), int(c)) for r, c in data["ones"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad matrix JSON: {exc}") from exc
-
     def __str__(self) -> str:
-        cells = self.ones
-        return "\n".join(
-            "".join("1" if (r, c) in cells else "0" for c in range(1, self.cols + 1))
-            for r in range(1, self.rows + 1)
-        )
-
-
-def matrix_from_masks(masks: list[int], cols: int) -> BinaryMatrix:
-    ones = {
-        (i + 1, c + 1)
-        for i, mask in enumerate(masks)
-        for c in range(cols)
-        if mask >> c & 1
-    }
-    return BinaryMatrix(len(masks), cols, frozenset(ones))
+        # a bit above the last column fixes the width; the reversal drops it
+        return "\n".join(format(m | 1 << self.cols, "b")[:0:-1] for m in self.masks)
 
 
 @dataclass(frozen=True)
@@ -172,9 +152,7 @@ class PermutationMatrix:
         m = self.matrix
         if m.rows != m.cols:
             raise NotPermutationMatrix(f"not square: {m.rows}x{m.cols}")
-        if len(m.ones) != m.rows:
-            raise NotPermutationMatrix("wrong number of ones")
-        if len({r for r, _ in m.ones}) != m.rows or len({c for _, c in m.ones}) != m.rows:
+        if sorted(m.masks) != [1 << c for c in range(m.cols)]:
             raise NotPermutationMatrix("needs exactly one 1 per row and per column")
 
     @property
@@ -183,14 +161,11 @@ class PermutationMatrix:
 
     @classmethod
     def identity(cls, k: int) -> "PermutationMatrix":
-        return cls(BinaryMatrix(k, k, frozenset((i, i) for i in range(1, k + 1))))
+        return cls(BinaryMatrix(tuple(1 << i for i in range(k)), k))
 
     def col_of_row(self) -> list[int]:
         """0-based column of the one in each 0-based row, top to bottom."""
-        out = [0] * self.k
-        for r, c in self.matrix.ones:
-            out[r - 1] = c - 1
-        return out
+        return [m.bit_length() - 1 for m in self.matrix.masks]
 
 
 @dataclass(frozen=True)
@@ -400,7 +375,7 @@ def matrix_occurrence_masks(host_masks, host_cols, pat_masks, pat_cols):
     if pk > hk or pat_cols > host_cols:
         return None
     # per pattern row, the pattern columns where it requires a one
-    need = [[b for b in range(pat_cols) if pat_masks[a] >> b & 1] for a in range(pk)]
+    need = [list(_bits(m)) for m in pat_masks]
     # masks[j]: the per-column masks of the first j chosen rows
     masks = [[(1 << host_cols) - 1] * pat_cols]
     cols = _greedy_transversal(masks[0])
@@ -426,33 +401,26 @@ def matrix_occurrence_masks(host_masks, host_cols, pat_masks, pat_cols):
     return chosen, cols
 
 
+def _matrix_occurrence(host: BinaryMatrix, pattern: BinaryMatrix):
+    if not any(pattern.masks):
+        raise EmptyPattern("matrix containment needs a pattern with at least one 1")
+    return matrix_occurrence_masks(host.masks, host.cols, pattern.masks, pattern.cols)
+
+
 def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
     """True iff some order-preserving row/column selection of the host
     dominates the pattern's ones."""
-    if not pattern.ones:
-        raise EmptyPattern("matrix containment needs a pattern with at least one 1")
-    return (
-        matrix_occurrence_masks(
-            host.row_masks(), host.cols, pattern.row_masks(), pattern.cols
-        )
-        is not None
-    )
+    return _matrix_occurrence(host, pattern) is not None
 
 
 def find_matrix_occurrence(host: BinaryMatrix, pattern: BinaryMatrix) -> Occurrence | None:
     """Witness cells, one per pattern one (pattern ones in sorted order)."""
-    if not pattern.ones:
-        raise EmptyPattern("matrix containment needs a pattern with at least one 1")
-    sel = matrix_occurrence_masks(
-        host.row_masks(), host.cols, pattern.row_masks(), pattern.cols
-    )
+    sel = _matrix_occurrence(host, pattern)
     if sel is None:
         return None
     rows_sel, cols_sel = sel
-    cells = tuple(
-        (rows_sel[a - 1] + 1, cols_sel[b - 1] + 1) for a, b in sorted(pattern.ones)
-    )
-    return Occurrence(cells)
+    return Occurrence(tuple((rows_sel[a] + 1, cols_sel[b] + 1)
+                            for a, row in enumerate(pattern.masks) for b in _bits(row)))
 
 
 def matrix_avoids(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
@@ -738,8 +706,10 @@ def _row_states(P: PermutationMatrix, width: int):
 def to_matrix(p: Permutation) -> PermutationMatrix:
     """Permutation matrix with ones at (k + 1 - p[j], j+1)."""
     k = p.n
-    ones = frozenset((k + 1 - v, j + 1) for j, v in enumerate(p.entries))
-    return PermutationMatrix(BinaryMatrix(k, k, ones))
+    masks = [0] * k
+    for j, v in enumerate(p.entries):
+        masks[k - v] = 1 << j
+    return PermutationMatrix(BinaryMatrix(masks, k))
 
 
 def from_matrix(m: PermutationMatrix | BinaryMatrix) -> Permutation:
@@ -749,8 +719,8 @@ def from_matrix(m: PermutationMatrix | BinaryMatrix) -> Permutation:
         m = PermutationMatrix(m)
     k = m.k
     values = [0] * k
-    for r, c in m.matrix.ones:
-        values[c - 1] = k + 1 - r
+    for r, c in enumerate(m.col_of_row()):
+        values[c] = k - r
     return Permutation(tuple(values))
 
 
@@ -760,8 +730,12 @@ def rotate90(m):
     kind."""
     if isinstance(m, PermutationMatrix):
         return PermutationMatrix(rotate90(m.matrix))
-    ones = frozenset((c, m.rows + 1 - r) for r, c in m.ones)
-    return BinaryMatrix(m.cols, m.rows, ones)
+    # column j becomes row j, read bottom row first
+    masks = [0] * m.cols
+    for i, row in enumerate(reversed(m.masks)):
+        for c in _bits(row):
+            masks[c] |= 1 << i
+    return BinaryMatrix(masks, m.rows)
 
 
 # ---------------------------------------------------------------------------

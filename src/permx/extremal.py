@@ -36,7 +36,6 @@ from .core import (
     _row_states,
     count_block_decompositions,
     from_matrix,
-    matrix_from_masks,
     matrix_occurrence_masks,
     rotate90,
 )
@@ -157,12 +156,12 @@ def exfn_exact(
     try:
         value = best(n, root)
     except _Stop:
-        return ExtremalResult(best_value, matrix_from_masks(best_rows, n), nodes, False)
+        return ExtremalResult(best_value, BinaryMatrix(best_rows, n), nodes, False)
     host, state = [], root
     for r in range(n, 0, -1):
         _, m, state = memo[(r, state)]
         host.append(m)
-    return ExtremalResult(value, matrix_from_masks(host, n), nodes, True)
+    return ExtremalResult(value, BinaryMatrix(host, n), nodes, True)
 
 
 def exfn_enumerate(P: PermutationMatrix, n: int) -> int:
@@ -173,7 +172,7 @@ def exfn_enumerate(P: PermutationMatrix, n: int) -> int:
         raise ResourceLimit(f"enumeration over 2^{n * n} matrices refused")
     if P.k == 1:
         return 0
-    pat_masks = P.matrix.row_masks()
+    pat_masks = P.matrix.masks
     best = 0
     for code in range(1 << (n * n)):
         if code.bit_count() <= best:
@@ -236,7 +235,7 @@ def fpts_exact(
     if n_cap > MAX_ROW_CAP:
         raise ResourceLimit(f"row cap {n_cap} exceeds the {MAX_ROW_CAP}-row limit")
     if s > t:
-        return FptsResult(0, matrix_from_masks([], t), 0, True, False)
+        return FptsResult(0, BinaryMatrix((), t), 0, True, False)
     root, forbidden, step = _row_states(P, t)
 
     def candidates(state):
@@ -291,9 +290,9 @@ def fpts_exact(
         value = longest(root)
     except _Stop:
         if capped is not None:
-            return FptsResult(n_cap, matrix_from_masks(capped, t), nodes, False, True)
-        return FptsResult(len(deepest), matrix_from_masks(deepest, t), nodes, False, False)
-    return FptsResult(value, matrix_from_masks(follow(root, value), t), nodes, True, False)
+            return FptsResult(n_cap, BinaryMatrix(capped, t), nodes, False, True)
+        return FptsResult(len(deepest), BinaryMatrix(deepest, t), nodes, False, False)
+    return FptsResult(value, BinaryMatrix(follow(root, value), t), nodes, True, False)
 
 
 def gpts_exact(

@@ -188,6 +188,11 @@ class TestFoxRhs:
     def test_example_222(self):
         assert fox_rhs(self.TABLE, 2, 2, 1, 1, 2) == 1 * 3 + 3 * 2 * 2
 
+    @pytest.mark.parametrize("f, g", [(-1, 1), (1, -1)])
+    def test_negative_row_counts(self, f, g):
+        with pytest.raises(PreconditionViolated, match="need f, g >= 0"):
+            fox_rhs(self.TABLE, 3, 2, f, g, 3)
+
     def test_missing_entry(self):
         with pytest.raises(MissingTableEntry):
             fox_rhs(self.TABLE, 4, 3, 1, 1, 2)

@@ -704,6 +704,41 @@ class TestOperands:
         assert (code, out) == (EXIT_BAD_INPUT, "")
         assert err.startswith("rejected: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("count-av", "--pattern", "12", "--n", "1_0"),
+        ("count-av", "--pattern", "12", "--n", "3", "--budget", "1_000"),
+        ("count-av", "--pattern", "12", "--n", "9" * 5000),  # past int's digit limit
+        ("exfn", "--pattern", "12", "--n", "+3"),
+        ("exfn", "--pattern", "12", "--n", " 3"),
+        ("fpts", "--pattern", "12", "--t", "3", "--s", "2", "--n-cap", "1e3"),
+        ("bounds", "mt", "--k", "+3"),
+        ("bounds", "alpha", "--a", "+1", "--c", "2"),
+        ("bounds", "alpha", "--a", "1", "--c", "1_0"),
+        ("bounds", "lemma21", "--k", "2", "--a", "1", "--t", "1_0.5", "--s", "8"),
+        ("bounds", "certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol", " +1e-9"),
+        ("bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=5", *FOX[:-1], "1_0"),
+    ])
+    def test_malformed_number_rejected(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("rejected: not a ") and err.count("\n") == 1
+
+    def test_numbers_keep_their_grammar(self, capsys):
+        # non-ASCII decimal digits are decimal, as parse_permutation("١٢") is
+        code, out, _ = invoke(capsys, "count-av", "--pattern", "12", "--n", "١٠",
+                              "--format", "json")
+        assert (code, json.loads(out)["n"]) == (EXIT_OK, 10)
+        # an exponent sign is not a leading sign
+        code, out, _ = invoke(capsys, "bounds", "alpha", "--a", "1e+0", "--c", "2.0",
+                              "--format", "json")
+        assert (code, json.loads(out)["a"]) == (EXIT_OK, 1.0)
+
+    def test_fox_rhs_negative_row_count_rejected(self, capsys):
+        code, out, err = invoke(capsys, "bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=5",
+                                "--t", "3", "--s", "2", "--f", "-1", "--g", "1", "--n", "3")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == "rejected: need f, g >= 0, got f=-1, g=1\n"
+
     def test_first_malformed_operand_is_reported(self, capsys):
         code, _, err = invoke(capsys, "contains", "--pattern", "1x", "--host", "4x2")
         assert (code, err) == (EXIT_BAD_INPUT, "rejected: not a digit string: '1x'\n")
@@ -752,11 +787,12 @@ class TestDeterminism:
 
 # Values drawn for every flag of every subcommand: non-finite, negative,
 # zero, huge and non-numeric numbers, empty text, small permutations, a
-# matrix, an ex-table, and operand text that int() reads but the
-# operand parsers refuse.
+# matrix, an ex-table, and text that int() or float() reads but the
+# flag parsers refuse.
 EDGE_VALUES = (
     "nan", "inf", "-1", "0", "1", "2", "2.5", "1e308", str(10**30), "abc", "",
     "12", "21", "132", "10,01", "1=1,2=3", "1²", "1_0", "+2 1", "1,,2", " 1 2 ",
+    "+3",
 )
 
 

@@ -4,11 +4,13 @@ inflation round trips, and the matrix correspondence."""
 import itertools
 import math
 import random
+import typing
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import permx
 from permx.avoidance import count_avoiders
 from permx.core import (
     BinaryMatrix,
@@ -79,9 +81,10 @@ def oracle_completes(prefix, v, pvals):
 
 
 def oracle_matrix_contains(host, pat):
+    host_ones, pat_ones = host.ones, pat.ones
     for rsel in itertools.combinations(range(1, host.rows + 1), pat.rows):
         for csel in itertools.combinations(range(1, host.cols + 1), pat.cols):
-            if all((rsel[a - 1], csel[b - 1]) in host.ones for a, b in pat.ones):
+            if all((rsel[a - 1], csel[b - 1]) in host_ones for a, b in pat_ones):
                 return True
     return False
 
@@ -95,15 +98,21 @@ def permutations_upto(draw, max_n, min_n=1):
 
 
 @st.composite
-def binary_matrices(draw, max_dim=4):
-    rows = draw(st.integers(1, max_dim))
-    cols = draw(st.integers(1, max_dim))
-    cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
-    ones = draw(st.sets(st.sampled_from(cells)))
-    return BinaryMatrix(rows, cols, frozenset(ones))
+def binary_matrices(draw, max_dim=4, min_dim=1):
+    rows = draw(st.integers(min_dim, max_dim))
+    cols = draw(st.integers(min_dim, max_dim))
+    row = st.integers(0, (1 << cols) - 1)
+    return BinaryMatrix(draw(st.lists(row, min_size=rows, max_size=rows)), cols)
 
 
 # -- construction and parsing ----------------------------------------------
+
+def test_public_callables_resolve_their_type_hints():
+    for name in permx.__all__:
+        obj = getattr(permx, name)
+        if callable(obj):
+            typing.get_type_hints(obj)
+
 
 def test_parse_compact_digits():
     assert perm("42153").entries == (4, 2, 1, 5, 3)
@@ -435,23 +444,42 @@ def test_matrix_roundtrip(p):
 
 
 def test_permutation_matrix_validation():
-    with pytest.raises(NotPermutationMatrix):
-        PermutationMatrix(BinaryMatrix(2, 2, frozenset({(1, 1), (1, 2)})))
-    with pytest.raises(NotPermutationMatrix):
-        PermutationMatrix(BinaryMatrix(2, 3, frozenset({(1, 1), (2, 2)})))
-    with pytest.raises(NotPermutationMatrix):
-        PermutationMatrix(BinaryMatrix(2, 2, frozenset({(1, 1)})))
+    for masks, cols in [
+        ((0b11, 0b10), 2),  # two ones in a row
+        ((0b01, 0b01), 2),  # a repeated column
+        ((0b01, 0b10), 3),  # not square
+        ((0b01, 0b00), 2),  # an empty row
+    ]:
+        with pytest.raises(NotPermutationMatrix):
+            PermutationMatrix(BinaryMatrix(masks, cols))
+
+
+def test_permutation_matrix_col_of_row():
+    assert PermutationMatrix(BinaryMatrix((0b10, 0b01), 2)).col_of_row() == [1, 0]
+    assert to_matrix(perm("132")).col_of_row() == [1, 2, 0]
+    assert PermutationMatrix.identity(3).col_of_row() == [0, 1, 2]
 
 
 def test_binary_matrix_bounds_check():
-    with pytest.raises(PreconditionViolated):
-        BinaryMatrix(2, 2, frozenset({(3, 1)}))
+    for masks, cols in [
+        ((0b100,), 2),  # a mask wider than cols
+        ((-1,), 2),  # a negative mask
+        ((), -1),  # negative cols
+    ]:
+        with pytest.raises(PreconditionViolated):
+            BinaryMatrix(masks, cols)
 
 
 def test_matrix_from_strings_and_str():
     m = BinaryMatrix.from_strings(["01", "10"])
+    assert m.masks == (0b10, 0b01) and m.rows == 2
     assert m.ones == frozenset({(1, 2), (2, 1)})
     assert str(m) == "01\n10"
+
+
+@given(binary_matrices())
+def test_matrix_str_round_trips_through_from_strings(m):
+    assert BinaryMatrix.from_strings(str(m).split("\n")) == m
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -466,13 +494,10 @@ def test_matrix_from_strings_rejects_malformed_rows(rows, message):
 
 def test_matrix_json_roundtrip():
     m = BinaryMatrix.from_strings(["011", "100"])
-    assert BinaryMatrix.from_json(m.to_json()) == m
-    assert m.to_json()["ones"] == sorted(m.to_json()["ones"])
-
-
-def test_matrix_json_malformed():
-    with pytest.raises(MalformedInput):
-        BinaryMatrix.from_json({"rows": 2})
+    data = m.to_json()
+    assert (data["rows"], data["cols"]) == (2, 3)
+    assert {tuple(cell) for cell in data["ones"]} == m.ones
+    assert data["ones"] == sorted(data["ones"])
 
 
 def test_matrix_contains_extra_ones_allowed():
@@ -490,8 +515,11 @@ def test_matrix_contains_needs_order():
 
 def test_matrix_empty_pattern_rejected():
     host = BinaryMatrix.from_strings(["1"])
-    with pytest.raises(EmptyPattern):
-        matrix_contains(host, BinaryMatrix(1, 1, frozenset()))
+    for empty in (BinaryMatrix((0,), 1), BinaryMatrix((), 0)):
+        with pytest.raises(EmptyPattern):
+            matrix_contains(host, empty)
+        with pytest.raises(EmptyPattern):
+            find_matrix_occurrence(host, empty)
 
 
 def test_matrix_occurrence_witness():
@@ -559,7 +587,15 @@ def test_rotate90_quarter_turn():
     assert rotate90(m).ones == frozenset({(1, 1), (2, 2)})
 
 
-@given(binary_matrices())
+@given(binary_matrices(min_dim=0))
+def test_rotate90_moves_each_cell_a_quarter_turn(m):
+    # cell (i, j) of an m x n matrix goes to (j, m + 1 - i)
+    rotated = rotate90(m)
+    assert (rotated.rows, rotated.cols) == (m.cols, m.rows)
+    assert rotated.ones == {(j, m.rows + 1 - i) for i, j in m.ones}
+
+
+@given(binary_matrices(min_dim=0))
 def test_rotate90_four_times_identity(m):
     out = m
     for _ in range(4):

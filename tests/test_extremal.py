@@ -55,16 +55,14 @@ def pm(text: str) -> PermutationMatrix:
 
 def vflip(P: PermutationMatrix) -> PermutationMatrix:
     k = P.k
-    return PermutationMatrix(
-        BinaryMatrix(k, k, frozenset((k + 1 - r, c) for r, c in P.matrix.ones))
-    )
+    return PermutationMatrix(BinaryMatrix(P.matrix.masks[::-1], k))
 
 
 def oracle_fpts(P: PermutationMatrix, t: int, s: int, cap: int) -> int:
     """Independent row-sequence enumeration using the generic
     containment routine after every append; stops once a host reaches
     the cap, since nothing can beat it."""
-    pat = P.matrix.row_masks()
+    pat = P.matrix.masks
     cands = [m for m in range(1, 1 << t) if m.bit_count() >= s]
     best = 0
 
@@ -136,7 +134,7 @@ class TestExfn:
         # the first optimum in cell order, setting a cell before clearing it
         res = exfn_exact(pm("132"), 4)
         assert res.value == 12
-        assert res.witness.row_masks() == [15, 15, 12, 12]
+        assert list(res.witness.masks) == [15, 15, 12, 12]
 
     def test_wide_host_budget_pinned(self):
         # a 64-column host grows row states far larger than any count at
@@ -153,7 +151,7 @@ class TestExfn:
         # 4 x 4 patterns, beyond the length-3 tables in artifacts/
         res = exfn_exact(pm(text), n)
         assert (res.value, res.nodes_explored, res.proven_optimal) == (value, nodes, True)
-        assert res.witness.row_masks() == rows
+        assert list(res.witness.masks) == rows
         assert matrix_avoids(res.witness, pm(text).matrix)
 
     def test_bad_n(self):
@@ -207,7 +205,7 @@ class TestFpts:
     def test_spec_witness_shape(self):
         res = fpts_exact(I2, 3, 2)
         assert res.value == 2
-        assert res.witness.row_masks() == [6, 3]  # rows {2,3} then {1,2}
+        assert list(res.witness.masks) == [6, 3]  # rows {2,3} then {1,2}
 
     def test_infeasible_weight_is_zero(self):
         res = fpts_exact(I2, 3, 5)
@@ -226,7 +224,7 @@ class TestFpts:
                 assert res.proven_optimal
                 w = res.witness
                 assert w.rows == res.value and w.cols == t
-                assert all(m.bit_count() >= s for m in w.row_masks())
+                assert all(m.bit_count() >= s for m in w.masks)
                 assert res.value == 0 or matrix_avoids(w, P.matrix)
 
     def test_matches_oracle(self):
@@ -274,20 +272,20 @@ class TestFpts:
         assert not res.proven_optimal and not res.hit_row_cap
         w = res.witness
         assert w.rows == res.value >= 1
-        assert all(m.bit_count() >= 3 for m in w.row_masks())
+        assert all(m.bit_count() >= 3 for m in w.masks)
         assert matrix_avoids(w, I3.matrix)
 
     def test_pinned_witnesses(self):
         # the first longest host with rows tried in descending numeric order
         res = fpts_exact(pm("123"), 6, 3)
         assert (res.value, res.proven_optimal) == (8, True)
-        assert res.witness.row_masks() == [7, 13, 25, 49, 35, 38, 44, 56]
+        assert list(res.witness.masks) == [7, 13, 25, 49, 35, 38, 44, 56]
         res = gpts_exact(pm("132"), 6, 3)
         assert (res.value, res.proven_optimal) == (8, True)
-        assert res.witness.row_masks() == [56, 56, 44, 44, 38, 38, 35, 35]
+        assert list(res.witness.masks) == [56, 56, 44, 44, 38, 38, 35, 35]
         res = fpts_exact(pm("12"), 3, 1, n_cap=6)
         assert res.hit_row_cap
-        assert res.witness.row_masks() == [7, 4, 4, 4, 4, 4]
+        assert list(res.witness.masks) == [7, 4, 4, 4, 4, 4]
 
     @settings(deadline=None)
     @given(st.data())
@@ -301,20 +299,20 @@ class TestFpts:
         expected = oracle_fpts(P, t, s, cap=6)
         assert (res.value, res.hit_row_cap) == (expected, expected == 6)
         assert res.witness.rows == res.value
-        assert all(m.bit_count() >= s for m in res.witness.row_masks())
+        assert all(m.bit_count() >= s for m in res.witness.masks)
         assert res.value == 0 or matrix_avoids(res.witness, P.matrix)
 
     def test_frontier_search_pinned(self):
         res = fpts_exact(pm("123"), 9, 3)
         assert (res.value, res.nodes_explored, res.proven_optimal, res.hit_row_cap) == (
             14, 6146, True, False)
-        assert res.witness.row_masks() == [
+        assert list(res.witness.masks) == [
             7, 13, 25, 49, 97, 193, 385, 259, 262, 268, 280, 304, 352, 448]
 
     def test_width8_is_proven(self):
         res = fpts_exact(pm("123"), 8, 3)
         assert (res.value, res.proven_optimal, res.hit_row_cap) == (12, True, False)
-        assert all(m.bit_count() >= 3 for m in res.witness.row_masks())
+        assert all(m.bit_count() >= 3 for m in res.witness.masks)
         assert matrix_avoids(res.witness, pm("123").matrix)
 
     def test_validation_errors(self):
@@ -362,9 +360,7 @@ class TestClosedForms:
         self.check(pm("12"), 10, 2 * 10 - 1)
 
 
-ROT_INVARIANT = PermutationMatrix(
-    BinaryMatrix(4, 4, frozenset({(1, 2), (2, 4), (3, 1), (4, 3)}))
-)
+ROT_INVARIANT = PermutationMatrix(BinaryMatrix((0b10, 0b1000, 0b1, 0b100), 4))
 
 
 def gpts_direct(P: PermutationMatrix, t: int, s: int, n_cap: int) -> int:
@@ -379,7 +375,7 @@ def gpts_direct(P: PermutationMatrix, t: int, s: int, n_cap: int) -> int:
         raise ZeroRowWeight("s = 0 admits unlimited all-zero columns; refusing")
     if s > t or P.k == 1:
         return 0
-    pat_masks = P.matrix.row_masks()
+    pat_masks = P.matrix.masks
     candidates = [m for m in range((1 << t) - 1, 0, -1) if m.bit_count() >= s]
     best = 0
 
