@@ -71,7 +71,7 @@ from .core import (
     completes_at_end,
     direct_sum,
 )
-from .errors import EmptyPattern, PreconditionViolated, ResourceLimit
+from .errors import PreconditionViolated, ResourceLimit
 from .limits import (
     DEFAULT_COUNT_LENGTH_LIMIT,
     DEFAULT_MERGE_COUNT_LENGTH_LIMIT,
@@ -165,18 +165,18 @@ def count_avoiders(
     pattern: Permutation,
     n: int,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Exact number of length-n permutations avoiding ``pattern``.
 
     Counted as a sum over prefix states (see the module docstring), not
-    by visiting avoiders.  ``node_budget`` caps the number of distinct
+    by visiting avoiders.  ``budget`` caps the number of distinct
     states expanded, a count that depends only on the pattern and n."""
     if pattern.n == 0:
-        raise EmptyPattern("avoidance is defined for nonempty patterns")
+        raise PreconditionViolated("avoidance is defined for nonempty patterns")
     _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
     root, step = _perm_states(pattern.entries)
-    return sum(_sum_over_states(root, step, n, node_budget).values())
+    return sum(_sum_over_states(root, step, n, budget).values())
 
 
 def _check_length(n, limit):
@@ -211,12 +211,12 @@ def avoiders(
     pattern: Permutation,
     n: int,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ):
     """Yield every length-n avoider of ``pattern`` as a value tuple, in
     lexicographic order."""
     if pattern.n == 0:
-        raise EmptyPattern("avoidance is defined for nonempty patterns")
+        raise PreconditionViolated("avoidance is defined for nonempty patterns")
     _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
     pvals = pattern.entries
     used = bytearray(n + 1)
@@ -232,8 +232,8 @@ def avoiders(
             if used[v]:
                 continue
             nodes += 1
-            if nodes > node_budget:
-                raise ResourceLimit(f"node budget {node_budget} exhausted")
+            if nodes > budget:
+                raise ResourceLimit(f"node budget {budget} exhausted")
             if completes_at_end(prefix, v, pvals):
                 continue
             used[v] = 1
@@ -249,7 +249,7 @@ def sw_estimate_sequence(
     pattern: Permutation,
     n_max: int,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SwEstimate]:
     """Exact counts with count**(1/n) growth estimates for n = 1..n_max."""
     if n_max < 1:
@@ -257,7 +257,7 @@ def sw_estimate_sequence(
     _check_length(n_max, DEFAULT_COUNT_LENGTH_LIMIT)
     out = []
     for n in range(1, n_max + 1):
-        count = count_avoiders(pattern, n, node_budget=node_budget)
+        count = count_avoiders(pattern, n, budget=budget)
         value = float(count) ** (1.0 / n) if count > 0 else 0.0
         out.append(SwEstimate(n, count, value))
     return out
@@ -272,13 +272,13 @@ def merge_coloring(
     red_pattern: Permutation,
     blue_pattern: Permutation,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[str, ...] | None:
     """A per-entry ("red"/"blue") coloring whose red subsequence avoids
     the red pattern and blue subsequence avoids the blue pattern, or
     None if no such coloring exists."""
     if red_pattern.n == 0 or blue_pattern.n == 0:
-        raise EmptyPattern("merge patterns must be nonempty")
+        raise PreconditionViolated("merge patterns must be nonempty")
     n = host.n
     if n > DEFAULT_MERGE_LENGTH_LIMIT:
         raise ResourceLimit(
@@ -293,8 +293,8 @@ def merge_coloring(
     def rec(i):
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
-            raise ResourceLimit(f"node budget {node_budget} exhausted")
+        if nodes > budget:
+            raise ResourceLimit(f"node budget {budget} exhausted")
         if i == n:
             return True
         v = hvals[i]
@@ -322,11 +322,11 @@ def merge_member(
     red_pattern: Permutation,
     blue_pattern: Permutation,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """True iff the host's entries 2-color so that red avoids the red
     pattern and blue avoids the blue pattern."""
-    return merge_coloring(host, red_pattern, blue_pattern, node_budget=node_budget) is not None
+    return merge_coloring(host, red_pattern, blue_pattern, budget=budget) is not None
 
 
 def _interned(root, step):
@@ -461,7 +461,7 @@ def verify_jv_inclusion(
     c: Permutation,
     n: int,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> JvInclusionReport:
     """Check, for every length-n avoider of a+b+c (direct sum), that it
     merges from an avoider of a+b and an avoider of b+c.
@@ -470,16 +470,16 @@ def verify_jv_inclusion(
     by visiting avoiders.  ``checked`` is the number of avoiders, or,
     when the inclusion fails, the lexicographic rank of the first failing
     avoider, which is reported as the counterexample (none is expected).
-    ``node_budget`` caps the number of distinct states expanded.
+    ``budget`` caps the number of distinct states expanded.
     """
     if a.n == 0 or b.n == 0 or c.n == 0:
-        raise EmptyPattern("all three parts must be nonempty")
+        raise PreconditionViolated("all three parts must be nonempty")
     _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
     combined = direct_sum(direct_sum(a, b), c)
     red_pattern = direct_sum(a, b)
     blue_pattern = direct_sum(b, c)
     checked, holds, counterexample = _jv_search(
-        combined.entries, red_pattern.entries, blue_pattern.entries, n, node_budget
+        combined.entries, red_pattern.entries, blue_pattern.entries, n, budget
     )
     return JvInclusionReport(
         parts=(a, b, c),
@@ -498,25 +498,25 @@ def merge_count_upper_check(
     blue_pattern: Permutation,
     n: int,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> MergeCountReport:
     """Count mergeable length-n permutations and compare against the
     binomial-sum right-hand sides (see :class:`MergeCountReport`).
 
     The count is a sum over merge states (see the module docstring), not
-    a test of each host.  ``node_budget`` caps the number of distinct
+    a test of each host.  ``budget`` caps the number of distinct
     states expanded, by the count and by each avoider count of the
     right-hand sides separately."""
     if red_pattern.n == 0 or blue_pattern.n == 0:
-        raise EmptyPattern("merge patterns must be nonempty")
+        raise PreconditionViolated("merge patterns must be nonempty")
     _check_length(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT)
     root, step = _merge_states(red_pattern.entries, blue_pattern.entries)
-    lhs = sum(_sum_over_states(root, step, n, node_budget).values())
+    lhs = sum(_sum_over_states(root, step, n, budget).values())
     red_counts = [
-        count_avoiders(red_pattern, i, node_budget=node_budget) for i in range(n + 1)
+        count_avoiders(red_pattern, i, budget=budget) for i in range(n + 1)
     ]
     blue_counts = [
-        count_avoiders(blue_pattern, i, node_budget=node_budget) for i in range(n + 1)
+        count_avoiders(blue_pattern, i, budget=budget) for i in range(n + 1)
     ]
     rhs = sum(
         math.comb(n, i) * red_counts[i] * blue_counts[n - i] for i in range(n + 1)

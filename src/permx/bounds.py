@@ -37,13 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 
-from .errors import (
-    BadConstants,
-    DenominatorNonpositive,
-    MissingTableEntry,
-    PreconditionViolated,
-    ResourceLimit,
-)
+from .errors import PreconditionViolated, ResourceLimit
 from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS
 
 _LN2 = math.log(2.0)
@@ -58,33 +52,33 @@ def _as_fraction(value, name: str) -> Fraction:
     decimal repr so e.g. 0.1 means 1/10."""
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise BadConstants(f"{name} must be finite, got {value!r}")
+            raise PreconditionViolated(f"{name} must be finite, got {value!r}")
         return Fraction(str(value))
     try:
         return Fraction(value)
     except (TypeError, ValueError) as exc:
-        raise BadConstants(f"{name} is not a rational constant: {value!r}") from exc
+        raise PreconditionViolated(f"{name} is not a rational constant: {value!r}") from exc
 
 
-def _pow_ka(k, a, s, error=PreconditionViolated) -> Fraction:
+def _pow_ka(k, a, s) -> Fraction:
     """k**a as an exact rational when a is integral, else the exact
     value of the double-precision power.
 
     k^a must lie within 2^-1023 .. 2^1023, and every caller needs
-    k^a < s: a k^a above 2s raises ``error``.  Both are decided in log2
-    space before any power is built, so a huge exponent neither builds a
-    huge exact power nor overflows a double.
+    k^a < s: a k^a above 2s raises ``PreconditionViolated``.  Both are
+    decided in log2 space before any power is built, so a huge exponent
+    neither builds a huge exact power nor overflows a double.
     """
     kf = _as_fraction(k, "k")
     if kf < 1:
         raise PreconditionViolated(f"need k >= 1, got {k}")
     if not math.isfinite(a):
-        raise BadConstants(f"a must be finite, got {a!r}")
+        raise PreconditionViolated(f"a must be finite, got {a!r}")
     log2_ka = a * math.log2(k)
     if abs(log2_ka) > 1023:
-        raise BadConstants(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
+        raise PreconditionViolated(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
     if log2_ka > math.log2(s) + 1:
-        raise error(f"need s > k^a, got s={s}, k^a=2^{log2_ka:g}")
+        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a=2^{log2_ka:g}")
     if _is_integral(a):
         return kf ** int(a)
     return Fraction(float(k) ** float(a))
@@ -136,7 +130,7 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
     second-term ratio, with the caller supplying the shrunken-instance
     value f_sub."""
     if c < 2:
-        raise BadConstants(f"need c >= 2, got {c}")
+        raise PreconditionViolated(f"need c >= 2, got {c}")
     if not 1 <= s <= t:
         raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
     if f_sub < 0:
@@ -144,16 +138,16 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
     xf = _as_fraction(x, "x")
     yf = _as_fraction(y, "y")
     if not 0 < xf < 1:
-        raise BadConstants(f"need 0 < x < 1, got {x}")
+        raise PreconditionViolated(f"need 0 < x < 1, got {x}")
     if not 0 < yf < 1:
-        raise BadConstants(f"need 0 < y < 1, got {y}")
+        raise PreconditionViolated(f"need 0 < y < 1, got {y}")
     if xf <= Fraction(1, c):
-        raise BadConstants(f"need x > 1/c, got x={x}, c={c}")
+        raise PreconditionViolated(f"need x > 1/c, got x={x}, c={c}")
     fxc = int(xf * c)  # floor; >= 1 because x > 1/c
-    ka = _pow_ka(k, a, s, DenominatorNonpositive)
+    ka = _pow_ka(k, a, s)
     denom = _as_fraction(s, "s") * (1 - yf * Fraction(c - 1, fxc)) * c - ka * c
     if denom <= 0:
-        raise DenominatorNonpositive(
+        raise PreconditionViolated(
             f"s(1 - y(c-1)/floor(xc))c - k^a c = {float(denom):g} <= 0"
         )
     digits = _binom_digits(c, fxc)
@@ -179,7 +173,7 @@ def theorem24_alpha(a, c: int) -> float:
     except OverflowError:  # an int a or c beyond the double range
         alpha = math.inf
     if not math.isfinite(2.0 * alpha):
-        raise BadConstants(f"2*alpha = 4a + 16c^2 + 64ac^2 ln c overflows a double "
+        raise PreconditionViolated(f"2*alpha = 4a + 16c^2 + 64ac^2 ln c overflows a double "
                            f"at a={a}, c={c}")
     return alpha
 
@@ -199,7 +193,7 @@ def fox_rhs(ex_table, t: int, s: int, f_val: int, g_val: int, n: int) -> int:
     out = {}
     for key in (s - 1, t, n):
         if key not in ex_table:
-            raise MissingTableEntry(f"ex table is missing an entry for n={key}")
+            raise PreconditionViolated(f"ex table is missing an entry for n={key}")
         out[key] = ex_table[key]
     return out[s - 1] * out[n] + out[t] * (f_val + g_val) * n
 
@@ -218,13 +212,13 @@ class BoundParams:
 
     def __post_init__(self):
         if not math.isfinite(self.k):
-            raise BadConstants(f"need finite k, got {self.k}")
+            raise PreconditionViolated(f"need finite k, got {self.k}")
         if self.k < 2:
-            raise BadConstants(f"need k >= 2, got {self.k}")
+            raise PreconditionViolated(f"need k >= 2, got {self.k}")
         if self.c < 2:
-            raise BadConstants(f"need c >= 2, got {self.c}")
+            raise PreconditionViolated(f"need c >= 2, got {self.c}")
         if not 0 < self.a < math.inf:
-            raise BadConstants(f"need finite a > 0, got {self.a}")
+            raise PreconditionViolated(f"need finite a > 0, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -374,13 +368,13 @@ def build_schedule(params: BoundParams) -> Schedule:
     log2_beta_k = math.log2(2 * c) + a * l2k
     log2_beta = math.log2(2 * c) + (a - 1.0) * l2k
     if log2_beta >= 1024:
-        raise BadConstants(f"beta = 2c*k^(a-1) overflows a double at k={k}, a={a}")
+        raise PreconditionViolated(f"beta = 2c*k^(a-1) overflows a double at k={k}, a={a}")
     beta = 2.0 ** log2_beta
 
     # step count: contraction ratio of sqrt(t)/s must close the gap
     denom = math.log(y_b) - 0.5 * math.log(x_b)
     if denom <= 0:
-        raise BadConstants("bulk multipliers cannot close the weight gap")
+        raise PreconditionViolated("bulk multipliers cannot close the weight gap")
     q = 1.0 + (math.log(c) + 0.5 * log2_beta_k * _LN2) / denom
     if q > MAX_SCHEDULE_STEPS:
         raise ResourceLimit(
@@ -562,7 +556,7 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     and the indices are states of the schedule.
     """
     if not 0 <= tol < math.inf:
-        raise BadConstants(f"need finite tol >= 0, got {tol}")
+        raise PreconditionViolated(f"need finite tol >= 0, got {tol}")
     params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
@@ -716,7 +710,7 @@ def crude_fpts_bound(schedule: Schedule) -> float:
     l_s0_term = ls0 + math.log2((1.0 - y_b) * c)
     l_ka_c = a * l2k + math.log2(c)
     if l_ka_c >= l_s0_term:
-        raise DenominatorNonpositive(
+        raise PreconditionViolated(
             "s_0(1-y_b)c - k^a c <= 0; the schedule start is too small"
         )
     l_den = l_s0_term + math.log1p(-(2.0 ** (l_ka_c - l_s0_term))) / _LN2

@@ -17,11 +17,11 @@ call, and reused by every later call.
 Each operand flag's argparse ``type`` is its parser, so commands get
 parsed values and reports echo them.  A permutation is a digit string
 or whitespace-separated decimal tokens; matrices, blocks and ex-tables
-are comma lists with no empty item.  An integer flag takes an optional
-"-" and decimal digits; a real flag takes what ``float`` reads, less
-"_" separators and a leading "+".  The parsers raise
-``PreconditionViolated``, which argparse passes on: the first malformed
-operand or number on the command line exits 2.
+are comma lists with no empty item, and an ex-table names each n once.
+An integer flag takes an optional "-" and decimal digits; a real flag
+takes what ``float`` reads, less "_" separators and a leading "+".  The
+parsers raise ``PreconditionViolated``, which argparse passes on: the
+first malformed operand or number on the command line exits 2.
 
 A command line takes one path to its report: ``run(argv)`` parses it,
 calls the command with its options and returns (exit code, report).
@@ -75,7 +75,7 @@ from .core import (
     skew_sum,
     to_matrix,
 )
-from .errors import MalformedInput, PermxError, PreconditionViolated, ResourceLimit
+from .errors import PreconditionViolated, ResourceLimit
 from .extremal import (
     check_lemma21,
     check_lemma22,
@@ -104,7 +104,7 @@ def _parse_int(text: str) -> int:
             return int(text)  # fails past int's digit limit
     except ValueError:
         pass
-    raise MalformedInput(f"not a decimal integer: {text!r}")
+    raise PreconditionViolated(f"not a decimal integer: {text!r}")
 
 
 def _parse_float(text: str) -> float:
@@ -114,7 +114,7 @@ def _parse_float(text: str) -> float:
             return float(text)
     except ValueError:
         pass
-    raise MalformedInput(f"not a number: {text!r}")
+    raise PreconditionViolated(f"not a number: {text!r}")
 
 
 def _parse_matrix(text: str) -> BinaryMatrix:
@@ -131,8 +131,11 @@ def _parse_ex_table(text: str) -> dict[int, int]:
     for item in text.strip().split(","):
         key, _, value = item.partition("=")
         if not (key.isdecimal() and value.isdecimal()):
-            raise MalformedInput(f"ex-table entries look like n=value: {item!r}")
-        table[_parse_int(key)] = _parse_int(value)
+            raise PreconditionViolated(f"ex-table entries look like n=value: {item!r}")
+        n = _parse_int(key)
+        if n in table:
+            raise PreconditionViolated(f"ex-table repeats n={n}: {item!r}")
+        table[n] = _parse_int(value)
     return table
 
 
@@ -303,13 +306,13 @@ def _decompose(o):
 
 def _count_av(o):
     p = o["pattern"]
-    value = count_avoiders(p, o["n"], node_budget=o["budget"])
+    value = count_avoiders(p, o["n"], budget=o["budget"])
     return {"pattern": str(p), "n": o["n"], "count": str(value)}
 
 
 def _sw_estimate(o):
     p = o["pattern"]
-    seq = sw_estimate_sequence(p, o["n_max"], node_budget=o["budget"])
+    seq = sw_estimate_sequence(p, o["n_max"], budget=o["budget"])
     return {
         "pattern": str(p),
         "sequence": [{"n": e.n, "count": str(e.count), "estimate": e.value} for e in seq],
@@ -318,7 +321,7 @@ def _sw_estimate(o):
 
 def _perm_report(check, o, *names):
     """A report on the named permutations at length n."""
-    return check(*(o[name] for name in names), o["n"], node_budget=o["budget"]).to_jsonable()
+    return check(*(o[name] for name in names), o["n"], budget=o["budget"]).to_jsonable()
 
 
 def _echo(value):
@@ -577,9 +580,6 @@ def main(argv=None) -> int:
     except PreconditionViolated as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except PermxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # last resort: anything unexpected is code 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

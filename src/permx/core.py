@@ -25,17 +25,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import (
-    ArityMismatch,
-    EmptyBlock,
-    EmptyOperand,
-    EmptyPattern,
-    MalformedInput,
-    NotABijection,
-    NotPermutationMatrix,
-    PreconditionViolated,
-    ResourceLimit,
-)
+from .errors import PreconditionViolated, ResourceLimit
 from .limits import MAX_DECOMPOSITIONS
 
 _LOW = -(1 << 60)
@@ -56,7 +46,7 @@ class Permutation:
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         if sorted(entries) != list(range(1, len(entries) + 1)):
-            raise NotABijection(f"not a bijection on 1..{len(entries)}: {entries!r}")
+            raise PreconditionViolated(f"not a bijection on 1..{len(entries)}: {entries!r}")
 
     @property
     def n(self) -> int:
@@ -114,16 +104,16 @@ class BinaryMatrix:
         """Build from rows of '0'/'1' characters, e.g. ["01", "10"].
 
         The rows must be nonempty 0/1 strings of one length; anything
-        else raises ``MalformedInput`` naming the rows joined by commas,
-        as the CLI's matrix text gives them."""
+        else raises ``PreconditionViolated`` naming the rows joined by
+        commas, as the CLI's matrix text gives them."""
         text = ",".join(rows)
         if not all(rows):
-            raise MalformedInput(f"matrix rows must not be empty: {text!r}")
+            raise PreconditionViolated(f"matrix rows must not be empty: {text!r}")
         if any(ch not in "01" for row in rows for ch in row):
-            raise MalformedInput(f"matrix rows must be 0/1 strings: {text!r}")
+            raise PreconditionViolated(f"matrix rows must be 0/1 strings: {text!r}")
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
-            raise MalformedInput(f"matrix rows must all have the same length: {text!r}")
+            raise PreconditionViolated(f"matrix rows must all have the same length: {text!r}")
         # the first character is column 1, the lowest bit
         return cls(tuple(int(row[::-1], 2) for row in rows), ncols)
 
@@ -151,9 +141,9 @@ class PermutationMatrix:
     def __post_init__(self):
         m = self.matrix
         if m.rows != m.cols:
-            raise NotPermutationMatrix(f"not square: {m.rows}x{m.cols}")
+            raise PreconditionViolated(f"not square: {m.rows}x{m.cols}")
         if sorted(m.masks) != [1 << c for c in range(m.cols)]:
-            raise NotPermutationMatrix("needs exactly one 1 per row and per column")
+            raise PreconditionViolated("needs exactly one 1 per row and per column")
 
     @property
     def k(self) -> int:
@@ -190,13 +180,13 @@ class BlockDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.skeleton.n != len(self.blocks):
-            raise ArityMismatch(
+            raise PreconditionViolated(
                 f"skeleton length {self.skeleton.n} != {len(self.blocks)} blocks"
             )
         if self.skeleton.n < 1:
             raise PreconditionViolated("need at least one block")
         if any(b.n == 0 for b in self.blocks):
-            raise EmptyBlock("blocks must be nonempty")
+            raise PreconditionViolated("blocks must be nonempty")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +202,7 @@ def parse_permutation(text: str) -> Permutation:
     ("①") digit.  Every failure is a ``PreconditionViolated``."""
     text = text.strip()
     if not text:
-        raise MalformedInput("empty permutation text")
+        raise PreconditionViolated("empty permutation text")
     if any(ch.isspace() for ch in text):
         tokens = text.split()
         try:
@@ -220,10 +210,10 @@ def parse_permutation(text: str) -> Permutation:
                 raise ValueError(text)
             values = tuple(map(int, tokens))  # fails past int's digit limit
         except ValueError:
-            raise MalformedInput(f"non-integer token in {text!r}") from None
+            raise PreconditionViolated(f"non-integer token in {text!r}") from None
     else:
         if not text.isdecimal():
-            raise MalformedInput(f"not a digit string: {text!r}")
+            raise PreconditionViolated(f"not a digit string: {text!r}")
         values = tuple(map(int, text))
     return Permutation(values)
 
@@ -254,7 +244,7 @@ def _occurrence_ending(hvals, pvals, ends):
     """
     k = len(pvals)
     if k == 0:
-        raise EmptyPattern("containment is defined for nonempty patterns")
+        raise PreconditionViolated("containment is defined for nonempty patterns")
     last = k - 1
     # vals holds the placed host values in pattern order, the end's value
     # at ``last`` and the two open bounds after it; below[j] and above[j]
@@ -403,7 +393,7 @@ def matrix_occurrence_masks(host_masks, host_cols, pat_masks, pat_cols):
 
 def _matrix_occurrence(host: BinaryMatrix, pattern: BinaryMatrix):
     if not any(pattern.masks):
-        raise EmptyPattern("matrix containment needs a pattern with at least one 1")
+        raise PreconditionViolated("matrix containment needs a pattern with at least one 1")
     return matrix_occurrence_masks(host.masks, host.cols, pattern.masks, pattern.cols)
 
 
@@ -761,14 +751,14 @@ def inverse(p: Permutation) -> Permutation:
 def direct_sum(p: Permutation, q: Permutation) -> Permutation:
     """q's values placed above p's, positions after p's."""
     if p.n == 0 or q.n == 0:
-        raise EmptyOperand("direct sum needs nonempty operands")
+        raise PreconditionViolated("direct sum needs nonempty operands")
     return Permutation(p.entries + tuple(v + p.n for v in q.entries))
 
 
 def skew_sum(p: Permutation, q: Permutation) -> Permutation:
     """p's values placed above q's, positions before q's."""
     if p.n == 0 or q.n == 0:
-        raise EmptyOperand("skew sum needs nonempty operands")
+        raise PreconditionViolated("skew sum needs nonempty operands")
     return Permutation(tuple(v + q.n for v in p.entries) + q.entries)
 
 
@@ -781,9 +771,9 @@ def inflate(skeleton: Permutation, blocks) -> Permutation:
     blocks[i]; intervals are arranged like the skeleton."""
     blocks = list(blocks)
     if len(blocks) != skeleton.n:
-        raise ArityMismatch(f"{skeleton.n} skeleton entries, {len(blocks)} blocks")
+        raise PreconditionViolated(f"{skeleton.n} skeleton entries, {len(blocks)} blocks")
     if any(b.n == 0 for b in blocks):
-        raise EmptyBlock("inflation blocks must be nonempty")
+        raise PreconditionViolated("inflation blocks must be nonempty")
     sizes = [b.n for b in blocks]
     # value offset of segment i = total size of segments ranked below it
     offsets = [0] * len(blocks)

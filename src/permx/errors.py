@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all permx modules.
 
-Two families matter to callers: precondition violations (bad inputs,
-CLI exit code 2) and resource limits (exhausted budgets/caps, exit 3).
+Every refusal is a ``PreconditionViolated`` (an input outside the
+operation's domain; CLI exit code 2) or a ``ResourceLimit`` (an
+exhausted node budget or size cap; exit 3). Both derive from
+``PermxError``; the message names the failed check.
 """
 
 
@@ -11,58 +13,6 @@ class PermxError(Exception):
 
 class PreconditionViolated(PermxError):
     """An operation was called outside its stated domain."""
-
-
-class MalformedInput(PreconditionViolated):
-    """Text input could not be parsed."""
-
-
-class NotABijection(PreconditionViolated):
-    """A would-be permutation has duplicate or missing values."""
-
-
-class EmptyPattern(PreconditionViolated):
-    """Containment queries require a nonempty pattern."""
-
-
-class EmptyOperand(PreconditionViolated):
-    """Sum operations require nonempty operands."""
-
-
-class NotPermutationMatrix(PreconditionViolated):
-    """Matrix is not square with exactly one 1 per row and column."""
-
-
-class ArityMismatch(PreconditionViolated):
-    """Number of inflation blocks does not match the skeleton length."""
-
-
-class EmptyBlock(PreconditionViolated):
-    """Inflation blocks must be nonempty."""
-
-
-class ZeroRowWeight(PreconditionViolated):
-    """Row-weight threshold s = 0 would make the row count unbounded."""
-
-
-class NotBlockable(PreconditionViolated):
-    """Pattern admits no block decomposition with the requested block count."""
-
-
-class DenominatorNonpositive(PreconditionViolated):
-    """A bound's denominator is zero or negative for these parameters."""
-
-
-class BadConstants(PreconditionViolated):
-    """Recursion constants (x, y) are outside their valid open ranges."""
-
-
-class HypothesisUnverified(PreconditionViolated):
-    """The linear extremal-growth hypothesis failed on the tested range."""
-
-
-class MissingTableEntry(PreconditionViolated):
-    """A required extremal-table entry was not supplied."""
 
 
 class ResourceLimit(PermxError):

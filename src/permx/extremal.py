@@ -39,13 +39,7 @@ from .core import (
     matrix_occurrence_masks,
     rotate90,
 )
-from .errors import (
-    HypothesisUnverified,
-    NotBlockable,
-    PreconditionViolated,
-    ResourceLimit,
-    ZeroRowWeight,
-)
+from .errors import PreconditionViolated, ResourceLimit
 from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP, MAX_WIDTH
 
 
@@ -229,7 +223,7 @@ def fpts_exact(
     if s < 0:
         raise PreconditionViolated(f"need s >= 0, got {s}")
     if s == 0:
-        raise ZeroRowWeight("s = 0 admits unlimited all-zero rows; refusing")
+        raise PreconditionViolated("s = 0 admits unlimited all-zero rows; refusing")
     if n_cap < 1:
         raise PreconditionViolated(f"need n_cap >= 1, got {n_cap}")
     if n_cap > MAX_ROW_CAP:
@@ -348,7 +342,7 @@ def check_lemma21(
     """Certify fpts_exact(P, t, s) <= k^a * t / (s - k^a).
 
     First verifies the linear extremal hypothesis ex_P(n) <= k^a * n
-    for 1 <= n <= hypothesis_n via exfn_exact (HypothesisUnverified
+    for 1 <= n <= hypothesis_n via exfn_exact (PreconditionViolated
     otherwise; hypothesis_n below 1 is refused), then compares the exact search against the bound.  The
     row cap is set just above the bound, so hitting the cap refutes the
     inequality decisively rather than leaving it open.  The hypothesis
@@ -370,7 +364,7 @@ def check_lemma21(
         if not res.proven_optimal:
             raise ResourceLimit(f"budget exhausted while verifying ex at n={n}")
         if Fraction(res.value) > ka * n:
-            raise HypothesisUnverified(
+            raise PreconditionViolated(
                 f"ex(n={n}) = {res.value} exceeds k^a*n = {float(ka) * n:g}"
             )
     cap = min(DEFAULT_ROW_CAP, bound.numerator // bound.denominator + 1)
@@ -446,16 +440,16 @@ def check_lemma22(
     """
     k = P.k
     if not count_block_decompositions(from_matrix(P), c):
-        raise NotBlockable(f"pattern admits no {c}-block decomposition")
+        raise PreconditionViolated(f"pattern admits no {c}-block decomposition")
     # validates constants and the denominator before any search runs
-    remainder = lemma22_rhs(k, a, c, t, s, x, y, 0)
+    lemma22_rhs(k, a, c, t, s, x, y, 0)
     xf = _as_fraction(x, "x")
     yf = _as_fraction(y, "y")
     fxc = int(xf * c)
     shrunk_t = t * fxc // c
     shrunk_s = int(Fraction(s) * yf)
     if shrunk_s == 0:
-        raise ZeroRowWeight("floor(s*y) = 0 makes the shrunken search unbounded")
+        raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
     if shrunk_t == 0:
         raise PreconditionViolated("floor(t*floor(xc)/c) = 0 leaves no columns")
     sub = fpts_exact(P, shrunk_t, shrunk_s, DEFAULT_ROW_CAP, budget)

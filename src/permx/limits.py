@@ -1,9 +1,9 @@
 """Desk-scale search limits.
 
 The length limits and the ceilings are fixed; raise one by editing it
-here.  Per call, a caller sets only the node budget (``node_budget`` or
-``budget``, or the --budget flag in the CLI) and the row cap of the
-row-density searches, up to its ceiling.
+here.  Per call, a caller sets only the node budget (``budget``, or
+the --budget flag in the CLI) and the row cap of the row-density
+searches, up to its ceiling.
 """
 
 DEFAULT_NODE_BUDGET = 10 ** 8

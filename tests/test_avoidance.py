@@ -30,7 +30,7 @@ from permx.core import (
     parse_permutation,
     reverse,
 )
-from permx.errors import EmptyPattern, PreconditionViolated, ResourceLimit
+from permx.errors import PreconditionViolated, ResourceLimit
 
 THREE_PATTERNS = ["123", "132", "213", "231", "312", "321"]
 
@@ -98,16 +98,16 @@ def test_count_symmetry_invariance(text):
 
 
 def test_count_validation():
-    with pytest.raises(EmptyPattern):
+    with pytest.raises(PreconditionViolated, match="nonempty patterns"):
         count_avoiders(Permutation(()), 3)
     with pytest.raises(PreconditionViolated):
         count_avoiders(perm("123"), -1)
     with pytest.raises(ResourceLimit):
         count_avoiders(perm("123"), 13)
     with pytest.raises(ResourceLimit):
-        count_avoiders(perm("123"), 9, node_budget=10)
+        count_avoiders(perm("123"), 9, budget=10)
     with pytest.raises(ResourceLimit):
-        count_avoiders(perm("1324"), 10, node_budget=100)
+        count_avoiders(perm("1324"), 10, budget=100)
 
 
 @pytest.mark.parametrize("pattern, n, budget, count", [
@@ -124,9 +124,9 @@ def test_count_budget_counts_states(pattern, n, budget, count):
     # smallest sufficient budget pins how many distinct reduced states the
     # step builds, and repeating it shows no memo leaks between calls
     for _ in range(2):
-        assert count_avoiders(perm(pattern), n, node_budget=budget) == count
+        assert count_avoiders(perm(pattern), n, budget=budget) == count
         with pytest.raises(ResourceLimit):
-            count_avoiders(perm(pattern), n, node_budget=budget - 1)
+            count_avoiders(perm(pattern), n, budget=budget - 1)
 
 
 # -- closed forms that share no code with the counter -----------------------
@@ -282,9 +282,9 @@ def test_merge_single_pattern_blocks_everything():
 
 
 def test_merge_validation():
-    with pytest.raises(EmptyPattern):
+    with pytest.raises(PreconditionViolated, match="merge patterns must be nonempty"):
         merge_member(perm("1"), Permutation(()), perm("1"))
-    with pytest.raises(EmptyPattern):
+    with pytest.raises(PreconditionViolated, match="merge patterns must be nonempty"):
         merge_coloring(perm("1"), perm("1"), Permutation(()))
     with pytest.raises(ResourceLimit):
         merge_member(Permutation(tuple(range(1, 16))), perm("12"), perm("21"))
@@ -341,7 +341,7 @@ def test_jv_inclusion_longer_first_part():
 
 
 def test_jv_inclusion_validation():
-    with pytest.raises(EmptyPattern):
+    with pytest.raises(PreconditionViolated, match="all three parts must be nonempty"):
         verify_jv_inclusion(perm("1"), Permutation(()), perm("1"), 3)
 
 
@@ -511,8 +511,8 @@ def test_merge_count_reports_pinned():
 
 
 @pytest.mark.parametrize("run", [
-    lambda budget: merge_count_upper_check(perm("123"), perm("132"), 6, node_budget=budget),
-    lambda budget: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 6, node_budget=budget),
+    lambda budget: merge_count_upper_check(perm("123"), perm("132"), 6, budget=budget),
+    lambda budget: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 6, budget=budget),
 ], ids=["merge-count", "jv"])
 def test_merge_budget_counts_states(run):
     # a node is one distinct state expanded, so the smallest sufficient
@@ -535,7 +535,7 @@ def test_merge_budget_counts_states(run):
 
 @pytest.mark.parametrize("run, nodes", [
     (lambda budget: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 6,
-                                        node_budget=budget), 62),
+                                        budget=budget), 62),
     # failing triples: the descent to the counterexample re-sums only
     # states the first sum expanded, so it costs no further nodes
     (lambda budget: _jv_search((3, 2, 1), (1, 2), (1, 2), 6, budget), 84),

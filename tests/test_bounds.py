@@ -37,13 +37,7 @@ from permx.bounds import (
     _log2_int,
 )
 from permx.cli import main
-from permx.errors import (
-    BadConstants,
-    DenominatorNonpositive,
-    MissingTableEntry,
-    PreconditionViolated,
-    ResourceLimit,
-)
+from permx.errors import PreconditionViolated, ResourceLimit
 
 
 def pascal_binomial(n: int, r: int) -> int:
@@ -112,28 +106,28 @@ class TestLemma22Rhs:
         assert a == b
 
     def test_x_at_inverse_c_rejected(self):
-        with pytest.raises(BadConstants):
+        with pytest.raises(PreconditionViolated, match="need x > 1/c"):
             lemma22_rhs(2, 1, 2, 8, 6, 0.5, 0.5, 0)
 
     def test_x_below_inverse_c_rejected(self):
-        with pytest.raises(BadConstants):
+        with pytest.raises(PreconditionViolated, match="need x > 1/c"):
             lemma22_rhs(2, 1, 2, 8, 6, 0.4, 0.5, 0)
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 1.7])
     def test_x_outside_open_interval_rejected(self, x):
-        with pytest.raises(BadConstants):
+        with pytest.raises(PreconditionViolated, match="need 0 < x < 1"):
             lemma22_rhs(2, 1, 2, 8, 6, x, 0.5, 0)
 
     def test_y_near_one_denominator(self):
-        with pytest.raises(DenominatorNonpositive):
+        with pytest.raises(PreconditionViolated, match=r"- k\^a c = \S+ <= 0"):
             lemma22_rhs(2, 1, 2, 8, 6, 0.6, 0.95, 0)
 
     def test_y_one_rejected(self):
-        with pytest.raises(BadConstants):
+        with pytest.raises(PreconditionViolated, match="need 0 < y < 1"):
             lemma22_rhs(2, 1, 2, 8, 6, 0.6, 1.0, 0)
 
     def test_small_c_rejected(self):
-        with pytest.raises(BadConstants):
+        with pytest.raises(PreconditionViolated, match="need c >= 2"):
             lemma22_rhs(2, 1, 1, 8, 6, 0.6, 0.5, 0)
 
     def test_s_above_t_rejected(self):
@@ -174,7 +168,7 @@ class TestExponents:
         # alpha itself overflows at a=1e308; at a=5e304 only its double
         # does; an int beyond the double range does not convert at all
         for fn in (theorem24_alpha, theorem12_exponent):
-            with pytest.raises(BadConstants, match="overflows"):
+            with pytest.raises(PreconditionViolated, match="overflows"):
                 fn(a, c)
 
 
@@ -194,9 +188,9 @@ class TestFoxRhs:
             fox_rhs(self.TABLE, 3, 2, f, g, 3)
 
     def test_missing_entry(self):
-        with pytest.raises(MissingTableEntry):
+        with pytest.raises(PreconditionViolated, match="missing an entry for n=4"):
             fox_rhs(self.TABLE, 4, 3, 1, 1, 2)
-        with pytest.raises(MissingTableEntry):
+        with pytest.raises(PreconditionViolated, match="missing an entry for n=1"):
             fox_rhs({2: 3, 3: 5}, 3, 2, 1, 1, 2)
 
 
@@ -208,7 +202,9 @@ class TestBoundParams:
         {"k": 2, "a": -1.5, "c": 2},
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(BadConstants):
+        # each case breaks one constant, and the refusal names its check
+        broken = "k >= 2" if kwargs["k"] < 2 else "c >= 2" if kwargs["c"] < 2 else "finite a > 0"
+        with pytest.raises(PreconditionViolated, match=f"need {broken}, got"):
             BoundParams(**kwargs)
 
 
@@ -442,7 +438,7 @@ def reference_certify_schedule(schedule, *, tol: float = 1e-9) -> CertReport:
     """The certifier as a loop over every step, kept as an oracle for
     the five-index certifier: O(R_A) in time, same checks and floats."""
     if not 0 <= tol < math.inf:
-        raise BadConstants(f"need finite tol >= 0, got {tol}")
+        raise PreconditionViolated(f"need finite tol >= 0, got {tol}")
     ideal = schedule.states
     params = schedule.params
     k, a, c = params.k, params.a, params.c
@@ -590,7 +586,7 @@ def _random_cases(seed: int, count: int):
         c = rng.choice([2, 2, 3, 3, 4, rng.randint(2, 8)])
         try:
             cases.append(build_schedule(BoundParams(k, a, c)))
-        except (BadConstants, ResourceLimit):
+        except (PreconditionViolated, ResourceLimit):
             continue
     return cases
 
@@ -782,7 +778,7 @@ class TestCrudeFptsBound:
             sch,
             states=(ScheduleState(0, sch.states[0].log2_t, 2.0),) + sch.states[1:],
         )
-        with pytest.raises(DenominatorNonpositive):
+        with pytest.raises(PreconditionViolated, match="schedule start is too small"):
             crude_fpts_bound(crippled)
 
     def test_fractional_exponent_supported(self):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permx
 from permx.bounds import BoundParams, ScheduleState, build_schedule, floored_states
 from permx.cli import (
     COMMANDS,
@@ -30,6 +31,47 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _perm(text):
+    return permx.parse_permutation(text)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: _perm("12x3"), "not a digit string: '12x3'"),
+    (lambda: permx.Permutation((1, 3)), "not a bijection on 1..2: (1, 3)"),
+    (lambda: permx.contains(_perm("1"), permx.Permutation(())),
+     "containment is defined for nonempty patterns"),
+    (lambda: permx.direct_sum(_perm("1"), permx.Permutation(())),
+     "direct sum needs nonempty operands"),
+    (lambda: permx.PermutationMatrix(permx.BinaryMatrix((0b01, 0b10), 3)), "not square: 2x3"),
+    (lambda: permx.inflate(_perm("21"), [_perm("1")]), "2 skeleton entries, 1 blocks"),
+    (lambda: permx.inflate(_perm("21"), [_perm("1"), permx.Permutation(())]),
+     "inflation blocks must be nonempty"),
+    (lambda: permx.fpts_exact(permx.PermutationMatrix.identity(2), 3, 0),
+     "s = 0 admits unlimited all-zero rows; refusing"),
+    (lambda: permx.check_lemma22(permx.to_matrix(_perm("2413")), 1, 2, 5, 5, 0.6, 0.5),
+     "pattern admits no 2-block decomposition"),
+    (lambda: permx.lemma22_rhs(2, 1, 2, 8, 6, 0.6, 0.95, 0),
+     "s(1 - y(c-1)/floor(xc))c - k^a c = -3.4 <= 0"),
+    (lambda: permx.lemma22_rhs(2, 1, 1, 8, 6, 0.6, 0.5, 0), "need c >= 2, got 1"),
+    (lambda: permx.check_lemma21(permx.PermutationMatrix.identity(2), 0.5, 3, 3),
+     "ex(n=2) = 3 exceeds k^a*n = 2.82843"),
+    (lambda: permx.fox_rhs({2: 3, 3: 5}, 3, 2, 1, 1, 2),
+     "ex table is missing an entry for n=1"),
+], ids=[
+    "malformed-text", "not-a-bijection", "empty-pattern", "empty-operand",
+    "not-a-permutation-matrix", "arity-mismatch", "empty-block", "zero-row-weight",
+    "not-blockable", "denominator-nonpositive", "bad-constants", "hypothesis-unverified",
+    "missing-table-entry",
+])
+def test_every_domain_refusal_is_the_family_class(refuse, message):
+    # one error class per exit code: a domain refusal is told apart only
+    # by its message, never by a subclass
+    with pytest.raises(PreconditionViolated) as info:
+        refuse()
+    assert type(info.value) is PreconditionViolated
+    assert str(info.value) == message
 
 
 class TestExitCodes:
@@ -698,6 +740,7 @@ class TestOperands:
         ("bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=5,", *FOX),
         ("bounds", "fox-rhs", "--ex-table", "1=1,2=+3,3=5", *FOX),
         ("bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=1_0", *FOX),
+        ("bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=5,3=500", *FOX),
     ])
     def test_malformed_operand_rejected(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
@@ -732,6 +775,16 @@ class TestOperands:
         code, out, _ = invoke(capsys, "bounds", "alpha", "--a", "1e+0", "--c", "2.0",
                               "--format", "json")
         assert (code, json.loads(out)["a"]) == (EXIT_OK, 1.0)
+
+    @pytest.mark.parametrize("table, item", [
+        ("1=1,2=3,3=5,3=500", "'3=500'"),
+        ("1=1,2=3,3=5,03=5", "'03=5'"),
+    ])
+    def test_ex_table_repeated_key_rejected(self, capsys, table, item):
+        # keys compare as integers, so 3 and 03 are one key
+        code, out, err = invoke(capsys, "bounds", "fox-rhs", "--ex-table", table, *self.FOX)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == f"rejected: ex-table repeats n=3: {item}\n"
 
     def test_fox_rhs_negative_row_count_rejected(self, capsys):
         code, out, err = invoke(capsys, "bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=5",
