@@ -14,6 +14,9 @@ recursion over (rows left, state), fpts_exact a longest path from the
 empty state.  Rows only add occurrences, so states grow along a host:
 the row graph is acyclic apart from rows that leave the state unchanged,
 which can repeat forever and are reported as reaching the row cap.
+exfn_exact tries every allowed row; fpts_exact only the rows of exactly
+s ones, since a weight-s subset of a heavier row avoids the pattern
+wherever the row does.  Both try their rows in descending numeric order.
 
 The row model's step is memoised as core._memo_step describes, and
 its memo belongs to the model each search builds, so it lasts one
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .bounds import _as_fraction, _pow_ka, lemma21_bound, lemma22_rhs
 from .core import (
@@ -87,18 +91,12 @@ class _Stop(Exception):
     """Ends a search early: budget spent, or a host of n_cap rows found."""
 
 
-def _low_columns_first(allowed: int):
-    """Every submask of ``allowed`` in the order a cell-by-cell search
-    that sets each cell, column 0 first, before leaving it clear meets
-    them: descending in the bit-reversed value.
-
-    Counting down in that order clears the highest set bit and sets
-    every allowed bit above it, as m - 1 does to the lowest set bit."""
+def _submasks(allowed: int):
+    """Every submask of ``allowed``, in descending numeric order."""
     m = allowed
     yield m
     while m:
-        high = m.bit_length()
-        m = (m ^ 1 << high - 1) | (allowed >> high << high)
+        m = (m - 1) & allowed
         yield m
 
 
@@ -109,9 +107,10 @@ def exfn_exact(
 
     best(r, state) = max over the rows the state allows of the row's
     ones plus best(r - 1, state after it), memoised; the last row takes
-    every allowed column.  Rows are tried in ``_low_columns_first``
-    order.  Budget exhaustion returns the best host completed on the
-    search stack, flagged not proven.
+    every allowed column.  Rows are tried in descending numeric order,
+    every submask of the allowed columns down to the empty row.  Budget
+    exhaustion returns the best host completed on the search stack,
+    flagged not proven.
     """
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
@@ -134,7 +133,7 @@ def exfn_exact(
         if key not in memo:
             allowed = ((1 << n) - 1) & ~forbidden(state)
             entry = (-1, 0, None)
-            for m in [allowed] if r == 1 else _low_columns_first(allowed):
+            for m in [allowed] if r == 1 else _submasks(allowed):
                 nodes += 1
                 if nodes > budget:
                     raise _Stop
@@ -177,27 +176,12 @@ def exfn_enumerate(P: PermutationMatrix, n: int) -> int:
     return best
 
 
-def _heavy_submasks(allowed: int, s: int):
-    """The submasks of ``allowed`` with at least s bits, in descending
-    numeric order.  From a lighter submask the walk jumps to the largest
-    smaller heavy one: clear the lowest set bit that leaves enough
-    allowed bits below it, then set every allowed bit below that one."""
-    m = allowed
-    while m:
-        if m.bit_count() >= s:
-            yield m
-            m = (m - 1) & allowed
-            continue
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            below = allowed & (low - 1)
-            if rest.bit_count() + below.bit_count() >= s:
-                break
-        else:
-            return
-        m = rest | below
+def _weight_submasks(allowed: int, s: int):
+    """The submasks of ``allowed`` with exactly s bits, in descending
+    numeric order: combinations of its bits taken highest first.  There
+    are none when s exceeds the bit count, however large s is."""
+    bits = [1 << c for c in range(allowed.bit_length() - 1, -1, -1) if allowed >> c & 1]
+    return map(sum, combinations(bits, min(s, len(bits) + 1)))
 
 
 def fpts_exact(
@@ -210,9 +194,13 @@ def fpts_exact(
     """Maximum N such that some N x t matrix with at least s ones per
     row avoids P: the longest path from the empty state, memoised.
 
-    Candidate rows are the allowed weight >= s masks in descending
-    numeric order.  Reaching n_cap, which includes finding a row that
-    leaves the state unchanged and so can repeat forever, sets
+    Candidate rows are the allowed masks of exactly s ones, in
+    descending numeric order.  Deleting ones never creates an
+    occurrence, so trimming each row of an avoiding host to s of its
+    ones keeps it avoiding: heavier rows never reach further.  With
+    fewer than s allowed columns there is no candidate, so s > t gives
+    the empty host, proven.  Reaching n_cap, which includes finding a
+    row that leaves the state unchanged and so can repeat forever, sets
     hit_row_cap (the true value may be larger); budget exhaustion
     returns the deepest host on the search stack flagged not proven.
     """
@@ -228,12 +216,10 @@ def fpts_exact(
         raise PreconditionViolated(f"need n_cap >= 1, got {n_cap}")
     if n_cap > MAX_ROW_CAP:
         raise ResourceLimit(f"row cap {n_cap} exceeds the {MAX_ROW_CAP}-row limit")
-    if s > t:
-        return FptsResult(0, BinaryMatrix((), t), 0, True, False)
     root, forbidden, step = _row_states(P, t)
 
     def candidates(state):
-        return _heavy_submasks(((1 << t) - 1) & ~forbidden(state), s)
+        return _weight_submasks(((1 << t) - 1) & ~forbidden(state), s)
 
     def follow(state, need):
         # the first `need` rows, in candidate order, that can follow state

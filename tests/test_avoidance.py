@@ -108,6 +108,10 @@ def test_count_validation():
         count_avoiders(perm("123"), 9, budget=10)
     with pytest.raises(ResourceLimit):
         count_avoiders(perm("1324"), 10, budget=100)
+    with pytest.raises(PreconditionViolated, match="nonempty patterns"):
+        next(avoiders(Permutation(()), 3))
+    with pytest.raises(ResourceLimit, match="node budget 10 exhausted"):
+        list(avoiders(perm("123"), 9, budget=10))
 
 
 @pytest.mark.parametrize("pattern, n, budget, count", [
@@ -286,6 +290,10 @@ def test_merge_validation():
         merge_member(perm("1"), Permutation(()), perm("1"))
     with pytest.raises(PreconditionViolated, match="merge patterns must be nonempty"):
         merge_coloring(perm("1"), perm("1"), Permutation(()))
+    with pytest.raises(PreconditionViolated, match="merge patterns must be nonempty"):
+        merge_count_upper_check(Permutation(()), perm("1"), 3)
+    with pytest.raises(ResourceLimit, match="node budget 2 exhausted"):
+        merge_coloring(perm("2143"), perm("12"), perm("12"), budget=2)
     with pytest.raises(ResourceLimit):
         merge_member(Permutation(tuple(range(1, 16))), perm("12"), perm("21"))
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import tracemalloc
 from collections import deque
 from collections.abc import Sequence
@@ -35,6 +36,7 @@ from permx.bounds import (
     _floored_replay,
     _is_integral,
     _log2_int,
+    _log2_sub,
 )
 from permx.cli import main
 from permx.errors import PreconditionViolated, ResourceLimit
@@ -89,6 +91,10 @@ class TestLemma21Bound:
         with pytest.raises(PreconditionViolated):
             lemma21_bound(2, 1, 3, 4)
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(PreconditionViolated, match="need k >= 1, got 0"):
+            lemma21_bound(0, 1, 10, 4)
+
     def test_fractional_exponent(self):
         v = lemma21_bound(2, 0.5, 4, 2)
         assert v > 0
@@ -117,6 +123,16 @@ class TestLemma22Rhs:
     def test_x_outside_open_interval_rejected(self, x):
         with pytest.raises(PreconditionViolated, match="need 0 < x < 1"):
             lemma22_rhs(2, 1, 2, 8, 6, x, 0.5, 0)
+
+    @pytest.mark.parametrize("x, y, message", [
+        (float("nan"), 0.5, "x must be finite, got nan"),
+        (0.6, float("-inf"), "y must be finite, got -inf"),
+        ("0.6.1", 0.5, "x is not a rational constant: '0.6.1'"),
+        (0.6, None, "y is not a rational constant: None"),
+    ])
+    def test_constants_must_be_rational(self, x, y, message):
+        with pytest.raises(PreconditionViolated, match=re.escape(message)):
+            lemma22_rhs(2, 1, 2, 8, 6, x, y, 0)
 
     def test_y_near_one_denominator(self):
         with pytest.raises(PreconditionViolated, match=r"- k\^a c = \S+ <= 0"):
@@ -784,3 +800,17 @@ class TestCrudeFptsBound:
     def test_fractional_exponent_supported(self):
         p = BoundParams(k=10**4, a=1.5, c=2)
         assert math.isfinite(crude_fpts_bound(build_schedule(p)))
+
+    def test_fractional_exponent_past_2_to_100(self):
+        # log2(beta k) > 100: the binomial's falling factorial is summed
+        # through _log2_sub's log1p branch (`bounds crude --k 1e40 --a 2.5 --c 2`)
+        sch = build_schedule(BoundParams(k=1e40, a=2.5, c=2))
+        assert sch.log2_beta_k > 100
+        assert crude_fpts_bound(sch) == 8207.701751391854
+
+    @pytest.mark.parametrize("log2_value", [101, 150, 1023, 8207])
+    def test_log2_sub_matches_integers(self, log2_value):
+        # past 1023, 2.0 ** log2_value would overflow a float
+        for delta in (0, 1, 2, 5):
+            expected = math.log2(2 ** log2_value - delta)
+            assert _log2_sub(float(log2_value), delta) == pytest.approx(expected, rel=1e-15)

@@ -245,11 +245,22 @@ class TestExitCodes:
          "--s", "64", "--x", "0.6", "--y", "0.5"),
     ])
     def test_weight_close_to_width_is_quick(self, capsys, argv):
-        # candidate rows skip every underweight submask in one jump
+        # candidate rows are the submasks of exactly s ones, one per state here
         start = time.perf_counter()
         code, out, _ = invoke(capsys, *argv)
         assert time.perf_counter() - start < 5
         assert code == EXIT_OK and out
+
+    def test_wide_host_lemma21_is_proven(self, capsys):
+        # 40 columns, s = 3: the C(40, 3) rows of weight 3 per state are
+        # few, where the rows of weight 3 or more number about 2^40
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "check-lemma21", "--pattern", "12", "--a", "1",
+                                "--t", "40", "--s", "3", "--format", "json")
+        assert time.perf_counter() - start < 10
+        assert (code, err) == (EXIT_OK, "")
+        assert out == ('{"a":1.0,"hypothesis_checked_upto":4,"k":2,"lhs":19,"nodes":92243,'
+                       '"pass":true,"pattern":"12","rhs":"80","s":3,"t":40}\n')
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("k, a, c", [("4096", "1", "2"), ("1e6", "2", "3")])

@@ -352,6 +352,16 @@ def test_blockable_recovers_inflation():
     assert expected in decs
 
 
+@pytest.mark.parametrize("skeleton, blocks, message", [
+    ((2, 1), ((1,),), "skeleton length 2 != 1 blocks"),
+    ((), (), "need at least one block"),
+    ((1,), ((),), "blocks must be nonempty"),
+])
+def test_block_decomposition_refusals(skeleton, blocks, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        BlockDecomposition(Permutation(skeleton), tuple(map(Permutation, blocks)))
+
+
 def test_blockable_bad_c():
     for c in (0, 3):
         with pytest.raises(PreconditionViolated):

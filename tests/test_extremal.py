@@ -27,8 +27,8 @@ from permx.core import (
 )
 from permx.errors import PreconditionViolated, ResourceLimit
 from permx.extremal import (
-    _heavy_submasks,
-    _low_columns_first,
+    _submasks,
+    _weight_submasks,
     check_lemma21,
     check_lemma22,
     exfn_enumerate,
@@ -81,7 +81,7 @@ class TestExfn:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_enumeration(self, n):
-        for text in ("12", "21", "123", "132", "321"):
+        for text in ("1", "12", "21", "123", "132", "321"):
             P = pm(text)
             assert exfn_exact(P, n).value == exfn_enumerate(P, n)
 
@@ -149,6 +149,8 @@ class TestExfn:
     def test_bad_n(self):
         with pytest.raises(PreconditionViolated):
             exfn_exact(I2, 0)
+        with pytest.raises(PreconditionViolated, match="need n >= 1, got 0"):
+            exfn_enumerate(I2, 0)
 
     def test_enumerate_refuses_large(self):
         with pytest.raises(ResourceLimit):
@@ -178,7 +180,7 @@ def test_row_state_memo_lasts_one_search():
     gc.collect()
     tracemalloc.start()
     try:
-        for search in (lambda: exfn_exact(pm("2413"), 5), lambda: fpts_exact(pm("123"), 8, 3)):
+        for search in (lambda: exfn_exact(pm("2413"), 5), lambda: fpts_exact(pm("123"), 9, 3)):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             search()
@@ -216,7 +218,7 @@ class TestFpts:
                 assert res.proven_optimal
                 w = res.witness
                 assert w.rows == res.value and w.cols == t
-                assert all(m.bit_count() >= s for m in w.masks)
+                assert all(m.bit_count() == s for m in w.masks)
                 assert res.value == 0 or matrix_avoids(w, P.matrix)
 
     def test_matches_oracle(self):
@@ -264,7 +266,7 @@ class TestFpts:
         assert not res.proven_optimal and not res.hit_row_cap
         w = res.witness
         assert w.rows == res.value >= 1
-        assert all(m.bit_count() >= 3 for m in w.masks)
+        assert all(m.bit_count() == 3 for m in w.masks)
         assert matrix_avoids(w, I3.matrix)
 
     def test_pinned_witnesses(self):
@@ -277,7 +279,7 @@ class TestFpts:
         assert list(res.witness.masks) == [56, 56, 44, 44, 38, 38, 35, 35]
         res = fpts_exact(pm("12"), 3, 1, n_cap=6)
         assert res.hit_row_cap
-        assert list(res.witness.masks) == [7, 4, 4, 4, 4, 4]
+        assert list(res.witness.masks) == [4, 4, 4, 4, 4, 4]
 
     @settings(deadline=None)
     @given(st.data())
@@ -291,20 +293,30 @@ class TestFpts:
         expected = oracle_fpts(P, t, s, cap=6)
         assert (res.value, res.hit_row_cap) == (expected, expected == 6)
         assert res.witness.rows == res.value
-        assert all(m.bit_count() >= s for m in res.witness.masks)
+        assert all(m.bit_count() == s for m in res.witness.masks)
         assert res.value == 0 or matrix_avoids(res.witness, P.matrix)
 
     def test_frontier_search_pinned(self):
         res = fpts_exact(pm("123"), 9, 3)
         assert (res.value, res.nodes_explored, res.proven_optimal, res.hit_row_cap) == (
-            14, 6146, True, False)
+            14, 1428, True, False)
         assert list(res.witness.masks) == [
             7, 13, 25, 49, 97, 193, 385, 259, 262, 268, 280, 304, 352, 448]
+
+    def test_wide_host_pinned(self):
+        # 20 columns, s = 3: C(20, 3) candidate rows per state; the
+        # interval-packing law gives (20 - 1) // (3 - 1) = 9
+        res = fpts_exact(I2, 20, 3)
+        assert (res.value, res.nodes_explored, res.proven_optimal, res.hit_row_cap) == (
+            9, 5016, True, False)
+        assert list(res.witness.masks) == [
+            917504, 229376, 57344, 14336, 3584, 896, 224, 56, 14]
+        assert matrix_avoids(res.witness, I2.matrix)
 
     def test_width8_is_proven(self):
         res = fpts_exact(pm("123"), 8, 3)
         assert (res.value, res.proven_optimal, res.hit_row_cap) == (12, True, False)
-        assert all(m.bit_count() >= 3 for m in res.witness.masks)
+        assert all(m.bit_count() == 3 for m in res.witness.masks)
         assert matrix_avoids(res.witness, pm("123").matrix)
 
     def test_validation_errors(self):
@@ -463,6 +475,8 @@ class TestCheckLemma21:
         assert check_lemma21(I2, 1, 5, 4, budget=nodes).holds
         with pytest.raises(ResourceLimit):
             check_lemma21(I2, 1, 5, 4, budget=nodes - 1)
+        with pytest.raises(ResourceLimit, match="budget exhausted while verifying ex at n=2"):
+            check_lemma21(I2, 1, 5, 4, budget=2)
 
     def test_report_shape(self):
         data = check_lemma21(I2, 1, 5, 4).to_jsonable()
@@ -474,39 +488,20 @@ class TestCheckLemma21:
 P12 = pm("12")
 
 
-def test_low_columns_first_matches_bit_reversed_countdown():
-    # oracle: count down the submasks of the bit-reversed mask, reversing
-    # each back through its binary string; widths up to 64 with at most
-    # 12 set bits, so every submask is compared
-    def oracle(allowed, width):
-        def flip(mask):
-            return int(format(mask, f"0{width}b")[::-1], 2)
-
-        a = m = flip(allowed)
-        yield allowed
-        while m:
-            m = (m - 1) & a
-            yield flip(m)
-
-    rng = random.Random(20)
-    for _ in range(400):
-        width = rng.randint(1, 64)
-        allowed = 0
-        for bit in rng.sample(range(width), min(width, rng.randint(0, 12))):
-            allowed |= 1 << bit
-        assert list(_low_columns_first(allowed)) == list(oracle(allowed, width)), allowed
-
-
-def test_heavy_submasks_match_walk_and_filter():
-    # oracle: the plain walk over every submask, filtered by weight
-    for allowed in range(1 << 10):
-        walk, m = [], allowed
-        while m:
-            walk.append(m)
-            m = (m - 1) & allowed
-        for s in range(1, 12):
-            expected = [m for m in walk if m.bit_count() >= s]
-            assert list(_heavy_submasks(allowed, s)) == expected, (allowed, s)
+def test_row_walks_match_sorted_submasks():
+    # oracle: every submask found by brute force over the mask's width,
+    # sorted in descending order, and for the weight-s walk filtered to
+    # exactly s bits (s past the mask's weight, however large, leaves nothing)
+    rng = random.Random(23)
+    for _ in range(3000):
+        width = rng.randint(0, 10)
+        allowed = rng.getrandbits(width)
+        subs = sorted((m for m in range(1 << width) if m & ~allowed == 0), reverse=True)
+        assert list(_submasks(allowed)) == subs, allowed
+        s = rng.randint(0, width + 1)
+        assert list(_weight_submasks(allowed, s)) == [
+            m for m in subs if m.bit_count() == s], (allowed, s)
+        assert list(_weight_submasks(allowed, 10**20)) == []
 
 
 class TestCheckLemma22:
@@ -515,7 +510,7 @@ class TestCheckLemma22:
         # reported total is exactly the budget that suffices
         P, args = pm("123"), (1, 2, 8, 5, 0.6, 0.3)
         nodes = check_lemma22(P, *args).nodes_explored
-        assert nodes == 551
+        assert nodes == 346
         assert check_lemma22(P, *args, budget=nodes).holds
         with pytest.raises(ResourceLimit):
             check_lemma22(P, *args, budget=nodes - 1)
