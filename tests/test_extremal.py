@@ -488,16 +488,26 @@ class TestCheckLemma21:
 P12 = pm("12")
 
 
-def test_row_walks_match_sorted_submasks():
-    # oracle: every submask found by brute force over the mask's width,
-    # sorted in descending order, and for the weight-s walk filtered to
-    # exactly s bits (s past the mask's weight, however large, leaves nothing)
-    rng = random.Random(23)
+def _random_masks(seed):
+    rng = random.Random(seed)
     for _ in range(3000):
         width = rng.randint(0, 10)
         allowed = rng.getrandbits(width)
         subs = sorted((m for m in range(1 << width) if m & ~allowed == 0), reverse=True)
+        yield rng, width, allowed, subs
+
+
+def test_submasks_match_sorted_countdown():
+    # oracle: every submask found by brute force over the mask's width,
+    # sorted in descending order
+    for _, _, allowed, subs in _random_masks(23):
         assert list(_submasks(allowed)) == subs, allowed
+
+
+def test_weight_submasks_match_sorted_filter():
+    # oracle: the descending submasks filtered to exactly s bits
+    # (s past the mask's weight, however large, leaves nothing)
+    for rng, width, allowed, subs in _random_masks(29):
         s = rng.randint(0, width + 1)
         assert list(_weight_submasks(allowed, s)) == [
             m for m in subs if m.bit_count() == s], (allowed, s)
