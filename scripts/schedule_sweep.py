@@ -34,7 +34,7 @@ def sweep_row(k: int, a: int, c: int) -> dict:
     schedule = build_schedule(params)
     report = certify_schedule(schedule)
     failing = sorted(ch.name for ch in report.checks if not ch.holds)
-    st0 = schedule.states[0]
+    log2_t0, log2_s0 = schedule.states[0]
     return {
         "k": k,
         "a": a,
@@ -44,8 +44,8 @@ def sweep_row(k: int, a: int, c: int) -> dict:
         "x_b": schedule.x_bulk,
         "y_b": schedule.y_bulk,
         "y_1": schedule.y_penultimate,
-        "log2_t0": st0.log2_t,
-        "log2_s0": st0.log2_s,
+        "log2_t0": log2_t0,
+        "log2_s0": log2_s0,
         "log2_beta_k": schedule.log2_beta_k,
         "crude_log2_bound": crude_fpts_bound(schedule),
         "all_pass": report.all_pass,

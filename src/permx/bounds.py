@@ -14,9 +14,10 @@ The ideal states are arithmetic progressions in log2, so each per-state
 constraint is monotone along the bulk steps and is decided at the start,
 the last bulk indices and the two special steps: the certifier reads six
 states whatever R_A is (see :func:`certify_schedule`), and an ideal
-schedule computes a state only when one is read.  A report that lists
-every state walks them as plain ``(i, log2_t, log2_s)`` rows
-(``Schedule.states.rows()``), with no object per state.  A schedule is
+schedule computes a state only when one is read.  Indexing
+``Schedule.states`` gives a state as its ``(log2_t, log2_s)`` pair; a
+report that lists every state walks them as ``(i, log2_t, log2_s)``
+rows (``Schedule.states.rows()``), with no object per state.  A schedule is
 always the ideal one; its exact floored replay is a function of it,
 :func:`floored_states`, which keeps only the log2 of each replayed
 integer pair, two doubles a state, and drops the wide integers as the
@@ -30,7 +31,6 @@ state arithmetic is carried in log2 space; integer/rational quantities
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -45,6 +45,7 @@ _MILESTONE_NOTE = (
     "milestone exponents are evaluated with the bulk multipliers; "
     "fractional exponents like R_A/2 are taken as reals"
 )
+_MILESTONE_LABELS = ("bulk_end", "penultimate", "final")
 
 
 def _as_fraction(value, name: str) -> Fraction:
@@ -221,43 +222,28 @@ class BoundParams:
             raise PreconditionViolated(f"need finite a > 0, got {self.a}")
 
 
-@dataclass(frozen=True)
-class ScheduleState:
-    """One (width, row-weight) state, held in log2."""
-
-    index: int
-    log2_t: float
-    log2_s: float
-
-    @property
-    def t(self) -> float:
-        return 2.0 ** self.log2_t if self.log2_t < 1024 else math.inf
-
-    @property
-    def s(self) -> float:
-        return 2.0 ** self.log2_s if self.log2_s < 1024 else math.inf
-
-    def to_jsonable(self) -> dict:
-        t, s = self.t, self.s
-        return {
-            "i": self.index,
-            "log2_t": self.log2_t,
-            "log2_s": self.log2_s,
-            "t": t if math.isfinite(t) else None,
-            "s": s if math.isfinite(s) else None,
-        }
+def _state_jsonable(i: int, log2_t: float, log2_s: float) -> dict:
+    """State i's report dict; t and s are None where 2**log2 overflows
+    a double."""
+    return {
+        "i": i,
+        "log2_t": log2_t,
+        "log2_s": log2_s,
+        "t": 2.0 ** log2_t if log2_t < 1024 else None,
+        "s": 2.0 ** log2_s if log2_s < 1024 else None,
+    }
 
 
 @dataclass(frozen=True, slots=True)
-class _IdealStates(Sequence):
-    """The R_A + 3 ideal states of a schedule as plain
-    ``(i, log2_t, log2_s)`` rows, each computed when read from the
-    closed-form constants held here; equal constants compare equal.
+class _IdealStates:
+    """The R_A + 3 ideal states of a schedule, each computed when read
+    from the closed-form constants held here; equal constants compare
+    equal.
 
-    ``rows()`` yields every row in order with no per-state object, for
-    writers that walk the whole schedule; indexing builds one
-    :class:`ScheduleState` from its row, accepts negative indices, and
-    a slice returns a tuple.
+    ``states[i]`` is the ``(log2_t, log2_s)`` pair of state i, for
+    0 <= i <= R_A + 2; ``rows()`` yields every ``(i, log2_t, log2_s)``
+    row in order with no per-state object, for writers that walk the
+    whole schedule.
     """
 
     R: int
@@ -271,19 +257,10 @@ class _IdealStates(Sequence):
     def __len__(self) -> int:
         return self.R + 3
 
-    def __getitem__(self, i):
-        n = len(self)
-        if isinstance(i, slice):
-            return tuple(ScheduleState(*self._row(j)) for j in range(*i.indices(n)))
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
+    def __getitem__(self, i: int) -> tuple[float, float]:
+        if not 0 <= i < len(self):
             raise IndexError("schedule state index out of range")
-        return ScheduleState(*self._row(i))
-
-    def __iter__(self) -> Iterator[ScheduleState]:
-        return starmap(ScheduleState, self.rows())
+        return self._row(i)[1:]
 
     def rows(self) -> Iterator[tuple[int, float, float]]:
         return map(self._row, range(len(self)))
@@ -301,10 +278,10 @@ class _IdealStates(Sequence):
 
 @dataclass(frozen=True)
 class Schedule:
-    """A built schedule, always the ideal one.  ``states`` as
-    ``build_schedule`` makes them also yield plain ``(i, log2_t, log2_s)``
-    rows through ``rows()``; :func:`floored_states` replays it with
-    floors."""
+    """A built schedule, always the ideal one.  Its states and its
+    bulk-end, penultimate and final milestones are ``(log2_t, log2_s)``
+    pairs; ``states.rows()`` yields ``(i, log2_t, log2_s)`` rows, and
+    :func:`floored_states` replays it with floors."""
 
     params: BoundParams
     beta: float
@@ -313,8 +290,8 @@ class Schedule:
     y_bulk: float
     y_penultimate: float
     bulk_steps: int
-    states: Sequence[ScheduleState]
-    milestones: tuple[ScheduleState, ScheduleState, ScheduleState]
+    states: _IdealStates
+    milestones: tuple[tuple[float, float], ...]
 
     def header(self) -> dict:
         """Every report field of the schedule except its states.  The
@@ -333,17 +310,15 @@ class Schedule:
             "floor_drift_s": None,
             "milestone_note": _MILESTONE_NOTE,
             "milestones": {
-                "bulk_end": self.milestones[0].to_jsonable(),
-                "penultimate": self.milestones[1].to_jsonable(),
-                "final": self.milestones[2].to_jsonable(),
+                label: _state_jsonable(self.bulk_steps + j, *state)
+                for j, (label, state) in enumerate(zip(_MILESTONE_LABELS, self.milestones))
             },
         }
 
     def to_jsonable(self) -> dict:
         """The header fields plus one dict per state, built from the
         state rows."""
-        states = [ScheduleState(*row).to_jsonable() for row in self.states.rows()]
-        return {**self.header(), "states": states}
+        return {**self.header(), "states": list(starmap(_state_jsonable, self.states.rows()))}
 
 
 def _bulk_constants(params: BoundParams):
@@ -389,13 +364,12 @@ def build_schedule(params: BoundParams) -> Schedule:
     y_penultimate = 2.0 ** l2y1
 
     milestones = (
-        ScheduleState(
-            bulk_steps,
+        (
             log2_beta_k - 2 * l2x,
             0.5 * log2_beta_k - (bulk_steps / 2.0 + 1.0) * l2x + bulk_steps * l2y,
         ),
-        ScheduleState(bulk_steps + 1, log2_beta_k - l2x, log2_beta_k - l2x),
-        ScheduleState(bulk_steps + 2, log2_beta_k, log2_beta_k),
+        (log2_beta_k - l2x, log2_beta_k - l2x),
+        (log2_beta_k, log2_beta_k),
     )
 
     return Schedule(
@@ -591,9 +565,9 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     min_weight_margin = math.inf
     log_costs = {}
     for i in steps:
-        st = states[i]
+        lt, ls = states[i]
         y_i = y_b if i < R else y_1 if i == R else x_b
-        lw = st.log2_s + math.log2(1.0 - y_i)
+        lw = ls + math.log2(1.0 - y_i)
         min_weight_margin = min(min_weight_margin, lw)
         # cost A_i = k^a t_i / (s_i (1-y_i) c - k^a c), in log2
         l_big = lw + math.log2(c)
@@ -602,8 +576,8 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
             log_costs[i] = math.inf
         else:
             l_den = l_big + math.log1p(-(2.0 ** (l_small - l_big))) / _LN2
-            log_costs[i] = la + st.log2_t - l_den
-    max_shape_margin = max(st.log2_s - st.log2_t for st in states.values())
+            log_costs[i] = la + lt - l_den
+    max_shape_margin = max(ls - lt for lt, ls in states.values())
 
     add(
         "row_weight_exceeds_hypothesis_log2",
@@ -626,28 +600,15 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
         add("final_cost_within_initial", last_ratio <= 1.0 + tol, last_ratio, 1.0)
 
     scale = max(1.0, abs(lbk))
-    for label, state, target in (
-        ("bulk_end", states[R], schedule.milestones[0]),
-        ("penultimate", states[R + 1], schedule.milestones[1]),
-        ("final", states[R + 2], schedule.milestones[2]),
-    ):
-        add(
-            f"milestone_{label}_t_log2",
-            abs(state.log2_t - target.log2_t) <= tol * scale,
-            state.log2_t,
-            target.log2_t,
-        )
-        add(
-            f"milestone_{label}_s_log2",
-            abs(state.log2_s - target.log2_s) <= tol * scale,
-            state.log2_s,
-            target.log2_s,
-        )
+    ends = (states[R], states[R + 1], states[R + 2])
+    for label, state, milestone in zip(_MILESTONE_LABELS, ends, schedule.milestones):
+        for axis, got, want in zip("ts", state, milestone):
+            add(f"milestone_{label}_{axis}_log2", abs(got - want) <= tol * scale, got, want)
+    lt, ls = states[R + 2]
     add(
         "final_state_hits_target_log2",
-        abs(states[R + 2].log2_t - lbk) <= tol * scale
-        and abs(states[R + 2].log2_s - lbk) <= tol * scale,
-        states[R + 2].log2_t,
+        abs(lt - lbk) <= tol * scale and abs(ls - lbk) <= tol * scale,
+        lt,
         lbk,
     )
 
@@ -686,14 +647,13 @@ def crude_fpts_bound(schedule: Schedule) -> float:
     with m = ceil(1/(1-y_b)); the linear value overflows floats.  k, a
     and c come from ``schedule.params`` and (t_0, s_0) is its first
     state."""
-    st0 = schedule.states[0]
+    lt0, ls0 = schedule.states[0]
     params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
     y_b = schedule.y_bulk
     lbk = schedule.log2_beta_k
     l2k = math.log2(k)
-    lt0, ls0 = st0.log2_t, st0.log2_s
 
     m = (16 * c * c + 8 * c) // (8 * c + 1)  # ceil(1/(1-y_b)) exactly
     if _is_integral(a) and _is_integral(params.k):

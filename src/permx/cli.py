@@ -361,10 +361,11 @@ STATE_COLUMNS = ("i", "log2_t", "log2_s", "t", "s")
 
 
 def _schedule_report(o):
-    """The schedule's header fields and its states as ``Rows``; t and s
-    are null where 2**log2 overflows a double, as ``ScheduleState.t``
-    and ``.s`` decide.  With ``--floors`` the states and the three floor
-    fields come from the exact floored replay."""
+    """The schedule's header fields and its ``(i, log2_t, log2_s)``
+    state rows as ``Rows``; t and s are null where 2**log2 overflows a
+    double, as in ``Schedule.to_jsonable``.  With ``--floors`` the
+    states and the three floor fields come from the exact floored
+    replay."""
     schedule = _schedule(o)
     header = schedule.header()
     if o["floors"]:
@@ -576,6 +577,9 @@ def main(argv=None) -> int:
         code, out = run(argv)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except PreconditionViolated as exc:
         print(f"rejected: {exc}", file=sys.stderr)

@@ -436,8 +436,6 @@ def check_lemma22(
     shrunk_s = int(Fraction(s) * yf)
     if shrunk_s == 0:
         raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
-    if shrunk_t == 0:
-        raise PreconditionViolated("floor(t*floor(xc)/c) = 0 leaves no columns")
     sub = fpts_exact(P, shrunk_t, shrunk_s, DEFAULT_ROW_CAP, budget)
     sub_exact = sub.proven_optimal
     rhs = lemma22_rhs(k, a, c, t, s, x, y, sub.value)

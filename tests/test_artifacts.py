@@ -8,6 +8,8 @@ artifact.
 """
 
 import csv
+import importlib
+import importlib.util
 import io
 import json
 import subprocess
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import permx
 from permx.bounds import BoundParams, build_schedule, certify_schedule
 from permx.errors import PreconditionViolated
 
@@ -136,3 +139,22 @@ class TestScriptSmoke:
             # rotating this pattern gives its vertical flip, and flipping
             # host rows bijects the avoiders, so f and g agree
             assert row["f"] == row["g"]
+
+
+def test_benchmark_tracer_lookups_resolve():
+    # perfbench/spans.py wraps permx functions by name, with no default,
+    # and counts len(schedule.states); either breaking stops
+    # `perfbench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", REPO / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert set(spans.TRACED) <= set(spans.LAYERS)
+    for layer in spans.LAYERS:
+        importlib.import_module(f"permx.{layer}")
+    for layer, names in spans.TRACED.items():
+        for name in names:
+            assert callable(getattr(getattr(permx, layer), name)), (layer, name)
+    schedule = build_schedule(BoundParams(100, 2, 2))
+    assert len(schedule.states) == schedule.bulk_steps + 3 == 163

@@ -8,7 +8,6 @@ import random
 import re
 import tracemalloc
 from collections import deque
-from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,6 @@ from permx.bounds import (
     BoundParams,
     CertCheck,
     CertReport,
-    ScheduleState,
     build_schedule,
     certify_schedule,
     crude_fpts_bound,
@@ -37,6 +35,7 @@ from permx.bounds import (
     _is_integral,
     _log2_int,
     _log2_sub,
+    _state_jsonable,
 )
 from permx.cli import main
 from permx.errors import PreconditionViolated, ResourceLimit
@@ -235,47 +234,44 @@ class TestBuildSchedule:
 
     def test_start_state_relation(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
-        st0 = sch.states[0]
-        assert st0.log2_s == pytest.approx(st0.log2_t / 2, rel=1e-12)
+        lt0, ls0 = sch.states[0]
+        assert ls0 == pytest.approx(lt0 / 2, rel=1e-12)
 
     def test_bulk_step_ratios(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
         lx = math.log2(sch.x_bulk)
         ly = math.log2(sch.y_bulk)
         for i in range(sch.bulk_steps):
-            dt = sch.states[i + 1].log2_t - sch.states[i].log2_t
-            ds = sch.states[i + 1].log2_s - sch.states[i].log2_s
+            (lt, ls), (lt_next, ls_next) = sch.states[i], sch.states[i + 1]
+            dt, ds = lt_next - lt, ls_next - ls
             assert dt == pytest.approx(lx, abs=1e-9)
             assert ds == pytest.approx(ly, abs=1e-9)
 
     def test_final_state_hits_target(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
-        last = sch.states[-1]
-        assert last.log2_t == pytest.approx(sch.log2_beta_k, abs=1e-9)
-        assert last.log2_s == pytest.approx(sch.log2_beta_k, abs=1e-9)
+        lt, ls = sch.states[sch.bulk_steps + 2]
+        assert lt == pytest.approx(sch.log2_beta_k, abs=1e-9)
+        assert ls == pytest.approx(sch.log2_beta_k, abs=1e-9)
 
     def test_states_match_milestones(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
         r = sch.bulk_steps
-        for state, target in zip(
-            (sch.states[r], sch.states[r + 1], sch.states[r + 2]), sch.milestones
-        ):
-            assert state.log2_t == pytest.approx(target.log2_t, abs=1e-9)
-            assert state.log2_s == pytest.approx(target.log2_s, abs=1e-9)
+        ends = (sch.states[r], sch.states[r + 1], sch.states[r + 2])
+        for state, target in zip(ends, sch.milestones, strict=True):
+            assert state == pytest.approx(target, abs=1e-9)
 
     def test_state_count(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
         assert len(sch.states) == sch.bulk_steps + 3
-        assert [st.index for st in sch.states] == list(range(sch.bulk_steps + 3))
+        assert [i for i, _, _ in sch.states.rows()] == list(range(sch.bulk_steps + 3))
 
     def test_large_grid_stays_finite(self):
         # widths overflow doubles linearly; log2 space must not
         sch = build_schedule(BoundParams(k=10**6, a=3, c=4))
         assert all(
-            math.isfinite(st.log2_t) and math.isfinite(st.log2_s)
-            for st in sch.states
+            math.isfinite(lt) and math.isfinite(ls) for _, lt, ls in sch.states.rows()
         )
-        assert sch.states[0].t == math.inf  # the linear view saturates
+        assert _state_jsonable(0, *sch.states[0])["t"] is None  # the linear view saturates
 
     def test_jsonable_shape(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
@@ -490,10 +486,10 @@ def reference_certify_schedule(schedule, *, tol: float = 1e-9) -> CertReport:
     max_shape_margin = -math.inf
     log_costs = []
     for i, y_i in enumerate(step_y):
-        st = ideal[i]
-        lw = st.log2_s + math.log2(1.0 - y_i)
+        lt, ls = ideal[i]
+        lw = ls + math.log2(1.0 - y_i)
         min_weight_margin = min(min_weight_margin, lw)
-        max_shape_margin = max(max_shape_margin, st.log2_s - st.log2_t)
+        max_shape_margin = max(max_shape_margin, ls - lt)
         # cost A_i = k^a t_i / (s_i (1-y_i) c - k^a c), in log2
         l_big = lw + math.log2(c)
         l_small = la + math.log2(c)
@@ -501,10 +497,9 @@ def reference_certify_schedule(schedule, *, tol: float = 1e-9) -> CertReport:
             log_costs.append(math.inf)
         else:
             l_den = l_big + math.log1p(-(2.0 ** (l_small - l_big))) / _LN2
-            log_costs.append(la + st.log2_t - l_den)
-    max_shape_margin = max(
-        max_shape_margin, ideal[R + 2].log2_s - ideal[R + 2].log2_t
-    )
+            log_costs.append(la + lt - l_den)
+    lt_final, ls_final = ideal[R + 2]
+    max_shape_margin = max(max_shape_margin, ls_final - lt_final)
 
     add(
         "row_weight_exceeds_hypothesis_log2",
@@ -537,21 +532,20 @@ def reference_certify_schedule(schedule, *, tol: float = 1e-9) -> CertReport:
     ):
         add(
             f"milestone_{label}_t_log2",
-            abs(state.log2_t - target.log2_t) <= tol * scale,
-            state.log2_t,
-            target.log2_t,
+            abs(state[0] - target[0]) <= tol * scale,
+            state[0],
+            target[0],
         )
         add(
             f"milestone_{label}_s_log2",
-            abs(state.log2_s - target.log2_s) <= tol * scale,
-            state.log2_s,
-            target.log2_s,
+            abs(state[1] - target[1]) <= tol * scale,
+            state[1],
+            target[1],
         )
     add(
         "final_state_hits_target_log2",
-        abs(ideal[R + 2].log2_t - lbk) <= tol * scale
-        and abs(ideal[R + 2].log2_s - lbk) <= tol * scale,
-        ideal[R + 2].log2_t,
+        abs(lt_final - lbk) <= tol * scale and abs(ls_final - lbk) <= tol * scale,
+        lt_final,
         lbk,
     )
 
@@ -655,16 +649,19 @@ class TestFiveIndexCertifier:
     def test_degenerate_start_matches_loop(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
         for log2_s in (2.0, 14.0, 30.0):
-            crippled = dataclasses.replace(
-                sch,
-                states=(ScheduleState(0, sch.states[0].log2_t, log2_s),)
-                + sch.states[1:],
-            )
+            crippled = dataclasses.replace(sch, states=_with_start_weight(sch, log2_s))
             new, ref = _certify_both(crippled)
             assert new == ref
 
 
-class CountingStates(Sequence):
+def _with_start_weight(sch, log2_s) -> tuple:
+    """The schedule's states as a tuple of pairs, with state 0's
+    weight replaced by 2**log2_s."""
+    states = tuple(sch.states[i] for i in range(len(sch.states)))
+    return ((states[0][0], log2_s),) + states[1:]
+
+
+class CountingStates:
     """Wraps a state sequence and counts the states read from it."""
 
     def __init__(self, states):
@@ -675,12 +672,11 @@ class CountingStates(Sequence):
         return len(self.states)
 
     def __getitem__(self, i):
-        out = self.states[i]
-        self.reads += len(out) if isinstance(i, slice) else 1
-        return out
+        self.reads += 1
+        return self.states[i]
 
 
-def formula_state(params: BoundParams, i: int) -> ScheduleState:
+def formula_state(params: BoundParams, i: int) -> tuple[float, float]:
     """Ideal state i from build_schedule's closed forms, restated."""
     x_frac, y_frac = _bulk_constants(params)
     x_b, y_b = float(x_frac), float(y_frac)
@@ -701,11 +697,11 @@ def formula_state(params: BoundParams, i: int) -> ScheduleState:
         ls = ls_bulk_end + l2y1
     else:
         ls = ls_bulk_end + l2y1 + l2x
-    return ScheduleState(i, lt, ls)
+    return lt, ls
 
 
-def _bits(st: ScheduleState):
-    return st.index, st.log2_t.hex(), st.log2_s.hex()
+def _bits(state: tuple[float, float]):
+    return tuple(v.hex() for v in state)
 
 
 class TestLazyStates:
@@ -718,25 +714,20 @@ class TestLazyStates:
         n = len(states)
         expect = [_bits(formula_state(params, i)) for i in range(n)]
         assert n == sch.bulk_steps + 3
-        assert _bits(states[-1]) == expect[-1]
-        assert _bits(states[-n]) == expect[0]
-        assert [_bits(st) for st in states[1:4]] == expect[1:4]
-        assert [_bits(st) for st in states] == expect
+        assert [_bits(states[i]) for i in range(n)] == expect
+        assert [_bits(row) for _, *row in states.rows()] == expect
 
     def test_sequence_semantics(self):
         states = build_schedule(BoundParams(100, 2, 2)).states
         assert build_schedule(BoundParams(100, 2, 2)) == build_schedule(
             BoundParams(100, 2, 2)
         )
-        assert isinstance(states[1:4], tuple)
-        assert states[::-50] == tuple(states)[::-50]
-        assert states[5:2] == ()
-        for i in (len(states), -len(states) - 1):
+        for i in (len(states), -1):
             with pytest.raises(IndexError):
                 states[i]
 
     def test_floored_states_are_stored_rows(self):
-        # two doubles a state, not a tuple of ScheduleState objects
+        # two doubles a state, not a tuple of per-state objects
         log2_t, log2_s, _, _ = floored_states(build_schedule(BoundParams(100, 2, 2)))
         assert [column.itemsize for column in (log2_t, log2_s)] == [8, 8]
 
@@ -790,10 +781,7 @@ class TestCrudeFptsBound:
         # a schedule whose start state cannot clear k^a: the guard fires
         p = BoundParams(k=100, a=2, c=2)
         sch = build_schedule(p)
-        crippled = dataclasses.replace(
-            sch,
-            states=(ScheduleState(0, sch.states[0].log2_t, 2.0),) + sch.states[1:],
-        )
+        crippled = dataclasses.replace(sch, states=_with_start_weight(sch, 2.0))
         with pytest.raises(PreconditionViolated, match="schedule start is too small"):
             crude_fpts_bound(crippled)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permx
-from permx.bounds import BoundParams, ScheduleState, build_schedule, floored_states
+from permx.bounds import BoundParams, _state_jsonable, build_schedule, floored_states
 from permx.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
@@ -109,6 +109,14 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert "resource limit" in err
 
+    def test_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("permx.cli.exfn_exact", exhausted)
+        code, out, err = invoke(capsys, "exfn", "--pattern", "12", "--n", "3")
+        assert (code, out, err) == (EXIT_RESOURCE, "", "resource limit: out of memory\n")
+
     def test_sw_estimate_length_limit(self, capsys):
         code, out, err = invoke(capsys, "sw-estimate", "--pattern", "2413", "--n-max", "13")
         assert code == EXIT_RESOURCE
@@ -154,6 +162,8 @@ class TestExitCodes:
          "--x", "0.7", "--y", "0.2"),
         ("alpha", "--a", "1e308", "--c", "6"),
         ("alpha", "--a", "5e304", "--c", "6"),
+        # both float multipliers round to 1.0: bulk multipliers cannot close the weight gap
+        ("schedule", "--k", "1e6", "--a", "1", "--c", "100000000000000000"),
     ])
     def test_out_of_domain_bounds_constants(self, capsys, argv):
         code, out, err = invoke(capsys, "bounds", *argv)
@@ -191,6 +201,10 @@ class TestExitCodes:
         ("fpts", "--pattern", "12", "--t", "1", "--s", "1", "--n-cap", str(10**30),
          "--budget", "1000"),
         ("merge-check", "--red", "12", "--blue", "21", "--n", "11"),
+        # rows of ones in two fixed columns avoid 123, so the search reaches
+        # the default row cap 64 below the bound 64.6: verdict open
+        ("check-lemma21", "--pattern", "123", "--a", "0.5", "--t", "10", "--s", "2",
+         "--hypothesis-n", "1"),
     ])
     def test_oversized_results_hit_resource_limits(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
@@ -543,7 +557,7 @@ class TestLargeSchedules:
                 floors_applied=True,
                 floor_drift_t=drift_t,
                 floor_drift_s=drift_s,
-                states=[ScheduleState(*row).to_jsonable()
+                states=[_state_jsonable(*row)
                         for row in zip(range(len(log2_t)), log2_t, log2_s)],
             )
         _, out = run(self.argv("1099511627776", "3", "6", floors, "json"))
