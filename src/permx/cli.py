@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -579,14 +580,19 @@ def main(argv=None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:
-        print("resource limit: out of memory", file=sys.stderr)
-        return EXIT_RESOURCE
+        # reported after the handler: its traceback keeps the failed
+        # search's frames alive, and printing would fail again
+        out = None
     except PreconditionViolated as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # last resort: anything unexpected is code 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if out is None:
+        gc.collect()  # a search's recursive closure holds its memo in a cycle
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     sys.stdout.write(out)
     return code
 

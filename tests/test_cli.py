@@ -3,9 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +121,22 @@ class TestExitCodes:
         monkeypatch.setattr("permx.cli.exfn_exact", exhausted)
         code, out, err = invoke(capsys, "exfn", "--pattern", "12", "--n", "3")
         assert (code, out, err) == (EXIT_RESOURCE, "", "resource limit: out of memory\n")
+
+    def test_exhausted_address_space_is_a_resource_limit(self):
+        # a real MemoryError in a child capped at 100 MB of address space:
+        # the failed search's memo must be freed before the report prints
+        env = dict(os.environ)
+        src = str(Path(permx.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cap = 100 * 2 ** 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "permx.cli", "exfn", "--pattern", "12", "--n", "64"],
+            capture_output=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_RESOURCE, b"", b"resource limit: out of memory\n"
+        )
 
     def test_sw_estimate_length_limit(self, capsys):
         code, out, err = invoke(capsys, "sw-estimate", "--pattern", "2413", "--n-max", "13")
