@@ -41,6 +41,7 @@ from .errors import PreconditionViolated, ResourceLimit
 from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS
 
 _LN2 = math.log(2.0)
+_REPORT_CEILING = 10**MAX_REPORT_DIGITS  # str() refuses ints this large
 _MILESTONE_NOTE = (
     "milestone exponents are evaluated with the bulk multipliers; "
     "fractional exponents like R_A/2 are taken as reals"
@@ -94,6 +95,14 @@ def _binom_digits(n: int, k: int) -> float:
     binom(n, k) <= (e*n/k)^k; cheap enough to check before math.comb."""
     k = min(k, n - k)
     return 1 + (k * math.log10(math.e * n / k) if k > 0 else 0)
+
+
+def _reportable(value, name: str):
+    """value, once each integer a report prints for it (an int, or a
+    Fraction's numerator and denominator) is below 10**MAX_REPORT_DIGITS."""
+    if max(abs(value.numerator), value.denominator) >= _REPORT_CEILING:
+        raise ResourceLimit(f"{name} has more than {MAX_REPORT_DIGITS} digits")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +165,8 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
         raise ResourceLimit(
             f"binom(c, floor(xc)) may have {digits:.0f} digits, over {MAX_REPORT_DIGITS}"
         )
-    return math.comb(c, fxc) * Fraction(f_sub) + ka * _as_fraction(t, "t") / denom
+    rhs = math.comb(c, fxc) * Fraction(f_sub) + ka * _as_fraction(t, "t") / denom
+    return _reportable(rhs, "lemma22 rhs")
 
 
 def theorem24_alpha(a, c: int) -> float:
@@ -196,7 +206,7 @@ def fox_rhs(ex_table, t: int, s: int, f_val: int, g_val: int, n: int) -> int:
         if key not in ex_table:
             raise PreconditionViolated(f"ex table is missing an entry for n={key}")
         out[key] = ex_table[key]
-    return out[s - 1] * out[n] + out[t] * (f_val + g_val) * n
+    return _reportable(out[s - 1] * out[n] + out[t] * (f_val + g_val) * n, "fox rhs")
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +597,14 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     )
     add("width_at_least_weight_log2", max_shape_margin <= tol, max_shape_margin, 0.0)
 
-    if any(math.isinf(lc) for lc in log_costs.values()):
-        add("bulk_cost_ratio_at_most_two", False, math.inf, 2.0)
-        add("penultimate_cost_within_initial", False, math.inf, 1.0)
-        add("final_cost_within_initial", False, math.inf, 1.0)
-    else:
-        bulk_ratio = 2.0 ** (log_costs[R - 1] - log_costs[R - 2])
-        add("bulk_cost_ratio_at_most_two", bulk_ratio <= 2.0 + tol, bulk_ratio, 2.0)
-        pen_ratio = 2.0 ** (log_costs[R] - log_costs[0])
-        add("penultimate_cost_within_initial", pen_ratio <= 1.0 + tol, pen_ratio, 1.0)
-        last_ratio = 2.0 ** (log_costs[R + 1] - log_costs[0])
-        add("final_cost_within_initial", last_ratio <= 1.0 + tol, last_ratio, 1.0)
+    infinite_cost = any(math.isinf(lc) for lc in log_costs.values())
+    for name, i, j, limit in (
+        ("bulk_cost_ratio_at_most_two", R - 1, R - 2, 2.0),
+        ("penultimate_cost_within_initial", R, 0, 1.0),
+        ("final_cost_within_initial", R + 1, 0, 1.0),
+    ):
+        ratio = math.inf if infinite_cost else 2.0 ** (log_costs[i] - log_costs[j])
+        add(name, ratio <= limit + tol, ratio, limit)
 
     scale = max(1.0, abs(lbk))
     ends = (states[R], states[R + 1], states[R + 2])

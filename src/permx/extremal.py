@@ -49,8 +49,8 @@ from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP, MAX_WIDTH
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """Outcome of an exfn search.  When proven_optimal is False the
-    value is the best found before the node budget ran out."""
+    """Outcome of a search.  When proven_optimal is False the value is
+    the best found before the node budget ran out."""
 
     value: int
     witness: BinaryMatrix
@@ -67,24 +67,14 @@ class ExtremalResult:
 
 
 @dataclass(frozen=True)
-class FptsResult:
+class FptsResult(ExtremalResult):
     """Outcome of an fpts/gpts search.  hit_row_cap marks searches that
     reached the row cap, so the true value may exceed `value`."""
 
-    value: int
-    witness: BinaryMatrix
-    nodes_explored: int
-    proven_optimal: bool
     hit_row_cap: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": self.witness.to_json(),
-            "nodes_explored": self.nodes_explored,
-            "proven_optimal": self.proven_optimal,
-            "hit_row_cap": self.hit_row_cap,
-        }
+        return {**super().to_jsonable(), "hit_row_cap": self.hit_row_cap}
 
 
 class _Stop(Exception):
@@ -289,6 +279,23 @@ def gpts_exact(
     return fpts_exact(rotate90(P), t, s, n_cap, budget)
 
 
+def _rows_within(
+    P: PermutationMatrix, t: int, s: int, bound: Fraction, budget: int
+) -> FptsResult:
+    """Decide f(t, s) <= bound by one fpts_exact search capped at
+    min(DEFAULT_ROW_CAP, floor(bound) + 1).  A proven value is below the
+    cap, so the bound holds; reaching a cap above the bound shows
+    f >= cap > bound, so it fails; anything else raises ResourceLimit."""
+    floor = bound.numerator // bound.denominator
+    cap = min(DEFAULT_ROW_CAP, floor + 1)
+    res = fpts_exact(P, t, s, cap, budget)
+    if res.hit_row_cap and cap <= floor:
+        raise ResourceLimit("row cap reached below the bound; verdict open")
+    if not res.proven_optimal and not res.hit_row_cap:
+        raise ResourceLimit("budget exhausted before the search completed")
+    return res
+
+
 @dataclass(frozen=True)
 class Lemma21Report:
     """Exact row count versus the closed-form row bound."""
@@ -329,10 +336,11 @@ def check_lemma21(
 
     First verifies the linear extremal hypothesis ex_P(n) <= k^a * n
     for 1 <= n <= hypothesis_n via exfn_exact (PreconditionViolated
-    otherwise; hypothesis_n below 1 is refused), then compares the exact search against the bound.  The
-    row cap is set just above the bound, so hitting the cap refutes the
-    inequality decisively rather than leaving it open.  The hypothesis
-    searches and the final one share the one node budget.
+    otherwise; hypothesis_n below 1 is refused), then decides the bound
+    with one search capped just above it (_rows_within): the bound holds
+    exactly when that search is proven, and a failing verdict's lhs is
+    the cap it reached, a lower bound on f.  The hypothesis searches and
+    the final one share the one node budget.
     """
     k = P.k
     bound = lemma21_bound(k, a, t, s)
@@ -353,15 +361,11 @@ def check_lemma21(
             raise PreconditionViolated(
                 f"ex(n={n}) = {res.value} exceeds k^a*n = {float(ka) * n:g}"
             )
-    cap = min(DEFAULT_ROW_CAP, bound.numerator // bound.denominator + 1)
-    fres = fpts_exact(P, t, s, cap, budget - nodes)
+    fres = _rows_within(P, t, s, bound, budget - nodes)
     nodes += fres.nodes_explored
-    if fres.hit_row_cap and Fraction(cap) <= bound:
-        raise ResourceLimit("row cap reached below the bound; verdict open")
-    if not fres.proven_optimal and not fres.hit_row_cap:
-        raise ResourceLimit("budget exhausted before the search completed")
-    holds = Fraction(fres.value) <= bound and not fres.hit_row_cap
-    return Lemma21Report(k, a, t, s, fres.value, bound, holds, nodes, hypothesis_n)
+    return Lemma21Report(
+        k, a, t, s, fres.value, bound, fres.proven_optimal, nodes, hypothesis_n
+    )
 
 
 @dataclass(frozen=True)
@@ -417,12 +421,13 @@ def check_lemma22(
     plus the closed-form remainder.
 
     P must decompose into c blocks for the sectioning argument to
-    apply.  The right side is assembled from an exact sub-search; the
-    verdict is only reported when it is decisive (an under-resolved
-    sub-search can understate the right side, so a failed comparison
-    against it raises ResourceLimit instead of reporting False).  The
-    sub-search and the search for the left side share the one node
-    budget.
+    apply.  f_sub is the sub-search's value, which may be capped; that
+    only lowers the right side, so a pass stays sound.  The left side is
+    decided with one search capped just above the right side
+    (_rows_within): the bound holds exactly when that search is proven,
+    and a failing verdict's lhs is the cap it reached, a lower bound on
+    f.  The sub-search and the search for the left side share the one
+    node budget.
     """
     k = P.k
     if not count_block_decompositions(from_matrix(P), c):
@@ -437,24 +442,10 @@ def check_lemma22(
     if shrunk_s == 0:
         raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
     sub = fpts_exact(P, shrunk_t, shrunk_s, DEFAULT_ROW_CAP, budget)
-    sub_exact = sub.proven_optimal
     rhs = lemma22_rhs(k, a, c, t, s, x, y, sub.value)
-    cap = min(DEFAULT_ROW_CAP, rhs.numerator // rhs.denominator + 1)
-    lhs_res = fpts_exact(P, t, s, cap, budget - sub.nodes_explored)
+    lhs_res = _rows_within(P, t, s, rhs, budget - sub.nodes_explored)
     nodes = sub.nodes_explored + lhs_res.nodes_explored
-
-    if lhs_res.proven_optimal:
-        lhs_exceeds = Fraction(lhs_res.value) > rhs
-    elif lhs_res.hit_row_cap and Fraction(cap) > rhs:
-        lhs_exceeds = True  # cap sits above rhs, so the true value does too
-    else:
-        raise ResourceLimit("search for the left side did not finish")
-    if lhs_exceeds and not sub_exact:
-        raise ResourceLimit(
-            "left side exceeds a right side built from an unfinished sub-search"
-        )
-    holds = not lhs_exceeds
     return Lemma22Report(
         k, a, c, t, s, x, y, shrunk_t, shrunk_s, sub.value,
-        lhs_res.value, rhs, holds, nodes,
+        lhs_res.value, rhs, lhs_res.proven_optimal, nodes,
     )

@@ -226,6 +226,11 @@ class TestExitCodes:
         # the default row cap 64 below the bound 64.6: verdict open
         ("check-lemma21", "--pattern", "123", "--a", "0.5", "--t", "10", "--s", "2",
          "--hypothesis-n", "1"),
+        # results past 4300 digits, which str() refuses to print
+        ("bounds", "fox-rhs", "--ex-table", f"1={'9' * 4000},2=3,3={'9' * 4000}",
+         "--t", "2", "--s", "2", "--f", "1", "--g", "1", "--n", "3"),
+        ("bounds", "lemma22-rhs", "--k", "2", "--a", "1", "--c", "20", "--t", "5", "--s", "5",
+         "--x", "0.5", "--y", "0.01", "--f-sub", "9" * 4299),
     ])
     def test_oversized_results_hit_resource_limits(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

@@ -531,6 +531,9 @@ def test_matrix_occurrence_witness():
     (r1, c1), (r2, c2) = occ.positions
     assert r1 == r2 and c1 < c2
     assert (r1, c1) in host.ones and (r2, c2) in host.ones
+    # the host's ones run down the diagonal, so the anti-diagonal is absent
+    avoider = BinaryMatrix.from_strings(["10", "01"])
+    assert find_matrix_occurrence(avoider, BinaryMatrix.from_strings(["01", "10"])) is None
 
 
 def combinations_occurrence_masks(host_masks, host_cols, pat_masks, pat_cols):

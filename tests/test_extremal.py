@@ -478,6 +478,13 @@ class TestCheckLemma21:
         with pytest.raises(ResourceLimit, match="budget exhausted while verifying ex at n=2"):
             check_lemma21(I2, 1, 5, 4, budget=2)
 
+    def test_failing_verdict_reports_the_cap(self):
+        # the bound is 1.52..., so the search is capped at 2 rows, and
+        # two rows of three ones avoid 123: f >= 2 refutes the bound
+        rep = check_lemma21(pm("123"), 0.01, 3, 3, hypothesis_n=1)
+        assert (rep.holds, rep.lhs_value, rep.nodes_explored) == (False, 2, 3)
+        assert rep.rhs_bound < 2
+
     def test_report_shape(self):
         data = check_lemma21(I2, 1, 5, 4).to_jsonable()
         assert set(data) >= {"lhs", "rhs", "pass", "nodes"}
@@ -546,6 +553,22 @@ class TestCheckLemma22:
                         checked += 1
                         assert rep.holds, (t, s, x, y)
         assert checked >= 4
+
+    def test_failing_verdict_reports_the_cap(self):
+        # rhs = 2.92... with f_sub = 0, so the left search is capped at 3
+        # rows and reaches it: a too-small a shows as a failing verdict
+        rep = check_lemma22(pm("1234"), 0.01, 2, 8, 8, 0.6, 0.7)
+        assert (rep.holds, rep.lhs_value, rep.f_sub_value) == (False, 3, 0)
+        assert rep.nodes_explored == 3
+        assert 2 < rep.rhs_value < 3
+
+    def test_capped_sub_search_only_raises_the_right_side(self):
+        # s = 1 < k = 2 at the shrunken instance: the one-column row
+        # repeats forever, so f_sub is the row cap 64, not a proven value
+        rep = check_lemma22(pm("21"), 0.1, 2, 3, 3, 0.6, 0.5)
+        assert (rep.holds, rep.lhs_value, rep.f_sub_value) == (True, 1, 64)
+        assert rep.nodes_explored == 2
+        assert rep.rhs_value > 128
 
     def test_not_blockable(self):
         with pytest.raises(PreconditionViolated, match="admits no 2-block decomposition"):
