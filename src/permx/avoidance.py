@@ -11,7 +11,7 @@ occurrence exactly when each entry that must lie below it has gap <= u
 and each entry that must lie above it has gap > u.  The count of
 completions depends on the prefix only through that state, so equal
 states are merged with their multiplicities, one length at a time.
-Three exact reductions keep the state sets small:
+Four exact reductions keep the state sets small:
 
 * projection: an occurrence keeps only the entries that are the value
   neighbours of some later pattern value, the only ones a future entry
@@ -27,7 +27,17 @@ Three exact reductions keep the state sets small:
   gaps; every pattern of length at most 4 leaves at most two other
   gaps, and a group's minima then come from one sort and a sweep with a
   running best.  Only three or more free gaps (patterns of length 5 and
-  up) fall back to comparing pairs.
+  up) fall back to comparing pairs;
+* the forbidden-gap mask: occurrences of the pattern's first k - 1
+  entries are never extended, they only forbid the gaps where the next
+  entry would complete the pattern, so that level is kept as one int
+  whose bit g is set iff gap g is forbidden.  Prefixes whose
+  occurrences forbid the same gaps then share a state, which dominance
+  cannot give, since it merges one tuple into another, never a set of
+  intervals into their union.  A step at gap u drops bit u and moves
+  the bits above it down by one, and ORs in the interval of each
+  occurrence the new entry completes to length k - 1; a completing
+  entry is one bit test.
 
 The step itself is :func:`core._perm_states`, memoised as
 :func:`core._memo_step` describes.  A counting node is one distinct
@@ -45,7 +55,8 @@ child, where the new entry joins the red occurrences and only shifts the
 blue gaps, and to a blue child, and drops a child whose joining colour
 completes its pattern.  A pair is dropped when another pair of the set
 is no more constrained in both colours (each of its partial occurrences
-is one of the first pair's or dominated by one), since every colouring
+is one of the first pair's or dominated by one, and its forbidden-gap
+mask is included in the first pair's), since every colouring
 of the rest that works from the first works from the other too.  The
 count sums multiplicities over distinct pair sets, one length at a
 time.  The JV inclusion check runs the same layered sum over the product
@@ -356,16 +367,21 @@ def _colour(pvals):
     and pair sets.
 
     ``weaker(i, j)`` asks whether state i is no more constrained than
-    state j: each partial occurrence of i, at each prefix length, is one
-    of j's or dominated by one.  Then every continuation that avoids the
-    pattern from j avoids it from i too."""
+    state j: each partial occurrence of i, at each prefix length below
+    k - 1, is one of j's or dominated by one, and i's forbidden-gap mask
+    at level k - 1 is included in j's.  Then every continuation that
+    avoids the pattern from j avoids it from i too."""
     states, step = _interned(*_perm_states(pvals))
     bounds = [(lows, ups) for _, _, _, lows, ups in _occurrence_plan(pvals)]
+    last = len(pvals) - 1
     order = {}
 
     def covered(q, p):
+        # an empty mask is the empty level, so `or 0` reads it as 0
+        if last and (q[last] or 0) & ~(p[last] or 0):
+            return False
         return all(_dominated(t, p[j], *bounds[j - 1])
-                   for j in range(1, len(q)) for t in q[j] - p[j])
+                   for j in range(1, last) for t in q[j] - p[j])
 
     def weaker(i, j):
         if i == j:

@@ -544,14 +544,15 @@ def _memo_step(k, level, memo):
     """The root state and the memoised step both state models share, as
     ``(root, step)``.
 
-    A state holds, per pattern prefix of length j < k, the tuples of its
-    partial occurrences, reduced by :func:`_live_minima`; the root holds
-    the empty occurrence alone.  ``step(state, tail, left=None,
-    parents=None)`` builds child level j = 1..k-1 as
-    ``level(j, parent, own, tail)``: ``parent`` is level j - 1 of
-    ``parents``, whose occurrences the new entry may extend, and ``own``
-    is level j of ``state``, carried over.  ``parents`` defaults to
-    ``state``; a step whose entry joins no occurrence passes all-empty
+    A state holds, per pattern prefix of length j < k, what ``level``
+    builds from its partial occurrences: their tuples reduced by
+    :func:`_live_minima`, or, at the permutation model's level k - 1, a
+    forbidden-gap mask; the root holds the empty occurrence alone.
+    ``step(state, tail, left=None, parents=None)`` builds child level
+    j = 1..k-1 as ``level(j, parent, own, tail)``: ``parent`` is level
+    j - 1 of ``parents``, whose occurrences the new entry may extend, and
+    ``own`` is level j of ``state``, carried over.  ``parents`` defaults
+    to ``state``; a step whose entry joins no occurrence passes all-empty
     levels.  ``tail`` is the rest of what the model's level reads.
     ``left``, when given, is how many entries may still follow.
 
@@ -596,13 +597,28 @@ def _perm_states(pvals):
     of some other sequence drawn from the same values, as in a two-colour
     merge.
 
+    For k >= 2, level k - 1 is not a set of tuples but one int, the
+    forbidden-gap mask: bit g is set iff an entry at gap g completes the
+    pattern.  Its occurrences are never extended, only forbid gaps, so
+    states whose occurrences forbid the same gaps are one state.  A step
+    at gap u drops bit u and moves the bits above it down by one, which
+    turns each forbidden interval [lo, hi) into its shifted image whether
+    or not u lay inside it, and ORs in the interval of each occurrence
+    the new entry completes to length k - 1.  An empty mask is ``_EMPTY``,
+    like every empty level.  For k = 1 level 0 is the root, which
+    forbids every gap.
+
     The levels come from :func:`_memo_step` with tail u and r - 1 values
     left.  They also depend on r, which is not in the key: the memo and
     the gap shift lists are rebuilt whenever r changes, so they hold one
     layer at most."""
     k = len(pvals)
     plan = _occurrence_plan(pvals)
-    last_lo, last_hi = plan[-1][:2]
+    # where the bounds of the mask's intervals come from in a parent
+    # occurrence at level k - 2: None when the pattern's last value has
+    # no neighbour on that side, -1 for the new entry
+    last_src = plan[k - 2][2] if k >= 2 else ()
+    mask_lo, mask_hi = (None if i < 0 else last_src[i] for i in plan[-1][:2])
 
     def extends(t, lo, hi, u):
         return (lo < 0 or t[lo] <= u) and (hi < 0 or u < t[hi])
@@ -610,6 +626,16 @@ def _perm_states(pvals):
     def level(j, parent, own, u):
         lo, hi, src, lows, ups = plan[j - 1]
         shift = shifts[u]
+        if j == k - 1:
+            below = (1 << u) - 1
+            mask = (own & below) | (own >> 1 & ~below) if own else 0
+            for t in parent:
+                if extends(t, lo, hi, u):
+                    a = 0 if mask_lo is None else u if mask_lo < 0 else shift[t[mask_lo]]
+                    b = top - 1 if mask_hi is None else u if mask_hi < 0 else shift[t[mask_hi]]
+                    if a < b:
+                        mask |= (1 << b) - (1 << a)
+            return mask
         tuples = [tuple([shift[g] for g in t]) for t in own]
         tuples += [
             tuple([u if i < 0 else shift[t[i]] for i in src])
@@ -619,7 +645,7 @@ def _perm_states(pvals):
 
     def step(state, u, r, join=True):
         nonlocal top, shifts
-        if join and any(extends(t, last_lo, last_hi, u) for t in state[k - 1]):
+        if join and (k == 1 or state[-1] and state[-1] >> u & 1):
             return None
         if r != top:
             memo.clear()

@@ -370,7 +370,9 @@ def check_lemma21(
 
 @dataclass(frozen=True)
 class Lemma22Report:
-    """Exact row count versus one step of the sectioning recursion."""
+    """Exact row count versus one step of the sectioning recursion.
+    f_sub_capped marks a sub-search that stopped at the row cap, so
+    f_sub_value is a lower bound on the shrunken instance's value."""
 
     k: int
     a: float
@@ -382,6 +384,7 @@ class Lemma22Report:
     shrunk_t: int
     shrunk_s: int
     f_sub_value: int
+    f_sub_capped: bool
     lhs_value: int
     rhs_value: Fraction
     holds: bool
@@ -403,6 +406,7 @@ class Lemma22Report:
             "shrunk_t": self.shrunk_t,
             "shrunk_s": self.shrunk_s,
             "f_sub": self.f_sub_value,
+            "f_sub_capped": self.f_sub_capped,
         }
 
 
@@ -421,13 +425,13 @@ def check_lemma22(
     plus the closed-form remainder.
 
     P must decompose into c blocks for the sectioning argument to
-    apply.  f_sub is the sub-search's value, which may be capped; that
-    only lowers the right side, so a pass stays sound.  The left side is
-    decided with one search capped just above the right side
-    (_rows_within): the bound holds exactly when that search is proven,
-    and a failing verdict's lhs is the cap it reached, a lower bound on
-    f.  The sub-search and the search for the left side share the one
-    node budget.
+    apply.  f_sub is the sub-search's value, which may be capped
+    (f_sub_capped); that only lowers the right side, so a pass stays
+    sound.  The left side is decided with one search capped just above
+    the right side (_rows_within): the bound holds exactly when that
+    search is proven, and a failing verdict's lhs is the cap it reached,
+    a lower bound on f.  The sub-search and the search for the left side
+    share the one node budget.
     """
     k = P.k
     if not count_block_decompositions(from_matrix(P), c):
@@ -446,6 +450,6 @@ def check_lemma22(
     lhs_res = _rows_within(P, t, s, rhs, budget - sub.nodes_explored)
     nodes = sub.nodes_explored + lhs_res.nodes_explored
     return Lemma22Report(
-        k, a, c, t, s, x, y, shrunk_t, shrunk_s, sub.value,
+        k, a, c, t, s, x, y, shrunk_t, shrunk_s, sub.value, sub.hit_row_cap,
         lhs_res.value, rhs, lhs_res.proven_optimal, nodes,
     )

@@ -9,7 +9,7 @@ searches, up to its ceiling.
 DEFAULT_NODE_BUDGET = 10 ** 8
 
 # length caps that keep worst-case runtimes in minutes, not hours
-DEFAULT_COUNT_LENGTH_LIMIT = 12
+DEFAULT_COUNT_LENGTH_LIMIT = 14
 DEFAULT_MERGE_LENGTH_LIMIT = 14
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 10
 

@@ -139,7 +139,7 @@ class TestExitCodes:
         )
 
     def test_sw_estimate_length_limit(self, capsys):
-        code, out, err = invoke(capsys, "sw-estimate", "--pattern", "2413", "--n-max", "13")
+        code, out, err = invoke(capsys, "sw-estimate", "--pattern", "2413", "--n-max", "15")
         assert code == EXIT_RESOURCE
         assert out == ""
         assert "resource limit" in err
@@ -421,6 +421,18 @@ class TestJsonOutput:
         assert data["pass"] is True
         assert data["rhs"] == "12"
         assert (data["shrunk_t"], data["shrunk_s"]) == (2, 2)
+        assert data["f_sub_capped"] is False
+
+    def test_check_lemma22_flags_capped_sub_search(self, capsys):
+        # the shrunken instance t = s = 1 lets one row repeat forever, so
+        # f_sub = 64 is the row cap, and the report says so
+        code, out, _ = invoke(
+            capsys, "check-lemma22", "--pattern", "21", "--a", "0.1", "--c", "2",
+            "--t", "3", "--s", "3", "--x", "0.6", "--y", "0.5", "--format", "json",
+        )
+        data = json.loads(out)
+        assert code == 0
+        assert (data["f_sub"], data["f_sub_capped"], data["pass"]) == (64, True, True)
 
     def test_mt_exact_string(self, capsys):
         _, out, _ = invoke(capsys, "bounds", "mt", "--k", "2", "--format", "json")

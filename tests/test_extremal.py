@@ -538,7 +538,7 @@ class TestCheckLemma22:
         assert rep.lhs_value == 1
         assert rep.rhs_value == 12
         assert (rep.shrunk_t, rep.shrunk_s) == (2, 2)
-        assert rep.f_sub_value == 1
+        assert (rep.f_sub_value, rep.f_sub_capped) == (1, False)
 
     def test_grid_of_valid_constants(self):
         checked = 0
@@ -567,6 +567,7 @@ class TestCheckLemma22:
         # repeats forever, so f_sub is the row cap 64, not a proven value
         rep = check_lemma22(pm("21"), 0.1, 2, 3, 3, 0.6, 0.5)
         assert (rep.holds, rep.lhs_value, rep.f_sub_value) == (True, 1, 64)
+        assert rep.f_sub_capped
         assert rep.nodes_explored == 2
         assert rep.rhs_value > 128
 
@@ -584,6 +585,6 @@ class TestCheckLemma22:
 
     def test_report_shape(self):
         data = check_lemma22(P12, 1, 2, 5, 5, 0.6, 0.5).to_jsonable()
-        assert set(data) >= {"lhs", "rhs", "pass", "nodes", "f_sub"}
+        assert set(data) >= {"lhs", "rhs", "pass", "nodes", "f_sub", "f_sub_capped"}
         assert "wall_ms" not in data
         assert data["rhs"] == "12"
