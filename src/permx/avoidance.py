@@ -490,7 +490,8 @@ def verify_jv_inclusion(
     """
     if a.n == 0 or b.n == 0 or c.n == 0:
         raise PreconditionViolated("all three parts must be nonempty")
-    _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
+    # its product states carry a merge state, so it takes the merge limit
+    _check_length(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT)
     combined = direct_sum(direct_sum(a, b), c)
     red_pattern = direct_sum(a, b)
     blue_pattern = direct_sum(b, c)

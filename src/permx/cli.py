@@ -9,10 +9,14 @@ exceed 2**53 are emitted as decimal strings.
 Exit codes: 0 success, 2 rejected input, 3 resource limit hit, 1
 internal error or failed selftest.  Diagnostics go to stderr.
 
-Every subcommand is declared once, in ``COMMANDS``: its flags, the call
-that builds its report payload, and the payload's csv and text layout.
-The argument parser is built from it once per process, at the first
-call, and reused by every later call.
+Every subcommand is declared once, in ``COMMANDS``: its flags, the one
+library module it calls, the call that builds its report payload, and
+the payload's csv and text layout.  Of the library modules, this one
+imports only ``core``, whose parsers its flags use; each command loads
+its library module at call time and looks the functions up there, so a
+cold ``permx contains`` never imports the counting, extremal or
+schedule code.  The argument parser is built from ``COMMANDS`` once per
+process, at the first call, and reused by every later call.
 
 Each operand flag's argparse ``type`` is its parser, so commands get
 parsed values and reports echo them.  A permutation is a digit string
@@ -36,54 +40,18 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import importlib
 import io
 import json
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import starmap
+from types import ModuleType
 from typing import Callable, Iterable
 
-from .avoidance import (
-    count_avoiders,
-    merge_count_upper_check,
-    sw_estimate_sequence,
-    verify_jv_inclusion,
-)
-from .bounds import (
-    BoundParams,
-    _beta_k_int,
-    build_schedule,
-    certify_schedule,
-    crude_fpts_bound,
-    floored_states,
-    fox_rhs,
-    lemma21_bound,
-    lemma22_rhs,
-    marcus_tardos_bound,
-    theorem12_exponent,
-    theorem24_alpha,
-)
-from .core import (
-    BinaryMatrix,
-    Permutation,
-    blockable_decompositions,
-    contains,
-    direct_sum,
-    inflate,
-    matrix_contains,
-    parse_permutation,
-    skew_sum,
-    to_matrix,
-)
+from .core import BinaryMatrix, Permutation, parse_permutation, to_matrix
 from .errors import PreconditionViolated, ResourceLimit
-from .extremal import (
-    check_lemma21,
-    check_lemma22,
-    exfn_exact,
-    fpts_exact,
-    gpts_exact,
-)
 from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP
 
 EXIT_OK = 0
@@ -251,18 +219,22 @@ def _render_text(key, payload: dict) -> str:
 class Command:
     """One subcommand, declared once.
 
-    ``call(opts)`` turns the parsed options into the report payload (a
-    ``budgeted`` command's --budget flag among them as ``"budget"``);
-    it names library functions at call time, so wrappers set on this
-    module's globals see them.  csv output writes ``table`` (payload key,
-    columns) if set, else the scalar fields as one row sorted by key;
-    text output writes the ``text_key`` field alone if set, else one
-    ``key = value`` line per field.  A false ``verdict`` field in the
-    payload makes the exit code 1.
+    ``module`` names the one library module the command calls: core,
+    avoidance, extremal, bounds or selftest.  ``run`` imports it at call
+    time and passes it to ``call(lib, opts)``, which turns the parsed
+    options into the report payload (a ``budgeted`` command's --budget
+    flag among them as ``"budget"``) and looks each library function up
+    on ``lib``, so a wrapper set on the defining module sees the call.
+    csv output writes ``table`` (payload key, columns) if set, else the
+    scalar fields as one row sorted by key; text output writes the
+    ``text_key`` field alone if set, else one ``key = value`` line per
+    field.  A false ``verdict`` field in the payload makes the exit
+    code 1.
     """
 
     flags: tuple
-    call: Callable[[dict], dict]
+    module: str
+    call: Callable[[ModuleType, dict], dict]
     budgeted: bool = False
     table: tuple[str, tuple[str, ...]] | None = None
     text_key: str | None = None
@@ -274,9 +246,10 @@ def _flag(name: str, type, **kwargs) -> tuple[str, dict]:
     return name, {"type": type, "required": "default" not in kwargs, **kwargs}
 
 
-def _contains(o):
+def _contains(core, o):
     host, pattern = o["host"], o["pattern"]
-    return {"host": str(host), "pattern": str(pattern), "contains": contains(host, pattern)}
+    return {"host": str(host), "pattern": str(pattern),
+            "contains": core.contains(host, pattern)}
 
 
 def _pair(op, o):
@@ -285,15 +258,15 @@ def _pair(op, o):
     return {"left": str(left), "right": str(right), "result": str(op(left, right))}
 
 
-def _inflate(o):
+def _inflate(core, o):
     skeleton, blocks = o["skeleton"], o["blocks"]
     return {"skeleton": str(skeleton), "blocks": [str(b) for b in blocks],
-            "result": str(inflate(skeleton, blocks))}
+            "result": str(core.inflate(skeleton, blocks))}
 
 
-def _decompose(o):
+def _decompose(core, o):
     p = o["pattern"]
-    decomps = blockable_decompositions(p, o["c"])
+    decomps = core.blockable_decompositions(p, o["c"])
     return {
         "pattern": str(p),
         "c": o["c"],
@@ -305,15 +278,15 @@ def _decompose(o):
     }
 
 
-def _count_av(o):
+def _count_av(avoidance, o):
     p = o["pattern"]
-    value = count_avoiders(p, o["n"], budget=o["budget"])
+    value = avoidance.count_avoiders(p, o["n"], budget=o["budget"])
     return {"pattern": str(p), "n": o["n"], "count": str(value)}
 
 
-def _sw_estimate(o):
+def _sw_estimate(avoidance, o):
     p = o["pattern"]
-    seq = sw_estimate_sequence(p, o["n_max"], budget=o["budget"])
+    seq = avoidance.sw_estimate_sequence(p, o["n_max"], budget=o["budget"])
     return {
         "pattern": str(p),
         "sequence": [{"n": e.n, "count": str(e.count), "estimate": e.value} for e in seq],
@@ -348,29 +321,30 @@ def _closed_form(fn, key, o, *names):
     return {**{name: _echo(o[name]) for name in names}, key: str(value)}
 
 
-def _alpha(o):
+def _alpha(bounds, o):
     a, c = o["a"], o["c"]
-    alpha = theorem24_alpha(a, c)
-    return {"a": a, "c": c, "alpha": alpha, "theorem12_exponent": theorem12_exponent(a, c)}
+    alpha = bounds.theorem24_alpha(a, c)
+    exponent = bounds.theorem12_exponent(a, c)
+    return {"a": a, "c": c, "alpha": alpha, "theorem12_exponent": exponent}
 
 
-def _schedule(o):
-    return build_schedule(BoundParams(o["k"], o["a"], o["c"]))
+def _schedule(bounds, o):
+    return bounds.build_schedule(bounds.BoundParams(o["k"], o["a"], o["c"]))
 
 
 STATE_COLUMNS = ("i", "log2_t", "log2_s", "t", "s")
 
 
-def _schedule_report(o):
+def _schedule_report(bounds, o):
     """The schedule's header fields and its ``(i, log2_t, log2_s)``
     state rows as ``Rows``; t and s are null where 2**log2 overflows a
     double, as in ``Schedule.to_jsonable``.  With ``--floors`` the
     states and the three floor fields come from the exact floored
     replay."""
-    schedule = _schedule(o)
+    schedule = _schedule(bounds, o)
     header = schedule.header()
     if o["floors"]:
-        log2_t, log2_s, drift_t, drift_s = floored_states(schedule)
+        log2_t, log2_s, drift_t, drift_s = bounds.floored_states(schedule)
         header.update(floors_applied=True, floor_drift_t=drift_t, floor_drift_s=drift_s)
         rows = zip(range(len(log2_t)), log2_t, log2_s)
     else:
@@ -380,26 +354,20 @@ def _schedule_report(o):
     return {**header, "states": Rows(STATE_COLUMNS, cells)}
 
 
-def _certify(o):
-    schedule = _schedule(o)
+def _certify(bounds, o):
+    schedule = _schedule(bounds, o)
     p = schedule.params
     if o["floors"]:
         # the report is the same either way; --floors only demands integral k and a
-        _beta_k_int(p)
-    report = certify_schedule(schedule, tol=o["tol"])
+        bounds._beta_k_int(p)
+    report = bounds.certify_schedule(schedule, tol=o["tol"])
     return {"params": {"k": p.k, "a": p.a, "c": p.c}, **report.to_jsonable()}
 
 
-def _crude(o):
-    schedule = _schedule(o)
+def _crude(bounds, o):
+    schedule = _schedule(bounds, o)
     p = schedule.params
-    return {"k": p.k, "a": p.a, "c": p.c, "log2_bound": crude_fpts_bound(schedule)}
-
-
-def _selftest(o):
-    from .selftest import run_selftest
-
-    return run_selftest()
+    return {"k": p.k, "a": p.a, "c": p.c, "log2_bound": bounds.crude_fpts_bound(schedule)}
 
 
 PATTERN = _flag("--pattern", parse_permutation)
@@ -413,104 +381,133 @@ FLOORS = ("--floors", {"action": "store_true"})
 
 COMMANDS = {
     "contains": Command(
-        (_flag("--host", parse_permutation), PATTERN), _contains, text_key="contains"
+        (_flag("--host", parse_permutation), PATTERN), "core", _contains, text_key="contains"
     ),
     "matrix-contains": Command(
         (_flag("--host", _parse_matrix, help="rows as 0/1 strings joined by commas"),
          _flag("--pattern", _parse_matrix)),
-        lambda o: {"contains": matrix_contains(o["host"], o["pattern"])},
+        "core",
+        lambda core, o: {"contains": core.matrix_contains(o["host"], o["pattern"])},
         text_key="contains",
     ),
-    "sum": Command((LEFT, RIGHT), lambda o: _pair(direct_sum, o), text_key="result"),
-    "skew": Command((LEFT, RIGHT), lambda o: _pair(skew_sum, o), text_key="result"),
+    "sum": Command(
+        (LEFT, RIGHT), "core", lambda core, o: _pair(core.direct_sum, o), text_key="result"
+    ),
+    "skew": Command(
+        (LEFT, RIGHT), "core", lambda core, o: _pair(core.skew_sum, o), text_key="result"
+    ),
     "inflate": Command(
         (_flag("--skeleton", parse_permutation),
          _flag("--blocks", _parse_blocks, help="comma-separated block permutations")),
+        "core",
         _inflate,
         text_key="result",
     ),
     "decompose": Command(
-        (PATTERN, C), _decompose, table=("decompositions", ("skeleton", "blocks"))
+        (PATTERN, C), "core", _decompose, table=("decompositions", ("skeleton", "blocks"))
     ),
-    "count-av": Command((PATTERN, N), _count_av, budgeted=True),
+    "count-av": Command((PATTERN, N), "avoidance", _count_av, budgeted=True),
     "sw-estimate": Command(
         (PATTERN, _flag("--n-max", _parse_int)),
+        "avoidance",
         _sw_estimate,
         budgeted=True,
         table=("sequence", ("n", "count", "estimate")),
     ),
     "merge-check": Command(
         (_flag("--red", parse_permutation), _flag("--blue", parse_permutation), N),
-        lambda o: _perm_report(merge_count_upper_check, o, "red", "blue"),
+        "avoidance",
+        lambda avoidance, o: _perm_report(avoidance.merge_count_upper_check, o, "red", "blue"),
         budgeted=True,
     ),
     "verify-jv": Command(
         (_flag("--a", parse_permutation), _flag("--b", parse_permutation),
          _flag("--c", parse_permutation), N),
-        lambda o: _perm_report(verify_jv_inclusion, o, "a", "b", "c"),
+        "avoidance",
+        lambda avoidance, o: _perm_report(avoidance.verify_jv_inclusion, o, "a", "b", "c"),
         budgeted=True,
     ),
     "exfn": Command(
         (PATTERN, N),
-        lambda o: _pattern_search(exfn_exact, o, "n", echo=("n",)),
+        "extremal",
+        lambda extremal, o: _pattern_search(extremal.exfn_exact, o, "n", echo=("n",)),
         budgeted=True,
     ),
     "fpts": Command(
         (PATTERN, T, S, N_CAP),
-        lambda o: _pattern_search(fpts_exact, o, "t", "s", "n_cap", echo=("t", "s")),
+        "extremal",
+        lambda extremal, o: _pattern_search(
+            extremal.fpts_exact, o, "t", "s", "n_cap", echo=("t", "s")
+        ),
         budgeted=True,
     ),
     "gpts": Command(
         (PATTERN, T, S, N_CAP),
-        lambda o: _pattern_search(gpts_exact, o, "t", "s", "n_cap", echo=("t", "s")),
+        "extremal",
+        lambda extremal, o: _pattern_search(
+            extremal.gpts_exact, o, "t", "s", "n_cap", echo=("t", "s")
+        ),
         budgeted=True,
     ),
     "check-lemma21": Command(
         (PATTERN, A, T, S, _flag("--hypothesis-n", _parse_int, default=4)),
-        lambda o: _pattern_search(check_lemma21, o, "a", "t", "s", "hypothesis_n"),
+        "extremal",
+        lambda extremal, o: _pattern_search(
+            extremal.check_lemma21, o, "a", "t", "s", "hypothesis_n"
+        ),
         budgeted=True,
     ),
     "check-lemma22": Command(
         (PATTERN, A, C, T, S, X, Y),
-        lambda o: _pattern_search(check_lemma22, o, "a", "c", "t", "s", "x", "y"),
+        "extremal",
+        lambda extremal, o: _pattern_search(
+            extremal.check_lemma22, o, "a", "c", "t", "s", "x", "y"
+        ),
         budgeted=True,
     ),
     "bounds mt": Command(
         (_flag("--k", _parse_int),),
-        lambda o: _closed_form(marcus_tardos_bound, "bound", o, "k"),
+        "bounds",
+        lambda bounds, o: _closed_form(bounds.marcus_tardos_bound, "bound", o, "k"),
     ),
     "bounds lemma21": Command(
         (REAL_K, A, REAL_T, REAL_S),
-        lambda o: _closed_form(lemma21_bound, "bound", o, "k", "a", "t", "s"),
+        "bounds",
+        lambda bounds, o: _closed_form(bounds.lemma21_bound, "bound", o, "k", "a", "t", "s"),
     ),
     "bounds lemma22-rhs": Command(
         (REAL_K, A, C, REAL_T, REAL_S, X, Y, _flag("--f-sub", _parse_int, default=0)),
-        lambda o: _closed_form(
-            lemma22_rhs, "rhs", o, "k", "a", "c", "t", "s", "x", "y", "f_sub"
+        "bounds",
+        lambda bounds, o: _closed_form(
+            bounds.lemma22_rhs, "rhs", o, "k", "a", "c", "t", "s", "x", "y", "f_sub"
         ),
     ),
-    "bounds alpha": Command((A, _flag("--c", _parse_float)), _alpha),
+    "bounds alpha": Command((A, _flag("--c", _parse_float)), "bounds", _alpha),
     "bounds schedule": Command(
         (REAL_K, A, C, FLOORS),
+        "bounds",
         _schedule_report,
         table=("states", STATE_COLUMNS),
     ),
     "bounds certify": Command(
         (REAL_K, A, C, FLOORS, _flag("--tol", _parse_float, default=1e-9)),
+        "bounds",
         _certify,
         table=("checks", ("name", "holds", "lhs", "rhs")),
     ),
-    "bounds crude": Command((REAL_K, A, C), _crude),
+    "bounds crude": Command((REAL_K, A, C), "bounds", _crude),
     "bounds fox-rhs": Command(
         (_flag("--ex-table", _parse_ex_table, help="entries like 1=1,2=3,3=5"),
          T, S, _flag("--f", _parse_int), _flag("--g", _parse_int), N),
-        lambda o: _closed_form(
-            partial(fox_rhs, o["ex_table"]), "rhs", o, "t", "s", "f", "g", "n"
+        "bounds",
+        lambda bounds, o: _closed_form(
+            partial(bounds.fox_rhs, o["ex_table"]), "rhs", o, "t", "s", "f", "g", "n"
         ),
     ),
     "selftest": Command(
         (),
-        _selftest,
+        "selftest",
+        lambda selftest, o: selftest.run_selftest(),
         table=("criteria", ("id", "pass", "description", "detail")),
         verdict="all_pass",
     ),
@@ -568,7 +565,7 @@ def run(argv=None) -> tuple[int, str]:
     spec = COMMANDS[name]
     if spec.budgeted and opts["budget"] < 1:
         raise PreconditionViolated(f"budget must be positive, got {opts['budget']}")
-    payload = spec.call(opts)
+    payload = spec.call(importlib.import_module(f"{__package__}.{spec.module}"), opts)
     code = EXIT_INTERNAL if spec.verdict and not payload[spec.verdict] else EXIT_OK
     return code, render(name, payload, fmt)
 

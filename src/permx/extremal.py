@@ -5,7 +5,8 @@ exfn_exact maximizes ones in an n x n host; fpts_exact maximizes the
 row count of a width-t host with at least s ones per row; gpts_exact is
 the column analog, computed through a quarter-turn rotation.  On top of
 the searches sit two certifiers that compare exact values against the
-closed-form bounds from the bounds module.
+closed-form bounds from the bounds module, which they import when
+called, so the searches alone never load it.
 
 Both searches grow hosts one row (a column bitmask) at a time and merge
 hosts with equal row states (core._row_states: the pattern's partial
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .bounds import _as_fraction, _pow_ka, lemma21_bound, lemma22_rhs
 from .core import (
     BinaryMatrix,
     PermutationMatrix,
@@ -342,6 +342,8 @@ def check_lemma21(
     the cap it reached, a lower bound on f.  The hypothesis searches and
     the final one share the one node budget.
     """
+    from .bounds import _pow_ka, lemma21_bound  # only the certifiers need bounds
+
     k = P.k
     bound = lemma21_bound(k, a, t, s)
     ka = _pow_ka(k, a, s)
@@ -433,6 +435,8 @@ def check_lemma22(
     a lower bound on f.  The sub-search and the search for the left side
     share the one node budget.
     """
+    from .bounds import _as_fraction, lemma22_rhs  # only the certifiers need bounds
+
     k = P.k
     if not count_block_decompositions(from_matrix(P), c):
         raise PreconditionViolated(f"pattern admits no {c}-block decomposition")

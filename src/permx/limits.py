@@ -8,7 +8,9 @@ searches, up to its ceiling.
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
-# length caps that keep worst-case runtimes in minutes, not hours
+# length caps that keep worst-case runtimes in minutes, not hours.  The
+# merge count and the JV inclusion check both walk merge states, which
+# grow about 4x per n, so they share the merge-count limit.
 DEFAULT_COUNT_LENGTH_LIMIT = 14
 DEFAULT_MERGE_LENGTH_LIMIT = 14
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 10

@@ -378,6 +378,22 @@ def test_jv_inclusion_validation():
         verify_jv_inclusion(perm("1"), Permutation(()), perm("1"), 3)
 
 
+def test_jv_inclusion_checks_length_before_searching(monkeypatch):
+    # the product states carry merge states, so the merge-count limit
+    # (10) applies, not the avoider-count limit (14)
+    searched = []
+
+    def search(combined, red, blue, n, budget):
+        searched.append(n)
+        return 0, True, None
+
+    monkeypatch.setattr(avoidance, "_jv_search", search)
+    verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 10)
+    with pytest.raises(ResourceLimit, match="n=11 exceeds the configured limit 10"):
+        verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 11)
+    assert searched == [10]
+
+
 def oracle_jv(host_p, red_p, blue_p, n):
     """(checked, holds, counterexample) by merging every avoider in turn."""
     checked = 0

@@ -118,7 +118,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("permx.cli.exfn_exact", exhausted)
+        monkeypatch.setattr("permx.extremal.exfn_exact", exhausted)
         code, out, err = invoke(capsys, "exfn", "--pattern", "12", "--n", "3")
         assert (code, out, err) == (EXIT_RESOURCE, "", "resource limit: out of memory\n")
 
@@ -143,6 +143,13 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert out == ""
         assert "resource limit" in err
+
+    def test_verify_jv_length_limit(self, capsys):
+        code, out, err = invoke(
+            capsys, "verify-jv", "--a", "1", "--b", "12", "--c", "21", "--n", "11"
+        )
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == "resource limit: n=11 exceeds the configured limit 10\n"
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

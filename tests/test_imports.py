@@ -1,0 +1,78 @@
+"""The import contract: a cold command line loads only core and the one
+library module the command calls, and the package's lazy exports all
+resolve.  Each case runs in a fresh interpreter and asserts on
+``sys.modules``, not on time."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import permx
+
+LIBRARY = {"permx.avoidance", "permx.bounds", "permx.extremal"}
+
+
+def child(code: str, *args: str):
+    """What ``code`` prints as JSON, run in a fresh interpreter that
+    imports permx from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(permx.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+COMMAND = """
+import json, sys
+from permx.cli import run
+code, _ = run(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["contains", "--host", "312", "--pattern", "21"], set()),
+    (["count-av", "--pattern", "1234", "--n", "6"], {"permx.avoidance"}),
+    (["exfn", "--pattern", "123", "--n", "4"], {"permx.extremal"}),
+    (["bounds", "schedule", "--k", "4", "--a", "1", "--c", "2"], {"permx.bounds"}),
+])
+def test_command_loads_only_its_library_module(argv, loads):
+    out = child(COMMAND, *argv)
+    assert out["code"] == 0
+    assert LIBRARY & set(out["modules"]) == loads
+
+
+PACKAGE = """
+import json, sys
+import permx
+bare = sorted(m for m in sys.modules if m.startswith("permx."))
+submodule = permx.avoidance.__name__
+values = {name: getattr(permx, name) for name in permx.__all__}
+star = {}
+exec("from permx import *", star)
+print(json.dumps({
+    "bare": bare,
+    "submodule": submodule,
+    "foreign": sorted(name for name, value in values.items()
+                      if getattr(sys.modules[value.__module__], name) is not value),
+    "unbound": sorted(set(permx.__all__) - set(star)),
+    "unlisted": sorted(set(permx.__all__) - set(dir(permx))),
+    "unknown": hasattr(permx, "no_such_name"),
+}))
+"""
+
+
+def test_package_exports_resolve_lazily():
+    out = child(PACKAGE)
+    assert out["bare"] == []  # ``import permx`` loads no submodule
+    assert out["submodule"] == "permx.avoidance"
+    assert out["foreign"] == []  # each name is its defining module's object
+    assert out["unbound"] == []
+    assert out["unlisted"] == []
+    assert out["unknown"] is False
