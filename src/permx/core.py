@@ -428,7 +428,11 @@ def matrix_avoids(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
 # For permutations pvals is the pattern itself and the coordinates are
 # gaps (_perm_states); for a permutation matrix it is col_of_row(), with
 # host rows as positions and host columns as values (_row_states).  Both
-# models build their states with the one memoised step of _memo_step.
+# models build their states with the one memoised step of _memo_step, in
+# one state format: tuples reduced by dominance for the prefixes of
+# length j < k - 1, and for the longest prefix, whose occurrences are
+# never extended, one int, the mask of the coordinates that a next entry
+# may not take.
 
 _EMPTY = frozenset()
 
@@ -545,9 +549,13 @@ def _memo_step(k, level, memo):
     ``(root, step)``.
 
     A state holds, per pattern prefix of length j < k, what ``level``
-    builds from its partial occurrences: their tuples reduced by
-    :func:`_live_minima`, or, at the permutation model's level k - 1, a
-    forbidden-gap mask; the root holds the empty occurrence alone.
+    builds from its partial occurrences.  For j < k - 1 that is their
+    tuples reduced by :func:`_live_minima`.  Level k - 1, for k >= 2, is
+    one int, the forbidden mask: bit x is set iff a next entry at
+    coordinate x completes the pattern.  Those occurrences are never
+    extended, only forbid coordinates, so states whose occurrences forbid
+    the same ones are one state.  The root holds the empty occurrence
+    alone.  An empty mask is ``_EMPTY``, like every empty level.
     ``step(state, tail, left=None, parents=None)`` builds child level
     j = 1..k-1 as ``level(j, parent, own, tail)``: ``parent`` is level
     j - 1 of ``parents``, whose occurrences the new entry may extend, and
@@ -597,16 +605,12 @@ def _perm_states(pvals):
     of some other sequence drawn from the same values, as in a two-colour
     merge.
 
-    For k >= 2, level k - 1 is not a set of tuples but one int, the
-    forbidden-gap mask: bit g is set iff an entry at gap g completes the
-    pattern.  Its occurrences are never extended, only forbid gaps, so
-    states whose occurrences forbid the same gaps are one state.  A step
-    at gap u drops bit u and moves the bits above it down by one, which
-    turns each forbidden interval [lo, hi) into its shifted image whether
-    or not u lay inside it, and ORs in the interval of each occurrence
-    the new entry completes to length k - 1.  An empty mask is ``_EMPTY``,
-    like every empty level.  For k = 1 level 0 is the root, which
-    forbids every gap.
+    Level k - 1 is :func:`_memo_step`'s forbidden mask, over gaps.  A
+    step at gap u drops bit u and moves the bits above it down by one,
+    which turns each forbidden interval [lo, hi) into its shifted image
+    whether or not u lay inside it, and ORs in the interval of each
+    occurrence the new entry completes to length k - 1.  For k = 1
+    level 0 is the root, which forbids every gap.
 
     The levels come from :func:`_memo_step` with tail u and r - 1 values
     left.  They also depend on r, which is not in the key: the memo and
@@ -661,12 +665,17 @@ def _perm_states(pvals):
 
 def _row_states(P: PermutationMatrix, width: int):
     """The row-state model of width-``width`` hosts avoiding P, as
-    ``(root, forbidden, step)``: the empty host's state, the columns a
-    next row may not use, and the state after a row.
+    ``(root, step)``: the empty host's state and the state after a row.
 
     Coordinates are host columns.  A one at column x extends an
     occurrence t when t[lo] < x < t[hi], strictly, since the ones of a
-    pattern lie in distinct columns.  ``step(state, row, rows_left=None)``
+    pattern lie in distinct columns.  Level k - 1 is :func:`_memo_step`'s
+    forbidden mask, over columns, so a next row may use the columns
+    outside ``state[-1]``.  Columns do not shift, so a row keeps the
+    carried mask and ORs in the columns strictly between the bounds of
+    each occurrence it completes to length k - 1.  For k = 1 there is no
+    level 1, and the root forbids every column.
+    ``step(state, row, rows_left=None)``
     is :func:`_memo_step`'s step with the row as tail, and rows_left,
     when given, is how many rows may still follow.  rows_left is not part
     of the key, since it only blanks levels before the lookup, and the
@@ -689,16 +698,10 @@ def _row_states(P: PermutationMatrix, width: int):
         high = t[hi] if hi >= 0 else width
         return ((1 << high) - 1) ^ ((1 << low) - 1)
 
-    def forbidden(state):
-        out = 0
-        for t in state[k - 1]:
-            out |= between(t, last_lo, last_hi)
-        return out
-
     def level(j, parent, own, row):
         lo, hi, src, lows, ups = plan[j - 1]
         low, high = keep[j - 1] == "low", keep[j - 1] == "high"
-        tuples = set(own)
+        tuples = set(own) if j < k - 1 else set()
         for t in parent:
             cols = row & between(t, lo, hi)
             if low:
@@ -709,10 +712,13 @@ def _row_states(P: PermutationMatrix, width: int):
                 x = (cols & -cols).bit_length() - 1
                 tuples.add(tuple([x if i < 0 else t[i] for i in src]))
                 cols &= cols - 1
-        return _live_minima(tuples, lows, ups, width)
+        if j < k - 1:
+            return _live_minima(tuples, lows, ups, width)
+        return functools.reduce(
+            operator.or_, (between(t, last_lo, last_hi) for t in tuples), own or 0)
 
     root, step = _memo_step(k, level, {})
-    return root, forbidden, step
+    return (root if k > 1 else ((1 << width) - 1,)), step
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ called, so the searches alone never load it.
 
 Both searches grow hosts one row (a column bitmask) at a time and merge
 hosts with equal row states (core._row_states: the pattern's partial
-occurrences keyed by host column).  exfn_exact is a memoised max-ones
+occurrences keyed by host column, and for its longest proper prefix
+the mask of the columns a next row may not use, state[-1]).  A row
+is allowed when it avoids that mask.  exfn_exact is a memoised max-ones
 recursion over (rows left, state), fpts_exact a longest path from the
 empty state.  Rows only add occurrences, so states grow along a host:
 the row graph is acyclic apart from rows that leave the state unchanged,
@@ -106,7 +108,7 @@ def exfn_exact(
         raise PreconditionViolated(f"need n >= 1, got {n}")
     if n > MAX_WIDTH:
         raise ResourceLimit(f"width {n} exceeds the {MAX_WIDTH}-bit row limit")
-    root, forbidden, step = _row_states(P, n)
+    root, step = _row_states(P, n)
     memo = {}  # (rows left, state) -> (most ones, first best row, state after it)
     stack: list[int] = []
     best_value, best_rows = 0, [0] * n
@@ -121,7 +123,7 @@ def exfn_exact(
             return 0
         key = (r, state)
         if key not in memo:
-            allowed = ((1 << n) - 1) & ~forbidden(state)
+            allowed = ((1 << n) - 1) & ~(state[-1] or 0)
             entry = (-1, 0, None)
             for m in [allowed] if r == 1 else _submasks(allowed):
                 nodes += 1
@@ -206,10 +208,10 @@ def fpts_exact(
         raise PreconditionViolated(f"need n_cap >= 1, got {n_cap}")
     if n_cap > MAX_ROW_CAP:
         raise ResourceLimit(f"row cap {n_cap} exceeds the {MAX_ROW_CAP}-row limit")
-    root, forbidden, step = _row_states(P, t)
+    root, step = _row_states(P, t)
 
     def candidates(state):
-        return _weight_submasks(((1 << t) - 1) & ~forbidden(state), s)
+        return _weight_submasks(((1 << t) - 1) & ~(state[-1] or 0), s)
 
     def follow(state, need):
         # the first `need` rows, in candidate order, that can follow state

@@ -693,13 +693,13 @@ def walk_row_model(pvals, rng):
     # levels are one object across the whole walk
     P = to_matrix(Permutation(pvals))
     for width in range(1, 9):
-        root, _, step = _row_states(P, width)
+        root, step = _row_states(P, width)
         seen = {}
         for _ in range(12):
             state = root
             for _ in range(len(pvals) + 2):
                 args = (state, rng.randrange(1 << width), rng.choice((None, None, 0, 1, 2, 3)))
-                state = checked_step(step, _row_states(P, width)[2], args, seen)
+                state = checked_step(step, _row_states(P, width)[1], args, seen)
 
 
 @pytest.mark.parametrize("walk", [walk_perm_model, walk_row_model], ids=["perm", "row"])
@@ -716,12 +716,12 @@ def test_row_model_counts_permutation_hosts(pvals):
     # and it avoids to_matrix(p) iff the permutation avoids p
     pattern = Permutation(pvals)
     for n in range(7):
-        root, forbidden, step = _row_states(to_matrix(pattern), n)
+        root, step = _row_states(to_matrix(pattern), n)
 
         def hosts(state, used, rows_left):
             if rows_left == 0:
                 return 1
-            free = ((1 << n) - 1) & ~used & ~forbidden(state)
+            free = ((1 << n) - 1) & ~used & ~(state[-1] or 0)
             total = 0
             while free:
                 bit = free & -free
@@ -730,3 +730,29 @@ def test_row_model_counts_permutation_hosts(pvals):
             return total
 
         assert hosts(root, 0, n) == count_avoiders(pattern, n)
+
+
+# -- the row model's last level against the row-subset search --------------
+
+@pytest.mark.parametrize("pvals", MEMO_PATTERNS, ids=lambda p: "".join(map(str, p)))
+def test_row_model_mask_forbids_exactly_the_completing_columns(pvals):
+    # state[-1] forbids column x iff appending the single-one row 1 << x
+    # makes matrix_occurrence_masks, which shares no code with the row
+    # model, find the pattern; every walk takes allowed rows only
+    P = to_matrix(Permutation(pvals))
+    rng = random.Random(repr(pvals))
+    for width in range(1, 7):
+        root, step = _row_states(P, width)
+        for _ in range(8):
+            state, rows = root, []
+            for _ in range(2 * len(pvals) + 2):
+                completing = sum(
+                    1 << x for x in range(width)
+                    if matrix_occurrence_masks(rows + [1 << x], width, P.matrix.masks, P.k)
+                    is not None
+                )
+                assert (state[-1] or 0) == completing, (rows, width)
+                allowed = ((1 << width) - 1) & ~completing
+                row = rng.randrange(1 << width) & allowed
+                rows.append(row)
+                state = step(state, row)

@@ -136,7 +136,7 @@ class TestExfn:
         assert res.witness.count_ones() == 375
 
     @pytest.mark.parametrize("text, n, value, nodes, rows", [
-        ("2413", 6, 27, 56385, [63, 63, 63, 35, 35, 35]),
+        ("2413", 6, 27, 38032, [63, 63, 63, 35, 35, 35]),
         ("1342", 7, 33, 72573, [127, 127, 127, 112, 112, 112, 112]),
     ])
     def test_frontier_searches_pinned(self, text, n, value, nodes, rows):
@@ -426,6 +426,17 @@ class TestGpts:
         f = fpts_exact(ROT_INVARIANT, 5, 4)
         g = gpts_exact(ROT_INVARIANT, 5, 4)
         assert f.value == g.value
+
+    def test_frontier_search_pinned(self):
+        # the row model merges hosts whose finished occurrences forbid the
+        # same columns, which brings this search to about 10^5 nodes
+        res = gpts_exact(pm("132"), 12, 3)
+        assert (res.value, res.nodes_explored, res.proven_optimal, res.hit_row_cap) == (
+            20, 109538, True, False)
+        assert list(res.witness.masks) == [
+            3584, 3584, 2816, 2816, 2432, 2432, 2240, 2240, 2144, 2144,
+            2096, 2096, 2072, 2072, 2060, 2060, 2054, 2054, 2051, 2051]
+        assert matrix_avoids(res.witness, rotate90(pm("132")).matrix)
 
     def test_validation(self):
         with pytest.raises(PreconditionViolated, match="s = 0 admits unlimited all-zero columns"):
