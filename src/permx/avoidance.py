@@ -58,12 +58,13 @@ is no more constrained in both colours (each of its partial occurrences
 is one of the first pair's or dominated by one, and its forbidden-gap
 mask is included in the first pair's), since every colouring
 of the rest that works from the first works from the other too.  The
-count sums multiplicities over distinct pair sets, one length at a
-time.  The JV inclusion check runs the same layered sum over the product
-of the three-part sum's avoider state and the merge state of the
-two-part sums, and fails iff some avoider is left with an empty pair
-set; only then does a descent that re-sums from each child in gap order
-find the first failing avoider.  Single hosts
+step memoises each pair's children and each child set's reduction for
+one layer at a time.  The count sums multiplicities over distinct pair
+sets, one length at a time.  The JV inclusion check runs the same
+layered sum over the product of the three-part sum's avoider state and
+the merge state of the two-part sums, and fails iff some avoider is
+left with an empty pair set; only then does a descent that re-sums from
+each child in gap order find the first failing avoider.  Single hosts
 (:func:`merge_coloring`) are 2-coloured by a backtracker that prunes a
 branch the moment either colour class contains its forbidden pattern,
 found by the same pinned search on the entry just coloured.
@@ -361,41 +362,49 @@ def _interned(root, step):
     return states, id_step
 
 
+class _Lazy(dict):
+    """A dict that fills a missing key with ``fill(key)`` and keeps it,
+    so that a hit is one subscript, with no Python-level call."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
 def _colour(pvals):
-    """One colour of a merge as ``(step, weaker)`` over interned prefix
-    states, both memoised: one colour's state recurs across many pairs
+    """One colour of a merge as ``(states, step, covered, weaker)`` over
+    interned prefix states: one colour's state recurs across many pairs
     and pair sets.
 
-    ``weaker(i, j)`` asks whether state i is no more constrained than
-    state j: each partial occurrence of i, at each prefix length below
-    k - 1, is one of j's or dominated by one, and i's forbidden-gap mask
-    at level k - 1 is included in j's.  Then every continuation that
-    avoids the pattern from j avoids it from i too."""
+    ``covered(q, p)`` asks whether state q is no more constrained than
+    state p: each partial occurrence of q, at each prefix length below
+    k - 1, is one of p's or dominated by one, and q's forbidden-gap mask
+    at level k - 1 is included in p's.  Then every continuation that
+    avoids the pattern from p avoids it from q too.  ``weaker[i, j]`` is
+    ``covered`` on the interned states i and j, computed at the first
+    lookup; the merge step looks up only i != j."""
     states, step = _interned(*_perm_states(pvals))
     bounds = [(lows, ups) for _, _, _, lows, ups in _occurrence_plan(pvals)]
     last = len(pvals) - 1
-    order = {}
 
     def covered(q, p):
-        # an empty mask is the empty level, so `or 0` reads it as 0
-        if last and (q[last] or 0) & ~(p[last] or 0):
+        if last and q[last] & ~p[last]:
             return False
         return all(_dominated(t, p[j], *bounds[j - 1])
                    for j in range(1, last) for t in q[j] - p[j])
 
-    def weaker(i, j):
-        if i == j:
-            return True
-        key = (i, j)
-        if key not in order:
-            order[key] = covered(states[i], states[j])
-        return order[key]
-
-    return step, weaker
+    return states, step, covered, _Lazy(lambda ij: covered(states[ij[0]], states[ij[1]]))
 
 
-def _merge_states(rvals, bvals):
-    """The prefix-state model of merges, as ``(root, step)``.
+def _merge_states(red, blue):
+    """The prefix-state model of merges of two colours built by
+    :func:`_colour`, as ``(root, step)``.
 
     A state is the set of (red state, blue state) pairs of the colourings
     of the prefix still alive, both in gap coordinates of the one shared
@@ -404,26 +413,62 @@ def _merge_states(rvals, bvals):
     a blue child, dropping a child whose joining colour completes its
     pattern.  A pair is dropped when another pair of the set is no more
     constrained in both colours; equally constrained pairs are equal, so
-    the reduced set is canonical.  Returns None when no pair is left."""
-    red_step, red_weaker = _colour(rvals)
-    blue_step, blue_weaker = _colour(bvals)
+    the reduced set is canonical.  Returns None when no pair is left.
+
+    Pairs and child sets recur across the pair sets of one layer, so the
+    step memoises each pair's children on (pair, u) and each child set's
+    reduction on the set.  The children depend on r, which is not in the
+    key; both memos are cleared whenever r changes, so they hold one
+    layer at most."""
+    _, red_step, _, red_weaker = red
+    _, blue_step, _, blue_weaker = blue
+    kids, reduced, layer = {}, {}, None
+
+    def children_of(pair, u, r):
+        rs, bs = pair
+        out = []
+        child = red_step(rs, u, r, True)
+        if child is not None:
+            out.append((child, blue_step(bs, u, r, False)))
+        child = blue_step(bs, u, r, True)
+        if child is not None:
+            out.append((red_step(rs, u, r, False), child))
+        return out
+
+    def undominated(children):
+        # a pair sharing a colour's state with another needs no lookup there
+        out = []
+        for p in children:
+            pr, pb = p
+            for q in children:
+                qr, qb = q
+                if (q is not p and (qr == pr or red_weaker[qr, pr])
+                        and (qb == pb or blue_weaker[qb, pb])):
+                    break
+            else:
+                out.append(p)
+        return frozenset(out)
 
     def step(pairs, u, r):
+        nonlocal layer
+        if r != layer:
+            kids.clear()
+            reduced.clear()
+            layer = r
         children = set()
-        for red, blue in pairs:
-            child = red_step(red, u, r, True)
-            if child is not None:
-                children.add((child, blue_step(blue, u, r, False)))
-            child = blue_step(blue, u, r, True)
-            if child is not None:
-                children.add((red_step(red, u, r, False), child))
+        for pair in pairs:
+            key = (pair, u)
+            out = kids.get(key)
+            if out is None:
+                out = kids[key] = children_of(pair, u, r)
+            children.update(out)
         if not children:
             return None
-        return frozenset(
-            p for p in children
-            if not any(q is not p and red_weaker(q[0], p[0]) and blue_weaker(q[1], p[1])
-                       for q in children)
-        )
+        children = frozenset(children)
+        out = reduced.get(children)
+        if out is None:
+            out = reduced[children] = undominated(children)
+        return out
 
     return frozenset([(0, 0)]), step
 
@@ -441,7 +486,7 @@ def _jv_search(hvals, rvals, bvals, n, budget):
     order is value order).  The re-sums expand only states the first sum
     expanded, so a node is one distinct product state expanded."""
     _, host_step = _interned(*_perm_states(hvals))
-    _, merge_step = _interned(*_merge_states(rvals, bvals))
+    _, merge_step = _interned(*_merge_states(_colour(rvals), _colour(bvals)))
 
     def step(state, u, r):
         host, pairs = state
@@ -527,7 +572,7 @@ def merge_count_upper_check(
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise PreconditionViolated("merge patterns must be nonempty")
     _check_length(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT)
-    root, step = _merge_states(red_pattern.entries, blue_pattern.entries)
+    root, step = _merge_states(_colour(red_pattern.entries), _colour(blue_pattern.entries))
     lhs = sum(_sum_over_states(root, step, n, budget).values())
     red_counts = [
         count_avoiders(red_pattern, i, budget=budget) for i in range(n + 1)

@@ -15,8 +15,10 @@ the payload's csv and text layout.  Of the library modules, this one
 imports only ``core``, whose parsers its flags use; each command loads
 its library module at call time and looks the functions up there, so a
 cold ``permx contains`` never imports the counting, extremal or
-schedule code.  The argument parser is built from ``COMMANDS`` once per
-process, at the first call, and reused by every later call.
+schedule code.  The first call in a process builds the argument parser
+of the one command its command line names, with the ``bounds`` group if
+the command is in it; later calls, and a first call that names no
+command, build the parser of every command once and reuse it.
 
 Each operand flag's argparse ``type`` is its parser, so commands get
 parsed values and reports echo them.  A permutation is a digit string
@@ -518,14 +520,22 @@ COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser for every subcommand in ``COMMANDS``, built on the
-    first call and returned as the same object after that.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for ``command``, a key of ``COMMANDS``, or for every
+    subcommand when it is None, built on the first call and returned as
+    the same object after that.
 
-    ``COMMANDS`` is fixed at import, so the cached parser cannot go
-    stale.  Callers must not mutate it.
+    A one-command parser's usage line lists every top-level name, as the
+    full one's does, so its usage errors read the same; errors that name
+    the command argument itself (a missing or unknown command) come only
+    from the full parser.  ``COMMANDS`` is fixed at import, so a cached
+    parser cannot go stale.  Callers must not mutate it.
     """
+    return _parser(command)
+
+
+@cache
+def _parser(command):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
     budgeted = argparse.ArgumentParser(add_help=False)
@@ -536,9 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="permx",
         description="pattern containment, avoidance enumeration, and extremal bounds",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a one-command parser still lists every top-level name in its usage
+    metavar = None if command is None else "{" + ",".join(
+        dict.fromkeys(name.partition(" ")[0] for name in COMMANDS)) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     groups = {}  # "bounds" -> its subparsers, made at its first command
     for name, spec in COMMANDS.items():
+        if command is not None and name != command:
+            continue
         group, _, leaf = name.rpartition(" ")
         if group and group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
@@ -552,12 +567,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_named(argv: list[str]) -> str | None:
+    """The ``COMMANDS`` key that argv's leading words spell, or None."""
+    words = argv[:2] if argv[:1] == ["bounds"] else argv[:1]
+    name = " ".join(words)
+    return name if name in COMMANDS and name.split(" ") == words else None
+
+
 def run(argv=None) -> tuple[int, str]:
     """Run one command line and return (exit code, rendered report).
 
-    Usage errors raise SystemExit(2) from argparse; domain errors are
-    raised for ``main`` to map to exit codes."""
-    opts = vars(build_parser().parse_args(argv))
+    The first call in a process parses with the parser of the command
+    its argv names, if any; every other call uses the full parser, which
+    costs less than one parser per command.  Usage errors raise
+    SystemExit(2) from argparse; domain errors are raised for ``main``
+    to map to exit codes."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    first = _parser.cache_info().currsize == 0
+    opts = vars(build_parser(_command_named(argv) if first else None).parse_args(argv))
     name = opts.pop("command")
     if name == "bounds":
         name += " " + opts.pop("bounds_command")

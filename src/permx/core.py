@@ -555,7 +555,7 @@ def _memo_step(k, level, memo):
     coordinate x completes the pattern.  Those occurrences are never
     extended, only forbid coordinates, so states whose occurrences forbid
     the same ones are one state.  The root holds the empty occurrence
-    alone.  An empty mask is ``_EMPTY``, like every empty level.
+    alone.  An empty mask is 0, and every other empty level is ``_EMPTY``.
     ``step(state, tail, left=None, parents=None)`` builds child level
     j = 1..k-1 as ``level(j, parent, own, tail)``: ``parent`` is level
     j - 1 of ``parents``, whose occurrences the new entry may extend, and
@@ -568,9 +568,12 @@ def _memo_step(k, level, memo):
     an occurrence of the prefix needs k - j more entries.  Otherwise it
     is looked up in ``memo`` on (j, parent, own, tail), and built on a
     miss.  The memo also maps each level to itself, so equal levels are
-    one object, and every empty level is ``_EMPTY``, for as long as the
-    memo lives.  Anything else ``level`` reads must stay fixed that
-    long; the model decides when to clear the memo."""
+    one object for as long as the memo lives.  Anything else ``level``
+    reads must stay fixed that long; the model decides when to clear the
+    memo."""
+    # the empty value of each level j >= 1: the mask's is 0
+    empty = (_EMPTY,) * (k - 1) + (0,)
+
     def step(state, tail, left=None, parents=None):
         if parents is None:
             parents = state
@@ -578,17 +581,17 @@ def _memo_step(k, level, memo):
         for j in range(1, k):
             parent, own = parents[j - 1], state[j]
             if not (parent or own) or (left is not None and left < k - j):
-                child.append(_EMPTY)
+                child.append(empty[j])
                 continue
             key = (j, parent, own, tail)
             out = memo.get(key)
             if out is None:
-                out = level(j, parent, own, tail) or _EMPTY
+                out = level(j, parent, own, tail) or empty[j]
                 out = memo[key] = memo.setdefault(out, out)
             child.append(out)
         return tuple(child)
 
-    return (frozenset([()]),) + (_EMPTY,) * (k - 1), step
+    return (frozenset([()]),) + empty[1:], step
 
 
 def _perm_states(pvals):
@@ -649,7 +652,7 @@ def _perm_states(pvals):
 
     def step(state, u, r, join=True):
         nonlocal top, shifts
-        if join and (k == 1 or state[-1] and state[-1] >> u & 1):
+        if join and (k == 1 or state[-1] >> u & 1):
             return None
         if r != top:
             memo.clear()
@@ -715,7 +718,7 @@ def _row_states(P: PermutationMatrix, width: int):
         if j < k - 1:
             return _live_minima(tuples, lows, ups, width)
         return functools.reduce(
-            operator.or_, (between(t, last_lo, last_hi) for t in tuples), own or 0)
+            operator.or_, (between(t, last_lo, last_hi) for t in tuples), own)
 
     root, step = _memo_step(k, level, {})
     return (root if k > 1 else ((1 << width) - 1,)), step

@@ -123,7 +123,7 @@ def exfn_exact(
             return 0
         key = (r, state)
         if key not in memo:
-            allowed = ((1 << n) - 1) & ~(state[-1] or 0)
+            allowed = ((1 << n) - 1) & ~state[-1]
             entry = (-1, 0, None)
             for m in [allowed] if r == 1 else _submasks(allowed):
                 nodes += 1
@@ -211,7 +211,7 @@ def fpts_exact(
     root, step = _row_states(P, t)
 
     def candidates(state):
-        return _weight_submasks(((1 << t) - 1) & ~(state[-1] or 0), s)
+        return _weight_submasks(((1 << t) - 1) & ~state[-1], s)
 
     def follow(state, need):
         # the first `need` rows, in candidate order, that can follow state

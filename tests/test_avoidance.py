@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from permx import avoidance
 from permx.avoidance import (
+    _colour,
     _jv_search,
+    _merge_states,
     avoiders,
     count_avoiders,
     merge_coloring,
@@ -580,6 +582,76 @@ def test_merge_budget_counts_states(run):
         assert run(lo) == first
         with pytest.raises(ResourceLimit):
             run(lo - 1)
+
+
+def test_merge_count_smallest_budget_pinned():
+    # the node count of the merge sum before its step memoised pairs and
+    # reductions, unchanged; the avoider counts of the right-hand sides
+    # need fewer
+    run = lambda budget: merge_count_upper_check(perm("123"), perm("132"), 8, budget=budget)
+    assert run(1013).lhs == 40245
+    with pytest.raises(ResourceLimit):
+        run(1012)
+
+
+def oracle_merge_step(red, blue, pairs, u, r):
+    """The children of a merge state and their reduction, with no layer
+    memo: every pair's children from each colour's step, and a pair
+    dropped iff another child covers it in both colours, by ``covered``
+    on the states themselves."""
+    (red_states, red_step, red_covered, _), (blue_states, blue_step, blue_covered, _) = red, blue
+    children = set()
+    for rs, bs in pairs:
+        child = red_step(rs, u, r, True)
+        if child is not None:
+            children.add((child, blue_step(bs, u, r, False)))
+        child = blue_step(bs, u, r, True)
+        if child is not None:
+            children.add((red_step(rs, u, r, False), child))
+    kept = frozenset(
+        p for p in children
+        if not any(q != p and red_covered(red_states[q[0]], red_states[p[0]])
+                   and blue_covered(blue_states[q[1]], blue_states[p[1]])
+                   for q in children)
+    )
+    return frozenset(children), kept or None
+
+
+MERGE_WALK_PAIRS = [
+    (red_p.entries, blue_p.entries) for red_p in SMALL_PATTERNS for blue_p in SMALL_PATTERNS
+] + [((1, 2, 3), (1, 2, 4, 3))]  # the colours of the JV check on 1, 12, 21
+
+
+@pytest.mark.parametrize("rvals, bvals", MERGE_WALK_PAIRS,
+                         ids=lambda p: "".join(map(str, p)))
+def test_merge_step_matches_memo_free_reduction(rvals, bvals):
+    # seeded walks through the layers r = n..1, a dozen steps per layer
+    # drawn from a few states; within a layer the step answers a repeated
+    # (pair, u) and a repeated child set from its memos, and it must
+    # still give what the memo-free filter gives
+    rng = random.Random(repr((rvals, bvals)))
+    red, blue = _colour(rvals), _colour(bvals)
+    root, step = _merge_states(red, blue)
+    key_hits = set_hits = sets = 0
+    for n in range(1, 8):
+        layer = [root]
+        for r in range(n, 0, -1):
+            keys, child_sets, following = set(), set(), []
+            for _ in range(12):
+                pairs, u = rng.choice(layer), rng.randrange(r)
+                children, want = oracle_merge_step(red, blue, pairs, u, r)
+                assert step(pairs, u, r) == want, (pairs, u, r)
+                key_hits += any((pair, u) in keys for pair in pairs)
+                keys.update((pair, u) for pair in pairs)
+                if children:
+                    sets += 1
+                    set_hits += children in child_sets
+                    child_sets.add(children)
+                if want is not None:
+                    following.append(want)
+            layer = following or [root]
+    assert key_hits
+    assert set_hits or not sets
 
 
 @pytest.mark.parametrize("run, nodes", [

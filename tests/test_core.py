@@ -721,7 +721,7 @@ def test_row_model_counts_permutation_hosts(pvals):
         def hosts(state, used, rows_left):
             if rows_left == 0:
                 return 1
-            free = ((1 << n) - 1) & ~used & ~(state[-1] or 0)
+            free = ((1 << n) - 1) & ~used & ~state[-1]
             total = 0
             while free:
                 bit = free & -free
@@ -751,7 +751,7 @@ def test_row_model_mask_forbids_exactly_the_completing_columns(pvals):
                     if matrix_occurrence_masks(rows + [1 << x], width, P.matrix.masks, P.k)
                     is not None
                 )
-                assert (state[-1] or 0) == completing, (rows, width)
+                assert state[-1] == completing, (rows, width)
                 allowed = ((1 << width) - 1) & ~completing
                 row = rng.randrange(1 << width) & allowed
                 rows.append(row)

@@ -1,7 +1,8 @@
 """The import contract: a cold command line loads only core and the one
-library module the command calls, and the package's lazy exports all
-resolve.  Each case runs in a fresh interpreter and asserts on
-``sys.modules``, not on time."""
+library module the command calls and builds only its own parser, and
+the package's lazy exports all resolve.  Each case runs in a fresh
+interpreter and asserts on ``sys.modules`` and the parser cache, not on
+time."""
 
 import json
 import os
@@ -76,3 +77,56 @@ def test_package_exports_resolve_lazily():
     assert out["unbound"] == []
     assert out["unlisted"] == []
     assert out["unknown"] is False
+
+
+FIRST_CALLS = """
+import contextlib, io, json, sys
+from permx import cli
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+first, built = [], []
+for argv in json.loads(sys.argv[1]):
+    cli._parser.cache_clear()  # each call is a process's first
+    first.append(call(argv))
+    name = cli._command_named(argv)
+    if name is not None:
+        cli.build_parser(name)
+        info = cli._parser.cache_info()
+        built.append([name, info.misses, info.hits])
+full = [call(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"first": first, "full": full, "built": built}))
+"""
+
+
+def first_call_cases():
+    from permx.cli import COMMANDS
+
+    cases = [[], ["--help"], ["nope"], ["bounds"], ["bounds", "nope"], ["bounds mt"],
+             ["contains", "--host", "312", "--pattern", "21", "extra"],
+             ["bounds", "mt", "--k", "3", "extra"], ["bounds", "mt", "--k", "3"],
+             ["contains", "--host", "312", "--pattern", "21", "--format", "csv"]]
+    for name, spec in COMMANDS.items():
+        words = name.split(" ")
+        # a bare selftest would run it; every other bare command misses a flag
+        cases += [words] * bool(spec.flags) + [words + ["--help"], words + ["--bad", "1"]]
+    return cases
+
+
+def test_first_call_builds_only_its_command_parser():
+    # the one-command parser gives the full parser's output, help and
+    # usage errors byte for byte, and is the only parser a first call builds
+    cases = first_call_cases()
+    out = child(FIRST_CALLS, json.dumps(cases))
+    for argv, first, full in zip(cases, out["first"], out["full"]):
+        assert first == full, argv
+    assert len(out["built"]) == len(cases) - 6  # all but the cases naming no command
+    for name, misses, hits in out["built"]:
+        assert (misses, hits) == (1, 1), name
