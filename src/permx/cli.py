@@ -534,6 +534,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return _parser(command)
 
 
+# cached apart from build_parser, so that run can read the cache even
+# where build_parser is wrapped, as a tracer wraps it
 @cache
 def _parser(command):
     common = argparse.ArgumentParser(add_help=False)
