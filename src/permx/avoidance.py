@@ -58,9 +58,9 @@ is no more constrained in both colours (each of its partial occurrences
 is one of the first pair's or dominated by one, and its forbidden-gap
 mask is included in the first pair's), since every colouring
 of the rest that works from the first works from the other too.  The
-step memoises each pair's children and each child set's reduction for
-one layer at a time.  The count sums multiplicities over distinct pair
-sets, one length at a time.  The JV inclusion check runs the same
+step memoises each pair's children for one layer at a time.  The count
+sums multiplicities over distinct pair sets, one length at a time.  The
+JV inclusion check runs the same
 layered sum over the product of the three-part sum's avoider state and
 the merge state of the two-part sums, and fails iff some avoider is
 left with an empty pair set; only then does a descent that re-sums from
@@ -415,14 +415,13 @@ def _merge_states(red, blue):
     constrained in both colours; equally constrained pairs are equal, so
     the reduced set is canonical.  Returns None when no pair is left.
 
-    Pairs and child sets recur across the pair sets of one layer, so the
-    step memoises each pair's children on (pair, u) and each child set's
-    reduction on the set.  The children depend on r, which is not in the
-    key; both memos are cleared whenever r changes, so they hold one
-    layer at most."""
+    Pairs recur across the pair sets of one layer, so the step memoises
+    each pair's children on (pair, u).  The children depend on r, which
+    is not in the key; the memo is cleared whenever r changes, so it
+    holds one layer at most."""
     _, red_step, _, red_weaker = red
     _, blue_step, _, blue_weaker = blue
-    kids, reduced, layer = {}, {}, None
+    kids, layer = {}, None
 
     def children_of(pair, u, r):
         rs, bs = pair
@@ -453,7 +452,6 @@ def _merge_states(red, blue):
         nonlocal layer
         if r != layer:
             kids.clear()
-            reduced.clear()
             layer = r
         children = set()
         for pair in pairs:
@@ -464,11 +462,7 @@ def _merge_states(red, blue):
             children.update(out)
         if not children:
             return None
-        children = frozenset(children)
-        out = reduced.get(children)
-        if out is None:
-            out = reduced[children] = undominated(children)
-        return out
+        return undominated(children)
 
     return frozenset([(0, 0)]), step
 

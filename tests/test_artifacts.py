@@ -158,3 +158,45 @@ def test_benchmark_tracer_lookups_resolve():
             assert callable(getattr(getattr(permx, layer), name)), (layer, name)
     schedule = build_schedule(BoundParams(100, 2, 2))
     assert len(schedule.states) == schedule.bulk_steps + 3 == 163
+
+
+class TestCodeLines:
+    SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment
+X = 1  # a trailing comment
+
+
+def f(a,
+      b):
+    """A function docstring."""
+    return (a
+            + b)
+
+
+class C:
+    """A class docstring."""
+    s = """a string, not a docstring"""
+'''
+
+    def test_sample_counts_code_lines_only(self):
+        spec = importlib.util.spec_from_file_location(
+            "code_lines", REPO / "scripts" / "code_lines.py"
+        )
+        code_lines = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(code_lines)
+        # X = 1; the two lines of def f; the two of its return; class C; s =
+        assert code_lines.code_lines(self.SAMPLE) == 7
+
+    def test_total_is_sum_of_rows(self):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "code_lines.py")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert rows[-1][1] == "total"
+        modules = {name: int(count) for count, name in rows[:-1]}
+        assert "permx/avoidance.py" in modules and all(modules.values())
+        assert int(rows[-1][0]) == sum(modules.values())
