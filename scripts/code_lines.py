@@ -1,15 +1,12 @@
 #!/usr/bin/env python3
-"""Count the code lines of each module of a package: the lines that hold
+"""Count the code lines of each module of src/permx: the lines that hold
 a token other than a comment, a newline or an indent, with module, class
 and function docstrings left out.
 
 Prints one row per module and a total to stdout and writes no file,
 since the counts change with every change to the code.
-
-    python3 scripts/code_lines.py [package_dir]   # default: src/permx
 """
 
-import argparse
 import ast
 import io
 import sys
@@ -44,14 +41,11 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("package", nargs="?", type=Path, default=PACKAGE)
-    args = ap.parse_args()
     total = 0
-    for path in sorted(args.package.rglob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
-        print(f"{count:6d}  {path.relative_to(args.package.parent).as_posix()}")
+        print(f"{count:6d}  {path.relative_to(PACKAGE.parent).as_posix()}")
     print(f"{total:6d}  total")
     return 0
 
