@@ -23,6 +23,20 @@ always the ideal one; its exact floored replay is a function of it,
 integer pair, two doubles a state, and drops the wide integers as the
 replay steps.
 
+The certifier needs only the last floored state, and reaches it
+without walking the bulk steps one by one on wide integers.  With
+F(v) = floor(v*n/d) a bulk step, F^j(u*d^m + r) = u*n^j*d^(m-j) + F^j(r)
+for j <= m, so m steps cost one divmod by d^m and one multiply by n^m,
+and only r < d^m is stepped singly; m is the largest block with
+d^m < 2^60 (:func:`_floor_steps`).  The penultimate step,
+isqrt(s^2*beta k*A^R // B^R) with A = y_d^2*x_n and B = y_n^2*x_d, is
+taken without the two powers of about R*log2(A) bits: (A/B)^R is
+bracketed in fixed point by repeated squaring, rounded down for the
+low end and up for the high end, and when both ends give the same root
+it is exact; otherwise the exact division decides
+(:func:`_root_of_power_quotient`).  Both keep every integer the
+step-by-step replay gives.
+
 Widths along the schedule overflow double precision for large k, so all
 state arithmetic is carried in log2 space; integer/rational quantities
 (binomials, the floored replay) are exact.
@@ -31,7 +45,6 @@ state arithmetic is carried in log2 space; integer/rational quantities
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,30 +438,120 @@ def _beta_k_int(params: BoundParams) -> int:
     return 2 * params.c * int(_as_fraction(params.k, "k")) ** int(params.a)
 
 
+def _floored_start(params: BoundParams, bulk_steps: int):
+    """The bulk multipliers as (numerator, denominator) pairs, beta*k,
+    and the floored start: floor(t_0) and floor(sqrt(t_0)), with
+    t_0 = beta k / x^(R+2)."""
+    (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in _bulk_constants(params))
+    beta_k = _beta_k_int(params)
+    t = beta_k * xd ** (bulk_steps + 2) // xn ** (bulk_steps + 2)
+    return xn, xd, yn, yd, beta_k, t, math.isqrt(t)
+
+
+def _floored_tail(t, s, xn, xd, yn, yd, beta_k, bulk_steps):
+    """The penultimate and final floored states after the bulk end (t, s).
+
+    The penultimate step applies y_1 = sqrt(beta k x^R) / y^R exactly,
+    so s becomes floor(sqrt(p/q)) with p/q = s^2 beta k x^R / y^(2R);
+    floor(sqrt(p/q)) = isqrt(p // q), since (m+1)^2 > p // q implies
+    (m+1)^2 >= p // q + 1 > p/q."""
+    t = t * xn // xd
+    s = _root_of_power_quotient(s * s * beta_k, yd * yd * xn, yn * yn * xd, bulk_steps)
+    return (t, s), (t * xn // xd, s * xn // xd)
+
+
 def _floored_replay(params: BoundParams, bulk_steps: int) -> Iterator[tuple[int, int]]:
     """Exact integer trajectory with every t and s floored, starting
     from floor(t_0) and floor(sqrt(t_0)); yields the integer (t, s) of
     every state, indices 0 to bulk_steps + 2."""
-    (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in _bulk_constants(params))
-    beta_k = _beta_k_int(params)
-    R = bulk_steps
-
-    # t_0 = beta k / x^(R+2)
-    t = beta_k * xd ** (R + 2) // xn ** (R + 2)
-    s = math.isqrt(t)
+    xn, xd, yn, yd, beta_k, t, s = _floored_start(params, bulk_steps)
     yield t, s
-    for _ in range(R):
+    for _ in range(bulk_steps):
         t = t * xn // xd
         s = s * yn // yd
         yield t, s
-    # penultimate step: y_1 = sqrt(beta k x^R) / y^R, applied exactly, so
-    # s becomes floor(sqrt(p/q)) with p/q = s^2 beta k x^R / y^(2R).
-    # floor(sqrt(p/q)) = isqrt(p // q): (m+1)^2 > p // q implies
-    # (m+1)^2 >= p // q + 1 > p/q
-    t = t * xn // xd
-    s = math.isqrt(s * s * beta_k * (yd * yd * xn) ** R // (yn * yn * xd) ** R)
-    yield t, s
-    yield t * xn // xd, s * xn // xd
+    yield from _floored_tail(t, s, xn, xd, yn, yd, beta_k, bulk_steps)
+
+
+def _floored_final(params: BoundParams, bulk_steps: int) -> tuple[int, int]:
+    """The last (t, s) of :func:`_floored_replay`, with the bulk steps
+    taken in blocks (:func:`_floor_steps`)."""
+    xn, xd, yn, yd, beta_k, t, s = _floored_start(params, bulk_steps)
+    t = _floor_steps(t, xn, xd, bulk_steps)
+    s = _floor_steps(s, yn, yd, bulk_steps)
+    return _floored_tail(t, s, xn, xd, yn, yd, beta_k, bulk_steps)[1]
+
+
+def _floor_steps(v: int, n: int, d: int, steps: int) -> int:
+    """F^steps(v) for the floored step F(v) = v*n // d.
+
+    For v = u*d^m + r and j <= m, F^j(v) = u*n^j*d^(m-j) + F^j(r): each
+    step takes u*n^j*d^(m-j-1) out of the floor whole.  So m steps cost
+    one divmod by d^m and one multiply by n^m on the wide v, and only
+    r < d^m is stepped one at a time.  m is the largest block with
+    d^m < 2^60 (at least 1), so r stays a small integer: m = 23 for
+    x_b = 5/6, m = 6 for y_b = 527/576.
+    """
+    m = 1
+    while d ** (m + 1) < 1 << 60:
+        m += 1
+    dm, nm = d ** m, n ** m
+    blocks, rest = divmod(steps, m)
+    for _ in range(blocks):
+        u, r = divmod(v, dm)
+        for _ in range(m):
+            r = r * n // d
+        v = u * nm + r
+    for _ in range(rest):
+        v = v * n // d
+    return v
+
+
+def _power_quotient_bracket(p: int, a: int, b: int, e: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= p * a^e // b^e <= hi, for 0 < a < b.
+
+    (a/b)^e is bracketed by repeated squaring on mantissas of w bits,
+    rounding the low end down and the high end up after every product,
+    so neither end builds a^e or b^e.  Each rounding widens hi/lo by a
+    factor of at most 1 + 2^(1-w), and squaring doubles the width so
+    far, so hi/lo stays below 1 + 2^(bits(e) + 3 - w).  With
+    w = bits(p) + bits(e) + 64 and a < b, the two quotients differ only
+    when p * (a/b)^e lies within about 2^-61 of an integer.
+    """
+    w = p.bit_length() + e.bit_length() + 64
+    lo = hi = 1
+    shift = 0  # lo/2^shift <= (a/b)^(bits taken so far) <= hi/2^shift
+    base_shift = w + b.bit_length() - a.bit_length()  # base_lo >= 2^(w-1)
+    base_lo = (a << base_shift) // b
+    base_hi = base_lo + 1
+    while True:
+        if e & 1:
+            lo, hi, shift = _bracket_product(lo * base_lo, hi * base_hi, shift + base_shift, w)
+        e >>= 1
+        if not e:
+            return p * lo >> shift, p * hi >> shift
+        base_lo, base_hi, base_shift = _bracket_product(
+            base_lo * base_lo, base_hi * base_hi, 2 * base_shift, w
+        )
+
+
+def _bracket_product(lo: int, hi: int, shift: int, w: int) -> tuple[int, int, int]:
+    """lo and hi cut to about w bits, lo rounded down and hi up."""
+    cut = max(0, lo.bit_length() - w)
+    return lo >> cut, -(-hi >> cut), shift - cut
+
+
+def _root_of_power_quotient(p: int, a: int, b: int, e: int) -> int:
+    """isqrt(p * a^e // b^e), for 0 < a < b.
+
+    The quotient is bracketed (:func:`_power_quotient_bracket`); when
+    both ends have the same integer root, that root is exact, since
+    isqrt is monotone.  Otherwise the quotient is taken exactly."""
+    lo, hi = _power_quotient_bracket(p, a, b, e)
+    root = math.isqrt(lo)
+    if root == math.isqrt(hi):
+        return root
+    return math.isqrt(p * a ** e // b ** e)
 
 
 def _log2_int(v: int) -> float:
@@ -518,7 +621,12 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
         match their closed forms; final state hits the target;
       floors (integral k and a only): the last state of the exact
         floored replay stays at or below the target in t and s, and the
-        s shortfall is at most 1/(1-y_b).
+        s shortfall is at most 1/(1-y_b).  That state is reached with
+        the bulk steps taken in blocks of m (one wide divmod by d^m and
+        one wide multiply by n^m per block, m the largest with
+        d^m < 2^60) and the penultimate root bracketed in fixed point,
+        falling back to the exact division when the bracket's ends
+        disagree; it equals the step-by-step replay's last state.
 
     The per-step constraints read only the states at i = 0, R-2, R-1,
     R and R+1 (y_j = y_b before R, y_1 at R, x_b at R+1) and the shape
@@ -620,9 +728,9 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     )
 
     if _is_integral(a) and _is_integral(params.k):
-        # only the final state is checked; holding the whole trajectory
-        # of wide integers costs megabytes at large k
-        t_fl, s_fl = deque(_floored_replay(params, R), maxlen=1)[0]
+        # only the final state is checked, and it is reached in blocks
+        # of bulk steps; the trajectory of wide integers is never held
+        t_fl, s_fl = _floored_final(params, R)
         beta_k = _beta_k_int(params)
         envelope = 16.0 * c * c / (8.0 * c + 1.0)  # 1/(1-y_b)
         add(

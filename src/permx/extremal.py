@@ -92,6 +92,12 @@ def _submasks(allowed: int):
         yield m
 
 
+def _refuse_wide_host(t: int) -> None:
+    """Host rows are t-bit masks; a wider host is a resource limit."""
+    if t > MAX_WIDTH:
+        raise ResourceLimit(f"width {t} exceeds the {MAX_WIDTH}-bit row limit")
+
+
 def exfn_exact(
     P: PermutationMatrix, n: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> ExtremalResult:
@@ -106,8 +112,7 @@ def exfn_exact(
     """
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
-    if n > MAX_WIDTH:
-        raise ResourceLimit(f"width {n} exceeds the {MAX_WIDTH}-bit row limit")
+    _refuse_wide_host(n)
     root, step = _row_states(P, n)
     memo = {}  # (rows left, state) -> (most ones, first best row, state after it)
     stack: list[int] = []
@@ -198,8 +203,7 @@ def fpts_exact(
     """
     if t < 1:
         raise PreconditionViolated(f"need t >= 1, got {t}")
-    if t > MAX_WIDTH:
-        raise ResourceLimit(f"width {t} exceeds the {MAX_WIDTH}-bit row limit")
+    _refuse_wide_host(t)
     if s < 0:
         raise PreconditionViolated(f"need s >= 0, got {s}")
     if s == 0:
@@ -342,7 +346,8 @@ def check_lemma21(
     with one search capped just above it (_rows_within): the bound holds
     exactly when that search is proven, and a failing verdict's lhs is
     the cap it reached, a lower bound on f.  The hypothesis searches and
-    the final one share the one node budget.
+    the final one share the one node budget.  A t over MAX_WIDTH is
+    refused (ResourceLimit) before any search.
     """
     from .bounds import _pow_ka, lemma21_bound  # only the certifiers need bounds
 
@@ -355,6 +360,7 @@ def check_lemma21(
         raise ResourceLimit(
             f"hypothesis width {hypothesis_n} exceeds the {MAX_WIDTH}-bit row limit"
         )
+    _refuse_wide_host(t)
     nodes = 0
     for n in range(1, hypothesis_n + 1):
         res = exfn_exact(P, n, budget - nodes)
@@ -435,7 +441,9 @@ def check_lemma22(
     the right side (_rows_within): the bound holds exactly when that
     search is proven, and a failing verdict's lhs is the cap it reached,
     a lower bound on f.  The sub-search and the search for the left side
-    share the one node budget.
+    share the one node budget.  A t over MAX_WIDTH is refused
+    (ResourceLimit) once the constants are validated, before the
+    sub-search.
     """
     from .bounds import _as_fraction, lemma22_rhs  # only the certifiers need bounds
 
@@ -451,6 +459,7 @@ def check_lemma22(
     shrunk_s = int(Fraction(s) * yf)
     if shrunk_s == 0:
         raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
+    _refuse_wide_host(t)
     sub = fpts_exact(P, shrunk_t, shrunk_s, DEFAULT_ROW_CAP, budget)
     rhs = lemma22_rhs(k, a, c, t, s, x, y, sub.value)
     lhs_res = _rows_within(P, t, s, rhs, budget - sub.nodes_explored)

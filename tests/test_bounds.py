@@ -31,10 +31,14 @@ from permx.bounds import (
     theorem24_alpha,
     _beta_k_int,
     _bulk_constants,
+    _floor_steps,
+    _floored_final,
     _floored_replay,
     _is_integral,
     _log2_int,
     _log2_sub,
+    _power_quotient_bracket,
+    _root_of_power_quotient,
     _state_jsonable,
 )
 from permx.cli import main
@@ -351,7 +355,10 @@ class TestFlooredReplay:
         return t, s
 
     @pytest.mark.parametrize("k, a, c", [
-        (2 ** 40, 3, 6), (2 ** 40, 3, 5), (2 ** 22, 3, 6), (10 ** 6, 1, 2),
+        # the query-mix grid, then k at 10^6 and at a float repr
+        *((k, a, c) for k in (2 ** 6, 2 ** 22, 2 ** 40) for a in (1, 2, 3)
+          for c in range(2, 7)),
+        (10 ** 6, 1, 2), (10 ** 6, 3, 6), (1e23, 1, 2),
     ])
     def test_integer_replay_matches_fractions(self, k, a, c):
         params = BoundParams(k=k, a=a, c=c)
@@ -359,6 +366,38 @@ class TestFlooredReplay:
         states = list(_floored_replay(params, R))
         assert len(states) == R + 3
         assert states[-1] == self.fraction_replay(params, R)
+        assert _floored_final(params, R) == states[-1]  # the block path
+
+    @pytest.mark.parametrize("n, d, m", [(5, 6, 23), (527, 576, 6), (1, 2, 59), (55, 64, 9)])
+    def test_block_steps_match_single_steps(self, n, d, m):
+        rng = random.Random(d)
+        for steps in (0, 1, m - 1, m, 3 * m, 3 * m + 1):
+            for v in (0, d ** m - 1, d ** m, rng.getrandbits(3000)):
+                want = v
+                for _ in range(steps):
+                    want = want * n // d
+                assert _floor_steps(v, n, d, steps) == want, (v, steps)
+
+    def test_penultimate_root_brackets_the_exact_quotient(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            b = rng.randint(2, 10 ** 7)
+            a = rng.randint(1, b - 1)
+            e = rng.randint(0, 3000)
+            p = rng.getrandbits(rng.randint(1, 200)) + 1
+            exact = p * a ** e // b ** e
+            lo, hi = _power_quotient_bracket(p, a, b, e)
+            assert lo <= exact <= hi
+            assert _root_of_power_quotient(p, a, b, e) == math.isqrt(exact)
+
+    def test_penultimate_root_falls_back_on_an_exact_quotient(self):
+        # 3^R * (1/3)^R is exactly 1, and no binary fraction is 3^-R, so
+        # the low end falls one short: the roots of the two ends differ
+        R = 19802
+        lo, hi = _power_quotient_bracket(3 ** R, 1, 3, R)
+        assert (lo, hi) == (0, 1)
+        assert math.isqrt(lo) != math.isqrt(hi)
+        assert _root_of_power_quotient(3 ** R, 1, 3, R) == 1
 
     def test_certify_holds_only_the_final_state(self):
         # the (2^40, 3, 6) trajectory has 19805 states of wide integers,

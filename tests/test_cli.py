@@ -259,6 +259,26 @@ class TestExitCodes:
         assert err.startswith("resource limit") and f"{MAX_WIDTH}-bit" in err
         assert "Traceback" not in err and "internal error" not in err
 
+    @pytest.mark.parametrize("argv", [
+        # the hypothesis searches (exfn up to n = 24) would run first
+        ("check-lemma21", "--pattern", "12", "--a", "1", "--t", "65", "--s", "3",
+         "--hypothesis-n", "24"),
+        # ex(2) = 3 > 2^0.5 * 2 fails the hypothesis, but the width is refused first
+        ("check-lemma21", "--pattern", "12", "--a", "0.5", "--t", "65", "--s", "3",
+         "--hypothesis-n", "2"),
+        # the sub-search fpts(12, t=32, s=10) would run first
+        ("check-lemma22", "--pattern", "12", "--a", "1", "--c", "2", "--t", "65",
+         "--s", "20", "--x", "0.6", "--y", "0.5"),
+    ], ids=["check-lemma21", "check-lemma21-failing-hypothesis", "check-lemma22"])
+    def test_lemma_host_wider_than_row_masks(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource limit") and f"{MAX_WIDTH}-bit" in err
+        assert "Traceback" not in err and "internal error" not in err
+
     @pytest.mark.parametrize("argv, want", [
         # C(25, 12) cut sets, all of them intervals: above the ceiling
         (("decompose", "--pattern", " ".join(map(str, range(1, 27))), "--c", "13"),
