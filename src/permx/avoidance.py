@@ -87,7 +87,6 @@ from .errors import PreconditionViolated, ResourceLimit
 from .limits import (
     DEFAULT_COUNT_LENGTH_LIMIT,
     DEFAULT_MERGE_COUNT_LENGTH_LIMIT,
-    DEFAULT_MERGE_LENGTH_LIMIT,
     DEFAULT_NODE_BUDGET,
 )
 
@@ -292,10 +291,7 @@ def merge_coloring(
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise PreconditionViolated("merge patterns must be nonempty")
     n = host.n
-    if n > DEFAULT_MERGE_LENGTH_LIMIT:
-        raise ResourceLimit(
-            f"host length {n} exceeds the configured limit {DEFAULT_MERGE_LENGTH_LIMIT}"
-        )
+    _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
     hvals = host.entries
     rvals, bvals = red_pattern.entries, blue_pattern.entries
     red, blue = [], []

@@ -54,6 +54,7 @@ from .errors import PreconditionViolated, ResourceLimit
 from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS
 
 _LN2 = math.log(2.0)
+_TOL = 1e-9  # float slack of the certificate's comparisons
 _REPORT_CEILING = 10**MAX_REPORT_DIGITS  # str() refuses ints this large
 _MILESTONE_NOTE = (
     "milestone exponents are evaluated with the bulk multipliers; "
@@ -602,11 +603,13 @@ class CertReport:
         }
 
 
-def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
+def certify_schedule(schedule: Schedule) -> CertReport:
     """Numerically verify every constraint the schedule construction
     needs, reading k, a and c from ``schedule.params`` and the ideal
     states from ``schedule.states``.  Failing constraints are report
-    entries, never exceptions: small k legitimately fails.
+    entries, never exceptions: small k legitimately fails.  Float
+    comparisons allow a fixed slack tol = 1e-9, absolute or relative as
+    each check states; no caller changes it.
 
     Checks (lhs vs rhs):
       multiplier admissibility: 1/c <= x_b + tol, since x_b = 1 - 1/c
@@ -647,8 +650,6 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
     ``build_schedule`` takes R_A = ceil(q) for some q > 1, so R_A >= 2
     and the indices are states of the schedule.
     """
-    if not 0 <= tol < math.inf:
-        raise PreconditionViolated(f"need finite tol >= 0, got {tol}")
     params = schedule.params
     k, a, c = params.k, params.a, params.c
     R = schedule.bulk_steps
@@ -665,13 +666,13 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
 
     # x_b = 1 - 1/c touches 1/c exactly at c = 2; the floor the
     # constraint protects is still >= 1 there, so tolerance applies
-    add("x_b_above_inverse_c", 1.0 / c <= x_b + tol, 1.0 / c, x_b)
+    add("x_b_above_inverse_c", 1.0 / c <= x_b + _TOL, 1.0 / c, x_b)
     add("y_penultimate_below_one", y_1 < 1.0, y_1, 1.0)
 
     y1_closed = 2.0 ** (0.5 * lbk + (R / 2.0) * l2x - R * math.log2(y_b))
     add(
         "y_penultimate_closed_form",
-        abs(y_1 - y1_closed) <= tol * max(y_1, y1_closed),
+        abs(y_1 - y1_closed) <= _TOL * max(y_1, y1_closed),
         y_1,
         y1_closed,
     )
@@ -703,7 +704,7 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
         la,
         min_weight_margin,
     )
-    add("width_at_least_weight_log2", max_shape_margin <= tol, max_shape_margin, 0.0)
+    add("width_at_least_weight_log2", max_shape_margin <= _TOL, max_shape_margin, 0.0)
 
     infinite_cost = any(math.isinf(lc) for lc in log_costs.values())
     for name, i, j, limit in (
@@ -712,17 +713,17 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
         ("final_cost_within_initial", R + 1, 0, 1.0),
     ):
         ratio = math.inf if infinite_cost else 2.0 ** (log_costs[i] - log_costs[j])
-        add(name, ratio <= limit + tol, ratio, limit)
+        add(name, ratio <= limit + _TOL, ratio, limit)
 
     scale = max(1.0, abs(lbk))
     ends = (states[R], states[R + 1], states[R + 2])
     for label, state, milestone in zip(_MILESTONE_LABELS, ends, schedule.milestones):
         for axis, got, want in zip("ts", state, milestone):
-            add(f"milestone_{label}_{axis}_log2", abs(got - want) <= tol * scale, got, want)
+            add(f"milestone_{label}_{axis}_log2", abs(got - want) <= _TOL * scale, got, want)
     lt, ls = states[R + 2]
     add(
         "final_state_hits_target_log2",
-        abs(lt - lbk) <= tol * scale and abs(ls - lbk) <= tol * scale,
+        abs(lt - lbk) <= _TOL * scale and abs(ls - lbk) <= _TOL * scale,
         lt,
         lbk,
     )
@@ -732,7 +733,7 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
         # of bulk steps; the trajectory of wide integers is never held
         t_fl, s_fl = _floored_final(params, R)
         beta_k = _beta_k_int(params)
-        envelope = 16.0 * c * c / (8.0 * c + 1.0)  # 1/(1-y_b)
+        envelope = float(1 / (1 - _bulk_constants(params)[1]))  # 1/(1-y_b)
         add(
             "floored_final_width_le_target",
             t_fl <= beta_k,
@@ -748,7 +749,7 @@ def certify_schedule(schedule: Schedule, *, tol: float = 1e-9) -> CertReport:
         drift = float(beta_k - s_fl)
         add(
             "floored_final_weight_drift_le_envelope",
-            drift <= envelope + tol,
+            drift <= envelope + _TOL,
             drift,
             envelope,
         )
@@ -770,7 +771,7 @@ def crude_fpts_bound(schedule: Schedule) -> float:
     lbk = schedule.log2_beta_k
     l2k = math.log2(k)
 
-    m = (16 * c * c + 8 * c) // (8 * c + 1)  # ceil(1/(1-y_b)) exactly
+    m = math.ceil(1 / (1 - _bulk_constants(params)[1]))  # ceil(1/(1-y_b))
     if _is_integral(a) and _is_integral(params.k):
         beta_k = _beta_k_int(params)
         l_binom = sum(math.log2(beta_k - i) for i in range(m)) - math.log2(

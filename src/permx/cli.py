@@ -15,10 +15,11 @@ the payload's csv and text layout.  Of the library modules, this one
 imports only ``core``, whose parsers its flags use; each command loads
 its library module at call time and looks the functions up there, so a
 cold ``permx contains`` never imports the counting, extremal or
-schedule code.  The first call in a process builds the argument parser
-of the one command its command line names, with the ``bounds`` group if
-the command is in it; later calls, and a first call that names no
-command, build the parser of every command once and reuse it.
+schedule code.  A command line that names a command is parsed by that
+command's parser alone, with the ``bounds`` group if the command is in
+it; only a command line that names no command gets the parser of every
+command.  Each parser is built once per process, so the parser a
+command line gets depends on that command line alone.
 
 Each operand flag's argparse ``type`` is its parser, so commands get
 parsed values and reports echo them.  A permutation is a digit string
@@ -31,8 +32,9 @@ first malformed operand or number on the command line exits 2.
 
 A command line takes one path to its report: ``run(argv)`` parses it,
 calls the command with its options and returns (exit code, report).
-The report depends on the command line alone: a budgeted command's node
-budget is its --budget flag, whose default is the library default.
+The report depends on the command line alone: the node budget of a
+command that takes one is its --budget flag, whose default is the
+library default.
 ``main`` is ``run`` plus the mapping from errors to exit codes and the
 write to stdout.
 """
@@ -163,11 +165,9 @@ def render(command: str, payload: dict, fmt: str) -> str:
 
 
 def _render_json(payload: dict) -> str:
-    """``json.dumps`` of the payload, compact with sorted keys.  A
-    payload with a ``Rows`` field is written field by field, so that
-    the table is written by its template."""
-    if not any(isinstance(v, Rows) for v in payload.values()):
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """``json.dumps`` of the payload, compact with sorted keys, written
+    field by field, so that a ``Rows`` field is written by its
+    template."""
     parts = []
     for k in sorted(payload):
         v = payload[k]
@@ -221,23 +221,23 @@ def _render_text(key, payload: dict) -> str:
 class Command:
     """One subcommand, declared once.
 
-    ``module`` names the one library module the command calls: core,
-    avoidance, extremal, bounds or selftest.  ``run`` imports it at call
-    time and passes it to ``call(lib, opts)``, which turns the parsed
-    options into the report payload (a ``budgeted`` command's --budget
-    flag among them as ``"budget"``) and looks each library function up
-    on ``lib``, so a wrapper set on the defining module sees the call.
-    csv output writes ``table`` (payload key, columns) if set, else the
-    scalar fields as one row sorted by key; text output writes the
-    ``text_key`` field alone if set, else one ``key = value`` line per
-    field.  A false ``verdict`` field in the payload makes the exit
-    code 1.
+    ``flags`` are its (flag, argparse kwargs) pairs; a command that
+    takes a node budget lists ``BUDGET`` first, so --budget follows
+    --format in its usage and help.  ``module`` names the one library
+    module the command calls: core, avoidance, extremal, bounds or
+    selftest.  ``run`` imports it at call time and passes it to
+    ``call(lib, opts)``, which turns the parsed options into the report
+    payload and looks each library function up on ``lib``, so a wrapper
+    set on the defining module sees the call.  csv output writes
+    ``table`` (payload key, columns) if set, else the scalar fields as
+    one row sorted by key; text output writes the ``text_key`` field
+    alone if set, else one ``key = value`` line per field.  A false
+    ``verdict`` field in the payload makes the exit code 1.
     """
 
     flags: tuple
     module: str
     call: Callable[[ModuleType, dict], dict]
-    budgeted: bool = False
     table: tuple[str, tuple[str, ...]] | None = None
     text_key: str | None = None
     verdict: str | None = None
@@ -362,7 +362,7 @@ def _certify(bounds, o):
     if o["floors"]:
         # the report is the same either way; --floors only demands integral k and a
         bounds._beta_k_int(p)
-    report = bounds.certify_schedule(schedule, tol=o["tol"])
+    report = bounds.certify_schedule(schedule)
     return {"params": {"k": p.k, "a": p.a, "c": p.c}, **report.to_jsonable()}
 
 
@@ -379,6 +379,8 @@ N, T, S = _flag("--n", _parse_int), _flag("--t", _parse_int), _flag("--s", _pars
 X, Y = _flag("--x", _parse_float), _flag("--y", _parse_float)
 REAL_K, REAL_T, REAL_S = (_flag(flag, _parse_float) for flag in ("--k", "--t", "--s"))
 N_CAP = _flag("--n-cap", _parse_int, default=DEFAULT_ROW_CAP)
+BUDGET = _flag("--budget", _parse_int, default=DEFAULT_NODE_BUDGET,
+               help="node budget (default: %(default)s)")
 FLOORS = ("--floors", {"action": "store_true"})
 
 COMMANDS = {
@@ -408,64 +410,56 @@ COMMANDS = {
     "decompose": Command(
         (PATTERN, C), "core", _decompose, table=("decompositions", ("skeleton", "blocks"))
     ),
-    "count-av": Command((PATTERN, N), "avoidance", _count_av, budgeted=True),
+    "count-av": Command((BUDGET, PATTERN, N), "avoidance", _count_av),
     "sw-estimate": Command(
-        (PATTERN, _flag("--n-max", _parse_int)),
+        (BUDGET, PATTERN, _flag("--n-max", _parse_int)),
         "avoidance",
         _sw_estimate,
-        budgeted=True,
         table=("sequence", ("n", "count", "estimate")),
     ),
     "merge-check": Command(
-        (_flag("--red", parse_permutation), _flag("--blue", parse_permutation), N),
+        (BUDGET, _flag("--red", parse_permutation), _flag("--blue", parse_permutation), N),
         "avoidance",
         lambda avoidance, o: _perm_report(avoidance.merge_count_upper_check, o, "red", "blue"),
-        budgeted=True,
     ),
     "verify-jv": Command(
-        (_flag("--a", parse_permutation), _flag("--b", parse_permutation),
+        (BUDGET, _flag("--a", parse_permutation), _flag("--b", parse_permutation),
          _flag("--c", parse_permutation), N),
         "avoidance",
         lambda avoidance, o: _perm_report(avoidance.verify_jv_inclusion, o, "a", "b", "c"),
-        budgeted=True,
     ),
     "exfn": Command(
-        (PATTERN, N),
+        (BUDGET, PATTERN, N),
         "extremal",
         lambda extremal, o: _pattern_search(extremal.exfn_exact, o, "n", echo=("n",)),
-        budgeted=True,
     ),
     "fpts": Command(
-        (PATTERN, T, S, N_CAP),
+        (BUDGET, PATTERN, T, S, N_CAP),
         "extremal",
         lambda extremal, o: _pattern_search(
             extremal.fpts_exact, o, "t", "s", "n_cap", echo=("t", "s")
         ),
-        budgeted=True,
     ),
     "gpts": Command(
-        (PATTERN, T, S, N_CAP),
+        (BUDGET, PATTERN, T, S, N_CAP),
         "extremal",
         lambda extremal, o: _pattern_search(
             extremal.gpts_exact, o, "t", "s", "n_cap", echo=("t", "s")
         ),
-        budgeted=True,
     ),
     "check-lemma21": Command(
-        (PATTERN, A, T, S, _flag("--hypothesis-n", _parse_int, default=4)),
+        (BUDGET, PATTERN, A, T, S, _flag("--hypothesis-n", _parse_int, default=4)),
         "extremal",
         lambda extremal, o: _pattern_search(
             extremal.check_lemma21, o, "a", "t", "s", "hypothesis_n"
         ),
-        budgeted=True,
     ),
     "check-lemma22": Command(
-        (PATTERN, A, C, T, S, X, Y),
+        (BUDGET, PATTERN, A, C, T, S, X, Y),
         "extremal",
         lambda extremal, o: _pattern_search(
             extremal.check_lemma22, o, "a", "c", "t", "s", "x", "y"
         ),
-        budgeted=True,
     ),
     "bounds mt": Command(
         (_flag("--k", _parse_int),),
@@ -492,7 +486,7 @@ COMMANDS = {
         table=("states", STATE_COLUMNS),
     ),
     "bounds certify": Command(
-        (REAL_K, A, C, FLOORS, _flag("--tol", _parse_float, default=1e-9)),
+        (REAL_K, A, C, FLOORS),
         "bounds",
         _certify,
         table=("checks", ("name", "holds", "lhs", "rhs")),
@@ -520,10 +514,13 @@ COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser for ``command``, a key of ``COMMANDS``, or for every
-    subcommand when it is None, built on the first call and returned as
-    the same object after that.
+    subcommand when it is None, built on the first call with that
+    argument and returned as the same object after that.  ``cache``
+    keys ``build_parser()`` apart from ``build_parser(None)``; ``run``
+    always passes the argument.
 
     A one-command parser's usage line lists every top-level name, as the
     full one's does, so its usage errors read the same; errors that name
@@ -531,18 +528,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     from the full parser.  ``COMMANDS`` is fixed at import, so a cached
     parser cannot go stale.  Callers must not mutate it.
     """
-    return _parser(command)
-
-
-# cached apart from build_parser, so that run can read the cache even
-# where build_parser is wrapped, as a tracer wraps it
-@cache
-def _parser(command):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
-    budgeted = argparse.ArgumentParser(add_help=False)
-    budgeted.add_argument("--budget", type=_parse_int, default=DEFAULT_NODE_BUDGET,
-                          help="node budget (default: %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="permx",
@@ -561,9 +548,7 @@ def _parser(command):
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest=f"{group}_command", required=True
             )
-        p = (groups[group] if group else sub).add_parser(
-            leaf, parents=[common, budgeted] if spec.budgeted else [common]
-        )
+        p = (groups[group] if group else sub).add_parser(leaf, parents=[common])
         for flag, kwargs in spec.flags:
             p.add_argument(flag, **kwargs)
     return parser
@@ -579,20 +564,19 @@ def _command_named(argv: list[str]) -> str | None:
 def run(argv=None) -> tuple[int, str]:
     """Run one command line and return (exit code, rendered report).
 
-    The first call in a process parses with the parser of the command
-    its argv names, if any; every other call uses the full parser, which
-    costs less than one parser per command.  Usage errors raise
-    SystemExit(2) from argparse; domain errors are raised for ``main``
-    to map to exit codes."""
+    argv is parsed with the parser of the command it names, or with the
+    full parser if it names none, so a call's parser does not depend on
+    the calls before it.  A parsed --budget below 1 is refused.  Usage
+    errors raise SystemExit(2) from argparse; domain errors are raised
+    for ``main`` to map to exit codes."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    first = _parser.cache_info().currsize == 0
-    opts = vars(build_parser(_command_named(argv) if first else None).parse_args(argv))
+    opts = vars(build_parser(_command_named(argv)).parse_args(argv))
     name = opts.pop("command")
     if name == "bounds":
         name += " " + opts.pop("bounds_command")
     fmt = opts.pop("format")
     spec = COMMANDS[name]
-    if spec.budgeted and opts["budget"] < 1:
+    if "budget" in opts and opts["budget"] < 1:
         raise PreconditionViolated(f"budget must be positive, got {opts['budget']}")
     payload = spec.call(importlib.import_module(f"{__package__}.{spec.module}"), opts)
     code = EXIT_INTERNAL if spec.verdict and not payload[spec.verdict] else EXIT_OK

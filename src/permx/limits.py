@@ -9,10 +9,10 @@ searches, up to its ceiling.
 DEFAULT_NODE_BUDGET = 10 ** 8
 
 # length caps that keep worst-case runtimes in minutes, not hours.  The
-# merge count and the JV inclusion check both walk merge states, which
-# grow about 4x per n, so they share the merge-count limit.
+# avoider counts and the avoidance backtrackers share the count limit.
+# The merge count and the JV inclusion check both walk merge states,
+# which grow about 4x per n, so they share the merge-count limit.
 DEFAULT_COUNT_LENGTH_LIMIT = 14
-DEFAULT_MERGE_LENGTH_LIMIT = 14
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 10
 
 # row-search caps for the row-density searches; width is bitmask-bound.

@@ -155,7 +155,7 @@ def _criterion_schedule_certification():
     for a in (1, 2):
         for c in (2, 3):
             params = BoundParams(10**6, a, c)
-            report = certify_schedule(build_schedule(params), tol=1e-9)
+            report = certify_schedule(build_schedule(params))
             bad = sorted(ch.name for ch in report.checks if not ch.holds)
             if bad:
                 failures.append(f"(a={a},c={c}): {', '.join(bad)}")

@@ -141,15 +141,20 @@ class TestScriptSmoke:
             assert row["f"] == row["g"]
 
 
-def test_benchmark_tracer_lookups_resolve():
-    # perfbench/spans.py wraps permx functions by name, with no default,
-    # and counts len(schedule.states); either breaking stops
-    # `perfbench/run.py --trace 1`
+def _benchmark_spans():
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", REPO / "perfbench" / "spans.py"
     )
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_lookups_resolve():
+    # perfbench/spans.py wraps permx functions by name, with no default,
+    # and counts len(schedule.states); either breaking stops
+    # `perfbench/run.py --trace 1`
+    spans = _benchmark_spans()
     assert set(spans.TRACED) <= set(spans.LAYERS)
     for layer in spans.LAYERS:
         importlib.import_module(f"permx.{layer}")
@@ -158,6 +163,31 @@ def test_benchmark_tracer_lookups_resolve():
             assert callable(getattr(getattr(permx, layer), name)), (layer, name)
     schedule = build_schedule(BoundParams(100, 2, 2))
     assert len(schedule.states) == schedule.bulk_steps + 3 == 163
+
+
+def test_benchmark_tracer_wraps_the_cached_parser(capsys):
+    # the tracer's build_parser wrapper sits in front of the cache: each
+    # call is a span, a repeated command line hits the cache, and
+    # uninstall puts the cached builder back
+    spans = _benchmark_spans()
+    for layer in spans.LAYERS:
+        importlib.import_module(f"permx.{layer}")
+    cli = permx.cli
+    cached = cli.build_parser
+    cached.cache_clear()
+    tracer = spans.Tracer()
+    tracer.install(permx)
+    try:
+        assert cli.build_parser is not cached
+        argv = ["contains", "--host", "312", "--pattern", "21"]
+        assert cli.main(argv) == cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert cli.build_parser is cached
+    assert capsys.readouterr().out == "true\ntrue\n"
+    assert tracer.summary()["per_name"]["cli.build_parser"]["calls"] == 2
+    info = cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestCodeLines:

@@ -183,9 +183,9 @@ class TestExitCodes:
         ("lemma22-rhs", "--k", "3", "--a", "nan", "--c", "3", "--t", "40", "--s", "30",
          "--x", "0.7", "--y", "0.2"),
         ("schedule", "--k", "21", "--a", "1e308", "--c", "132", "--floors"),
-        ("certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol", "nan"),
-        ("certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol=-1"),
-        ("certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol", "inf"),
+        ("certify", "--k", "1e6", "--a=-1", "--c", "2"),
+        ("certify", "--k", "1e6", "--a", "1", "--c", "1"),
+        ("certify", "--k=-5", "--a", "1", "--c", "2"),
         ("lemma22-rhs", "--k=-1", "--a", "2.5", "--c", "3", "--t", "40", "--s", "30",
          "--x", "0.7", "--y", "0.2"),
         ("alpha", "--a", "1e308", "--c", "6"),
@@ -634,7 +634,7 @@ class TestLargeSchedules:
     @pytest.mark.parametrize("floors", [False, True])
     def test_peak_memory_within_five_outputs(self, fmt, floors):
         argv = self.argv("1099511627776", "3", "6", floors, fmt)
-        build_parser()  # the parser is built once per process, outside the measurement
+        build_parser("bounds schedule")  # built once per process, outside the measurement
         tracemalloc.start()
         try:
             code, out = run(argv)
@@ -789,10 +789,17 @@ class TestOnePath:
         assert err.startswith("rejected")
 
     def test_budget_flag_on_unbudgeted_command(self):
-        # only the budgeted commands have a budget
+        # only the commands that list BUDGET take --budget
         with pytest.raises(SystemExit) as exc:
             run(["sum", "--left", "1", "--right", "1", "--budget", "10"])
         assert exc.value.code == 2
+
+    def test_certify_takes_no_tolerance(self, capsys):
+        # the certificate's float slack is fixed; no flag loosens it
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "certify", "--k", "4096", "--a", "1", "--c", "2", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
     def test_selftest_takes_no_seed(self):
         # the criteria run in id order; no option reorders them
@@ -848,7 +855,7 @@ class TestOperands:
         ("bounds", "alpha", "--a", "+1", "--c", "2"),
         ("bounds", "alpha", "--a", "1", "--c", "1_0"),
         ("bounds", "lemma21", "--k", "2", "--a", "1", "--t", "1_0.5", "--s", "8"),
-        ("bounds", "certify", "--k", "1e6", "--a", "1", "--c", "2", "--tol", " +1e-9"),
+        ("bounds", "lemma21", "--k", " +3", "--a", "1", "--t", "5", "--s", "4"),
         ("bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=5", *FOX[:-1], "1_0"),
     ])
     def test_malformed_number_rejected(self, capsys, argv):
@@ -947,14 +954,14 @@ def fuzzed_argv(draw):
     spec = COMMANDS[name]
     argv = name.split()
     for flag, kwargs in spec.flags:
-        if kwargs.get("required") or draw(st.booleans()):
+        if flag == "--budget":
+            argv.append("--budget=1000")  # an edge value like 10**30 lets a search run for minutes
+        elif kwargs.get("required") or draw(st.booleans()):
             if kwargs.get("action") == "store_true":
                 argv.append(flag)
             else:
                 argv.append(f"{flag}={draw(st.sampled_from(EDGE_VALUES))}")
     argv.append(f"--format={draw(st.sampled_from(FORMATS))}")
-    if spec.budgeted:
-        argv.append("--budget=1000")
     return argv
 
 

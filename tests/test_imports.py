@@ -79,7 +79,7 @@ def test_package_exports_resolve_lazily():
     assert out["unknown"] is False
 
 
-FIRST_CALLS = """
+CALL = """
 import contextlib, io, json, sys
 from permx import cli
 
@@ -91,16 +91,19 @@ def call(argv):
         except SystemExit as exc:
             code = exc.code
     return [code, out.getvalue(), err.getvalue()]
+"""
 
+FIRST_CALLS = CALL + """
 first, built = [], []
 for argv in json.loads(sys.argv[1]):
-    cli._parser.cache_clear()  # each call is a process's first
+    cli.build_parser.cache_clear()  # each call is a process's first
     first.append(call(argv))
     name = cli._command_named(argv)
     if name is not None:
         cli.build_parser(name)
-        info = cli._parser.cache_info()
+        info = cli.build_parser.cache_info()
         built.append([name, info.misses, info.hits])
+cli._command_named = lambda argv: None  # every call gets the full parser
 full = [call(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"first": first, "full": full, "built": built}))
 """
@@ -122,7 +125,7 @@ def first_call_cases():
 
 def test_first_call_builds_only_its_command_parser():
     # the one-command parser gives the full parser's output, help and
-    # usage errors byte for byte, and is the only parser a first call builds
+    # usage errors byte for byte, and is the only parser a call builds
     cases = first_call_cases()
     out = child(FIRST_CALLS, json.dumps(cases))
     for argv, first, full in zip(cases, out["first"], out["full"]):
@@ -130,3 +133,35 @@ def test_first_call_builds_only_its_command_parser():
     assert len(out["built"]) == len(cases) - 6  # all but the cases naming no command
     for name, misses, hits in out["built"]:
         assert (misses, hits) == (1, 1), name
+
+
+CALLS = CALL + """
+calls = [call(argv) for argv in json.loads(sys.argv[1])]
+size = cli.build_parser.cache_info().currsize
+names = {cli._command_named(argv) for argv in json.loads(sys.argv[1])}
+misses = cli.build_parser.cache_info().misses
+for name in names:
+    cli.build_parser(name)  # a hit for every parser the calls built
+built = cli.build_parser.cache_info().misses - misses
+print(json.dumps({"calls": calls, "size": size, "new": built}))
+"""
+
+LATER_CALLS = [
+    ["contains", "--host", "312", "--pattern", "21"],
+    ["bounds", "mt", "--k", "3", "--format", "json"],
+    ["count-av", "--pattern", "123", "--n", "5", "--budget", "0"],
+    ["contains", "--host", "312", "--pattern", "12", "--format", "csv"],
+    ["bounds", "crude", "--k", "1e6", "--a", "2", "--c", "2"],
+    ["exfn", "--pattern", "12", "--n", "3", "--bad", "1"],
+]
+
+
+def test_later_calls_build_only_their_command_parsers():
+    # a call's parser depends on its own command line: later calls in a
+    # process build no full parser, one parser per named command, and
+    # print what a fresh process prints
+    out = child(CALLS, json.dumps(LATER_CALLS))
+    assert out["size"] == 5  # the commands LATER_CALLS names
+    assert out["new"] == 0
+    for argv, got in zip(LATER_CALLS, out["calls"]):
+        assert got == child(CALLS, json.dumps([argv]))["calls"][0], argv
