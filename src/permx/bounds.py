@@ -212,9 +212,12 @@ def theorem12_exponent(a, c: int) -> float:
 def fox_rhs(ex_table, t: int, s: int, f_val: int, g_val: int, n: int) -> int:
     """Right side ex(s-1)*ex(n) + ex(t)*(f+g)*n of the blow-up
     inequality, from caller-supplied exact table values.  The row
-    counts f and g must be nonnegative."""
+    counts f and g must be nonnegative, and t, s and n positive."""
     if f_val < 0 or g_val < 0:
         raise PreconditionViolated(f"need f, g >= 0, got f={f_val}, g={g_val}")
+    for name, value in (("t", t), ("s", s), ("n", n)):
+        if value < 1:  # no ex table holds the key s - 1 < 0
+            raise PreconditionViolated(f"need {name} >= 1, got {value}")
     out = {}
     for key in (s - 1, t, n):
         if key not in ex_table:

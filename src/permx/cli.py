@@ -16,10 +16,11 @@ imports only ``core``, whose parsers its flags use; each command loads
 its library module at call time and looks the functions up there, so a
 cold ``permx contains`` never imports the counting, extremal or
 schedule code.  A command line that names a command is parsed by that
-command's parser alone, with the ``bounds`` group if the command is in
-it; only a command line that names no command gets the parser of every
-command.  Each parser is built once per process, so the parser a
-command line gets depends on that command line alone.
+command's parser alone, with no top-level parser around it; only a
+command line that names no command, or that leaves an argument
+unrecognized, is parsed whole by the parser of every command, which
+words those errors.  Each parser is built once per process, so the
+parser a command line gets depends on that command line alone.
 
 Each operand flag's argparse ``type`` is its parser, so commands get
 parsed values and reports echo them.  A permutation is a digit string
@@ -382,6 +383,7 @@ N_CAP = _flag("--n-cap", _parse_int, default=DEFAULT_ROW_CAP)
 BUDGET = _flag("--budget", _parse_int, default=DEFAULT_NODE_BUDGET,
                help="node budget (default: %(default)s)")
 FLOORS = ("--floors", {"action": "store_true"})
+FORMAT = ("--format", {"choices": FORMATS, "default": "text"})  # every command's first flag
 
 COMMANDS = {
     "contains": Command(
@@ -514,6 +516,13 @@ COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _with_flags(parser: argparse.ArgumentParser, spec: Command) -> argparse.ArgumentParser:
+    """``parser`` with --format and then ``spec``'s flags added."""
+    for flag, kwargs in (FORMAT, *spec.flags):
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
 @cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser for ``command``, a key of ``COMMANDS``, or for every
@@ -522,35 +531,29 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     keys ``build_parser()`` apart from ``build_parser(None)``; ``run``
     always passes the argument.
 
-    A one-command parser's usage line lists every top-level name, as the
-    full one's does, so its usage errors read the same; errors that name
-    the command argument itself (a missing or unknown command) come only
-    from the full parser.  ``COMMANDS`` is fixed at import, so a cached
-    parser cannot go stale.  Callers must not mutate it.
+    A command's parser is the parser the full one hands the rest of the
+    command line to: the same prog, flags, help and usage errors, with
+    no top-level parser around it.  Errors that name the command
+    argument itself (a missing or unknown command) and unrecognized
+    arguments come only from the full parser.  ``COMMANDS`` is fixed at
+    import, so a cached parser cannot go stale.  Callers must not
+    mutate it.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="text")
-
+    if command is not None:
+        return _with_flags(argparse.ArgumentParser(prog=f"permx {command}"), COMMANDS[command])
     parser = argparse.ArgumentParser(
         prog="permx",
         description="pattern containment, avoidance enumeration, and extremal bounds",
     )
-    # a one-command parser still lists every top-level name in its usage
-    metavar = None if command is None else "{" + ",".join(
-        dict.fromkeys(name.partition(" ")[0] for name in COMMANDS)) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     groups = {}  # "bounds" -> its subparsers, made at its first command
     for name, spec in COMMANDS.items():
-        if command is not None and name != command:
-            continue
         group, _, leaf = name.rpartition(" ")
         if group and group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest=f"{group}_command", required=True
             )
-        p = (groups[group] if group else sub).add_parser(leaf, parents=[common])
-        for flag, kwargs in spec.flags:
-            p.add_argument(flag, **kwargs)
+        _with_flags((groups[group] if group else sub).add_parser(leaf), spec)
     return parser
 
 
@@ -564,14 +567,19 @@ def _command_named(argv: list[str]) -> str | None:
 def run(argv=None) -> tuple[int, str]:
     """Run one command line and return (exit code, rendered report).
 
-    argv is parsed with the parser of the command it names, or with the
-    full parser if it names none, so a call's parser does not depend on
-    the calls before it.  A parsed --budget below 1 is refused.  Usage
-    errors raise SystemExit(2) from argparse; domain errors are raised
-    for ``main`` to map to exit codes."""
+    The words after the command that argv names are parsed by that
+    command's parser; argv is parsed whole by the full parser if it
+    names no command or leaves an argument unrecognized, so a call's
+    parser does not depend on the calls before it.  A parsed --budget
+    below 1 is refused.  Usage errors raise SystemExit(2) from argparse;
+    domain errors are raised for ``main`` to map to exit codes."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    opts = vars(build_parser(_command_named(argv)).parse_args(argv))
-    name = opts.pop("command")
+    name = _command_named(argv)
+    opts, extra = build_parser(name).parse_known_args(argv[len(name.split()):] if name else argv)
+    if extra:  # the full parser words the error
+        opts = build_parser(None).parse_args(argv)
+    opts = vars(opts)
+    name = opts.pop("command", name)
     if name == "bounds":
         name += " " + opts.pop("bounds_command")
     fmt = opts.pop("format")

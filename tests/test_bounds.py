@@ -206,6 +206,13 @@ class TestFoxRhs:
         with pytest.raises(PreconditionViolated, match="need f, g >= 0"):
             fox_rhs(self.TABLE, 3, 2, f, g, 3)
 
+    @pytest.mark.parametrize("t, s, n, name", [(0, 3, 2, "t"), (3, 0, 2, "s"), (3, 3, -1, "n")])
+    def test_nonpositive_sizes_refused_before_the_table(self, t, s, n, name):
+        # s = 0 would look up n = -1, a key no ex table can hold
+        value = min(t, s, n)
+        with pytest.raises(PreconditionViolated, match=f"need {name} >= 1, got {value}"):
+            fox_rhs(self.TABLE, t, s, 1, 1, n)
+
     def test_missing_entry(self):
         with pytest.raises(PreconditionViolated, match="missing an entry for n=4"):
             fox_rhs(self.TABLE, 4, 3, 1, 1, 2)

@@ -889,6 +889,12 @@ class TestOperands:
         assert (code, out) == (EXIT_BAD_INPUT, "")
         assert err == "rejected: need f, g >= 0, got f=-1, g=1\n"
 
+    def test_fox_rhs_nonpositive_size_rejected(self, capsys):
+        code, out, err = invoke(capsys, "bounds", "fox-rhs", "--ex-table", "1=1,2=3,3=5",
+                                "--t", "3", "--s", "0", "--f", "1", "--g", "1", "--n", "2")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == "rejected: need s >= 1, got 0\n"
+
     def test_first_malformed_operand_is_reported(self, capsys):
         code, _, err = invoke(capsys, "contains", "--pattern", "1x", "--host", "4x2")
         assert (code, err) == (EXIT_BAD_INPUT, "rejected: not a digit string: '1x'\n")

@@ -1,6 +1,7 @@
 """The import contract: a cold command line loads only core and the one
-library module the command calls and builds only its own parser, and
-the package's lazy exports all resolve.  Each case runs in a fresh
+library module the command calls and builds only its own parser unless
+it leaves an argument unrecognized, and the package's lazy exports all
+resolve.  Each case runs in a fresh
 interpreter and asserts on ``sys.modules`` and the parser cache, not on
 time."""
 
@@ -8,9 +9,14 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from test_cli import fuzzed_argv
+from test_cli_golden import CASES as GOLDEN
 
 import permx
 
@@ -102,7 +108,7 @@ for argv in json.loads(sys.argv[1]):
     if name is not None:
         cli.build_parser(name)
         info = cli.build_parser.cache_info()
-        built.append([name, info.misses, info.hits])
+    built.append(None if name is None else [info.misses, info.hits])
 cli._command_named = lambda argv: None  # every call gets the full parser
 full = [call(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"first": first, "full": full, "built": built}))
@@ -123,16 +129,68 @@ def first_call_cases():
     return cases
 
 
+ARGPARSE_FORMS = [
+    ["contains", "--host=312", "--pattern=21"],
+    ["contains", "--host", "312", "--pat", "21"],  # an abbreviated flag
+    ["contains", "--host", "312", "--pattern", "21", "--pattern", "12"],  # the last one holds
+    ["contains", "--host", "312", "-h", "--pattern", "21"],
+    ["bounds", "alpha", "--a", "-1", "--c", "2"],  # a negative value
+    ["bounds", "mt", "--k", "-3", "--format", "json"],
+    ["contains", "--host", "312", "--", "--pattern", "21"],
+    ["contains", "--host", "312", "--pattern", "21", "--", "extra"],
+    ["contains", "--format", "json", "--host", "312", "--pattern", "21"],
+    ["bounds", "schedule", "--k", "4", "--format", "csv", "--a", "1", "--c", "2"],
+]
+
+
+def fuzzed_cases(count: int) -> list:
+    """``count`` argvs drawn by ``fuzzed_argv``, the same on every run."""
+    drawn = []
+
+    @settings(max_examples=count, derandomize=True, database=None)
+    @given(argv=fuzzed_argv())
+    def draw(argv):
+        drawn.append(argv)
+
+    draw()
+    return drawn
+
+
+@cache
+def first_calls() -> dict:
+    """Each group of cases as (argv, first call, full-parser call,
+    parser cache [misses, hits] or None), all from one child process."""
+    groups = {"commands": first_call_cases(), "forms": ARGPARSE_FORMS,
+              "golden": [case["argv"] for case in GOLDEN], "fuzzed": fuzzed_cases(300)}
+    cases = [argv for argvs in groups.values() for argv in argvs]
+    out = child(FIRST_CALLS, json.dumps(cases))
+    results = iter(zip(cases, out["first"], out["full"], out["built"]))
+    return {group: list(islice(results, len(argvs))) for group, argvs in groups.items()}
+
+
 def test_first_call_builds_only_its_command_parser():
     # the one-command parser gives the full parser's output, help and
     # usage errors byte for byte, and is the only parser a call builds
-    cases = first_call_cases()
-    out = child(FIRST_CALLS, json.dumps(cases))
-    for argv, first, full in zip(cases, out["first"], out["full"]):
+    # but for a line it leaves an argument unrecognized: the full parser
+    # parses that line again to word the error
+    commands = first_calls()["commands"]
+    for argv, first, full, _ in commands:
         assert first == full, argv
-    assert len(out["built"]) == len(cases) - 6  # all but the cases naming no command
-    for name, misses, hits in out["built"]:
-        assert (misses, hits) == (1, 1), name
+    assert sum(built is None for *_, built in commands) == 6  # the cases naming no command
+    unrecognized = 0
+    for argv, (_, _, err), _, built in chain.from_iterable(first_calls().values()):
+        if built is not None:
+            unrecognized += "error: unrecognized arguments" in err
+            assert built == [1 + ("error: unrecognized arguments" in err), 1], argv
+    assert unrecognized == 4  # the "extra" lines and selftest --bad 1
+
+
+@pytest.mark.parametrize("group", ["forms", "golden", "fuzzed"])
+def test_parse_paths_agree(group):
+    # a line parsed by its command's parser alone prints what the full
+    # parser's path prints: exit code, stdout and stderr
+    for argv, first, full, _ in first_calls()[group]:
+        assert first == full, argv
 
 
 CALLS = CALL + """
@@ -158,10 +216,11 @@ LATER_CALLS = [
 
 def test_later_calls_build_only_their_command_parsers():
     # a call's parser depends on its own command line: later calls in a
-    # process build no full parser, one parser per named command, and
-    # print what a fresh process prints
+    # process build one parser per named command, the full parser only
+    # for the line that leaves an argument unrecognized, and print what
+    # a fresh process prints
     out = child(CALLS, json.dumps(LATER_CALLS))
-    assert out["size"] == 5  # the commands LATER_CALLS names
+    assert out["size"] == 6  # the commands LATER_CALLS names, and the full parser for --bad
     assert out["new"] == 0
     for argv, got in zip(LATER_CALLS, out["calls"]):
         assert got == child(CALLS, json.dumps([argv]))["calls"][0], argv
