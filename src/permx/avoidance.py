@@ -73,7 +73,6 @@ found by the same pinned search on the entry just coloured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     Permutation,
@@ -89,14 +88,14 @@ from .limits import (
     DEFAULT_MERGE_COUNT_LENGTH_LIMIT,
     DEFAULT_NODE_BUDGET,
 )
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # report records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwEstimate:
+class SwEstimate(Record):
     """Finite-length growth estimate count**(1/n) for one length."""
 
     n: int
@@ -104,8 +103,7 @@ class SwEstimate:
     value: float
 
 
-@dataclass(frozen=True)
-class JvInclusionReport:
+class JvInclusionReport(Record):
     """Result of checking that every avoider of the three-part sum splits
     into a red part avoiding part1+part2 and a blue part avoiding
     part2+part3."""
@@ -134,8 +132,7 @@ class JvInclusionReport:
         }
 
 
-@dataclass(frozen=True)
-class MergeCountReport:
+class MergeCountReport(Record):
     """Mergeable-permutation count at length n against two right-hand
     sides.
 

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 
 from .errors import PreconditionViolated, ResourceLimit
 from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS
+from .record import Record
 
 _LN2 = math.log(2.0)
 _TOL = 1e-9  # float slack of the certificate's comparisons
@@ -230,23 +230,23 @@ def fox_rhs(ex_table, t: int, s: int, f_val: int, g_val: int, n: int) -> int:
 # schedule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(Record):
     """Pattern size k, hypothesis exponent a, block count c."""
 
     k: int
     a: float
     c: int
 
-    def __post_init__(self):
-        if not math.isfinite(self.k):
-            raise PreconditionViolated(f"need finite k, got {self.k}")
-        if self.k < 2:
-            raise PreconditionViolated(f"need k >= 2, got {self.k}")
-        if self.c < 2:
-            raise PreconditionViolated(f"need c >= 2, got {self.c}")
-        if not 0 < self.a < math.inf:
-            raise PreconditionViolated(f"need finite a > 0, got {self.a}")
+    def __init__(self, k, a, c):
+        if not math.isfinite(k):
+            raise PreconditionViolated(f"need finite k, got {k}")
+        if k < 2:
+            raise PreconditionViolated(f"need k >= 2, got {k}")
+        if c < 2:
+            raise PreconditionViolated(f"need c >= 2, got {c}")
+        if not 0 < a < math.inf:
+            raise PreconditionViolated(f"need finite a > 0, got {a}")
+        super().__init__(k, a, c)
 
 
 def _state_jsonable(i: int, log2_t: float, log2_s: float) -> dict:
@@ -261,8 +261,7 @@ def _state_jsonable(i: int, log2_t: float, log2_s: float) -> dict:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class _IdealStates:
+class _IdealStates(Record):
     """The R_A + 3 ideal states of a schedule, each computed when read
     from the closed-form constants held here; equal constants compare
     equal.
@@ -303,8 +302,7 @@ class _IdealStates:
         return i, lt, ls
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """A built schedule, always the ideal one.  Its states and its
     bulk-end, penultimate and final milestones are ``(log2_t, log2_s)``
     pairs; ``states.rows()`` yields ``(i, log2_t, log2_s)`` rows, and
@@ -566,8 +564,7 @@ def _log2_int(v: int) -> float:
 # certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertCheck:
+class CertCheck(Record):
     """One named constraint; holds iff lhs relates to rhs as the check's
     comparison demands (documented per check in certify_schedule)."""
 
@@ -580,14 +577,14 @@ class CertCheck:
         return {"name": self.name, "holds": self.holds, "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(Record):
     checks: tuple[CertCheck, ...]
 
-    def __post_init__(self):
-        names = [c.name for c in self.checks]
+    def __init__(self, checks):
+        names = [c.name for c in checks]
         if len(set(names)) != len(names):
             raise PreconditionViolated("duplicate check names in report")
+        super().__init__(checks)
 
     @property
     def all_pass(self) -> bool:

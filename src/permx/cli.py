@@ -49,7 +49,6 @@ import importlib
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import starmap
 from types import ModuleType
@@ -58,6 +57,7 @@ from typing import Callable, Iterable
 from .core import BinaryMatrix, Permutation, parse_permutation, to_matrix
 from .errors import PreconditionViolated, ResourceLimit
 from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP
+from .record import Record
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -135,7 +135,9 @@ class Rows:
     Each format writes a row through one ``str.format`` template; json
     and text order the cells by column name, as ``json.dumps`` with
     sorted keys writes the row as a dict.  The cells are read once.
-    A plain class: a dataclass would cost every cold start its build.
+    A plain class, not a ``permx.record.Record``: its cells may be an
+    iterator that is read once, so a ``Rows`` is no value to compare or
+    hash.
     """
 
     __slots__ = ("columns", "cells")
@@ -218,8 +220,7 @@ def _render_text(key, payload: dict) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Command:
+class Command(Record):
     """One subcommand, declared once.
 
     ``flags`` are its (flag, argparse kwargs) pairs; a command that

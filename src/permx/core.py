@@ -13,7 +13,7 @@ Conventions fixed once, used everywhere:
   exactly this correspondence and nothing else relies on a drawing.
 
 The containment kernels at the bottom operate on raw value sequences and
-the row bitmasks; the dataclass API wraps them.  Callers in hot loops
+the row bitmasks; the domain types wrap them.  Callers in hot loops
 (enumeration, search) use the kernels directly.
 """
 
@@ -23,10 +23,10 @@ import bisect
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .errors import PreconditionViolated, ResourceLimit
 from .limits import MAX_DECOMPOSITIONS
+from .record import Record, _set
 
 _LOW = -(1 << 60)
 _HIGH = 1 << 60
@@ -36,15 +36,14 @@ _HIGH = 1 << 60
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection on {1..n} in one-line notation."""
 
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries):
+        entries = tuple(entries)
+        _set(self, "entries", entries)
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise PreconditionViolated(f"not a bijection on 1..{len(entries)}: {entries!r}")
 
@@ -74,8 +73,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(Record):
     """A 0-1 matrix with ``cols`` columns stored as its row bitmasks, top
     row first: bit c-1 of ``masks[r-1]`` is set iff cell (r, c) is a one.
     The row count, the cells and the JSON form are read off the masks."""
@@ -83,12 +81,13 @@ class BinaryMatrix:
     masks: tuple[int, ...]
     cols: int
 
-    def __post_init__(self):
-        masks = tuple(self.masks)
-        object.__setattr__(self, "masks", masks)
-        if self.cols < 0 or not all(0 <= m < 1 << self.cols for m in masks):
+    def __init__(self, masks, cols):
+        masks = tuple(masks)
+        _set(self, "masks", masks)
+        _set(self, "cols", cols)
+        if cols < 0 or not all(0 <= m < 1 << cols for m in masks):
             raise PreconditionViolated(f"need row masks in [0, 2**cols), cols >= 0: "
-                                       f"{masks!r}, cols={self.cols}")
+                                       f"{masks!r}, cols={cols}")
 
     @property
     def rows(self) -> int:
@@ -132,14 +131,14 @@ class BinaryMatrix:
         return "\n".join(format(m | 1 << self.cols, "b")[:0:-1] for m in self.masks)
 
 
-@dataclass(frozen=True)
-class PermutationMatrix:
+class PermutationMatrix(Record):
     """A square 0-1 matrix with exactly one 1 per row and per column."""
 
     matrix: BinaryMatrix
 
-    def __post_init__(self):
-        m = self.matrix
+    def __init__(self, matrix):
+        _set(self, "matrix", matrix)
+        m = matrix
         if m.rows != m.cols:
             raise PreconditionViolated(f"not square: {m.rows}x{m.cols}")
         if sorted(m.masks) != [1 << c for c in range(m.cols)]:
@@ -158,34 +157,34 @@ class PermutationMatrix:
         return [m.bit_length() - 1 for m in self.matrix.masks]
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(Record):
     """Witness of a containment: host positions (or host cells) chosen
     in pattern order."""
 
     positions: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
+    def __init__(self, positions):
+        _set(self, "positions", tuple(positions))
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(Record):
     """A skeleton permutation plus the blocks that inflate back to the
     decomposed permutation."""
 
     skeleton: Permutation
     blocks: tuple[Permutation, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if self.skeleton.n != len(self.blocks):
+    def __init__(self, skeleton, blocks):
+        blocks = tuple(blocks)
+        _set(self, "skeleton", skeleton)
+        _set(self, "blocks", blocks)
+        if skeleton.n != len(blocks):
             raise PreconditionViolated(
-                f"skeleton length {self.skeleton.n} != {len(self.blocks)} blocks"
+                f"skeleton length {skeleton.n} != {len(blocks)} blocks"
             )
-        if self.skeleton.n < 1:
+        if skeleton.n < 1:
             raise PreconditionViolated("need at least one block")
-        if any(b.n == 0 for b in self.blocks):
+        if any(b.n == 0 for b in blocks):
             raise PreconditionViolated("blocks must be nonempty")
 
 

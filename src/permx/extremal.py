@@ -32,7 +32,6 @@ candidate order, the one a depth-first search in that order finds first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,10 +46,10 @@ from .core import (
 )
 from .errors import PreconditionViolated, ResourceLimit
 from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP, MAX_WIDTH
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(Record):
     """Outcome of a search.  When proven_optimal is False the value is
     the best found before the node budget ran out."""
 
@@ -68,7 +67,6 @@ class ExtremalResult:
         }
 
 
-@dataclass(frozen=True)
 class FptsResult(ExtremalResult):
     """Outcome of an fpts/gpts search.  hit_row_cap marks searches that
     reached the row cap, so the true value may exceed `value`."""
@@ -302,8 +300,7 @@ def _rows_within(
     return res
 
 
-@dataclass(frozen=True)
-class Lemma21Report:
+class Lemma21Report(Record):
     """Exact row count versus the closed-form row bound."""
 
     k: int
@@ -378,8 +375,7 @@ def check_lemma21(
     )
 
 
-@dataclass(frozen=True)
-class Lemma22Report:
+class Lemma22Report(Record):
     """Exact row count versus one step of the sectioning recursion.
     f_sub_capped marks a sub-search that stopped at the row cap, so
     f_sub_value is a lower bound on the shrunken instance's value."""

@@ -14,7 +14,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .avoidance import count_avoiders, verify_jv_inclusion
 from .bounds import (
@@ -45,6 +44,7 @@ from .extremal import (
     fpts_exact,
     gpts_exact,
 )
+from .record import Record
 
 I2 = PermutationMatrix.identity(2)
 
@@ -228,8 +228,7 @@ def _criterion_output_stability():
     return True, f"{len(argvs)} commands, {len(first)} report bytes stable"
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(Record):
     id: int
     description: str
     fn: object

@@ -1,7 +1,6 @@
 """Closed-form evaluators and the recursion schedule with its
 certification and floored replay."""
 
-import dataclasses
 import json
 import math
 import random
@@ -683,8 +682,8 @@ class TestFiveIndexCertifier:
             ).rhs
             la = margin + rng.uniform(-0.5, 3.0)
             variants = [
-                dataclasses.replace(sch, params=BoundParams(k, la / math.log2(k), c)),
-                dataclasses.replace(sch, y_penultimate=1.0 - 2.0 ** -rng.uniform(1, 40)),
+                _replace(sch, params=BoundParams(k, la / math.log2(k), c)),
+                _replace(sch, y_penultimate=1.0 - 2.0 ** -rng.uniform(1, 40)),
             ]
             for variant in variants:
                 new, ref = _certify_both(variant)
@@ -695,9 +694,14 @@ class TestFiveIndexCertifier:
     def test_degenerate_start_matches_loop(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
         for log2_s in (2.0, 14.0, 30.0):
-            crippled = dataclasses.replace(sch, states=_with_start_weight(sch, log2_s))
+            crippled = _replace(sch, states=_with_start_weight(sch, log2_s))
             new, ref = _certify_both(crippled)
             assert new == ref
+
+
+def _replace(record, **changes):
+    """A copy of a frozen record with the named fields changed."""
+    return type(record)(**{f: changes.get(f, getattr(record, f)) for f in record._fields})
 
 
 def _with_start_weight(sch, log2_s) -> tuple:
@@ -781,7 +785,7 @@ class TestLazyStates:
     def test_certifier_reads_at_most_six_states(self, params):
         sch = build_schedule(params)
         counting = CountingStates(sch.states)
-        report = certify_schedule(dataclasses.replace(sch, states=counting))
+        report = certify_schedule(_replace(sch, states=counting))
         assert 0 < counting.reads <= 6
         assert report == certify_schedule(sch)
 
@@ -789,7 +793,7 @@ class TestLazyStates:
     def test_crude_bound_reads_one_state(self, params):
         sch = build_schedule(params)
         counting = CountingStates(sch.states)
-        value = crude_fpts_bound(dataclasses.replace(sch, states=counting))
+        value = crude_fpts_bound(_replace(sch, states=counting))
         assert counting.reads == 1
         assert value == crude_fpts_bound(sch)
 
@@ -827,7 +831,7 @@ class TestCrudeFptsBound:
         # a schedule whose start state cannot clear k^a: the guard fires
         p = BoundParams(k=100, a=2, c=2)
         sch = build_schedule(p)
-        crippled = dataclasses.replace(sch, states=_with_start_weight(sch, 2.0))
+        crippled = _replace(sch, states=_with_start_weight(sch, 2.0))
         with pytest.raises(PreconditionViolated, match="schedule start is too small"):
             crude_fpts_bound(crippled)
 

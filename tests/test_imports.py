@@ -21,6 +21,8 @@ from test_cli_golden import CASES as GOLDEN
 import permx
 
 LIBRARY = {"permx.avoidance", "permx.bounds", "permx.extremal"}
+# the frozen records need neither, so no command line pays for importing them
+NOT_LOADED = {"dataclasses", "inspect"}
 
 
 def child(code: str, *args: str):
@@ -53,6 +55,7 @@ def test_command_loads_only_its_library_module(argv, loads):
     out = child(COMMAND, *argv)
     assert out["code"] == 0
     assert LIBRARY & set(out["modules"]) == loads
+    assert NOT_LOADED.isdisjoint(out["modules"])
 
 
 PACKAGE = """
@@ -71,6 +74,7 @@ print(json.dumps({
     "unbound": sorted(set(permx.__all__) - set(star)),
     "unlisted": sorted(set(permx.__all__) - set(dir(permx))),
     "unknown": hasattr(permx, "no_such_name"),
+    "modules": sorted(sys.modules),
 }))
 """
 
@@ -83,6 +87,7 @@ def test_package_exports_resolve_lazily():
     assert out["unbound"] == []
     assert out["unlisted"] == []
     assert out["unknown"] is False
+    assert NOT_LOADED.isdisjoint(out["modules"])  # after ``from permx import *``
 
 
 CALL = """
