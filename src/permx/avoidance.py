@@ -102,6 +102,9 @@ class SwEstimate(Record):
     count: int
     value: float
 
+    _keys = {"value": "estimate"}
+    _text = ("count",)
+
 
 class JvInclusionReport(Record):
     """Result of checking that every avoider of the three-part sum splits
@@ -116,20 +119,6 @@ class JvInclusionReport(Record):
     checked: int
     holds: bool
     counterexample: Permutation | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "parts": [str(p) for p in self.parts],
-            "n": self.n,
-            "combined": str(self.combined),
-            "red_pattern": str(self.red_pattern),
-            "blue_pattern": str(self.blue_pattern),
-            "checked": self.checked,
-            "holds": self.holds,
-            "counterexample": (
-                None if self.counterexample is None else str(self.counterexample)
-            ),
-        }
 
 
 class MergeCountReport(Record):
@@ -152,17 +141,7 @@ class MergeCountReport(Record):
     holds: bool
     holds_refined: bool
 
-    def to_jsonable(self) -> dict:
-        return {
-            "red_pattern": str(self.red_pattern),
-            "blue_pattern": str(self.blue_pattern),
-            "n": self.n,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "rhs_refined": str(self.rhs_refined),
-            "holds": self.holds,
-            "holds_refined": self.holds_refined,
-        }
+    _text = ("lhs", "rhs", "rhs_refined")
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,7 @@ class Schedule(Record):
         three floor fields hold their ideal values; a floored report
         overrides them from :func:`floored_states`."""
         return {
-            "params": {"k": self.params.k, "a": self.params.a, "c": self.params.c},
+            "params": self.params.to_jsonable(),
             "beta": self.beta,
             "x_b": self.x_bulk,
             "y_b": self.y_bulk,
@@ -573,9 +573,6 @@ class CertCheck(Record):
     lhs: float
     rhs: float
 
-    def to_jsonable(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "lhs": self.lhs, "rhs": self.rhs}
-
 
 class CertReport(Record):
     checks: tuple[CertCheck, ...]
@@ -597,10 +594,7 @@ class CertReport(Record):
         raise KeyError(name)
 
     def to_jsonable(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "checks": [c.to_jsonable() for c in self.checks],
-        }
+        return {**super().to_jsonable(), "all_pass": self.all_pass}
 
 
 def certify_schedule(schedule: Schedule) -> CertReport:

@@ -293,7 +293,7 @@ def _sw_estimate(avoidance, o):
     seq = avoidance.sw_estimate_sequence(p, o["n_max"], budget=o["budget"])
     return {
         "pattern": str(p),
-        "sequence": [{"n": e.n, "count": str(e.count), "estimate": e.value} for e in seq],
+        "sequence": [e.to_jsonable() for e in seq],
     }
 
 
@@ -365,13 +365,12 @@ def _certify(bounds, o):
         # the report is the same either way; --floors only demands integral k and a
         bounds._beta_k_int(p)
     report = bounds.certify_schedule(schedule)
-    return {"params": {"k": p.k, "a": p.a, "c": p.c}, **report.to_jsonable()}
+    return {"params": p.to_jsonable(), **report.to_jsonable()}
 
 
 def _crude(bounds, o):
     schedule = _schedule(bounds, o)
-    p = schedule.params
-    return {"k": p.k, "a": p.a, "c": p.c, "log2_bound": bounds.crude_fpts_bound(schedule)}
+    return {**schedule.params.to_jsonable(), "log2_bound": bounds.crude_fpts_bound(schedule)}
 
 
 PATTERN = _flag("--pattern", parse_permutation)

@@ -64,6 +64,8 @@ class Permutation(Record):
             return "".join(str(v) for v in self.entries)
         return " ".join(str(v) for v in self.entries)
 
+    to_jsonable = __str__
+
 
 def _bits(mask: int):
     """The 0-based indices of the set bits of ``mask``, ascending."""
@@ -119,7 +121,7 @@ class BinaryMatrix(Record):
     def count_ones(self) -> int:
         return sum(m.bit_count() for m in self.masks)
 
-    def to_json(self) -> dict:
+    def to_jsonable(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,

@@ -58,23 +58,12 @@ class ExtremalResult(Record):
     nodes_explored: int
     proven_optimal: bool
 
-    def to_jsonable(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": self.witness.to_json(),
-            "nodes_explored": self.nodes_explored,
-            "proven_optimal": self.proven_optimal,
-        }
-
 
 class FptsResult(ExtremalResult):
     """Outcome of an fpts/gpts search.  hit_row_cap marks searches that
     reached the row cap, so the true value may exceed `value`."""
 
     hit_row_cap: bool
-
-    def to_jsonable(self) -> dict:
-        return {**super().to_jsonable(), "hit_row_cap": self.hit_row_cap}
 
 
 class _Stop(Exception):
@@ -313,18 +302,8 @@ class Lemma21Report(Record):
     nodes_explored: int
     hypothesis_checked_upto: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "lhs": self.lhs_value,
-            "rhs": str(self.rhs_bound),
-            "pass": self.holds,
-            "nodes": self.nodes_explored,
-            "k": self.k,
-            "a": self.a,
-            "t": self.t,
-            "s": self.s,
-            "hypothesis_checked_upto": self.hypothesis_checked_upto,
-        }
+    _keys = {"lhs_value": "lhs", "rhs_bound": "rhs", "holds": "pass", "nodes_explored": "nodes"}
+    _text = ("rhs_bound",)
 
 
 def check_lemma21(
@@ -396,24 +375,9 @@ class Lemma22Report(Record):
     holds: bool
     nodes_explored: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "lhs": self.lhs_value,
-            "rhs": str(self.rhs_value),
-            "pass": self.holds,
-            "nodes": self.nodes_explored,
-            "k": self.k,
-            "a": self.a,
-            "c": self.c,
-            "t": self.t,
-            "s": self.s,
-            "x": self.x,
-            "y": self.y,
-            "shrunk_t": self.shrunk_t,
-            "shrunk_s": self.shrunk_s,
-            "f_sub": self.f_sub_value,
-            "f_sub_capped": self.f_sub_capped,
-        }
+    _keys = {"lhs_value": "lhs", "rhs_value": "rhs", "holds": "pass", "nodes_explored": "nodes",
+             "f_sub_value": "f_sub"}
+    _text = ("rhs_value",)
 
 
 def check_lemma22(

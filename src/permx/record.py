@@ -9,6 +9,13 @@ an attribute set or deleted.  The generic ``__init__`` takes the fields
 positionally or by name; a hot type writes its own ``__init__`` and
 stores each field with ``object.__setattr__``.
 
+``to_jsonable`` is a record's report form: a dict of every field under
+its name, with a nested record in its own report form, a tuple as a
+list and ``None`` as null.  A class names only its exceptions, in two
+unannotated class constants: ``_keys`` maps a field to the report key
+it is written under, and the fields in ``_text`` are written with
+``str`` (integers a double cannot hold, and ``Fraction`` values).
+
 ``dataclasses`` would give the same, but importing it loads ``inspect``
 and ``ast``, and each frozen dataclass ``exec``s its generated methods
 when its module is imported: several milliseconds of every cold
@@ -22,6 +29,8 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
+    _keys: dict[str, str] = {}
+    _text: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -39,6 +48,11 @@ class Record:
             if field not in values:
                 raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
             _set(self, field, values[field])
+
+    def to_jsonable(self) -> dict:
+        keys, text = self._keys, self._text
+        return {keys.get(f, f): str(v) if f in text else _jsonable(v)
+                for f, v in zip(self._fields, self._values())}
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -60,3 +74,11 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _jsonable(value):
+    if isinstance(value, Record):
+        return value.to_jsonable()
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value

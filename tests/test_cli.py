@@ -3,14 +3,17 @@
 import hashlib
 import io
 import json
+import math
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -958,7 +961,8 @@ EDGE_VALUES = (
 # size of the bounds commands, also takes a large k; --t, --s and --x
 # keep 1 <= s <= t and 1/c < x < 1, and --y keeps 0 < y < 1.  About half
 # the command lines draw every operand from here, so that many of them
-# reach a report.
+# reach a report; the commands in ``TIED`` draw the operands that only
+# work together jointly instead.
 VALID_VALUES = {
     "parse_permutation": ("12", "21", "132", "213", "231", "312", "2413", "3142"),
     "_parse_int": ("2", "3", "4", "5"),
@@ -975,21 +979,88 @@ VALID_VALUES = {
 }
 
 
+def _permutation(draw):
+    return draw(st.sampled_from(VALID_VALUES["parse_permutation"]))
+
+
+def _inflate(draw):
+    """A skeleton and one block per skeleton entry."""
+    skeleton = _permutation(draw)
+    return {"--skeleton": skeleton, "--blocks": ",".join(_permutation(draw) for _ in skeleton)}
+
+
+def _decompose(draw):
+    """A pattern and a block count 1 <= c <= its length."""
+    pattern = _permutation(draw)
+    return {"--pattern": pattern, "--c": str(draw(st.integers(1, len(pattern))))}
+
+
+def _pattern_and_a(draw, flag):
+    """A pattern (``flag`` --pattern) or its length k (--k), and --a:
+    ``(k, a, operands)``."""
+    pattern, a = _permutation(draw), draw(st.sampled_from(("1", "1.5")))
+    k = len(pattern)
+    return k, float(a), {flag: pattern if flag == "--pattern" else str(k), "--a": a}
+
+
+def _lemma21(draw, flag):
+    """k and --a, and --t and --s with k^a < s <= t."""
+    k, a, operands = _pattern_and_a(draw, flag)
+    s = int(k ** a) + draw(st.integers(1, 3))
+    return {**operands, "--t": str(s + draw(st.integers(0, 3))), "--s": str(s)}
+
+
+def _lemma22(draw, flag):
+    """k and --a, and --c, --x, --y, --t and --s with floor(sy) >= 1 and
+    a positive right side.  As c <= k, the pattern is c-blockable at
+    least for c = k; x >= (c-1)/c makes floor(xc) = c - 1, so the right
+    side's denominator s(1 - y(c-1)/floor(xc))c - k^a c is positive once
+    s(1 - y) > k^a."""
+    k, a, operands = _pattern_and_a(draw, flag)
+    x, y = (draw(st.sampled_from(VALID_VALUES[f])) for f in ("--x", "--y"))
+    s = max(int(k ** a / (1 - float(y))) + 1, math.ceil(1 / float(y))) + draw(st.integers(0, 2))
+    return {**operands, "--c": str(draw(st.integers(2, k))), "--x": x, "--y": y,
+            "--t": str(s + draw(st.integers(0, 3))), "--s": str(s)}
+
+
+def _fox_rhs(draw):
+    """--t, --s and --n, and an ex-table holding s - 1, t and n."""
+    t, s, n = (draw(st.integers(1, 6)) for _ in range(3))
+    table = ",".join(f"{m}={max(0, 2 * m - 1)}" for m in sorted({s - 1, t, n}))
+    return {"--ex-table": table, "--t": str(t), "--s": str(s), "--n": str(n)}
+
+
+# Commands whose operands only reach a report together: for each, a
+# function of ``draw`` giving the text of the flags it ties.
+TIED = {
+    "inflate": _inflate,
+    "decompose": _decompose,
+    "bounds lemma21": partial(_lemma21, flag="--k"),
+    "check-lemma21": partial(_lemma21, flag="--pattern"),
+    "bounds lemma22-rhs": partial(_lemma22, flag="--k"),
+    "check-lemma22": partial(_lemma22, flag="--pattern"),
+    "bounds fox-rhs": _fox_rhs,
+}
+
+
 @st.composite
 def fuzzed_argv(draw):
     """An argv for one subcommand, its flags read from the command table;
     optional flags are left out half the time.  An argv takes every
-    operand from ``VALID_VALUES`` three times in four as drawn, else
-    from ``EDGE_VALUES``; hypothesis runs no example twice, and most
-    repeats come from the small valid pools, so about half the examples
-    a test runs take the valid values."""
+    operand from ``VALID_VALUES``, or its tied ones from ``TIED``, three
+    times in four as drawn, else from ``EDGE_VALUES``; hypothesis runs
+    no example twice, and most repeats come from the small valid pools,
+    so about half the examples a test runs take the valid values."""
     name = draw(st.sampled_from(sorted(n for n in COMMANDS if n != "selftest")))
     spec = COMMANDS[name]
     argv = name.split()
     edge = draw(st.integers(0, 3)) == 0
+    tied = TIED[name](draw) if name in TIED and not edge else {}
     for flag, kwargs in spec.flags:
         if flag == "--budget":
             argv.append("--budget=1000")  # an edge value like 10**30 lets a search run for minutes
+        elif flag in tied:
+            argv.append(f"{flag}={tied[flag]}")
         elif kwargs.get("required") or draw(st.booleans()):
             if kwargs.get("action") == "store_true":
                 argv.append(flag)
@@ -1003,26 +1074,41 @@ def fuzzed_argv(draw):
 
 def test_fuzzed_arguments_exit_cleanly():
     codes = []
+    reached = set()  # the commands some example ran to a report
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(argv=fuzzed_argv())
     def check(argv):
+        def timed_out(signum, frame):
+            pytest.fail(f"no exit within 10 s: {argv}")
+
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(10)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_RESOURCE), (code, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert "internal error" not in err.getvalue()
-        if code == EXIT_OK and "--format=json" in argv:
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        if code == EXIT_OK:
+            reached.add(" ".join(word for word in argv if not word.startswith("--")))
+            if "--format=json" in argv:
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
         codes.append(code)
 
+    handler = signal.getsignal(signal.SIGALRM)
     check()
+    assert signal.getsignal(signal.SIGALRM) is handler
     assert len(codes) == 400
     assert codes.count(EXIT_OK) >= 100, Counter(codes)  # a quarter reach a report
+    assert reached == set(COMMANDS) - {"selftest"}
 
 
 def _reject_constant(name):

@@ -495,7 +495,7 @@ def test_matrix_from_strings_rejects_malformed_rows(rows, message):
 
 def test_matrix_json_roundtrip():
     m = BinaryMatrix.from_strings(["011", "100"])
-    data = m.to_json()
+    data = m.to_jsonable()
     assert (data["rows"], data["cols"]) == (2, 3)
     assert {tuple(cell) for cell in data["ones"]} == m.ones
     assert data["ones"] == sorted(data["ones"])
