@@ -15,12 +15,16 @@ the payload's csv and text layout.  Of the library modules, this one
 imports only ``core``, whose parsers its flags use; each command loads
 its library module at call time and looks the functions up there, so a
 cold ``permx contains`` never imports the counting, extremal or
-schedule code.  A command line that names a command is parsed by that
-command's parser alone, with no top-level parser around it; only a
-command line that names no command, or that leaves an argument
-unrecognized, is parsed whole by the parser of every command, which
-words those errors.  Each parser is built once per process, so the
-parser a command line gets depends on that command line alone.
+schedule code.
+
+A canonical command line is parsed from ``COMMANDS`` alone, with no
+parser built and argparse never imported: after the command's name come
+only its own flags and --format, each spelled in full and given once,
+each but --floors followed by its value as the next word, which does
+not begin with "-"; every required flag is given and --format names one
+of ``FORMATS``.  Every other line, help and usage errors included, is
+parsed whole by the argparse parser of every command, built once per
+process, so the parse a command line gets depends on that line alone.
 
 Each operand flag's argparse ``type`` is its parser, so commands get
 parsed values and reports echo them.  A permutation is a digit string
@@ -28,21 +32,21 @@ or whitespace-separated decimal tokens; matrices, blocks and ex-tables
 are comma lists with no empty item, and an ex-table names each n once.
 An integer flag takes an optional "-" and decimal digits; a real flag
 takes what ``float`` reads, less "_" separators and a leading "+".  The
-parsers raise ``PreconditionViolated``, which argparse passes on: the
+parsers raise ``PreconditionViolated``, which both parses pass on: the
 first malformed operand or number on the command line exits 2.
 
 A command line takes one path to its report: ``run(argv)`` parses it,
 calls the command with its options and returns (exit code, report).
-The report depends on the command line alone: the node budget of a
-command that takes one is its --budget flag, whose default is the
-library default.
+Both parses give the same options and raise the same errors.  The
+report depends on the command line alone: the node budget of a command
+that takes one is its --budget flag, whose default is the library
+default.
 ``main`` is ``run`` plus the mapping from errors to exit codes and the
 write to stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import importlib
@@ -382,7 +386,7 @@ REAL_K, REAL_T, REAL_S = (_flag(flag, _parse_float) for flag in ("--k", "--t", "
 N_CAP = _flag("--n-cap", _parse_int, default=DEFAULT_ROW_CAP)
 BUDGET = _flag("--budget", _parse_int, default=DEFAULT_NODE_BUDGET,
                help="node budget (default: %(default)s)")
-FLOORS = ("--floors", {"action": "store_true"})
+FLOORS = ("--floors", {"action": "store_true", "default": False})
 FORMAT = ("--format", {"choices": FORMATS, "default": "text"})  # every command's first flag
 
 COMMANDS = {
@@ -516,31 +520,17 @@ COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _with_flags(parser: argparse.ArgumentParser, spec: Command) -> argparse.ArgumentParser:
-    """``parser`` with --format and then ``spec``'s flags added."""
-    for flag, kwargs in (FORMAT, *spec.flags):
-        parser.add_argument(flag, **kwargs)
-    return parser
-
-
 @cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for ``command``, a key of ``COMMANDS``, or for every
-    subcommand when it is None, built on the first call with that
-    argument and returned as the same object after that.  ``cache``
-    keys ``build_parser()`` apart from ``build_parser(None)``; ``run``
-    always passes the argument.
-
-    A command's parser is the parser the full one hands the rest of the
-    command line to: the same prog, flags, help and usage errors, with
-    no top-level parser around it.  Errors that name the command
-    argument itself (a missing or unknown command) and unrecognized
-    arguments come only from the full parser.  ``COMMANDS`` is fixed at
-    import, so a cached parser cannot go stale.  Callers must not
-    mutate it.
+def build_parser():
+    """The argparse parser of every subcommand, built on the first call
+    and returned as the same object after that.  ``run`` gives it each
+    command line that is not canonical, and it writes all help and usage
+    errors.  ``COMMANDS`` is fixed at import, so the cached parser cannot
+    go stale.  Callers must not mutate it.  argparse is imported here, so
+    a process that parses only canonical lines never loads it.
     """
-    if command is not None:
-        return _with_flags(argparse.ArgumentParser(prog=f"permx {command}"), COMMANDS[command])
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="permx",
         description="pattern containment, avoidance enumeration, and extremal bounds",
@@ -553,7 +543,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest=f"{group}_command", required=True
             )
-        _with_flags((groups[group] if group else sub).add_parser(leaf), spec)
+        command = (groups[group] if group else sub).add_parser(leaf)
+        for flag, kwargs in (FORMAT, *spec.flags):
+            command.add_argument(flag, **kwargs)
     return parser
 
 
@@ -564,24 +556,48 @@ def _command_named(argv: list[str]) -> str | None:
     return name if name in COMMANDS and name.split(" ") == words else None
 
 
+def _parse_canonical(spec: Command, words: list[str]) -> dict | None:
+    """The options that ``build_parser()`` would parse from ``words``, the
+    words after the name of ``spec``'s command, or None if the line is not
+    canonical.  As argparse does, it reads every word before it converts
+    a value, converts the values in command-line order, and gives a flag
+    left out its default, or None."""
+    flags = dict((FORMAT, *spec.flags))
+    given = {}
+    words = iter(words)
+    for flag in words:
+        kwargs = flags.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        given[flag] = value = "" if "action" in kwargs else next(words, "-")
+        if value.startswith("-"):
+            return None
+    if given.get("--format", "text") not in FORMATS or any(
+            kwargs.get("required") and flag not in given for flag, kwargs in flags.items()):
+        return None
+    opts = {flag: kwargs.get("default") for flag, kwargs in flags.items()}
+    for flag, value in given.items():
+        kwargs = flags[flag]
+        opts[flag] = True if "action" in kwargs else kwargs.get("type", str)(value)
+    return {flag[2:].replace("-", "_"): value for flag, value in opts.items()}
+
+
 def run(argv=None) -> tuple[int, str]:
     """Run one command line and return (exit code, rendered report).
 
-    The words after the command that argv names are parsed by that
-    command's parser; argv is parsed whole by the full parser if it
-    names no command or leaves an argument unrecognized, so a call's
-    parser does not depend on the calls before it.  A parsed --budget
-    below 1 is refused.  Usage errors raise SystemExit(2) from argparse;
-    domain errors are raised for ``main`` to map to exit codes."""
+    A canonical command line is parsed from ``COMMANDS``; every other
+    line is parsed whole by ``build_parser()``, which gives the same
+    options and writes help and usage errors.  A parsed --budget below 1
+    is refused.  Usage errors raise SystemExit(2) from argparse; domain
+    errors are raised for ``main`` to map to exit codes."""
     argv = sys.argv[1:] if argv is None else list(argv)
     name = _command_named(argv)
-    opts, extra = build_parser(name).parse_known_args(argv[len(name.split()):] if name else argv)
-    if extra:  # the full parser words the error
-        opts = build_parser(None).parse_args(argv)
-    opts = vars(opts)
-    name = opts.pop("command", name)
-    if name == "bounds":
-        name += " " + opts.pop("bounds_command")
+    opts = _parse_canonical(COMMANDS[name], argv[len(name.split()):]) if name else None
+    if opts is None:
+        opts = vars(build_parser().parse_args(argv))
+        name = opts.pop("command")
+        if name == "bounds":
+            name += " " + opts.pop("bounds_command")
     fmt = opts.pop("format")
     spec = COMMANDS[name]
     if "budget" in opts and opts["budget"] < 1:

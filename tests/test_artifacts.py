@@ -167,8 +167,8 @@ def test_benchmark_tracer_lookups_resolve():
 
 def test_benchmark_tracer_wraps_the_cached_parser(capsys):
     # the tracer's build_parser wrapper sits in front of the cache: each
-    # call is a span, a repeated command line hits the cache, and
-    # uninstall puts the cached builder back
+    # call is a span, a repeated command line that is not canonical hits
+    # the cache, and uninstall puts the cached builder back
     spans = _benchmark_spans()
     for layer in spans.LAYERS:
         importlib.import_module(f"permx.{layer}")
@@ -179,7 +179,7 @@ def test_benchmark_tracer_wraps_the_cached_parser(capsys):
     tracer.install(permx)
     try:
         assert cli.build_parser is not cached
-        argv = ["contains", "--host", "312", "--pattern", "21"]
+        argv = ["contains", "--host=312", "--pattern", "21"]  # parsed by the full parser
         assert cli.main(argv) == cli.main(argv) == 0
     finally:
         tracer.uninstall()

@@ -638,7 +638,7 @@ class TestLargeSchedules:
     @pytest.mark.parametrize("floors", [False, True])
     def test_peak_memory_within_five_outputs(self, fmt, floors):
         argv = self.argv("1099511627776", "3", "6", floors, fmt)
-        build_parser("bounds schedule")  # built once per process, outside the measurement
+        parser_calls = build_parser.cache_info()[:2]
         tracemalloc.start()
         try:
             code, out = run(argv)
@@ -646,6 +646,7 @@ class TestLargeSchedules:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
+        assert build_parser.cache_info()[:2] == parser_calls  # a canonical line: no parser
         # one dict per state and the JSON of them all peaked at 5.7-13.6
         # outputs; rows written through a template stay near 3
         assert peak <= 5 * len(out), (peak, len(out))
@@ -1043,41 +1044,53 @@ TIED = {
 }
 
 
+FUZZED = sorted(set(COMMANDS) - {"selftest"})  # selftest takes no operand
+
+
 @st.composite
-def fuzzed_argv(draw):
-    """An argv for one subcommand, its flags read from the command table;
-    optional flags are left out half the time.  An argv takes every
+def fuzzed_argv(draw, name=None):
+    """An argv for the subcommand ``name``, or for one drawn from
+    ``FUZZED`` if None, its flags read from the command table; optional
+    flags are left out half the time.  An argv takes every
     operand from ``VALID_VALUES``, or its tied ones from ``TIED``, three
-    times in four as drawn, else from ``EDGE_VALUES``; hypothesis runs
-    no example twice, and most repeats come from the small valid pools,
-    so about half the examples a test runs take the valid values."""
-    name = draw(st.sampled_from(sorted(n for n in COMMANDS if n != "selftest")))
+    times in four as drawn, else from ``EDGE_VALUES``, and writes each
+    flag and its value as separate words three times in four, else as
+    one ``--flag=value`` word.  Both choices shrink toward the first:
+    valid values in separate words, the canonical command line that
+    ``permx.cli`` parses without argparse."""
+    if name is None:
+        name = draw(st.sampled_from(FUZZED))
     spec = COMMANDS[name]
     argv = name.split()
-    edge = draw(st.integers(0, 3)) == 0
+    edge, joined = (draw(st.sampled_from((False, False, False, True))) for _ in range(2))
     tied = TIED[name](draw) if name in TIED and not edge else {}
+
+    def add(flag, value):
+        argv.extend([f"{flag}={value}"] if joined else [flag, value])
+
     for flag, kwargs in spec.flags:
         if flag == "--budget":
-            argv.append("--budget=1000")  # an edge value like 10**30 lets a search run for minutes
+            add(flag, "1000")  # an edge value like 10**30 lets a search run for minutes
         elif flag in tied:
-            argv.append(f"{flag}={tied[flag]}")
+            add(flag, tied[flag])
         elif kwargs.get("required") or draw(st.booleans()):
             if kwargs.get("action") == "store_true":
                 argv.append(flag)
             else:
                 values = (VALID_VALUES.get(flag) or VALID_VALUES[kwargs["type"].__name__]
                           if not edge else EDGE_VALUES)
-                argv.append(f"{flag}={draw(st.sampled_from(values))}")
-    argv.append(f"--format={draw(st.sampled_from(FORMATS))}")
+                add(flag, draw(st.sampled_from(values)))
+    add("--format", draw(st.sampled_from(FORMATS)))  # always the last flag
     return argv
 
 
 def test_fuzzed_arguments_exit_cleanly():
+    # each command gets its own examples: drawn from one stream, the
+    # commands would get from 5 to 47 of 400 examples
+    examples = 18
     codes = []
-    reached = set()  # the commands some example ran to a report
+    reached = Counter()  # the examples of each command that ran to a report
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(argv=fuzzed_argv())
     def check(argv):
         def timed_out(signum, frame):
             pytest.fail(f"no exit within 10 s: {argv}")
@@ -1098,17 +1111,20 @@ def test_fuzzed_arguments_exit_cleanly():
         assert "Traceback" not in err.getvalue()
         assert "internal error" not in err.getvalue()
         if code == EXIT_OK:
-            reached.add(" ".join(word for word in argv if not word.startswith("--")))
-            if "--format=json" in argv:
+            reached[" ".join(argv[:2] if argv[0] == "bounds" else argv[:1])] += 1
+            if argv[-1].removeprefix("--format=") == "json":  # --format is the last flag
                 json.loads(out.getvalue(), parse_constant=_reject_constant)
         codes.append(code)
 
     handler = signal.getsignal(signal.SIGALRM)
-    check()
+    for name in FUZZED:
+        run_examples = settings(max_examples=examples, deadline=None, derandomize=True)
+        run_examples(given(argv=fuzzed_argv(name))(check))()
     assert signal.getsignal(signal.SIGALRM) is handler
-    assert len(codes) == 400
-    assert codes.count(EXIT_OK) >= 100, Counter(codes)  # a quarter reach a report
-    assert reached == set(COMMANDS) - {"selftest"}
+    assert len(codes) == examples * len(FUZZED)  # 414
+    assert codes.count(EXIT_OK) >= 200, Counter(codes)  # about half reach a report
+    assert set(reached) == set(FUZZED)
+    assert min(reached.values()) >= 3, reached
 
 
 def _reject_constant(name):

@@ -1,9 +1,9 @@
 """The import contract: a cold command line loads only core and the one
-library module the command calls and builds only its own parser unless
-it leaves an argument unrecognized, and the package's lazy exports all
-resolve.  Each case runs in a fresh
-interpreter and asserts on ``sys.modules`` and the parser cache, not on
-time."""
+library module the command calls, a canonical command line builds no
+parser and loads no argparse, any other line builds the full parser once
+per process, and the package's lazy exports all resolve.  Each case runs
+in a fresh interpreter and asserts on ``sys.modules`` and the parser
+cache, not on time."""
 
 import json
 import os
@@ -23,6 +23,8 @@ import permx
 LIBRARY = {"permx.avoidance", "permx.bounds", "permx.extremal"}
 # the frozen records need neither, so no command line pays for importing them
 NOT_LOADED = {"dataclasses", "inspect"}
+# a canonical command line is parsed from the command table alone
+NO_PARSER = {"argparse", "gettext", "locale"}
 
 
 def child(code: str, *args: str):
@@ -56,6 +58,7 @@ def test_command_loads_only_its_library_module(argv, loads):
     assert out["code"] == 0
     assert LIBRARY & set(out["modules"]) == loads
     assert NOT_LOADED.isdisjoint(out["modules"])
+    assert NO_PARSER.isdisjoint(out["modules"])
 
 
 PACKAGE = """
@@ -109,11 +112,7 @@ first, built = [], []
 for argv in json.loads(sys.argv[1]):
     cli.build_parser.cache_clear()  # each call is a process's first
     first.append(call(argv))
-    name = cli._command_named(argv)
-    if name is not None:
-        cli.build_parser(name)
-        info = cli.build_parser.cache_info()
-    built.append(None if name is None else [info.misses, info.hits])
+    built.append(cli.build_parser.cache_info().misses)
 cli._command_named = lambda argv: None  # every call gets the full parser
 full = [call(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"first": first, "full": full, "built": built}))
@@ -134,17 +133,29 @@ def first_call_cases():
     return cases
 
 
+# Command lines in the forms argparse reads, each paired with whether it
+# is canonical, so that the command table parses it without argparse.
 ARGPARSE_FORMS = [
-    ["contains", "--host=312", "--pattern=21"],
-    ["contains", "--host", "312", "--pat", "21"],  # an abbreviated flag
-    ["contains", "--host", "312", "--pattern", "21", "--pattern", "12"],  # the last one holds
-    ["contains", "--host", "312", "-h", "--pattern", "21"],
-    ["bounds", "alpha", "--a", "-1", "--c", "2"],  # a negative value
-    ["bounds", "mt", "--k", "-3", "--format", "json"],
-    ["contains", "--host", "312", "--", "--pattern", "21"],
-    ["contains", "--host", "312", "--pattern", "21", "--", "extra"],
-    ["contains", "--format", "json", "--host", "312", "--pattern", "21"],
-    ["bounds", "schedule", "--k", "4", "--format", "csv", "--a", "1", "--c", "2"],
+    (["contains", "--host=312", "--pattern=21"], False),
+    (["contains", "--host", "312", "--pat", "21"], False),  # an abbreviated flag
+    (["contains", "--host", "312", "--pattern", "21", "--pattern", "12"], False),  # the last holds
+    (["contains", "--host", "312", "-h", "--pattern", "21"], False),
+    (["bounds", "alpha", "--a", "-1", "--c", "2"], False),  # a negative value
+    (["bounds", "alpha", "--a", "-1.5", "--c", "2"], False),
+    (["bounds", "mt", "--k", "-3", "--format", "json"], False),
+    (["contains", "--host", "312", "--", "--pattern", "21"], False),
+    (["contains", "--host", "312", "--pattern", "21", "--", "extra"], False),
+    (["contains", "--host", "312", "--pattern"], False),  # a missing value
+    (["contains", "--host", "1223"], False),  # a missing required flag, after a bad value
+    (["contains", "--host", "1223", "--h", "x"], False),  # an ambiguous flag, after a bad value
+    (["contains", "--format", "xml", "--host", "1223", "--pattern", "12"], False),
+    (["contains", "--host", "1223", "--pattern", "12", "--format", "xml"], False),
+    (["bounds", "schedule", "--k", "4", "--floors", "--a", "1", "--c", "2", "--floors"], False),
+    (["contains", "--format", "json", "--host", "312", "--pattern", "21"], True),
+    (["contains", "--pattern", "1x", "--host", "1223"], True),  # the first bad value is reported
+    (["contains", "--host", "", "--pattern", "1"], True),  # an empty value
+    (["bounds", "schedule", "--k", "4", "--format", "csv", "--a", "1", "--c", "2"], True),
+    (["bounds", "schedule", "--k", "4", "--floors", "--a", "1", "--c", "2"], True),
 ]
 
 
@@ -164,8 +175,8 @@ def fuzzed_cases(count: int) -> list:
 @cache
 def first_calls() -> dict:
     """Each group of cases as (argv, first call, full-parser call,
-    parser cache [misses, hits] or None), all from one child process."""
-    groups = {"commands": first_call_cases(), "forms": ARGPARSE_FORMS,
+    parsers built by the first call), all from one child process."""
+    groups = {"commands": first_call_cases(), "forms": [argv for argv, _ in ARGPARSE_FORMS],
               "golden": [case["argv"] for case in GOLDEN], "fuzzed": fuzzed_cases(300)}
     cases = [argv for argvs in groups.values() for argv in argvs]
     out = child(FIRST_CALLS, json.dumps(cases))
@@ -173,26 +184,29 @@ def first_calls() -> dict:
     return {group: list(islice(results, len(argvs))) for group, argvs in groups.items()}
 
 
-def test_first_call_builds_only_its_command_parser():
-    # the one-command parser gives the full parser's output, help and
-    # usage errors byte for byte, and is the only parser a call builds
-    # but for a line it leaves an argument unrecognized: the full parser
-    # parses that line again to word the error
-    commands = first_calls()["commands"]
-    for argv, first, full, _ in commands:
+def test_first_call_builds_no_parser_for_a_canonical_line():
+    # a canonical line is parsed from the command table and builds no
+    # parser; every other line, help and usage errors included, builds
+    # the full parser, which parses it whole
+    calls = first_calls()
+    table_parsed = [argv for argv, *_, built in calls["commands"] if built == 0]
+    assert table_parsed == [["bounds", "mt", "--k", "3"],
+                            ["contains", "--host", "312", "--pattern", "21", "--format", "csv"]]
+    for argv, first, full, _ in calls["commands"]:
         assert first == full, argv
-    assert sum(built is None for *_, built in commands) == 6  # the cases naming no command
-    unrecognized = 0
-    for argv, (_, _, err), _, built in chain.from_iterable(first_calls().values()):
-        if built is not None:
-            unrecognized += "error: unrecognized arguments" in err
-            assert built == [1 + ("error: unrecognized arguments" in err), 1], argv
-    assert unrecognized == 4  # the "extra" lines and selftest --bad 1
+    assert [built for *_, built in calls["forms"]] == [
+        int(not canonical) for _, canonical in ARGPARSE_FORMS]
+    for argv, *_, built in chain.from_iterable(calls.values()):
+        assert built in (0, 1), argv
+    # all golden lines but "bounds alpha --a -1 --c 2", and at least half
+    # the fuzzed ones (198 of 300 as drawn here)
+    assert sum(built == 0 for *_, built in calls["golden"]) == len(GOLDEN) - 1
+    assert sum(built == 0 for *_, built in calls["fuzzed"]) >= 150
 
 
 @pytest.mark.parametrize("group", ["forms", "golden", "fuzzed"])
 def test_parse_paths_agree(group):
-    # a line parsed by its command's parser alone prints what the full
+    # a line parsed from the command table prints what the full
     # parser's path prints: exit code, stdout and stderr
     for argv, first, full, _ in first_calls()[group]:
         assert first == full, argv
@@ -200,13 +214,9 @@ def test_parse_paths_agree(group):
 
 CALLS = CALL + """
 calls = [call(argv) for argv in json.loads(sys.argv[1])]
-size = cli.build_parser.cache_info().currsize
-names = {cli._command_named(argv) for argv in json.loads(sys.argv[1])}
-misses = cli.build_parser.cache_info().misses
-for name in names:
-    cli.build_parser(name)  # a hit for every parser the calls built
-built = cli.build_parser.cache_info().misses - misses
-print(json.dumps({"calls": calls, "size": size, "new": built}))
+info = cli.build_parser.cache_info()
+print(json.dumps({"calls": calls, "built": [info.misses, info.hits],
+                  "argparse": "argparse" in sys.modules}))
 """
 
 LATER_CALLS = [
@@ -215,17 +225,24 @@ LATER_CALLS = [
     ["count-av", "--pattern", "123", "--n", "5", "--budget", "0"],
     ["contains", "--host", "312", "--pattern", "12", "--format", "csv"],
     ["bounds", "crude", "--k", "1e6", "--a", "2", "--c", "2"],
+]
+
+FALLBACK_CALLS = [
     ["exfn", "--pattern", "12", "--n", "3", "--bad", "1"],
+    ["contains", "--host=312", "--pattern=21"],
+    ["bounds", "mt", "--k", "-3"],
 ]
 
 
-def test_later_calls_build_only_their_command_parsers():
-    # a call's parser depends on its own command line: later calls in a
-    # process build one parser per named command, the full parser only
-    # for the line that leaves an argument unrecognized, and print what
-    # a fresh process prints
-    out = child(CALLS, json.dumps(LATER_CALLS))
-    assert out["size"] == 6  # the commands LATER_CALLS names, and the full parser for --bad
-    assert out["new"] == 0
-    for argv, got in zip(LATER_CALLS, out["calls"]):
+def test_later_calls_build_the_full_parser_once():
+    # canonical lines alone build no parser and load no argparse; the
+    # first line that is not canonical builds the full parser and later
+    # ones reuse it; every call prints what a fresh process prints
+    canonical = child(CALLS, json.dumps(LATER_CALLS))
+    assert canonical["built"] == [0, 0]
+    assert canonical["argparse"] is False
+    argvs = FALLBACK_CALLS[:1] + LATER_CALLS + FALLBACK_CALLS[1:]
+    out = child(CALLS, json.dumps(argvs))
+    assert out["built"] == [1, len(FALLBACK_CALLS) - 1]
+    for argv, got in zip(argvs, out["calls"]):
         assert got == child(CALLS, json.dumps([argv]))["calls"][0], argv
