@@ -153,6 +153,14 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
     """One recursion step: binom(c, floor(xc)) * f_sub plus the
     second-term ratio, with the caller supplying the shrunken-instance
     value f_sub."""
+    return _lemma22_side(k, a, c, t, s, x, y, f_sub)(f_sub)
+
+
+def _lemma22_side(k, a, c, t, s, x, y, f_sub):
+    """The right side of :func:`lemma22_rhs` as a function of f_sub,
+    once every constant and f_sub are validated.  It is affine in f_sub,
+    binom(c, floor(xc)) * f_sub plus its value at 0, so one validation
+    serves every f_sub."""
     if c < 2:
         raise PreconditionViolated(f"need c >= 2, got {c}")
     if not 1 <= s <= t:
@@ -179,8 +187,9 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
         raise ResourceLimit(
             f"binom(c, floor(xc)) may have {digits:.0f} digits, over {MAX_REPORT_DIGITS}"
         )
-    rhs = math.comb(c, fxc) * Fraction(f_sub) + ka * _as_fraction(t, "t") / denom
-    return _reportable(rhs, "lemma22 rhs")
+    factor = math.comb(c, fxc)
+    rest = _reportable(ka * _as_fraction(t, "t") / denom, "lemma22 rhs")
+    return lambda f_sub: _reportable(factor * Fraction(f_sub) + rest, "lemma22 rhs")
 
 
 def theorem24_alpha(a, c: int) -> float:

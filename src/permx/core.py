@@ -446,10 +446,13 @@ def _neighbours(head, q):
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _occurrence_plan(pvals):
     """Per prefix length j = 1..k: how an occurrence of pvals[:j-1] takes
     the new entry as its j-th one, and which entries of pvals[:j] a
-    partial occurrence keeps.
+    partial occurrence keeps.  ``pvals`` is a tuple; the plan is cached
+    per pattern, as a tuple of tuples, so every model of one pattern
+    shares one plan that none can change.
 
     Entry j is ``(lo, hi, src, lows, ups)``: lo/hi are the tuple positions
     of the value-neighbours of pvals[j-1] in the parent tuple (-1 when
@@ -472,7 +475,7 @@ def _occurrence_plan(pvals):
             tuple(i for i, v in enumerate(cur) if any(b[0] == v for b in later)),
             tuple(i for i, v in enumerate(cur) if any(b[1] == v for b in later)),
         ))
-    return plan
+    return tuple(plan)
 
 
 def _dominated(t, among, lows, ups):
@@ -686,7 +689,7 @@ def _row_states(P: PermutationMatrix, width: int):
     width is fixed per model, so the memo lives in this call's closure:
     as long as one search holds the step."""
     k = P.k
-    plan = _occurrence_plan(P.col_of_row())
+    plan = _occurrence_plan(tuple(P.col_of_row()))
     last_lo, last_hi = plan[-1][:2]
     # dominance keeps only the lowest new column of an extension that
     # keeps it as a lower bound alone (or not at all), and only the

@@ -28,6 +28,9 @@ search and is freed when the search returns.
 A search node is one candidate row tried from one distinct state.
 Witnesses are read back from the memo as the first optimal host in
 candidate order, the one a depth-first search in that order finds first.
+A row that leaves the state unchanged keeps winning until the rows still
+needed fall to what a row before it reaches, so its whole run is written
+at once: a capped witness costs a step per distinct state, not per row.
 """
 
 from __future__ import annotations
@@ -187,6 +190,8 @@ def fpts_exact(
     row that leaves the state unchanged and so can repeat forever, sets
     hit_row_cap (the true value may be larger); budget exhaustion
     returns the deepest host on the search stack flagged not proven.
+    The witness writes a run of such a state-preserving row at once, so
+    its cost does not grow with n_cap.
     """
     if t < 1:
         raise PreconditionViolated(f"need t >= 1, got {t}")
@@ -205,14 +210,18 @@ def fpts_exact(
         return _weight_submasks(((1 << t) - 1) & ~state[-1], s)
 
     def follow(state, need):
-        # the first `need` rows, in candidate order, that can follow state
+        # the first `need` rows, in candidate order, that can follow state.
+        # A row that leaves the state unchanged wins again until the need
+        # falls to what a row before it reaches, so its run is one extend
         out = []
         while len(out) < need:
+            reach = 0  # the most rows a candidate passed over reaches
             for m in candidates(state):
                 child = step(state, m)
                 if child == state or memo[child] >= need - len(out) - 1:
                     break
-            out.append(m)
+                reach = max(reach, 1 + memo[child])
+            out += [m] * (need - len(out) - reach if child == state else 1)
             state = child
         return out
 
@@ -403,15 +412,16 @@ def check_lemma22(
     a lower bound on f.  The sub-search and the search for the left side
     share the one node budget.  A t over MAX_WIDTH is refused
     (ResourceLimit) once the constants are validated, before the
-    sub-search.
+    sub-search.  The right side is built once, with the validation, and
+    evaluated at f_sub, since it is affine in f_sub.
     """
-    from .bounds import _as_fraction, lemma22_rhs  # only the certifiers need bounds
+    from .bounds import _as_fraction, _lemma22_side  # only the certifiers need bounds
 
     k = P.k
     if not count_block_decompositions(from_matrix(P), c):
         raise PreconditionViolated(f"pattern admits no {c}-block decomposition")
     # validates constants and the denominator before any search runs
-    lemma22_rhs(k, a, c, t, s, x, y, 0)
+    rhs_of = _lemma22_side(k, a, c, t, s, x, y, 0)
     xf = _as_fraction(x, "x")
     yf = _as_fraction(y, "y")
     fxc = int(xf * c)
@@ -421,7 +431,7 @@ def check_lemma22(
         raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
     _refuse_wide_host(t)
     sub = fpts_exact(P, shrunk_t, shrunk_s, DEFAULT_ROW_CAP, budget)
-    rhs = lemma22_rhs(k, a, c, t, s, x, y, sub.value)
+    rhs = rhs_of(sub.value)
     lhs_res = _rows_within(P, t, s, rhs, budget - sub.nodes_explored)
     nodes = sub.nodes_explored + lhs_res.nodes_explored
     return Lemma22Report(

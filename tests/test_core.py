@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import permx
-from permx.avoidance import count_avoiders
+from permx.avoidance import count_avoiders, merge_count_upper_check, verify_jv_inclusion
 from permx.core import (
     BinaryMatrix,
     BlockDecomposition,
@@ -43,6 +43,7 @@ from permx.core import (
     to_matrix,
 )
 from permx.errors import PreconditionViolated, ResourceLimit
+from permx.extremal import check_lemma21, exfn_exact, fpts_exact
 from permx.limits import MAX_DECOMPOSITIONS
 
 
@@ -706,6 +707,51 @@ def walk_row_model(pvals, rng):
 @pytest.mark.parametrize("pvals", MEMO_PATTERNS, ids=lambda p: "".join(map(str, p)))
 def test_state_memo_matches_fresh_models(walk, pvals):
     walk(pvals, random.Random(repr(pvals)))
+
+
+# -- one occurrence plan per pattern ----------------------------------------
+
+def test_occurrence_plan_is_cached_per_pattern():
+    # a pure function of the pattern, built once and shared by every
+    # model of it, as tuples that no model can change
+    plan = _occurrence_plan((2, 4, 1, 3))
+    assert plan is _occurrence_plan(tuple([2, 4, 1, 3]))
+    assert type(plan) is tuple and all(type(entry) is tuple for entry in plan)
+    assert 0 < _occurrence_plan.cache_info().maxsize <= 256
+    # check_lemma21 builds a row model of 123 for each of three
+    # hypothesis widths and one for the row search
+    _occurrence_plan.cache_clear()
+    check_lemma21(to_matrix(Permutation((1, 2, 3))), 1, 5, 4, hypothesis_n=3)
+    info = _occurrence_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def least_budget(search, nodes):
+    # nodes is the least budget that suffices: one fewer runs out
+    result = search(nodes)
+    with pytest.raises(ResourceLimit):
+        search(nodes - 1)
+    return result
+
+
+def test_models_on_cached_plans_keep_counts_and_nodes():
+    # avoider counts (_perm_states), merge counts and the JV check
+    # (avoidance._colour), exfn and fpts (_row_states): the values and
+    # the least budgets pinned before the plan was cached
+    perm = parse_permutation
+    for text, count, nodes in (("123", 1430, 91), ("1342", 15485, 298), ("2413", 15485, 341)):
+        assert least_budget(lambda b: count_avoiders(perm(text), 8, budget=b), nodes) == count
+    for red, blue, lhs, nodes in (("12", "21", 340, 58), ("132", "213", 720, 67)):
+        rep = least_budget(
+            lambda b: merge_count_upper_check(perm(red), perm(blue), 6, budget=b), nodes)
+        assert rep.lhs == lhs
+    rep = least_budget(
+        lambda b: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 6, budget=b), 62)
+    assert (rep.checked, rep.holds) == (694, True)
+    res = exfn_exact(to_matrix(perm("2413")), 5)
+    assert (res.value, res.nodes_explored, res.proven_optimal) == (21, 2356, True)
+    res = fpts_exact(to_matrix(perm("132")), 7, 3)
+    assert (res.value, res.nodes_explored, res.proven_optimal) == (10, 1680, True)
 
 
 # -- the two models count the same permutations ----------------------------

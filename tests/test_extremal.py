@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permx import extremal
 from permx.core import (
     BinaryMatrix,
     Permutation,
     PermutationMatrix,
+    _row_states,
     matrix_avoids,
     matrix_occurrence_masks,
     parse_permutation,
@@ -36,6 +38,7 @@ from permx.extremal import (
     fpts_exact,
     gpts_exact,
 )
+from permx.limits import DEFAULT_NODE_BUDGET, MAX_ROW_CAP
 
 I2 = PermutationMatrix.identity(2)
 I3 = PermutationMatrix.identity(3)
@@ -530,6 +533,127 @@ def test_weight_submasks_match_sorted_filter():
         assert list(_weight_submasks(allowed, s)) == [
             m for m in subs if m.bit_count() == s], (allowed, s)
         assert list(_weight_submasks(allowed, 10**20)) == []
+
+
+class _Stop(Exception):
+    pass
+
+
+def per_row_fpts(P, t, s, n_cap, budget=DEFAULT_NODE_BUDGET):
+    """fpts_exact with the witness read back one row at a time: for each
+    row, follow reruns the candidates and the step, also for a row that
+    leaves the state unchanged and so wins again.  The reference walk of
+    the differential witness test."""
+    root, step = _row_states(P, t)
+
+    def candidates(state):
+        return _weight_submasks(((1 << t) - 1) & ~state[-1], s)
+
+    def follow(state, need):
+        out = []
+        while len(out) < need:
+            for m in candidates(state):
+                child = step(state, m)
+                if child == state or memo[child] >= need - len(out) - 1:
+                    break
+            out.append(m)
+            state = child
+        return out
+
+    memo = {}
+    stack, deepest, capped, nodes = [], [], None, 0
+
+    def longest(state):
+        nonlocal capped, deepest, nodes
+        value = 0
+        for m in candidates(state):
+            nodes += 1
+            if nodes > budget:
+                raise _Stop
+            child = step(state, m)
+            if child == state or len(stack) + 1 >= n_cap:
+                more = n_cap
+            else:
+                more = memo.get(child)
+            if more is None:
+                stack.append(m)
+                if len(stack) > len(deepest):
+                    deepest = list(stack)
+                more = longest(child)
+                stack.pop()
+            if len(stack) + 1 + more >= n_cap:
+                capped = stack + [m] + follow(child, n_cap - len(stack) - 1)
+                raise _Stop
+            value = max(value, 1 + more)
+        memo[state] = value
+        return value
+
+    try:
+        value = longest(root)
+    except _Stop:
+        if capped is not None:
+            return (n_cap, capped, nodes, False, True)
+        return (len(deepest), deepest, nodes, False, False)
+    return (value, follow(root, value), nodes, True, False)
+
+
+def fpts_fields(res):
+    return (res.value, list(res.witness.masks), res.nodes_explored,
+            res.proven_optimal, res.hit_row_cap)
+
+
+ALL_PATTERNS_TO_4 = [
+    "".join(map(str, p)) for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))
+]
+
+
+# per_row_fpts outcomes by (pattern masks, t, s, cap, budget); the
+# patterns of length <= 4 are closed under rotation, so each gpts case
+# reuses the walk of an fpts case
+PER_ROW = {}
+
+
+@pytest.mark.parametrize("text", ALL_PATTERNS_TO_4)
+def test_capped_witness_matches_per_row_walk(text):
+    # a repeating row's run is written in one step; value, witness, node
+    # count and flags are those of the walk that writes it row by row.
+    # gpts_exact is fpts_exact on the rotated pattern
+    P = pm(text)
+    for t in range(1, 8):
+        for s in range(1, t + 1):
+            for cap, budget in [(cap, DEFAULT_NODE_BUDGET) for cap in (1, 2, 3, 5, 9, 64)] + [
+                    (64, budget) for budget in (1, 7, 30)]:
+                for search, Q in ((fpts_exact, P), (gpts_exact, rotate90(P))):
+                    key = (Q.matrix.masks, t, s, cap, budget)
+                    if key not in PER_ROW:
+                        PER_ROW[key] = per_row_fpts(Q, t, s, cap, budget)
+                    assert fpts_fields(search(P, t, s, cap, budget)) == PER_ROW[key], (
+                        search.__name__, t, s, cap, budget)
+
+
+def test_capped_search_steps_once_per_state(monkeypatch):
+    # the row model's step runs for each distinct state the search and
+    # the witness visit, not once per row of the cap
+    calls = 0
+
+    def counting_row_states(P, width):
+        root, step = _row_states(P, width)
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        return root, counted
+
+    monkeypatch.setattr(extremal, "_row_states", counting_row_states)
+    counts = []
+    for cap in (64, MAX_ROW_CAP):
+        calls = 0
+        res = fpts_exact(pm("123"), 5, 2, cap)
+        assert (res.value, res.hit_row_cap, res.witness.rows) == (cap, True, cap)
+        counts.append(calls)
+    assert counts[0] == counts[1]
 
 
 class TestCheckLemma22:
