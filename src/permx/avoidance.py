@@ -178,7 +178,16 @@ def _sum_over_states(root, step, n, budget):
     choices that ``step`` accepts, each with the number of sequences
     reaching it; equal states are merged with their multiplicities one
     length at a time.  ``step(state, u, r)`` returns None to reject."""
+    for layer in _layers(root, step, n, budget):
+        pass
+    return layer
+
+
+def _layers(root, step, n, budget):
+    """The layers of :func:`_sum_over_states`: the states reached after
+    0, 1, ..., n gap choices, each with its multiplicity."""
     layer = {root: 1}
+    yield layer
     nodes = 0
     for r in range(n, 0, -1):
         following = {}
@@ -191,7 +200,17 @@ def _sum_over_states(root, step, n, budget):
                 if child is not None:
                     following[child] = following.get(child, 0) + mult
         layer = following
-    return layer
+        yield layer
+
+
+def _avoider_counts(pattern, n, budget):
+    """|Av_i(pattern)| for i = 0..n from one length-n sum.  After i gap
+    choices the multiplicities count the avoiding i-entry prefixes of
+    length-n permutations: i of the n values in an order whose pattern
+    avoids, C(n, i) |Av_i| of them."""
+    root, step = _perm_states(pattern.entries)
+    return [sum(layer.values()) // math.comb(n, i)
+            for i, layer in enumerate(_layers(root, step, n, budget))]
 
 
 def avoiders(
@@ -532,20 +551,18 @@ def merge_count_upper_check(
     binomial-sum right-hand sides (see :class:`MergeCountReport`).
 
     The count is a sum over merge states (see the module docstring), not
-    a test of each host.  ``budget`` caps the number of distinct
-    states expanded, by the count and by each avoider count of the
-    right-hand sides separately."""
+    a test of each host.  The avoider counts of each colour, for every
+    length up to n, come from one length-n sum (:func:`_avoider_counts`),
+    which expands the states of the length-n count.  ``budget`` caps
+    the number of distinct states expanded, by the count and by each
+    colour's sum separately."""
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise PreconditionViolated("merge patterns must be nonempty")
     _check_length(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT)
     root, step = _merge_states(_colour(red_pattern.entries), _colour(blue_pattern.entries))
     lhs = sum(_sum_over_states(root, step, n, budget).values())
-    red_counts = [
-        count_avoiders(red_pattern, i, budget=budget) for i in range(n + 1)
-    ]
-    blue_counts = [
-        count_avoiders(blue_pattern, i, budget=budget) for i in range(n + 1)
-    ]
+    red_counts = _avoider_counts(red_pattern, n, budget)
+    blue_counts = _avoider_counts(blue_pattern, n, budget)
     rhs = sum(
         math.comb(n, i) * red_counts[i] * blue_counts[n - i] for i in range(n + 1)
     )

@@ -25,6 +25,21 @@ The row model's step is memoised as core._memo_step describes, and
 its memo belongs to the model each search builds, so it lasts one
 search and is freed when the search returns.
 
+What a process keeps across searches is their result records: one
+table of at most 128 finished searches, keyed by pattern and sizes,
+the least recently used leaving first.  A call returns a kept record
+in place of a search only when the search would return an identical
+one.  A depth-first run that meets no stop condition depends neither
+on the node budget, once that is at least its node count, nor on a row
+cap above every row count it compares with the cap, and in a proven
+fpts_exact run those counts are host lengths, at most its value.  So a
+record is reused at any budget of at least its nodes_explored, a
+proven fpts_exact record at any n_cap above its value, and a capped one
+only at its own n_cap, where the same run stops at the same node.
+Budget-exhausted records, and records of more than DEFAULT_ROW_CAP
+witness rows, are not kept.  A reused record's nodes_explored counts
+the search that produced it, not work done by the call that returns it.
+
 A search node is one candidate row tried from one distinct state.
 Witnesses are read back from the memo as the first optimal host in
 candidate order, the one a depth-first search in that order finds first.
@@ -35,6 +50,7 @@ at once: a capped witness costs a step per distinct state, not per row.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -73,6 +89,31 @@ class _Stop(Exception):
     """Ends a search early: budget spent, or a host of n_cap rows found."""
 
 
+# finished searches, least recently used first: ("exfn", masks, n), and
+# ("fpts", masks, t, s) for a proven record or ("fpts", masks, t, s,
+# n_cap) for a capped one, masks being the pattern's row masks
+_finished: dict = {}
+
+
+def _recall(key, budget: int):
+    """The record kept under key, if the budget covers its search."""
+    res = _finished.get(key)
+    if res is None or res.nodes_explored > budget:
+        return None
+    _finished[key] = _finished.pop(key)
+    return res
+
+
+def _keep(key, res):
+    """Keep the record of a finished search, unless its witness is long,
+    and return it."""
+    if res.witness.rows <= DEFAULT_ROW_CAP:
+        _finished[key] = res
+        if len(_finished) > 128:
+            del _finished[next(iter(_finished))]
+    return res
+
+
 def _submasks(allowed: int):
     """Every submask of ``allowed``, in descending numeric order."""
     m = allowed
@@ -98,11 +139,16 @@ def exfn_exact(
     every allowed column.  Rows are tried in descending numeric order,
     every submask of the allowed columns down to the empty row.  Budget
     exhaustion returns the best host completed on the search stack,
-    flagged not proven.
+    flagged not proven.  A finished search is run once per process (see
+    the module docstring).
     """
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
     _refuse_wide_host(n)
+    key = ("exfn", P.matrix.masks, n)
+    kept = _recall(key, budget)
+    if kept is not None:
+        return kept
     root, step = _row_states(P, n)
     memo = {}  # (rows left, state) -> (most ones, first best row, state after it)
     stack: list[int] = []
@@ -141,7 +187,7 @@ def exfn_exact(
     for r in range(n, 0, -1):
         _, m, state = memo[(r, state)]
         host.append(m)
-    return ExtremalResult(value, BinaryMatrix(host, n), nodes, True)
+    return _keep(key, ExtremalResult(value, BinaryMatrix(host, n), nodes, True))
 
 
 def exfn_enumerate(P: PermutationMatrix, n: int) -> int:
@@ -191,7 +237,8 @@ def fpts_exact(
     hit_row_cap (the true value may be larger); budget exhaustion
     returns the deepest host on the search stack flagged not proven.
     The witness writes a run of such a state-preserving row at once, so
-    its cost does not grow with n_cap.
+    its cost does not grow with n_cap.  A finished search is run once
+    per process (see the module docstring).
     """
     if t < 1:
         raise PreconditionViolated(f"need t >= 1, got {t}")
@@ -204,6 +251,12 @@ def fpts_exact(
         raise PreconditionViolated(f"need n_cap >= 1, got {n_cap}")
     if n_cap > MAX_ROW_CAP:
         raise ResourceLimit(f"row cap {n_cap} exceeds the {MAX_ROW_CAP}-row limit")
+    key = ("fpts", P.matrix.masks, t, s)
+    kept = _recall(key, budget)
+    if kept is None or kept.value >= n_cap:
+        kept = _recall(key + (n_cap,), budget)
+    if kept is not None:
+        return kept
     root, step = _row_states(P, t)
 
     def candidates(state):
@@ -262,9 +315,10 @@ def fpts_exact(
         value = longest(root)
     except _Stop:
         if capped is not None:
-            return FptsResult(n_cap, BinaryMatrix(capped, t), nodes, False, True)
+            res = FptsResult(n_cap, BinaryMatrix(capped, t), nodes, False, True)
+            return _keep(key + (n_cap,), res)
         return FptsResult(len(deepest), BinaryMatrix(deepest, t), nodes, False, False)
-    return FptsResult(value, BinaryMatrix(follow(root, value), t), nodes, True, False)
+    return _keep(key, FptsResult(value, BinaryMatrix(follow(root, value), t), nodes, True, False))
 
 
 def gpts_exact(
@@ -363,6 +417,13 @@ def check_lemma21(
     )
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _blockable(P: PermutationMatrix, c: int) -> bool:
+    """Whether P decomposes into c blocks, decided once per (P, c);
+    typed, so a float c is refused as it is uncached."""
+    return count_block_decompositions(from_matrix(P), c) > 0
+
+
 class Lemma22Report(Record):
     """Exact row count versus one step of the sectioning recursion.
     f_sub_capped marks a sub-search that stopped at the row cap, so
@@ -418,7 +479,7 @@ def check_lemma22(
     from .bounds import _as_fraction, _lemma22_side  # only the certifiers need bounds
 
     k = P.k
-    if not count_block_decompositions(from_matrix(P), c):
+    if not _blockable(P, c):
         raise PreconditionViolated(f"pattern admits no {c}-block decomposition")
     # validates constants and the denominator before any search runs
     rhs_of = _lemma22_side(k, a, c, t, s, x, y, 0)

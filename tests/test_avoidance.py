@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from permx import avoidance
 from permx.avoidance import (
+    _avoider_counts,
     _colour,
     _jv_search,
     _merge_states,
@@ -35,6 +36,8 @@ from permx.core import (
     reverse,
 )
 from permx.errors import PreconditionViolated, ResourceLimit
+from permx.limits import DEFAULT_NODE_BUDGET
+from test_core import least_budget
 
 THREE_PATTERNS = ["123", "132", "213", "231", "312", "321"]
 
@@ -560,6 +563,32 @@ def test_merge_count_reports_pinned():
     assert report.holds and report.holds_refined
     report = merge_count_upper_check(perm("213"), perm("132"), 8)
     assert report.lhs == merge_count_upper_check(perm("132"), perm("213"), 8).lhs
+
+
+def test_avoider_counts_of_every_length_from_one_sum():
+    # after i steps of the length-n sum the multiplicities total
+    # C(n, i) |Av_i|, so one sum gives every count up to n
+    for text in ("1", "12", "1234", "2413", "12354"):
+        pattern = perm(text)
+        counts = [count_avoiders(pattern, i) for i in range(11)]
+        for n in range(11):
+            assert _avoider_counts(pattern, n, DEFAULT_NODE_BUDGET) == counts[:n + 1]
+
+
+def test_merge_right_sides_keep_the_least_budget():
+    # each colour's sum expands the states of its length-n count, the
+    # largest of the counts it replaces; here that count, not the merge
+    # count, sets the least budget: red's with blue 2143, blue's with 1423
+    red = [count_avoiders(perm("4321"), i) for i in range(7)]
+    assert least_budget(lambda b: count_avoiders(perm("4321"), 6, budget=b), 50) == red[6]
+    for text, blue_nodes, nodes in (("2143", 47, 50), ("1423", 68, 68)):
+        blue = [count_avoiders(perm(text), i) for i in range(7)]
+        assert least_budget(
+            lambda b: count_avoiders(perm(text), 6, budget=b), blue_nodes) == blue[6]
+        report = least_budget(
+            lambda b: merge_count_upper_check(perm("4321"), perm(text), 6, budget=b), nodes)
+        assert report.lhs == 720
+        assert report.rhs == sum(math.comb(6, i) * red[i] * blue[6 - i] for i in range(7))
 
 
 @pytest.mark.parametrize("run", [

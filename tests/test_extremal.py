@@ -21,6 +21,7 @@ from permx.core import (
     Permutation,
     PermutationMatrix,
     _row_states,
+    count_block_decompositions,
     matrix_avoids,
     matrix_occurrence_masks,
     parse_permutation,
@@ -38,7 +39,8 @@ from permx.extremal import (
     fpts_exact,
     gpts_exact,
 )
-from permx.limits import DEFAULT_NODE_BUDGET, MAX_ROW_CAP
+from permx.limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP
+from test_core import least_budget
 
 I2 = PermutationMatrix.identity(2)
 I3 = PermutationMatrix.identity(3)
@@ -177,7 +179,9 @@ class TestExfn:
 def test_row_state_memo_lasts_one_search():
     # the level memo lives in one search's row model, so a search leaves
     # nothing behind once it returns; the warm-up runs each pattern at a
-    # smaller size first, so the measured searches build levels it never saw
+    # smaller size first, so the measured searches build levels it never saw.
+    # Each search must run, so no earlier test's kept record may stand in
+    extremal._finished.clear()
     exfn_exact(pm("2413"), 4)
     fpts_exact(pm("123"), 5, 3)
     gc.collect()
@@ -633,7 +637,9 @@ def test_capped_witness_matches_per_row_walk(text):
 
 def test_capped_search_steps_once_per_state(monkeypatch):
     # the row model's step runs for each distinct state the search and
-    # the witness visit, not once per row of the cap
+    # the witness visit, not once per row of the cap.  Each search must
+    # run, so no earlier test's kept record may stand in
+    extremal._finished.clear()
     calls = 0
 
     def counting_row_states(P, width):
@@ -723,3 +729,121 @@ class TestCheckLemma22:
         assert set(data) >= {"lhs", "rhs", "pass", "nodes", "f_sub", "f_sub_capped"}
         assert "wall_ms" not in data
         assert data["rhs"] == "12"
+
+    def test_blockability_decided_once_per_pattern_and_c(self, monkeypatch):
+        counted = []
+
+        def counting(p, c):
+            counted.append((p, c))
+            return count_block_decompositions(p, c)
+
+        monkeypatch.setattr(extremal, "count_block_decompositions", counting)
+        extremal._blockable.cache_clear()
+        for _ in range(2):
+            check_lemma22(P12, 1, 2, 5, 5, 0.6, 0.5)
+            with pytest.raises(PreconditionViolated, match="admits no 2-block decomposition"):
+                check_lemma22(pm("2413"), 1, 2, 5, 5, 0.6, 0.5)
+        assert len(counted) == 2
+
+
+# -- finished searches kept per process --------------------------------------
+
+def fresh(search, *args):
+    # the record a search returns with no kept record to stand in for it
+    extremal._finished.clear()
+    return search(*args)
+
+
+def test_kept_records_equal_fresh_searches(monkeypatch):
+    # in two shuffled orders every call returns the record the same call
+    # returns on an empty table; caps straddle the kept values and budgets
+    # each search's node count.  Each pattern's calls are shuffled among
+    # themselves, so many find a kept record, and the table fills to its
+    # bound
+    expected = {}
+    for text in ("12", "123", "132", "2413"):
+        P = pm(text)
+        expected[text] = calls = {}
+        for t in range(1, 7):
+            runs = [(exfn_exact, P, t)] + [
+                (search, P, t, s, cap)
+                for s in range(1, t + 1) for cap in (1, 2, 3, 64)
+                for search in (fpts_exact, gpts_exact)]
+            for run in runs:
+                nodes = fresh(*run).nodes_explored
+                for budget in (nodes - 1, nodes, DEFAULT_NODE_BUDGET):
+                    calls[run + (budget,)] = fresh(*run, budget)
+    searches = 0
+
+    def counting_row_states(P, width):
+        nonlocal searches
+        searches += 1
+        return _row_states(P, width)
+
+    monkeypatch.setattr(extremal, "_row_states", counting_row_states)
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        extremal._finished.clear()
+        searches, largest, made = 0, 0, 0
+        for calls in expected.values():
+            order = list(calls)
+            rng.shuffle(order)
+            for call in order:
+                assert call[0](*call[1:]) == calls[call], call
+                largest = max(largest, len(extremal._finished))
+            made += len(order)
+        assert largest == 128
+        # a third of the calls run out of budget, which no kept record
+        # answers; more calls than that find one
+        assert made - searches > made // 3
+
+
+def test_budget_below_a_kept_search_runs_out_as_a_fresh_one():
+    # one node fewer than the kept searches took still runs out: the
+    # first least_budget call keeps both records, the second finds them
+    P, args = pm("123"), (1, 2, 8, 5, 0.6, 0.3)
+    extremal._finished.clear()
+    for _ in range(2):
+        assert least_budget(lambda b: check_lemma22(P, *args, budget=b), 346).holds
+    for _ in range(2):
+        rep = least_budget(lambda b: check_lemma21(P, 1, 5, 4, hypothesis_n=3, budget=b), 56)
+        assert rep.holds
+    res = fpts_exact(P, 8, 5)
+    assert fpts_exact(P, 8, 5, budget=res.nodes_explored) is res
+    assert fpts_exact(P, 8, 5, budget=res.nodes_explored - 1) == fresh(
+        fpts_exact, P, 8, 5, 64, res.nodes_explored - 1)
+
+
+def test_cap_at_or_below_a_kept_value_searches_afresh():
+    P = pm("123")
+    at_caps = {cap: fresh(fpts_exact, P, 6, 3, cap) for cap in range(1, 10)}
+    extremal._finished.clear()
+    proven = fpts_exact(P, 6, 3)
+    assert proven.proven_optimal and proven.value == 8
+    for cap, res in at_caps.items():
+        assert fpts_exact(P, 6, 3, cap) == res
+        assert res.hit_row_cap == (cap <= 8)
+        assert (fpts_exact(P, 6, 3, cap) is proven) == (cap > 8)
+    # every argument check runs before the lookup
+    with pytest.raises(ResourceLimit, match="row cap"):
+        fpts_exact(P, 6, 3, MAX_ROW_CAP + 1)
+    with pytest.raises(PreconditionViolated, match="n_cap"):
+        fpts_exact(P, 6, 3, 0)
+
+
+def test_capped_record_is_reused_only_at_its_cap():
+    # s = 2 < k = 3: a two-column row repeats forever, so every cap is hit
+    P = pm("123")
+    extremal._finished.clear()
+    at5 = fpts_exact(P, 5, 2, 5)
+    assert (at5.value, at5.hit_row_cap) == (5, True)
+    assert fpts_exact(P, 5, 2, 5) is at5
+    at6 = fpts_exact(P, 5, 2, 6)
+    assert (at6.value, at6.hit_row_cap) == (6, True)
+    assert fpts_exact(P, 5, 2, 6) is at6 and fpts_exact(P, 5, 2, 5) is at5
+    # a witness of more than DEFAULT_ROW_CAP rows is not kept
+    kept = len(extremal._finished)
+    long = fpts_exact(P, 5, 2, DEFAULT_ROW_CAP + 1)
+    assert long.witness.rows == DEFAULT_ROW_CAP + 1
+    assert len(extremal._finished) == kept
+    assert fpts_exact(P, 5, 2, DEFAULT_ROW_CAP + 1) is not long
