@@ -41,7 +41,10 @@ Four exact reductions keep the state sets small:
 
 The step itself is :func:`core._perm_states`, memoised as
 :func:`core._memo_step` describes.  A counting node is one distinct
-state expanded.  Enumeration (:func:`avoiders`) stays a
+state expanded.  After i gap choices of a length-n sum the
+multiplicities total C(n, i) |Av_i|, so one sum gives every count up
+to n: the growth estimates and the merge right sides take one sum per
+pattern.  Enumeration (:func:`avoiders`) stays a
 plain prefix-pruned backtracker, so the two check each other: it drops
 an entry when :func:`core.completes_at_end`, the core containment
 search pinned to the new entry, finds an occurrence ending there.
@@ -58,9 +61,8 @@ is no more constrained in both colours (each of its partial occurrences
 is one of the first pair's or dominated by one, and its forbidden-gap
 mask is included in the first pair's), since every colouring
 of the rest that works from the first works from the other too.  The
-step memoises each pair's children for one layer at a time.  The count
-sums multiplicities over distinct pair sets, one length at a time.  The
-JV inclusion check runs the same
+count sums multiplicities over distinct pair sets, one length at a time.
+The JV inclusion check runs the same
 layered sum over the product of the three-part sum's avoider state and
 the merge state of the two-part sums, and fails iff some avoider is
 left with an empty pair set; only then does a descent that re-sums from
@@ -68,6 +70,13 @@ each child in gap order find the first failing avoider.  Single hosts
 (:func:`merge_coloring`) are 2-coloured by a backtracker that prunes a
 branch the moment either colour class contains its forbidden pattern,
 found by the same pinned search on the entry just coloured.
+
+Every memo the merge and JV models keep is a :class:`_Lazy` table, so a
+hit is one subscript: each colour's step and the JV host's and merge
+steps over interned states, each colour's dominance lookups, and the
+merge step's pair children, kept for one layer at a time.  A merge
+count's right sides sum over each colour's own step table, reusing the
+steps its merge sum took.
 """
 
 from __future__ import annotations
@@ -203,12 +212,12 @@ def _layers(root, step, n, budget):
         yield layer
 
 
-def _avoider_counts(pattern, n, budget):
-    """|Av_i(pattern)| for i = 0..n from one length-n sum.  After i gap
-    choices the multiplicities count the avoiding i-entry prefixes of
-    length-n permutations: i of the n values in an order whose pattern
-    avoids, C(n, i) |Av_i| of them."""
-    root, step = _perm_states(pattern.entries)
+def _avoider_counts(root, step, n, budget):
+    """|Av_i| for i = 0..n from one length-n sum over the avoider model
+    ``(root, step)`` of a pattern.  After i gap choices the
+    multiplicities count the avoiding i-entry prefixes of length-n
+    permutations: i of the n values in an order whose pattern avoids,
+    C(n, i) |Av_i| of them."""
     return [sum(layer.values()) // math.comb(n, i)
             for i, layer in enumerate(_layers(root, step, n, budget))]
 
@@ -257,16 +266,17 @@ def sw_estimate_sequence(
     *,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SwEstimate]:
-    """Exact counts with count**(1/n) growth estimates for n = 1..n_max."""
+    """Exact counts with count**(1/n) growth estimates for n = 1..n_max,
+    every count from one length-n_max sum (:func:`_avoider_counts`),
+    which expands the states of :func:`count_avoiders` at n_max."""
     if n_max < 1:
         raise PreconditionViolated(f"need n_max >= 1, got {n_max}")
     _check_length(n_max, DEFAULT_COUNT_LENGTH_LIMIT)
-    out = []
-    for n in range(1, n_max + 1):
-        count = count_avoiders(pattern, n, budget=budget)
-        value = float(count) ** (1.0 / n) if count > 0 else 0.0
-        out.append(SwEstimate(n, count, value))
-    return out
+    if pattern.n == 0:
+        raise PreconditionViolated("avoidance is defined for nonempty patterns")
+    counts = _avoider_counts(*_perm_states(pattern.entries), n_max, budget)
+    return [SwEstimate(n, count, float(count) ** (1.0 / n) if count > 0 else 0.0)
+            for n, count in enumerate(counts[1:], 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,24 +343,22 @@ def merge_member(
 
 
 def _interned(root, step):
-    """``(states, step)`` with the states of a ``(root, step)`` model
-    numbered as they are met (the root is 0) and the step memoised over
-    those numbers; None stays None."""
-    states, ids, steps = [root], {root: 0}, {}
+    """``(states, steps)`` with the states of a ``(root, step)`` model
+    numbered as they are met (the root is 0) and ``steps[i, *args]`` the
+    number of ``step(states[i], *args)``, a :class:`_Lazy` table; None
+    stays None."""
+    states, ids = [root], {root: 0}
 
-    def id_step(i, *args):
-        key = (i, *args)
-        if key not in steps:
-            child = step(states[i], *args)
-            if child is not None:
-                if child not in ids:
-                    ids[child] = len(states)
-                    states.append(child)
-                child = ids[child]
-            steps[key] = child
-        return steps[key]
+    def fill(key):
+        child = step(states[key[0]], *key[1:])
+        if child is None:
+            return None
+        if child not in ids:
+            ids[child] = len(states)
+            states.append(child)
+        return ids[child]
 
-    return states, id_step
+    return states, _Lazy(fill)
 
 
 class _Lazy(dict):
@@ -369,9 +377,9 @@ class _Lazy(dict):
 
 
 def _colour(pvals):
-    """One colour of a merge as ``(states, step, covered, weaker)`` over
-    interned prefix states: one colour's state recurs across many pairs
-    and pair sets.
+    """One colour of a merge as ``(states, steps, covered, weaker)``
+    over interned prefix states (:func:`_interned`): one colour's state
+    recurs across many pairs and pair sets.
 
     ``covered(q, p)`` asks whether state q is no more constrained than
     state p: each partial occurrence of q, at each prefix length below
@@ -380,7 +388,7 @@ def _colour(pvals):
     avoids the pattern from p avoids it from q too.  ``weaker[i, j]`` is
     ``covered`` on the interned states i and j, computed at the first
     lookup; the merge step looks up only i != j."""
-    states, step = _interned(*_perm_states(pvals))
+    states, steps = _interned(*_perm_states(pvals))
     bounds = [(lows, ups) for _, _, _, lows, ups in _occurrence_plan(pvals)]
     last = len(pvals) - 1
 
@@ -390,7 +398,7 @@ def _colour(pvals):
         return all(_dominated(t, p[j], *bounds[j - 1])
                    for j in range(1, last) for t in q[j] - p[j])
 
-    return states, step, covered, _Lazy(lambda ij: covered(states[ij[0]], states[ij[1]]))
+    return states, steps, covered, _Lazy(lambda ij: covered(states[ij[0]], states[ij[1]]))
 
 
 def _merge_states(red, blue):
@@ -407,23 +415,24 @@ def _merge_states(red, blue):
     the reduced set is canonical.  Returns None when no pair is left.
 
     Pairs recur across the pair sets of one layer, so the step memoises
-    each pair's children on (pair, u).  The children depend on r, which
-    is not in the key; the memo is cleared whenever r changes, so it
-    holds one layer at most."""
-    _, red_step, _, red_weaker = red
-    _, blue_step, _, blue_weaker = blue
-    kids, layer = {}, None
+    each pair's children on (pair, u) in a :class:`_Lazy` table.  The
+    children depend on r, which is not in the key; the table is cleared
+    whenever r changes, so it holds one layer at most."""
+    _, red_steps, _, red_weaker = red
+    _, blue_steps, _, blue_weaker = blue
 
-    def children_of(pair, u, r):
-        rs, bs = pair
+    def children_of(key):
+        (rs, bs), u = key
         out = []
-        child = red_step(rs, u, r, True)
+        child = red_steps[rs, u, layer, True]
         if child is not None:
-            out.append((child, blue_step(bs, u, r, False)))
-        child = blue_step(bs, u, r, True)
+            out.append((child, blue_steps[bs, u, layer, False]))
+        child = blue_steps[bs, u, layer, True]
         if child is not None:
-            out.append((red_step(rs, u, r, False), child))
+            out.append((red_steps[rs, u, layer, False], child))
         return out
+
+    kids, layer = _Lazy(children_of), None
 
     def undominated(children):
         # a pair sharing a colour's state with another needs no lookup there
@@ -446,11 +455,7 @@ def _merge_states(red, blue):
             layer = r
         children = set()
         for pair in pairs:
-            key = (pair, u)
-            out = kids.get(key)
-            if out is None:
-                out = kids[key] = children_of(pair, u, r)
-            children.update(out)
+            children.update(kids[pair, u])
         if not children:
             return None
         return undominated(children)
@@ -470,15 +475,15 @@ def _jv_search(hvals, rvals, bvals, n, budget):
     found by a descent that re-sums from each child in gap order (gap
     order is value order).  The re-sums expand only states the first sum
     expanded, so a node is one distinct product state expanded."""
-    _, host_step = _interned(*_perm_states(hvals))
-    _, merge_step = _interned(*_merge_states(_colour(rvals), _colour(bvals)))
+    _, host_steps = _interned(*_perm_states(hvals))
+    _, merge_steps = _interned(*_merge_states(_colour(rvals), _colour(bvals)))
 
     def step(state, u, r):
         host, pairs = state
-        child = host_step(host, u, r, True)
+        child = host_steps[host, u, r, True]
         if child is None:
             return None
-        return child, None if pairs is None else merge_step(pairs, u, r)
+        return child, None if pairs is None else merge_steps[pairs, u, r]
 
     def fails(layer):
         return any(pairs is None for _, pairs in layer)
@@ -552,17 +557,22 @@ def merge_count_upper_check(
 
     The count is a sum over merge states (see the module docstring), not
     a test of each host.  The avoider counts of each colour, for every
-    length up to n, come from one length-n sum (:func:`_avoider_counts`),
-    which expands the states of the length-n count.  ``budget`` caps
-    the number of distinct states expanded, by the count and by each
-    colour's sum separately."""
+    length up to n, come from one length-n sum (:func:`_avoider_counts`)
+    over that colour's own step table, which expands the states of the
+    length-n count and reuses the steps the merge sum took.  ``budget``
+    caps the number of distinct states expanded, by the count and by
+    each colour's sum separately."""
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise PreconditionViolated("merge patterns must be nonempty")
     _check_length(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT)
-    root, step = _merge_states(_colour(red_pattern.entries), _colour(blue_pattern.entries))
-    lhs = sum(_sum_over_states(root, step, n, budget).values())
-    red_counts = _avoider_counts(red_pattern, n, budget)
-    blue_counts = _avoider_counts(blue_pattern, n, budget)
+    red, blue = _colour(red_pattern.entries), _colour(blue_pattern.entries)
+    lhs = sum(_sum_over_states(*_merge_states(red, blue), n, budget).values())
+
+    def counts(colour):
+        steps = colour[1]
+        return _avoider_counts(0, lambda i, u, r: steps[i, u, r, True], n, budget)
+
+    red_counts, blue_counts = counts(red), counts(blue)
     rhs = sum(
         math.comb(n, i) * red_counts[i] * blue_counts[n - i] for i in range(n + 1)
     )

@@ -104,6 +104,15 @@ def _is_integral(a) -> bool:
     return isinstance(a, int) or (isinstance(a, float) and a.is_integer())
 
 
+def _check_block_count(c) -> None:
+    """Refuse a block count that is not an int of at least 2; unlike
+    :func:`theorem24_alpha`, these callers take no integral float."""
+    if not isinstance(c, int):
+        raise PreconditionViolated(f"block count c must be an integer, got {c}")
+    if c < 2:
+        raise PreconditionViolated(f"need c >= 2, got {c}")
+
+
 def _binom_digits(n: int, k: int) -> float:
     """Upper bound on the decimal digits of binom(n, k), from
     binom(n, k) <= (e*n/k)^k; cheap enough to check before math.comb."""
@@ -161,8 +170,7 @@ def _lemma22_side(k, a, c, t, s, x, y, f_sub):
     once every constant and f_sub are validated.  It is affine in f_sub,
     binom(c, floor(xc)) * f_sub plus its value at 0, so one validation
     serves every f_sub."""
-    if c < 2:
-        raise PreconditionViolated(f"need c >= 2, got {c}")
+    _check_block_count(c)
     if not 1 <= s <= t:
         raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
     if f_sub < 0:
@@ -251,8 +259,7 @@ class BoundParams(Record):
             raise PreconditionViolated(f"need finite k, got {k}")
         if k < 2:
             raise PreconditionViolated(f"need k >= 2, got {k}")
-        if c < 2:
-            raise PreconditionViolated(f"need c >= 2, got {c}")
+        _check_block_count(c)
         if not 0 < a < math.inf:
             raise PreconditionViolated(f"need finite a > 0, got {a}")
         super().__init__(k, a, c)

@@ -850,11 +850,17 @@ def _block_counts(entries, c: int) -> tuple[int, list[bytes], list[bytes]]:
     return ways[0], starts, suffix_cuts
 
 
+def _check_block_count(c, n):
+    if not isinstance(c, int):
+        raise PreconditionViolated(f"block count c must be an integer, got {c}")
+    if not 1 <= c <= n:
+        raise PreconditionViolated(f"need 1 <= c <= {n}, got {c}")
+
+
 def count_block_decompositions(p: Permutation, c: int) -> int:
     """The number of decompositions :func:`blockable_decompositions`
     would return, counted without building them."""
-    if not 1 <= c <= p.n:
-        raise PreconditionViolated(f"need 1 <= c <= {p.n}, got {c}")
+    _check_block_count(c, p.n)
     return _block_counts(p.entries, c)[0]
 
 
@@ -869,8 +875,7 @@ def blockable_decompositions(p: Permutation, c: int) -> list[BlockDecomposition]
     returned decomposition round-trips through :func:`inflate`.
     """
     n = p.n
-    if not 1 <= c <= n:
-        raise PreconditionViolated(f"need 1 <= c <= {n}, got {c}")
+    _check_block_count(c, n)
     entries = p.entries
     total, starts, suffix_cuts = _block_counts(entries, c)
     if total > MAX_DECOMPOSITIONS:

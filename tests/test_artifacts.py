@@ -227,6 +227,9 @@ class C:
         assert proc.returncode == 0, proc.stderr
         rows = [line.split() for line in proc.stdout.splitlines()]
         assert rows[-1][1] == "total"
-        modules = {name: int(count) for count, name in rows[:-1]}
-        assert "permx/avoidance.py" in modules and all(modules.values())
-        assert int(rows[-1][0]) == sum(modules.values())
+        src = REPO / "src"
+        assert [name for _, name in rows[:-1]] == sorted(
+            path.relative_to(src).as_posix() for path in (src / "permx").rglob("*.py"))
+        counts = [int(count) for count, _ in rows[:-1]]
+        assert all(counts)
+        assert int(rows[-1][0]) == sum(counts)

@@ -17,6 +17,7 @@ from permx.avoidance import (
     _colour,
     _jv_search,
     _merge_states,
+    _perm_states,
     avoiders,
     count_avoiders,
     merge_coloring,
@@ -270,9 +271,57 @@ def test_sw_estimate_checks_length_before_counting(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("counted before checking the length limit")
 
-    monkeypatch.setattr(avoidance, "count_avoiders", refuse)
+    monkeypatch.setattr(avoidance, "_perm_states", refuse)
     with pytest.raises(ResourceLimit):
         sw_estimate_sequence(perm("2413"), 15)
+
+
+def test_sw_estimate_refusals_keep_their_order():
+    # n_max < 1, then the length limit, then the empty pattern
+    with pytest.raises(PreconditionViolated, match="n_max"):
+        sw_estimate_sequence(Permutation(()), 0)
+    with pytest.raises(ResourceLimit):
+        sw_estimate_sequence(Permutation(()), 15)
+    with pytest.raises(PreconditionViolated, match="nonempty"):
+        sw_estimate_sequence(Permutation(()), 3)
+
+
+def counting_models(monkeypatch):
+    # the number of permutation models built, one per _perm_states call
+    calls = []
+
+    def model(pvals):
+        calls.append(pvals)
+        return _perm_states(pvals)
+
+    monkeypatch.setattr(avoidance, "_perm_states", model)
+    return calls
+
+
+def test_sw_estimate_builds_one_model(monkeypatch):
+    want = [count_avoiders(perm("1342"), n) for n in range(1, 9)]
+    calls = counting_models(monkeypatch)
+    assert [e.count for e in sw_estimate_sequence(perm("1342"), 8)] == want
+    assert calls == [(1, 3, 4, 2)]
+
+
+def test_merge_count_builds_one_model_per_colour(monkeypatch):
+    # the right sides sum over the colours' own step tables
+    calls = counting_models(monkeypatch)
+    report = merge_count_upper_check(perm("123"), perm("132"), 8)
+    assert (report.lhs, report.rhs, report.rhs_refined) == (40245, 61748, 2749244)
+    assert calls == [(1, 2, 3), (1, 3, 2)]
+
+
+@pytest.mark.parametrize("text, n, nodes", [
+    ("1", 6, 1), ("12", 7, 28), ("123", 9, 128), ("1342", 9, 738),
+    ("2413", 9, 867), ("12354", 8, 197), ("4321", 8, 156),
+])
+def test_sw_estimate_keeps_the_least_budget_of_its_longest_count(text, n, nodes):
+    pattern = perm(text)
+    count = least_budget(lambda b: count_avoiders(pattern, n, budget=b), nodes)
+    seq = least_budget(lambda b: sw_estimate_sequence(pattern, n, budget=b), nodes)
+    assert seq[-1].count == count
 
 
 @given(permutations_upto(3, min_n=2), st.integers(1, 6))
@@ -572,7 +621,8 @@ def test_avoider_counts_of_every_length_from_one_sum():
         pattern = perm(text)
         counts = [count_avoiders(pattern, i) for i in range(11)]
         for n in range(11):
-            assert _avoider_counts(pattern, n, DEFAULT_NODE_BUDGET) == counts[:n + 1]
+            assert _avoider_counts(
+                *_perm_states(pattern.entries), n, DEFAULT_NODE_BUDGET) == counts[:n + 1]
 
 
 def test_merge_right_sides_keep_the_least_budget():
@@ -646,12 +696,12 @@ def oracle_merge_step(red, blue, pairs, u, r):
     (red_states, red_step, red_covered, _), (blue_states, blue_step, blue_covered, _) = red, blue
     children = set()
     for rs, bs in pairs:
-        child = red_step(rs, u, r, True)
+        child = red_step[rs, u, r, True]
         if child is not None:
-            children.add((child, blue_step(bs, u, r, False)))
-        child = blue_step(bs, u, r, True)
+            children.add((child, blue_step[bs, u, r, False]))
+        child = blue_step[bs, u, r, True]
         if child is not None:
-            children.add((red_step(rs, u, r, False), child))
+            children.add((red_step[rs, u, r, False], child))
     kept = frozenset(
         p for p in children
         if not any(q != p and red_covered(red_states[q[0]], red_states[p[0]])

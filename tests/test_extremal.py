@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permx import extremal
+from permx.bounds import BoundParams, lemma22_rhs, theorem24_alpha
 from permx.core import (
     BinaryMatrix,
     Permutation,
     PermutationMatrix,
     _row_states,
+    blockable_decompositions,
     count_block_decompositions,
     matrix_avoids,
     matrix_occurrence_masks,
@@ -660,6 +662,24 @@ def test_capped_search_steps_once_per_state(monkeypatch):
         assert (res.value, res.hit_row_cap, res.witness.rows) == (cap, True, cap)
         counts.append(calls)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("c", [2.0, 2.5])
+@pytest.mark.parametrize("run", [
+    lambda c: count_block_decompositions(parse_permutation("2143"), c),
+    lambda c: blockable_decompositions(parse_permutation("2143"), c),
+    lambda c: check_lemma22(pm("123"), 1, c, 8, 5, 0.6, 0.3),
+    lambda c: lemma22_rhs(3, 1, c, 9, 9, 0.75, 0.3, 0),
+    lambda c: BoundParams(10**6, 1, c),
+], ids=["count-blocks", "blockable", "lemma22", "lemma22-rhs", "bound-params"])
+def test_non_integer_block_count_is_refused(run, c):
+    # refused before any work, where it once ended in a TypeError
+    with pytest.raises(PreconditionViolated, match="block count c must be an integer"):
+        run(c)
+
+
+def test_alpha_keeps_integral_float_block_counts():
+    assert theorem24_alpha(1, 2.0) == theorem24_alpha(1, 2)
 
 
 class TestCheckLemma22:
