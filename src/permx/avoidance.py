@@ -39,8 +39,10 @@ Four exact reductions keep the state sets small:
   occurrence the new entry completes to length k - 1; a completing
   entry is one bit test.
 
-The step itself is :func:`core._perm_states`, memoised as
-:func:`core._memo_step` describes.  A counting node is one distinct
+The expansion itself is :func:`core._perm_states`: a state is expanded
+once over all its gaps, each of its levels looked up once in a memo of
+per-gap rows, and each prefix's reduction is built once per occurrence
+plan entry for its dominance shape.  A counting node is one distinct
 state expanded.  After i gap choices of a length-n sum the
 multiplicities total C(n, i) |Av_i|, so one sum gives every count up
 to n: the growth estimates and the merge right sides take one sum per
@@ -71,12 +73,14 @@ each child in gap order find the first failing avoider.  Single hosts
 branch the moment either colour class contains its forbidden pattern,
 found by the same pinned search on the entry just coloured.
 
-Every memo the merge and JV models keep is a :class:`_Lazy` table, so a
-hit is one subscript: each colour's step and the JV host's and merge
-steps over interned states, each colour's dominance lookups, and the
-merge step's pair children, kept for one layer at a time.  A merge
-count's right sides sum over each colour's own step table, reusing the
-steps its merge sum took.
+Every model feeds the layered sum the same way, by expanding a state
+over all its gaps at once.  Every memo the merge and JV models keep is
+a :class:`_Lazy` table, so a hit is one subscript: each colour's and
+the JV host's and merge expansions over interned states, each colour's
+dominance lookups, and the merge expansion's pair children, kept for
+one layer at a time.  A merge count's right sides sum over each
+colour's own expansion table, reusing the expansions its merge sum
+took.
 """
 
 from __future__ import annotations
@@ -170,29 +174,37 @@ def count_avoiders(
     states expanded, a count that depends only on the pattern and n."""
     if pattern.n == 0:
         raise PreconditionViolated("avoidance is defined for nonempty patterns")
-    _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
-    root, step = _perm_states(pattern.entries)
-    return sum(_sum_over_states(root, step, n, budget).values())
+    _check_arguments(n, DEFAULT_COUNT_LENGTH_LIMIT, budget)
+    root, expand = _perm_states(pattern.entries)
+    return sum(_sum_over_states(root, expand, n, budget).values())
 
 
-def _check_length(n, limit):
-    if n < 0:
-        raise PreconditionViolated(f"need n >= 0, got {n}")
+def _check_arguments(n, limit, budget, least=0, name="n"):
+    """Refuse a length n that is not an int (a bool is not one), below
+    ``least`` or above ``limit``, and a node budget that is not a
+    positive int, before any work."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise PreconditionViolated(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise PreconditionViolated(f"need {name} >= {least}, got {n}")
     if n > limit:
         raise ResourceLimit(f"n={n} exceeds the configured limit {limit}")
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        raise PreconditionViolated(f"budget must be a positive integer, got {budget!r}")
 
 
-def _sum_over_states(root, step, n, budget):
+def _sum_over_states(root, expand, n, budget):
     """The states reached from ``root`` by length-n sequences of gap
-    choices that ``step`` accepts, each with the number of sequences
+    choices that leave a child, each with the number of sequences
     reaching it; equal states are merged with their multiplicities one
-    length at a time.  ``step(state, u, r)`` returns None to reject."""
-    for layer in _layers(root, step, n, budget):
+    length at a time.  ``expand(state, r)`` yields ``(u, child)`` for
+    each gap u of the r that leaves one."""
+    for layer in _layers(root, expand, n, budget):
         pass
     return layer
 
 
-def _layers(root, step, n, budget):
+def _layers(root, expand, n, budget):
     """The layers of :func:`_sum_over_states`: the states reached after
     0, 1, ..., n gap choices, each with its multiplicity."""
     layer = {root: 1}
@@ -200,26 +212,25 @@ def _layers(root, step, n, budget):
     nodes = 0
     for r in range(n, 0, -1):
         following = {}
+        count = following.get
         for state, mult in layer.items():
             nodes += 1
             if nodes > budget:
                 raise ResourceLimit(f"node budget {budget} exhausted")
-            for u in range(r):
-                child = step(state, u, r)
-                if child is not None:
-                    following[child] = following.get(child, 0) + mult
+            for _, child in expand(state, r):
+                following[child] = count(child, 0) + mult
         layer = following
         yield layer
 
 
-def _avoider_counts(root, step, n, budget):
+def _avoider_counts(root, expand, n, budget):
     """|Av_i| for i = 0..n from one length-n sum over the avoider model
-    ``(root, step)`` of a pattern.  After i gap choices the
+    ``(root, expand)`` of a pattern.  After i gap choices the
     multiplicities count the avoiding i-entry prefixes of length-n
     permutations: i of the n values in an order whose pattern avoids,
     C(n, i) |Av_i| of them."""
     return [sum(layer.values()) // math.comb(n, i)
-            for i, layer in enumerate(_layers(root, step, n, budget))]
+            for i, layer in enumerate(_layers(root, expand, n, budget))]
 
 
 def avoiders(
@@ -232,7 +243,7 @@ def avoiders(
     lexicographic order."""
     if pattern.n == 0:
         raise PreconditionViolated("avoidance is defined for nonempty patterns")
-    _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
+    _check_arguments(n, DEFAULT_COUNT_LENGTH_LIMIT, budget)
     pvals = pattern.entries
     used = bytearray(n + 1)
     prefix = []
@@ -269,9 +280,7 @@ def sw_estimate_sequence(
     """Exact counts with count**(1/n) growth estimates for n = 1..n_max,
     every count from one length-n_max sum (:func:`_avoider_counts`),
     which expands the states of :func:`count_avoiders` at n_max."""
-    if n_max < 1:
-        raise PreconditionViolated(f"need n_max >= 1, got {n_max}")
-    _check_length(n_max, DEFAULT_COUNT_LENGTH_LIMIT)
+    _check_arguments(n_max, DEFAULT_COUNT_LENGTH_LIMIT, budget, least=1, name="n_max")
     if pattern.n == 0:
         raise PreconditionViolated("avoidance is defined for nonempty patterns")
     counts = _avoider_counts(*_perm_states(pattern.entries), n_max, budget)
@@ -296,7 +305,7 @@ def merge_coloring(
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise PreconditionViolated("merge patterns must be nonempty")
     n = host.n
-    _check_length(n, DEFAULT_COUNT_LENGTH_LIMIT)
+    _check_arguments(n, DEFAULT_COUNT_LENGTH_LIMIT, budget)
     hvals = host.entries
     rvals, bvals = red_pattern.entries, blue_pattern.entries
     red, blue = [], []
@@ -342,21 +351,22 @@ def merge_member(
     return merge_coloring(host, red_pattern, blue_pattern, budget=budget) is not None
 
 
-def _interned(root, step):
-    """``(states, steps)`` with the states of a ``(root, step)`` model
+def _interned(root, expand):
+    """``(states, steps)`` with the states of a ``(root, expand)`` model
     numbered as they are met (the root is 0) and ``steps[i, *args]`` the
-    number of ``step(states[i], *args)``, a :class:`_Lazy` table; None
-    stays None."""
+    expansion ``expand(states[i], *args)`` as a dict from each gap that
+    leaves a child to the child's number, a :class:`_Lazy` table."""
     states, ids = [root], {root: 0}
 
     def fill(key):
-        child = step(states[key[0]], *key[1:])
-        if child is None:
-            return None
-        if child not in ids:
-            ids[child] = len(states)
-            states.append(child)
-        return ids[child]
+        row = {}
+        for u, child in expand(states[key[0]], *key[1:]):
+            i = ids.get(child)
+            if i is None:
+                i = ids[child] = len(states)
+                states.append(child)
+            row[u] = i
+        return row
 
     return states, _Lazy(fill)
 
@@ -387,9 +397,9 @@ def _colour(pvals):
     at level k - 1 is included in p's.  Then every continuation that
     avoids the pattern from p avoids it from q too.  ``weaker[i, j]`` is
     ``covered`` on the interned states i and j, computed at the first
-    lookup; the merge step looks up only i != j."""
+    lookup; the merge expansion looks up only i != j."""
     states, steps = _interned(*_perm_states(pvals))
-    bounds = [(lows, ups) for _, _, _, lows, ups in _occurrence_plan(pvals)]
+    bounds = [(lows, ups) for _, _, _, lows, ups, _ in _occurrence_plan(pvals)]
     last = len(pvals) - 1
 
     def covered(q, p):
@@ -403,33 +413,35 @@ def _colour(pvals):
 
 def _merge_states(red, blue):
     """The prefix-state model of merges of two colours built by
-    :func:`_colour`, as ``(root, step)``.
+    :func:`_colour`, as ``(root, expand)``.
 
     A state is the set of (red state, blue state) pairs of the colourings
     of the prefix still alive, both in gap coordinates of the one shared
-    set of unused values.  ``step(pairs, u, r)`` sends each pair to a red
-    child, where the new entry joins red and only shifts blue's gaps, and
-    a blue child, dropping a child whose joining colour completes its
-    pattern.  A pair is dropped when another pair of the set is no more
+    set of unused values.  At gap u each pair goes to a red child, where
+    the new entry joins red and only shifts blue's gaps, and a blue
+    child, dropping a child whose joining colour completes its pattern.
+    A pair is dropped when another pair of the set is no more
     constrained in both colours; equally constrained pairs are equal, so
-    the reduced set is canonical.  Returns None when no pair is left.
+    the reduced set is canonical.  ``expand(pairs, r)`` yields ``(u,
+    children)`` for each gap u that leaves a pair.
 
-    Pairs recur across the pair sets of one layer, so the step memoises
-    each pair's children on (pair, u) in a :class:`_Lazy` table.  The
-    children depend on r, which is not in the key; the table is cleared
-    whenever r changes, so it holds one layer at most."""
+    Pairs recur across the pair sets of one layer, so the expansion
+    memoises each pair's children at every gap, read from the colours'
+    expansions, in a :class:`_Lazy` table.  The children depend on r,
+    which is not in the key; the table is cleared whenever r changes, so
+    it holds one layer at most."""
     _, red_steps, _, red_weaker = red
     _, blue_steps, _, blue_weaker = blue
 
-    def children_of(key):
-        (rs, bs), u = key
-        out = []
-        child = red_steps[rs, u, layer, True]
-        if child is not None:
-            out.append((child, blue_steps[bs, u, layer, False]))
-        child = blue_steps[bs, u, layer, True]
-        if child is not None:
-            out.append((red_steps[rs, u, layer, False], child))
+    def children_of(pair):
+        rs, bs = pair
+        out = [[] for _ in range(layer)]
+        shifted = blue_steps[bs, layer, False]
+        for u, child in red_steps[rs, layer, True].items():
+            out[u].append((child, shifted[u]))
+        shifted = red_steps[rs, layer, False]
+        for u, child in blue_steps[bs, layer, True].items():
+            out[u].append((shifted[u], child))
         return out
 
     kids, layer = _Lazy(children_of), None
@@ -448,19 +460,20 @@ def _merge_states(red, blue):
                 out.append(p)
         return frozenset(out)
 
-    def step(pairs, u, r):
+    def expand(pairs, r):
         nonlocal layer
         if r != layer:
             kids.clear()
             layer = r
-        children = set()
-        for pair in pairs:
-            children.update(kids[pair, u])
-        if not children:
-            return None
-        return undominated(children)
+        rows = [kids[pair] for pair in pairs]
+        for u in range(r):
+            children = set()
+            for row in rows:
+                children.update(row[u])
+            if children:
+                yield u, undominated(children)
 
-    return frozenset([(0, 0)]), step
+    return frozenset([(0, 0)]), expand
 
 
 def _jv_search(hvals, rvals, bvals, n, budget):
@@ -478,29 +491,26 @@ def _jv_search(hvals, rvals, bvals, n, budget):
     _, host_steps = _interned(*_perm_states(hvals))
     _, merge_steps = _interned(*_merge_states(_colour(rvals), _colour(bvals)))
 
-    def step(state, u, r):
+    def expand(state, r):
         host, pairs = state
-        child = host_steps[host, u, r, True]
-        if child is None:
-            return None
-        return child, None if pairs is None else merge_steps[pairs, u, r]
+        merged = {} if pairs is None else merge_steps[pairs, r]
+        for u, child in host_steps[host, r].items():
+            yield u, (child, merged.get(u))
 
     def fails(layer):
         return any(pairs is None for _, pairs in layer)
 
-    layer = _sum_over_states((0, 0), step, n, budget)
+    layer = _sum_over_states((0, 0), expand, n, budget)
     if not fails(layer):
         return sum(layer.values()), True, None
     state, rank = (0, 0), 0
     unused, values = list(range(1, n + 1)), []
     for r in range(n, 0, -1):
-        for u in range(r):
-            child = step(state, u, r)
-            if child is not None:
-                layer = _sum_over_states(child, step, r - 1, budget)
-                if fails(layer):
-                    break
-                rank += sum(layer.values())
+        for u, child in expand(state, r):
+            layer = _sum_over_states(child, expand, r - 1, budget)
+            if fails(layer):
+                break
+            rank += sum(layer.values())
         values.append(unused.pop(u))
         state = child
     return rank + 1, False, Permutation(tuple(values))
@@ -526,7 +536,7 @@ def verify_jv_inclusion(
     if a.n == 0 or b.n == 0 or c.n == 0:
         raise PreconditionViolated("all three parts must be nonempty")
     # its product states carry a merge state, so it takes the merge limit
-    _check_length(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT)
+    _check_arguments(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT, budget)
     combined = direct_sum(direct_sum(a, b), c)
     red_pattern = direct_sum(a, b)
     blue_pattern = direct_sum(b, c)
@@ -564,13 +574,13 @@ def merge_count_upper_check(
     each colour's sum separately."""
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise PreconditionViolated("merge patterns must be nonempty")
-    _check_length(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT)
+    _check_arguments(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT, budget)
     red, blue = _colour(red_pattern.entries), _colour(blue_pattern.entries)
     lhs = sum(_sum_over_states(*_merge_states(red, blue), n, budget).values())
 
     def counts(colour):
         steps = colour[1]
-        return _avoider_counts(0, lambda i, u, r: steps[i, u, r, True], n, budget)
+        return _avoider_counts(0, lambda i, r: steps[i, r, True].items(), n, budget)
 
     red_counts, blue_counts = counts(red), counts(blue)
     rhs = sum(

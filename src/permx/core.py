@@ -429,11 +429,14 @@ def matrix_avoids(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
 # For permutations pvals is the pattern itself and the coordinates are
 # gaps (_perm_states); for a permutation matrix it is col_of_row(), with
 # host rows as positions and host columns as values (_row_states).  Both
-# models build their states with the one memoised step of _memo_step, in
-# one state format: tuples reduced by dominance for the prefixes of
-# length j < k - 1, and for the longest prefix, whose occurrences are
-# never extended, one int, the mask of the coordinates that a next entry
-# may not take.
+# models keep one state format: tuples reduced by their occurrence-plan
+# entry's reducer (_reducer) for the prefixes of length j < k - 1, and
+# for the longest prefix, whose occurrences are never extended, one int,
+# the mask of the coordinates that a next entry may not take.  Level j
+# of a child depends only on levels j - 1 and j of its state and on the
+# new entry, so both models memoise levels on (j, parent level, own
+# level): the permutation model looks each up once per state and gets a
+# row over the gaps, the row model once per candidate row.
 
 _EMPTY = frozenset()
 
@@ -454,11 +457,12 @@ def _occurrence_plan(pvals):
     per pattern, as a tuple of tuples, so every model of one pattern
     shares one plan that none can change.
 
-    Entry j is ``(lo, hi, src, lows, ups)``: lo/hi are the tuple positions
-    of the value-neighbours of pvals[j-1] in the parent tuple (-1 when
-    absent); src maps each kept entry to its parent position (-1 for the
-    new entry); lows/ups are the positions kept as a lower/upper bound of
-    some later pattern value.  Position order is pattern-value order."""
+    Entry j is ``(lo, hi, src, lows, ups, reduce)``: lo/hi are the tuple
+    positions of the value-neighbours of pvals[j-1] in the parent tuple
+    (-1 when absent); src maps each kept entry to its parent position
+    (-1 for the new entry); lows/ups are the positions kept as a lower/
+    upper bound of some later pattern value, and reduce is
+    :func:`_reducer` of them.  Position order is pattern-value order."""
     k = len(pvals)
     bounds = [[_neighbours(pvals[:j], q) for q in pvals[j:]] for j in range(k)]
     kept = [sorted({v for pair in b for v in pair if v is not None}) for b in bounds]
@@ -468,12 +472,15 @@ def _occurrence_plan(pvals):
         parent, cur = kept[j - 1], kept[j]
         lo, hi = bounds[j - 1][0]
         later = bounds[j] if j < k else []
+        lows = tuple(i for i, v in enumerate(cur) if any(b[0] == v for b in later))
+        ups = tuple(i for i, v in enumerate(cur) if any(b[1] == v for b in later))
         plan.append((
             -1 if lo is None else parent.index(lo),
             -1 if hi is None else parent.index(hi),
             tuple(-1 if v == pvals[j - 1] else parent.index(v) for v in cur),
-            tuple(i for i, v in enumerate(cur) if any(b[0] == v for b in later)),
-            tuple(i for i, v in enumerate(cur) if any(b[1] == v for b in later)),
+            lows,
+            ups,
+            _reducer(lows, ups),
         ))
     return tuple(plan)
 
@@ -487,142 +494,121 @@ def _dominated(t, among, lows, ups):
                for s in among)
 
 
-@functools.lru_cache(maxsize=None)
-def _dominance_shape(lows, ups):
-    """The positions both bounds share, and every other position with
-    the sign that makes smaller better."""
-    return (tuple(i for i in lows if i in ups),
-            tuple((i, 1) for i in lows if i not in ups)
-            + tuple((i, -1) for i in ups if i not in lows))
+def _reducer(lows, ups):
+    """``reduce(tuples, top)``, the partial occurrences among ``tuples``
+    that can still complete and that no other one dominates
+    (:func:`_dominated`), as a frozenset, built for the dominance shape
+    of (lows, ups).
 
-
-def _pareto_min(tuples, lows, ups):
-    """The partial occurrences no other one dominates (:func:`_dominated`).
+    Host coordinates run from 0 to top - 1 and grow with value along a
+    tuple, so a tuple is live when its highest lower bound lies below
+    top - 1 and its lowest upper bound above 0: some free coordinate is
+    left above every lower bound and below every upper one.
 
     A position that is both a lower and an upper bound must be equal, so
     the tuples fall into groups on those positions; every other position
-    is free.  With no free position each tuple stands alone.  With one or
-    two, a sort on (group, first, second), each free coordinate oriented
-    so that smaller is better, puts every dominator first, and a tuple
-    stays iff its second coordinate beats the best of its group so far
-    (the maxima-of-vectors sweep of Kung, Luccio and Preparata); with
-    one, only the first of each group stays.  Three or more free
-    positions, which only patterns of length 5 and up have, fall back to
-    comparing each tuple with every one kept."""
-    if len(tuples) < 2:
-        return frozenset(tuples)
-    eq, free = _dominance_shape(lows, ups)
+    is free, and oriented so that smaller is better.  With no free
+    position each tuple stands alone, and with one a group keeps its
+    least tuple.  With two, a sort on (group, first, second) puts every
+    dominator first, and a tuple stays iff its second coordinate beats
+    the best of its group so far (the maxima-of-vectors sweep of Kung,
+    Luccio and Preparata).  Three or more free positions, which only
+    patterns of length 5 and up have, fall back to comparing each tuple
+    with every one kept."""
+    eq = [i for i in lows if i in ups]
+    free = [(i, 1) for i in lows if i not in ups] + [(i, -1) for i in ups if i not in lows]
+    group = operator.itemgetter(*eq) if eq else (lambda t: 0)
+    high = lows[-1] if lows else None
+    low = ups[0] if ups else None
+    if lows and ups:
+        live = lambda tuples, top: [t for t in tuples if t[high] < top - 1 and t[low]]
+    elif lows:
+        live = lambda tuples, top: [t for t in tuples if t[high] < top - 1]
+    elif ups:
+        live = lambda tuples, top: [t for t in tuples if t[low]]
+    else:
+        live = lambda tuples, top: tuples
+
     if not free:
-        return frozenset(tuples)
-    if len(free) <= 2:
-        # with one free position the second coordinate is a constant 0
-        (a, sa), (b, sb) = (free + ((0, 0),))[:2]
-        out, group, best = [], None, 0
-        for g, _, y, t in sorted([([t[i] for i in eq], sa * t[a], sb * t[b], t)
-                                  for t in tuples]):
-            if g != group:
-                group, best = g, y
-                out.append(t)
-            elif y < best:
-                best = y
-                out.append(t)
-        return frozenset(out)
-    # sorting puts every dominator before what it dominates
-    order = sorted(tuples, key=lambda t: [t[i] for i in lows] + [-t[i] for i in ups])
-    out = []
-    for t in order:
-        if not _dominated(t, out, lows, ups):
-            out.append(t)
-    return frozenset(out)
+        return lambda tuples, top: frozenset(live(tuples, top))
+    if len(free) == 1:
+        (a, sign), = free
 
+        def reduce(tuples, top):
+            least = {}
+            for t in live(tuples, top):
+                g = group(t)
+                s = least.get(g)
+                if s is None or (t[a] - s[a]) * sign < 0:
+                    least[g] = t
+            return frozenset(least.values())
+    elif len(free) == 2:
+        (a, sa), (b, sb) = free
 
-def _live_minima(tuples, lows, ups, top):
-    """The Pareto minima of the tuples that can still complete.  Host
-    coordinates run from 0 to top - 1 and grow with value along a tuple,
-    so a tuple is live when its highest lower bound lies below top - 1
-    and its lowest upper bound above 0: some free coordinate is left
-    above every lower bound and below every upper one."""
-    return _pareto_min(
-        {t for t in tuples if (not lows or t[lows[-1]] < top - 1) and (not ups or t[ups[0]])},
-        lows, ups,
-    )
-
-
-def _memo_step(k, level, memo):
-    """The root state and the memoised step both state models share, as
-    ``(root, step)``.
-
-    A state holds, per pattern prefix of length j < k, what ``level``
-    builds from its partial occurrences.  For j < k - 1 that is their
-    tuples reduced by :func:`_live_minima`.  Level k - 1, for k >= 2, is
-    one int, the forbidden mask: bit x is set iff a next entry at
-    coordinate x completes the pattern.  Those occurrences are never
-    extended, only forbid coordinates, so states whose occurrences forbid
-    the same ones are one state.  The root holds the empty occurrence
-    alone.  An empty mask is 0, and every other empty level is ``_EMPTY``.
-    ``step(state, tail, left=None, parents=None)`` builds child level
-    j = 1..k-1 as ``level(j, parent, own, tail)``: ``parent`` is level
-    j - 1 of ``parents``, whose occurrences the new entry may extend, and
-    ``own`` is level j of ``state``, carried over.  ``parents`` defaults
-    to ``state``; a step whose entry joins no occurrence passes all-empty
-    levels.  ``tail`` is the rest of what the model's level reads.
-    ``left``, when given, is how many entries may still follow.
-
-    Level j is empty when both of its inputs are, or when left < k - j:
-    an occurrence of the prefix needs k - j more entries.  Otherwise it
-    is looked up in ``memo`` on (j, parent, own, tail), and built on a
-    miss.  The memo also maps each level to itself, so equal levels are
-    one object for as long as the memo lives.  Anything else ``level``
-    reads must stay fixed that long; the model decides when to clear the
-    memo."""
-    # the empty value of each level j >= 1: the mask's is 0
-    empty = (_EMPTY,) * (k - 1) + (0,)
-
-    def step(state, tail, left=None, parents=None):
-        if parents is None:
-            parents = state
-        child = [state[0]]
-        for j in range(1, k):
-            parent, own = parents[j - 1], state[j]
-            if not (parent or own) or (left is not None and left < k - j):
-                child.append(empty[j])
-                continue
-            key = (j, parent, own, tail)
-            out = memo.get(key)
-            if out is None:
-                out = level(j, parent, own, tail) or empty[j]
-                out = memo[key] = memo.setdefault(out, out)
-            child.append(out)
-        return tuple(child)
-
-    return (frozenset([()]),) + empty[1:], step
+        def reduce(tuples, top):
+            out, current, best = [], None, 0
+            for g, _, y, t in sorted([(group(t), sa * t[a], sb * t[b], t)
+                                      for t in live(tuples, top)]):
+                if g != current:
+                    current, best = g, y
+                    out.append(t)
+                elif y < best:
+                    best = y
+                    out.append(t)
+            return frozenset(out)
+    else:
+        def reduce(tuples, top):
+            # sorting puts every dominator before what it dominates
+            out = []
+            for t in sorted(live(tuples, top),
+                            key=lambda t: [t[i] for i in lows] + [-t[i] for i in ups]):
+                if not _dominated(t, out, lows, ups):
+                    out.append(t)
+            return frozenset(out)
+    return reduce
 
 
 def _perm_states(pvals):
     """The prefix-state model of permutations avoiding ``pvals``, as
-    ``(root, step)``: the empty prefix's state and the state after one
-    more entry.
+    ``(root, expand)``: the empty prefix's state and the expansion of a
+    state by one more entry.
 
     Coordinates are gaps: the gap of an entry is the number of unused
-    values below it.  ``step(state, u, r, join=True)`` appends the u-th
-    smallest of the r unused values: every gap above u drops by one, and
-    when ``join`` is true the new entry, in gap u, also extends each
-    occurrence t with t[lo] <= u < t[hi].  It returns None when a joining
-    entry completes the pattern.  A step with ``join`` false is an entry
-    of some other sequence drawn from the same values, as in a two-colour
-    merge.
+    values below it.  ``expand(state, r, join=True)`` yields ``(u,
+    child)``, in gap order, for each u = 0..r-1 at which appending the
+    u-th smallest of the r unused values leaves a child: every gap above
+    u drops by one, and when ``join`` is true the new entry, in gap u,
+    also extends each occurrence t with t[lo] <= u < t[hi], and leaves
+    no child when it completes the pattern.  With ``join`` false the
+    entry is one of some other sequence drawn from the same values, as
+    in a two-colour merge, and leaves a child at every gap.
 
-    Level k - 1 is :func:`_memo_step`'s forbidden mask, over gaps.  A
+    A state holds, per pattern prefix of length j < k, what is kept of
+    its partial occurrences: for j < k - 1 their tuples, reduced by the
+    plan entry's reducer, and for k >= 2 level k - 1, one int, the
+    forbidden mask: bit g is set iff a next entry at gap g completes the
+    pattern.  Those occurrences are never extended, only forbid gaps, so
+    prefixes whose occurrences forbid the same gaps are one state.  A
     step at gap u drops bit u and moves the bits above it down by one,
     which turns each forbidden interval [lo, hi) into its shifted image
     whether or not u lay inside it, and ORs in the interval of each
-    occurrence the new entry completes to length k - 1.  For k = 1
-    level 0 is the root, which forbids every gap.
+    occurrence the new entry completes to length k - 1.  The root holds
+    the empty occurrence alone; for k = 1 that forbids every gap.  An
+    empty mask is 0, and every other empty level is ``_EMPTY``.
 
-    The levels come from :func:`_memo_step` with tail u and r - 1 values
-    left.  They also depend on r, which is not in the key: the memo and
-    the gap shift lists are rebuilt whenever r changes, so they hold one
-    layer at most."""
+    Level j of a child is empty when level j - 1 of the state (the
+    parent, whose occurrences the new entry may extend; empty when not
+    joining) and level j (its own, carried over) both are, or when fewer
+    than k - j values are left after the entry: an occurrence of the
+    prefix needs k - j more.  Otherwise it is a function of those two
+    levels and u, so an expansion looks each such level up once in a
+    memo on (j, parent, own), whose value is a row over the gaps filled
+    at a gap when a child there is first built: states that share both
+    levels share the row, and a state fills it only at the gaps it
+    allows.  The memo also maps each level to itself, so equal levels
+    are one object.  Rows and levels depend on r, which is not in the
+    key: the memo and the gap shift lists are rebuilt whenever r
+    changes, so they hold one layer at most."""
     k = len(pvals)
     plan = _occurrence_plan(pvals)
     # where the bounds of the mask's intervals come from in a parent
@@ -630,44 +616,75 @@ def _perm_states(pvals):
     # no neighbour on that side, -1 for the new entry
     last_src = plan[k - 2][2] if k >= 2 else ()
     mask_lo, mask_hi = (None if i < 0 else last_src[i] for i in plan[-1][:2])
+    empty = (_EMPTY,) * (k - 1) + (0,)
 
-    def extends(t, lo, hi, u):
-        return (lo < 0 or t[lo] <= u) and (hi < 0 or u < t[hi])
+    def fill(j, parent, own, row, gaps):
+        # level j of the child at each gap u of the mask ``gaps``, into
+        # row[u]; a parent occurrence t is extended at the gaps L <= u < H
+        lo, hi, src, _, _, reduce = plan[j - 1]
+        spans = [(t[lo] if lo >= 0 else 0, t[hi] if hi >= 0 else top, t) for t in parent]
+        while gaps:
+            bit = gaps & -gaps
+            gaps ^= bit
+            u = bit.bit_length() - 1
+            shift = shifts[u]
+            if j == k - 1:
+                below = bit - 1
+                out = (own & below) | (own >> 1 & ~below) if own else 0
+                for L, H, t in spans:
+                    if L <= u < H:
+                        a = 0 if mask_lo is None else u if mask_lo < 0 else shift[t[mask_lo]]
+                        b = top - 1 if mask_hi is None else u if mask_hi < 0 else shift[t[mask_hi]]
+                        if a < b:
+                            out |= (1 << b) - (1 << a)
+            else:
+                tuples = [tuple([shift[g] for g in t]) for t in own]
+                tuples += [tuple([u if i < 0 else shift[t[i]] for i in src])
+                           for L, H, t in spans if L <= u < H]
+                out = reduce(tuples, top) or _EMPTY
+            row[u] = memo.setdefault(out, out)
 
-    def level(j, parent, own, u):
-        lo, hi, src, lows, ups = plan[j - 1]
-        shift = shifts[u]
-        if j == k - 1:
-            below = (1 << u) - 1
-            mask = (own & below) | (own >> 1 & ~below) if own else 0
-            for t in parent:
-                if extends(t, lo, hi, u):
-                    a = 0 if mask_lo is None else u if mask_lo < 0 else shift[t[mask_lo]]
-                    b = top - 1 if mask_hi is None else u if mask_hi < 0 else shift[t[mask_hi]]
-                    if a < b:
-                        mask |= (1 << b) - (1 << a)
-            return mask
-        tuples = [tuple([shift[g] for g in t]) for t in own]
-        tuples += [
-            tuple([u if i < 0 else shift[t[i]] for i in src])
-            for t in parent if extends(t, lo, hi, u)
-        ]
-        return _live_minima(tuples, lows, ups, top)
-
-    def step(state, u, r, join=True):
+    def expand(state, r, join=True):
         nonlocal top, shifts
-        if join and (k == 1 or state[-1] >> u & 1):
-            return None
+        if join and k == 1:
+            return ()
         if r != top:
             memo.clear()
+            flags_of.clear()
             top = r
             shifts = [[g - (g > v) for g in range(r + 1)] for v in range(r)]
-        return shared(state, u, r - 1, None if join else blank)
+        parents = state if join else blank
+        forbidden = state[-1] if join else 0
+        allowed = ~forbidden & ((1 << r) - 1)
+        # one column per level, whose u-th entry is the child's level at
+        # gap u: a row of the memo, or the empty level repeated
+        columns = [itertools.repeat(state[0], r)]
+        for j in range(1, k):
+            parent, own = parents[j - 1], state[j]
+            if not (parent or own) or r <= k - j:
+                columns.append(itertools.repeat(empty[j], r))
+                continue
+            key = (j, parent, own)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = [0, [None] * r]
+            # entry[0] is the mask of the gaps its row holds
+            missing = allowed & ~entry[0]
+            if missing:
+                entry[0] |= missing
+                fill(j, parent, own, entry[1], missing)
+            columns.append(entry[1])
+        children = enumerate(zip(*columns))
+        if not forbidden:
+            return children
+        flags = flags_of.get(forbidden)
+        if flags is None:
+            flags = flags_of[forbidden] = [not forbidden >> u & 1 for u in range(r)]
+        return itertools.compress(children, flags)
 
-    memo, top, shifts = {}, None, []
-    root, shared = _memo_step(k, level, memo)
+    memo, flags_of, top, shifts = {}, {}, None, []
     blank = (_EMPTY,) * k
-    return root, step
+    return (frozenset([()]),) + empty[1:], expand
 
 
 def _row_states(P: PermutationMatrix, width: int):
@@ -676,26 +693,32 @@ def _row_states(P: PermutationMatrix, width: int):
 
     Coordinates are host columns.  A one at column x extends an
     occurrence t when t[lo] < x < t[hi], strictly, since the ones of a
-    pattern lie in distinct columns.  Level k - 1 is :func:`_memo_step`'s
-    forbidden mask, over columns, so a next row may use the columns
+    pattern lie in distinct columns.  States take the format of
+    :func:`_perm_states`, over columns, so a next row may use the columns
     outside ``state[-1]``.  Columns do not shift, so a row keeps the
     carried mask and ORs in the columns strictly between the bounds of
     each occurrence it completes to length k - 1.  For k = 1 there is no
     level 1, and the root forbids every column.
-    ``step(state, row, rows_left=None)``
-    is :func:`_memo_step`'s step with the row as tail, and rows_left,
-    when given, is how many rows may still follow.  rows_left is not part
-    of the key, since it only blanks levels before the lookup, and the
-    width is fixed per model, so the memo lives in this call's closure:
-    as long as one search holds the step."""
+
+    ``step(state, row, rows_left=None)`` builds child level j = 1..k-1
+    from level j - 1 of the state, whose occurrences the row may extend,
+    and level j, carried over; rows_left, when given, is how many rows
+    may still follow, and level j is empty when rows_left < k - j or
+    both its inputs are.  Otherwise it is looked up in a memo on (j,
+    parent, own, row), and built on a miss; the memo also maps each
+    level to itself, so equal levels are one object.  rows_left is not
+    part of the key, since it only blanks levels before the lookup, and
+    the width is fixed per model, so the memo lives in this call's
+    closure: as long as one search holds the step."""
     k = P.k
     plan = _occurrence_plan(tuple(P.col_of_row()))
     last_lo, last_hi = plan[-1][:2]
+    empty = (_EMPTY,) * (k - 1) + (0,)
     # dominance keeps only the lowest new column of an extension that
     # keeps it as a lower bound alone (or not at all), and only the
     # highest of one that keeps it as an upper bound alone
     keep = []
-    for _, _, src, lows, ups in plan:
+    for _, _, src, lows, ups, _ in plan:
         new = src.index(-1) if -1 in src else None
         keep.append("all" if new in lows and new in ups else "high" if new in ups else "low")
 
@@ -706,7 +729,7 @@ def _row_states(P: PermutationMatrix, width: int):
         return ((1 << high) - 1) ^ ((1 << low) - 1)
 
     def level(j, parent, own, row):
-        lo, hi, src, lows, ups = plan[j - 1]
+        lo, hi, src, _, _, reduce = plan[j - 1]
         low, high = keep[j - 1] == "low", keep[j - 1] == "high"
         tuples = set(own) if j < k - 1 else set()
         for t in parent:
@@ -720,12 +743,28 @@ def _row_states(P: PermutationMatrix, width: int):
                 tuples.add(tuple([x if i < 0 else t[i] for i in src]))
                 cols &= cols - 1
         if j < k - 1:
-            return _live_minima(tuples, lows, ups, width)
+            return reduce(tuples, width) or _EMPTY
         return functools.reduce(
             operator.or_, (between(t, last_lo, last_hi) for t in tuples), own)
 
-    root, step = _memo_step(k, level, {})
-    return (root if k > 1 else ((1 << width) - 1,)), step
+    def step(state, row, rows_left=None):
+        child = [state[0]]
+        for j in range(1, k):
+            parent, own = state[j - 1], state[j]
+            if not (parent or own) or (rows_left is not None and rows_left < k - j):
+                child.append(empty[j])
+                continue
+            key = (j, parent, own, row)
+            out = memo.get(key)
+            if out is None:
+                out = level(j, parent, own, row)
+                out = memo[key] = memo.setdefault(out, out)
+            child.append(out)
+        return tuple(child)
+
+    memo = {}
+    root = (frozenset([()]),) + empty[1:] if k > 1 else ((1 << width) - 1,)
+    return root, step
 
 
 # ---------------------------------------------------------------------------

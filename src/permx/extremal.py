@@ -21,7 +21,7 @@ exfn_exact tries every allowed row; fpts_exact only the rows of exactly
 s ones, since a weight-s subset of a heavier row avoids the pattern
 wherever the row does.  Both try their rows in descending numeric order.
 
-The row model's step is memoised as core._memo_step describes, and
+The row model's step is memoised as core._row_states describes, and
 its memo belongs to the model each search builds, so it lasts one
 search and is freed when the search returns.
 

@@ -140,6 +140,19 @@ class TestScriptSmoke:
             # host rows bijects the avoiders, so f and g agree
             assert row["f"] == row["g"]
 
+    def test_kernel_bench_splits_work_from_timing(self):
+        # values and states, which depend on the code alone, go to
+        # stdout; timings and RSS, which depend on the host, to stderr
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "kernel_bench.py"),
+             "--case", "jv 1,12,21 n=8", "--repeat", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "jv 1,12,21 n=8: value 33324, states 538\n"
+        assert proc.stderr.startswith("jv 1,12,21 n=8: median ")
+        assert proc.stderr.endswith(" MB over 2 runs\n")
+
 
 def _benchmark_spans():
     spec = importlib.util.spec_from_file_location(

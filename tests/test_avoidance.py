@@ -142,6 +142,49 @@ def test_count_validation():
         list(avoiders(perm("123"), 9, budget=10))
 
 
+# every entry point as (length, budget) -> result; merge_coloring takes
+# its length from its host, so it is checked on budgets alone
+SIZED_ENTRY_POINTS = {
+    "count_avoiders": lambda n, b: count_avoiders(perm("132"), n, budget=b),
+    "avoiders": lambda n, b: list(avoiders(perm("132"), n, budget=b)),
+    "sw_estimate_sequence": lambda n, b: sw_estimate_sequence(perm("132"), n, budget=b),
+    "merge_count_upper_check":
+        lambda n, b: merge_count_upper_check(perm("12"), perm("21"), n, budget=b),
+    "verify_jv_inclusion":
+        lambda n, b: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), n, budget=b),
+}
+ENTRY_POINTS = dict(
+    SIZED_ENTRY_POINTS,
+    merge_coloring=lambda n, b: merge_coloring(perm("2143"), perm("12"), perm("21"), budget=b),
+)
+
+
+def refuse_work(monkeypatch):
+    # every entry point starts its work in one of these
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(avoidance, "_perm_states", refuse)
+    monkeypatch.setattr(avoidance, "completes_at_end", refuse)
+
+
+@pytest.mark.parametrize("n", [4.0, 4.5, True, False, "4", None], ids=repr)
+@pytest.mark.parametrize("name", SIZED_ENTRY_POINTS)
+def test_non_integer_lengths_are_refused_before_any_work(monkeypatch, name, n):
+    refuse_work(monkeypatch)
+    with pytest.raises(PreconditionViolated, match="must be an integer"):
+        SIZED_ENTRY_POINTS[name](n, DEFAULT_NODE_BUDGET)
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, 10.0, True, None, "10"], ids=repr)
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_budgets_below_one_or_not_integers_are_refused_before_any_work(
+        monkeypatch, name, budget):
+    refuse_work(monkeypatch)
+    with pytest.raises(PreconditionViolated, match="budget must be a positive integer"):
+        ENTRY_POINTS[name](4, budget)
+
+
 @pytest.mark.parametrize("pattern, n, budget, count", [
     ("2413", 8, 341, 15485),
     ("1234", 9, 249, 94359),
@@ -689,19 +732,19 @@ def test_merge_count_peak_memory():
 
 
 def oracle_merge_step(red, blue, pairs, u, r):
-    """The children of a merge state and their reduction, with no layer
-    memo: every pair's children from each colour's step, and a pair
-    dropped iff another child covers it in both colours, by ``covered``
-    on the states themselves."""
-    (red_states, red_step, red_covered, _), (blue_states, blue_step, blue_covered, _) = red, blue
+    """The children of a merge state at gap u and their reduction, with
+    no layer memo: every pair's children from each colour's expansion,
+    and a pair dropped iff another child covers it in both colours, by
+    ``covered`` on the states themselves."""
+    (red_states, red_steps, red_covered, _), (blue_states, blue_steps, blue_covered, _) = red, blue
     children = set()
     for rs, bs in pairs:
-        child = red_step[rs, u, r, True]
+        child = red_steps[rs, r, True].get(u)
         if child is not None:
-            children.add((child, blue_step[bs, u, r, False]))
-        child = blue_step[bs, u, r, True]
+            children.add((child, blue_steps[bs, r, False][u]))
+        child = blue_steps[bs, r, True].get(u)
         if child is not None:
-            children.add((red_step[rs, u, r, False], child))
+            children.add((red_steps[rs, r, False][u], child))
     kept = frozenset(
         p for p in children
         if not any(q != p and red_covered(red_states[q[0]], red_states[p[0]])
@@ -719,31 +762,33 @@ MERGE_WALK_PAIRS = [
 @pytest.mark.parametrize("rvals, bvals", MERGE_WALK_PAIRS,
                          ids=lambda p: "".join(map(str, p)))
 def test_merge_step_matches_memo_free_reduction(rvals, bvals):
-    # seeded walks through the layers r = n..1, a dozen steps per layer
-    # drawn from a few states; within a layer the step answers a repeated
-    # (pair, u) from its memo and reduces a repeated child set again, and
-    # it must still give what the memo-free filter gives
+    # seeded walks through the layers r = n..1, a dozen expansions per
+    # layer drawn from a few states; within a layer the expansion answers
+    # a repeated pair from its memo and reduces a repeated child set
+    # again, and at every gap it must still give what the memo-free
+    # filter gives
     rng = random.Random(repr((rvals, bvals)))
     red, blue = _colour(rvals), _colour(bvals)
-    root, step = _merge_states(red, blue)
+    root, expand = _merge_states(red, blue)
     key_hits = set_hits = sets = 0
     for n in range(1, 8):
         layer = [root]
         for r in range(n, 0, -1):
             keys, child_sets, following = set(), set(), []
             for _ in range(12):
-                pairs, u = rng.choice(layer), rng.randrange(r)
-                children, want = oracle_merge_step(red, blue, pairs, u, r)
-                assert step(pairs, u, r) == want, (pairs, u, r)
-                key_hits += any((pair, u) in keys for pair in pairs)
-                keys.update((pair, u) for pair in pairs)
-                if children:
-                    sets += 1
-                    set_hits += children in child_sets
-                    child_sets.add(children)
-                if want is not None:
-                    following.append(want)
-            layer = following or [root]
+                pairs = rng.choice(layer)
+                got = dict(expand(pairs, r))
+                for u in range(r):
+                    children, want = oracle_merge_step(red, blue, pairs, u, r)
+                    assert got.get(u) == want, (pairs, u, r)
+                    if children:
+                        sets += 1
+                        set_hits += children in child_sets
+                        child_sets.add(children)
+                key_hits += any(pair in keys for pair in pairs)
+                keys.update(pairs)
+                following += got.values()
+            layer = [rng.choice(following) for _ in range(12)] if following else [root]
     assert key_hits
     assert set_hits or not sets
 
@@ -762,6 +807,22 @@ def test_jv_smallest_budget_pinned(run, nodes):
     run(nodes)
     with pytest.raises(ResourceLimit):
         run(nodes - 1)
+
+
+@pytest.mark.parametrize("run, nodes, value", [
+    (lambda b: count_avoiders(perm("1342"), 11, budget=b), 4917, 3475090),
+    (lambda b: count_avoiders(perm("1324"), 11, budget=b), 4281, 3824112),
+    (lambda b: count_avoiders(perm("2413"), 10, budget=b), 2222, 555662),
+    (lambda b: count_avoiders(perm("13524"), 9, budget=b), 1454, 260285),
+    (lambda b: merge_count_upper_check(perm("132"), perm("312"), 8, budget=b).lhs, 1118, 40318),
+    (lambda b: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 8, budget=b).checked,
+     538, 33324),
+], ids=["1342@11", "1324@11", "2413@10", "13524@9", "merge-132-312@8", "jv-1-12-21@8"])
+def test_larger_least_budgets_pinned(run, nodes, value):
+    # least budgets, which count the distinct reduced states expanded,
+    # at sizes where the state sets are large: any change to what a
+    # state holds or how it is reduced moves them
+    assert least_budget(run, nodes) == value
 
 
 @given(

@@ -18,8 +18,8 @@ from permx.core import (
     Permutation,
     PermutationMatrix,
     _occurrence_plan,
-    _pareto_min,
     _perm_states,
+    _reducer,
     _row_states,
     avoids,
     blockable_decompositions,
@@ -617,7 +617,7 @@ def test_rotate90_preserves_permutation_matrices(p):
     assert rotated.k == pm.k
 
 
-# -- dominance: grouping and sweep against the pairwise definition ---------
+# -- reductions: liveness, grouping and sweep against the definitions -------
 
 def oracle_pareto_min(tuples, lows, ups):
     def dominates(s, t):
@@ -634,23 +634,39 @@ PARETO_SHAPES = sorted(
         (lows, ups, len(src))
         for k in range(1, 6)
         for p in itertools.permutations(range(1, k + 1))
-        for _, _, src, lows, ups in _occurrence_plan(p)
+        for _, _, src, lows, ups, _ in _occurrence_plan(p)
     }
     | {((0, 1), (), 2), ((), (0, 1), 2)}
 )
 
 
+def test_pareto_shapes_reach_every_reducer():
+    # no free position, one, two, and the pairwise fallback of three
+    free = {len(set(lows) ^ set(ups)) for lows, ups, _ in PARETO_SHAPES}
+    assert free == {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("lows, ups, width", PARETO_SHAPES)
 def test_pareto_min_matches_pairwise_definition(lows, ups, width):
+    reduce = _reducer(lows, ups)
     rng = random.Random(repr((lows, ups)))
     for size in (0, 1, 2, 3, 5, 8, 20, 50, 120, 200):
-        # few distinct values, so ties on every coordinate are common
-        top = rng.choice((1, 2, 4, 9))
-        tuples = [tuple(rng.randint(0, top) for _ in range(width)) for _ in range(size)]
-        expected = oracle_pareto_min(set(tuples), lows, ups)
-        assert _pareto_min(set(tuples), lows, ups) == expected
+        # coordinates 0..top-1 that grow along a tuple, as gaps and
+        # columns do, with few distinct values, so that ties on every
+        # coordinate and tuples that cannot complete are common: a live
+        # one has every lower bound below top - 1 and every upper bound
+        # above 0
+        top = rng.choice((2, 3, 5, 10))
+        tuples = [tuple(sorted(rng.randrange(top) for _ in range(width))) for _ in range(size)]
+        live = {t for t in tuples
+                if all(t[i] < top - 1 for i in lows) and all(t[i] > 0 for i in ups)}
+        expected = oracle_pareto_min(live, lows, ups)
+        assert reduce(set(tuples), top) == expected
         rng.shuffle(tuples)
-        assert _pareto_min(tuples, lows, ups) == expected
+        assert reduce(tuples, top) == expected
+        # arbitrary tuples, all live, for dominance alone
+        tuples = [tuple(rng.randint(1, top) for _ in range(width)) for _ in range(size)]
+        assert reduce(tuples, top + 2) == oracle_pareto_min(set(tuples), lows, ups)
 
 
 # -- level memo: one long-lived model against fresh ones --------------------
@@ -672,20 +688,25 @@ def checked_step(step, fresh_step, args, seen):
 
 
 def walk_perm_model(pvals, rng):
-    # the layers r = n..1 of a layered sum, a dozen seeded steps each; the
-    # memo lives one layer, so levels are one object within each
-    root, step = _perm_states(pvals)
+    # the layers r = n..1 of a layered sum, a dozen seeded expansions
+    # each, against a fresh model's; the long-lived model reads level rows
+    # that earlier states filled, at the gaps they allowed, and its memo
+    # lives one layer, so levels are one object within each
+    root, expand = _perm_states(pvals)
     for n in range(1, 9):
         layer = [root]
         for r in range(n, 0, -1):
-            seen = {}
-            following = [
-                checked_step(step, _perm_states(pvals)[1],
-                             (rng.choice(layer), rng.randrange(r), r, rng.random() < 0.75),
-                             seen)
-                for _ in range(12)
-            ]
-            layer = [state for state in following if state is not None]
+            seen, following = {}, []
+            for _ in range(12):
+                args = (rng.choice(layer), r, rng.random() < 0.75)
+                children = list(expand(*args))
+                assert children == list(_perm_states(pvals)[1](*args))
+                assert [u for u, _ in children] == sorted({u for u, _ in children})
+                for _, child in children:
+                    for lv in child:
+                        assert seen.setdefault(lv, lv) is lv
+                following += [child for _, child in children]
+            layer = following
             if not layer:
                 break
 
@@ -730,9 +751,10 @@ def test_occurrence_plan_is_cached_per_pattern():
 
 
 def least_budget(search, nodes):
-    # nodes is the least budget that suffices: one fewer runs out
+    # nodes is the least budget that suffices: one fewer runs out, or
+    # is refused when it is below 1
     result = search(nodes)
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit if nodes > 1 else PreconditionViolated):
         search(nodes - 1)
     return result
 
