@@ -96,11 +96,8 @@ from .core import (
     direct_sum,
 )
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import (
-    DEFAULT_COUNT_LENGTH_LIMIT,
-    DEFAULT_MERGE_COUNT_LENGTH_LIMIT,
-    DEFAULT_NODE_BUDGET,
-)
+from .limits import (DEFAULT_COUNT_LENGTH_LIMIT, DEFAULT_MERGE_COUNT_LENGTH_LIMIT,
+                     DEFAULT_NODE_BUDGET, OVER_LENGTH, valid_budget, valid_size)
 from .record import Record
 
 
@@ -174,23 +171,10 @@ def count_avoiders(
     states expanded, a count that depends only on the pattern and n."""
     if pattern.n == 0:
         raise PreconditionViolated("avoidance is defined for nonempty patterns")
-    _check_arguments(n, DEFAULT_COUNT_LENGTH_LIMIT, budget)
+    valid_size(n, "n", 0, DEFAULT_COUNT_LENGTH_LIMIT, OVER_LENGTH)
+    valid_budget(budget)
     root, expand = _perm_states(pattern.entries)
     return sum(_sum_over_states(root, expand, n, budget).values())
-
-
-def _check_arguments(n, limit, budget, least=0, name="n"):
-    """Refuse a length n that is not an int (a bool is not one), below
-    ``least`` or above ``limit``, and a node budget that is not a
-    positive int, before any work."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise PreconditionViolated(f"{name} must be an integer, got {n!r}")
-    if n < least:
-        raise PreconditionViolated(f"need {name} >= {least}, got {n}")
-    if n > limit:
-        raise ResourceLimit(f"n={n} exceeds the configured limit {limit}")
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise PreconditionViolated(f"budget must be a positive integer, got {budget!r}")
 
 
 def _sum_over_states(root, expand, n, budget):
@@ -243,7 +227,8 @@ def avoiders(
     lexicographic order."""
     if pattern.n == 0:
         raise PreconditionViolated("avoidance is defined for nonempty patterns")
-    _check_arguments(n, DEFAULT_COUNT_LENGTH_LIMIT, budget)
+    valid_size(n, "n", 0, DEFAULT_COUNT_LENGTH_LIMIT, OVER_LENGTH)
+    valid_budget(budget)
     pvals = pattern.entries
     used = bytearray(n + 1)
     prefix = []
@@ -280,7 +265,8 @@ def sw_estimate_sequence(
     """Exact counts with count**(1/n) growth estimates for n = 1..n_max,
     every count from one length-n_max sum (:func:`_avoider_counts`),
     which expands the states of :func:`count_avoiders` at n_max."""
-    _check_arguments(n_max, DEFAULT_COUNT_LENGTH_LIMIT, budget, least=1, name="n_max")
+    valid_size(n_max, "n_max", 1, DEFAULT_COUNT_LENGTH_LIMIT, OVER_LENGTH)
+    valid_budget(budget)
     if pattern.n == 0:
         raise PreconditionViolated("avoidance is defined for nonempty patterns")
     counts = _avoider_counts(*_perm_states(pattern.entries), n_max, budget)
@@ -305,7 +291,8 @@ def merge_coloring(
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise PreconditionViolated("merge patterns must be nonempty")
     n = host.n
-    _check_arguments(n, DEFAULT_COUNT_LENGTH_LIMIT, budget)
+    valid_size(n, "n", 0, DEFAULT_COUNT_LENGTH_LIMIT, OVER_LENGTH)
+    valid_budget(budget)
     hvals = host.entries
     rvals, bvals = red_pattern.entries, blue_pattern.entries
     red, blue = [], []
@@ -536,7 +523,8 @@ def verify_jv_inclusion(
     if a.n == 0 or b.n == 0 or c.n == 0:
         raise PreconditionViolated("all three parts must be nonempty")
     # its product states carry a merge state, so it takes the merge limit
-    _check_arguments(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT, budget)
+    valid_size(n, "n", 0, DEFAULT_MERGE_COUNT_LENGTH_LIMIT, OVER_LENGTH)
+    valid_budget(budget)
     combined = direct_sum(direct_sum(a, b), c)
     red_pattern = direct_sum(a, b)
     blue_pattern = direct_sum(b, c)
@@ -574,7 +562,8 @@ def merge_count_upper_check(
     each colour's sum separately."""
     if red_pattern.n == 0 or blue_pattern.n == 0:
         raise PreconditionViolated("merge patterns must be nonempty")
-    _check_arguments(n, DEFAULT_MERGE_COUNT_LENGTH_LIMIT, budget)
+    valid_size(n, "n", 0, DEFAULT_MERGE_COUNT_LENGTH_LIMIT, OVER_LENGTH)
+    valid_budget(budget)
     red, blue = _colour(red_pattern.entries), _colour(blue_pattern.entries)
     lhs = sum(_sum_over_states(*_merge_states(red, blue), n, budget).values())
 

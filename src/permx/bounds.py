@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import starmap
 
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS
+from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS, valid_real, valid_size
 from .record import Record
 
 _LN2 = math.log(2.0)
@@ -63,34 +63,24 @@ _MILESTONE_NOTE = (
 _MILESTONE_LABELS = ("bulk_end", "penultimate", "final")
 
 
-def _as_fraction(value, name: str) -> Fraction:
-    """Exact rational view of a constant; floats are read at their
-    decimal repr so e.g. 0.1 means 1/10."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise PreconditionViolated(f"{name} must be finite, got {value!r}")
-        return Fraction(str(value))
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionViolated(f"{name} is not a rational constant: {value!r}") from exc
+def _as_fraction(value) -> Fraction:
+    """Exact rational view of a checked real constant (:func:`valid_real`);
+    floats are read at their decimal repr so e.g. 0.1 means 1/10."""
+    return Fraction(str(value) if isinstance(value, float) else value)
 
 
 def _pow_ka(k, a, s) -> Fraction:
     """k**a as an exact rational when a is integral, else the exact
-    value of the double-precision power.
+    value of the double-precision power.  k (at least 1) and a are
+    checked as real constants; s is the caller's checked weight.
 
     k^a must lie within 2^-1023 .. 2^1023, and every caller needs
     k^a < s: a k^a above 2s raises ``PreconditionViolated``.  Both are
     decided in log2 space before any power is built, so a huge exponent
     neither builds a huge exact power nor overflows a double.
     """
-    kf = _as_fraction(k, "k")
-    if kf < 1:
-        raise PreconditionViolated(f"need k >= 1, got {k}")
-    if not math.isfinite(a):
-        raise PreconditionViolated(f"a must be finite, got {a!r}")
-    log2_ka = a * math.log2(k)
+    kf = _as_fraction(valid_real(k, "k", least=1))
+    log2_ka = valid_real(a, "a") * math.log2(k)
     if abs(log2_ka) > 1023:
         raise PreconditionViolated(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
     if log2_ka > math.log2(s) + 1:
@@ -104,20 +94,14 @@ def _is_integral(a) -> bool:
     return isinstance(a, int) or (isinstance(a, float) and a.is_integer())
 
 
-def _check_block_count(c) -> None:
-    """Refuse a block count that is not an int of at least 2; unlike
-    :func:`theorem24_alpha`, these callers take no integral float."""
-    if not isinstance(c, int):
-        raise PreconditionViolated(f"block count c must be an integer, got {c}")
-    if c < 2:
-        raise PreconditionViolated(f"need c >= 2, got {c}")
-
-
 def _binom_digits(n: int, k: int) -> float:
     """Upper bound on the decimal digits of binom(n, k), from
     binom(n, k) <= (e*n/k)^k; cheap enough to check before math.comb."""
     k = min(k, n - k)
-    return 1 + (k * math.log10(math.e * n / k) if k > 0 else 0)
+    try:
+        return 1 + (k * math.log10(math.e * n / k) if k > 0 else 0)
+    except OverflowError:  # beyond the double range, so far beyond any digit limit
+        return math.inf
 
 
 def _reportable(value, name: str):
@@ -134,8 +118,7 @@ def _reportable(value, name: str):
 
 def marcus_tardos_bound(k: int) -> int:
     """Linear coefficient 2*k^4*binom(k^2, k), exact."""
-    if k < 1:
-        raise PreconditionViolated(f"need k >= 1, got {k}")
+    valid_size(k, "k", 1)
     digits = math.log10(2 * k ** 4) + _binom_digits(k * k, k)
     if digits > MAX_REPORT_DIGITS:
         raise ResourceLimit(
@@ -147,36 +130,34 @@ def marcus_tardos_bound(k: int) -> int:
 def lemma21_bound(k: int, a, t: int, s: int) -> Fraction:
     """Row-count bound k^a*t/(s - k^a) for hosts with s ones per row,
     valid once s clears k^a."""
-    if k < 1:
-        raise PreconditionViolated(f"need k >= 1, got {k}")
-    if not 1 <= s <= t:
+    if not 1 <= valid_real(s, "s") <= valid_real(t, "t"):
         raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
     ka = _pow_ka(k, a, s)
-    s_f = _as_fraction(s, "s")
+    s_f = _as_fraction(s)
     if s_f <= ka:
         raise PreconditionViolated(f"need s > k^a, got s={s}, k^a={float(ka):g}")
-    return ka * _as_fraction(t, "t") / (s_f - ka)
+    return ka * _as_fraction(t) / (s_f - ka)
 
 
 def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction:
     """One recursion step: binom(c, floor(xc)) * f_sub plus the
     second-term ratio, with the caller supplying the shrunken-instance
     value f_sub."""
-    return _lemma22_side(k, a, c, t, s, x, y, f_sub)(f_sub)
+    return _lemma22_side(k, a, c, t, s, x, y, f_sub)[0](f_sub)
 
 
 def _lemma22_side(k, a, c, t, s, x, y, f_sub):
     """The right side of :func:`lemma22_rhs` as a function of f_sub,
-    once every constant and f_sub are validated.  It is affine in f_sub,
-    binom(c, floor(xc)) * f_sub plus its value at 0, so one validation
-    serves every f_sub."""
-    _check_block_count(c)
-    if not 1 <= s <= t:
+    once every constant and f_sub are validated, with floor(xc) and y as
+    an exact rational, from which a caller shrinks the instance.  The
+    side is affine in f_sub, binom(c, floor(xc)) * f_sub plus its value
+    at 0, so one validation serves every f_sub."""
+    valid_size(c, "block count c", 2)
+    if not 1 <= valid_real(s, "s") <= valid_real(t, "t"):
         raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
-    if f_sub < 0:
-        raise PreconditionViolated(f"need f_sub >= 0, got {f_sub}")
-    xf = _as_fraction(x, "x")
-    yf = _as_fraction(y, "y")
+    valid_size(f_sub, "f_sub")
+    xf = _as_fraction(valid_real(x, "x"))
+    yf = _as_fraction(valid_real(y, "y"))
     if not 0 < xf < 1:
         raise PreconditionViolated(f"need 0 < x < 1, got {x}")
     if not 0 < yf < 1:
@@ -185,35 +166,31 @@ def _lemma22_side(k, a, c, t, s, x, y, f_sub):
         raise PreconditionViolated(f"need x > 1/c, got x={x}, c={c}")
     fxc = int(xf * c)  # floor; >= 1 because x > 1/c
     ka = _pow_ka(k, a, s)
-    denom = _as_fraction(s, "s") * (1 - yf * Fraction(c - 1, fxc)) * c - ka * c
+    denom = _as_fraction(s) * (1 - yf * Fraction(c - 1, fxc)) * c - ka * c
     if denom <= 0:
-        raise PreconditionViolated(
-            f"s(1 - y(c-1)/floor(xc))c - k^a c = {float(denom):g} <= 0"
-        )
+        try:
+            shown = f"{float(denom):g}"
+        except OverflowError:  # c beyond the double range
+            shown = "-inf"
+        raise PreconditionViolated(f"s(1 - y(c-1)/floor(xc))c - k^a c = {shown} <= 0")
     digits = _binom_digits(c, fxc)
     if digits > MAX_REPORT_DIGITS:
         raise ResourceLimit(
             f"binom(c, floor(xc)) may have {digits:.0f} digits, over {MAX_REPORT_DIGITS}"
         )
     factor = math.comb(c, fxc)
-    rest = _reportable(ka * _as_fraction(t, "t") / denom, "lemma22 rhs")
-    return lambda f_sub: _reportable(factor * Fraction(f_sub) + rest, "lemma22 rhs")
+    rest = _reportable(ka * _as_fraction(t) / denom, "lemma22 rhs")
+    return (lambda f_sub: _reportable(factor * Fraction(f_sub) + rest, "lemma22 rhs")), fxc, yf
 
 
 def theorem24_alpha(a, c: int) -> float:
     """Exponent alpha = 2a + 8c^2 + 32ac^2 ln c in the k^alpha * n
     extremal bound.  Constants whose alpha, or twice it, overflows a
-    double are rejected."""
-    if not 0 < a < math.inf:
-        raise PreconditionViolated(f"need finite a > 0, got {a}")
-    if not _is_integral(c):
-        raise PreconditionViolated(f"block count c must be an integer, got {c}")
-    if c < 2:
-        raise PreconditionViolated(f"need c >= 2, got {c}")
-    try:
-        alpha = 2.0 * a + 8.0 * c * c + 32.0 * a * c * c * math.log(c)
-    except OverflowError:  # an int a or c beyond the double range
-        alpha = math.inf
+    double are rejected.  c is a real that must be integral, so 2.0
+    is taken as 2."""
+    valid_real(a, "a", above=0)
+    valid_real(c, "block count c", least=2, integral=True)
+    alpha = 2.0 * a + 8.0 * c * c + 32.0 * a * c * c * math.log(c)
     if not math.isfinite(2.0 * alpha):
         raise PreconditionViolated(f"2*alpha = 4a + 16c^2 + 64ac^2 ln c overflows a double "
                            f"at a={a}, c={c}")
@@ -230,11 +207,10 @@ def fox_rhs(ex_table, t: int, s: int, f_val: int, g_val: int, n: int) -> int:
     """Right side ex(s-1)*ex(n) + ex(t)*(f+g)*n of the blow-up
     inequality, from caller-supplied exact table values.  The row
     counts f and g must be nonnegative, and t, s and n positive."""
-    if f_val < 0 or g_val < 0:
+    if min(valid_size(f_val, "f", None), valid_size(g_val, "g", None)) < 0:
         raise PreconditionViolated(f"need f, g >= 0, got f={f_val}, g={g_val}")
     for name, value in (("t", t), ("s", s), ("n", n)):
-        if value < 1:  # no ex table holds the key s - 1 < 0
-            raise PreconditionViolated(f"need {name} >= 1, got {value}")
+        valid_size(value, name, 1)  # no ex table holds the key s - 1 < 0
     out = {}
     for key in (s - 1, t, n):
         if key not in ex_table:
@@ -255,13 +231,9 @@ class BoundParams(Record):
     c: int
 
     def __init__(self, k, a, c):
-        if not math.isfinite(k):
-            raise PreconditionViolated(f"need finite k, got {k}")
-        if k < 2:
-            raise PreconditionViolated(f"need k >= 2, got {k}")
-        _check_block_count(c)
-        if not 0 < a < math.inf:
-            raise PreconditionViolated(f"need finite a > 0, got {a}")
+        valid_real(k, "k", least=2)
+        valid_size(c, "block count c", 2)
+        valid_real(a, "a", above=0)
         super().__init__(k, a, c)
 
 
@@ -453,7 +425,7 @@ def _beta_k_int(params: BoundParams) -> int:
         raise PreconditionViolated(
             "exact floored replay needs integral k and hypothesis exponent"
         )
-    return 2 * params.c * int(_as_fraction(params.k, "k")) ** int(params.a)
+    return 2 * params.c * int(_as_fraction(params.k)) ** int(params.a)
 
 
 def _floored_start(params: BoundParams, bulk_steps: int):

@@ -25,7 +25,7 @@ import itertools
 import operator
 
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import MAX_DECOMPOSITIONS
+from .limits import MAX_DECOMPOSITIONS, valid_size
 from .record import Record, _set
 
 _LOW = -(1 << 60)
@@ -37,13 +37,17 @@ _HIGH = 1 << 60
 # ---------------------------------------------------------------------------
 
 class Permutation(Record):
-    """A bijection on {1..n} in one-line notation."""
+    """A bijection on {1..n} in one-line notation; its entries are sizes
+    (:func:`~permx.limits.valid_size`)."""
 
     entries: tuple[int, ...]
 
     def __init__(self, entries):
         entries = tuple(entries)
         _set(self, "entries", entries)
+        if set(map(type, entries)) - {int}:  # one pass over the types, not a call per entry
+            for v in entries:
+                valid_size(v, "permutation entry", None)
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise PreconditionViolated(f"not a bijection on 1..{len(entries)}: {entries!r}")
 
@@ -86,10 +90,11 @@ class BinaryMatrix(Record):
     def __init__(self, masks, cols):
         masks = tuple(masks)
         _set(self, "masks", masks)
-        _set(self, "cols", cols)
-        if cols < 0 or not all(0 <= m < 1 << cols for m in masks):
-            raise PreconditionViolated(f"need row masks in [0, 2**cols), cols >= 0: "
-                                       f"{masks!r}, cols={cols}")
+        _set(self, "cols", valid_size(cols, "cols"))
+        # a mask that is not an int is refused unshifted; a negative one shifts to -1
+        if set(map(type, masks)) - {int} or any(m >> cols for m in masks):
+            raise PreconditionViolated(f"need int row masks in [0, 2**cols): {masks!r}, "
+                                       f"cols={cols}")
 
     @property
     def rows(self) -> int:
@@ -152,7 +157,7 @@ class PermutationMatrix(Record):
 
     @classmethod
     def identity(cls, k: int) -> "PermutationMatrix":
-        return cls(BinaryMatrix(tuple(1 << i for i in range(k)), k))
+        return cls(BinaryMatrix(tuple(1 << i for i in range(valid_size(k, "k"))), k))
 
     def col_of_row(self) -> list[int]:
         """0-based column of the one in each 0-based row, top to bottom."""
@@ -889,17 +894,10 @@ def _block_counts(entries, c: int) -> tuple[int, list[bytes], list[bytes]]:
     return ways[0], starts, suffix_cuts
 
 
-def _check_block_count(c, n):
-    if not isinstance(c, int):
-        raise PreconditionViolated(f"block count c must be an integer, got {c}")
-    if not 1 <= c <= n:
-        raise PreconditionViolated(f"need 1 <= c <= {n}, got {c}")
-
-
 def count_block_decompositions(p: Permutation, c: int) -> int:
     """The number of decompositions :func:`blockable_decompositions`
     would return, counted without building them."""
-    _check_block_count(c, p.n)
+    valid_size(c, "block count c", 1, p.n)
     return _block_counts(p.entries, c)[0]
 
 
@@ -914,7 +912,7 @@ def blockable_decompositions(p: Permutation, c: int) -> list[BlockDecomposition]
     returned decomposition round-trips through :func:`inflate`.
     """
     n = p.n
-    _check_block_count(c, n)
+    valid_size(c, "block count c", 1, n)
     entries = p.entries
     total, starts, suffix_cuts = _block_counts(entries, c)
     if total > MAX_DECOMPOSITIONS:

@@ -27,11 +27,12 @@ search and is freed when the search returns.
 
 What a process keeps across searches is their result records: one
 table of at most 128 finished searches, keyed by pattern and sizes,
-the least recently used leaving first.  A call returns a kept record
-in place of a search only when the search would return an identical
-one.  A depth-first run that meets no stop condition depends neither
-on the node budget, once that is at least its node count, nor on a row
-cap above every row count it compares with the cap, and in a proven
+the least recently used leaving first.  A call checks its arguments
+first, and returns a kept record in place of a search only when the
+search would return an identical one.  A depth-first run that meets
+no stop condition depends neither on the node budget, once that is at
+least its node count, nor on a row cap above every row count it
+compares with the cap, and in a proven
 fpts_exact run those counts are host lengths, at most its value.  So a
 record is reused at any budget of at least its nodes_explored, a
 proven fpts_exact record at any n_cap above its value, and a capped one
@@ -64,7 +65,8 @@ from .core import (
     rotate90,
 )
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP, MAX_WIDTH
+from .limits import (DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP, MAX_WIDTH,
+                     OVER_WIDTH, valid_budget, valid_size)
 from .record import Record
 
 
@@ -123,12 +125,6 @@ def _submasks(allowed: int):
         yield m
 
 
-def _refuse_wide_host(t: int) -> None:
-    """Host rows are t-bit masks; a wider host is a resource limit."""
-    if t > MAX_WIDTH:
-        raise ResourceLimit(f"width {t} exceeds the {MAX_WIDTH}-bit row limit")
-
-
 def exfn_exact(
     P: PermutationMatrix, n: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> ExtremalResult:
@@ -142,9 +138,14 @@ def exfn_exact(
     flagged not proven.  A finished search is run once per process (see
     the module docstring).
     """
-    if n < 1:
-        raise PreconditionViolated(f"need n >= 1, got {n}")
-    _refuse_wide_host(n)
+    valid_size(n, "n", 1, MAX_WIDTH, OVER_WIDTH)
+    valid_budget(budget)
+    return _exfn(P, n, budget)
+
+
+def _exfn(P: PermutationMatrix, n: int, budget: int) -> ExtremalResult:
+    """The body of :func:`exfn_exact` on checked arguments; a budget
+    below 1 returns at once, unproven."""
     key = ("exfn", P.matrix.masks, n)
     kept = _recall(key, budget)
     if kept is not None:
@@ -192,9 +193,7 @@ def exfn_exact(
 
 def exfn_enumerate(P: PermutationMatrix, n: int) -> int:
     """Independent oracle: sweep all 2^(n^2) matrices.  Desk scale only."""
-    if n < 1:
-        raise PreconditionViolated(f"need n >= 1, got {n}")
-    if n * n > 16:
+    if valid_size(n, "n", 1) ** 2 > 16:
         raise ResourceLimit(f"enumeration over 2^{n * n} matrices refused")
     if P.k == 1:
         return 0
@@ -240,17 +239,17 @@ def fpts_exact(
     its cost does not grow with n_cap.  A finished search is run once
     per process (see the module docstring).
     """
-    if t < 1:
-        raise PreconditionViolated(f"need t >= 1, got {t}")
-    _refuse_wide_host(t)
-    if s < 0:
-        raise PreconditionViolated(f"need s >= 0, got {s}")
-    if s == 0:
+    valid_size(t, "t", 1, MAX_WIDTH, OVER_WIDTH)
+    if valid_size(s, "s") == 0:
         raise PreconditionViolated("s = 0 admits unlimited all-zero rows; refusing")
-    if n_cap < 1:
-        raise PreconditionViolated(f"need n_cap >= 1, got {n_cap}")
-    if n_cap > MAX_ROW_CAP:
-        raise ResourceLimit(f"row cap {n_cap} exceeds the {MAX_ROW_CAP}-row limit")
+    valid_size(n_cap, "n_cap", 1, MAX_ROW_CAP, "row cap {} exceeds the {}-row limit")
+    valid_budget(budget)
+    return _fpts(P, t, s, n_cap, budget)
+
+
+def _fpts(P: PermutationMatrix, t: int, s: int, n_cap: int, budget: int) -> FptsResult:
+    """The body of :func:`fpts_exact` on checked arguments; a budget
+    below 1 returns at once, unproven."""
     key = ("fpts", P.matrix.masks, t, s)
     kept = _recall(key, budget)
     if kept is None or kept.value >= n_cap:
@@ -341,10 +340,11 @@ def _rows_within(
     """Decide f(t, s) <= bound by one fpts_exact search capped at
     min(DEFAULT_ROW_CAP, floor(bound) + 1).  A proven value is below the
     cap, so the bound holds; reaching a cap above the bound shows
-    f >= cap > bound, so it fails; anything else raises ResourceLimit."""
+    f >= cap > bound, so it fails; anything else raises ResourceLimit.
+    t and s are checked, and the budget is what the caller has left."""
     floor = bound.numerator // bound.denominator
     cap = min(DEFAULT_ROW_CAP, floor + 1)
-    res = fpts_exact(P, t, s, cap, budget)
+    res = _fpts(P, t, s, cap, budget)
     if res.hit_row_cap and cap <= floor:
         raise ResourceLimit("row cap reached below the bound; verdict open")
     if not res.proven_optimal and not res.hit_row_cap:
@@ -386,23 +386,21 @@ def check_lemma21(
     exactly when that search is proven, and a failing verdict's lhs is
     the cap it reached, a lower bound on f.  The hypothesis searches and
     the final one share the one node budget.  A t over MAX_WIDTH is
-    refused (ResourceLimit) before any search.
+    refused (ResourceLimit) before the bound is evaluated.
     """
     from .bounds import _pow_ka, lemma21_bound  # only the certifiers need bounds
 
+    valid_budget(budget)
+    valid_size(t, "t", None, MAX_WIDTH, OVER_WIDTH)
+    valid_size(s, "s", None)
     k = P.k
     bound = lemma21_bound(k, a, t, s)
     ka = _pow_ka(k, a, s)
-    if hypothesis_n < 1:
-        raise PreconditionViolated(f"need hypothesis_n >= 1, got {hypothesis_n}")
-    if hypothesis_n > MAX_WIDTH:
-        raise ResourceLimit(
-            f"hypothesis width {hypothesis_n} exceeds the {MAX_WIDTH}-bit row limit"
-        )
-    _refuse_wide_host(t)
+    valid_size(hypothesis_n, "hypothesis_n", 1, MAX_WIDTH,
+               "hypothesis width {} exceeds the {}-bit row limit")
     nodes = 0
     for n in range(1, hypothesis_n + 1):
-        res = exfn_exact(P, n, budget - nodes)
+        res = _exfn(P, n, budget - nodes)
         nodes += res.nodes_explored
         if not res.proven_optimal:
             raise ResourceLimit(f"budget exhausted while verifying ex at n={n}")
@@ -472,25 +470,24 @@ def check_lemma22(
     search is proven, and a failing verdict's lhs is the cap it reached,
     a lower bound on f.  The sub-search and the search for the left side
     share the one node budget.  A t over MAX_WIDTH is refused
-    (ResourceLimit) once the constants are validated, before the
-    sub-search.  The right side is built once, with the validation, and
-    evaluated at f_sub, since it is affine in f_sub.
+    (ResourceLimit) before the constants are validated.  The right side
+    is built once, with the validation, and evaluated at f_sub, since it
+    is affine in f_sub.
     """
-    from .bounds import _as_fraction, _lemma22_side  # only the certifiers need bounds
+    from .bounds import _lemma22_side  # only the certifiers need bounds
 
+    valid_budget(budget)
+    valid_size(t, "t", None, MAX_WIDTH, OVER_WIDTH)
+    valid_size(s, "s", None)
     k = P.k
     if not _blockable(P, c):
         raise PreconditionViolated(f"pattern admits no {c}-block decomposition")
     # validates constants and the denominator before any search runs
-    rhs_of = _lemma22_side(k, a, c, t, s, x, y, 0)
-    xf = _as_fraction(x, "x")
-    yf = _as_fraction(y, "y")
-    fxc = int(xf * c)
+    rhs_of, fxc, yf = _lemma22_side(k, a, c, t, s, x, y, 0)
     shrunk_t = t * fxc // c
     shrunk_s = int(Fraction(s) * yf)
     if shrunk_s == 0:
         raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
-    _refuse_wide_host(t)
     sub = fpts_exact(P, shrunk_t, shrunk_s, DEFAULT_ROW_CAP, budget)
     rhs = rhs_of(sub.value)
     lhs_res = _rows_within(P, t, s, rhs, budget - sub.nodes_explored)

@@ -1,10 +1,28 @@
-"""Desk-scale search limits.
+"""Desk-scale search limits, and the one argument contract.
 
 The length limits and the ceilings are fixed; raise one by editing it
 here.  Per call, a caller sets only the node budget (``budget``, or
 the --budget flag in the CLI) and the row cap of the row-density
 searches, up to its ceiling.
+
+Every public function checks its arguments with three validators
+before any work:
+
+* :func:`valid_size`: a length, width, weight, row cap or count is an
+  ``int``, never a ``bool``; an integral float is refused like any
+  other float.
+* :func:`valid_budget`: a node budget is a positive ``int``.
+* :func:`valid_real`: a real constant is an ``int``, ``float`` or
+  ``Fraction``, never a ``bool`` or a ``str``, that a double holds
+  finitely.
+
+Each returns its value, or raises ``PreconditionViolated`` (a value
+outside the domain) or ``ResourceLimit`` (a size over its ceiling).
 """
+
+import math
+
+from .errors import PreconditionViolated, ResourceLimit
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -14,12 +32,14 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 # which grow about 4x per n, so they share the merge-count limit.
 DEFAULT_COUNT_LENGTH_LIMIT = 14
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 10
+OVER_LENGTH = "n={} exceeds the configured limit {}"
 
 # row-search caps for the row-density searches; width is bitmask-bound.
 # A capped search builds a witness of n_cap rows, so n_cap has a ceiling.
 DEFAULT_ROW_CAP = 64
 MAX_ROW_CAP = 10_000
 MAX_WIDTH = 64
+OVER_WIDTH = "width {} exceeds the {}-bit row limit"
 
 # bulk steps of a bound schedule: the count grows like c^2 * a * log2(k),
 # and every step is a state in the report.  The heaviest documented grid
@@ -34,3 +54,68 @@ MAX_DECOMPOSITIONS = 10_000
 # decimal digits of the largest exact integer a report prints; CPython's
 # default int-to-str conversion stops at 4300
 MAX_REPORT_DIGITS = 4300
+
+
+def valid_size(value, name: str, least=0, most=None, over=None) -> int:
+    """``value``, once it is an ``int`` (not a ``bool``) of at least
+    ``least``; ``least=None`` checks the type alone.
+
+    With ``over``, a value above ``most`` is a ``ResourceLimit`` worded
+    by the format ``over`` of the value and ``most``.  Without it,
+    ``most`` is part of the domain, and a value outside
+    ``least..most`` is refused naming both ends.  A type refusal names
+    the argument by ``name`` ("block count c"), a range refusal by its
+    last word ("c").
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PreconditionViolated(f"{name} must be an integer, got {value!r}")
+    if over is None and most is not None and not least <= value <= most:
+        raise PreconditionViolated(f"need {least} <= {_symbol(name)} <= {most}, got {value}")
+    if least is not None and value < least:
+        raise PreconditionViolated(f"need {_symbol(name)} >= {least}, got {value}")
+    if over is not None and value > most:
+        raise ResourceLimit(over.format(value, most))
+    return value
+
+
+def valid_budget(value) -> int:
+    """``value``, once it is a positive ``int`` (not a ``bool``)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise PreconditionViolated(f"budget must be a positive integer, got {value!r}")
+    return value
+
+
+def valid_real(value, name: str, least=None, above=None, integral=False):
+    """``value``, once it is an ``int``, ``float`` or ``Fraction`` (not
+    a ``bool``) that a double holds finitely.
+
+    ``integral`` also refuses a value with a fractional part.  ``above``
+    refuses a value not above it, and ``least`` one below it; with
+    either, a value that is not finite is refused as outside that
+    domain ("need finite a > 0"), else as not finite.  Names are shown
+    as in :func:`valid_size`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        from fractions import Fraction  # loaded already wherever reals are read
+
+        if not isinstance(value, Fraction):
+            raise PreconditionViolated(f"{name} is not a rational constant: {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the double range
+        raise PreconditionViolated(f"{name} overflows a double") from None
+    if integral and not (finite and value == int(value)):
+        raise PreconditionViolated(f"{name} must be an integer, got {value}")
+    if above is not None and not (finite and value > above):
+        raise PreconditionViolated(f"need finite {_symbol(name)} > {above}, got {value}")
+    if not finite:
+        raise PreconditionViolated(f"{name} must be finite, got {value!r}" if least is None
+                                   else f"need finite {_symbol(name)}, got {value}")
+    if least is not None and value < least:
+        raise PreconditionViolated(f"need {_symbol(name)} >= {least}, got {value}")
+    return value
+
+
+def _symbol(name: str) -> str:
+    """The last word of an argument's name: "c" of "block count c"."""
+    return name.rpartition(" ")[2]

@@ -1,5 +1,8 @@
 import os
+import signal
+from contextlib import contextmanager
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 import acceptance_log
@@ -19,3 +22,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_log.lines:
             terminalreporter.line(line)
+
+
+@pytest.fixture(autouse=True)
+def fresh_process_caches():
+    """Start every test with empty process-wide caches, so no earlier
+    test's kept search record, blockability verdict or occurrence plan
+    stands in for work the test means to do."""
+    from permx import core, extremal
+
+    extremal._finished.clear()
+    extremal._blockable.cache_clear()
+    core._occurrence_plan.cache_clear()
+
+
+@pytest.fixture
+def alarm_guard():
+    """A context manager ``alarm_guard(what)`` that fails the test when
+    its body runs for more than 10 s, naming ``what``, and then puts the
+    previous SIGALRM handler back; at teardown the test's handler must
+    be the one it started with."""
+    handler = signal.getsignal(signal.SIGALRM)
+
+    @contextmanager
+    def guard(what):
+        def timed_out(signum, frame):
+            pytest.fail(f"no exit within 10 s: {what}")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(10)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    yield guard
+    assert signal.getsignal(signal.SIGALRM) is handler, "a SIGALRM handler leaked"

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import resource
-import signal
 import subprocess
 import sys
 import time
@@ -1084,7 +1083,7 @@ def fuzzed_argv(draw, name=None):
     return argv
 
 
-def test_fuzzed_arguments_exit_cleanly():
+def test_fuzzed_arguments_exit_cleanly(alarm_guard):
     # each command gets its own examples: drawn from one stream, the
     # commands would get from 5 to 47 of 400 examples
     examples = 18
@@ -1092,21 +1091,12 @@ def test_fuzzed_arguments_exit_cleanly():
     reached = Counter()  # the examples of each command that ran to a report
 
     def check(argv):
-        def timed_out(signum, frame):
-            pytest.fail(f"no exit within 10 s: {argv}")
-
         out, err = io.StringIO(), io.StringIO()
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(10)
-        try:
-            with redirect_stdout(out), redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse usage errors
-                    code = exc.code
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with alarm_guard(argv), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
         assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_RESOURCE), (code, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert "internal error" not in err.getvalue()
@@ -1116,11 +1106,9 @@ def test_fuzzed_arguments_exit_cleanly():
                 json.loads(out.getvalue(), parse_constant=_reject_constant)
         codes.append(code)
 
-    handler = signal.getsignal(signal.SIGALRM)
     for name in FUZZED:
         run_examples = settings(max_examples=examples, deadline=None, derandomize=True)
         run_examples(given(argv=fuzzed_argv(name))(check))()
-    assert signal.getsignal(signal.SIGALRM) is handler
     assert len(codes) == examples * len(FUZZED)  # 414
     assert codes.count(EXIT_OK) >= 200, Counter(codes)  # about half reach a report
     assert set(reached) == set(FUZZED)

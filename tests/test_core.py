@@ -43,7 +43,6 @@ from permx.core import (
     to_matrix,
 )
 from permx.errors import PreconditionViolated, ResourceLimit
-from permx import extremal
 from permx.extremal import check_lemma21, exfn_exact, fpts_exact
 from permx.limits import MAX_DECOMPOSITIONS
 
@@ -735,9 +734,7 @@ def test_state_memo_matches_fresh_models(walk, pvals):
 
 def test_occurrence_plan_is_cached_per_pattern():
     # a pure function of the pattern, built once and shared by every
-    # model of it, as tuples that no model can change.  The searches
-    # below must run, so no earlier test's kept record may stand in
-    extremal._finished.clear()
+    # model of it, as tuples that no model can change
     plan = _occurrence_plan((2, 4, 1, 3))
     assert plan is _occurrence_plan(tuple([2, 4, 1, 3]))
     assert type(plan) is tuple and all(type(entry) is tuple for entry in plan)

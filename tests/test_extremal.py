@@ -181,9 +181,7 @@ class TestExfn:
 def test_row_state_memo_lasts_one_search():
     # the level memo lives in one search's row model, so a search leaves
     # nothing behind once it returns; the warm-up runs each pattern at a
-    # smaller size first, so the measured searches build levels it never saw.
-    # Each search must run, so no earlier test's kept record may stand in
-    extremal._finished.clear()
+    # smaller size first, so the measured searches build levels it never saw
     exfn_exact(pm("2413"), 4)
     fpts_exact(pm("123"), 5, 3)
     gc.collect()
@@ -639,9 +637,7 @@ def test_capped_witness_matches_per_row_walk(text):
 
 def test_capped_search_steps_once_per_state(monkeypatch):
     # the row model's step runs for each distinct state the search and
-    # the witness visit, not once per row of the cap.  Each search must
-    # run, so no earlier test's kept record may stand in
-    extremal._finished.clear()
+    # the witness visit, not once per row of the cap
     calls = 0
 
     def counting_row_states(P, width):
@@ -792,7 +788,8 @@ def test_kept_records_equal_fresh_searches(monkeypatch):
             for run in runs:
                 nodes = fresh(*run).nodes_explored
                 for budget in (nodes - 1, nodes, DEFAULT_NODE_BUDGET):
-                    calls[run + (budget,)] = fresh(*run, budget)
+                    if budget >= 1:  # a budget below 1 is refused
+                        calls[run + (budget,)] = fresh(*run, budget)
     searches = 0
 
     def counting_row_states(P, width):
@@ -822,7 +819,6 @@ def test_budget_below_a_kept_search_runs_out_as_a_fresh_one():
     # one node fewer than the kept searches took still runs out: the
     # first least_budget call keeps both records, the second finds them
     P, args = pm("123"), (1, 2, 8, 5, 0.6, 0.3)
-    extremal._finished.clear()
     for _ in range(2):
         assert least_budget(lambda b: check_lemma22(P, *args, budget=b), 346).holds
     for _ in range(2):
@@ -837,7 +833,6 @@ def test_budget_below_a_kept_search_runs_out_as_a_fresh_one():
 def test_cap_at_or_below_a_kept_value_searches_afresh():
     P = pm("123")
     at_caps = {cap: fresh(fpts_exact, P, 6, 3, cap) for cap in range(1, 10)}
-    extremal._finished.clear()
     proven = fpts_exact(P, 6, 3)
     assert proven.proven_optimal and proven.value == 8
     for cap, res in at_caps.items():
@@ -854,7 +849,6 @@ def test_cap_at_or_below_a_kept_value_searches_afresh():
 def test_capped_record_is_reused_only_at_its_cap():
     # s = 2 < k = 3: a two-column row repeats forever, so every cap is hit
     P = pm("123")
-    extremal._finished.clear()
     at5 = fpts_exact(P, 5, 2, 5)
     assert (at5.value, at5.hit_row_cap) == (5, True)
     assert fpts_exact(P, 5, 2, 5) is at5
