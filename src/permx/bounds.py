@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import starmap
 
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS, valid_real, valid_size
+from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS, is_integral, valid_real, valid_size
 from .record import Record
 
 _LN2 = math.log(2.0)
@@ -85,13 +85,9 @@ def _pow_ka(k, a, s) -> Fraction:
         raise PreconditionViolated(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
     if log2_ka > math.log2(s) + 1:
         raise PreconditionViolated(f"need s > k^a, got s={s}, k^a=2^{log2_ka:g}")
-    if _is_integral(a):
+    if is_integral(a):
         return kf ** int(a)
     return Fraction(float(k) ** float(a))
-
-
-def _is_integral(a) -> bool:
-    return isinstance(a, int) or (isinstance(a, float) and a.is_integer())
 
 
 def _binom_digits(n: int, k: int) -> float:
@@ -130,13 +126,19 @@ def marcus_tardos_bound(k: int) -> int:
 def lemma21_bound(k: int, a, t: int, s: int) -> Fraction:
     """Row-count bound k^a*t/(s - k^a) for hosts with s ones per row,
     valid once s clears k^a."""
+    return _lemma21_side(k, a, t, s)[0]
+
+
+def _lemma21_side(k, a, t, s) -> tuple[Fraction, Fraction]:
+    """The bound of :func:`lemma21_bound` and the exact k^a it divides
+    by, from one validation and one power."""
     if not 1 <= valid_real(s, "s") <= valid_real(t, "t"):
         raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
     ka = _pow_ka(k, a, s)
     s_f = _as_fraction(s)
     if s_f <= ka:
         raise PreconditionViolated(f"need s > k^a, got s={s}, k^a={float(ka):g}")
-    return ka * _as_fraction(t) / (s_f - ka)
+    return ka * _as_fraction(t) / (s_f - ka), ka
 
 
 def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction:
@@ -294,17 +296,39 @@ class Schedule(Record):
     """A built schedule, always the ideal one.  Its states and its
     bulk-end, penultimate and final milestones are ``(log2_t, log2_s)``
     pairs; ``states.rows()`` yields ``(i, log2_t, log2_s)`` rows, and
-    :func:`floored_states` replays it with floors."""
+    :func:`floored_states` replays it with floors.
+
+    ``bulk`` is the exact pair (x_b, y_b) of bulk multipliers, and
+    ``x_bulk`` and ``y_bulk`` their floats.  ``beta_k`` is beta*k as an
+    exact ``int`` when k and a are integral, else ``None``; every exact
+    path reads these two fields."""
 
     params: BoundParams
     beta: float
     log2_beta_k: float
-    x_bulk: float
-    y_bulk: float
+    bulk: tuple[Fraction, Fraction]
+    beta_k: int | None
     y_penultimate: float
     bulk_steps: int
     states: _IdealStates
     milestones: tuple[tuple[float, float], ...]
+
+    @property
+    def x_bulk(self) -> float:
+        return float(self.bulk[0])
+
+    @property
+    def y_bulk(self) -> float:
+        return float(self.bulk[1])
+
+    def exact_beta_k(self) -> int:
+        """``beta_k``, which the exact floored replay needs; a schedule
+        whose k or a is not integral has none and is refused."""
+        if self.beta_k is None:
+            raise PreconditionViolated(
+                "exact floored replay needs integral k and hypothesis exponent"
+            )
+        return self.beta_k
 
     def header(self) -> dict:
         """Every report field of the schedule except its states.  The
@@ -334,21 +358,21 @@ class Schedule(Record):
         return {**self.header(), "states": list(starmap(_state_jsonable, self.states.rows()))}
 
 
-def _bulk_constants(params: BoundParams):
-    c = params.c
-    x_frac = Fraction(c - 1, c)
-    y_frac = Fraction(16 * c * c - 8 * c - 1, 16 * c * c)
-    return x_frac, y_frac
-
-
 def build_schedule(params: BoundParams) -> Schedule:
     """Assemble the ideal (floor-free) recursion schedule for the given
     constants.  Its states are a read-only sequence over the closed-form
     constants that computes each state when it is read.  The exact
     floored replay of the schedule is :func:`floored_states`.
+
+    Each exact constant is fixed here once: the bulk multipliers
+    x_b = (c-1)/c and y_b = (16c^2-8c-1)/(16c^2) as ``Fraction``s, and
+    beta*k = 2c*k^a as an ``int`` when k and a are integral
+    (:func:`permx.limits.is_integral`), with k read at its decimal
+    repr as every exact value is.
     """
     k, a, c = params.k, params.a, params.c
-    x_frac, y_frac = _bulk_constants(params)
+    x_frac = Fraction(c - 1, c)
+    y_frac = Fraction(16 * c * c - 8 * c - 1, 16 * c * c)
     x_b, y_b = float(x_frac), float(y_frac)
     l2x = math.log2(x_frac.numerator) - math.log2(x_frac.denominator)
     l2y = math.log2(y_frac.numerator) - math.log2(y_frac.denominator)
@@ -369,6 +393,8 @@ def build_schedule(params: BoundParams) -> Schedule:
             f"the schedule needs {q:.0f} bulk steps, over the {MAX_SCHEDULE_STEPS}-step limit"
         )
     bulk_steps = math.ceil(q)
+    # beta and k are below 2^1024, so beta*k has under 2048 bits
+    beta_k = 2 * c * int(_as_fraction(k)) ** int(a) if is_integral(k) and is_integral(a) else None
 
     lt0 = log2_beta_k - (bulk_steps + 2) * l2x
     ls0 = lt0 / 2.0
@@ -389,8 +415,8 @@ def build_schedule(params: BoundParams) -> Schedule:
         params=params,
         beta=beta,
         log2_beta_k=log2_beta_k,
-        x_bulk=x_b,
-        y_bulk=y_b,
+        bulk=(x_frac, y_frac),
+        beta_k=beta_k,
         y_penultimate=y_penultimate,
         bulk_steps=bulk_steps,
         states=_IdealStates(bulk_steps, lt0, ls0, l2x, l2y, ls_bulk_end, l2y1),
@@ -412,64 +438,60 @@ def floored_states(schedule: Schedule) -> tuple[Sequence[float], Sequence[float]
     """
     from array import array  # here, not at import: it costs every cold start
 
-    beta_k = _beta_k_int(schedule.params)
+    beta_k = schedule.exact_beta_k()
     log2_t, log2_s = array("d"), array("d")
-    for t_fl, s_fl in _floored_replay(schedule.params, schedule.bulk_steps):
+    for t_fl, s_fl in _floored_replay(schedule):
         log2_t.append(_log2_int(t_fl))
         log2_s.append(_log2_int(s_fl))
     return log2_t, log2_s, float(beta_k - t_fl), float(beta_k - s_fl)
 
 
-def _beta_k_int(params: BoundParams) -> int:
-    if not _is_integral(params.a) or not _is_integral(params.k):
-        raise PreconditionViolated(
-            "exact floored replay needs integral k and hypothesis exponent"
-        )
-    return 2 * params.c * int(_as_fraction(params.k)) ** int(params.a)
+def _floored_start(schedule: Schedule) -> tuple[int, int]:
+    """The floored start floor(t_0) and floor(sqrt(t_0)), with
+    t_0 = beta k / x_b^(R+2), of a schedule with an exact beta k."""
+    xn, xd = schedule.bulk[0].as_integer_ratio()
+    e = schedule.bulk_steps + 2
+    t = schedule.beta_k * xd ** e // xn ** e
+    return t, math.isqrt(t)
 
 
-def _floored_start(params: BoundParams, bulk_steps: int):
-    """The bulk multipliers as (numerator, denominator) pairs, beta*k,
-    and the floored start: floor(t_0) and floor(sqrt(t_0)), with
-    t_0 = beta k / x^(R+2)."""
-    (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in _bulk_constants(params))
-    beta_k = _beta_k_int(params)
-    t = beta_k * xd ** (bulk_steps + 2) // xn ** (bulk_steps + 2)
-    return xn, xd, yn, yd, beta_k, t, math.isqrt(t)
-
-
-def _floored_tail(t, s, xn, xd, yn, yd, beta_k, bulk_steps):
+def _floored_tail(schedule: Schedule, t: int, s: int):
     """The penultimate and final floored states after the bulk end (t, s).
 
     The penultimate step applies y_1 = sqrt(beta k x^R) / y^R exactly,
     so s becomes floor(sqrt(p/q)) with p/q = s^2 beta k x^R / y^(2R);
     floor(sqrt(p/q)) = isqrt(p // q), since (m+1)^2 > p // q implies
     (m+1)^2 >= p // q + 1 > p/q."""
+    (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in schedule.bulk)
     t = t * xn // xd
-    s = _root_of_power_quotient(s * s * beta_k, yd * yd * xn, yn * yn * xd, bulk_steps)
+    s = _root_of_power_quotient(
+        s * s * schedule.beta_k, yd * yd * xn, yn * yn * xd, schedule.bulk_steps
+    )
     return (t, s), (t * xn // xd, s * xn // xd)
 
 
-def _floored_replay(params: BoundParams, bulk_steps: int) -> Iterator[tuple[int, int]]:
+def _floored_replay(schedule: Schedule) -> Iterator[tuple[int, int]]:
     """Exact integer trajectory with every t and s floored, starting
     from floor(t_0) and floor(sqrt(t_0)); yields the integer (t, s) of
-    every state, indices 0 to bulk_steps + 2."""
-    xn, xd, yn, yd, beta_k, t, s = _floored_start(params, bulk_steps)
+    every state, indices 0 to R_A + 2."""
+    (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in schedule.bulk)
+    t, s = _floored_start(schedule)
     yield t, s
-    for _ in range(bulk_steps):
+    for _ in range(schedule.bulk_steps):
         t = t * xn // xd
         s = s * yn // yd
         yield t, s
-    yield from _floored_tail(t, s, xn, xd, yn, yd, beta_k, bulk_steps)
+    yield from _floored_tail(schedule, t, s)
 
 
-def _floored_final(params: BoundParams, bulk_steps: int) -> tuple[int, int]:
+def _floored_final(schedule: Schedule) -> tuple[int, int]:
     """The last (t, s) of :func:`_floored_replay`, with the bulk steps
     taken in blocks (:func:`_floor_steps`)."""
-    xn, xd, yn, yd, beta_k, t, s = _floored_start(params, bulk_steps)
-    t = _floor_steps(t, xn, xd, bulk_steps)
-    s = _floor_steps(s, yn, yd, bulk_steps)
-    return _floored_tail(t, s, xn, xd, yn, yd, beta_k, bulk_steps)[1]
+    (xn, xd), (yn, yd) = (f.as_integer_ratio() for f in schedule.bulk)
+    t, s = _floored_start(schedule)
+    t = _floor_steps(t, xn, xd, schedule.bulk_steps)
+    s = _floor_steps(s, yn, yd, schedule.bulk_steps)
+    return _floored_tail(schedule, t, s)[1]
 
 
 def _floor_steps(v: int, n: int, d: int, steps: int) -> int:
@@ -710,31 +732,16 @@ def certify_schedule(schedule: Schedule) -> CertReport:
         lbk,
     )
 
-    if _is_integral(a) and _is_integral(params.k):
+    beta_k = schedule.beta_k
+    if beta_k is not None:
         # only the final state is checked, and it is reached in blocks
         # of bulk steps; the trajectory of wide integers is never held
-        t_fl, s_fl = _floored_final(params, R)
-        beta_k = _beta_k_int(params)
-        envelope = float(1 / (1 - _bulk_constants(params)[1]))  # 1/(1-y_b)
-        add(
-            "floored_final_width_le_target",
-            t_fl <= beta_k,
-            t_fl / beta_k,
-            1.0,
-        )
-        add(
-            "floored_final_weight_le_target",
-            s_fl <= beta_k,
-            s_fl / beta_k,
-            1.0,
-        )
+        t_fl, s_fl = _floored_final(schedule)
+        for axis, value in (("width", t_fl), ("weight", s_fl)):
+            add(f"floored_final_{axis}_le_target", value <= beta_k, value / beta_k, 1.0)
+        envelope = float(1 / (1 - schedule.bulk[1]))  # 1/(1-y_b)
         drift = float(beta_k - s_fl)
-        add(
-            "floored_final_weight_drift_le_envelope",
-            drift <= envelope + _TOL,
-            drift,
-            envelope,
-        )
+        add("floored_final_weight_drift_le_envelope", drift <= envelope + _TOL, drift, envelope)
 
     return CertReport(tuple(checks))
 
@@ -753,16 +760,13 @@ def crude_fpts_bound(schedule: Schedule) -> float:
     lbk = schedule.log2_beta_k
     l2k = math.log2(k)
 
-    m = math.ceil(1 / (1 - _bulk_constants(params)[1]))  # ceil(1/(1-y_b))
-    if _is_integral(a) and _is_integral(params.k):
-        beta_k = _beta_k_int(params)
-        l_binom = sum(math.log2(beta_k - i) for i in range(m)) - math.log2(
-            math.factorial(m)
-        )
+    m = math.ceil(1 / (1 - schedule.bulk[1]))  # ceil(1/(1-y_b))
+    beta_k = schedule.beta_k
+    if beta_k is not None:
+        falling = (math.log2(beta_k - i) for i in range(m))
     else:
-        l_binom = sum(
-            _log2_sub(lbk, i) for i in range(m)
-        ) - math.log2(math.factorial(m))
+        falling = (_log2_sub(lbk, i) for i in range(m))
+    l_binom = sum(falling) - math.log2(math.factorial(m))  # log2 binom(beta k, m)
     term1 = (R + 2) * math.log2(c) + l2k + l_binom
 
     l_s0_term = ls0 + math.log2((1.0 - y_b) * c)

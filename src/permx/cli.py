@@ -364,12 +364,11 @@ def _schedule_report(bounds, o):
 
 def _certify(bounds, o):
     schedule = _schedule(bounds, o)
-    p = schedule.params
     if o["floors"]:
         # the report is the same either way; --floors only demands integral k and a
-        bounds._beta_k_int(p)
+        schedule.exact_beta_k()
     report = bounds.certify_schedule(schedule)
-    return {"params": p.to_jsonable(), **report.to_jsonable()}
+    return {"params": schedule.params.to_jsonable(), **report.to_jsonable()}
 
 
 def _crude(bounds, o):

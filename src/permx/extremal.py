@@ -388,14 +388,13 @@ def check_lemma21(
     the final one share the one node budget.  A t over MAX_WIDTH is
     refused (ResourceLimit) before the bound is evaluated.
     """
-    from .bounds import _pow_ka, lemma21_bound  # only the certifiers need bounds
+    from .bounds import _lemma21_side  # only the certifiers need bounds
 
     valid_budget(budget)
     valid_size(t, "t", None, MAX_WIDTH, OVER_WIDTH)
     valid_size(s, "s", None)
     k = P.k
-    bound = lemma21_bound(k, a, t, s)
-    ka = _pow_ka(k, a, s)
+    bound, ka = _lemma21_side(k, a, t, s)
     valid_size(hypothesis_n, "hypothesis_n", 1, MAX_WIDTH,
                "hypothesis width {} exceeds the {}-bit row limit")
     nodes = 0

@@ -16,6 +16,12 @@ before any work:
   ``Fraction``, never a ``bool`` or a ``str``, that a double holds
   finitely.
 
+``valid_real(integral=True)`` refuses a real constant with a
+fractional part by the one integrality rule, :func:`is_integral`: a
+finite real equal to ``int(value)``, so ``2``, ``2.0`` and
+``Fraction(2)`` are all integral.  ``bounds`` decides by the same rule
+which constants take its exact paths.
+
 Each returns its value, or raises ``PreconditionViolated`` (a value
 outside the domain) or ``ResourceLimit`` (a size over its ceiling).
 """
@@ -104,7 +110,7 @@ def valid_real(value, name: str, least=None, above=None, integral=False):
         finite = math.isfinite(value)
     except OverflowError:  # an int or Fraction beyond the double range
         raise PreconditionViolated(f"{name} overflows a double") from None
-    if integral and not (finite and value == int(value)):
+    if integral and not is_integral(value):
         raise PreconditionViolated(f"{name} must be an integer, got {value}")
     if above is not None and not (finite and value > above):
         raise PreconditionViolated(f"need finite {_symbol(name)} > {above}, got {value}")
@@ -114,6 +120,12 @@ def valid_real(value, name: str, least=None, above=None, integral=False):
     if least is not None and value < least:
         raise PreconditionViolated(f"need {_symbol(name)} >= {least}, got {value}")
     return value
+
+
+def is_integral(value) -> bool:
+    """Whether a real constant that a double holds finitely has no
+    fractional part, whatever its type."""
+    return math.isfinite(value) and value == int(value)
 
 
 def _symbol(name: str) -> str:

@@ -119,6 +119,40 @@ class TestScriptSmoke:
         assert rows[0]["failing_checks"] == "width_at_least_weight_log2"
         assert float(rows[0]["crude_log2_bound"]) > 0
 
+    @staticmethod
+    def sweep(*args):
+        return subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "schedule_sweep.py"), *args, "--out", "-"],
+            capture_output=True, text=True,
+        )
+
+    def test_schedule_sweep_reads_k_exactly(self):
+        proc = self.sweep("--k-values", str(10 ** 30), "--a-values", "1", "--c-values", "2")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [row["k"] for row in rows] == [str(10 ** 30)]
+        assert "floored_final" not in rows[0]["failing_checks"]
+
+    def test_schedule_sweep_reads_a_as_a_real(self):
+        proc = self.sweep("--k-values", "1000", "--a-values", "0.5,2", "--c-values", "2")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [row["a"] for row in rows] == ["0.5", "2"]
+        assert rows[0]["R_A"] != rows[1]["R_A"]
+
+    @pytest.mark.parametrize("args, error", [
+        (("--k-values", "1e6"), "argument --k-values: '1e6' is not a decimal integer"),
+        (("--c-values", "2.0"), "argument --c-values: '2.0' is not a decimal integer"),
+        (("--a-values", "one"), "argument --a-values: 'one' is not a real number"),
+        (("--a-values", "0"), "k=1000, a=0, c=2: need finite a > 0, got 0"),
+    ])
+    def test_schedule_sweep_usage_errors(self, args, error):
+        proc = self.sweep(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: ")
+        assert proc.stderr.endswith(f"error: {error}\n")
+
     def test_extremal_tables(self, tmp_path):
         ex_out = tmp_path / "ex.csv"
         f_out = tmp_path / "f.csv"

@@ -28,14 +28,12 @@ from permx.bounds import (
     marcus_tardos_bound,
     theorem12_exponent,
     theorem24_alpha,
-    _beta_k_int,
-    _bulk_constants,
     _floor_steps,
     _floored_final,
     _floored_replay,
-    _is_integral,
     _log2_int,
     _log2_sub,
+    _pow_ka,
     _power_quotient_bracket,
     _root_of_power_quotient,
     _state_jsonable,
@@ -292,6 +290,71 @@ class TestBuildSchedule:
         assert set(data["milestones"]) == {"bulk_end", "penultimate", "final"}
 
 
+def _integral_grid(seed: int, count: int):
+    """Seeded (k, a, c) with integral k and a.  Odd k make k^a past
+    2^53 inexact as a double, so a float power shows in every value."""
+    rng = random.Random(seed)
+    grid = [(3 ** 30, 2, 2), (4096, 1, 2)]
+    while len(grid) < count:
+        k = rng.choice([rng.randrange(2, 2 ** 20), rng.randrange(2 ** 20, 2 ** 48) | 1])
+        grid.append((k, rng.randint(1, 3), rng.randint(2, 4)))
+    return grid
+
+
+class TestIntegralSpellings:
+    """An int, an integral float and an integral Fraction are one
+    constant: each spelling of k and a takes the same exact paths."""
+
+    @staticmethod
+    def results(k, a, c):
+        sch = build_schedule(BoundParams(k, a, c))
+        ka = (3 * 2 ** 48 + 1) ** 3  # an s above every k^a of the grid
+        return (
+            sch,
+            json.dumps(certify_schedule(sch).to_jsonable()),
+            crude_fpts_bound(sch),
+            floored_states(sch),
+            lemma21_bound(k, a, 10 * ka, 2 * ka),
+            lemma22_rhs(k, a, c, 10 * ka, 4 * ka, 0.9, 0.1, 3),
+            _pow_ka(k, a, 2 * ka),
+        )
+
+    @pytest.mark.parametrize("k, a, c", _integral_grid(43, 10))
+    def test_spellings_agree(self, k, a, c):
+        want = self.results(k, a, c)
+        assert len(json.loads(want[1])["checks"]) == 18  # the floored checks ran
+        for spelled_k in (k, float(k), Fraction(k)):
+            for spelled_a in (a, float(a), Fraction(a)):
+                assert self.results(spelled_k, spelled_a, c) == want, (spelled_k, spelled_a)
+
+
+class TestExactFields:
+    @pytest.mark.parametrize("c", range(2, 9))
+    def test_bulk_multipliers(self, c):
+        sch = build_schedule(BoundParams(10 ** 6, 1, c))
+        assert sch.bulk == (Fraction(c - 1, c), Fraction(16 * c * c - 8 * c - 1, 16 * c * c))
+        assert all(type(v) is Fraction for v in sch.bulk)
+        assert (sch.x_bulk, sch.y_bulk) == (float(sch.bulk[0]), float(sch.bulk[1]))
+
+    @pytest.mark.parametrize("k, a, c", [
+        (2, 1, 2), (100, 2, 2), (4096, 1, 3), (10 ** 6, 3, 6), (2 ** 40, 3, 6),
+        (4096.0, 2.0, 4), (Fraction(4096), Fraction(3), 5), (1e6, 1, 2),
+    ])
+    def test_integral_beta_k(self, k, a, c):
+        beta_k = build_schedule(BoundParams(k, a, c)).beta_k
+        assert type(beta_k) is int
+        assert beta_k == 2 * c * int(k) ** int(a)
+
+    @pytest.mark.parametrize("k, a", [
+        (4096.5, 1), (4096, 1.5), (Fraction(8193, 2), 2), (10 ** 6, Fraction(3, 2)),
+    ])
+    def test_no_beta_k_off_the_integers(self, k, a):
+        sch = build_schedule(BoundParams(k, a, 2))
+        assert sch.beta_k is None
+        with pytest.raises(PreconditionViolated, match="exact floored replay needs integral"):
+            sch.exact_beta_k()
+
+
 class TestFlooredReplay:
     def test_drift_fields(self):
         sch = build_schedule(BoundParams(k=100, a=2, c=2))
@@ -310,7 +373,7 @@ class TestFlooredReplay:
     def test_floored_states_match_replay(self, k, a, c):
         params = BoundParams(k=k, a=a, c=c)
         sch = build_schedule(params)
-        replay = list(_floored_replay(params, sch.bulk_steps))
+        replay = list(_floored_replay(sch))
         log2_t, log2_s, drift_t, drift_s = floored_states(sch)
         assert len(log2_t) == len(log2_s) == len(replay) == sch.bulk_steps + 3
         for i, (t, s) in enumerate(replay):
@@ -328,9 +391,9 @@ class TestFlooredReplay:
         # 1e23 is 99999999999999991611392 as a double; like every other
         # exact value, beta*k takes the constant at its repr, 10^23
         params = BoundParams(k=1e23, a=1, c=2)
-        assert _beta_k_int(params) == 4 * 10 ** 23
         sch = build_schedule(params)
-        replay = list(_floored_replay(params, sch.bulk_steps))
+        assert sch.beta_k == 4 * 10 ** 23
+        replay = list(_floored_replay(sch))
         assert replay[-1] == self.fraction_replay(params, sch.bulk_steps)
         _, _, drift_t, drift_s = floored_states(sch)
         t_fl, s_fl = replay[-1]
@@ -368,11 +431,12 @@ class TestFlooredReplay:
     ])
     def test_integer_replay_matches_fractions(self, k, a, c):
         params = BoundParams(k=k, a=a, c=c)
-        R = build_schedule(params).bulk_steps
-        states = list(_floored_replay(params, R))
+        sch = build_schedule(params)
+        R = sch.bulk_steps
+        states = list(_floored_replay(sch))
         assert len(states) == R + 3
         assert states[-1] == self.fraction_replay(params, R)
-        assert _floored_final(params, R) == states[-1]  # the block path
+        assert _floored_final(sch) == states[-1]  # the block path
 
     @pytest.mark.parametrize("n, d, m", [(5, 6, 23), (527, 576, 6), (1, 2, 59), (55, 64, 9)])
     def test_block_steps_match_single_steps(self, n, d, m):
@@ -594,11 +658,12 @@ def reference_certify_schedule(schedule, *, tol: float = 1e-9) -> CertReport:
         lbk,
     )
 
-    if _is_integral(a) and _is_integral(params.k):
+    if a == int(a) and k == int(k):
         # only the final state is checked; holding the whole trajectory
         # of wide integers costs megabytes at large k
-        t_fl, s_fl = deque(_floored_replay(params, R), maxlen=1)[0]
-        beta_k = _beta_k_int(params)
+        t_fl, s_fl = deque(_floored_replay(schedule), maxlen=1)[0]
+        k_repr = Fraction(str(k)) if isinstance(k, float) else Fraction(k)
+        beta_k = 2 * c * int(k_repr) ** int(a)
         envelope = 16.0 * c * c / (8.0 * c + 1.0)  # 1/(1-y_b)
         add(
             "floored_final_width_le_target",
@@ -728,7 +793,9 @@ class CountingStates:
 
 def formula_state(params: BoundParams, i: int) -> tuple[float, float]:
     """Ideal state i from build_schedule's closed forms, restated."""
-    x_frac, y_frac = _bulk_constants(params)
+    c = params.c
+    x_frac = Fraction(c - 1, c)
+    y_frac = Fraction(16 * c * c - 8 * c - 1, 16 * c * c)
     x_b, y_b = float(x_frac), float(y_frac)
     l2x = math.log2(x_frac.numerator) - math.log2(x_frac.denominator)
     l2y = math.log2(y_frac.numerator) - math.log2(y_frac.denominator)

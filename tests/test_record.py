@@ -98,12 +98,13 @@ CASES = [
      ("R", "lt0", "ls0", "l2x", "l2y", "ls_bulk_end", "l2y1"),
      "_IdealStates(R=1, lt0=0.0, ls0=1.0, l2x=0.5, l2y=0.25, ls_bulk_end=2.0, l2y1=0.125)",
      None),
-    (Schedule, (PARAMS, 1.5, 2.5, 0.5, 0.25, 0.75, 1, None, ((1.0, 2.0),)),
-     ("params", "beta", "log2_beta_k", "x_bulk", "y_bulk", "y_penultimate", "bulk_steps",
+    (Schedule, (PARAMS, 1.5, 2.5, (Fraction(1, 2), Fraction(1, 4)), 16, 0.75, 1, None,
+                ((1.0, 2.0),)),
+     ("params", "beta", "log2_beta_k", "bulk", "beta_k", "y_penultimate", "bulk_steps",
       "states", "milestones"),
-     "Schedule(params=BoundParams(k=4, a=1.0, c=2), beta=1.5, log2_beta_k=2.5, x_bulk=0.5, "
-     "y_bulk=0.25, y_penultimate=0.75, bulk_steps=1, states=None, "
-     "milestones=((1.0, 2.0),))", None),  # its own report form, tested in test_bounds
+     "Schedule(params=BoundParams(k=4, a=1.0, c=2), beta=1.5, log2_beta_k=2.5, "
+     "bulk=(Fraction(1, 2), Fraction(1, 4)), beta_k=16, y_penultimate=0.75, bulk_steps=1, "
+     "states=None, milestones=((1.0, 2.0),))", None),  # its own report form, tested in test_bounds
     (CertCheck, ("x", True, 1.0, 2.0), ("name", "holds", "lhs", "rhs"),
      "CertCheck(name='x', holds=True, lhs=1.0, rhs=2.0)", CHECK_REPORT),
     (CertReport, ((CHECK,),), ("checks",),
