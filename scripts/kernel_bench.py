@@ -1,26 +1,39 @@
 #!/usr/bin/env python3
-"""Time the layered-sum kernels of permx.avoidance on fixed cases, each
-run in a fresh interpreter.
+"""Time the layered-sum kernels of permx.avoidance and the Lemma 2.2
+certifier layer of permx.extremal on fixed cases, each run in a fresh
+interpreter.
 
-The cases are avoider counts of 1324 and 1342 at n = 13 and 14, the
-merge count of (132, 312) at n = 10 and the JV inclusion check of
+The kernel cases are avoider counts of 1324 and 1342 at n = 13 and 14,
+the merge count of (132, 312) at n = 10 and the JV inclusion check of
 (1, 12, 21) at n = 8, each through its public function.  Every layered
 sum a case runs is counted: the distinct states it expands, which is
 the least node budget that sum needs.
 
-stdout gets one line per case, its value and the states of each of its
-sums, which depend on the code alone.  stderr gets the median wall time
-over the repeats and the largest max RSS of the fresh processes, which
-depend on the host.  --src runs the cases on another checkout's
-src/ directory, so two trees compare on one host.
+The lemma cases take the 50 admissible points of the extremal-search
+grid for 123 (a = 1; c in {2, 3}; 2 <= s <= t <= 7; x in {0.6, 0.75,
+0.9}; y in {0.3, 0.4, 0.5, 0.7}), and call check_lemma22 or
+lemma22_rhs (at f_sub = 0) at each point 21 times in a row.  A point's
+time is the median of its calls, so searches that the first call runs
+and later calls reuse count once; the case's time is the median over
+its points.
+
+stdout gets one line per case, which depends on the code alone: a
+kernel case's value and the states of each of its sums, a lemma case's
+verdicts, the sum of its exact right sides and its nodes.  stderr gets
+the median wall time over the repeats (per point for a lemma case) and
+the largest max RSS of the fresh processes, which depend on the host.
+--src runs the cases on another checkout's src/ directory, so two trees
+compare on one host.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,13 +45,73 @@ CASES = {
     "count 1342 n=14": ("count", ("1342", 14)),
     "merge 132,312 n=10": ("merge", ("132", "312", 10)),
     "jv 1,12,21 n=8": ("jv", ("1", "12", "21", 8)),
+    "check_lemma22 123 grid": ("check_lemma22", ()),
+    "lemma22_rhs 123 grid": ("lemma22_rhs", ()),
 }
+LEMMA_CALLS = 21  # calls per point; the point's time is their median
+
+
+def lemma_points() -> list[tuple]:
+    """(c, t, s, x, y) of the grid points where Lemma 2.2's hypotheses
+    hold for 123 with a = 1, so k^a = 3: the denominator
+    s(1 - y(c-1)/floor(xc))c - 3c is positive, and the shrunken
+    instance keeps floor(sy) >= 1 and floor(t*floor(xc)/c) >= 1."""
+    points = []
+    for c in (2, 3):
+        for t in range(2, 8):
+            for s in range(2, t + 1):
+                for x in ("0.6", "0.75", "0.9"):
+                    for y in ("0.3", "0.4", "0.5", "0.7"):
+                        xf, yf = Fraction(x), Fraction(y)
+                        fxc = math.floor(xf * c)
+                        if (s * (1 - yf * Fraction(c - 1, fxc)) * c > 3 * c
+                                and math.floor(s * yf) >= 1 and t * fxc // c >= 1):
+                            points.append((c, t, s, float(x), float(y)))
+    return points
+
+
+def run_lemma_case(kind: str) -> tuple[str, float]:
+    """The verdicts, exact right sides and nodes of one lemma case over
+    the grid, and the median over its points of each point's median
+    call time."""
+    from permx.bounds import lemma22_rhs
+    from permx.core import parse_permutation, to_matrix
+    from permx.extremal import check_lemma22
+
+    P = to_matrix(parse_permutation("123"))
+    points = lemma_points()
+    times, results = [], []
+    for c, t, s, x, y in points:
+        calls = []
+        for _ in range(LEMMA_CALLS):
+            start = time.perf_counter()
+            if kind == "check_lemma22":
+                result = check_lemma22(P, 1, c, t, s, x, y)
+            else:
+                result = lemma22_rhs(3, 1, c, t, s, x, y, 0)
+            calls.append(time.perf_counter() - start)
+        times.append(statistics.median(calls))
+        results.append(result)
+    if kind == "check_lemma22":
+        work = (f"{len(points)} points, {sum(r.holds for r in results)} pass, "
+                f"rhs total {sum(r.rhs_value for r in results)}, "
+                f"nodes {sum(r.nodes_explored for r in results)}")
+    else:
+        work = f"{len(points)} points, rhs total {sum(results)}"
+    return work, statistics.median(times)
 
 
 def run_case(name: str) -> dict:
-    """Run one case in this process: its value, the distinct states each
-    layered sum expanded, its wall time and this process's max RSS."""
+    """Run one case in this process: the work it did (a kernel case's
+    value and the distinct states each layered sum expanded), its wall
+    time and this process's max RSS."""
     import resource
+
+    kind, args = CASES[name]
+    if kind in ("check_lemma22", "lemma22_rhs"):
+        work, seconds = run_lemma_case(kind)
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        return {"work": work, "seconds": seconds, "per": "point", "max_rss_mb": rss_mb}
 
     from permx import avoidance
     from permx.core import parse_permutation
@@ -54,7 +127,6 @@ def run_case(name: str) -> dict:
             yield layer
 
     avoidance._layers = counted
-    kind, args = CASES[name]
     perms = [parse_permutation(a) for a in args[:-1]]
     start = time.perf_counter()
     if kind == "count":
@@ -65,7 +137,8 @@ def run_case(name: str) -> dict:
         value = avoidance.verify_jv_inclusion(*perms, args[-1]).checked
     seconds = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"value": value, "states": states, "seconds": seconds, "max_rss_mb": rss_mb}
+    work = f"value {value}, states {' + '.join(map(str, states))}"
+    return {"work": work, "seconds": seconds, "per": "run", "max_rss_mb": rss_mb}
 
 
 def main() -> int:
@@ -93,11 +166,12 @@ def main() -> int:
             ).stdout
             runs.append(json.loads(out))
         first = runs[0]
-        if any((r["value"], r["states"]) != (first["value"], first["states"]) for r in runs):
+        if any(r["work"] != first["work"] for r in runs):
             raise RuntimeError(f"{name}: repeats disagree")
-        print(f"{name}: value {first['value']}, states {' + '.join(map(str, first['states']))}",
-              flush=True)
-        print(f"{name}: median {statistics.median(r['seconds'] for r in runs):.3f} s, "
+        print(f"{name}: {first['work']}", flush=True)
+        seconds = statistics.median(r["seconds"] for r in runs)
+        shown = f"{seconds:.3f} s" if first["per"] == "run" else f"{seconds * 1e6:.1f} us per point"
+        print(f"{name}: median {shown}, "
               f"max RSS {max(r['max_rss_mb'] for r in runs):.1f} MB over {args.repeat} runs",
               file=sys.stderr, flush=True)
     return 0

@@ -39,13 +39,18 @@ step-by-step replay gives.
 
 Widths along the schedule overflow double precision for large k, so all
 state arithmetic is carried in log2 space; integer/rational quantities
-(binomials, the floored replay) are exact.
+(binomials, the floored replay) are exact.  The exact closed forms are
+computed on integer (numerator, denominator) pairs, each constant read
+once (:func:`_ratio`, floats at their decimal repr), each refusal
+decided by an integer comparison, and each value returned built as one
+``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
+from decimal import Decimal
 from fractions import Fraction
 from itertools import starmap
 
@@ -63,14 +68,18 @@ _MILESTONE_NOTE = (
 _MILESTONE_LABELS = ("bulk_end", "penultimate", "final")
 
 
-def _as_fraction(value) -> Fraction:
-    """Exact rational view of a checked real constant (:func:`valid_real`);
-    floats are read at their decimal repr so e.g. 0.1 means 1/10."""
-    return Fraction(str(value) if isinstance(value, float) else value)
+def _ratio(value) -> tuple[int, int]:
+    """Exact rational view of a checked real constant (:func:`valid_real`)
+    as its integer (numerator, denominator) pair, the denominator
+    positive; floats are read at their decimal repr so e.g. 0.1 means
+    1/10."""
+    if isinstance(value, float):
+        return Decimal(repr(value)).as_integer_ratio()
+    return value.numerator, value.denominator
 
 
-def _pow_ka(k, a, s) -> Fraction:
-    """k**a as an exact rational when a is integral, else the exact
+def _pow_ka(k, a, s) -> tuple[int, int]:
+    """k**a as an exact integer ratio when a is integral, else the exact
     value of the double-precision power.  k (at least 1) and a are
     checked as real constants; s is the caller's checked weight.
 
@@ -79,15 +88,16 @@ def _pow_ka(k, a, s) -> Fraction:
     decided in log2 space before any power is built, so a huge exponent
     neither builds a huge exact power nor overflows a double.
     """
-    kf = _as_fraction(valid_real(k, "k", least=1))
+    kn, kd = _ratio(valid_real(k, "k", least=1))
     log2_ka = valid_real(a, "a") * math.log2(k)
     if abs(log2_ka) > 1023:
         raise PreconditionViolated(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
     if log2_ka > math.log2(s) + 1:
         raise PreconditionViolated(f"need s > k^a, got s={s}, k^a=2^{log2_ka:g}")
-    if is_integral(a):
-        return kf ** int(a)
-    return Fraction(float(k) ** float(a))
+    if not is_integral(a):
+        return (float(k) ** float(a)).as_integer_ratio()
+    e = int(a)
+    return (kn ** e, kd ** e) if e >= 0 else (kd ** -e, kn ** -e)
 
 
 def _binom_digits(n: int, k: int) -> float:
@@ -129,16 +139,17 @@ def lemma21_bound(k: int, a, t: int, s: int) -> Fraction:
     return _lemma21_side(k, a, t, s)[0]
 
 
-def _lemma21_side(k, a, t, s) -> tuple[Fraction, Fraction]:
+def _lemma21_side(k, a, t, s) -> tuple[Fraction, tuple[int, int]]:
     """The bound of :func:`lemma21_bound` and the exact k^a it divides
-    by, from one validation and one power."""
+    by, as an integer ratio, from one validation and one power."""
     if not 1 <= valid_real(s, "s") <= valid_real(t, "t"):
         raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
-    ka = _pow_ka(k, a, s)
-    s_f = _as_fraction(s)
-    if s_f <= ka:
-        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a={float(ka):g}")
-    return ka * _as_fraction(t) / (s_f - ka), ka
+    kn, kd = ka = _pow_ka(k, a, s)
+    sn, sd = _ratio(s)
+    if sn * kd <= kn * sd:
+        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a={kn / kd:g}")
+    tn, td = _ratio(t)
+    return Fraction(kn * tn * sd, td * (sn * kd - kn * sd)), ka
 
 
 def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction:
@@ -151,27 +162,33 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
 def _lemma22_side(k, a, c, t, s, x, y, f_sub):
     """The right side of :func:`lemma22_rhs` as a function of f_sub,
     once every constant and f_sub are validated, with floor(xc) and y as
-    an exact rational, from which a caller shrinks the instance.  The
-    side is affine in f_sub, binom(c, floor(xc)) * f_sub plus its value
-    at 0, so one validation serves every f_sub."""
+    an exact integer ratio, from which a caller shrinks the instance.
+    The side is affine in f_sub, binom(c, floor(xc)) * f_sub plus its
+    value at 0, so one validation serves every f_sub.
+
+    Each refusal is an integer comparison, and the value at 0 is one
+    ratio: the denominator s(1 - y(c-1)/floor(xc))c - k^a c is
+    n / (s_d*y_d*floor(xc)*k_d) for the integer n below, each constant
+    read as its ratio v_n/v_d."""
     valid_size(c, "block count c", 2)
     if not 1 <= valid_real(s, "s") <= valid_real(t, "t"):
         raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
     valid_size(f_sub, "f_sub")
-    xf = _as_fraction(valid_real(x, "x"))
-    yf = _as_fraction(valid_real(y, "y"))
-    if not 0 < xf < 1:
+    xn, xd = _ratio(valid_real(x, "x"))
+    yn, yd = _ratio(valid_real(y, "y"))
+    if not 0 < xn < xd:
         raise PreconditionViolated(f"need 0 < x < 1, got {x}")
-    if not 0 < yf < 1:
+    if not 0 < yn < yd:
         raise PreconditionViolated(f"need 0 < y < 1, got {y}")
-    if xf <= Fraction(1, c):
+    if xn * c <= xd:
         raise PreconditionViolated(f"need x > 1/c, got x={x}, c={c}")
-    fxc = int(xf * c)  # floor; >= 1 because x > 1/c
-    ka = _pow_ka(k, a, s)
-    denom = _as_fraction(s) * (1 - yf * Fraction(c - 1, fxc)) * c - ka * c
-    if denom <= 0:
+    fxc = xn * c // xd  # >= 1 because x > 1/c
+    kn, kd = _pow_ka(k, a, s)
+    sn, sd = _ratio(s)
+    n = c * (sn * kd * (yd * fxc - yn * (c - 1)) - kn * sd * yd * fxc)
+    if n <= 0:
         try:
-            shown = f"{float(denom):g}"
+            shown = f"{n / (sd * yd * fxc * kd):g}"
         except OverflowError:  # c beyond the double range
             shown = "-inf"
         raise PreconditionViolated(f"s(1 - y(c-1)/floor(xc))c - k^a c = {shown} <= 0")
@@ -181,8 +198,9 @@ def _lemma22_side(k, a, c, t, s, x, y, f_sub):
             f"binom(c, floor(xc)) may have {digits:.0f} digits, over {MAX_REPORT_DIGITS}"
         )
     factor = math.comb(c, fxc)
-    rest = _reportable(ka * _as_fraction(t) / denom, "lemma22 rhs")
-    return (lambda f_sub: _reportable(factor * Fraction(f_sub) + rest, "lemma22 rhs")), fxc, yf
+    tn, td = _ratio(t)
+    rest = _reportable(Fraction(kn * tn * sd * yd * fxc, td * n), "lemma22 rhs")
+    return (lambda f_sub: _reportable(rest + factor * f_sub, "lemma22 rhs")), fxc, (yn, yd)
 
 
 def theorem24_alpha(a, c: int) -> float:
@@ -394,7 +412,7 @@ def build_schedule(params: BoundParams) -> Schedule:
         )
     bulk_steps = math.ceil(q)
     # beta and k are below 2^1024, so beta*k has under 2048 bits
-    beta_k = 2 * c * int(_as_fraction(k)) ** int(a) if is_integral(k) and is_integral(a) else None
+    beta_k = 2 * c * _ratio(k)[0] ** int(a) if is_integral(k) and is_integral(a) else None
 
     lt0 = log2_beta_k - (bulk_steps + 2) * l2x
     ls0 = lt0 / 2.0

@@ -394,7 +394,7 @@ def check_lemma21(
     valid_size(t, "t", None, MAX_WIDTH, OVER_WIDTH)
     valid_size(s, "s", None)
     k = P.k
-    bound, ka = _lemma21_side(k, a, t, s)
+    bound, (kn, kd) = _lemma21_side(k, a, t, s)
     valid_size(hypothesis_n, "hypothesis_n", 1, MAX_WIDTH,
                "hypothesis width {} exceeds the {}-bit row limit")
     nodes = 0
@@ -403,9 +403,9 @@ def check_lemma21(
         nodes += res.nodes_explored
         if not res.proven_optimal:
             raise ResourceLimit(f"budget exhausted while verifying ex at n={n}")
-        if Fraction(res.value) > ka * n:
+        if res.value * kd > kn * n:
             raise PreconditionViolated(
-                f"ex(n={n}) = {res.value} exceeds k^a*n = {float(ka) * n:g}"
+                f"ex(n={n}) = {res.value} exceeds k^a*n = {kn / kd * n:g}"
             )
     fres = _rows_within(P, t, s, bound, budget - nodes)
     nodes += fres.nodes_explored
@@ -415,10 +415,11 @@ def check_lemma21(
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _blockable(P: PermutationMatrix, c: int) -> bool:
-    """Whether P decomposes into c blocks, decided once per (P, c);
-    typed, so a float c is refused as it is uncached."""
-    return count_block_decompositions(from_matrix(P), c) > 0
+def _blockable(masks: tuple[int, ...], c: int) -> bool:
+    """Whether the permutation matrix with these row masks decomposes
+    into c blocks, decided once per (masks, c), the key form of the kept
+    search records; typed, so a float c is refused as it is uncached."""
+    return count_block_decompositions(from_matrix(BinaryMatrix(masks, len(masks))), c) > 0
 
 
 class Lemma22Report(Record):
@@ -479,12 +480,12 @@ def check_lemma22(
     valid_size(t, "t", None, MAX_WIDTH, OVER_WIDTH)
     valid_size(s, "s", None)
     k = P.k
-    if not _blockable(P, c):
+    if not _blockable(P.matrix.masks, c):
         raise PreconditionViolated(f"pattern admits no {c}-block decomposition")
     # validates constants and the denominator before any search runs
-    rhs_of, fxc, yf = _lemma22_side(k, a, c, t, s, x, y, 0)
+    rhs_of, fxc, (yn, yd) = _lemma22_side(k, a, c, t, s, x, y, 0)
     shrunk_t = t * fxc // c
-    shrunk_s = int(Fraction(s) * yf)
+    shrunk_s = s * yn // yd
     if shrunk_s == 0:
         raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
     sub = fpts_exact(P, shrunk_t, shrunk_s, DEFAULT_ROW_CAP, budget)

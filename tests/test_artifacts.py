@@ -174,17 +174,29 @@ class TestScriptSmoke:
             # host rows bijects the avoiders, so f and g agree
             assert row["f"] == row["g"]
 
+    @staticmethod
+    def kernel_bench(case):
+        return subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "kernel_bench.py"),
+             "--case", case, "--repeat", "2"],
+            capture_output=True, text=True,
+        )
+
     def test_kernel_bench_splits_work_from_timing(self):
         # values and states, which depend on the code alone, go to
         # stdout; timings and RSS, which depend on the host, to stderr
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "kernel_bench.py"),
-             "--case", "jv 1,12,21 n=8", "--repeat", "2"],
-            capture_output=True, text=True,
-        )
+        proc = self.kernel_bench("jv 1,12,21 n=8")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "jv 1,12,21 n=8: value 33324, states 538\n"
         assert proc.stderr.startswith("jv 1,12,21 n=8: median ")
+        assert proc.stderr.endswith(" MB over 2 runs\n")
+
+    def test_kernel_bench_lemma_case_times_each_point(self):
+        proc = self.kernel_bench("lemma22_rhs 123 grid")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "lemma22_rhs 123 grid: 50 points, rhs total 68185/114\n"
+        assert proc.stderr.startswith("lemma22_rhs 123 grid: median ")
+        assert " us per point, max RSS " in proc.stderr
         assert proc.stderr.endswith(" MB over 2 runs\n")
 
 
@@ -280,3 +292,35 @@ class C:
         counts = [int(count) for count, _ in rows[:-1]]
         assert all(counts)
         assert int(rows[-1][0]) == sum(counts)
+
+
+BENCH_KEYS = {"title", "command", "host", "parent", "change", "method", "claim", "sets"}
+
+
+def _pair_counts(node):
+    """Every (change_better_pairs, pairs) of the dicts in node that
+    carry both keys, at any depth."""
+    if isinstance(node, dict):
+        if "change_better_pairs" in node and "pairs" in node:
+            yield node["change_better_pairs"], node["pairs"]
+        node = node.values()
+    elif not isinstance(node, list):
+        return
+    for child in node:
+        yield from _pair_counts(child)
+
+
+@pytest.mark.parametrize("path", sorted(REPO.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_file_schema(path):
+    data = json.loads(path.read_text())
+    assert BENCH_KEYS <= set(data), sorted(BENCH_KEYS - set(data))
+    sets = data["sets"]
+    assert isinstance(sets, list) and sets
+    for entry in sets:
+        assert isinstance(entry, dict) and {"name", "code"} <= set(entry), entry
+    for better, pairs in _pair_counts(data):
+        assert 0 <= better <= pairs, (better, pairs)
+
+
+def test_bench_files_found():
+    assert list(REPO.glob("BENCH_*.json"))

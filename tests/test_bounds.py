@@ -39,7 +39,9 @@ from permx.bounds import (
     _state_jsonable,
 )
 from permx.cli import main
+from permx.core import parse_permutation, to_matrix
 from permx.errors import PreconditionViolated, ResourceLimit
+from permx.extremal import check_lemma22
 
 
 def pascal_binomial(n: int, r: int) -> int:
@@ -153,6 +155,167 @@ class TestLemma22Rhs:
     def test_negative_f_sub_rejected(self):
         with pytest.raises(PreconditionViolated):
             lemma22_rhs(2, 1, 2, 8, 6, 0.6, 0.5, -1)
+
+
+def _exact(value) -> Fraction:
+    """A real constant as one Fraction, a float read at its decimal repr."""
+    return Fraction(str(value) if isinstance(value, float) else value)
+
+
+def _reference_ka(k, a, s) -> Fraction:
+    """k^a with the domain checks, one Fraction per operation."""
+    log2_ka = a * math.log2(k)
+    if abs(log2_ka) > 1023:
+        raise PreconditionViolated(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
+    if log2_ka > math.log2(s) + 1:
+        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a=2^{log2_ka:g}")
+    if a == int(a):
+        return _exact(k) ** int(a)
+    return Fraction(float(k) ** float(a))
+
+
+def _reference_long(value: Fraction) -> Fraction:
+    if max(abs(value.numerator), value.denominator) >= 10 ** 4300:
+        raise ResourceLimit("lemma22 rhs has more than 4300 digits")
+    return value
+
+
+def reference_lemma21(k, a, t, s) -> Fraction:
+    """ka*t/(s - ka) on Fractions, refused as the library refuses."""
+    if not 1 <= s <= t:
+        raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
+    ka = _reference_ka(k, a, s)
+    if _exact(s) <= ka:
+        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a={float(ka):g}")
+    return ka * _exact(t) / (_exact(s) - ka)
+
+
+def reference_lemma22(k, a, c, t, s, x, y):
+    """(binom(c, floor(xc)), rest, floor(xc), y): the right side is
+    binom * f_sub + rest, each step on Fractions."""
+    if not 1 <= s <= t:
+        raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
+    xf, yf = _exact(x), _exact(y)
+    if not 0 < xf < 1:
+        raise PreconditionViolated(f"need 0 < x < 1, got {x}")
+    if not 0 < yf < 1:
+        raise PreconditionViolated(f"need 0 < y < 1, got {y}")
+    if xf <= Fraction(1, c):
+        raise PreconditionViolated(f"need x > 1/c, got x={x}, c={c}")
+    fxc = int(xf * c)
+    ka = _reference_ka(k, a, s)
+    denom = _exact(s) * (1 - yf * Fraction(c - 1, fxc)) * c - ka * c
+    if denom <= 0:
+        raise PreconditionViolated(f"s(1 - y(c-1)/floor(xc))c - k^a c = {float(denom):g} <= 0")
+    rest = _reference_long(ka * _exact(t) / denom)
+    return math.comb(c, fxc), rest, fxc, yf
+
+
+def _outcome(f, *args):
+    """f's value with its type, or the type and message of its refusal.
+    A refusal that prints a Fraction of more than 4300 digits fails to
+    format its message with ValueError, on both sides alike."""
+    try:
+        value = f(*args)
+    except (PreconditionViolated, ResourceLimit, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def _spell(rng, value: Fraction):
+    """value as an int (when integral), a float or a Fraction."""
+    kinds = ["float", "fraction"] + ["int"] * (value.denominator == 1)
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return int(value)
+    return float(value) if kind == "float" else value
+
+
+def _lemma_grid(seed: int, count: int):
+    """Seeded (k, a, c, t, s, x, y) in mixed spellings, a third of them
+    on or just past an edge of the domain: x at or below 1/c, y at 1,
+    s at or below k^a, a zero or negative denominator, or a y or t with
+    a denominator of more than 4300 digits."""
+    rng = random.Random(seed)
+    tiny = Fraction(1, 10 ** 12)
+    huge = 10 ** 4400
+    grid = []
+    while len(grid) < count:
+        k = Fraction(rng.choice([1, 2, 3, 5, 7, 10 ** 6 + 3, 2 ** 40 + 1, Fraction(3, 2)]))
+        a = Fraction(rng.choice([0, 1, 2, 3, -1, Fraction(1, 2), Fraction(3, 2), Fraction(1, 3)]))
+        c = rng.randint(2, 8)
+        ka = Fraction(float(k) ** float(a)) if a.denominator > 1 else k ** int(a)
+        s = max(ka, Fraction(1)) * Fraction(rng.choice([1, 2, 3, 11, 101]), rng.choice([1, 1, 2]))
+        s += rng.choice([0, 0, 1, tiny, -tiny])
+        t = s * rng.choice([1, 1, 2, 7]) + rng.choice([0, 0, 0, 3, -1])
+        x = Fraction(1, c) + Fraction(c - 1, c) * Fraction(rng.randint(1, 999), 1000)
+        fxc = int(x * c)
+        y = min(1, Fraction(fxc, c - 1)) * (1 - ka / s) * Fraction(rng.randint(1, 99), 100)
+        edge = rng.randrange(9)
+        if edge == 0:
+            x = Fraction(1, c) - rng.choice([0, tiny, Fraction(1, 10)])
+        elif edge == 1:
+            y = Fraction(rng.choice([1, 1, 2]))
+        elif edge == 2:
+            s = ka - rng.choice([0, 0, tiny])
+        elif edge == 3:
+            y = (1 - ka / s) * Fraction(fxc, c - 1) + rng.choice([0, 0, tiny])
+        elif edge == 4:
+            y = y + Fraction(1, huge) if rng.random() < 0.5 else y
+            t = t + Fraction(1, huge + 1)
+        spelled = [_spell(rng, v) for v in (k, a)]
+        spelled.append(c)
+        spelled += [_spell(rng, v) for v in (t, s, x, y)]
+        grid.append(tuple(spelled))
+    return grid
+
+
+class TestClosedFormsAgainstFractionSteps:
+    """The lemma closed forms equal a restatement of their formulas that
+    builds one Fraction per operation, refusals included."""
+
+    F_SUBS = (0, 1, 7, 10 ** 4300)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lemma_values_and_refusals(self, seed):
+        refused = 0
+        for k, a, c, t, s, x, y in _lemma_grid(seed, 600):
+            want = _outcome(reference_lemma21, k, a, t, s)
+            assert _outcome(lemma21_bound, k, a, t, s) == want, (k, a, t, s)
+            side = _outcome(reference_lemma22, k, a, c, t, s, x, y)
+            for f_sub in self.F_SUBS:
+                got = _outcome(lemma22_rhs, k, a, c, t, s, x, y, f_sub)
+                if side[0] is tuple:
+                    factor, rest = side[1][:2]
+                    want = _outcome(_reference_long, factor * Fraction(f_sub) + rest)
+                else:
+                    want = side
+                assert got == want, (k, a, c, t, s, x, y, f_sub)
+                refused += got[0] is not Fraction
+        assert refused > 600  # the edges are reached
+
+    def test_shrunk_weight(self):
+        P = to_matrix(parse_permutation("12"))
+        rng = random.Random(44)
+        checked = 0
+        for _ in range(200):
+            a = _spell(rng, Fraction(rng.choice([Fraction(1, 2), 1, Fraction(3, 4)])))
+            s = rng.randint(2, 6)
+            t = rng.randint(s, 7)
+            x = _spell(rng, Fraction(rng.randint(51, 99), 100))
+            y = _spell(rng, Fraction(rng.randint(1, 99), 100))
+            side = _outcome(reference_lemma22, 2, a, 2, t, s, x, y)
+            got = _outcome(lambda *args: check_lemma22(*args).shrunk_s, P, a, 2, t, s, x, y)
+            if side[0] is tuple:
+                shrunk_s = int(Fraction(s) * side[1][3])
+                if shrunk_s:
+                    assert got == (int, shrunk_s), (a, t, s, x, y)
+                    checked += 1
+                    continue
+                side = (PreconditionViolated,
+                        "floor(s*y) = 0 makes the shrunken search unbounded")
+            assert got == side, (a, t, s, x, y)
+        assert checked > 50
 
 
 class TestExponents:

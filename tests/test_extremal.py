@@ -759,7 +759,10 @@ class TestCheckLemma22:
             check_lemma22(P12, 1, 2, 5, 5, 0.6, 0.5)
             with pytest.raises(PreconditionViolated, match="admits no 2-block decomposition"):
                 check_lemma22(pm("2413"), 1, 2, 5, 5, 0.6, 0.5)
-        assert len(counted) == 2
+            # 2.0 == 2 and hashes alike, yet is refused after a c = 2 call
+            with pytest.raises(PreconditionViolated, match="block count c must be an integer"):
+                check_lemma22(P12, 1, 2.0, 5, 5, 0.6, 0.5)
+        assert len(counted) == 4
 
 
 # -- finished searches kept per process --------------------------------------
