@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time the layered-sum kernels of permx.avoidance and the Lemma 2.2
-certifier layer of permx.extremal on fixed cases, each run in a fresh
-interpreter.
+"""Time the layered-sum kernels of permx.avoidance, the exfn_exact
+search and the Lemma 2.2 certifier layer of permx.extremal on fixed
+cases, each run in a fresh interpreter.
 
 The kernel cases are avoider counts of 1324 and 1342 at n = 13 and 14,
 the merge count of (132, 312) at n = 10 and the JV inclusion check of
 (1, 12, 21) at n = 8, each through its public function.  Every layered
 sum a case runs is counted: the distinct states it expands, which is
 the least node budget that sum needs.
+
+The exfn cases are ex(2413, 7), ex(1342, 8) and ex(132, 8), each one
+exfn_exact search at the default budget.
 
 The lemma cases take the 50 admissible points of the extremal-search
 grid for 123 (a = 1; c in {2, 3}; 2 <= s <= t <= 7; x in {0.6, 0.75,
@@ -18,8 +21,9 @@ and later calls reuse count once; the case's time is the median over
 its points.
 
 stdout gets one line per case, which depends on the code alone: a
-kernel case's value and the states of each of its sums, a lemma case's
-verdicts, the sum of its exact right sides and its nodes.  stderr gets
+kernel case's value and the states of each of its sums, an exfn case's
+value, proven flag, nodes and witness rows, a lemma case's verdicts,
+the sum of its exact right sides and its nodes.  stderr gets
 the median wall time over the repeats (per point for a lemma case) and
 the largest max RSS of the fresh processes, which depend on the host.
 --src runs the cases on another checkout's src/ directory, so two trees
@@ -45,6 +49,9 @@ CASES = {
     "count 1342 n=14": ("count", ("1342", 14)),
     "merge 132,312 n=10": ("merge", ("132", "312", 10)),
     "jv 1,12,21 n=8": ("jv", ("1", "12", "21", 8)),
+    "exfn 2413 n=7": ("exfn", ("2413", 7)),
+    "exfn 1342 n=8": ("exfn", ("1342", 8)),
+    "exfn 132 n=8": ("exfn", ("132", 8)),
     "check_lemma22 123 grid": ("check_lemma22", ()),
     "lemma22_rhs 123 grid": ("lemma22_rhs", ()),
 }
@@ -101,18 +108,23 @@ def run_lemma_case(kind: str) -> tuple[str, float]:
     return work, statistics.median(times)
 
 
-def run_case(name: str) -> dict:
-    """Run one case in this process: the work it did (a kernel case's
-    value and the distinct states each layered sum expanded), its wall
-    time and this process's max RSS."""
-    import resource
+def run_exfn_case(text: str, n: int) -> tuple[str, float]:
+    """The value, proven flag, nodes and witness rows of one exfn_exact
+    search, and its wall time."""
+    from permx.core import parse_permutation, to_matrix
+    from permx.extremal import exfn_exact
 
-    kind, args = CASES[name]
-    if kind in ("check_lemma22", "lemma22_rhs"):
-        work, seconds = run_lemma_case(kind)
-        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        return {"work": work, "seconds": seconds, "per": "point", "max_rss_mb": rss_mb}
+    P = to_matrix(parse_permutation(text))
+    start = time.perf_counter()
+    res = exfn_exact(P, n)
+    seconds = time.perf_counter() - start
+    return (f"value {res.value}, proven {str(res.proven_optimal).lower()}, "
+            f"nodes {res.nodes_explored}, witness rows {list(res.witness.masks)}"), seconds
 
+
+def run_kernel_case(kind: str, args: tuple) -> tuple[str, float]:
+    """A kernel case's value and the distinct states each layered sum
+    expanded, and its wall time."""
     from permx import avoidance
     from permx.core import parse_permutation
 
@@ -136,9 +148,23 @@ def run_case(name: str) -> dict:
     else:
         value = avoidance.verify_jv_inclusion(*perms, args[-1]).checked
     seconds = time.perf_counter() - start
+    return f"value {value}, states {' + '.join(map(str, states))}", seconds
+
+
+def run_case(name: str) -> dict:
+    """Run one case in this process: the work it did, its wall time
+    (per point for a lemma case) and this process's max RSS."""
+    import resource
+
+    kind, args = CASES[name]
+    if kind in ("check_lemma22", "lemma22_rhs"):
+        (work, seconds), per = run_lemma_case(kind), "point"
+    elif kind == "exfn":
+        (work, seconds), per = run_exfn_case(*args), "run"
+    else:
+        (work, seconds), per = run_kernel_case(kind, args), "run"
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    work = f"value {value}, states {' + '.join(map(str, states))}"
-    return {"work": work, "seconds": seconds, "per": "run", "max_rss_mb": rss_mb}
+    return {"work": work, "seconds": seconds, "per": per, "max_rss_mb": rss_mb}
 
 
 def main() -> int:

@@ -55,7 +55,8 @@ from fractions import Fraction
 from itertools import starmap
 
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS, is_integral, valid_real, valid_size
+from .limits import (MAX_REPORT_DIGITS, MAX_SCHEDULE_STEPS, is_integral, shown, valid_real,
+                     valid_size)
 from .record import Record
 
 _LN2 = math.log(2.0)
@@ -93,7 +94,7 @@ def _pow_ka(k, a, s) -> tuple[int, int]:
     if abs(log2_ka) > 1023:
         raise PreconditionViolated(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
     if log2_ka > math.log2(s) + 1:
-        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a=2^{log2_ka:g}")
+        raise PreconditionViolated(f"need s > k^a, got s={shown(s)}, k^a=2^{log2_ka:g}")
     if not is_integral(a):
         return (float(k) ** float(a)).as_integer_ratio()
     e = int(a)
@@ -143,11 +144,11 @@ def _lemma21_side(k, a, t, s) -> tuple[Fraction, tuple[int, int]]:
     """The bound of :func:`lemma21_bound` and the exact k^a it divides
     by, as an integer ratio, from one validation and one power."""
     if not 1 <= valid_real(s, "s") <= valid_real(t, "t"):
-        raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
+        raise PreconditionViolated(f"need 1 <= s <= t, got s={shown(s)}, t={shown(t)}")
     kn, kd = ka = _pow_ka(k, a, s)
     sn, sd = _ratio(s)
     if sn * kd <= kn * sd:
-        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a={kn / kd:g}")
+        raise PreconditionViolated(f"need s > k^a, got s={shown(s)}, k^a={kn / kd:g}")
     tn, td = _ratio(t)
     return Fraction(kn * tn * sd, td * (sn * kd - kn * sd)), ka
 
@@ -172,26 +173,26 @@ def _lemma22_side(k, a, c, t, s, x, y, f_sub):
     read as its ratio v_n/v_d."""
     valid_size(c, "block count c", 2)
     if not 1 <= valid_real(s, "s") <= valid_real(t, "t"):
-        raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
+        raise PreconditionViolated(f"need 1 <= s <= t, got s={shown(s)}, t={shown(t)}")
     valid_size(f_sub, "f_sub")
     xn, xd = _ratio(valid_real(x, "x"))
     yn, yd = _ratio(valid_real(y, "y"))
     if not 0 < xn < xd:
-        raise PreconditionViolated(f"need 0 < x < 1, got {x}")
+        raise PreconditionViolated(f"need 0 < x < 1, got {shown(x)}")
     if not 0 < yn < yd:
-        raise PreconditionViolated(f"need 0 < y < 1, got {y}")
+        raise PreconditionViolated(f"need 0 < y < 1, got {shown(y)}")
     if xn * c <= xd:
-        raise PreconditionViolated(f"need x > 1/c, got x={x}, c={c}")
+        raise PreconditionViolated(f"need x > 1/c, got x={shown(x)}, c={c}")
     fxc = xn * c // xd  # >= 1 because x > 1/c
     kn, kd = _pow_ka(k, a, s)
     sn, sd = _ratio(s)
     n = c * (sn * kd * (yd * fxc - yn * (c - 1)) - kn * sd * yd * fxc)
     if n <= 0:
         try:
-            shown = f"{n / (sd * yd * fxc * kd):g}"
+            denom = f"{n / (sd * yd * fxc * kd):g}"
         except OverflowError:  # c beyond the double range
-            shown = "-inf"
-        raise PreconditionViolated(f"s(1 - y(c-1)/floor(xc))c - k^a c = {shown} <= 0")
+            denom = "-inf"
+        raise PreconditionViolated(f"s(1 - y(c-1)/floor(xc))c - k^a c = {denom} <= 0")
     digits = _binom_digits(c, fxc)
     if digits > MAX_REPORT_DIGITS:
         raise ResourceLimit(
@@ -213,7 +214,7 @@ def theorem24_alpha(a, c: int) -> float:
     alpha = 2.0 * a + 8.0 * c * c + 32.0 * a * c * c * math.log(c)
     if not math.isfinite(2.0 * alpha):
         raise PreconditionViolated(f"2*alpha = 4a + 16c^2 + 64ac^2 ln c overflows a double "
-                           f"at a={a}, c={c}")
+                           f"at a={shown(a)}, c={c}")
     return alpha
 
 
@@ -398,7 +399,8 @@ def build_schedule(params: BoundParams) -> Schedule:
     log2_beta_k = math.log2(2 * c) + a * l2k
     log2_beta = math.log2(2 * c) + (a - 1.0) * l2k
     if log2_beta >= 1024:
-        raise PreconditionViolated(f"beta = 2c*k^(a-1) overflows a double at k={k}, a={a}")
+        raise PreconditionViolated(
+            f"beta = 2c*k^(a-1) overflows a double at k={shown(k)}, a={shown(a)}")
     beta = 2.0 ** log2_beta
 
     # step count: contraction ratio of sqrt(t)/s must close the gap

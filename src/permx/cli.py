@@ -612,7 +612,12 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MemoryError:
+    except (MemoryError, SystemError) as exc:
+        # CPython 3.11 raises this SystemError when a call finds no
+        # memory for its frame
+        if isinstance(exc, SystemError) and str(exc) != "error return without exception set":
+            print(f"internal error: SystemError: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         # reported after the handler: its traceback keeps the failed
         # search's frames alive, and printing would fail again
         out = None

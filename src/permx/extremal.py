@@ -17,9 +17,13 @@ recursion over (rows left, state), fpts_exact a longest path from the
 empty state.  Rows only add occurrences, so states grow along a host:
 the row graph is acyclic apart from rows that leave the state unchanged,
 which can repeat forever and are reported as reaching the row cap.
-exfn_exact tries every allowed row; fpts_exact only the rows of exactly
-s ones, since a weight-s subset of a heavier row avoids the pattern
-wherever the row does.  Both try their rows in descending numeric order.
+exfn_exact visits every allowed row, but searches under a row only
+when the empty row's rest does not show it cannot win: no row adds
+fewer occurrences than the empty one, so no row's rest has more ones.
+fpts_exact tries only the rows of exactly s ones, since a weight-s
+subset of a heavier row avoids the pattern wherever the row does.  Both
+try their rows in descending numeric order, save that exfn_exact
+searches under the empty row second.
 
 The row model's step is memoised as core._row_states describes, and
 its memo belongs to the model each search builds, so it lasts one
@@ -41,7 +45,8 @@ Budget-exhausted records, and records of more than DEFAULT_ROW_CAP
 witness rows, are not kept.  A reused record's nodes_explored counts
 the search that produced it, not work done by the call that returns it.
 
-A search node is one candidate row tried from one distinct state.
+A search node is one candidate row visited from one distinct state,
+whether it is searched under or skipped.
 Witnesses are read back from the memo as the first optimal host in
 candidate order, the one a depth-first search in that order finds first.
 A row that leaves the state unchanged keeps winning until the rows still
@@ -116,13 +121,15 @@ def _keep(key, res):
     return res
 
 
-def _submasks(allowed: int):
-    """Every submask of ``allowed``, in descending numeric order."""
-    m = allowed
-    yield m
-    while m:
-        m = (m - 1) & allowed
-        yield m
+def _rows(allowed: int):
+    """Every submask of ``allowed``: itself, then the empty row, then the
+    rest in descending numeric order."""
+    yield allowed
+    if allowed:
+        yield 0
+        m = allowed
+        while m := (m - 1) & allowed:
+            yield m
 
 
 def exfn_exact(
@@ -132,11 +139,17 @@ def exfn_exact(
 
     best(r, state) = max over the rows the state allows of the row's
     ones plus best(r - 1, state after it), memoised; the last row takes
-    every allowed column.  Rows are tried in descending numeric order,
-    every submask of the allowed columns down to the empty row.  Budget
-    exhaustion returns the best host completed on the search stack,
-    flagged not proven.  A finished search is run once per process (see
-    the module docstring).
+    every allowed column.  Rows are visited in descending numeric order,
+    every submask of the allowed columns, except that the empty row
+    comes second, right after the full allowed row.  An empty row adds
+    no occurrence, so no row's rest holds more ones than the empty
+    row's, cap = best(r - 1, state after the empty row); a later row m
+    with m's ones + cap <= the best so far could at best tie, which
+    never displaces the first best row, and is skipped unsearched.  A
+    skipped row still counts as a node, so the budget bounds the visits.
+    Budget exhaustion returns the best host completed on the search
+    stack, flagged not proven.  A finished search is run once per
+    process (see the module docstring).
     """
     valid_size(n, "n", 1, MAX_WIDTH, OVER_WIDTH)
     valid_budget(budget)
@@ -166,18 +179,24 @@ def _exfn(P: PermutationMatrix, n: int, budget: int) -> ExtremalResult:
         key = (r, state)
         if key not in memo:
             allowed = ((1 << n) - 1) & ~state[-1]
-            entry = (-1, 0, None)
-            for m in [allowed] if r == 1 else _submasks(allowed):
+            entry = (-1, 0, None)  # the first best non-empty row
+            cap, empty = -1, None  # the empty row's value and child; -1 skips no row
+            for m in [allowed] if r == 1 else _rows(allowed):
                 nodes += 1
                 if nodes > budget:
                     raise _Stop
+                ones = m.bit_count()
+                if m and ones + cap <= entry[0]:
+                    continue  # at best a tie with a row before it
                 child = step(state, m, r - 1) if r > 1 else None
                 stack.append(m)
-                value = m.bit_count() + best(r - 1, child)
+                value = ones + best(r - 1, child)
                 stack.pop()
-                if value > entry[0]:
+                if not m:
+                    cap, empty = value, child
+                elif value > entry[0]:
                     entry = (value, m, child)
-            memo[key] = entry
+            memo[key] = entry if entry[0] >= cap else (cap, 0, empty)
         return memo[key][0]
 
     try:

@@ -111,14 +111,14 @@ def valid_real(value, name: str, least=None, above=None, integral=False):
     except OverflowError:  # an int or Fraction beyond the double range
         raise PreconditionViolated(f"{name} overflows a double") from None
     if integral and not is_integral(value):
-        raise PreconditionViolated(f"{name} must be an integer, got {value}")
+        raise PreconditionViolated(f"{name} must be an integer, got {shown(value)}")
     if above is not None and not (finite and value > above):
-        raise PreconditionViolated(f"need finite {_symbol(name)} > {above}, got {value}")
+        raise PreconditionViolated(f"need finite {_symbol(name)} > {above}, got {shown(value)}")
     if not finite:
         raise PreconditionViolated(f"{name} must be finite, got {value!r}" if least is None
                                    else f"need finite {_symbol(name)}, got {value}")
     if least is not None and value < least:
-        raise PreconditionViolated(f"need {_symbol(name)} >= {least}, got {value}")
+        raise PreconditionViolated(f"need {_symbol(name)} >= {least}, got {shown(value)}")
     return value
 
 
@@ -126,6 +126,16 @@ def is_integral(value) -> bool:
     """Whether a real constant that a double holds finitely has no
     fractional part, whatever its type."""
     return math.isfinite(value) and value == int(value)
+
+
+def shown(value) -> str:
+    """A checked real constant as a refusal writes it: exactly, or as
+    ~ and its double to six digits when it is a Fraction with a term
+    past str()'s 4300-digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"~{float(value):g}"
 
 
 def _symbol(name: str) -> str:

@@ -162,13 +162,22 @@ def _exact(value) -> Fraction:
     return Fraction(str(value) if isinstance(value, float) else value)
 
 
+def _shown(value) -> str:
+    """value as a refusal writes it: str(), or ~ and its double to six
+    digits when str() refuses a term of more than 4300 digits."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"~{float(value):g}"
+
+
 def _reference_ka(k, a, s) -> Fraction:
     """k^a with the domain checks, one Fraction per operation."""
     log2_ka = a * math.log2(k)
     if abs(log2_ka) > 1023:
         raise PreconditionViolated(f"need |a*log2(k)| <= 1023, got {log2_ka:g}")
     if log2_ka > math.log2(s) + 1:
-        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a=2^{log2_ka:g}")
+        raise PreconditionViolated(f"need s > k^a, got s={_shown(s)}, k^a=2^{log2_ka:g}")
     if a == int(a):
         return _exact(k) ** int(a)
     return Fraction(float(k) ** float(a))
@@ -183,10 +192,10 @@ def _reference_long(value: Fraction) -> Fraction:
 def reference_lemma21(k, a, t, s) -> Fraction:
     """ka*t/(s - ka) on Fractions, refused as the library refuses."""
     if not 1 <= s <= t:
-        raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
+        raise PreconditionViolated(f"need 1 <= s <= t, got s={_shown(s)}, t={_shown(t)}")
     ka = _reference_ka(k, a, s)
     if _exact(s) <= ka:
-        raise PreconditionViolated(f"need s > k^a, got s={s}, k^a={float(ka):g}")
+        raise PreconditionViolated(f"need s > k^a, got s={_shown(s)}, k^a={float(ka):g}")
     return ka * _exact(t) / (_exact(s) - ka)
 
 
@@ -194,14 +203,14 @@ def reference_lemma22(k, a, c, t, s, x, y):
     """(binom(c, floor(xc)), rest, floor(xc), y): the right side is
     binom * f_sub + rest, each step on Fractions."""
     if not 1 <= s <= t:
-        raise PreconditionViolated(f"need 1 <= s <= t, got s={s}, t={t}")
+        raise PreconditionViolated(f"need 1 <= s <= t, got s={_shown(s)}, t={_shown(t)}")
     xf, yf = _exact(x), _exact(y)
     if not 0 < xf < 1:
-        raise PreconditionViolated(f"need 0 < x < 1, got {x}")
+        raise PreconditionViolated(f"need 0 < x < 1, got {_shown(x)}")
     if not 0 < yf < 1:
-        raise PreconditionViolated(f"need 0 < y < 1, got {y}")
+        raise PreconditionViolated(f"need 0 < y < 1, got {_shown(y)}")
     if xf <= Fraction(1, c):
-        raise PreconditionViolated(f"need x > 1/c, got x={x}, c={c}")
+        raise PreconditionViolated(f"need x > 1/c, got x={_shown(x)}, c={c}")
     fxc = int(xf * c)
     ka = _reference_ka(k, a, s)
     denom = _exact(s) * (1 - yf * Fraction(c - 1, fxc)) * c - ka * c
@@ -212,12 +221,10 @@ def reference_lemma22(k, a, c, t, s, x, y):
 
 
 def _outcome(f, *args):
-    """f's value with its type, or the type and message of its refusal.
-    A refusal that prints a Fraction of more than 4300 digits fails to
-    format its message with ValueError, on both sides alike."""
+    """f's value with its type, or the type and message of its refusal."""
     try:
         value = f(*args)
-    except (PreconditionViolated, ResourceLimit, ValueError) as exc:
+    except (PreconditionViolated, ResourceLimit) as exc:
         return type(exc), str(exc)
     return type(value), value
 
@@ -316,6 +323,28 @@ class TestClosedFormsAgainstFractionSteps:
                         "floor(s*y) = 0 makes the shrunken search unbounded")
             assert got == side, (a, t, s, x, y)
         assert checked > 50
+
+
+_LONG = 10 ** 4400
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lemma21_bound(2, 1, Fraction(_LONG + 1, _LONG), 3),
+     "need 1 <= s <= t, got s=3, t=~1"),
+    (lambda: lemma22_rhs(2, 1, 2, Fraction(_LONG + 1, _LONG), 3, 0.6, 0.5, 0),
+     "need 1 <= s <= t, got s=3, t=~1"),
+    (lambda: lemma21_bound(2, 1, 8, Fraction(2 * _LONG - 1, _LONG)),
+     "need s > k^a, got s=~2, k^a=2"),
+    (lambda: lemma22_rhs(2, 1, 2, 8, 6, 0.6, Fraction(_LONG + 1, _LONG), 0),
+     "need 0 < y < 1, got ~1"),
+    (lambda: lemma21_bound(1 - Fraction(1, _LONG), 1, 5, 3), "need k >= 1, got ~1"),
+], ids=["lemma21-t", "lemma22-t", "lemma21-s", "lemma22-y", "lemma21-k"])
+def test_refusals_write_long_fractions_approximately(call, message):
+    # str() refuses a term of more than 4300 digits; the refusal stays a
+    # PreconditionViolated and writes the value to six digits
+    with pytest.raises(PreconditionViolated) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestExponents:

@@ -24,6 +24,7 @@ from permx.bounds import BoundParams, _state_jsonable, build_schedule, floored_s
 from permx.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
     FORMATS,
@@ -125,19 +126,45 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "exfn", "--pattern", "12", "--n", "3")
         assert (code, out, err) == (EXIT_RESOURCE, "", "resource limit: out of memory\n")
 
-    def test_exhausted_address_space_is_a_resource_limit(self):
-        # a real MemoryError in a child capped at 100 MB of address space:
-        # the failed search's memo must be freed before the report prints
+    @pytest.mark.parametrize("message, code, err", [
+        ("error return without exception set", EXIT_RESOURCE, "resource limit: out of memory\n"),
+        ("bad call", EXIT_INTERNAL, "internal error: SystemError: bad call\n"),
+    ])
+    def test_frame_allocation_failure_is_a_resource_limit(
+            self, capsys, monkeypatch, message, code, err):
+        # CPython 3.11 fails a call that finds no memory for its frame
+        # with this SystemError, not a MemoryError; any other SystemError
+        # is still an internal error
+        def exhausted(*args, **kwargs):
+            raise SystemError(message)
+
+        monkeypatch.setattr("permx.extremal.exfn_exact", exhausted)
+        assert invoke(capsys, "exfn", "--pattern", "12", "--n", "3") == (code, "", err)
+
+    @staticmethod
+    def exfn_under_address_cap(megabytes):
         env = dict(os.environ)
         src = str(Path(permx.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        cap = 100 * 2 ** 20
+        cap = megabytes * 2 ** 20
         proc = subprocess.run(
             [sys.executable, "-m", "permx.cli", "exfn", "--pattern", "12", "--n", "64"],
             capture_output=True, env=env, timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_exhausted_address_space_is_a_resource_limit(self):
+        # a real MemoryError in a child capped at 100 MB of address space:
+        # the failed search's memo must be freed before the report prints
+        assert self.exfn_under_address_cap(100) == (
+            EXIT_RESOURCE, b"", b"resource limit: out of memory\n"
+        )
+
+    @pytest.mark.parametrize("megabytes", [60, 140])
+    def test_other_address_caps_are_resource_limits(self, megabytes):
+        # the search runs out at another depth and in another allocation
+        assert self.exfn_under_address_cap(megabytes) == (
             EXIT_RESOURCE, b"", b"resource limit: out of memory\n"
         )
 

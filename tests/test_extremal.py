@@ -32,7 +32,7 @@ from permx.core import (
 )
 from permx.errors import PreconditionViolated, ResourceLimit
 from permx.extremal import (
-    _submasks,
+    _rows,
     _weight_submasks,
     check_lemma21,
     check_lemma22,
@@ -143,8 +143,8 @@ class TestExfn:
         assert res.witness.count_ones() == 375
 
     @pytest.mark.parametrize("text, n, value, nodes, rows", [
-        ("2413", 6, 27, 38032, [63, 63, 63, 35, 35, 35]),
-        ("1342", 7, 33, 72573, [127, 127, 127, 112, 112, 112, 112]),
+        ("2413", 6, 27, 15176, [63, 63, 63, 35, 35, 35]),
+        ("1342", 7, 33, 70013, [127, 127, 127, 112, 112, 112, 112]),
     ])
     def test_frontier_searches_pinned(self, text, n, value, nodes, rows):
         # 4 x 4 patterns, beyond the length-3 tables in artifacts/
@@ -187,7 +187,7 @@ def test_row_state_memo_lasts_one_search():
     gc.collect()
     tracemalloc.start()
     try:
-        for search in (lambda: exfn_exact(pm("2413"), 5), lambda: fpts_exact(pm("123"), 9, 3)):
+        for search in (lambda: exfn_exact(pm("2413"), 6), lambda: fpts_exact(pm("123"), 9, 3)):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             search()
@@ -522,11 +522,11 @@ def _random_masks(seed):
         yield rng, width, allowed, subs
 
 
-def test_submasks_match_sorted_countdown():
+def test_rows_put_the_empty_row_second():
     # oracle: every submask found by brute force over the mask's width,
-    # sorted in descending order
+    # sorted in descending order, with the empty row moved up to second
     for _, _, allowed, subs in _random_masks(23):
-        assert list(_submasks(allowed)) == subs, allowed
+        assert list(_rows(allowed)) == subs[:1] + subs[1:][-1:] + subs[1:-1], allowed
 
 
 def test_weight_submasks_match_sorted_filter():
@@ -633,6 +633,71 @@ def test_capped_witness_matches_per_row_walk(text):
                         PER_ROW[key] = per_row_fpts(Q, t, s, cap, budget)
                     assert fpts_fields(search(P, t, s, cap, budget)) == PER_ROW[key], (
                         search.__name__, t, s, cap, budget)
+
+
+def unpruned_exfn(P, n, budget):
+    """exfn_exact without the empty row's bound: every allowed
+    row is tried in descending numeric order, the empty row last.  The
+    reference of the differential test; (value, witness rows, nodes,
+    proven)."""
+    root, step = _row_states(P, n)
+    memo, stack, found, nodes = {}, [], [0, [0] * n], 0
+
+    def best(r, state):
+        nonlocal nodes
+        if r == 0:
+            ones = sum(m.bit_count() for m in stack)
+            if ones > found[0]:
+                found[:] = ones, list(stack)
+            return 0
+        if (r, state) not in memo:
+            allowed = ((1 << n) - 1) & ~state[-1]
+            entry = (-1, 0, None)
+            subs = [m for m in range(allowed, -1, -1) if m & ~allowed == 0]
+            for m in subs[:1] if r == 1 else subs:
+                nodes += 1
+                if nodes > budget:
+                    raise _Stop
+                child = step(state, m, r - 1) if r > 1 else None
+                stack.append(m)
+                value = m.bit_count() + best(r - 1, child)
+                stack.pop()
+                if value > entry[0]:
+                    entry = (value, m, child)
+            memo[(r, state)] = entry
+        return memo[(r, state)][0]
+
+    try:
+        value = best(n, root)
+    except _Stop:
+        return (found[0], found[1], nodes, False)
+    host, state = [], root
+    for r in range(n, 0, -1):
+        _, m, state = memo[(r, state)]
+        host.append(m)
+    return (value, host, nodes, True)
+
+
+DIFFERENTIAL_CASES = [
+    (text, n) for text in ALL_PATTERNS_TO_4 for n in range(1, 6)] + [("2413", 6), ("1342", 6)]
+
+
+@pytest.mark.parametrize("text, n", DIFFERENTIAL_CASES)
+def test_exfn_matches_unpruned_search(text, n):
+    # a row skipped by the empty row's bound could at best tie, so value,
+    # witness and flag are the unpruned search's, in no more nodes; a
+    # search that runs out of budget returns what the unpruned one does
+    P = pm(text)
+    want = unpruned_exfn(P, n, DEFAULT_NODE_BUDGET)
+    got = fresh(exfn_exact, P, n)
+    assert (got.value, list(got.witness.masks), got.proven_optimal) == (
+        want[0], want[1], want[3])
+    assert got.nodes_explored <= want[2]
+    for budget in (10, 100, 1000, 10**4):
+        res = fresh(exfn_exact, P, n, budget)
+        if not res.proven_optimal:
+            assert (res.value, list(res.witness.masks), res.nodes_explored, False) == (
+                unpruned_exfn(P, n, budget)), budget
 
 
 def test_capped_search_steps_once_per_state(monkeypatch):
@@ -825,7 +890,7 @@ def test_budget_below_a_kept_search_runs_out_as_a_fresh_one():
     for _ in range(2):
         assert least_budget(lambda b: check_lemma22(P, *args, budget=b), 346).holds
     for _ in range(2):
-        rep = least_budget(lambda b: check_lemma21(P, 1, 5, 4, hypothesis_n=3, budget=b), 56)
+        rep = least_budget(lambda b: check_lemma21(P, 1, 5, 4, hypothesis_n=3, budget=b), 48)
         assert rep.holds
     res = fpts_exact(P, 8, 5)
     assert fpts_exact(P, 8, 5, budget=res.nodes_explored) is res
