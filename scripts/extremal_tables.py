@@ -5,8 +5,8 @@ Two tables: per-pattern ex values for square hosts up to --n-max, and
 row-count values f(t, s) / g(t, s) for every weight s from the pattern
 size up to the width t.  All searches run to proven optimality; rows
 carry the explored node counts, so a change in the pruning shows: the
-ex searches skip every row that the empty row's rest shows cannot beat
-an earlier one, and the f/g searches try only rows of exactly s ones.
+ex searches count the cells of a column sweep that builds each state's
+distinct children, and the f/g searches try only rows of exactly s ones.
 """
 
 import argparse

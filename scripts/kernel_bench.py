@@ -9,8 +9,8 @@ the merge count of (132, 312) at n = 10 and the JV inclusion check of
 sum a case runs is counted: the distinct states it expands, which is
 the least node budget that sum needs.
 
-The exfn cases are ex(2413, 7), ex(1342, 8) and ex(132, 8), each one
-exfn_exact search at the default budget.
+The exfn cases are ex(2413, 7), ex(1342, 8), ex(132, 8), ex(2413, 8)
+and ex(1342, 9), each one exfn_exact search at the default budget.
 
 The lemma cases take the 50 admissible points of the extremal-search
 grid for 123 (a = 1; c in {2, 3}; 2 <= s <= t <= 7; x in {0.6, 0.75,
@@ -52,6 +52,8 @@ CASES = {
     "exfn 2413 n=7": ("exfn", ("2413", 7)),
     "exfn 1342 n=8": ("exfn", ("1342", 8)),
     "exfn 132 n=8": ("exfn", ("132", 8)),
+    "exfn 2413 n=8": ("exfn", ("2413", 8)),
+    "exfn 1342 n=9": ("exfn", ("1342", 9)),
     "check_lemma22 123 grid": ("check_lemma22", ()),
     "lemma22_rhs 123 grid": ("lemma22_rhs", ()),
 }

@@ -229,13 +229,13 @@ def fox_rhs(ex_table, t: int, s: int, f_val: int, g_val: int, n: int) -> int:
     inequality, from caller-supplied exact table values.  The row
     counts f and g must be nonnegative, and t, s and n positive."""
     if min(valid_size(f_val, "f", None), valid_size(g_val, "g", None)) < 0:
-        raise PreconditionViolated(f"need f, g >= 0, got f={f_val}, g={g_val}")
+        raise PreconditionViolated(f"need f, g >= 0, got f={shown(f_val)}, g={shown(g_val)}")
     for name, value in (("t", t), ("s", s), ("n", n)):
         valid_size(value, name, 1)  # no ex table holds the key s - 1 < 0
     out = {}
     for key in (s - 1, t, n):
         if key not in ex_table:
-            raise PreconditionViolated(f"ex table is missing an entry for n={key}")
+            raise PreconditionViolated(f"ex table is missing an entry for n={shown(key)}")
         out[key] = ex_table[key]
     return _reportable(out[s - 1] * out[n] + out[t] * (f_val + g_val) * n, "fox rhs")
 

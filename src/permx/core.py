@@ -25,7 +25,7 @@ import itertools
 import operator
 
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import MAX_DECOMPOSITIONS, valid_size
+from .limits import MAX_DECOMPOSITIONS, shown, valid_size
 from .record import Record, _set
 
 _LOW = -(1 << 60)
@@ -49,7 +49,8 @@ class Permutation(Record):
             for v in entries:
                 valid_size(v, "permutation entry", None)
         if sorted(entries) != list(range(1, len(entries) + 1)):
-            raise PreconditionViolated(f"not a bijection on 1..{len(entries)}: {entries!r}")
+            shown_entries = ", ".join(map(shown, entries)) + "," * (len(entries) == 1)
+            raise PreconditionViolated(f"not a bijection on 1..{len(entries)}: ({shown_entries})")
 
     @property
     def n(self) -> int:
@@ -441,7 +442,7 @@ def matrix_avoids(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
 # of a child depends only on levels j - 1 and j of its state and on the
 # new entry, so both models memoise levels on (j, parent level, own
 # level): the permutation model looks each up once per state and gets a
-# row over the gaps, the row model once per candidate row.
+# row over the gaps, the row model once per row or one-column join.
 
 _EMPTY = frozenset()
 
@@ -705,16 +706,25 @@ def _row_states(P: PermutationMatrix, width: int):
     each occurrence it completes to length k - 1.  For k = 1 there is no
     level 1, and the root forbids every column.
 
-    ``step(state, row, rows_left=None)`` builds child level j = 1..k-1
-    from level j - 1 of the state, whose occurrences the row may extend,
-    and level j, carried over; rows_left, when given, is how many rows
-    may still follow, and level j is empty when rows_left < k - j or
-    both its inputs are.  Otherwise it is looked up in a memo on (j,
-    parent, own, row), and built on a miss; the memo also maps each
-    level to itself, so equal levels are one object.  rows_left is not
-    part of the key, since it only blanks levels before the lookup, and
-    the width is fixed per model, so the memo lives in this call's
-    closure: as long as one search holds the step."""
+    ``step(state, row, rows_left=None, partial=None)`` builds child
+    level j = 1..k-1 from level j - 1 of the state, whose occurrences
+    the row may extend, and its own level j, carried over: the state's,
+    or with ``partial`` the partial child's.  rows_left, when given, is
+    how many rows may still follow, and level j is empty when rows_left
+    < k - j or both its inputs are.  Otherwise it is looked up in a memo
+    on (j, parent, own, row), and built on a miss; the memo also maps
+    each level to itself, so equal levels are one object.  rows_left is
+    not part of the key, since it only blanks levels before the lookup,
+    and the width is fixed per model, so the memo lives in this call's
+    closure: as long as one search holds the step.
+
+    A one extends only the state's occurrences, never those of another
+    one in its row.  A tuple level keeps the live occurrences that no
+    other dominates, and the last level ORs masks, so reducing after
+    each column changes nothing: a row's child is the empty row's child
+    joined with the row's columns one at a time, ``partial =
+    step(state, 1 << x, rows_left, partial)``.
+    exfn_exact's column sweep builds a state's children that way."""
     k = P.k
     plan = _occurrence_plan(tuple(P.col_of_row()))
     last_lo, last_hi = plan[-1][:2]
@@ -752,10 +762,11 @@ def _row_states(P: PermutationMatrix, width: int):
         return functools.reduce(
             operator.or_, (between(t, last_lo, last_hi) for t in tuples), own)
 
-    def step(state, row, rows_left=None):
+    def step(state, row, rows_left=None, partial=None):
         child = [state[0]]
+        base = state if partial is None else partial
         for j in range(1, k):
-            parent, own = state[j - 1], state[j]
+            parent, own = state[j - 1], base[j]
             if not (parent or own) or (rows_left is not None and rows_left < k - j):
                 child.append(empty[j])
                 continue

@@ -17,13 +17,25 @@ recursion over (rows left, state), fpts_exact a longest path from the
 empty state.  Rows only add occurrences, so states grow along a host:
 the row graph is acyclic apart from rows that leave the state unchanged,
 which can repeat forever and are reported as reaching the row cap.
-exfn_exact visits every allowed row, but searches under a row only
-when the empty row's rest does not show it cannot win: no row adds
-fewer occurrences than the empty one, so no row's rest has more ones.
-fpts_exact tries only the rows of exactly s ones, since a weight-s
-subset of a heavier row avoids the pattern wherever the row does.  Both
-try their rows in descending numeric order, save that exfn_exact
-searches under the empty row second.
+
+exfn_exact searches a state's distinct children, not its rows.  After
+the full allowed row, which it searches under first, a sweep over the
+allowed columns, left to right, builds them: from the empty row's
+child it joins one column at a time to every partial child so far,
+keeping for each partial child its best row, the one with the most
+ones, ties going to the larger mask.  A one at column x extends only
+the state's own occurrences, never ones the same row made, so the
+row's child is the fold of these one-column joins, each the row
+model's step of a one-column row (core._row_states).  Rows with one
+partial child have the same completions, so the best row of each
+child is the best of all rows reaching it.  No row adds fewer
+occurrences than the empty one, so no child's rest has more ones than
+the empty row's: the children are searched under in descending order
+of their best rows, the empty row's child first among them, and the
+first whose best row and that cap cannot beat the best so far ends the
+state.  fpts_exact tries only the rows of exactly s ones, in
+descending numeric order, since a weight-s subset of a heavier row
+avoids the pattern wherever the row does.
 
 The row model's step is memoised as core._row_states describes, and
 its memo belongs to the model each search builds, so it lasts one
@@ -45,10 +57,15 @@ Budget-exhausted records, and records of more than DEFAULT_ROW_CAP
 witness rows, are not kept.  A reused record's nodes_explored counts
 the search that produced it, not work done by the call that returns it.
 
-A search node is one candidate row visited from one distinct state,
-whether it is searched under or skipped.
-Witnesses are read back from the memo as the first optimal host in
-candidate order, the one a depth-first search in that order finds first.
+An exfn_exact node is one sweep cell: a state's full row, its empty
+row's child, or one column joined to one partial child, so the budget
+bounds all work.  An fpts_exact node is one candidate row visited from
+one distinct state.  Witnesses are read back from the memo as the
+first optimal host in candidate order, the one a depth-first search
+over the rows in descending numeric order finds first: an exfn_exact
+state keeps the row under which the host holds the most ones, ties
+going to the larger mask, so the empty row wins only when it is
+strictly best.
 A row that leaves the state unchanged keeps winning until the rows still
 needed fall to what a row before it reaches, so its whole run is written
 at once: a capped witness costs a step per distinct state, not per row.
@@ -121,17 +138,6 @@ def _keep(key, res):
     return res
 
 
-def _rows(allowed: int):
-    """Every submask of ``allowed``: itself, then the empty row, then the
-    rest in descending numeric order."""
-    yield allowed
-    if allowed:
-        yield 0
-        m = allowed
-        while m := (m - 1) & allowed:
-            yield m
-
-
 def exfn_exact(
     P: PermutationMatrix, n: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> ExtremalResult:
@@ -139,14 +145,15 @@ def exfn_exact(
 
     best(r, state) = max over the rows the state allows of the row's
     ones plus best(r - 1, state after it), memoised; the last row takes
-    every allowed column.  Rows are visited in descending numeric order,
-    every submask of the allowed columns, except that the empty row
-    comes second, right after the full allowed row.  An empty row adds
-    no occurrence, so no row's rest holds more ones than the empty
-    row's, cap = best(r - 1, state after the empty row); a later row m
-    with m's ones + cap <= the best so far could at best tie, which
-    never displaces the first best row, and is skipped unsearched.  A
-    skipped row still counts as a node, so the budget bounds the visits.
+    every allowed column.  The full allowed row is searched under first.
+    Then a column sweep (module docstring) gives each distinct child
+    with its best row; an empty row adds no occurrence, so no child's
+    rest holds more ones than the empty row's, cap = best(r - 1, state
+    after the empty row).  The children are searched under in
+    descending order of their best rows, the empty row's child first,
+    until a child's best row's ones + cap cannot beat the best so far.
+    The full row and each sweep cell count one node each, so the budget
+    bounds all work.
     Budget exhaustion returns the best host completed on the search
     stack, flagged not proven.  A finished search is run once per
     process (see the module docstring).
@@ -164,10 +171,35 @@ def _exfn(P: PermutationMatrix, n: int, budget: int) -> ExtremalResult:
     if kept is not None:
         return kept
     root, step = _row_states(P, n)
+    full, one = (1 << n) - 1, 1 << n
     memo = {}  # (rows left, state) -> (most ones, first best row, state after it)
     stack: list[int] = []
     best_value, best_rows = 0, [0] * n
     nodes = 0
+
+    def sweep(state, r):
+        # the empty row's child, then each allowed column, left to right,
+        # joined to every partial child so far: the distinct children,
+        # each with its best row as ones << n | row, so larger is better
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _Stop
+        empty = step(state, 0, r - 1)
+        rows = {empty: 0}
+        cols = full & ~state[-1]
+        while cols:
+            bit = cols & -cols
+            cols ^= bit
+            for partial, row in list(rows.items()):
+                nodes += 1
+                if nodes > budget:
+                    raise _Stop
+                child = step(state, bit, r - 1, partial)
+                row += one + bit
+                if rows.get(child, -1) < row:
+                    rows[child] = row
+        return empty, rows
 
     def best(r, state):
         nonlocal best_value, best_rows, nodes
@@ -177,27 +209,41 @@ def _exfn(P: PermutationMatrix, n: int, budget: int) -> ExtremalResult:
                 best_value, best_rows = ones, list(stack)
             return 0
         key = (r, state)
-        if key not in memo:
-            allowed = ((1 << n) - 1) & ~state[-1]
-            entry = (-1, 0, None)  # the first best non-empty row
-            cap, empty = -1, None  # the empty row's value and child; -1 skips no row
-            for m in [allowed] if r == 1 else _rows(allowed):
-                nodes += 1
-                if nodes > budget:
-                    raise _Stop
-                ones = m.bit_count()
-                if m and ones + cap <= entry[0]:
-                    continue  # at best a tie with a row before it
-                child = step(state, m, r - 1) if r > 1 else None
-                stack.append(m)
-                value = ones + best(r - 1, child)
+        if key in memo:
+            return memo[key][0]
+        # the full row first, so a host is completed before any sweep
+        nodes += 1
+        if nodes > budget:
+            raise _Stop
+        m = full & ~state[-1]
+        first = step(state, m, r - 1) if r > 1 else None
+        stack.append(m)
+        rest = best(r - 1, first)
+        stack.pop()
+        top, after = (m.bit_count() + rest << n) + m, first
+        if r > 1 and m:
+            # then the empty row's child, whose rest caps every child's:
+            # in descending order, once a child's best row with the cap
+            # cannot beat the best so far, no later one can
+            empty, rows = sweep(state, r)
+            cap = rest if first == empty else None
+            order = sorted(rows, key=rows.get, reverse=True)[1:]  # [0] is first's
+            if cap is None:
+                order.remove(empty)
+                order.insert(0, empty)
+            for child in order:
+                row = rows[child]
+                if cap is not None and row + (cap << n) <= top:
+                    break
+                stack.append(row & full)
+                rest = best(r - 1, child)
                 stack.pop()
-                if not m:
-                    cap, empty = value, child
-                elif value > entry[0]:
-                    entry = (value, m, child)
-            memo[key] = entry if entry[0] >= cap else (cap, 0, empty)
-        return memo[key][0]
+                if cap is None:
+                    cap = rest
+                if row + (rest << n) > top:
+                    top, after = row + (rest << n), child
+        memo[key] = (top >> n, top & full, after)
+        return top >> n
 
     try:
         value = best(n, root)

@@ -76,18 +76,21 @@ def valid_size(value, name: str, least=0, most=None, over=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise PreconditionViolated(f"{name} must be an integer, got {value!r}")
     if over is None and most is not None and not least <= value <= most:
-        raise PreconditionViolated(f"need {least} <= {_symbol(name)} <= {most}, got {value}")
+        raise PreconditionViolated(
+            f"need {least} <= {_symbol(name)} <= {most}, got {shown(value)}")
     if least is not None and value < least:
-        raise PreconditionViolated(f"need {_symbol(name)} >= {least}, got {value}")
+        raise PreconditionViolated(f"need {_symbol(name)} >= {least}, got {shown(value)}")
     if over is not None and value > most:
-        raise ResourceLimit(over.format(value, most))
+        raise ResourceLimit(over.format(shown(value), most))
     return value
 
 
 def valid_budget(value) -> int:
     """``value``, once it is a positive ``int`` (not a ``bool``)."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not isinstance(value, int) or isinstance(value, bool):
         raise PreconditionViolated(f"budget must be a positive integer, got {value!r}")
+    if value < 1:
+        raise PreconditionViolated(f"budget must be a positive integer, got {shown(value)}")
     return value
 
 
@@ -129,12 +132,15 @@ def is_integral(value) -> bool:
 
 
 def shown(value) -> str:
-    """A checked real constant as a refusal writes it: exactly, or as
-    ~ and its double to six digits when it is a Fraction with a term
-    past str()'s 4300-digit limit."""
+    """A checked number as a refusal writes it: exactly, or, when it
+    has a term past str()'s 4300-digit limit, as ~ and an estimate: an
+    int's sign and greatest power of two not above its size
+    ("~-2^16609"), a Fraction's double to six digits."""
     try:
         return str(value)
     except ValueError:
+        if isinstance(value, int):
+            return f"~{'-' * (value < 0)}2^{abs(value).bit_length() - 1}"
         return f"~{float(value):g}"
 
 

@@ -148,7 +148,7 @@ class TestExitCodes:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         cap = megabytes * 2 ** 20
         proc = subprocess.run(
-            [sys.executable, "-m", "permx.cli", "exfn", "--pattern", "12", "--n", "64"],
+            [sys.executable, "-m", "permx.cli", "exfn", "--pattern", "132", "--n", "64"],
             capture_output=True, env=env, timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
@@ -156,7 +156,8 @@ class TestExitCodes:
 
     def test_exhausted_address_space_is_a_resource_limit(self):
         # a real MemoryError in a child capped at 100 MB of address space:
-        # the failed search's memo must be freed before the report prints
+        # the failed search's memo must be freed before the report prints.
+        # ex(132, 64) outgrows every cap tried here within seconds
         assert self.exfn_under_address_cap(100) == (
             EXIT_RESOURCE, b"", b"resource limit: out of memory\n"
         )
@@ -167,6 +168,13 @@ class TestExitCodes:
         assert self.exfn_under_address_cap(megabytes) == (
             EXIT_RESOURCE, b"", b"resource limit: out of memory\n"
         )
+
+    def test_exfn_of_a_wide_identity_is_proven(self, capsys):
+        # ex(I_k, n) = 2(k - 1)n - (k - 1)^2, here 127 at n = 64: the
+        # sweep merges the rows of each state into few distinct children
+        code, out, err = invoke(capsys, "exfn", "--pattern", "12", "--n", "64", "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1].endswith(",12,true,127")
 
     def test_sw_estimate_length_limit(self, capsys):
         code, out, err = invoke(capsys, "sw-estimate", "--pattern", "2413", "--n-max", "15")
@@ -356,7 +364,7 @@ class TestExitCodes:
                                 "--t", "40", "--s", "3", "--format", "json")
         assert time.perf_counter() - start < 10
         assert (code, err) == (EXIT_OK, "")
-        assert out == ('{"a":1.0,"hypothesis_checked_upto":4,"k":2,"lhs":19,"nodes":92243,'
+        assert out == ('{"a":1.0,"hypothesis_checked_upto":4,"k":2,"lhs":19,"nodes":92217,'
                        '"pass":true,"pattern":"12","rhs":"80","s":3,"t":40}\n')
 
     @pytest.mark.parametrize("fmt", FORMATS)

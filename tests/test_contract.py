@@ -38,9 +38,10 @@ size, budget, real = (partial(Arg, kind) for kind in ("size", "budget", "real"))
 def edges(arg):
     """The edge alphabet: the in-domain value first, so examples shrink
     toward it, then an integral float, a bool, a negative, zero, an int
-    beyond the double range, a str and None; a real also draws nan and
-    inf."""
-    edge = (arg.value, float(arg.value), True, -1, 0, 10 ** 400, str(arg.value), None)
+    beyond the double range, ints past str()'s 4300-digit limit of
+    either sign, a str and None; a real also draws nan and inf."""
+    edge = (arg.value, float(arg.value), True, -1, 0, 10 ** 400, 10 ** 5000, -10 ** 5000,
+            str(arg.value), None)
     return edge + (math.nan, math.inf) if arg.kind == "real" else edge
 
 
@@ -255,6 +256,24 @@ def test_refused_before_any_work(refuse_work, text):
 ], ids=["size", "budget", "entry", "cols", "f_sub", "real", "bool-real", "wide-real"])
 def test_refusals_name_the_argument(refuse_work, refused, message):
     with pytest.raises(PreconditionViolated) as info:
+        refused()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: permx.exfn_exact(P12, 10 ** 5000), ResourceLimit,
+     "width ~2^16609 exceeds the 64-bit row limit"),
+    (lambda: permx.exfn_exact(P12, -10 ** 5000), PreconditionViolated,
+     "need n >= 1, got ~-2^16609"),
+    (lambda: permx.count_avoiders(perm("12"), 10 ** 5000), ResourceLimit,
+     "n=~2^16609 exceeds the configured limit 14"),
+    (lambda: permx.exfn_exact(P12, 3, budget=-10 ** 5000), PreconditionViolated,
+     "budget must be a positive integer, got ~-2^16609"),
+], ids=["width", "negative-size", "length", "budget"])
+def test_refusals_write_ints_past_the_digit_limit(refuse_work, refused, error, message):
+    # str() of an int of more than 4300 digits raises a bare ValueError,
+    # so a refusal writes the int's sign and size in powers of two
+    with pytest.raises(error) as info:
         refused()
     assert str(info.value) == message
 

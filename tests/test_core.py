@@ -759,8 +759,8 @@ def least_budget(search, nodes):
 def test_models_on_cached_plans_keep_counts_and_nodes():
     # avoider counts (_perm_states), merge counts and the JV check
     # (avoidance._colour), exfn and fpts (_row_states): the values and
-    # the least budgets pinned before the plan was cached, exfn's as the
-    # empty row's bound lowered it
+    # the least budgets pinned before the plan was cached, exfn's in
+    # cells of its column sweep
     perm = parse_permutation
     for text, count, nodes in (("123", 1430, 91), ("1342", 15485, 298), ("2413", 15485, 341)):
         assert least_budget(lambda b: count_avoiders(perm(text), 8, budget=b), nodes) == count
@@ -772,7 +772,7 @@ def test_models_on_cached_plans_keep_counts_and_nodes():
         lambda b: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 6, budget=b), 62)
     assert (rep.checked, rep.holds) == (694, True)
     res = exfn_exact(to_matrix(perm("2413")), 5)
-    assert (res.value, res.nodes_explored, res.proven_optimal) == (21, 1060, True)
+    assert (res.value, res.nodes_explored, res.proven_optimal) == (21, 410, True)
     res = fpts_exact(to_matrix(perm("132")), 7, 3)
     assert (res.value, res.nodes_explored, res.proven_optimal) == (10, 1680, True)
 
@@ -825,3 +825,32 @@ def test_row_model_mask_forbids_exactly_the_completing_columns(pvals):
                 row = rng.randrange(1 << width) & allowed
                 rows.append(row)
                 state = step(state, row)
+
+
+# -- a row's child is the fold of its one-column joins ----------------------
+
+PATTERNS_TO_5 = [p for k in range(1, 6) for p in itertools.permutations(range(1, k + 1))]
+
+
+@given(st.data())
+def test_row_step_is_the_fold_of_one_column_joins(data):
+    # from a reachable state, the empty row's child joined with one
+    # allowed column at a time, left to right, is the row's child: the
+    # column sweep of exfn_exact.  Patterns of length 5 include those
+    # whose reducer compares each tuple with every one kept
+    pvals = data.draw(st.sampled_from(PATTERNS_TO_5), label="pattern")
+    width = data.draw(st.integers(1, 8), label="width")
+    P = to_matrix(Permutation(pvals))
+    root, step = _row_states(P, width)
+    state = root
+    for row in data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=len(pvals) + 2),
+                         label="rows"):
+        state = step(state, row & ~state[-1])
+    rows_left = data.draw(st.sampled_from([None, 0, 1, 2, 3, 4]), label="rows_left")
+    row = data.draw(st.integers(0, (1 << width) - 1), label="row") & ~state[-1]
+    partial = step(state, 0, rows_left)
+    for x in range(width):
+        if row >> x & 1:
+            partial = step(state, 1 << x, rows_left, partial)
+    # a fresh model shares no memo entry with the fold
+    assert partial == _row_states(P, width)[1](state, row, rows_left)

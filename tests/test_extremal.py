@@ -32,7 +32,6 @@ from permx.core import (
 )
 from permx.errors import PreconditionViolated, ResourceLimit
 from permx.extremal import (
-    _rows,
     _weight_submasks,
     check_lemma21,
     check_lemma22,
@@ -143,8 +142,8 @@ class TestExfn:
         assert res.witness.count_ones() == 375
 
     @pytest.mark.parametrize("text, n, value, nodes, rows", [
-        ("2413", 6, 27, 15176, [63, 63, 63, 35, 35, 35]),
-        ("1342", 7, 33, 70013, [127, 127, 127, 112, 112, 112, 112]),
+        ("2413", 6, 27, 4925, [63, 63, 63, 35, 35, 35]),
+        ("1342", 7, 33, 16728, [127, 127, 127, 112, 112, 112, 112]),
     ])
     def test_frontier_searches_pinned(self, text, n, value, nodes, rows):
         # 4 x 4 patterns, beyond the length-3 tables in artifacts/
@@ -635,11 +634,23 @@ def test_capped_witness_matches_per_row_walk(text):
                         search.__name__, t, s, cap, budget)
 
 
-def unpruned_exfn(P, n, budget):
-    """exfn_exact without the empty row's bound: every allowed
-    row is tried in descending numeric order, the empty row last.  The
-    reference of the differential test; (value, witness rows, nodes,
-    proven)."""
+def _rows(allowed: int):
+    """Every submask of ``allowed``: itself, then the empty row, then the
+    rest in descending numeric order."""
+    yield allowed
+    if allowed:
+        yield 0
+        m = allowed
+        while m := (m - 1) & allowed:
+            yield m
+
+
+def submask_exfn(P, n, budget):
+    """exfn_exact as a search over every submask of a state's allowed
+    columns, in _rows order, a row skipped when its ones and the empty
+    row's rest cannot beat the best so far.  The reference of the
+    differential test; (value, witness rows, nodes, proven), a node
+    being one row visited."""
     root, step = _row_states(P, n)
     memo, stack, found, nodes = {}, [], [0, [0] * n], 0
 
@@ -652,19 +663,22 @@ def unpruned_exfn(P, n, budget):
             return 0
         if (r, state) not in memo:
             allowed = ((1 << n) - 1) & ~state[-1]
-            entry = (-1, 0, None)
-            subs = [m for m in range(allowed, -1, -1) if m & ~allowed == 0]
-            for m in subs[:1] if r == 1 else subs:
+            entry, cap, empty = (-1, 0, None), -1, None
+            for m in [allowed] if r == 1 else _rows(allowed):
                 nodes += 1
                 if nodes > budget:
                     raise _Stop
+                if m and m.bit_count() + cap <= entry[0]:
+                    continue
                 child = step(state, m, r - 1) if r > 1 else None
                 stack.append(m)
                 value = m.bit_count() + best(r - 1, child)
                 stack.pop()
-                if value > entry[0]:
+                if not m:
+                    cap, empty = value, child
+                elif value > entry[0]:
                     entry = (value, m, child)
-            memo[(r, state)] = entry
+            memo[(r, state)] = entry if entry[0] >= cap else (cap, 0, empty)
         return memo[(r, state)][0]
 
     try:
@@ -678,26 +692,30 @@ def unpruned_exfn(P, n, budget):
     return (value, host, nodes, True)
 
 
-DIFFERENTIAL_CASES = [
-    (text, n) for text in ALL_PATTERNS_TO_4 for n in range(1, 6)] + [("2413", 6), ("1342", 6)]
+DIFFERENTIAL_CASES = (
+    [(text, n) for text in ALL_PATTERNS_TO_4 for n in range(1, 7)]
+    + [(text, 7) for text in ALL_PATTERNS_TO_4 if len(text) == 3]
+    + [("".join(map(str, p)), 5) for p in itertools.permutations(range(1, 6))][::8])
 
 
 @pytest.mark.parametrize("text, n", DIFFERENTIAL_CASES)
-def test_exfn_matches_unpruned_search(text, n):
-    # a row skipped by the empty row's bound could at best tie, so value,
-    # witness and flag are the unpruned search's, in no more nodes; a
-    # search that runs out of budget returns what the unpruned one does
+def test_exfn_matches_submask_search(text, n):
+    # the sweep keeps each distinct child's best row, so value, witness
+    # and flag are the submask search's.  nodes_explored is the least
+    # budget that proves the value; a search that runs out of budget
+    # returns a completed host that avoids P
     P = pm(text)
-    want = unpruned_exfn(P, n, DEFAULT_NODE_BUDGET)
+    want = submask_exfn(P, n, DEFAULT_NODE_BUDGET)
     got = fresh(exfn_exact, P, n)
     assert (got.value, list(got.witness.masks), got.proven_optimal) == (
         want[0], want[1], want[3])
-    assert got.nodes_explored <= want[2]
-    for budget in (10, 100, 1000, 10**4):
-        res = fresh(exfn_exact, P, n, budget)
-        if not res.proven_optimal:
-            assert (res.value, list(res.witness.masks), res.nodes_explored, False) == (
-                unpruned_exfn(P, n, budget)), budget
+    assert fresh(exfn_exact, P, n, got.nodes_explored) == got
+    for budget in {got.nodes_explored - 1, 10, 100, 1000, 10**4}:
+        if 1 <= budget < got.nodes_explored:
+            res = fresh(exfn_exact, P, n, budget)
+            assert (res.proven_optimal, res.nodes_explored) == (False, budget + 1), budget
+            assert res.witness.count_ones() == res.value <= got.value
+            assert matrix_avoids(res.witness, P.matrix)
 
 
 def test_capped_search_steps_once_per_state(monkeypatch):
@@ -890,7 +908,7 @@ def test_budget_below_a_kept_search_runs_out_as_a_fresh_one():
     for _ in range(2):
         assert least_budget(lambda b: check_lemma22(P, *args, budget=b), 346).holds
     for _ in range(2):
-        rep = least_budget(lambda b: check_lemma21(P, 1, 5, 4, hypothesis_n=3, budget=b), 48)
+        rep = least_budget(lambda b: check_lemma21(P, 1, 5, 4, hypothesis_n=3, budget=b), 41)
         assert rep.holds
     res = fpts_exact(P, 8, 5)
     assert fpts_exact(P, 8, 5, budget=res.nodes_explored) is res
