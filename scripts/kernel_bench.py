@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the layered-sum kernels of permx.avoidance, the exfn_exact
-search and the Lemma 2.2 certifier layer of permx.extremal on fixed
-cases, each run in a fresh interpreter.
+"""Time the layered-sum kernels of permx.avoidance, the exfn_exact and
+fpts_exact searches and the Lemma 2.2 certifier layer of
+permx.extremal on fixed cases, each run in a fresh interpreter.
 
 The kernel cases are avoider counts of 1324 and 1342 at n = 13 and 14,
 the merge count of (132, 312) at n = 10 and the JV inclusion check of
@@ -11,6 +11,9 @@ the least node budget that sum needs.
 
 The exfn cases are ex(2413, 7), ex(1342, 8), ex(132, 8), ex(2413, 8)
 and ex(1342, 9), each one exfn_exact search at the default budget.
+The row-density cases are f(123; 12, 3) at the default budget, proven,
+and g(1342; 9, 4) and f(2413; 64, 4) at a budget of 2 * 10^4 nodes,
+which both exhaust.
 
 The lemma cases take the 50 admissible points of the extremal-search
 grid for 123 (a = 1; c in {2, 3}; 2 <= s <= t <= 7; x in {0.6, 0.75,
@@ -21,8 +24,8 @@ and later calls reuse count once; the case's time is the median over
 its points.
 
 stdout gets one line per case, which depends on the code alone: a
-kernel case's value and the states of each of its sums, an exfn case's
-value, proven flag, nodes and witness rows, a lemma case's verdicts,
+kernel case's value and the states of each of its sums, a search
+case's value, proven flag, nodes and witness rows, a lemma case's verdicts,
 the sum of its exact right sides and its nodes.  stderr gets
 the median wall time over the repeats (per point for a lemma case) and
 the largest max RSS of the fresh processes, which depend on the host.
@@ -49,11 +52,14 @@ CASES = {
     "count 1342 n=14": ("count", ("1342", 14)),
     "merge 132,312 n=10": ("merge", ("132", "312", 10)),
     "jv 1,12,21 n=8": ("jv", ("1", "12", "21", 8)),
-    "exfn 2413 n=7": ("exfn", ("2413", 7)),
-    "exfn 1342 n=8": ("exfn", ("1342", 8)),
-    "exfn 132 n=8": ("exfn", ("132", 8)),
-    "exfn 2413 n=8": ("exfn", ("2413", 8)),
-    "exfn 1342 n=9": ("exfn", ("1342", 9)),
+    "exfn 2413 n=7": ("exfn_exact", ("2413", 7)),
+    "exfn 1342 n=8": ("exfn_exact", ("1342", 8)),
+    "exfn 132 n=8": ("exfn_exact", ("132", 8)),
+    "exfn 2413 n=8": ("exfn_exact", ("2413", 8)),
+    "exfn 1342 n=9": ("exfn_exact", ("1342", 9)),
+    "fpts 123 t=12 s=3": ("fpts_exact", ("123", 12, 3)),
+    "gpts 1342 t=9 s=4 budget=2e4": ("gpts_exact", ("1342", 9, 4), {"budget": 20_000}),
+    "fpts 2413 t=64 s=4 budget=2e4": ("fpts_exact", ("2413", 64, 4), {"budget": 20_000}),
     "check_lemma22 123 grid": ("check_lemma22", ()),
     "lemma22_rhs 123 grid": ("lemma22_rhs", ()),
 }
@@ -110,15 +116,17 @@ def run_lemma_case(kind: str) -> tuple[str, float]:
     return work, statistics.median(times)
 
 
-def run_exfn_case(text: str, n: int) -> tuple[str, float]:
-    """The value, proven flag, nodes and witness rows of one exfn_exact
-    search, and its wall time."""
+def run_search_case(kind: str, text: str, *sizes, **options) -> tuple[str, float]:
+    """The value, proven flag, nodes and witness rows of one search of
+    permx.extremal named by kind, on the pattern text and its sizes,
+    with its options (a budget, or the default), and its wall time."""
+    from permx import extremal
     from permx.core import parse_permutation, to_matrix
-    from permx.extremal import exfn_exact
 
     P = to_matrix(parse_permutation(text))
+    search = getattr(extremal, kind)
     start = time.perf_counter()
-    res = exfn_exact(P, n)
+    res = search(P, *sizes, **options)
     seconds = time.perf_counter() - start
     return (f"value {res.value}, proven {str(res.proven_optimal).lower()}, "
             f"nodes {res.nodes_explored}, witness rows {list(res.witness.masks)}"), seconds
@@ -158,11 +166,11 @@ def run_case(name: str) -> dict:
     (per point for a lemma case) and this process's max RSS."""
     import resource
 
-    kind, args = CASES[name]
+    kind, args, *options = CASES[name]
     if kind in ("check_lemma22", "lemma22_rhs"):
         (work, seconds), per = run_lemma_case(kind), "point"
-    elif kind == "exfn":
-        (work, seconds), per = run_exfn_case(*args), "run"
+    elif kind.endswith("_exact"):
+        (work, seconds), per = run_search_case(kind, *args, **dict(*options)), "run"
     else:
         (work, seconds), per = run_kernel_case(kind, args), "run"
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -70,7 +70,6 @@ _EXPORTS = {
     "errors": ("PermxError", "PreconditionViolated", "ResourceLimit"),
     "extremal": (
         "ExtremalResult",
-        "FptsResult",
         "Lemma21Report",
         "Lemma22Report",
         "check_lemma21",

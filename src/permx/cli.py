@@ -60,7 +60,7 @@ from typing import Callable, Iterable
 
 from .core import BinaryMatrix, Permutation, parse_permutation, to_matrix
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP
+from .limits import DEFAULT_NODE_BUDGET
 from .record import Record
 
 EXIT_OK = 0
@@ -382,7 +382,6 @@ A, C = _flag("--a", _parse_float), _flag("--c", _parse_int)
 N, T, S = _flag("--n", _parse_int), _flag("--t", _parse_int), _flag("--s", _parse_int)
 X, Y = _flag("--x", _parse_float), _flag("--y", _parse_float)
 REAL_K, REAL_T, REAL_S = (_flag(flag, _parse_float) for flag in ("--k", "--t", "--s"))
-N_CAP = _flag("--n-cap", _parse_int, default=DEFAULT_ROW_CAP)
 BUDGET = _flag("--budget", _parse_int, default=DEFAULT_NODE_BUDGET,
                help="node budget (default: %(default)s)")
 FLOORS = ("--floors", {"action": "store_true", "default": False})
@@ -439,18 +438,14 @@ COMMANDS = {
         lambda extremal, o: _pattern_search(extremal.exfn_exact, o, "n", echo=("n",)),
     ),
     "fpts": Command(
-        (BUDGET, PATTERN, T, S, N_CAP),
+        (BUDGET, PATTERN, T, S),
         "extremal",
-        lambda extremal, o: _pattern_search(
-            extremal.fpts_exact, o, "t", "s", "n_cap", echo=("t", "s")
-        ),
+        lambda extremal, o: _pattern_search(extremal.fpts_exact, o, "t", "s", echo=("t", "s")),
     ),
     "gpts": Command(
-        (BUDGET, PATTERN, T, S, N_CAP),
+        (BUDGET, PATTERN, T, S),
         "extremal",
-        lambda extremal, o: _pattern_search(
-            extremal.gpts_exact, o, "t", "s", "n_cap", echo=("t", "s")
-        ),
+        lambda extremal, o: _pattern_search(extremal.gpts_exact, o, "t", "s", echo=("t", "s")),
     ),
     "check-lemma21": Command(
         (BUDGET, PATTERN, A, T, S, _flag("--hypothesis-n", _parse_int, default=4)),

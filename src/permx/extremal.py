@@ -14,9 +14,14 @@ occurrences keyed by host column, and for its longest proper prefix
 the mask of the columns a next row may not use, state[-1]).  A row
 is allowed when it avoids that mask.  exfn_exact is a memoised max-ones
 recursion over (rows left, state), fpts_exact a longest path from the
-empty state.  Rows only add occurrences, so states grow along a host:
-the row graph is acyclic apart from rows that leave the state unchanged,
-which can repeat forever and are reported as reaching the row cap.
+empty state.  For a k x k pattern f(t, s) splits in two.  With
+1 <= s < k and s <= t it is infinite: one row of s ones repeats
+forever, since an occurrence needs k columns, so fpts_exact answers it
+without a search.  With s >= k it is at most (k - 1) * C(t, k), the
+pigeonhole bound of Marcus and Tardos (more rows than that repeat some
+k-set of ones k times, a k x k block of ones).  So no weight-s row
+leaves a state unchanged, else it could repeat forever: the row graph
+is acyclic, and the node budget is fpts_exact's only stop.
 
 exfn_exact searches a state's distinct children, not its rows.  After
 the full allowed row, which it searches under first, a sweep over the
@@ -46,16 +51,14 @@ table of at most 128 finished searches, keyed by pattern and sizes,
 the least recently used leaving first.  A call checks its arguments
 first, and returns a kept record in place of a search only when the
 search would return an identical one.  A depth-first run that meets
-no stop condition depends neither on the node budget, once that is at
-least its node count, nor on a row cap above every row count it
-compares with the cap, and in a proven
-fpts_exact run those counts are host lengths, at most its value.  So a
-record is reused at any budget of at least its nodes_explored, a
-proven fpts_exact record at any n_cap above its value, and a capped one
-only at its own n_cap, where the same run stops at the same node.
-Budget-exhausted records, and records of more than DEFAULT_ROW_CAP
-witness rows, are not kept.  A reused record's nodes_explored counts
-the search that produced it, not work done by the call that returns it.
+no stop condition does not depend on the node budget, once that is at
+least its node count, so a record is reused at any budget of at least
+its nodes_explored.  The certifiers stop an fpts_exact run at its
+first host of a given length; a proven run whose value is below that
+length never meets the stop, so its record answers them too.
+Budget-exhausted and stopped runs are not kept.  A reused record's
+nodes_explored counts the search that produced it, not work done by
+the call that returns it.
 
 An exfn_exact node is one sweep cell: a state's full row, its empty
 row's child, or one column joined to one partial child, so the budget
@@ -66,14 +69,12 @@ over the rows in descending numeric order finds first: an exfn_exact
 state keeps the row under which the host holds the most ones, ties
 going to the larger mask, so the empty row wins only when it is
 strictly best.
-A row that leaves the state unchanged keeps winning until the rows still
-needed fall to what a row before it reaches, so its whole run is written
-at once: a capped witness costs a step per distinct state, not per row.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -87,35 +88,34 @@ from .core import (
     rotate90,
 )
 from .errors import PreconditionViolated, ResourceLimit
-from .limits import (DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP, MAX_WIDTH,
-                     OVER_WIDTH, valid_budget, valid_size)
+from .limits import DEFAULT_NODE_BUDGET, MAX_WIDTH, OVER_WIDTH, valid_budget, valid_size
 from .record import Record
 
 
 class ExtremalResult(Record):
     """Outcome of a search.  When proven_optimal is False the value is
-    the best found before the node budget ran out."""
+    the best found before the node budget ran out.  An infinite
+    fpts/gpts value (s < k) is None, proven.  The certifiers' private
+    runs may also stop at their first host of a given length: the value
+    is then that length, not proven, and the witness is None, which no
+    public search returns."""
 
-    value: int
-    witness: BinaryMatrix
+    value: int | None
+    witness: BinaryMatrix | None
     nodes_explored: int
     proven_optimal: bool
 
 
-class FptsResult(ExtremalResult):
-    """Outcome of an fpts/gpts search.  hit_row_cap marks searches that
-    reached the row cap, so the true value may exceed `value`."""
-
-    hit_row_cap: bool
-
-
 class _Stop(Exception):
-    """Ends a search early: budget spent, or a host of n_cap rows found."""
+    """Ends a search early: budget spent, or a host of `stop` rows found."""
 
 
-# finished searches, least recently used first: ("exfn", masks, n), and
-# ("fpts", masks, t, s) for a proven record or ("fpts", masks, t, s,
-# n_cap) for a capped one, masks being the pattern's row masks
+# the sub-search of check_lemma22 stops at its first host of this many
+# rows; that length then stands in for f_sub, as for an infinite f_sub
+_SUB_STOP = 64
+
+# finished searches, least recently used first: ("exfn", masks, n) and
+# ("fpts", masks, t, s), masks being the pattern's row masks
 _finished: dict = {}
 
 
@@ -129,12 +129,10 @@ def _recall(key, budget: int):
 
 
 def _keep(key, res):
-    """Keep the record of a finished search, unless its witness is long,
-    and return it."""
-    if res.witness.rows <= DEFAULT_ROW_CAP:
-        _finished[key] = res
-        if len(_finished) > 128:
-            del _finished[next(iter(_finished))]
+    """Keep the record of a finished search and return it."""
+    _finished[key] = res
+    if len(_finished) > 128:
+        del _finished[next(iter(_finished))]
     return res
 
 
@@ -282,139 +280,131 @@ def _weight_submasks(allowed: int, s: int):
 
 
 def fpts_exact(
-    P: PermutationMatrix,
-    t: int,
-    s: int,
-    n_cap: int = DEFAULT_ROW_CAP,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> FptsResult:
+    P: PermutationMatrix, t: int, s: int, budget: int = DEFAULT_NODE_BUDGET
+) -> ExtremalResult:
     """Maximum N such that some N x t matrix with at least s ones per
-    row avoids P: the longest path from the empty state, memoised.
+    row avoids P.
 
-    Candidate rows are the allowed masks of exactly s ones, in
-    descending numeric order.  Deleting ones never creates an
+    For 1 <= s < k with s <= t it is infinite, proven without a search:
+    value None, no nodes, and the witness is the one row of the s
+    highest columns, which repeats forever, since an occurrence needs k
+    columns.  Otherwise it is the longest path from the empty state,
+    memoised.  Candidate rows are the allowed masks of exactly s ones,
+    in descending numeric order.  Deleting ones never creates an
     occurrence, so trimming each row of an avoiding host to s of its
     ones keeps it avoiding: heavier rows never reach further.  With
     fewer than s allowed columns there is no candidate, so s > t gives
-    the empty host, proven.  Reaching n_cap, which includes finding a
-    row that leaves the state unchanged and so can repeat forever, sets
-    hit_row_cap (the true value may be larger); budget exhaustion
-    returns the deepest host on the search stack flagged not proven.
-    The witness writes a run of such a state-preserving row at once, so
-    its cost does not grow with n_cap.  A finished search is run once
-    per process (see the module docstring).
+    the empty host, proven.  With s >= k the row graph is acyclic (see
+    the module docstring), so the node budget is the only stop: its
+    exhaustion returns the deepest host on the search stack flagged not
+    proven.  A node costs more as t and k grow: about 70 us for 2413 at
+    t = 64, s = 4 and 1.7 ms for 24153 at t = 64, s = 5 (2 vCPU VM), so
+    at the default budget such a search runs hours to days; pass a
+    budget of 10^4 to 10^5 for a best-so-far in seconds.  A finished
+    search is run once per process (see the module docstring).
     """
     valid_size(t, "t", 1, MAX_WIDTH, OVER_WIDTH)
     if valid_size(s, "s") == 0:
         raise PreconditionViolated("s = 0 admits unlimited all-zero rows; refusing")
-    valid_size(n_cap, "n_cap", 1, MAX_ROW_CAP, "row cap {} exceeds the {}-row limit")
     valid_budget(budget)
-    return _fpts(P, t, s, n_cap, budget)
+    return _fpts(P, t, s, budget)
 
 
-def _fpts(P: PermutationMatrix, t: int, s: int, n_cap: int, budget: int) -> FptsResult:
+def _fpts(
+    P: PermutationMatrix, t: int, s: int, budget: int, stop: float = math.inf
+) -> ExtremalResult:
     """The body of :func:`fpts_exact` on checked arguments; a budget
-    below 1 returns at once, unproven."""
+    below 1 returns at once, unproven.  The certifiers pass a stop: the
+    search then ends at the first host of `stop` rows it finds, and
+    returns value `stop`, not proven, with no witness (None)."""
+    if s < P.k and s <= t:
+        return ExtremalResult(None, BinaryMatrix((((1 << s) - 1) << t - s,), t), 0, True)
     key = ("fpts", P.matrix.masks, t, s)
     kept = _recall(key, budget)
-    if kept is None or kept.value >= n_cap:
-        kept = _recall(key + (n_cap,), budget)
-    if kept is not None:
+    if kept is not None and kept.value < stop:
         return kept
     root, step = _row_states(P, t)
 
     def candidates(state):
         return _weight_submasks(((1 << t) - 1) & ~state[-1], s)
 
-    def follow(state, need):
-        # the first `need` rows, in candidate order, that can follow state.
-        # A row that leaves the state unchanged wins again until the need
-        # falls to what a row before it reaches, so its run is one extend
-        out = []
-        while len(out) < need:
-            reach = 0  # the most rows a candidate passed over reaches
-            for m in candidates(state):
-                child = step(state, m)
-                if child == state or memo[child] >= need - len(out) - 1:
-                    break
-                reach = max(reach, 1 + memo[child])
-            out += [m] * (need - len(out) - reach if child == state else 1)
-            state = child
-        return out
-
-    memo = {}  # state -> most rows that can follow it, always < n_cap
-    stack: list[int] = []
+    memo = {}  # state -> most rows that can follow it
+    stack: list[int] = []  # the host's rows; stack + [m] is a host
     deepest: list[int] = []
-    capped = None
+    # depth first, one frame per state on the host's path, so a host may
+    # outgrow the interpreter's recursion limit: the state, its untried
+    # rows, and the most rows found so far to follow it
+    frames = [[root, candidates(root), 0]]
     nodes = 0
-
-    def longest(state):
-        # stops at the first host of n_cap rows in candidate order: the
-        # stack, one more row, and the best continuation after it
-        nonlocal capped, deepest, nodes
-        value = 0
-        for m in candidates(state):
-            nodes += 1
-            if nodes > budget:
-                raise _Stop
-            child = step(state, m)
-            if child == state or len(stack) + 1 >= n_cap:
-                more = n_cap
-            else:
-                more = memo.get(child)
-            if more is None:
-                stack.append(m)
-                if len(stack) > len(deepest):
-                    deepest = list(stack)
-                more = longest(child)
-                stack.pop()
-            if len(stack) + 1 + more >= n_cap:
-                capped = stack + [m] + follow(child, n_cap - len(stack) - 1)
-                raise _Stop
-            value = max(value, 1 + more)
-        memo[state] = value
-        return value
-
     try:
-        value = longest(root)
+        while frames:
+            frame = frames[-1]
+            state, rows, value = frame
+            for m in rows:
+                nodes += 1
+                if nodes > budget or len(stack) + 1 >= stop:
+                    raise _Stop
+                child = step(state, m)
+                more = memo.get(child)
+                if more is None:
+                    frame[2] = value
+                    stack.append(m)
+                    if len(stack) > len(deepest):
+                        deepest = list(stack)
+                    frames.append([child, candidates(child), 0])
+                    break
+                # a child searched from here never reaches the stop, but
+                # one searched from a shorter host may
+                if len(stack) + 1 + more >= stop:
+                    raise _Stop
+                if more >= value:
+                    value = more + 1
+            else:
+                frames.pop()
+                memo[state] = value
+                if frames:
+                    stack.pop()
+                    frames[-1][2] = max(frames[-1][2], value + 1)
     except _Stop:
-        if capped is not None:
-            res = FptsResult(n_cap, BinaryMatrix(capped, t), nodes, False, True)
-            return _keep(key + (n_cap,), res)
-        return FptsResult(len(deepest), BinaryMatrix(deepest, t), nodes, False, False)
-    return _keep(key, FptsResult(value, BinaryMatrix(follow(root, value), t), nodes, True, False))
+        if nodes > budget:
+            return ExtremalResult(len(deepest), BinaryMatrix(deepest, t), nodes, False)
+        return ExtremalResult(stop, None, nodes, False)
+    value = memo[root]
+    host, state = [], root
+    for rest in range(value - 1, -1, -1):
+        # the first row in candidate order that `rest` more rows can follow
+        for m in candidates(state):
+            child = step(state, m)
+            if memo[child] >= rest:
+                break
+        host.append(m)
+        state = child
+    return _keep(key, ExtremalResult(value, BinaryMatrix(host, t), nodes, True))
 
 
 def gpts_exact(
-    P: PermutationMatrix,
-    t: int,
-    s: int,
-    n_cap: int = DEFAULT_ROW_CAP,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> FptsResult:
+    P: PermutationMatrix, t: int, s: int, budget: int = DEFAULT_NODE_BUDGET
+) -> ExtremalResult:
     """Column analog: maximum N such that some t x N matrix with at
     least s ones per column avoids P.  A quarter turn maps such hosts
     to row-weighted hosts of the rotated pattern, so this is
-    fpts_exact(rotate90(P), t, s)."""
-    return fpts_exact(rotate90(P), t, s, n_cap, budget)
+    fpts_exact(rotate90(P), t, s), with its node costs: pass a budget
+    for wide hosts of a k >= 4 pattern."""
+    return fpts_exact(rotate90(P), t, s, budget)
 
 
-def _rows_within(
-    P: PermutationMatrix, t: int, s: int, bound: Fraction, budget: int
-) -> FptsResult:
-    """Decide f(t, s) <= bound by one fpts_exact search capped at
-    min(DEFAULT_ROW_CAP, floor(bound) + 1).  A proven value is below the
-    cap, so the bound holds; reaching a cap above the bound shows
-    f >= cap > bound, so it fails; anything else raises ResourceLimit.
-    t and s are checked, and the budget is what the caller has left."""
-    floor = bound.numerator // bound.denominator
-    cap = min(DEFAULT_ROW_CAP, floor + 1)
-    res = _fpts(P, t, s, cap, budget)
-    if res.hit_row_cap and cap <= floor:
-        raise ResourceLimit("row cap reached below the bound; verdict open")
-    if not res.proven_optimal and not res.hit_row_cap:
+def _rows_within(P: PermutationMatrix, t: int, s: int, bound: Fraction, budget: int):
+    """Decide f(t, s) <= bound by one search stopped at the first host
+    of floor(bound) + 1 rows: (lhs, holds, nodes).  A proven finite
+    value is below the stop, so the bound holds; a stopped search shows
+    f >= stop > bound, and lhs is the stop; an infinite f (s < k),
+    decided without a search, fails with lhs None.  Budget exhaustion
+    raises ResourceLimit.  t and s are checked, and the budget is what
+    the caller has left."""
+    res = _fpts(P, t, s, budget, bound.numerator // bound.denominator + 1)
+    if not res.proven_optimal and res.witness is not None:
         raise ResourceLimit("budget exhausted before the search completed")
-    return res
+    return res.value, res.proven_optimal and res.value is not None, res.nodes_explored
 
 
 class Lemma21Report(Record):
@@ -424,7 +414,7 @@ class Lemma21Report(Record):
     a: float
     t: int
     s: int
-    lhs_value: int
+    lhs_value: int | None
     rhs_bound: Fraction
     holds: bool
     nodes_explored: int
@@ -447,9 +437,10 @@ def check_lemma21(
     First verifies the linear extremal hypothesis ex_P(n) <= k^a * n
     for 1 <= n <= hypothesis_n via exfn_exact (PreconditionViolated
     otherwise; hypothesis_n below 1 is refused), then decides the bound
-    with one search capped just above it (_rows_within): the bound holds
-    exactly when that search is proven, and a failing verdict's lhs is
-    the cap it reached, a lower bound on f.  The hypothesis searches and
+    with one search stopped just above it (_rows_within): the bound
+    holds exactly when that search proves a finite value, and a failing
+    verdict's lhs is the stop it reached, a lower bound on f, or None
+    where f is infinite (s < k).  The hypothesis searches and
     the final one share the one node budget.  A t over MAX_WIDTH is
     refused (ResourceLimit) before the bound is evaluated.
     """
@@ -472,11 +463,8 @@ def check_lemma21(
             raise PreconditionViolated(
                 f"ex(n={n}) = {res.value} exceeds k^a*n = {kn / kd * n:g}"
             )
-    fres = _rows_within(P, t, s, bound, budget - nodes)
-    nodes += fres.nodes_explored
-    return Lemma21Report(
-        k, a, t, s, fres.value, bound, fres.proven_optimal, nodes, hypothesis_n
-    )
+    lhs, holds, used = _rows_within(P, t, s, bound, budget - nodes)
+    return Lemma21Report(k, a, t, s, lhs, bound, holds, nodes + used, hypothesis_n)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -489,8 +477,8 @@ def _blockable(masks: tuple[int, ...], c: int) -> bool:
 
 class Lemma22Report(Record):
     """Exact row count versus one step of the sectioning recursion.
-    f_sub_capped marks a sub-search that stopped at the row cap, so
-    f_sub_value is a lower bound on the shrunken instance's value."""
+    f_sub_capped marks a shrunken instance whose value is at least 64,
+    infinite included: f_sub_value is then 64, a lower bound on it."""
 
     k: int
     a: float
@@ -503,7 +491,7 @@ class Lemma22Report(Record):
     shrunk_s: int
     f_sub_value: int
     f_sub_capped: bool
-    lhs_value: int
+    lhs_value: int | None
     rhs_value: Fraction
     holds: bool
     nodes_explored: int
@@ -528,12 +516,15 @@ def check_lemma22(
     plus the closed-form remainder.
 
     P must decompose into c blocks for the sectioning argument to
-    apply.  f_sub is the sub-search's value, which may be capped
-    (f_sub_capped); that only lowers the right side, so a pass stays
-    sound.  The left side is decided with one search capped just above
-    the right side (_rows_within): the bound holds exactly when that
-    search is proven, and a failing verdict's lhs is the cap it reached,
-    a lower bound on f.  The sub-search and the search for the left side
+    apply.  f_sub is the sub-search's value; a sub-search stops at its
+    first host of 64 rows, and 64 also stands in for an infinite value
+    (f_sub_capped).  That only lowers the right side, so a pass stays
+    sound, but a fail is then unproven and raises ResourceLimit
+    (verdict open).  The left side is decided with one search stopped
+    just above the right side (_rows_within): the bound holds exactly
+    when that search proves a finite value, and a failing verdict's lhs
+    is the stop it reached, a lower bound on f, or None where f is
+    infinite (s < k).  The sub-search and the search for the left side
     share the one node budget.  A t over MAX_WIDTH is refused
     (ResourceLimit) before the constants are validated.  The right side
     is built once, with the validation, and evaluated at f_sub, since it
@@ -553,11 +544,15 @@ def check_lemma22(
     shrunk_s = s * yn // yd
     if shrunk_s == 0:
         raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
-    sub = fpts_exact(P, shrunk_t, shrunk_s, DEFAULT_ROW_CAP, budget)
-    rhs = rhs_of(sub.value)
-    lhs_res = _rows_within(P, t, s, rhs, budget - sub.nodes_explored)
-    nodes = sub.nodes_explored + lhs_res.nodes_explored
+    sub = _fpts(P, shrunk_t, shrunk_s, budget, _SUB_STOP)
+    f_sub = _SUB_STOP if sub.value is None else sub.value
+    capped = f_sub == _SUB_STOP
+    rhs = rhs_of(f_sub)
+    lhs, holds, used = _rows_within(P, t, s, rhs, budget - sub.nodes_explored)
+    if capped and not holds:
+        raise ResourceLimit(
+            f"f_sub >= {_SUB_STOP} and f exceeds the right side at {_SUB_STOP}; verdict open")
     return Lemma22Report(
-        k, a, c, t, s, x, y, shrunk_t, shrunk_s, sub.value, sub.hit_row_cap,
-        lhs_res.value, rhs, lhs_res.proven_optimal, nodes,
+        k, a, c, t, s, x, y, shrunk_t, shrunk_s, f_sub, capped,
+        lhs, rhs, holds, sub.nodes_explored + used,
     )

@@ -2,13 +2,12 @@
 
 The length limits and the ceilings are fixed; raise one by editing it
 here.  Per call, a caller sets only the node budget (``budget``, or
-the --budget flag in the CLI) and the row cap of the row-density
-searches, up to its ceiling.
+the --budget flag in the CLI).
 
 Every public function checks its arguments with three validators
 before any work:
 
-* :func:`valid_size`: a length, width, weight, row cap or count is an
+* :func:`valid_size`: a length, width, weight or count is an
   ``int``, never a ``bool``; an integral float is refused like any
   other float.
 * :func:`valid_budget`: a node budget is a positive ``int``.
@@ -40,10 +39,7 @@ DEFAULT_COUNT_LENGTH_LIMIT = 14
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 10
 OVER_LENGTH = "n={} exceeds the configured limit {}"
 
-# row-search caps for the row-density searches; width is bitmask-bound.
-# A capped search builds a witness of n_cap rows, so n_cap has a ceiling.
-DEFAULT_ROW_CAP = 64
-MAX_ROW_CAP = 10_000
+# the width of a host row, which is one bitmask
 MAX_WIDTH = 64
 OVER_WIDTH = "width {} exceeds the {}-bit row limit"
 

@@ -215,7 +215,7 @@ def _criterion_output_stability():
         ["bounds", "certify", "--k", "1e6", "--a", "1", "--c", "2"],
         ["bounds", "schedule", "--k", "1e6", "--a", "2", "--c", "3"],
         ["sw-estimate", "--pattern", "132", "--n-max", "6"],
-        ["fpts", "--pattern", "12", "--t", "5", "--s", "2", "--n-cap", "16"],
+        ["fpts", "--pattern", "12", "--t", "5", "--s", "2"],
         ["decompose", "--pattern", "479832156", "--c", "4"],
     ]
 

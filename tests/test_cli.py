@@ -264,13 +264,8 @@ class TestExitCodes:
         ("bounds", "lemma22-rhs", "--k", "2", "--a", "1", "--c", str(10**30),
          "--t", "1e308", "--s", "1e308", "--x", "0.5", "--y", "0.5"),
         ("bounds", "schedule", "--k", "2", "--a", "132", "--c", "12"),
-        ("fpts", "--pattern", "12", "--t", "1", "--s", "1", "--n-cap", str(10**30),
-         "--budget", "1000"),
+        ("fpts", "--pattern", "12", "--t", "65", "--s", "1", "--budget", "1000"),
         ("merge-check", "--red", "12", "--blue", "21", "--n", "11"),
-        # rows of ones in two fixed columns avoid 123, so the search reaches
-        # the default row cap 64 below the bound 64.6: verdict open
-        ("check-lemma21", "--pattern", "123", "--a", "0.5", "--t", "10", "--s", "2",
-         "--hypothesis-n", "1"),
         # results past 4300 digits, which str() refuses to print
         ("bounds", "fox-rhs", "--ex-table", f"1={'9' * 4000},2=3,3={'9' * 4000}",
          "--t", "2", "--s", "2", "--f", "1", "--g", "1", "--n", "3"),
@@ -344,7 +339,7 @@ class TestExitCodes:
         assert err.startswith("rejected") and "hypothesis_n >= 1" in err
 
     @pytest.mark.parametrize("argv", [
-        ("fpts", "--pattern", "21", "--t", "64", "--s", "64", "--n-cap", "10000"),
+        ("fpts", "--pattern", "21", "--t", "64", "--s", "64"),
         # its sub-search is t = s = 32
         ("check-lemma22", "--pattern", "12", "--a", "1", "--c", "2", "--t", "64",
          "--s", "64", "--x", "0.6", "--y", "0.5"),
@@ -488,9 +483,20 @@ class TestJsonOutput:
         assert (data["shrunk_t"], data["shrunk_s"]) == (2, 2)
         assert data["f_sub_capped"] is False
 
+    def test_check_lemma21_infinite_left_side_fails(self, capsys):
+        # s = 2 < k = 3: rows of ones in two fixed columns avoid 123, so f
+        # is infinite, which refutes the bound 64.6 without a search
+        code, out, _ = invoke(
+            capsys, "check-lemma21", "--pattern", "123", "--a", "0.5", "--t", "10", "--s", "2",
+            "--hypothesis-n", "1", "--format", "json",
+        )
+        data = json.loads(out)
+        assert code == EXIT_OK
+        assert (data["pass"], data["lhs"], data["nodes"]) == (False, None, 1)
+
     def test_check_lemma22_flags_capped_sub_search(self, capsys):
         # the shrunken instance t = s = 1 lets one row repeat forever, so
-        # f_sub = 64 is the row cap, and the report says so
+        # f_sub is infinite, 64 stands in for it, and the report says so
         code, out, _ = invoke(
             capsys, "check-lemma22", "--pattern", "21", "--a", "0.1", "--c", "2",
             "--t", "3", "--s", "3", "--x", "0.6", "--y", "0.5", "--format", "json",
@@ -859,7 +865,7 @@ class TestOnePath:
 
         ok, detail = CRITERIA[12].fn()
         assert ok, detail
-        assert detail == "6 commands, 158820 report bytes stable"
+        assert detail == "6 commands, 158800 report bytes stable"
 
 
 class TestOperands:
@@ -889,7 +895,7 @@ class TestOperands:
         ("count-av", "--pattern", "12", "--n", "9" * 5000),  # past int's digit limit
         ("exfn", "--pattern", "12", "--n", "+3"),
         ("exfn", "--pattern", "12", "--n", " 3"),
-        ("fpts", "--pattern", "12", "--t", "3", "--s", "2", "--n-cap", "1e3"),
+        ("fpts", "--pattern", "12", "--t", "1e3", "--s", "2"),
         ("bounds", "mt", "--k", "+3"),
         ("bounds", "alpha", "--a", "+1", "--c", "2"),
         ("bounds", "alpha", "--a", "1", "--c", "1_0"),
@@ -960,7 +966,7 @@ class TestDeterminism:
         ["count-av", "--pattern", "132", "--n", "7", "--format", "json"],
         ["bounds", "certify", "--k", "1000000", "--a", "1", "--c", "3", "--format", "json"],
         ["exfn", "--pattern", "21", "--n", "4", "--format", "json"],
-        ["gpts", "--pattern", "12", "--t", "4", "--s", "2", "--n-cap", "8", "--format", "csv"],
+        ["gpts", "--pattern", "12", "--t", "4", "--s", "2", "--format", "csv"],
     ]
 
     @pytest.mark.parametrize("argv", ARGVS, ids=["count-av", "bounds certify", "exfn", "gpts"])

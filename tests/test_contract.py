@@ -112,9 +112,9 @@ CALLS = {
     # extremal
     "exfn_exact": (partial(permx.exfn_exact, P12), {"n": size(3), "budget": SEARCH_BUDGET}),
     "fpts_exact": (partial(permx.fpts_exact, P12),
-                   {"t": size(4), "s": size(2), "n_cap": size(8), "budget": SEARCH_BUDGET}),
+                   {"t": size(4), "s": size(2), "budget": SEARCH_BUDGET}),
     "gpts_exact": (partial(permx.gpts_exact, P123),
-                   {"t": size(3), "s": size(2), "n_cap": size(8), "budget": SEARCH_BUDGET}),
+                   {"t": size(3), "s": size(2), "budget": SEARCH_BUDGET}),
     "check_lemma21": (partial(permx.check_lemma21, P12),
                       {"a": real(1), "t": size(5), "s": size(4), "hypothesis_n": size(3),
                        "budget": SEARCH_BUDGET}),
@@ -141,7 +141,6 @@ CALLS = {
     "CertCheck": (copy(permx.certify_schedule(SCHEDULE).checks[0]), {}),
     "CertReport": (copy(permx.certify_schedule(SCHEDULE)), {}),
     "ExtremalResult": (copy(permx.exfn_exact(P12, 2)), {}),
-    "FptsResult": (copy(permx.fpts_exact(P12, 3, 2)), {}),
     "JvInclusionReport": (
         copy(permx.verify_jv_inclusion(perm("1"), perm("1"), perm("1"), 3)), {}),
     "Lemma21Report": (copy(permx.check_lemma21(P12, 1, 3, 3)), {}),
@@ -209,7 +208,7 @@ REFUSED = [
     "exfn_enumerate(P, 2.0)",
     "marcus_tardos_bound(3.0)",
     "exfn_exact(P, True)",
-    "fpts_exact(I2, 3, 2, n_cap=True)",
+    "fpts_exact(I2, 3, True)",
     "marcus_tardos_bound(True)",
     'count_block_decompositions(perm("12"), True)',
     "theorem24_alpha(True, 2)",

@@ -1,15 +1,20 @@
 """Exact extremal searches and the inequality certifiers.
 
 Oracle note: f(t, s) is finite exactly when s >= k (for k >= 2, s <= t).
-With s < k some mask of weight in [s, k) repeats forever without ever
-supplying the k distinct columns an occurrence needs, so searches in
-that zone must cap out flagged rather than report a value as proven.
+With s < k one row of s ones repeats forever without ever supplying the
+k distinct columns an occurrence needs, so f is infinite, answered as a
+proven None.  With s >= k, f <= (k - 1) * C(t, k): more rows repeat
+some k-set of ones k times, a k x k block of ones (Marcus and Tardos).
 """
 
+import csv
 import gc
 import itertools
+import math
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +45,7 @@ from permx.extremal import (
     fpts_exact,
     gpts_exact,
 )
-from permx.limits import DEFAULT_NODE_BUDGET, DEFAULT_ROW_CAP, MAX_ROW_CAP
+from permx.limits import DEFAULT_NODE_BUDGET
 from test_core import least_budget
 
 I2 = PermutationMatrix.identity(2)
@@ -54,6 +59,11 @@ def pm(text: str) -> PermutationMatrix:
 def vflip(P: PermutationMatrix) -> PermutationMatrix:
     k = P.k
     return PermutationMatrix(BinaryMatrix(P.matrix.masks[::-1], k))
+
+
+def ceiling(k: int, t: int) -> int:
+    """The pigeonhole bound (k - 1) * C(t, k) on f(P; t, s) for s >= k."""
+    return (k - 1) * math.comb(t, k)
 
 
 def oracle_fpts(P: PermutationMatrix, t: int, s: int, cap: int) -> int:
@@ -232,15 +242,16 @@ class TestFpts:
             P = pm(text)
             for t in range(P.k, 5):
                 for s in range(P.k, t + 1):
-                    got = fpts_exact(P, t, s, n_cap=8)
+                    got = fpts_exact(P, t, s)
                     assert got.proven_optimal
                     assert got.value == oracle_fpts(P, t, s, cap=8), (text, t, s)
 
-    def test_low_weight_zone_caps_out(self):
-        # s < k: some thin row repeats forever, so the cap must be hit
-        res = fpts_exact(I2, 3, 1, n_cap=6)
-        assert res.hit_row_cap and not res.proven_optimal
-        assert res.value == 6
+    def test_low_weight_zone_is_proven_infinite(self):
+        # s < k: the thin row of the highest column repeats forever,
+        # proven without a search; the brute force reaches any cap
+        res = fpts_exact(I2, 3, 1)
+        assert (res.value, res.proven_optimal, res.nodes_explored) == (None, True, 0)
+        assert list(res.witness.masks) == [4]
         assert oracle_fpts(I2, 3, 1, cap=6) == 6
 
     def test_monotone_in_t(self):
@@ -269,7 +280,7 @@ class TestFpts:
 
     def test_budget_exhaustion_witness_is_valid(self):
         res = fpts_exact(I3, 5, 3, budget=10)
-        assert not res.proven_optimal and not res.hit_row_cap
+        assert not res.proven_optimal
         w = res.witness
         assert w.rows == res.value >= 1
         assert all(m.bit_count() == 3 for m in w.masks)
@@ -283,29 +294,33 @@ class TestFpts:
         res = gpts_exact(pm("132"), 6, 3)
         assert (res.value, res.proven_optimal) == (8, True)
         assert list(res.witness.masks) == [56, 56, 44, 44, 38, 38, 35, 35]
-        res = fpts_exact(pm("12"), 3, 1, n_cap=6)
-        assert res.hit_row_cap
-        assert list(res.witness.masks) == [4, 4, 4, 4, 4, 4]
+        res = fpts_exact(pm("12"), 3, 1)
+        assert (res.value, list(res.witness.masks)) == (None, [4])
 
     @settings(deadline=None)
     @given(st.data())
     def test_small_cases_match_oracle(self, data):
-        # includes s < k, where some row repeats forever and the cap is hit
+        # s < k: one row repeats forever, so the brute force reaches its
+        # cap and the search answers a proven infinity; s >= k: the brute
+        # force's value, within the pigeonhole ceiling
         k = data.draw(st.integers(1, 3))
         P = to_matrix(Permutation(tuple(data.draw(st.permutations(range(1, k + 1))))))
         t = data.draw(st.integers(1, 4))
         s = data.draw(st.integers(1, t))
-        res = fpts_exact(P, t, s, n_cap=6)
+        res = fpts_exact(P, t, s)
         expected = oracle_fpts(P, t, s, cap=6)
-        assert (res.value, res.hit_row_cap) == (expected, expected == 6)
-        assert res.witness.rows == res.value
+        assert res.proven_optimal
         assert all(m.bit_count() == s for m in res.witness.masks)
-        assert res.value == 0 or matrix_avoids(res.witness, P.matrix)
+        if s < k:
+            assert (res.value, expected, res.witness.rows) == (None, 6, 1)
+        else:
+            assert res.value == expected <= ceiling(k, t)
+            assert res.witness.rows == res.value
+            assert res.value == 0 or matrix_avoids(res.witness, P.matrix)
 
     def test_frontier_search_pinned(self):
         res = fpts_exact(pm("123"), 9, 3)
-        assert (res.value, res.nodes_explored, res.proven_optimal, res.hit_row_cap) == (
-            14, 1428, True, False)
+        assert (res.value, res.nodes_explored, res.proven_optimal) == (14, 1428, True)
         assert list(res.witness.masks) == [
             7, 13, 25, 49, 97, 193, 385, 259, 262, 268, 280, 304, 352, 448]
 
@@ -313,17 +328,25 @@ class TestFpts:
         # 20 columns, s = 3: C(20, 3) candidate rows per state; the
         # interval-packing law gives (20 - 1) // (3 - 1) = 9
         res = fpts_exact(I2, 20, 3)
-        assert (res.value, res.nodes_explored, res.proven_optimal, res.hit_row_cap) == (
-            9, 5016, True, False)
+        assert (res.value, res.nodes_explored, res.proven_optimal) == (9, 5016, True)
         assert list(res.witness.masks) == [
             917504, 229376, 57344, 14336, 3584, 896, 224, 56, 14]
         assert matrix_avoids(res.witness, I2.matrix)
 
     def test_width8_is_proven(self):
         res = fpts_exact(pm("123"), 8, 3)
-        assert (res.value, res.proven_optimal, res.hit_row_cap) == (12, True, False)
+        assert (res.value, res.proven_optimal) == (12, True)
         assert all(m.bit_count() == 3 for m in res.witness.masks)
         assert matrix_avoids(res.witness, pm("123").matrix)
+
+    def test_host_deeper_than_the_recursion_limit(self):
+        # the first dive of f(I_32; 64, 32) grows a host of 1023 rows,
+        # more than the interpreter's frames; the search keeps its path
+        # in a list, so only the budget ends it
+        res = fpts_exact(PermutationMatrix.identity(32), 64, 32, budget=1100)
+        assert (res.value, res.nodes_explored, res.proven_optimal) == (1023, 1101, False)
+        assert res.witness.rows == res.value > sys.getrecursionlimit()
+        assert all(m.bit_count() == 32 for m in res.witness.masks)
 
     def test_validation_errors(self):
         with pytest.raises(PreconditionViolated):
@@ -332,8 +355,6 @@ class TestFpts:
             fpts_exact(I2, 3, -1)
         with pytest.raises(PreconditionViolated, match="s = 0 admits unlimited all-zero rows"):
             fpts_exact(I2, 3, 0)
-        with pytest.raises(PreconditionViolated):
-            fpts_exact(I2, 3, 2, n_cap=0)
         with pytest.raises(ResourceLimit):
             fpts_exact(I2, 200, 2)
 
@@ -341,7 +362,7 @@ class TestFpts:
     def test_single_row_hosts_always_allowed(self, values):
         # one full row never contains a pattern needing two host rows
         P = to_matrix(parse_permutation(" ".join(map(str, values))))
-        assert fpts_exact(P, 3, 3, n_cap=4).value >= 1
+        assert fpts_exact(P, 3, 3).value >= 1
 
 
 class TestClosedForms:
@@ -373,7 +394,7 @@ class TestClosedForms:
 ROT_INVARIANT = PermutationMatrix(BinaryMatrix((0b10, 0b1000, 0b1, 0b100), 4))
 
 
-def gpts_direct(P: PermutationMatrix, t: int, s: int, n_cap: int) -> int:
+def gpts_direct(P: PermutationMatrix, t: int, s: int, cap: int) -> int:
     """Slow column-by-column oracle for the rotation identity; grows the
     host one column at a time and re-checks containment from scratch.
     Shares no search code with ``gpts_exact``."""
@@ -401,7 +422,7 @@ def gpts_direct(P: PermutationMatrix, t: int, s: int, n_cap: int) -> int:
         nonlocal best
         if len(cols) > best:
             best = len(cols)
-        if len(cols) == n_cap:
+        if len(cols) == cap:
             return
         for m in candidates:
             if avoids(cols + [m]):
@@ -423,7 +444,7 @@ class TestGpts:
             P = pm(text)
             for t in range(P.k, 5):
                 for s in range(P.k, t + 1):
-                    assert gpts_exact(P, t, s, n_cap=6).value == gpts_direct(
+                    assert gpts_exact(P, t, s).value == gpts_direct(
                         P, t, s, 6
                     ), (text, t, s)
 
@@ -437,8 +458,7 @@ class TestGpts:
         # the row model merges hosts whose finished occurrences forbid the
         # same columns, which brings this search to about 10^5 nodes
         res = gpts_exact(pm("132"), 12, 3)
-        assert (res.value, res.nodes_explored, res.proven_optimal, res.hit_row_cap) == (
-            20, 109538, True, False)
+        assert (res.value, res.nodes_explored, res.proven_optimal) == (20, 109538, True)
         assert list(res.witness.masks) == [
             3584, 3584, 2816, 2816, 2432, 2432, 2240, 2240, 2144, 2144,
             2096, 2096, 2072, 2072, 2060, 2060, 2054, 2054, 2051, 2051]
@@ -495,12 +515,20 @@ class TestCheckLemma21:
         with pytest.raises(ResourceLimit, match="budget exhausted while verifying ex at n=2"):
             check_lemma21(I2, 1, 5, 4, budget=2)
 
-    def test_failing_verdict_reports_the_cap(self):
-        # the bound is 1.52..., so the search is capped at 2 rows, and
-        # two rows of three ones avoid 123: f >= 2 refutes the bound
+    def test_failing_verdict_reports_the_stop(self):
+        # the bound is 1.52..., so the search stops at its first host of
+        # 2 rows, and two rows of three ones avoid 123: f >= 2 refutes it
         rep = check_lemma21(pm("123"), 0.01, 3, 3, hypothesis_n=1)
         assert (rep.holds, rep.lhs_value, rep.nodes_explored) == (False, 2, 3)
         assert rep.rhs_bound < 2
+
+    def test_infinite_left_side_fails_without_a_search(self):
+        # s = 2 < k = 3: f is infinite, so any finite bound fails; only
+        # the hypothesis search (ex at n = 1, one node) runs
+        rep = check_lemma21(pm("123"), 0.5, 10, 2, hypothesis_n=1)
+        assert (rep.holds, rep.lhs_value, rep.nodes_explored) == (False, None, 1)
+        assert 64 < rep.rhs_bound < 65
+        assert rep.to_jsonable()["lhs"] is None
 
     def test_report_shape(self):
         data = check_lemma21(I2, 1, 5, 4).to_jsonable()
@@ -542,50 +570,71 @@ class _Stop(Exception):
     pass
 
 
-def per_row_fpts(P, t, s, n_cap, budget=DEFAULT_NODE_BUDGET):
-    """fpts_exact with the witness read back one row at a time: for each
-    row, follow reruns the candidates and the step, also for a row that
-    leaves the state unchanged and so wins again.  The reference walk of
-    the differential witness test."""
+ALL_PATTERNS_TO_4 = [
+    "".join(map(str, p)) for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))
+]
+
+
+@pytest.mark.parametrize("text", ALL_PATTERNS_TO_4)
+def test_row_density_dichotomy(text):
+    # s < k: a proven infinity in no nodes, whose one row, stacked k
+    # times, avoids the pattern.  s >= k: a proven value within the
+    # pigeonhole ceiling, and below its node count a search that runs
+    # out of budget returns a shorter avoiding host.  gpts_exact is
+    # fpts_exact on the rotated pattern, which has the same k
+    P = pm(text)
+    k = P.k
+    for t in range(1, 7):
+        for s in range(1, t + 1):
+            for search, Q in ((fpts_exact, P), (gpts_exact, rotate90(P))):
+                res = fresh(search, P, t, s)
+                assert res.proven_optimal
+                rows = list(res.witness.masks)
+                assert res.witness.cols == t and all(m.bit_count() == s for m in rows)
+                if s < k:
+                    assert (res.value, res.nodes_explored) == (None, 0)
+                    assert rows == [sum(1 << c for c in range(t - s, t))]
+                    assert matrix_avoids(BinaryMatrix(rows * k, t), Q.matrix)
+                    continue
+                assert res.value == len(rows) <= ceiling(k, t)
+                assert res.value == 0 or matrix_avoids(res.witness, Q.matrix)
+                for budget in {1, 7, 30, res.nodes_explored - 1}:
+                    if 1 <= budget < res.nodes_explored:
+                        cut = fresh(search, P, t, s, budget)
+                        assert (cut.proven_optimal, cut.nodes_explored) == (False, budget + 1)
+                        assert cut.witness.rows == cut.value <= res.value
+                        assert all(m.bit_count() == s for m in cut.witness.masks)
+                        assert cut.value == 0 or matrix_avoids(cut.witness, Q.matrix)
+
+
+def recursive_fpts(P, t, s, budget, stop):
+    """fpts_exact for s >= k as a recursion with one frame per host row,
+    checking the stop after every candidate, with the witness read back
+    one row at a time: the reference of the differential test.
+    (value, witness rows or None, nodes, proven)."""
     root, step = _row_states(P, t)
 
     def candidates(state):
         return _weight_submasks(((1 << t) - 1) & ~state[-1], s)
 
-    def follow(state, need):
-        out = []
-        while len(out) < need:
-            for m in candidates(state):
-                child = step(state, m)
-                if child == state or memo[child] >= need - len(out) - 1:
-                    break
-            out.append(m)
-            state = child
-        return out
-
-    memo = {}
-    stack, deepest, capped, nodes = [], [], None, 0
+    memo, stack, deepest, nodes = {}, [], [], 0
 
     def longest(state):
-        nonlocal capped, deepest, nodes
+        nonlocal deepest, nodes
         value = 0
         for m in candidates(state):
             nodes += 1
-            if nodes > budget:
+            if nodes > budget or len(stack) + 1 >= stop:
                 raise _Stop
             child = step(state, m)
-            if child == state or len(stack) + 1 >= n_cap:
-                more = n_cap
-            else:
-                more = memo.get(child)
+            more = memo.get(child)
             if more is None:
                 stack.append(m)
                 if len(stack) > len(deepest):
                     deepest = list(stack)
                 more = longest(child)
                 stack.pop()
-            if len(stack) + 1 + more >= n_cap:
-                capped = stack + [m] + follow(child, n_cap - len(stack) - 1)
+            if len(stack) + 1 + more >= stop:
                 raise _Stop
             value = max(value, 1 + more)
         memo[state] = value
@@ -594,44 +643,68 @@ def per_row_fpts(P, t, s, n_cap, budget=DEFAULT_NODE_BUDGET):
     try:
         value = longest(root)
     except _Stop:
-        if capped is not None:
-            return (n_cap, capped, nodes, False, True)
-        return (len(deepest), deepest, nodes, False, False)
-    return (value, follow(root, value), nodes, True, False)
-
-
-def fpts_fields(res):
-    return (res.value, list(res.witness.masks), res.nodes_explored,
-            res.proven_optimal, res.hit_row_cap)
-
-
-ALL_PATTERNS_TO_4 = [
-    "".join(map(str, p)) for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))
-]
-
-
-# per_row_fpts outcomes by (pattern masks, t, s, cap, budget); the
-# patterns of length <= 4 are closed under rotation, so each gpts case
-# reuses the walk of an fpts case
-PER_ROW = {}
+        if nodes > budget:
+            return (len(deepest), deepest, nodes, False)
+        return (stop, None, nodes, False)
+    host, state = [], root
+    while len(host) < value:
+        for m in candidates(state):
+            child = step(state, m)
+            if memo[child] >= value - len(host) - 1:
+                break
+        host.append(m)
+        state = child
+    return (value, host, nodes, True)
 
 
 @pytest.mark.parametrize("text", ALL_PATTERNS_TO_4)
-def test_capped_witness_matches_per_row_walk(text):
-    # a repeating row's run is written in one step; value, witness, node
-    # count and flags are those of the walk that writes it row by row.
-    # gpts_exact is fpts_exact on the rotated pattern
-    P = pm(text)
-    for t in range(1, 8):
-        for s in range(1, t + 1):
-            for cap, budget in [(cap, DEFAULT_NODE_BUDGET) for cap in (1, 2, 3, 5, 9, 64)] + [
-                    (64, budget) for budget in (1, 7, 30)]:
-                for search, Q in ((fpts_exact, P), (gpts_exact, rotate90(P))):
-                    key = (Q.matrix.masks, t, s, cap, budget)
-                    if key not in PER_ROW:
-                        PER_ROW[key] = per_row_fpts(Q, t, s, cap, budget)
-                    assert fpts_fields(search(P, t, s, cap, budget)) == PER_ROW[key], (
-                        search.__name__, t, s, cap, budget)
+def test_search_matches_recursive_walk(text):
+    # the search keeps its path in a list of frames and checks the stop
+    # after a memoised child only; value, witness, node count and flag
+    # are the recursion's, at stops the certifiers may pass and at
+    # budgets that run out.  gpts_exact is fpts_exact on the rotation
+    for Q in (pm(text), rotate90(pm(text))):
+        for t in range(1, 8):
+            for s in range(Q.k, t + 1):
+                for stop, budget in [(stop, DEFAULT_NODE_BUDGET) for stop in (1, 2, 3, 5, 9)] + [
+                        (math.inf, budget) for budget in (1, 7, 30, DEFAULT_NODE_BUDGET)]:
+                    res = fresh(extremal._fpts, Q, t, s, budget, stop)
+                    rows = None if res.witness is None else list(res.witness.masks)
+                    assert (res.value, rows, res.nodes_explored, res.proven_optimal) == (
+                        recursive_fpts(Q, t, s, budget, stop)), (t, s, stop, budget)
+
+
+def test_proven_values_in_the_table_are_within_the_ceiling():
+    # every f and g of artifacts/f_values.csv has s >= k and is proven
+    path = Path(__file__).resolve().parent.parent / "artifacts" / "f_values.csv"
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        k, t, s = len(row["pattern"]), int(row["t"]), int(row["s"])
+        assert s >= k
+        assert int(row["f"]) <= ceiling(k, t) and int(row["g"]) <= ceiling(k, t), row
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_heavy_rows_change_every_state(data):
+    # with s >= k no row of s ones leaves a reachable state unchanged, so
+    # the row graph the search walks is acyclic.  Candidates are every
+    # mask of s ones clear of the state's forbidden columns
+    k = data.draw(st.integers(2, 5))
+    P = to_matrix(Permutation(tuple(data.draw(st.permutations(range(1, k + 1))))))
+    t = data.draw(st.integers(k, 8))
+    s = data.draw(st.integers(k, t))
+    root, step = _row_states(P, t)
+    state = root
+    for _ in range(data.draw(st.integers(0, 12))):
+        rows = [m for m in range(1 << t) if m.bit_count() == s and not m & state[-1]]
+        for m in rows:
+            assert step(state, m) != state, (m, state)
+        if not rows:
+            break
+        state = step(state, data.draw(st.sampled_from(rows)))
 
 
 def _rows(allowed: int):
@@ -718,29 +791,20 @@ def test_exfn_matches_submask_search(text, n):
             assert matrix_avoids(res.witness, P.matrix)
 
 
-def test_capped_search_steps_once_per_state(monkeypatch):
-    # the row model's step runs for each distinct state the search and
-    # the witness visit, not once per row of the cap
-    calls = 0
+def test_infinite_answer_builds_no_row_model(monkeypatch):
+    # s < k is decided from k alone: no row model is built and no
+    # record kept
+    def no_model(P, width):
+        raise AssertionError("built a row model")
 
-    def counting_row_states(P, width):
-        root, step = _row_states(P, width)
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return step(*args)
-
-        return root, counted
-
-    monkeypatch.setattr(extremal, "_row_states", counting_row_states)
-    counts = []
-    for cap in (64, MAX_ROW_CAP):
-        calls = 0
-        res = fpts_exact(pm("123"), 5, 2, cap)
-        assert (res.value, res.hit_row_cap, res.witness.rows) == (cap, True, cap)
-        counts.append(calls)
-    assert counts[0] == counts[1]
+    monkeypatch.setattr(extremal, "_row_states", no_model)
+    extremal._finished.clear()
+    P = pm("1234")
+    for t in range(1, 9):
+        for s in range(1, min(t, 3) + 1):
+            for search in (fpts_exact, gpts_exact):
+                assert search(P, t, s).value is None
+    assert extremal._finished == {}
 
 
 @pytest.mark.parametrize("c", [2.0, 2.5])
@@ -764,10 +828,11 @@ def test_alpha_keeps_integral_float_block_counts():
 class TestCheckLemma22:
     def test_one_budget_for_both_searches(self):
         # the sub-search and the left side draw on one budget, so the
-        # reported total is exactly the budget that suffices
+        # reported total is exactly the budget that suffices.  The
+        # sub-instance (s = 1 < k = 3) is infinite, decided in no nodes
         P, args = pm("123"), (1, 2, 8, 5, 0.6, 0.3)
         nodes = check_lemma22(P, *args).nodes_explored
-        assert nodes == 346
+        assert nodes == 344
         assert check_lemma22(P, *args, budget=nodes).holds
         with pytest.raises(ResourceLimit):
             check_lemma22(P, *args, budget=nodes - 1)
@@ -794,9 +859,9 @@ class TestCheckLemma22:
                         assert rep.holds, (t, s, x, y)
         assert checked >= 4
 
-    def test_failing_verdict_reports_the_cap(self):
-        # rhs = 2.92... with f_sub = 0, so the left search is capped at 3
-        # rows and reaches it: a too-small a shows as a failing verdict
+    def test_failing_verdict_reports_the_stop(self):
+        # rhs = 2.92... with f_sub = 0, so the left search stops at its
+        # first host of 3 rows: a too-small a shows as a failing verdict
         rep = check_lemma22(pm("1234"), 0.01, 2, 8, 8, 0.6, 0.7)
         assert (rep.holds, rep.lhs_value, rep.f_sub_value) == (False, 3, 0)
         assert rep.nodes_explored == 3
@@ -804,12 +869,45 @@ class TestCheckLemma22:
 
     def test_capped_sub_search_only_raises_the_right_side(self):
         # s = 1 < k = 2 at the shrunken instance: the one-column row
-        # repeats forever, so f_sub is the row cap 64, not a proven value
+        # repeats forever, so f_sub is infinite, decided in no nodes, and
+        # 64 stands in for it
         rep = check_lemma22(pm("21"), 0.1, 2, 3, 3, 0.6, 0.5)
         assert (rep.holds, rep.lhs_value, rep.f_sub_value) == (True, 1, 64)
         assert rep.f_sub_capped
-        assert rep.nodes_explored == 2
+        assert rep.nodes_explored == 1
         assert rep.rhs_value > 128
+
+    def test_capped_sub_search_leaves_a_thin_left_side_open(self):
+        # s = 3 < k = 4 on both sides: f and f_sub are both infinite, so
+        # the inequality holds, yet f_sub = 64 puts a finite right side
+        # under an infinite left one: no fail can be proven
+        with pytest.raises(ResourceLimit, match="verdict open"):
+            check_lemma22(pm("1234"), 0.1, 2, 8, 3, 0.6, 0.34)
+
+    def test_capped_sub_search_leaves_a_wide_left_side_open(self, monkeypatch):
+        # s = 4 >= k = 3 while f(123; 4, 1) is infinite.  With f_sub
+        # standing in at 1 the right side is 4.26..., and the left search
+        # reaches its stop of 5 rows: f > rhs(1) proves nothing about
+        # rhs(f_sub)
+        monkeypatch.setattr(extremal, "_SUB_STOP", 1)
+        with pytest.raises(ResourceLimit, match="verdict open"):
+            check_lemma22(pm("123"), 0.01, 2, 8, 4, 0.6, 0.3)
+        monkeypatch.setattr(extremal, "_SUB_STOP", 64)
+        rep = check_lemma22(pm("123"), 0.01, 2, 8, 4, 0.6, 0.3)
+        assert (rep.holds, rep.f_sub_value, rep.f_sub_capped) == (True, 64, True)
+
+    @pytest.mark.parametrize("stop, f_sub, nodes", [(5, 4, 140), (4, 4, 140), (3, 3, 132),
+                                                     (1, 1, 121)])
+    def test_sub_search_stops_at_its_first_long_host(self, monkeypatch, stop, f_sub, nodes):
+        # f(12; 5, 2) = 4 is proven below a stop of 5; a stop of at most 4
+        # ends the sub-search at its first host of that many rows, which
+        # then stands in for f_sub, flagged
+        monkeypatch.setattr(extremal, "_SUB_STOP", stop)
+        extremal._finished.clear()
+        rep = check_lemma22(P12, 1, 2, 10, 7, 0.6, 0.3)
+        assert (rep.shrunk_t, rep.shrunk_s, rep.f_sub_value, rep.f_sub_capped) == (
+            5, 2, f_sub, stop <= 4)
+        assert (rep.holds, rep.lhs_value, rep.nodes_explored) == (True, 1, nodes)
 
     def test_not_blockable(self):
         with pytest.raises(PreconditionViolated, match="admits no 2-block decomposition"):
@@ -856,21 +954,31 @@ def fresh(search, *args):
     return search(*args)
 
 
+def fpts_stopped(P, t, s, stop, budget=DEFAULT_NODE_BUDGET):
+    # the certifiers' search, ended at its first host of `stop` rows
+    return extremal._fpts(P, t, s, budget, stop)
+
+
+def gpts_stopped(P, t, s, stop, budget=DEFAULT_NODE_BUDGET):
+    return extremal._fpts(rotate90(P), t, s, budget, stop)
+
+
 def test_kept_records_equal_fresh_searches(monkeypatch):
     # in two shuffled orders every call returns the record the same call
-    # returns on an empty table; caps straddle the kept values and budgets
-    # each search's node count.  Each pattern's calls are shuffled among
-    # themselves, so many find a kept record, and the table fills to its
-    # bound
+    # returns on an empty table; stops straddle the kept values and
+    # budgets each search's node count.  Each pattern's calls are
+    # shuffled among themselves, so many find a kept record, and the
+    # table fills to its bound
     expected = {}
-    for text in ("12", "123", "132", "2413"):
+    for text in ("12", "21", "123", "132", "213", "2413"):
         P = pm(text)
         expected[text] = calls = {}
         for t in range(1, 7):
             runs = [(exfn_exact, P, t)] + [
-                (search, P, t, s, cap)
-                for s in range(1, t + 1) for cap in (1, 2, 3, 64)
-                for search in (fpts_exact, gpts_exact)]
+                run for s in range(1, t + 1) for run in
+                [(fpts_exact, P, t, s), (gpts_exact, P, t, s)] + [
+                    (search, P, t, s, stop)
+                    for stop in (1, 2, 3, 64) for search in (fpts_stopped, gpts_stopped)]]
             for run in runs:
                 nodes = fresh(*run).nodes_explored
                 for budget in (nodes - 1, nodes, DEFAULT_NODE_BUDGET):
@@ -906,44 +1014,33 @@ def test_budget_below_a_kept_search_runs_out_as_a_fresh_one():
     # first least_budget call keeps both records, the second finds them
     P, args = pm("123"), (1, 2, 8, 5, 0.6, 0.3)
     for _ in range(2):
-        assert least_budget(lambda b: check_lemma22(P, *args, budget=b), 346).holds
+        assert least_budget(lambda b: check_lemma22(P, *args, budget=b), 344).holds
     for _ in range(2):
         rep = least_budget(lambda b: check_lemma21(P, 1, 5, 4, hypothesis_n=3, budget=b), 41)
         assert rep.holds
     res = fpts_exact(P, 8, 5)
     assert fpts_exact(P, 8, 5, budget=res.nodes_explored) is res
     assert fpts_exact(P, 8, 5, budget=res.nodes_explored - 1) == fresh(
-        fpts_exact, P, 8, 5, 64, res.nodes_explored - 1)
+        fpts_exact, P, 8, 5, res.nodes_explored - 1)
 
 
-def test_cap_at_or_below_a_kept_value_searches_afresh():
+def test_stop_at_or_below_a_kept_value_searches_afresh():
+    # a proven record answers a stopped call only when its value is
+    # below the stop, where the stopped run never stops; stopped runs
+    # are not kept, and they build no witness
     P = pm("123")
-    at_caps = {cap: fresh(fpts_exact, P, 6, 3, cap) for cap in range(1, 10)}
+    at_stops = {stop: fresh(fpts_stopped, P, 6, 3, stop) for stop in range(1, 10)}
+    fresh(fpts_stopped, P, 6, 3, 8)
+    assert extremal._finished == {}
     proven = fpts_exact(P, 6, 3)
     assert proven.proven_optimal and proven.value == 8
-    for cap, res in at_caps.items():
-        assert fpts_exact(P, 6, 3, cap) == res
-        assert res.hit_row_cap == (cap <= 8)
-        assert (fpts_exact(P, 6, 3, cap) is proven) == (cap > 8)
+    for stop, res in at_stops.items():
+        again = fpts_stopped(P, 6, 3, stop)
+        assert again == res
+        assert (res.witness is None) == (stop <= 8) == (again is not proven)
+        if stop <= 8:
+            assert (res.value, res.proven_optimal) == (stop, False)
     # every argument check runs before the lookup
-    with pytest.raises(ResourceLimit, match="row cap"):
-        fpts_exact(P, 6, 3, MAX_ROW_CAP + 1)
-    with pytest.raises(PreconditionViolated, match="n_cap"):
+    with pytest.raises(PreconditionViolated, match="budget"):
         fpts_exact(P, 6, 3, 0)
 
-
-def test_capped_record_is_reused_only_at_its_cap():
-    # s = 2 < k = 3: a two-column row repeats forever, so every cap is hit
-    P = pm("123")
-    at5 = fpts_exact(P, 5, 2, 5)
-    assert (at5.value, at5.hit_row_cap) == (5, True)
-    assert fpts_exact(P, 5, 2, 5) is at5
-    at6 = fpts_exact(P, 5, 2, 6)
-    assert (at6.value, at6.hit_row_cap) == (6, True)
-    assert fpts_exact(P, 5, 2, 6) is at6 and fpts_exact(P, 5, 2, 5) is at5
-    # a witness of more than DEFAULT_ROW_CAP rows is not kept
-    kept = len(extremal._finished)
-    long = fpts_exact(P, 5, 2, DEFAULT_ROW_CAP + 1)
-    assert long.witness.rows == DEFAULT_ROW_CAP + 1
-    assert len(extremal._finished) == kept
-    assert fpts_exact(P, 5, 2, DEFAULT_ROW_CAP + 1) is not long

@@ -20,7 +20,7 @@ from permx.core import (
     PermutationMatrix,
 )
 from permx.errors import PreconditionViolated
-from permx.extremal import ExtremalResult, FptsResult, Lemma21Report, Lemma22Report
+from permx.extremal import ExtremalResult, Lemma21Report, Lemma22Report
 from permx.record import Record
 from permx.selftest import Criterion
 
@@ -70,12 +70,6 @@ CASES = [
      "ExtremalResult(value=3, witness=BinaryMatrix(masks=(1, 2), cols=2), "
      "nodes_explored=5, proven_optimal=True)",
      {"value": 3, "witness": W_REPORT, "nodes_explored": 5, "proven_optimal": True}),
-    (FptsResult, (3, W, 5, True, False),
-     ("value", "witness", "nodes_explored", "proven_optimal", "hit_row_cap"),
-     "FptsResult(value=3, witness=BinaryMatrix(masks=(1, 2), cols=2), nodes_explored=5, "
-     "proven_optimal=True, hit_row_cap=False)",
-     {"value": 3, "witness": W_REPORT, "nodes_explored": 5, "proven_optimal": True,
-      "hit_row_cap": False}),
     (Lemma21Report, (2, 1.0, 3, 3, 5, Fraction(11, 2), True, 7, 4),
      ("k", "a", "t", "s", "lhs_value", "rhs_bound", "holds", "nodes_explored",
       "hypothesis_checked_upto"),
@@ -124,7 +118,7 @@ def test_every_record_class_is_covered():
 
     package = {c for c in subclasses(Record) if c.__module__.startswith("permx.")}
     assert package == {case[0] for case in CASES}
-    assert len(CASES) == 19
+    assert len(CASES) == 18
 
 
 @pytest.mark.parametrize("cls, args, fields, text, report", CASES, ids=IDS)
@@ -189,8 +183,12 @@ def test_report_form(cls, args, fields, text, report):
      {"value": 5, "witness": {"rows": 3, "cols": 3, "ones": [[1, 1], [1, 2], [2, 3], [3, 2],
                                                               [3, 3]]},
       "nodes_explored": 12, "proven_optimal": False}),
+    # an infinite row-density value, proven
+    (ExtremalResult(None, BinaryMatrix.from_strings(["011"]), 0, True),
+     {"value": None, "witness": {"rows": 1, "cols": 3, "ones": [[1, 2], [1, 3]]},
+      "nodes_explored": 0, "proven_optimal": True}),
     (Permutation((10, 1, 2, 3, 4, 5, 6, 7, 8, 9)), "10 1 2 3 4 5 6 7 8 9"),
-], ids=["jv-counterexample", "extremal-witness", "permutation-spaced"])
+], ids=["jv-counterexample", "extremal-witness", "extremal-infinite", "permutation-spaced"])
 def test_report_form_of_nested_values(record, report):
     data = record.to_jsonable()
     assert data == report
@@ -200,7 +198,10 @@ def test_report_form_of_nested_values(record, report):
 def test_unequal_fields_and_classes_compare_unequal():
     assert Permutation((1, 2)) != Permutation((2, 1))
     assert CertCheck("x", True, 1.0, 2.0) != CertCheck("x", False, 1.0, 2.0)
-    base, sub = ExtremalResult(3, W, 5, True), FptsResult(3, W, 5, True, False)
+    class Sub(ExtremalResult):
+        pass
+
+    base, sub = ExtremalResult(3, W, 5, True), Sub(3, W, 5, True)
     assert base != sub and sub != base  # a subclass never equals its base
     assert len({base, sub, ExtremalResult(3, W, 5, True)}) == 2
 
