@@ -3,11 +3,13 @@
 fpts_exact searches and the Lemma 2.2 certifier layer of
 permx.extremal on fixed cases, each run in a fresh interpreter.
 
-The kernel cases are avoider counts of 1324 and 1342 at n = 13 and 14,
-the merge count of (132, 312) at n = 10 and the JV inclusion check of
-(1, 12, 21) at n = 8, each through its public function.  Every layered
-sum a case runs is counted: the distinct states it expands, which is
-the least node budget that sum needs.
+The kernel cases are avoider counts of 1324 and 1342 at n = 13 and 14
+and of 2413 and 1432 at n = 16, the merge count of (132, 312) at
+n = 10 and the JV inclusion check of (1, 12, 21) at n = 8, each through
+its public function.  Every layered sum a case runs is counted: the
+distinct states it expands, which is the least node budget that sum
+needs.  A count sums over its pattern's Wilf representative (2314 for
+1342 and 2413, 1234 for 1432), which the case names.
 
 The exfn cases are ex(2413, 7), ex(1342, 8), ex(132, 8), ex(2413, 8)
 and ex(1342, 9), each one exfn_exact search at the default budget.
@@ -24,7 +26,8 @@ and later calls reuse count once; the case's time is the median over
 its points.
 
 stdout gets one line per case, which depends on the code alone: a
-kernel case's value and the states of each of its sums, a search
+kernel case's value and the states of each of its sums (and a
+count's representative), a search
 case's value, proven flag, nodes and witness rows, a lemma case's verdicts,
 the sum of its exact right sides and its nodes.  stderr gets
 the median wall time over the repeats (per point for a lemma case) and
@@ -50,6 +53,8 @@ CASES = {
     "count 1342 n=13": ("count", ("1342", 13)),
     "count 1324 n=14": ("count", ("1324", 14)),
     "count 1342 n=14": ("count", ("1342", 14)),
+    "count 2413 n=16": ("count", ("2413", 16)),
+    "count 1432 n=16": ("count", ("1432", 16)),
     "merge 132,312 n=10": ("merge", ("132", "312", 10)),
     "jv 1,12,21 n=8": ("jv", ("1", "12", "21", 8)),
     "exfn 2413 n=7": ("exfn_exact", ("2413", 7)),
@@ -133,8 +138,8 @@ def run_search_case(kind: str, text: str, *sizes, **options) -> tuple[str, float
 
 
 def run_kernel_case(kind: str, args: tuple) -> tuple[str, float]:
-    """A kernel case's value and the distinct states each layered sum
-    expanded, and its wall time."""
+    """A kernel case's value, a count's representative, the distinct
+    states each layered sum expanded, and its wall time."""
     from permx import avoidance
     from permx.core import parse_permutation
 
@@ -158,7 +163,10 @@ def run_kernel_case(kind: str, args: tuple) -> tuple[str, float]:
     else:
         value = avoidance.verify_jv_inclusion(*perms, args[-1]).checked
     seconds = time.perf_counter() - start
-    return f"value {value}, states {' + '.join(map(str, states))}", seconds
+    work = f"value {value}, states {' + '.join(map(str, states))}"
+    if kind == "count":
+        work += f", representative {''.join(map(str, avoidance._representative(*perms)))}"
+    return work, seconds
 
 
 def run_case(name: str) -> dict:

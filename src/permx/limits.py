@@ -32,10 +32,12 @@ from .errors import PreconditionViolated, ResourceLimit
 DEFAULT_NODE_BUDGET = 10 ** 8
 
 # length caps that keep worst-case runtimes in minutes, not hours.  The
-# avoider counts and the avoidance backtrackers share the count limit.
-# The merge count and the JV inclusion check both walk merge states,
-# which grow about 4x per n, so they share the merge-count limit.
-DEFAULT_COUNT_LENGTH_LIMIT = 14
+# avoider counts and the avoidance backtrackers share the count limit;
+# at n = 16 the costliest count, 1324's (no cheaper member of its Wilf
+# class), takes about 17 s and 190 MB on a 2 vCPU VM.  The merge count
+# and the JV inclusion check both walk merge states, which grow about 4x
+# per n, so they share the merge-count limit.
+DEFAULT_COUNT_LENGTH_LIMIT = 16
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 10
 OVER_LENGTH = "n={} exceeds the configured limit {}"
 

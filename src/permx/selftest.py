@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from .avoidance import count_avoiders, verify_jv_inclusion
+from .avoidance import _own_count, count_avoiders, verify_jv_inclusion
 from .bounds import (
     BoundParams,
     build_schedule,
@@ -44,6 +44,7 @@ from .extremal import (
     fpts_exact,
     gpts_exact,
 )
+from .limits import DEFAULT_NODE_BUDGET
 from .record import Record
 
 I2 = PermutationMatrix.identity(2)
@@ -70,6 +71,8 @@ def _criterion_containment():
 
 
 def _criterion_naive_equivalence():
+    # count_avoiders sums over one member of each Wilf class, so each
+    # pattern's own states are checked too
     patterns = [
         Permutation(p)
         for k in range(1, 5)
@@ -81,10 +84,12 @@ def _criterion_naive_equivalence():
         for p in patterns:
             naive = sum(1 for h in hosts if not contains_values(h, p.entries))
             got = count_avoiders(p, n)
-            if got != naive:
-                return False, f"pattern {p}, n={n}: {got} != naive {naive}"
+            own = _own_count(p.entries, n, DEFAULT_NODE_BUDGET)
+            if got != naive or own != naive:
+                return False, f"pattern {p}, n={n}: {got} (own states {own}) != naive {naive}"
             pairs += 1
-    return True, f"{pairs} pattern/length pairs match the factorial filter"
+    return True, (f"{pairs} pattern/length pairs match the factorial filter, "
+                  "routed and on their own states")
 
 
 def _criterion_extremal_oracle():

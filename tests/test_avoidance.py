@@ -16,8 +16,11 @@ from permx.avoidance import (
     _avoider_counts,
     _colour,
     _jv_search,
+    _layers,
     _merge_states,
+    _own_count,
     _perm_states,
+    _representative,
     avoiders,
     count_avoiders,
     merge_coloring,
@@ -41,6 +44,9 @@ from permx.limits import DEFAULT_NODE_BUDGET
 from test_core import least_budget
 
 THREE_PATTERNS = ["123", "132", "213", "231", "312", "321"]
+# every pattern of length at most 4, the ones count_avoiders routes
+SHORT_PATTERNS = ["".join(map(str, p)) for k in range(1, 5)
+                  for p in itertools.permutations(range(1, k + 1))]
 
 
 def perm(text):
@@ -81,20 +87,56 @@ def test_count_trivial_lengths():
     assert count_avoiders(perm("4231"), 3) == 6
 
 
+def own_counts(pattern, n):
+    """|Av_i| for i = 0..n on the pattern's own states, unrouted."""
+    return _avoider_counts(*_perm_states(pattern.entries), n, DEFAULT_NODE_BUDGET)
+
+
+def own_states(pattern, n):
+    """The distinct states a length-n sum over the pattern's own states
+    expands, the least budget of that sum."""
+    return sum(len(layer) for i, layer in enumerate(
+        _layers(*_perm_states(pattern.entries), n, DEFAULT_NODE_BUDGET)) if i < n)
+
+
 @pytest.mark.parametrize("text", THREE_PATTERNS)
 def test_catalan_all_three_patterns(text):
+    assert own_counts(perm(text), 8) == [catalan(n) for n in range(9)]
     for n in range(0, 9):
         assert count_avoiders(perm(text), n) == catalan(n)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["1", "12", "21", *THREE_PATTERNS, "1234", "1432", "2143", "3142", "2413", "4231"],
-)
+@pytest.mark.parametrize("text", SHORT_PATTERNS)
 def test_count_matches_naive_filter(text):
+    # the routed count against the factorial filter and against the
+    # pattern's own states, so every pattern's own kernel stays checked
     pattern = perm(text)
-    for n in range(0, 7):
-        assert count_avoiders(pattern, n) == naive_count(pattern, n)
+    counts = [count_avoiders(pattern, n) for n in range(11)]
+    assert counts[:8] == [naive_count(pattern, n) for n in range(8)]
+    assert counts == own_counts(pattern, 10)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_representatives_expand_the_fewest_states_of_their_class(n):
+    # the proven Wilf classes of length at most 4 are exactly the
+    # patterns with equal counts; each class routes to the member whose
+    # own sum expands the fewest states, ties to the lexicographically
+    # least, and that member's states are the routed count's least budget
+    classes = {}
+    for text in SHORT_PATTERNS:
+        pattern = perm(text)
+        classes.setdefault(tuple(own_counts(pattern, 8)), []).append(pattern)
+    assert len(classes) == 1 + 1 + 1 + 3
+    for members in classes.values():
+        cheapest = min((own_states(p, n), p.entries) for p in members)
+        assert {_representative(p) for p in members} == {cheapest[1]}
+        assert least_budget(lambda b: count_avoiders(members[-1], n, budget=b),
+                            cheapest[0]) == own_counts(members[-1], n)[n]
+
+
+def test_longer_patterns_are_counted_as_given():
+    for text in ("12345", "54321", "13524", "214365"):
+        assert _representative(perm(text)) == perm(text).entries
 
 
 def symmetry_images(p):
@@ -110,11 +152,11 @@ def test_count_symmetry_invariance(text):
     # each symmetry maps the avoiders of p onto those of its image, so
     # the counts agree; the last level's mask is open at the top, open
     # at the bottom or closed on both sides as the image's last entry is
-    # its largest, its smallest or neither
+    # its largest, its smallest or neither.  Each image is counted on its
+    # own states, since count_avoiders sums over one member of the class
     images = {q.entries: q for q in symmetry_images(perm(text))}
-    for n in range(9):
-        counts = {str(q): count_avoiders(q, n) for q in images.values()}
-        assert len(set(counts.values())) == 1, (n, counts)
+    counts = {str(q): own_counts(q, 8) for q in images.values()}
+    assert len({tuple(c) for c in counts.values()}) == 1, counts
 
 
 @pytest.mark.parametrize("pvals", random.Random(5).sample(
@@ -130,8 +172,8 @@ def test_count_validation():
         count_avoiders(Permutation(()), 3)
     with pytest.raises(PreconditionViolated):
         count_avoiders(perm("123"), -1)
-    with pytest.raises(ResourceLimit):
-        count_avoiders(perm("123"), 15)
+    with pytest.raises(ResourceLimit, match="n=17 exceeds the configured limit 16"):
+        count_avoiders(perm("123"), 17)
     with pytest.raises(ResourceLimit):
         count_avoiders(perm("123"), 9, budget=10)
     with pytest.raises(ResourceLimit):
@@ -201,11 +243,30 @@ def test_count_budget_counts_states(pattern, n, budget, count):
     # step builds, and repeating it shows no memo leaks between calls.
     # 1234, 1324 and 213 end on their largest value, so the forbidden
     # gaps of their last level are one interval open at the top, which
-    # dominance already kept as one tuple: their pins are the controls
+    # dominance already kept as one tuple: their pins are the controls.
+    # These are the pattern's own states, summed unrouted
+    pvals = perm(pattern).entries
     for _ in range(2):
-        assert count_avoiders(perm(pattern), n, budget=budget) == count
+        assert _own_count(pvals, n, budget) == count
         with pytest.raises(ResourceLimit):
-            count_avoiders(perm(pattern), n, budget=budget - 1)
+            _own_count(pvals, n, budget - 1)
+
+
+@pytest.mark.parametrize("pattern, n, budget, count", [
+    ("2413", 8, 227, 15485),
+    ("1234", 9, 249, 94359),
+    ("1324", 9, 696, 94776),
+    ("2413", 9, 525, 91245),
+    ("132", 10, 174, 16796),
+    ("312", 10, 174, 16796),
+    ("213", 10, 174, 16796),
+])
+def test_routed_count_budget_counts_the_representatives_states(pattern, n, budget, count):
+    # the cases above through count_avoiders: 2413 is summed on 2314's
+    # states and every pattern of length 3 on 123's
+    for _ in range(2):
+        assert least_budget(lambda b: count_avoiders(perm(pattern), n, budget=b),
+                            budget) == count
 
 
 # -- closed forms that share no code with the counter -----------------------
@@ -241,19 +302,22 @@ def test_gessel_1234_closed_form():
     for n in range(0, 8):
         assert gessel_1234(n) == naive_count(pattern, n)
     assert gessel_1234(12) == 24792705
-    for n in range(0, 15):
+    for n in range(0, 17):
         assert count_avoiders(pattern, n) == gessel_1234(n)
 
 
 @pytest.mark.parametrize("text", ["1342", "2413"])
 def test_bona_1342_closed_form(text):
-    # Stankova (1994): Av(2413) and Av(1342) are equinumerous
+    # Stankova (1994): Av(2413) and Av(1342) are equinumerous.  The
+    # public call sums over 2314's states, to n = 15 in one sum; each
+    # pattern's own states are checked to n = 13
     pattern = perm(text)
     for n in range(1, 8):
         assert bona_1342(n) == naive_count(pattern, n)
     assert bona_1342(11) == 3475090
-    for n in range(1, 14):
-        assert count_avoiders(pattern, n) == bona_1342(n)
+    assert own_counts(pattern, 13)[1:] == [bona_1342(n) for n in range(1, 14)]
+    assert [e.count for e in sw_estimate_sequence(pattern, 15)] == [
+        bona_1342(n) for n in range(1, 16)]
 
 
 def test_count_1324_oeis():
@@ -316,7 +380,7 @@ def test_sw_estimate_checks_length_before_counting(monkeypatch):
 
     monkeypatch.setattr(avoidance, "_perm_states", refuse)
     with pytest.raises(ResourceLimit):
-        sw_estimate_sequence(perm("2413"), 15)
+        sw_estimate_sequence(perm("2413"), 17)
 
 
 def test_sw_estimate_refusals_keep_their_order():
@@ -324,7 +388,7 @@ def test_sw_estimate_refusals_keep_their_order():
     with pytest.raises(PreconditionViolated, match="n_max"):
         sw_estimate_sequence(Permutation(()), 0)
     with pytest.raises(ResourceLimit):
-        sw_estimate_sequence(Permutation(()), 15)
+        sw_estimate_sequence(Permutation(()), 17)
     with pytest.raises(PreconditionViolated, match="nonempty"):
         sw_estimate_sequence(Permutation(()), 3)
 
@@ -342,10 +406,11 @@ def counting_models(monkeypatch):
 
 
 def test_sw_estimate_builds_one_model(monkeypatch):
+    # of the pattern's Wilf representative, 2314 for 1342
     want = [count_avoiders(perm("1342"), n) for n in range(1, 9)]
     calls = counting_models(monkeypatch)
     assert [e.count for e in sw_estimate_sequence(perm("1342"), 8)] == want
-    assert calls == [(1, 3, 4, 2)]
+    assert calls == [(2, 3, 1, 4)]
 
 
 def test_merge_count_builds_one_model_per_colour(monkeypatch):
@@ -357,10 +422,24 @@ def test_merge_count_builds_one_model_per_colour(monkeypatch):
 
 
 @pytest.mark.parametrize("text, n, nodes", [
-    ("1", 6, 1), ("12", 7, 28), ("123", 9, 128), ("1342", 9, 738),
+    ("12", 7, 28), ("123", 9, 128), ("1342", 9, 738),
     ("2413", 9, 867), ("12354", 8, 197), ("4321", 8, 156),
 ])
 def test_sw_estimate_keeps_the_least_budget_of_its_longest_count(text, n, nodes):
+    # the one sum over all lengths against the length-n count, both on
+    # the pattern's own states, unrouted
+    pvals = perm(text).entries
+    count = least_budget(lambda b: _own_count(pvals, n, b), nodes)
+    counts = least_budget(lambda b: _avoider_counts(*_perm_states(pvals), n, b), nodes)
+    assert counts[-1] == count
+
+
+@pytest.mark.parametrize("text, n, nodes", [
+    ("1", 6, 1), ("12", 7, 28), ("21", 7, 28), ("123", 9, 128), ("1342", 9, 525),
+    ("2413", 9, 525), ("12354", 8, 197), ("4321", 8, 156),
+])
+def test_routed_sw_estimate_keeps_the_least_budget_of_its_longest_count(text, n, nodes):
+    # both public calls sum over the same representative's states
     pattern = perm(text)
     count = least_budget(lambda b: count_avoiders(pattern, n, budget=b), nodes)
     seq = least_budget(lambda b: sw_estimate_sequence(pattern, n, budget=b), nodes)
@@ -418,7 +497,7 @@ def test_merge_validation():
     with pytest.raises(ResourceLimit, match="node budget 2 exhausted"):
         merge_coloring(perm("2143"), perm("12"), perm("12"), budget=2)
     with pytest.raises(ResourceLimit):
-        merge_member(Permutation(tuple(range(1, 16))), perm("12"), perm("21"))
+        merge_member(Permutation(tuple(range(1, 18))), perm("12"), perm("21"))
 
 
 def oracle_merge(host, red_p, blue_p):
@@ -478,7 +557,7 @@ def test_jv_inclusion_validation():
 
 def test_jv_inclusion_checks_length_before_searching(monkeypatch):
     # the product states carry merge states, so the merge-count limit
-    # (10) applies, not the avoider-count limit (14)
+    # (10) applies, not the avoider-count limit (16)
     searched = []
 
     def search(combined, red, blue, n, budget):
@@ -672,12 +751,13 @@ def test_merge_right_sides_keep_the_least_budget():
     # each colour's sum expands the states of its length-n count, the
     # largest of the counts it replaces; here that count, not the merge
     # count, sets the least budget: red's with blue 2143, blue's with 1423
+    # count on the colour's own states, unrouted, as the merge's are
     red = [count_avoiders(perm("4321"), i) for i in range(7)]
-    assert least_budget(lambda b: count_avoiders(perm("4321"), 6, budget=b), 50) == red[6]
+    assert least_budget(lambda b: _own_count((4, 3, 2, 1), 6, b), 50) == red[6]
     for text, blue_nodes, nodes in (("2143", 47, 50), ("1423", 68, 68)):
         blue = [count_avoiders(perm(text), i) for i in range(7)]
         assert least_budget(
-            lambda b: count_avoiders(perm(text), 6, budget=b), blue_nodes) == blue[6]
+            lambda b: _own_count(perm(text).entries, 6, b), blue_nodes) == blue[6]
         report = least_budget(
             lambda b: merge_count_upper_check(perm("4321"), perm(text), 6, budget=b), nodes)
         assert report.lhs == 720
@@ -810,14 +890,17 @@ def test_jv_smallest_budget_pinned(run, nodes):
 
 
 @pytest.mark.parametrize("run, nodes, value", [
-    (lambda b: count_avoiders(perm("1342"), 11, budget=b), 4917, 3475090),
+    (lambda b: _own_count((1, 3, 4, 2), 11, b), 4917, 3475090),
     (lambda b: count_avoiders(perm("1324"), 11, budget=b), 4281, 3824112),
-    (lambda b: count_avoiders(perm("2413"), 10, budget=b), 2222, 555662),
+    (lambda b: _own_count((2, 4, 1, 3), 10, b), 2222, 555662),
     (lambda b: count_avoiders(perm("13524"), 9, budget=b), 1454, 260285),
+    (lambda b: count_avoiders(perm("1342"), 11, budget=b), 2790, 3475090),
+    (lambda b: count_avoiders(perm("2413"), 10, budget=b), 1212, 555662),
     (lambda b: merge_count_upper_check(perm("132"), perm("312"), 8, budget=b).lhs, 1118, 40318),
     (lambda b: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 8, budget=b).checked,
      538, 33324),
-], ids=["1342@11", "1324@11", "2413@10", "13524@9", "merge-132-312@8", "jv-1-12-21@8"])
+], ids=["1342@11", "1324@11", "2413@10", "13524@9", "routed-1342@11", "routed-2413@10",
+        "merge-132-312@8", "jv-1-12-21@8"])
 def test_larger_least_budgets_pinned(run, nodes, value):
     # least budgets, which count the distinct reduced states expanded,
     # at sizes where the state sets are large: any change to what a
