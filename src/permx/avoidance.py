@@ -71,8 +71,20 @@ completes its pattern.  A pair is dropped when another pair of the set
 is no more constrained in both colours (each of its partial occurrences
 is one of the first pair's or dominated by one, and its forbidden-gap
 mask is included in the first pair's), since every colouring
-of the rest that works from the first works from the other too.  The
-count sums multiplicities over distinct pair sets, one length at a time.
+of the rest that works from the first works from the other too.
+
+That test is one AND-NOT.  Each colour state is named by its downset
+code (:func:`_colour`), an int holding its forbidden-gap mask and, per
+tuple level, the set of gap tuples its occurrences dominate, so one
+state is no more constrained than another iff its code is a bit-subset
+of the other's, and distinct states have distinct codes.  A pair is the
+int ``red << width | blue`` of its colours' codes.  A bit-subset is
+numerically smaller, so an ascending sort of a child set is a linear
+extension of the dominance order, and one pass keeps a pair iff no pair
+kept before it is a subset of it (the maxima sweep of Kung, Luccio and
+Preparata).  The reduced sets are the ones pairwise comparison gives, so
+a node is still one distinct merge state expanded.  The count sums
+multiplicities over distinct pair sets, one length at a time.
 The JV inclusion check runs the same
 layered sum over the product of the three-part sum's avoider state and
 the merge state of the two-part sums, and fails iff some avoider is
@@ -86,8 +98,8 @@ Every model feeds the layered sum the same way, by expanding a state
 over all its gaps at once.  Every memo the merge and JV models keep is
 a :class:`_Lazy` table, so a hit is one subscript: each colour's and
 the JV host's and merge expansions over interned states, each colour's
-dominance lookups, and the merge expansion's pair children, kept for
-one layer at a time.  A merge count's right sides sum over each
+boxes of dominated tuples, and the merge expansion's pair children,
+kept for one layer at a time.  A merge count's right sides sum over each
 colour's own expansion table, reusing the expansions its merge sum
 took.
 """
@@ -99,7 +111,6 @@ import math
 
 from .core import (
     Permutation,
-    _dominated,
     _occurrence_plan,
     _perm_states,
     complement,
@@ -400,23 +411,29 @@ def merge_member(
     return merge_coloring(host, red_pattern, blue_pattern, budget=budget) is not None
 
 
-def _interned(root, expand):
-    """``(states, steps)`` with the states of a ``(root, expand)`` model
-    numbered as they are met (the root is 0) and ``steps[i, *args]`` the
-    expansion ``expand(states[i], *args)`` as a dict from each gap that
-    leaves a child to the child's number, a :class:`_Lazy` table."""
-    states, ids = [root], {root: 0}
+def _interned(root, expand, name=None):
+    """``(states, steps)`` over the states of a ``(root, expand)`` model,
+    each named by ``name(state)``, or by default numbered as it is met
+    (the root is 0): ``states`` maps each name to its state, and
+    ``steps[i, *args]`` is the expansion ``expand(states[i], *args)`` as a
+    dict from each gap that leaves a child to the child's name, a
+    :class:`_Lazy` table."""
+    states, names = {}, {}
+    if name is None:
+        name = lambda state: len(states)
 
     def fill(key):
         row = {}
         for u, child in expand(states[key[0]], *key[1:]):
-            i = ids.get(child)
+            i = names.get(child)
             if i is None:
-                i = ids[child] = len(states)
-                states.append(child)
+                i = names[child] = name(child)
+                states[i] = child
             row[u] = i
         return row
 
+    names[root] = name(root)
+    states[names[root]] = root
     return states, _Lazy(fill)
 
 
@@ -435,29 +452,54 @@ class _Lazy(dict):
         return value
 
 
-def _colour(pvals):
-    """One colour of a merge as ``(states, steps, covered, weaker)``
-    over interned prefix states (:func:`_interned`): one colour's state
-    recurs across many pairs and pair sets.
+def _colour(pvals, n):
+    """One colour of a length-n merge as ``(states, steps, width)`` over
+    its prefix states (:func:`_interned`), each named by its downset
+    code, a ``width``-bit int: one colour's state recurs across many
+    pairs and pair sets.
 
-    ``covered(q, p)`` asks whether state q is no more constrained than
-    state p: each partial occurrence of q, at each prefix length below
-    k - 1, is one of p's or dominated by one, and q's forbidden-gap mask
-    at level k - 1 is included in p's.  Then every continuation that
-    avoids the pattern from p avoids it from q too.  ``weaker[i, j]`` is
-    ``covered`` on the interned states i and j, computed at the first
-    lookup; the merge expansion looks up only i != j."""
-    states, steps = _interned(*_perm_states(pvals))
-    bounds = [(lows, ups) for _, _, _, lows, ups, _ in _occurrence_plan(pvals)]
-    last = len(pvals) - 1
+    The code's low n + 1 bits are the state's forbidden-gap mask.  Above
+    them each tuple level j = 1..k-2 of width w owns (n + 1)^w bits, one
+    per gap tuple of [0, n]^w, and sets those of the tuples that one of
+    its occurrences dominates: a box, an interval per position, [g, n]
+    at a lower bound g, [0, g] at an upper bound and {g} at both.  A
+    tuple dominates itself, so state q is no more constrained than state
+    p (each partial occurrence of q is dominated by one of p's and q's
+    mask is included in p's, so every continuation that avoids the
+    pattern from p avoids it from q too) iff q's code is a bit-subset of
+    p's.  A reduced level is the antichain of its downset's maximal
+    tuples, so distinct states have distinct codes, and the root's is 0."""
+    plan = _occurrence_plan(pvals)
+    last, side = len(pvals) - 1, n + 1
+    offsets, width = [None], side
+    for j in range(1, last):
+        offsets.append(width)
+        width += side ** len(plan[j - 1][2])
 
-    def covered(q, p):
-        if last and q[last] & ~p[last]:
-            return False
-        return all(_dominated(t, p[j], *bounds[j - 1])
-                   for j in range(1, last) for t in q[j] - p[j])
+    def box(key):
+        # the points of the box in mixed radix n + 1, each position's
+        # interval a geometric series times the boxes of the positions
+        # before it
+        j, t = key
+        lows, ups = plan[j - 1][3:5]
+        cells, stride = 1, 1
+        for i, g in enumerate(t):
+            a = g if i in lows else 0
+            b = g if i in ups else n
+            cells *= ((1 << (b - a + 1) * stride) - 1) // ((1 << stride) - 1) << a * stride
+            stride *= side
+        return cells << offsets[j]
 
-    return states, steps, covered, _Lazy(lambda ij: covered(states[ij[0]], states[ij[1]]))
+    boxes = _Lazy(box)
+
+    def code(state):
+        c = state[last] if last else 0
+        for j in range(1, last):
+            for t in state[j]:
+                c |= boxes[j, t]
+        return c
+
+    return *_interned(*_perm_states(pvals), code), width
 
 
 def _merge_states(red, blue):
@@ -466,63 +508,62 @@ def _merge_states(red, blue):
 
     A state is the set of (red state, blue state) pairs of the colourings
     of the prefix still alive, both in gap coordinates of the one shared
-    set of unused values.  At gap u each pair goes to a red child, where
+    set of unused values, each pair the int ``red << width | blue`` of
+    its colours' codes.  At gap u each pair goes to a red child, where
     the new entry joins red and only shifts blue's gaps, and a blue
     child, dropping a child whose joining colour completes its pattern.
     A pair is dropped when another pair of the set is no more
-    constrained in both colours; equally constrained pairs are equal, so
-    the reduced set is canonical.  ``expand(pairs, r)`` yields ``(u,
-    children)`` for each gap u that leaves a pair.
+    constrained in both colours, that is when the other's int is a
+    bit-subset of its own.  A bit-subset is numerically smaller, so after
+    one ascending sort a pair stays iff no pair kept before it is a
+    subset of it; codes are distinct, so the reduced set is canonical.
+    ``expand(pairs, r)`` yields ``(u, children)`` for each gap u that
+    leaves a pair.
 
     Pairs recur across the pair sets of one layer, so the expansion
     memoises each pair's children at every gap, read from the colours'
     expansions, in a :class:`_Lazy` table.  The children depend on r,
     which is not in the key; the table is cleared whenever r changes, so
     it holds one layer at most."""
-    _, red_steps, _, red_weaker = red
-    _, blue_steps, _, blue_weaker = blue
+    _, red_steps, _ = red
+    _, blue_steps, width = blue
+    low = (1 << width) - 1
 
     def children_of(pair):
-        rs, bs = pair
+        rs, bs = pair >> width, pair & low
         out = [[] for _ in range(layer)]
         shifted = blue_steps[bs, layer, False]
         for u, child in red_steps[rs, layer, True].items():
-            out[u].append((child, shifted[u]))
+            out[u].append(child << width | shifted[u])
         shifted = red_steps[rs, layer, False]
         for u, child in blue_steps[bs, layer, True].items():
-            out[u].append((shifted[u], child))
+            out[u].append(shifted[u] << width | child)
         return out
 
     kids, layer = _Lazy(children_of), None
 
     def undominated(children):
-        # a pair sharing a colour's state with another needs no lookup there
-        out = []
-        for p in children:
-            pr, pb = p
-            for q in children:
-                qr, qb = q
-                if (q is not p and (qr == pr or red_weaker[qr, pr])
-                        and (qb == pb or blue_weaker[qb, pb])):
+        kept = []
+        for p in sorted(children):
+            outside = ~p
+            for q in kept:
+                if not q & outside:
                     break
             else:
-                out.append(p)
-        return frozenset(out)
+                kept.append(p)
+        return frozenset(kept)
 
     def expand(pairs, r):
         nonlocal layer
         if r != layer:
             kids.clear()
             layer = r
-        rows = [kids[pair] for pair in pairs]
-        for u in range(r):
-            children = set()
-            for row in rows:
-                children.update(row[u])
+        for u, lists in enumerate(zip(*[kids[pair] for pair in pairs])):
+            children = set().union(*lists)
             if children:
                 yield u, undominated(children)
 
-    return frozenset([(0, 0)]), expand
+    return frozenset([0]), expand
 
 
 def _jv_search(hvals, rvals, bvals, n, budget):
@@ -538,7 +579,7 @@ def _jv_search(hvals, rvals, bvals, n, budget):
     order is value order).  The re-sums expand only states the first sum
     expanded, so a node is one distinct product state expanded."""
     _, host_steps = _interned(*_perm_states(hvals))
-    _, merge_steps = _interned(*_merge_states(_colour(rvals), _colour(bvals)))
+    _, merge_steps = _interned(*_merge_states(_colour(rvals, n), _colour(bvals, n)))
 
     def expand(state, r):
         host, pairs = state
@@ -626,7 +667,7 @@ def merge_count_upper_check(
         raise PreconditionViolated("merge patterns must be nonempty")
     valid_size(n, "n", 0, DEFAULT_MERGE_COUNT_LENGTH_LIMIT, OVER_LENGTH)
     valid_budget(budget)
-    red, blue = _colour(red_pattern.entries), _colour(blue_pattern.entries)
+    red, blue = _colour(red_pattern.entries, n), _colour(blue_pattern.entries, n)
     lhs = sum(_sum_over_states(*_merge_states(red, blue), n, budget).values())
 
     def counts(colour):

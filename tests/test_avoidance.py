@@ -21,6 +21,7 @@ from permx.avoidance import (
     _own_count,
     _perm_states,
     _representative,
+    _sum_over_states,
     avoiders,
     count_avoiders,
     merge_coloring,
@@ -31,6 +32,8 @@ from permx.avoidance import (
 )
 from permx.core import (
     Permutation,
+    _dominated,
+    _occurrence_plan,
     avoids,
     complement,
     contains,
@@ -557,7 +560,7 @@ def test_jv_inclusion_validation():
 
 def test_jv_inclusion_checks_length_before_searching(monkeypatch):
     # the product states carry merge states, so the merge-count limit
-    # (10) applies, not the avoider-count limit (16)
+    # (11) applies, not the avoider-count limit (16)
     searched = []
 
     def search(combined, red, blue, n, budget):
@@ -565,10 +568,10 @@ def test_jv_inclusion_checks_length_before_searching(monkeypatch):
         return 0, True, None
 
     monkeypatch.setattr(avoidance, "_jv_search", search)
-    verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 10)
-    with pytest.raises(ResourceLimit, match="n=11 exceeds the configured limit 10"):
-        verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 11)
-    assert searched == [10]
+    verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 11)
+    with pytest.raises(ResourceLimit, match="n=12 exceeds the configured limit 11"):
+        verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 12)
+    assert searched == [11]
 
 
 def oracle_jv(host_p, red_p, blue_p, n):
@@ -661,19 +664,19 @@ def test_merge_count_skew_merged_closed_form():
     assert [atkinson_skew_merged(n) for n in range(12)] == [
         1, 1, 2, 6, 22, 86, 340, 1340, 5254, 20518, 79932, 311028,
     ]
-    for n in range(0, 11):
+    for n in range(0, 12):
         assert merge_count_upper_check(perm("12"), perm("21"), n).lhs == atkinson_skew_merged(n)
 
 
 def test_merge_count_two_decreasing_is_catalan():
     # a union of two decreasing sequences is exactly a 123-avoider
-    for n in range(0, 11):
+    for n in range(0, 12):
         assert merge_count_upper_check(perm("12"), perm("12"), n).lhs == catalan(n)
 
 
 def test_merge_count_limit():
     with pytest.raises(ResourceLimit):
-        merge_count_upper_check(perm("12"), perm("21"), 11)
+        merge_count_upper_check(perm("12"), perm("21"), 12)
     with pytest.raises(PreconditionViolated):
         merge_count_upper_check(perm("12"), perm("21"), -1)
 
@@ -811,14 +814,30 @@ def test_merge_count_peak_memory():
     assert peak < 3.5 * 2 ** 20, peak
 
 
+def covered(pvals, q, p):
+    """Whether prefix state q of ``pvals`` is no more constrained than
+    state p, on the tuples themselves: each partial occurrence of q, at
+    each prefix length below k - 1, is one of p's or dominated by one,
+    and q's forbidden-gap mask at level k - 1 is included in p's."""
+    bounds = [(lows, ups) for _, _, _, lows, ups, _ in _occurrence_plan(pvals)]
+    last = len(pvals) - 1
+    if last and q[last] & ~p[last]:
+        return False
+    return all(_dominated(t, p[j], *bounds[j - 1])
+               for j in range(1, last) for t in q[j] - p[j])
+
+
 def oracle_merge_step(red, blue, pairs, u, r):
     """The children of a merge state at gap u and their reduction, with
     no layer memo: every pair's children from each colour's expansion,
     and a pair dropped iff another child covers it in both colours, by
-    ``covered`` on the states themselves."""
-    (red_states, red_steps, red_covered, _), (blue_states, blue_steps, blue_covered, _) = red, blue
+    :func:`covered` on the states themselves.  ``red`` and ``blue`` are
+    ``(pattern, colour)``; the children are (red, blue) name pairs, and
+    the reduction is a set of pair ints, as the expansion gives it."""
+    (rvals, (red_states, red_steps, _)), (bvals, (blue_states, blue_steps, width)) = red, blue
     children = set()
-    for rs, bs in pairs:
+    for pair in pairs:
+        rs, bs = pair >> width, pair & ((1 << width) - 1)
         child = red_steps[rs, r, True].get(u)
         if child is not None:
             children.add((child, blue_steps[bs, r, False][u]))
@@ -826,10 +845,11 @@ def oracle_merge_step(red, blue, pairs, u, r):
         if child is not None:
             children.add((red_steps[rs, r, False][u], child))
     kept = frozenset(
-        p for p in children
-        if not any(q != p and red_covered(red_states[q[0]], red_states[p[0]])
-                   and blue_covered(blue_states[q[1]], blue_states[p[1]])
-                   for q in children)
+        pr << width | pb for pr, pb in children
+        if not any((qr, qb) != (pr, pb)
+                   and covered(rvals, red_states[qr], red_states[pr])
+                   and covered(bvals, blue_states[qb], blue_states[pb])
+                   for qr, qb in children)
     )
     return frozenset(children), kept or None
 
@@ -848,7 +868,7 @@ def test_merge_step_matches_memo_free_reduction(rvals, bvals):
     # again, and at every gap it must still give what the memo-free
     # filter gives
     rng = random.Random(repr((rvals, bvals)))
-    red, blue = _colour(rvals), _colour(bvals)
+    red, blue = _colour(rvals, 7), _colour(bvals, 7)
     root, expand = _merge_states(red, blue)
     key_hits = set_hits = sets = 0
     for n in range(1, 8):
@@ -859,7 +879,8 @@ def test_merge_step_matches_memo_free_reduction(rvals, bvals):
                 pairs = rng.choice(layer)
                 got = dict(expand(pairs, r))
                 for u in range(r):
-                    children, want = oracle_merge_step(red, blue, pairs, u, r)
+                    children, want = oracle_merge_step(
+                        (rvals, red), (bvals, blue), pairs, u, r)
                     assert got.get(u) == want, (pairs, u, r)
                     if children:
                         sets += 1
@@ -871,6 +892,26 @@ def test_merge_step_matches_memo_free_reduction(rvals, bvals):
             layer = [rng.choice(following) for _ in range(12)] if following else [root]
     assert key_hits
     assert set_hits or not sets
+
+
+@pytest.mark.parametrize("rvals, bvals, n", [
+    *((rvals, bvals, 7) for rvals, bvals in MERGE_WALK_PAIRS),
+    # three tuple levels, the widest of width 3: 216 and 270 states
+    ((1, 3, 5, 2, 4), (2, 4, 1, 5, 3), 8),
+], ids=lambda p: "".join(map(str, p)) if isinstance(p, tuple) else str(p))
+def test_colour_codes_are_the_domination_order(rvals, bvals, n):
+    # over every colour state a length-n merge sum reaches, one state's
+    # code is a bit-subset of another's iff covered() says so, and each
+    # name in a step row is the code of the one state the expansion gave
+    red, blue = _colour(rvals, n), _colour(bvals, n)
+    _sum_over_states(*_merge_states(red, blue), n, DEFAULT_NODE_BUDGET)
+    for pvals, (states, steps, width) in ((rvals, red), (bvals, blue)):
+        _, expand = _perm_states(pvals)
+        for (name, r, join), row in steps.items():
+            assert dict(expand(states[name], r, join)) == {u: states[c] for u, c in row.items()}
+        assert all(code < 1 << width for code in states)
+        for q, p in itertools.product(states, repeat=2):
+            assert (not q & ~p) == covered(pvals, states[q], states[p]), (pvals, q, p)
 
 
 @pytest.mark.parametrize("run, nodes", [

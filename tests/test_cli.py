@@ -183,10 +183,10 @@ class TestExitCodes:
 
     def test_verify_jv_length_limit(self, capsys):
         code, out, err = invoke(
-            capsys, "verify-jv", "--a", "1", "--b", "12", "--c", "21", "--n", "11"
+            capsys, "verify-jv", "--a", "1", "--b", "12", "--c", "21", "--n", "12"
         )
         assert (code, out) == (EXIT_RESOURCE, "")
-        assert err == "resource limit: n=11 exceeds the configured limit 10\n"
+        assert err == "resource limit: n=12 exceeds the configured limit 11\n"
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -264,7 +264,7 @@ class TestExitCodes:
          "--t", "1e308", "--s", "1e308", "--x", "0.5", "--y", "0.5"),
         ("bounds", "schedule", "--k", "2", "--a", "132", "--c", "12"),
         ("fpts", "--pattern", "12", "--t", "65", "--s", "1", "--budget", "1000"),
-        ("merge-check", "--red", "12", "--blue", "21", "--n", "11"),
+        ("merge-check", "--red", "12", "--blue", "21", "--n", "12"),
         # results past 4300 digits, which str() refuses to print
         ("bounds", "fox-rhs", "--ex-table", f"1={'9' * 4000},2=3,3={'9' * 4000}",
          "--t", "2", "--s", "2", "--f", "1", "--g", "1", "--n", "3"),
