@@ -3,15 +3,16 @@
 fpts_exact searches and the Lemma 2.2 certifier layer of
 permx.extremal on fixed cases, each run in a fresh interpreter.
 
-The kernel cases are avoider counts of 1324 and 1342 at n = 13 and 14
-and of 2413 and 1432 at n = 16, the merge counts of (132, 312) at
-n = 10 and of (213, 231), the costliest ordered pair of length-3
-patterns, at n = 10 and 11, and the JV inclusion check of (1, 12, 21)
-at n = 8 and 10, each through its public function.  Every layered sum
+The kernel cases are avoider counts of 1324 and 1342 at n = 13 and 14,
+of 1324, 2413 and 1432 at n = 16 and of 1324 and 2413 at n = 17, the
+merge counts of (132, 312) at n = 10 and of (213, 231), the costliest
+ordered pair of length-3 patterns, at n = 10 and 11, and the JV
+inclusion check of (1, 12, 21) at n = 8 and 10, each through its public
+function.  Every layered sum
 a case runs is counted: the distinct states it expands, which is the
-least node budget that sum needs.  A count sums over its pattern's
-Wilf representative (2314 for 1342 and 2413, 1234 for 1432), which the
-case names.
+least node budget that sum needs; a count's states are canonical
+ones.  A count sums over its pattern's Wilf representative (1423 for
+1342 and 2413, 1234 for 1432), which the case names.
 
 The exfn cases are ex(2413, 7), ex(1342, 8), ex(132, 8), ex(2413, 8)
 and ex(1342, 9), each one exfn_exact search at the default budget.
@@ -55,8 +56,11 @@ CASES = {
     "count 1342 n=13": ("count", ("1342", 13)),
     "count 1324 n=14": ("count", ("1324", 14)),
     "count 1342 n=14": ("count", ("1342", 14)),
+    "count 1324 n=16": ("count", ("1324", 16)),
     "count 2413 n=16": ("count", ("2413", 16)),
     "count 1432 n=16": ("count", ("1432", 16)),
+    "count 1324 n=17": ("count", ("1324", 17)),
+    "count 2413 n=17": ("count", ("2413", 17)),
     "merge 132,312 n=10": ("merge", ("132", "312", 10)),
     "merge 213,231 n=10": ("merge", ("213", "231", 10)),
     "merge 213,231 n=11": ("merge", ("213", "231", 11)),
@@ -151,9 +155,9 @@ def run_kernel_case(kind: str, args: tuple) -> tuple[str, float]:
     states = []
     layers = avoidance._layers
 
-    def counted(root, expand, n, budget):
+    def counted(root, expand, n, budget, canonical=None):
         states.append(0)
-        for i, layer in enumerate(layers(root, expand, n, budget)):
+        for i, layer in enumerate(layers(root, expand, n, budget, canonical)):
             if i < n:
                 states[-1] += len(layer)
             yield layer

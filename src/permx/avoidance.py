@@ -11,7 +11,7 @@ occurrence exactly when each entry that must lie below it has gap <= u
 and each entry that must lie above it has gap > u.  The count of
 completions depends on the prefix only through that state, so equal
 states are merged with their multiplicities, one length at a time.
-Four exact reductions keep the state sets small:
+Five exact reductions keep the state sets small:
 
 * projection: an occurrence keeps only the entries that are the value
   neighbours of some later pattern value, the only ones a future entry
@@ -37,13 +37,20 @@ Four exact reductions keep the state sets small:
   intervals into their union.  A step at gap u drops bit u and moves
   the bits above it down by one, and ORs in the interval of each
   occurrence the new entry completes to length k - 1; a completing
-  entry is one bit test.
+  entry is one bit test;
+* canonical states: after each layer of a count, an occurrence of
+  length k - 2 is dropped when, at every gap the mask allows and that
+  would extend it, the interval its completion would forbid lies in
+  the mask already (:func:`core._perm_canonical`, with the proof that
+  the children and so the continuations are unchanged).  Prefixes whose
+  occurrences differ only in such ones are then one state: 1324 at
+  n = 9 expands 314 canonical states against 696 raw ones.
 
 The expansion itself is :func:`core._perm_states`: a state is expanded
 once over all its gaps, each of its levels looked up once in a memo of
 per-gap rows, and each prefix's reduction is built once per occurrence
 plan entry for its dominance shape.  A counting node is one distinct
-state expanded.  After i gap choices of a length-n sum the
+canonical state expanded.  After i gap choices of a length-n sum the
 multiplicities total C(n, i) |Av_i|, so one sum gives every count up
 to n: the growth estimates and the merge right sides take one sum per
 pattern.  Enumeration (:func:`avoiders`) stays a
@@ -52,13 +59,16 @@ an entry when :func:`core.completes_at_end`, the core containment
 search pinned to the new entry, finds an occurrence ending there.
 
 Patterns of one Wilf class have equal counts but not equal state sets:
-at n = 13, 2314's sum expands 14,609 states and 2413's 38,957.  So
+at n = 13, 1423's sum expands 6,582 canonical states and 2413's
+14,648.  So
 :func:`count_avoiders` and :func:`sw_estimate_sequence` sum over the
 cheapest member of a pattern's proven Wilf class when the pattern has
 length at most 4 (:data:`_WILF_CLASSES`), and a node budget caps that
 member's states.  Merges and the JV check sum over each pattern's own
-states, since a merge of two patterns is not a merge of their
-representatives.
+raw states, since a merge of two patterns is not a merge of their
+representatives, and canonical colour states would weaken the
+domination order below: (213, 231) at n = 10 would expand 37,191
+merge states instead of 25,682.
 
 A merge is a permutation whose entries colour red and blue so that each
 colour avoids its own pattern.  Merges are counted on the same states:
@@ -112,6 +122,7 @@ import math
 from .core import (
     Permutation,
     _occurrence_plan,
+    _perm_canonical,
     _perm_states,
     complement,
     completes_at_end,
@@ -190,12 +201,12 @@ def count_avoiders(
 ) -> int:
     """Exact number of length-n permutations avoiding ``pattern``.
 
-    Counted as a sum over prefix states (see the module docstring), not
-    by visiting avoiders, on the cheapest member of the pattern's proven
-    Wilf class (:func:`_representative`) for a pattern of length at most
-    4, and on the pattern itself for a longer one.  ``budget`` caps the
-    number of distinct states of that member expanded, a count that
-    depends only on the member and n."""
+    Counted as a sum over canonical prefix states (see the module
+    docstring), not by visiting avoiders, on the cheapest member of the
+    pattern's proven Wilf class (:func:`_representative`) for a pattern
+    of length at most 4, and on the pattern itself for a longer one.
+    ``budget`` caps the number of distinct canonical states of that
+    member expanded, a count that depends only on the member and n."""
     if pattern.n == 0:
         raise PreconditionViolated("avoidance is defined for nonempty patterns")
     valid_size(n, "n", 0, DEFAULT_COUNT_LENGTH_LIMIT, OVER_LENGTH)
@@ -204,9 +215,10 @@ def count_avoiders(
 
 
 def _own_count(pvals, n, budget):
-    """|Av_n| of the pattern ``pvals`` summed over its own prefix
-    states, whatever its Wilf class."""
-    return sum(_sum_over_states(*_perm_states(pvals), n, budget).values())
+    """|Av_n| of the pattern ``pvals`` summed over its own canonical
+    prefix states, whatever its Wilf class."""
+    return sum(_sum_over_states(*_perm_states(pvals), n, budget,
+                                _perm_canonical(pvals)).values())
 
 
 # The proven Wilf classes of the patterns of length at most 4, each as
@@ -224,8 +236,8 @@ _WILF_CLASSES = (
     # direct sum, gives 1234 ~ 2134, 1243 ~ 2143 and 1234 ~ 3214, and
     # 2134 and 3214 are images of 1243 and 1432
     ("1234", "1234 1243 2143 1432"),
-    # Stankova (1994); 2314 is an image of 1342
-    ("2314", "1342 2413"),
+    # Stankova (1994); 1423 is an image of 1342
+    ("1423", "1342 2413"),
     ("1324", "1324"),
 )
 
@@ -249,20 +261,25 @@ def _representative(pattern):
     return _wilf_table().get(min(q.entries for q in images), pattern.entries)
 
 
-def _sum_over_states(root, expand, n, budget):
+def _sum_over_states(root, expand, n, budget, canonical=None):
     """The states reached from ``root`` by length-n sequences of gap
     choices that leave a child, each with the number of sequences
     reaching it; equal states are merged with their multiplicities one
     length at a time.  ``expand(state, r)`` yields ``(u, child)`` for
-    each gap u of the r that leaves one."""
-    for layer in _layers(root, expand, n, budget):
+    each gap u of the r that leaves one; ``canonical``, if given, is
+    applied to each layer as in :func:`_layers`."""
+    for layer in _layers(root, expand, n, budget, canonical):
         pass
     return layer
 
 
-def _layers(root, expand, n, budget):
+def _layers(root, expand, n, budget, canonical=None):
     """The layers of :func:`_sum_over_states`: the states reached after
-    0, 1, ..., n gap choices, each with its multiplicity."""
+    0, 1, ..., n gap choices, each with its multiplicity.  A node is one
+    state of a layer expanded.  ``canonical(layer, r)``, if given, maps
+    each new layer, whose states have r unused values, to its canonical
+    states with equal ones merged (:func:`core._perm_canonical`), so a
+    node is then one canonical state."""
     layer = {root: 1}
     yield layer
     nodes = 0
@@ -275,18 +292,19 @@ def _layers(root, expand, n, budget):
                 raise ResourceLimit(f"node budget {budget} exhausted")
             for _, child in expand(state, r):
                 following[child] = count(child, 0) + mult
-        layer = following
+        layer = following if canonical is None else canonical(following, r - 1)
         yield layer
 
 
-def _avoider_counts(root, expand, n, budget):
+def _avoider_counts(root, expand, n, budget, canonical=None):
     """|Av_i| for i = 0..n from one length-n sum over the avoider model
-    ``(root, expand)`` of a pattern.  After i gap choices the
+    ``(root, expand)`` of a pattern, its layers made canonical by
+    ``canonical`` if given (:func:`_layers`).  After i gap choices the
     multiplicities count the avoiding i-entry prefixes of length-n
     permutations: i of the n values in an order whose pattern avoids,
     C(n, i) |Av_i| of them."""
     return [sum(layer.values()) // math.comb(n, i)
-            for i, layer in enumerate(_layers(root, expand, n, budget))]
+            for i, layer in enumerate(_layers(root, expand, n, budget, canonical))]
 
 
 def avoiders(
@@ -336,13 +354,14 @@ def sw_estimate_sequence(
 ) -> list[SwEstimate]:
     """Exact counts with count**(1/n) growth estimates for n = 1..n_max,
     every count from one length-n_max sum (:func:`_avoider_counts`)
-    over the pattern :func:`count_avoiders` sums over, which expands
-    the states of its count at n_max."""
+    over the canonical states of the pattern :func:`count_avoiders`
+    sums over, which expands the states of its count at n_max."""
     valid_size(n_max, "n_max", 1, DEFAULT_COUNT_LENGTH_LIMIT, OVER_LENGTH)
     valid_budget(budget)
     if pattern.n == 0:
         raise PreconditionViolated("avoidance is defined for nonempty patterns")
-    counts = _avoider_counts(*_perm_states(_representative(pattern)), n_max, budget)
+    pvals = _representative(pattern)
+    counts = _avoider_counts(*_perm_states(pvals), n_max, budget, _perm_canonical(pvals))
     return [SwEstimate(n, count, float(count) ** (1.0 / n) if count > 0 else 0.0)
             for n, count in enumerate(counts[1:], 1)]
 
@@ -458,26 +477,29 @@ def _colour(pvals, n):
     code, a ``width``-bit int: one colour's state recurs across many
     pairs and pair sets.
 
-    The code's low n + 1 bits are the state's forbidden-gap mask.  Above
-    them each tuple level j = 1..k-2 of width w owns (n + 1)^w bits, one
-    per gap tuple of [0, n]^w, and sets those of the tuples that one of
-    its occurrences dominates: a box, an interval per position, [g, n]
-    at a lower bound g, [0, g] at an upper bound and {g} at both.  A
-    tuple dominates itself, so state q is no more constrained than state
-    p (each partial occurrence of q is dominated by one of p's and q's
-    mask is included in p's, so every continuation that avoids the
-    pattern from p avoids it from q too) iff q's code is a bit-subset of
-    p's.  A reduced level is the antichain of its downset's maximal
-    tuples, so distinct states have distinct codes, and the root's is 0."""
+    A state with tuples or a mask is reached by a step, so it has at most
+    n - 1 unused values: its gaps lie in [0, n - 1] and its mask's bits
+    below n.  The code's low n bits are the state's forbidden-gap mask.
+    Above them each tuple level j = 1..k-2 of width w owns n^w bits, one
+    per gap tuple of [0, n - 1]^w, and sets those of the tuples that one
+    of its occurrences dominates: a box, an interval per position,
+    [g, n - 1] at a lower bound g, [0, g] at an upper bound and {g} at
+    both.  A tuple dominates itself, so state q is no more constrained
+    than state p (each partial occurrence of q is dominated by one of
+    p's and q's mask is included in p's, so every continuation that
+    avoids the pattern from p avoids it from q too) iff q's code is a
+    bit-subset of p's.  A reduced level is the antichain of its
+    downset's maximal tuples, so distinct states have distinct codes,
+    and the root's is 0."""
     plan = _occurrence_plan(pvals)
-    last, side = len(pvals) - 1, n + 1
-    offsets, width = [None], side
+    last = len(pvals) - 1
+    offsets, width = [None], n
     for j in range(1, last):
         offsets.append(width)
-        width += side ** len(plan[j - 1][2])
+        width += n ** len(plan[j - 1][2])
 
     def box(key):
-        # the points of the box in mixed radix n + 1, each position's
+        # the points of the box in mixed radix n, each position's
         # interval a geometric series times the boxes of the positions
         # before it
         j, t = key
@@ -485,9 +507,9 @@ def _colour(pvals, n):
         cells, stride = 1, 1
         for i, g in enumerate(t):
             a = g if i in lows else 0
-            b = g if i in ups else n
+            b = g if i in ups else n - 1
             cells *= ((1 << (b - a + 1) * stride) - 1) // ((1 << stride) - 1) << a * stride
-            stride *= side
+            stride *= n
         return cells << offsets[j]
 
     boxes = _Lazy(box)

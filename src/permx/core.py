@@ -574,6 +574,16 @@ def _reducer(lows, ups):
     return reduce
 
 
+def _mask_bounds(plan):
+    """Where the bounds of the forbidden-gap intervals come from in a
+    parent occurrence at level k - 2, the one the new entry completes to
+    length k - 1, as ``(mask_lo, mask_hi)``: the position in its tuple,
+    -1 for the new entry, None when the pattern's last value has no
+    neighbour on that side."""
+    last_src = plan[-2][2] if len(plan) >= 2 else ()
+    return tuple(None if i < 0 else last_src[i] for i in plan[-1][:2])
+
+
 def _perm_states(pvals):
     """The prefix-state model of permutations avoiding ``pvals``, as
     ``(root, expand)``: the empty prefix's state and the expansion of a
@@ -617,11 +627,7 @@ def _perm_states(pvals):
     changes, so they hold one layer at most."""
     k = len(pvals)
     plan = _occurrence_plan(pvals)
-    # where the bounds of the mask's intervals come from in a parent
-    # occurrence at level k - 2: None when the pattern's last value has
-    # no neighbour on that side, -1 for the new entry
-    last_src = plan[k - 2][2] if k >= 2 else ()
-    mask_lo, mask_hi = (None if i < 0 else last_src[i] for i in plan[-1][:2])
+    mask_lo, mask_hi = _mask_bounds(plan)
     empty = (_EMPTY,) * (k - 1) + (0,)
 
     def fill(j, parent, own, row, gaps):
@@ -691,6 +697,88 @@ def _perm_states(pvals):
     memo, flags_of, top, shifts = {}, {}, None, []
     blank = (_EMPTY,) * k
     return (frozenset([()]),) + empty[1:], expand
+
+
+def _perm_canonical(pvals):
+    """``canonical(layer, r)``, a layer of a layered sum over
+    :func:`_perm_states` (a dict from states with r unused values to
+    their multiplicities) with each state made canonical and equal
+    states merged, their multiplicities added.
+
+    A state is made canonical by dropping each occurrence t of level
+    k - 2 that forbids nothing its mask does not: at every gap u the
+    mask allows and at which t is extended (t[lo] <= u < t[hi]), the
+    gaps the completed occurrence would forbid lie in the mask already.
+    In the state's own gaps those are the interval [A, B) less u, A and
+    B the gaps of t's entries that bound the pattern's last value (u + 1
+    or u when the new entry is one, 0 or r when it has none), since an
+    unused value with index i lies above an entry of gap g iff i >= g.
+
+    Call two states with r unused values alike when they differ only in
+    droppable occurrences of level k - 2; a state and its canonical form
+    are alike.  Alike states have alike children at the same gaps:
+    * the masks agree, since at a gap u the mask allows, a droppable t
+      adds to the child's mask only gaps the shifted mask holds already
+      (and the mask decides which gaps leave a child);
+    * the levels below k - 2 agree, since none of them reads level k - 2;
+    * a droppable t stays droppable once shifted.  In values rather than
+      gaps, a step removes one unused value and only adds to the mask,
+      so every value the shifted t is extended by at an allowed gap was
+      one t was extended by at an allowed gap, and every value its
+      completion would forbid then was forbidden already, so is now;
+    * an occurrence dominated by a droppable one is droppable: its
+      extending gaps and forbidden intervals lie in the other's.  So the
+      child's level k - 2, reduced with or without the shifted droppable
+      occurrences, keeps the same occurrences that are not droppable.
+    At r = 0 every state has the one empty continuation, so by induction
+    on r alike states have the same avoiding continuations.
+
+    The test depends on the state only through level k - 2 and the
+    mask, so each distinct pair is tested once per layer.  Each
+    occurrence costs a few int operations over the allowed gaps that
+    extend it.  When the new entry is an end of the interval, u lies
+    outside it and the widest interval decides, at the least such u for
+    a lower end and the greatest for an upper one.  A fixed interval
+    leaves t droppable iff it holds no allowed gap, or holds one and
+    that is the only allowed gap that extends t."""
+    k = len(pvals)
+    if k < 2:
+        return lambda layer, r: layer
+    plan = _occurrence_plan(pvals)
+    lo, hi = plan[k - 2][:2]
+    mask_lo, mask_hi = _mask_bounds(plan)
+
+    def needed(t, allowed, r):
+        # whether t's completion at some allowed gap forbids one the
+        # mask allows: the allowed gaps in [A, B) other than u
+        ext = allowed & ((1 << (t[hi] if hi >= 0 else r)) - (1 << (t[lo] if lo >= 0 else 0)))
+        if not ext:
+            return False
+        a = 0 if mask_lo is None else t[mask_lo] if mask_lo >= 0 else (ext & -ext).bit_length()
+        b = r if mask_hi is None else t[mask_hi] if mask_hi >= 0 else ext.bit_length() - 1
+        if a >= b:
+            return False
+        free = ((1 << b) - (1 << a)) & allowed
+        return bool(free) and (free != ext or bool(free & (free - 1)))
+
+    def canonical(layer, r):
+        full = (1 << r) - 1
+        memo, out = {}, {}
+        count = out.get
+        for state, mult in layer.items():
+            key = state[k - 2:]
+            level = memo.get(key)
+            if level is None:
+                own, mask = key
+                allowed = ~mask & full
+                kept = [t for t in own if needed(t, allowed, r)]
+                level = memo[key] = own if len(kept) == len(own) else frozenset(kept) or _EMPTY
+            if level is not state[k - 2]:
+                state = state[:k - 2] + (level, state[-1])
+            out[state] = count(state, 0) + mult
+        return out
+
+    return canonical
 
 
 def _row_states(P: PermutationMatrix, width: int):

@@ -33,13 +33,13 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 
 # length caps that keep worst-case runtimes in minutes, not hours.  The
 # avoider counts and the avoidance backtrackers share the count limit;
-# at n = 16 the costliest count, 1324's (no cheaper member of its Wilf
-# class), takes about 17 s and 190 MB on a 2 vCPU VM.  The merge count
+# at n = 17 the costliest count, 1324's (no cheaper member of its Wilf
+# class), takes about 8 s and 130 MB on a 2 vCPU VM.  The merge count
 # and the JV inclusion check both walk merge states, which grow about 4x
 # per n, so they share the merge-count limit; at n = 11 the costliest
 # merge count of two length-3 patterns, (213, 231)'s, takes about 4 s
 # and 100 MB there.
-DEFAULT_COUNT_LENGTH_LIMIT = 16
+DEFAULT_COUNT_LENGTH_LIMIT = 17
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 11
 OVER_LENGTH = "n={} exceeds the configured limit {}"
 

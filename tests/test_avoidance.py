@@ -19,6 +19,7 @@ from permx.avoidance import (
     _layers,
     _merge_states,
     _own_count,
+    _perm_canonical,
     _perm_states,
     _representative,
     _sum_over_states,
@@ -91,15 +92,24 @@ def test_count_trivial_lengths():
 
 
 def own_counts(pattern, n):
-    """|Av_i| for i = 0..n on the pattern's own states, unrouted."""
-    return _avoider_counts(*_perm_states(pattern.entries), n, DEFAULT_NODE_BUDGET)
+    """|Av_i| for i = 0..n on the pattern's own canonical states,
+    unrouted."""
+    pvals = pattern.entries
+    return _avoider_counts(*_perm_states(pvals), n, DEFAULT_NODE_BUDGET, _perm_canonical(pvals))
 
 
 def own_states(pattern, n):
-    """The distinct states a length-n sum over the pattern's own states
-    expands, the least budget of that sum."""
+    """The distinct canonical states a length-n sum over the pattern's
+    own states expands, the least budget of that sum."""
+    pvals = pattern.entries
     return sum(len(layer) for i, layer in enumerate(
-        _layers(*_perm_states(pattern.entries), n, DEFAULT_NODE_BUDGET)) if i < n)
+        _layers(*_perm_states(pvals), n, DEFAULT_NODE_BUDGET, _perm_canonical(pvals))) if i < n)
+
+
+def raw_count(pvals, n, budget):
+    """|Av_n| summed over the raw states of ``pvals``, none made
+    canonical: the sum a merge colour runs."""
+    return sum(_sum_over_states(*_perm_states(pvals), n, budget).values())
 
 
 @pytest.mark.parametrize("text", THREE_PATTERNS)
@@ -117,6 +127,68 @@ def test_count_matches_naive_filter(text):
     counts = [count_avoiders(pattern, n) for n in range(11)]
     assert counts[:8] == [naive_count(pattern, n) for n in range(8)]
     assert counts == own_counts(pattern, 10)
+
+
+def raw_counts(pvals, n):
+    """|Av_i| for i = 0..n from the raw layers of ``pvals``, none made
+    canonical."""
+    return _avoider_counts(*_perm_states(pvals), n, DEFAULT_NODE_BUDGET)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_canonical_sums_equal_raw_sums(k):
+    # every pattern of length k, to n = 9: each length's count from the
+    # canonical sum against the raw one, which drops no occurrence
+    for pvals in itertools.permutations(range(1, k + 1)):
+        assert own_counts(Permutation(pvals), 9) == raw_counts(pvals, 9), pvals
+
+
+@pytest.mark.parametrize("pvals", random.Random(6).sample(
+    list(itertools.permutations(range(1, 7))), 12), ids=lambda p: "".join(map(str, p)))
+def test_canonical_sums_equal_raw_sums_length_six(pvals):
+    assert own_counts(Permutation(pvals), 8) == raw_counts(pvals, 8)
+
+
+def forbids_nothing_more(expand, state, t, r):
+    """Whether the level-(k - 2) occurrence t adds nothing to the mask of
+    any child of ``state``: its children with t alone at that level have
+    the masks of its children with that level empty.  Built by the
+    model's own step, not by the canonicaliser's test."""
+    with_t = state[:-2] + (frozenset([t]), state[-1])
+    without = state[:-2] + (frozenset(), state[-1])
+    return ([(u, child[-1]) for u, child in expand(with_t, r)]
+            == [(u, child[-1]) for u, child in expand(without, r)])
+
+
+@pytest.mark.parametrize("pvals", [
+    (1, 2), (1, 3, 2), (2, 1, 3), (1, 3, 2, 4), (1, 4, 2, 3), (2, 4, 1, 3), (1, 2, 3, 4),
+    (2, 1, 4, 3), (1, 3, 5, 2, 4), (2, 5, 3, 1, 4), (1, 4, 2, 5, 3),
+], ids=lambda p: "".join(map(str, p)))
+def test_dropped_occurrences_stay_droppable_in_every_child(pvals):
+    # over every state a raw length-n sum reaches: the canonicaliser
+    # drops exactly the occurrences that forbid nothing more, by the
+    # model's own step, and each dropped one, shifted, forbids nothing
+    # more in every child either
+    k = len(pvals)
+    root, expand = _perm_states(pvals)
+    canonical = _perm_canonical(pvals)
+    dropped = 0
+    for n in range(1, 9):
+        layers = list(_layers(root, expand, n, DEFAULT_NODE_BUDGET))
+        for r, layer in zip(range(n, 0, -1), layers):
+            for state in layer:
+                (kept,) = canonical({state: 1}, r)
+                assert kept[:-2] + kept[-1:] == state[:-2] + state[-1:]
+                for t in state[-2]:
+                    droppable = t not in kept[-2]
+                    assert droppable == forbids_nothing_more(expand, state, t, r), (state, t)
+                    if not droppable:
+                        continue
+                    dropped += 1
+                    for u, child in expand(state, r):
+                        shifted = tuple(g - (g > u) for g in t)
+                        assert forbids_nothing_more(expand, child, shifted, r - 1)
+    assert dropped
 
 
 @pytest.mark.parametrize("n", [9, 12])
@@ -175,8 +247,8 @@ def test_count_validation():
         count_avoiders(Permutation(()), 3)
     with pytest.raises(PreconditionViolated):
         count_avoiders(perm("123"), -1)
-    with pytest.raises(ResourceLimit, match="n=17 exceeds the configured limit 16"):
-        count_avoiders(perm("123"), 17)
+    with pytest.raises(ResourceLimit, match="n=18 exceeds the configured limit 17"):
+        count_avoiders(perm("123"), 18)
     with pytest.raises(ResourceLimit):
         count_avoiders(perm("123"), 9, budget=10)
     with pytest.raises(ResourceLimit):
@@ -247,26 +319,44 @@ def test_count_budget_counts_states(pattern, n, budget, count):
     # 1234, 1324 and 213 end on their largest value, so the forbidden
     # gaps of their last level are one interval open at the top, which
     # dominance already kept as one tuple: their pins are the controls.
-    # These are the pattern's own states, summed unrouted
+    # These are the pattern's own raw states, summed unrouted, as a
+    # merge colour sums them
     pvals = perm(pattern).entries
     for _ in range(2):
-        assert _own_count(pvals, n, budget) == count
+        assert raw_count(pvals, n, budget) == count
         with pytest.raises(ResourceLimit):
-            _own_count(pvals, n, budget - 1)
+            raw_count(pvals, n, budget - 1)
 
 
 @pytest.mark.parametrize("pattern, n, budget, count", [
-    ("2413", 8, 227, 15485),
-    ("1234", 9, 249, 94359),
-    ("1324", 9, 696, 94776),
-    ("2413", 9, 525, 91245),
-    ("132", 10, 174, 16796),
-    ("312", 10, 174, 16796),
-    ("213", 10, 174, 16796),
+    ("2413", 8, 220, 15485),
+    ("1234", 9, 188, 94359),
+    ("1324", 9, 314, 94776),
+    ("2413", 9, 505, 91245),
+    ("132", 10, 334, 16796),
+    ("312", 10, 334, 16796),
+    ("213", 10, 276, 16796),
+])
+def test_own_count_budget_counts_canonical_states(pattern, n, budget, count):
+    # the cases above on canonical states: a node is one canonical state
+    # expanded, and each pin is below the raw one
+    pvals = perm(pattern).entries
+    for _ in range(2):
+        assert least_budget(lambda b: _own_count(pvals, n, b), budget) == count
+
+
+@pytest.mark.parametrize("pattern, n, budget, count", [
+    ("2413", 8, 178, 15485),
+    ("1234", 9, 188, 94359),
+    ("1324", 9, 314, 94776),
+    ("2413", 9, 361, 91245),
+    ("132", 10, 138, 16796),
+    ("312", 10, 138, 16796),
+    ("213", 10, 138, 16796),
 ])
 def test_routed_count_budget_counts_the_representatives_states(pattern, n, budget, count):
-    # the cases above through count_avoiders: 2413 is summed on 2314's
-    # states and every pattern of length 3 on 123's
+    # the cases above through count_avoiders: 2413 is summed on 1423's
+    # canonical states and every pattern of length 3 on 123's
     for _ in range(2):
         assert least_budget(lambda b: count_avoiders(perm(pattern), n, budget=b),
                             budget) == count
@@ -305,26 +395,29 @@ def test_gessel_1234_closed_form():
     for n in range(0, 8):
         assert gessel_1234(n) == naive_count(pattern, n)
     assert gessel_1234(12) == 24792705
-    for n in range(0, 17):
+    for n in range(0, 18):
         assert count_avoiders(pattern, n) == gessel_1234(n)
 
 
 @pytest.mark.parametrize("text", ["1342", "2413"])
 def test_bona_1342_closed_form(text):
     # Stankova (1994): Av(2413) and Av(1342) are equinumerous.  The
-    # public call sums over 2314's states, to n = 15 in one sum; each
+    # public call sums over 1423's states, to n = 17 in one sum; each
     # pattern's own states are checked to n = 13
     pattern = perm(text)
     for n in range(1, 8):
         assert bona_1342(n) == naive_count(pattern, n)
     assert bona_1342(11) == 3475090
     assert own_counts(pattern, 13)[1:] == [bona_1342(n) for n in range(1, 14)]
-    assert [e.count for e in sw_estimate_sequence(pattern, 15)] == [
-        bona_1342(n) for n in range(1, 16)]
+    assert [e.count for e in sw_estimate_sequence(pattern, 17)] == [
+        bona_1342(n) for n in range(1, 18)]
 
 
 def test_count_1324_oeis():
-    assert count_avoiders(perm("1324"), 11) == 3824112  # A061552
+    # A061552 (Marinov and Radoicic 2003 for n <= 20)
+    assert count_avoiders(perm("1324"), 11) == 3824112
+    assert [e.count for e in sw_estimate_sequence(perm("1324"), 15)][10:] == [
+        3824112, 25431452, 173453058, 1209639642, 8604450011]
 
 
 @given(permutations_upto(6, min_n=4), st.integers(0, 7))
@@ -383,7 +476,7 @@ def test_sw_estimate_checks_length_before_counting(monkeypatch):
 
     monkeypatch.setattr(avoidance, "_perm_states", refuse)
     with pytest.raises(ResourceLimit):
-        sw_estimate_sequence(perm("2413"), 17)
+        sw_estimate_sequence(perm("2413"), 18)
 
 
 def test_sw_estimate_refusals_keep_their_order():
@@ -391,7 +484,7 @@ def test_sw_estimate_refusals_keep_their_order():
     with pytest.raises(PreconditionViolated, match="n_max"):
         sw_estimate_sequence(Permutation(()), 0)
     with pytest.raises(ResourceLimit):
-        sw_estimate_sequence(Permutation(()), 17)
+        sw_estimate_sequence(Permutation(()), 18)
     with pytest.raises(PreconditionViolated, match="nonempty"):
         sw_estimate_sequence(Permutation(()), 3)
 
@@ -409,11 +502,11 @@ def counting_models(monkeypatch):
 
 
 def test_sw_estimate_builds_one_model(monkeypatch):
-    # of the pattern's Wilf representative, 2314 for 1342
+    # of the pattern's Wilf representative, 1423 for 1342
     want = [count_avoiders(perm("1342"), n) for n in range(1, 9)]
     calls = counting_models(monkeypatch)
     assert [e.count for e in sw_estimate_sequence(perm("1342"), 8)] == want
-    assert calls == [(2, 3, 1, 4)]
+    assert calls == [(1, 4, 2, 3)]
 
 
 def test_merge_count_builds_one_model_per_colour(monkeypatch):
@@ -425,21 +518,22 @@ def test_merge_count_builds_one_model_per_colour(monkeypatch):
 
 
 @pytest.mark.parametrize("text, n, nodes", [
-    ("12", 7, 28), ("123", 9, 128), ("1342", 9, 738),
-    ("2413", 9, 867), ("12354", 8, 197), ("4321", 8, 156),
+    ("12", 7, 28), ("123", 9, 100), ("1342", 9, 407),
+    ("2413", 9, 505), ("12354", 8, 164), ("4321", 8, 117),
 ])
 def test_sw_estimate_keeps_the_least_budget_of_its_longest_count(text, n, nodes):
     # the one sum over all lengths against the length-n count, both on
-    # the pattern's own states, unrouted
+    # the pattern's own canonical states, unrouted
     pvals = perm(text).entries
     count = least_budget(lambda b: _own_count(pvals, n, b), nodes)
-    counts = least_budget(lambda b: _avoider_counts(*_perm_states(pvals), n, b), nodes)
+    counts = least_budget(
+        lambda b: _avoider_counts(*_perm_states(pvals), n, b, _perm_canonical(pvals)), nodes)
     assert counts[-1] == count
 
 
 @pytest.mark.parametrize("text, n, nodes", [
-    ("1", 6, 1), ("12", 7, 28), ("21", 7, 28), ("123", 9, 128), ("1342", 9, 525),
-    ("2413", 9, 525), ("12354", 8, 197), ("4321", 8, 156),
+    ("1", 6, 1), ("12", 7, 28), ("21", 7, 28), ("123", 9, 100), ("1342", 9, 361),
+    ("2413", 9, 361), ("12354", 8, 164), ("4321", 8, 117),
 ])
 def test_routed_sw_estimate_keeps_the_least_budget_of_its_longest_count(text, n, nodes):
     # both public calls sum over the same representative's states
@@ -500,7 +594,7 @@ def test_merge_validation():
     with pytest.raises(ResourceLimit, match="node budget 2 exhausted"):
         merge_coloring(perm("2143"), perm("12"), perm("12"), budget=2)
     with pytest.raises(ResourceLimit):
-        merge_member(Permutation(tuple(range(1, 18))), perm("12"), perm("21"))
+        merge_member(Permutation(tuple(range(1, 19))), perm("12"), perm("21"))
 
 
 def oracle_merge(host, red_p, blue_p):
@@ -754,13 +848,13 @@ def test_merge_right_sides_keep_the_least_budget():
     # each colour's sum expands the states of its length-n count, the
     # largest of the counts it replaces; here that count, not the merge
     # count, sets the least budget: red's with blue 2143, blue's with 1423
-    # count on the colour's own states, unrouted, as the merge's are
+    # count on the colour's own raw states, unrouted, as the merge's are
     red = [count_avoiders(perm("4321"), i) for i in range(7)]
-    assert least_budget(lambda b: _own_count((4, 3, 2, 1), 6, b), 50) == red[6]
+    assert least_budget(lambda b: raw_count((4, 3, 2, 1), 6, b), 50) == red[6]
     for text, blue_nodes, nodes in (("2143", 47, 50), ("1423", 68, 68)):
         blue = [count_avoiders(perm(text), i) for i in range(7)]
         assert least_budget(
-            lambda b: _own_count(perm(text).entries, 6, b), blue_nodes) == blue[6]
+            lambda b: raw_count(perm(text).entries, 6, b), blue_nodes) == blue[6]
         report = least_budget(
             lambda b: merge_count_upper_check(perm("4321"), perm(text), 6, budget=b), nodes)
         assert report.lhs == 720
@@ -898,11 +992,14 @@ def test_merge_step_matches_memo_free_reduction(rvals, bvals):
     *((rvals, bvals, 7) for rvals, bvals in MERGE_WALK_PAIRS),
     # three tuple levels, the widest of width 3: 216 and 270 states
     ((1, 3, 5, 2, 4), (2, 4, 1, 5, 3), 8),
+    # the smallest grids: no gap, then gap 0 alone
+    *(((1, 3, 2, 4), (2, 1, 4, 3), n) for n in range(4)),
 ], ids=lambda p: "".join(map(str, p)) if isinstance(p, tuple) else str(p))
 def test_colour_codes_are_the_domination_order(rvals, bvals, n):
     # over every colour state a length-n merge sum reaches, one state's
     # code is a bit-subset of another's iff covered() says so, and each
-    # name in a step row is the code of the one state the expansion gave
+    # name in a step row is the code of the one state the expansion gave;
+    # every code fits the grid [0, n - 1]^w of each tuple level
     red, blue = _colour(rvals, n), _colour(bvals, n)
     _sum_over_states(*_merge_states(red, blue), n, DEFAULT_NODE_BUDGET)
     for pvals, (states, steps, width) in ((rvals, red), (bvals, blue)):
@@ -931,12 +1028,12 @@ def test_jv_smallest_budget_pinned(run, nodes):
 
 
 @pytest.mark.parametrize("run, nodes, value", [
-    (lambda b: _own_count((1, 3, 4, 2), 11, b), 4917, 3475090),
-    (lambda b: count_avoiders(perm("1324"), 11, budget=b), 4281, 3824112),
-    (lambda b: _own_count((2, 4, 1, 3), 10, b), 2222, 555662),
-    (lambda b: count_avoiders(perm("13524"), 9, budget=b), 1454, 260285),
-    (lambda b: count_avoiders(perm("1342"), 11, budget=b), 2790, 3475090),
-    (lambda b: count_avoiders(perm("2413"), 10, budget=b), 1212, 555662),
+    (lambda b: _own_count((1, 3, 4, 2), 11, b), 2193, 3475090),
+    (lambda b: count_avoiders(perm("1324"), 11, budget=b), 1306, 3824112),
+    (lambda b: _own_count((2, 4, 1, 3), 10, b), 1165, 555662),
+    (lambda b: count_avoiders(perm("13524"), 9, budget=b), 787, 260285),
+    (lambda b: count_avoiders(perm("1342"), 11, budget=b), 1518, 3475090),
+    (lambda b: count_avoiders(perm("2413"), 10, budget=b), 737, 555662),
     (lambda b: merge_count_upper_check(perm("132"), perm("312"), 8, budget=b).lhs, 1118, 40318),
     (lambda b: verify_jv_inclusion(perm("1"), perm("12"), perm("21"), 8, budget=b).checked,
      538, 33324),

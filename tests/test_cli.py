@@ -177,9 +177,9 @@ class TestExitCodes:
         assert out.splitlines()[1].endswith(",12,true,127")
 
     def test_sw_estimate_length_limit(self, capsys):
-        code, out, err = invoke(capsys, "sw-estimate", "--pattern", "2413", "--n-max", "17")
+        code, out, err = invoke(capsys, "sw-estimate", "--pattern", "2413", "--n-max", "18")
         assert (code, out) == (EXIT_RESOURCE, "")
-        assert err == "resource limit: n=17 exceeds the configured limit 16\n"
+        assert err == "resource limit: n=18 exceeds the configured limit 17\n"
 
     def test_verify_jv_length_limit(self, capsys):
         code, out, err = invoke(

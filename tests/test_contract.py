@@ -265,7 +265,7 @@ def test_refusals_name_the_argument(refuse_work, refused, message):
     (lambda: permx.exfn_exact(P12, -10 ** 5000), PreconditionViolated,
      "need n >= 1, got ~-2^16609"),
     (lambda: permx.count_avoiders(perm("12"), 10 ** 5000), ResourceLimit,
-     "n=~2^16609 exceeds the configured limit 16"),
+     "n=~2^16609 exceeds the configured limit 17"),
     (lambda: permx.exfn_exact(P12, 3, budget=-10 ** 5000), PreconditionViolated,
      "budget must be a positive integer, got ~-2^16609"),
 ], ids=["width", "negative-size", "length", "budget"])

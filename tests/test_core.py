@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import permx
-from permx.avoidance import (_own_count, count_avoiders, merge_count_upper_check,
+from permx.avoidance import (_sum_over_states, count_avoiders, merge_count_upper_check,
                              verify_jv_inclusion)
 from permx.core import (
     BinaryMatrix,
@@ -761,10 +761,12 @@ def test_models_on_cached_plans_keep_counts_and_nodes():
     # avoider counts (_perm_states), merge counts and the JV check
     # (avoidance._colour), exfn and fpts (_row_states): the values and
     # the least budgets pinned before the plan was cached, exfn's in
-    # cells of its column sweep; the counts on each pattern's own states
+    # cells of its column sweep; the counts on each pattern's own raw
+    # states, none made canonical
     perm = parse_permutation
     for text, count, nodes in (("123", 1430, 91), ("1342", 15485, 298), ("2413", 15485, 341)):
-        assert least_budget(lambda b: _own_count(perm(text).entries, 8, b), nodes) == count
+        assert least_budget(lambda b: sum(_sum_over_states(
+            *_perm_states(perm(text).entries), 8, b).values()), nodes) == count
     for red, blue, lhs, nodes in (("12", "21", 340, 58), ("132", "213", 720, 67)):
         rep = least_budget(
             lambda b: merge_count_upper_check(perm(red), perm(blue), 6, budget=b), nodes)
