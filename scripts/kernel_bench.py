@@ -20,6 +20,11 @@ The row-density cases are f(123; 12, 3) at the default budget, proven,
 and g(1342; 9, 4) and f(2413; 64, 4) at a budget of 2 * 10^4 nodes,
 which both exhaust.
 
+The cold case runs one ``permx contains`` in a fresh interpreter, with
+PYTHONDONTWRITEBYTECODE=1 and on a copy of the package without
+__pycache__, so that, as in a fresh checkout, it compiles every permx
+module it imports; the call reports the permx modules it loaded.
+
 The lemma cases take the 50 admissible points of the extremal-search
 grid for 123 (a = 1; c in {2, 3}; 2 <= s <= t <= 7; x in {0.6, 0.75,
 0.9}; y in {0.3, 0.4, 0.5, 0.7}), and call check_lemma22 or
@@ -32,7 +37,8 @@ stdout gets one line per case, which depends on the code alone: a
 kernel case's value and the states of each of its sums (and a
 count's representative), a search
 case's value, proven flag, nodes and witness rows, a lemma case's verdicts,
-the sum of its exact right sides and its nodes.  stderr gets
+the sum of its exact right sides and its nodes, and the cold case's
+report and the sorted permx.* modules its call loaded.  stderr gets
 the median wall time over the repeats (per point for a lemma case) and
 the largest max RSS of the fresh processes, which depend on the host.
 --src runs the cases on another checkout's src/ directory, so two trees
@@ -42,9 +48,12 @@ compare on one host.
 import argparse
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -76,8 +85,12 @@ CASES = {
     "fpts 2413 t=64 s=4 budget=2e4": ("fpts_exact", ("2413", 64, 4), {"budget": 20_000}),
     "check_lemma22 123 grid": ("check_lemma22", ()),
     "lemma22_rhs 123 grid": ("lemma22_rhs", ()),
+    "cold contains": ("cold", ("contains", "--host", "391867452", "--pattern", "2413")),
 }
 LEMMA_CALLS = 21  # calls per point; the point's time is their median
+# a permx command line that prints, after its report, the permx modules it loaded
+COLD_CODE = ("import sys; from permx.cli import main; code = main(); "
+             "print(*sorted(m for m in sys.modules if m.startswith('permx.'))); sys.exit(code)")
 
 
 def lemma_points() -> list[tuple]:
@@ -178,19 +191,38 @@ def run_kernel_case(kind: str, args: tuple) -> tuple[str, float]:
     return work, seconds
 
 
-def run_case(name: str) -> dict:
-    """Run one case in this process: the work it did, its wall time
-    (per point for a lemma case) and this process's max RSS."""
+def run_cold_case(argv: tuple, src: Path) -> tuple[str, float]:
+    """The report and the permx modules of one cold permx call, and its
+    spawn-to-exit wall time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src / "permx", Path(tmp) / "permx",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", COLD_CODE, *argv], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        seconds = time.perf_counter() - start
+    report, modules = out.splitlines()
+    return f"report {report}, modules {modules}", seconds
+
+
+def run_case(name: str, src: Path) -> dict:
+    """Run one case in this process, or for the cold case in a child:
+    the work it did, its wall time (per point for a lemma case) and the
+    max RSS of the process that ran it."""
     import resource
 
     kind, args, *options = CASES[name]
-    if kind in ("check_lemma22", "lemma22_rhs"):
+    who = resource.RUSAGE_SELF
+    if kind == "cold":
+        (work, seconds), per, who = run_cold_case(args, src), "run", resource.RUSAGE_CHILDREN
+    elif kind in ("check_lemma22", "lemma22_rhs"):
         (work, seconds), per = run_lemma_case(kind), "point"
     elif kind.endswith("_exact"):
         (work, seconds), per = run_search_case(kind, *args, **dict(*options)), "run"
     else:
         (work, seconds), per = run_kernel_case(kind, args), "run"
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    rss_mb = resource.getrusage(who).ru_maxrss / 1024
     return {"work": work, "seconds": seconds, "per": per, "max_rss_mb": rss_mb}
 
 
@@ -206,7 +238,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.run:
         sys.path.insert(0, str(args.src))
-        print(json.dumps(run_case(args.run)))
+        print(json.dumps(run_case(args.run, args.src)))
         return 0
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")

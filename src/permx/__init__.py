@@ -80,7 +80,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset((*_EXPORTS, "cli", "limits", "selftest"))
+_SUBMODULES = frozenset((*_EXPORTS, "cli", "limits", "selftest", "states"))
 
 __all__ = sorted(_HOME)
 

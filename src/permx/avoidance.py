@@ -41,12 +41,12 @@ Five exact reductions keep the state sets small:
 * canonical states: after each layer of a count, an occurrence of
   length k - 2 is dropped when, at every gap the mask allows and that
   would extend it, the interval its completion would forbid lies in
-  the mask already (:func:`core._perm_canonical`, with the proof that
+  the mask already (:func:`states._perm_canonical`, with the proof that
   the children and so the continuations are unchanged).  Prefixes whose
   occurrences differ only in such ones are then one state: 1324 at
   n = 9 expands 314 canonical states against 696 raw ones.
 
-The expansion itself is :func:`core._perm_states`: a state is expanded
+The expansion itself is :func:`states._perm_states`: a state is expanded
 once over all its gaps, each of its levels looked up once in a memo of
 per-gap rows, and each prefix's reduction is built once per occurrence
 plan entry for its dominance shape.  A counting node is one distinct
@@ -121,9 +121,6 @@ import math
 
 from .core import (
     Permutation,
-    _occurrence_plan,
-    _perm_canonical,
-    _perm_states,
     complement,
     completes_at_end,
     direct_sum,
@@ -134,6 +131,7 @@ from .errors import PreconditionViolated, ResourceLimit
 from .limits import (DEFAULT_COUNT_LENGTH_LIMIT, DEFAULT_MERGE_COUNT_LENGTH_LIMIT,
                      DEFAULT_NODE_BUDGET, OVER_LENGTH, valid_budget, valid_size)
 from .record import Record
+from .states import _occurrence_plan, _perm_canonical, _perm_states
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +276,7 @@ def _layers(root, expand, n, budget, canonical=None):
     0, 1, ..., n gap choices, each with its multiplicity.  A node is one
     state of a layer expanded.  ``canonical(layer, r)``, if given, maps
     each new layer, whose states have r unused values, to its canonical
-    states with equal ones merged (:func:`core._perm_canonical`), so a
+    states with equal ones merged (:func:`states._perm_canonical`), so a
     node is then one canonical state."""
     layer = {root: 1}
     yield layer

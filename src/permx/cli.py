@@ -15,7 +15,8 @@ the payload's csv and text layout.  Of the library modules, this one
 imports only ``core``, whose parsers its flags use; each command loads
 its library module at call time and looks the functions up there, so a
 cold ``permx contains`` never imports the counting, extremal or
-schedule code.
+schedule code.  The json and csv modules are imported by the renderers
+that write them, so a text report loads neither.
 
 A canonical command line is parsed from ``COMMANDS`` alone, with no
 parser built and argparse never imported: after the command's name come
@@ -47,16 +48,12 @@ write to stdout.
 
 from __future__ import annotations
 
-import csv
 import gc
 import importlib
 import io
-import json
 import sys
 from functools import cache, partial
 from itertools import starmap
-from types import ModuleType
-from typing import Callable, Iterable
 
 from .core import BinaryMatrix, Permutation, parse_permutation, to_matrix
 from .errors import PreconditionViolated, ResourceLimit
@@ -175,6 +172,8 @@ def _render_json(payload: dict) -> str:
     """``json.dumps`` of the payload, compact with sorted keys, written
     field by field, so that a ``Rows`` field is written by its
     template."""
+    import json  # here, not at import: a text report never needs it
+
     parts = []
     for k in sorted(payload):
         v = payload[k]
@@ -187,6 +186,8 @@ def _render_json(payload: dict) -> str:
 
 
 def _render_csv(table, payload: dict) -> str:
+    import csv  # here, not at import: it loads re, a cost of every cold start
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if table is not None:
@@ -213,6 +214,8 @@ def _render_text(key, payload: dict) -> str:
         if isinstance(v, Rows):
             text = v.write("text")
         elif isinstance(v, (dict, list)):
+            import json
+
             text = json.dumps(v, sort_keys=True)
         else:
             text = _scalar_text(v)

@@ -9,7 +9,7 @@ closed-form bounds from the bounds module, which they import when
 called, so the searches alone never load it.
 
 Both searches grow hosts one row (a column bitmask) at a time and merge
-hosts with equal row states (core._row_states: the pattern's partial
+hosts with equal row states (states._row_states: the pattern's partial
 occurrences keyed by host column, and for its longest proper prefix
 the mask of the columns a next row may not use, state[-1]).  A row
 is allowed when it avoids that mask.  exfn_exact is a memoised max-ones
@@ -31,7 +31,7 @@ keeping for each partial child its best row, the one with the most
 ones, ties going to the larger mask.  A one at column x extends only
 the state's own occurrences, never ones the same row made, so the
 row's child is the fold of these one-column joins, each the row
-model's step of a one-column row (core._row_states).  Rows with one
+model's step of a one-column row (states._row_states).  Rows with one
 partial child have the same completions, so the best row of each
 child is the best of all rows reaching it.  No row adds fewer
 occurrences than the empty one, so no child's rest has more ones than
@@ -42,7 +42,7 @@ state.  fpts_exact tries only the rows of exactly s ones, in
 descending numeric order, since a weight-s subset of a heavier row
 avoids the pattern wherever the row does.
 
-The row model's step is memoised as core._row_states describes, and
+The row model's step is memoised as states._row_states describes, and
 its memo belongs to the model each search builds, so it lasts one
 search and is freed when the search returns.
 
@@ -81,7 +81,6 @@ from itertools import combinations
 from .core import (
     BinaryMatrix,
     PermutationMatrix,
-    _row_states,
     count_block_decompositions,
     from_matrix,
     matrix_occurrence_masks,
@@ -90,6 +89,7 @@ from .core import (
 from .errors import PreconditionViolated, ResourceLimit
 from .limits import DEFAULT_NODE_BUDGET, MAX_WIDTH, OVER_WIDTH, valid_budget, valid_size
 from .record import Record
+from .states import _row_states
 
 
 class ExtremalResult(Record):

@@ -31,14 +31,18 @@ from .errors import PreconditionViolated, ResourceLimit
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
-# length caps that keep worst-case runtimes in minutes, not hours.  The
-# avoider counts and the avoidance backtrackers share the count limit;
-# at n = 17 the costliest count, 1324's (no cheaper member of its Wilf
-# class), takes about 8 s and 130 MB on a 2 vCPU VM.  The merge count
-# and the JV inclusion check both walk merge states, which grow about 4x
-# per n, so they share the merge-count limit; at n = 11 the costliest
-# merge count of two length-3 patterns, (213, 231)'s, takes about 4 s
-# and 100 MB there.
+# length caps, calibrated on patterns of length 4 or less.  The avoider
+# counts and the avoidance backtrackers share the count limit; at n = 17
+# the costliest count of length 4, 1324's (no cheaper member of its Wilf
+# class), takes about 8 s and 130 MB on a 2 vCPU VM.  The count limit
+# does not depend on the pattern's length, and a longer pattern costs
+# far more: 24513's count took 87 s and 687 MB at n = 15, and 355 s and
+# 2.47 GB at n = 16, so a count of a pattern of length 5 or more should
+# pass a node budget (--budget), which stops it with exit 3.  The merge
+# count and the JV inclusion check both walk merge states, which grow
+# about 4x per n, so they share the merge-count limit; at n = 11 the
+# costliest merge count of two length-3 patterns, (213, 231)'s, takes
+# about 4 s and 100 MB there.
 DEFAULT_COUNT_LENGTH_LIMIT = 17
 DEFAULT_MERGE_COUNT_LENGTH_LIMIT = 11
 OVER_LENGTH = "n={} exceeds the configured limit {}"

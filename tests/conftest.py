@@ -29,11 +29,11 @@ def fresh_process_caches():
     """Start every test with empty process-wide caches, so no earlier
     test's kept search record, blockability verdict or occurrence plan
     stands in for work the test means to do."""
-    from permx import core, extremal
+    from permx import extremal, states
 
     extremal._finished.clear()
     extremal._blockable.cache_clear()
-    core._occurrence_plan.cache_clear()
+    states._occurrence_plan.cache_clear()
 
 
 @pytest.fixture

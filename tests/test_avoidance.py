@@ -19,8 +19,6 @@ from permx.avoidance import (
     _layers,
     _merge_states,
     _own_count,
-    _perm_canonical,
-    _perm_states,
     _representative,
     _sum_over_states,
     avoiders,
@@ -33,8 +31,6 @@ from permx.avoidance import (
 )
 from permx.core import (
     Permutation,
-    _dominated,
-    _occurrence_plan,
     avoids,
     complement,
     contains,
@@ -45,6 +41,7 @@ from permx.core import (
 )
 from permx.errors import PreconditionViolated, ResourceLimit
 from permx.limits import DEFAULT_NODE_BUDGET
+from permx.states import _dominated, _occurrence_plan, _perm_canonical, _perm_states
 from test_core import least_budget
 
 THREE_PATTERNS = ["123", "132", "213", "231", "312", "321"]

@@ -18,10 +18,6 @@ from permx.core import (
     BlockDecomposition,
     Permutation,
     PermutationMatrix,
-    _occurrence_plan,
-    _perm_states,
-    _reducer,
-    _row_states,
     avoids,
     blockable_decompositions,
     complement,
@@ -46,6 +42,7 @@ from permx.core import (
 from permx.errors import PreconditionViolated, ResourceLimit
 from permx.extremal import check_lemma21, exfn_exact, fpts_exact
 from permx.limits import MAX_DECOMPOSITIONS
+from permx.states import _occurrence_plan, _perm_states, _reducer, _row_states
 
 
 def perm(text: str) -> Permutation:
@@ -145,6 +142,62 @@ def test_parse_spaced_tokens_must_be_decimal(text):
 
 def test_parse_compact_decimal_digits_of_any_script():
     assert parse_permutation("١٢").entries == (1, 2)
+
+
+def _parse_by_whitespace_scan(text):
+    """parse_permutation with its form chosen by scanning the stripped
+    text for a whitespace character: the oracle of the split rule."""
+    text = text.strip()
+    if not text:
+        raise PreconditionViolated("empty permutation text")
+    if any(ch.isspace() for ch in text):
+        tokens = text.split()
+        try:
+            if not all(map(str.isdecimal, tokens)):
+                raise ValueError(text)
+            values = tuple(map(int, tokens))
+        except ValueError:
+            raise PreconditionViolated(f"non-integer token in {text!r}") from None
+    else:
+        if not text.isdecimal():
+            raise PreconditionViolated(f"not a digit string: {text!r}")
+        values = tuple(map(int, text))
+    return Permutation(values)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PreconditionViolated as exc:
+        return str(exc)
+
+
+# tabs, newlines and the other ASCII separators, the NEL, and Unicode
+# spaces and line and paragraph separators: all of it str.isspace
+WHITESPACE = ("\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+              "\u1680\u2000\u2003\u2028\u2029\u202f\u205f\u3000")
+# decimal digits of other scripts ("١٢"), digits only isdigit accepts
+# ("²", "①"), and characters that look blank but are not whitespace
+OTHER = "0123456789١٢²①\u200b\ufeffx_+-"
+
+
+@st.composite
+def permutation_texts(draw):
+    """A permutation's entries joined by runs of whitespace, some empty,
+    with whitespace around them."""
+    gap = st.text(alphabet=WHITESPACE, max_size=2)
+    entries = draw(permutations_upto(12)).entries
+    parts = [draw(gap)]
+    for v in entries:
+        parts += [str(v), draw(gap)]
+    return "".join(parts)
+
+
+@given(st.text(alphabet=WHITESPACE + OTHER, max_size=12) | permutation_texts())
+def test_parse_form_follows_whitespace_as_a_scan_would(text):
+    # the same texts parse to the same permutations, and the same texts
+    # fail with the same message
+    assert _outcome(parse_permutation, text) == _outcome(_parse_by_whitespace_scan, text)
 
 
 def test_permutation_validates():

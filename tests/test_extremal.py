@@ -26,7 +26,6 @@ from permx.core import (
     BinaryMatrix,
     Permutation,
     PermutationMatrix,
-    _row_states,
     blockable_decompositions,
     count_block_decompositions,
     matrix_avoids,
@@ -46,6 +45,7 @@ from permx.extremal import (
     gpts_exact,
 )
 from permx.limits import DEFAULT_NODE_BUDGET
+from permx.states import _row_states
 from test_core import least_budget
 
 I2 = PermutationMatrix.identity(2)

@@ -1,9 +1,12 @@
 """The import contract: a cold command line loads only core and the one
-library module the command calls, a canonical command line builds no
-parser and loads no argparse, any other line builds the full parser once
-per process, and the package's lazy exports all resolve.  Each case runs
-in a fresh interpreter and asserts on ``sys.modules`` and the parser
-cache, not on time."""
+library module the command calls (with the state models for a count or
+an extremal search), a text report loads neither json nor csv, a
+canonical command line builds no parser and loads no argparse, any other
+line builds the full parser once per process, and the package's lazy
+exports all resolve.  Each case runs in a fresh interpreter started with
+``-S``, so no module that ``site`` preloads hides one a command line
+loads, and asserts on ``sys.modules`` and the parser cache, not on
+time."""
 
 import json
 import os
@@ -20,11 +23,18 @@ from test_cli_golden import CASES as GOLDEN
 
 import permx
 
-LIBRARY = {"permx.avoidance", "permx.bounds", "permx.extremal"}
+LIBRARY = {"permx.avoidance", "permx.bounds", "permx.extremal", "permx.states"}
 # the frozen records need neither, so no command line pays for importing them
 NOT_LOADED = {"dataclasses", "inspect"}
 # a canonical command line is parsed from the command table alone
 NO_PARSER = {"argparse", "gettext", "locale"}
+# what a cold text-format ``permx contains`` loads of permx, and what it
+# never loads: annotations are not evaluated, the renderers import json
+# and csv (which loads re) only to write them, and containment needs no
+# state model
+CONTAINS_LOADS = {"permx", "permx.cli", "permx.core", "permx.errors", "permx.limits",
+                  "permx.record"}
+NOT_IN_CONTAINS = {"typing", "json", "csv", "re", "permx.states"}
 
 
 def child(code: str, *args: str):
@@ -33,24 +43,26 @@ def child(code: str, *args: str):
     env = dict(os.environ)
     src = str(Path(permx.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *args],
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     return json.loads(proc.stdout)
 
 
 COMMAND = """
-import json, sys
+import sys
 from permx.cli import run
 code, _ = run(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)  # before this script imports json
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
 
 
 @pytest.mark.parametrize("argv, loads", [
     (["contains", "--host", "312", "--pattern", "21"], set()),
-    (["count-av", "--pattern", "1234", "--n", "6"], {"permx.avoidance"}),
-    (["exfn", "--pattern", "123", "--n", "4"], {"permx.extremal"}),
+    (["count-av", "--pattern", "1234", "--n", "6"], {"permx.avoidance", "permx.states"}),
+    (["exfn", "--pattern", "123", "--n", "4"], {"permx.extremal", "permx.states"}),
     (["bounds", "schedule", "--k", "4", "--a", "1", "--c", "2"], {"permx.bounds"}),
 ])
 def test_command_loads_only_its_library_module(argv, loads):
@@ -59,6 +71,14 @@ def test_command_loads_only_its_library_module(argv, loads):
     assert LIBRARY & set(out["modules"]) == loads
     assert NOT_LOADED.isdisjoint(out["modules"])
     assert NO_PARSER.isdisjoint(out["modules"])
+
+
+def test_cold_text_contains_loads_only_containment():
+    out = child(COMMAND, "contains", "--host", "312", "--pattern", "21")
+    assert out["code"] == 0
+    assert "site" not in out["modules"]  # the child runs with -S
+    assert {m for m in out["modules"] if m.partition(".")[0] == "permx"} == CONTAINS_LOADS
+    assert NOT_IN_CONTAINS.isdisjoint(out["modules"])
 
 
 PACKAGE = """
