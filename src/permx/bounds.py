@@ -163,7 +163,8 @@ def lemma22_rhs(k: int, a, c: int, t: int, s: int, x, y, f_sub: int) -> Fraction
 def _lemma22_side(k, a, c, t, s, x, y, f_sub):
     """The right side of :func:`lemma22_rhs` as a function of f_sub,
     once every constant and f_sub are validated, with floor(xc) and y as
-    an exact integer ratio, from which a caller shrinks the instance.
+    an exact integer ratio, from which a caller shrinks the instance,
+    and the exact k^a, as an integer ratio too.
     The side is affine in f_sub, binom(c, floor(xc)) * f_sub plus its
     value at 0, so one validation serves every f_sub.
 
@@ -184,7 +185,7 @@ def _lemma22_side(k, a, c, t, s, x, y, f_sub):
     if xn * c <= xd:
         raise PreconditionViolated(f"need x > 1/c, got x={shown(x)}, c={c}")
     fxc = xn * c // xd  # >= 1 because x > 1/c
-    kn, kd = _pow_ka(k, a, s)
+    kn, kd = ka = _pow_ka(k, a, s)
     sn, sd = _ratio(s)
     n = c * (sn * kd * (yd * fxc - yn * (c - 1)) - kn * sd * yd * fxc)
     if n <= 0:
@@ -201,7 +202,7 @@ def _lemma22_side(k, a, c, t, s, x, y, f_sub):
     factor = math.comb(c, fxc)
     tn, td = _ratio(t)
     rest = _reportable(Fraction(kn * tn * sd * yd * fxc, td * n), "lemma22 rhs")
-    return (lambda f_sub: _reportable(rest + factor * f_sub, "lemma22 rhs")), fxc, (yn, yd)
+    return (lambda f_sub: _reportable(rest + factor * f_sub, "lemma22 rhs")), fxc, (yn, yd), ka
 
 
 def theorem24_alpha(a, c: int) -> float:

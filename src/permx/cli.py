@@ -451,11 +451,9 @@ COMMANDS = {
         lambda extremal, o: _pattern_search(extremal.gpts_exact, o, "t", "s", echo=("t", "s")),
     ),
     "check-lemma21": Command(
-        (BUDGET, PATTERN, A, T, S, _flag("--hypothesis-n", _parse_int, default=4)),
+        (BUDGET, PATTERN, A, T, S),
         "extremal",
-        lambda extremal, o: _pattern_search(
-            extremal.check_lemma21, o, "a", "t", "s", "hypothesis_n"
-        ),
+        lambda extremal, o: _pattern_search(extremal.check_lemma21, o, "a", "t", "s"),
     ),
     "check-lemma22": Command(
         (BUDGET, PATTERN, A, C, T, S, X, Y),

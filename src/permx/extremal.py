@@ -6,7 +6,10 @@ row count of a width-t host with at least s ones per row; gpts_exact is
 the column analog, computed through a quarter-turn rotation.  On top of
 the searches sit two certifiers that compare exact values against the
 closed-form bounds from the bounds module, which they import when
-called, so the searches alone never load it.
+called, so the searches alone never load it.  Both lemmas assume the
+linear extremal hypothesis ex_P(n) <= k^a * n; both certifiers check it
+by exfn_exact for n = 1 .. _HYPOTHESIS_N, after their argument checks
+and before any row search, on their one node budget.
 
 Both searches grow hosts one row (a column bitmask) at a time and merge
 hosts with equal row states (states._row_states: the pattern's partial
@@ -15,11 +18,12 @@ the mask of the columns a next row may not use, state[-1]).  A row
 is allowed when it avoids that mask.  exfn_exact is a memoised max-ones
 recursion over (rows left, state), fpts_exact a longest path from the
 empty state.  For a k x k pattern f(t, s) splits in two.  With
-1 <= s < k and s <= t it is infinite: one row of s ones repeats
-forever, since an occurrence needs k columns, so fpts_exact answers it
-without a search.  With s >= k it is at most (k - 1) * C(t, k), the
-pigeonhole bound of Marcus and Tardos (more rows than that repeat some
-k-set of ones k times, a k x k block of ones).  So no weight-s row
+s < k and s <= t it is infinite: one row of s ones (s = 0 included)
+repeats forever, since an occurrence needs k columns, so fpts_exact
+answers it without a search.  With s >= k it is at most
+(k - 1) * C(t, k), the pigeonhole bound of Marcus and Tardos (more
+rows than that repeat some k-set of ones k times, a k x k block of
+ones).  So no weight-s row
 leaves a state unchanged, else it could repeat forever: the row graph
 is acyclic, and the node budget is fpts_exact's only stop.
 
@@ -113,6 +117,9 @@ class _Stop(Exception):
 # the sub-search of check_lemma22 stops at its first host of this many
 # rows; that length then stands in for f_sub, as for an infinite f_sub
 _SUB_STOP = 64
+
+# both certifiers check ex_P(n) <= k^a * n for n = 1 .. this
+_HYPOTHESIS_N = 4
 
 # finished searches, least recently used first: ("exfn", masks, n) and
 # ("fpts", masks, t, s), masks being the pattern's row masks
@@ -285,17 +292,17 @@ def fpts_exact(
     """Maximum N such that some N x t matrix with at least s ones per
     row avoids P.
 
-    For 1 <= s < k with s <= t it is infinite, proven without a search:
-    value None, no nodes, and the witness is the one row of the s
-    highest columns, which repeats forever, since an occurrence needs k
-    columns.  Otherwise it is the longest path from the empty state,
-    memoised.  Candidate rows are the allowed masks of exactly s ones,
-    in descending numeric order.  Deleting ones never creates an
-    occurrence, so trimming each row of an avoiding host to s of its
-    ones keeps it avoiding: heavier rows never reach further.  With
-    fewer than s allowed columns there is no candidate, so s > t gives
-    the empty host, proven.  With s >= k the row graph is acyclic (see
-    the module docstring), so the node budget is the only stop: its
+    For s < k with s <= t it is infinite, proven without a search: value
+    None, no nodes, and the witness is the one row of the s highest
+    columns (the zero row when s = 0), which repeats forever, since an
+    occurrence needs k columns.  Otherwise it is the longest path from
+    the empty state, memoised.  Candidate rows are the allowed masks of
+    exactly s ones, in descending numeric order.  Deleting ones never
+    creates an occurrence, so trimming each row of an avoiding host to s
+    of its ones keeps it avoiding: heavier rows never reach further.
+    With fewer than s allowed columns there is no candidate, so s > t
+    gives the empty host, proven.  With s >= k the row graph is acyclic
+    (see the module docstring), so the node budget is the only stop: its
     exhaustion returns the deepest host on the search stack flagged not
     proven.  A node costs more as t and k grow: about 70 us for 2413 at
     t = 64, s = 4 and 1.7 ms for 24153 at t = 64, s = 5 (2 vCPU VM), so
@@ -304,8 +311,7 @@ def fpts_exact(
     search is run once per process (see the module docstring).
     """
     valid_size(t, "t", 1, MAX_WIDTH, OVER_WIDTH)
-    if valid_size(s, "s") == 0:
-        raise PreconditionViolated("s = 0 admits unlimited all-zero rows; refusing")
+    valid_size(s, "s")
     valid_budget(budget)
     return _fpts(P, t, s, budget)
 
@@ -407,6 +413,26 @@ def _rows_within(P: PermutationMatrix, t: int, s: int, bound: Fraction, budget: 
     return res.value, res.proven_optimal and res.value is not None, res.nodes_explored
 
 
+def _hypothesis(P: PermutationMatrix, ka: tuple[int, int], budget: int) -> int:
+    """Check the lemmas' linear extremal hypothesis ex_P(n) <= k^a * n
+    for n = 1 .. _HYPOTHESIS_N, k^a given as an exact integer ratio, by
+    exfn_exact on what the caller has left of its budget: the nodes
+    used.  A value over k^a * n raises PreconditionViolated, budget
+    exhaustion ResourceLimit."""
+    kn, kd = ka
+    nodes = 0
+    for n in range(1, _HYPOTHESIS_N + 1):
+        res = _exfn(P, n, budget - nodes)
+        nodes += res.nodes_explored
+        if not res.proven_optimal:
+            raise ResourceLimit(f"budget exhausted while verifying ex at n={n}")
+        if res.value * kd > kn * n:
+            raise PreconditionViolated(
+                f"ex(n={n}) = {res.value} exceeds k^a*n = {kn / kd * n:g}"
+            )
+    return nodes
+
+
 class Lemma21Report(Record):
     """Exact row count versus the closed-form row bound."""
 
@@ -425,24 +451,19 @@ class Lemma21Report(Record):
 
 
 def check_lemma21(
-    P: PermutationMatrix,
-    a,
-    t: int,
-    s: int,
-    hypothesis_n: int = 4,
-    budget: int = DEFAULT_NODE_BUDGET,
+    P: PermutationMatrix, a, t: int, s: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> Lemma21Report:
     """Certify fpts_exact(P, t, s) <= k^a * t / (s - k^a).
 
-    First verifies the linear extremal hypothesis ex_P(n) <= k^a * n
-    for 1 <= n <= hypothesis_n via exfn_exact (PreconditionViolated
-    otherwise; hypothesis_n below 1 is refused), then decides the bound
-    with one search stopped just above it (_rows_within): the bound
-    holds exactly when that search proves a finite value, and a failing
-    verdict's lhs is the stop it reached, a lower bound on f, or None
-    where f is infinite (s < k).  The hypothesis searches and
-    the final one share the one node budget.  A t over MAX_WIDTH is
-    refused (ResourceLimit) before the bound is evaluated.
+    After the argument checks it verifies the linear extremal hypothesis
+    ex_P(n) <= k^a * n for 1 <= n <= _HYPOTHESIS_N (4) via exfn_exact
+    (PreconditionViolated otherwise), then decides the bound with one
+    search stopped just above it (_rows_within): the bound holds exactly
+    when that search proves a finite value, and a failing verdict's lhs
+    is the stop it reached, a lower bound on f, or None where f is
+    infinite (s < k).  The hypothesis searches and the final one share
+    the one node budget.  A t over MAX_WIDTH is refused (ResourceLimit)
+    before the bound is evaluated.
     """
     from .bounds import _lemma21_side  # only the certifiers need bounds
 
@@ -450,21 +471,10 @@ def check_lemma21(
     valid_size(t, "t", None, MAX_WIDTH, OVER_WIDTH)
     valid_size(s, "s", None)
     k = P.k
-    bound, (kn, kd) = _lemma21_side(k, a, t, s)
-    valid_size(hypothesis_n, "hypothesis_n", 1, MAX_WIDTH,
-               "hypothesis width {} exceeds the {}-bit row limit")
-    nodes = 0
-    for n in range(1, hypothesis_n + 1):
-        res = _exfn(P, n, budget - nodes)
-        nodes += res.nodes_explored
-        if not res.proven_optimal:
-            raise ResourceLimit(f"budget exhausted while verifying ex at n={n}")
-        if res.value * kd > kn * n:
-            raise PreconditionViolated(
-                f"ex(n={n}) = {res.value} exceeds k^a*n = {kn / kd * n:g}"
-            )
+    bound, ka = _lemma21_side(k, a, t, s)
+    nodes = _hypothesis(P, ka, budget)
     lhs, holds, used = _rows_within(P, t, s, bound, budget - nodes)
-    return Lemma21Report(k, a, t, s, lhs, bound, holds, nodes + used, hypothesis_n)
+    return Lemma21Report(k, a, t, s, lhs, bound, holds, nodes + used, _HYPOTHESIS_N)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -515,16 +525,19 @@ def check_lemma22(
     binom(c, floor(xc)) times the exact value at the shrunken instance
     plus the closed-form remainder.
 
-    P must decompose into c blocks for the sectioning argument to
-    apply.  f_sub is the sub-search's value; a sub-search stops at its
-    first host of 64 rows, and 64 also stands in for an infinite value
-    (f_sub_capped).  That only lowers the right side, so a pass stays
-    sound, but a fail is then unproven and raises ResourceLimit
-    (verdict open).  The left side is decided with one search stopped
-    just above the right side (_rows_within): the bound holds exactly
-    when that search proves a finite value, and a failing verdict's lhs
-    is the stop it reached, a lower bound on f, or None where f is
-    infinite (s < k).  The sub-search and the search for the left side
+    P must decompose into c blocks for the sectioning argument to apply.
+    After the argument checks it verifies the linear extremal hypothesis
+    ex_P(n) <= k^a * n for 1 <= n <= _HYPOTHESIS_N (4) via exfn_exact,
+    as check_lemma21 does, with the same refusal.  f_sub is the
+    sub-search's value; a sub-search stops at its first host of 64 rows,
+    and 64 also stands in for an infinite value (f_sub_capped).  That
+    only lowers the right side, so a pass stays sound, but a fail is
+    then unproven and raises ResourceLimit (verdict open).  The left
+    side is decided with one search stopped just above the right side
+    (_rows_within): the bound holds exactly when that search proves a
+    finite value, and a failing verdict's lhs is the stop it reached, a
+    lower bound on f, or None where f is infinite (s < k).  The
+    hypothesis searches, the sub-search and the search for the left side
     share the one node budget.  A t over MAX_WIDTH is refused
     (ResourceLimit) before the constants are validated.  The right side
     is built once, with the validation, and evaluated at f_sub, since it
@@ -539,20 +552,22 @@ def check_lemma22(
     if not _blockable(P.matrix.masks, c):
         raise PreconditionViolated(f"pattern admits no {c}-block decomposition")
     # validates constants and the denominator before any search runs
-    rhs_of, fxc, (yn, yd) = _lemma22_side(k, a, c, t, s, x, y, 0)
+    rhs_of, fxc, (yn, yd), ka = _lemma22_side(k, a, c, t, s, x, y, 0)
     shrunk_t = t * fxc // c
     shrunk_s = s * yn // yd
     if shrunk_s == 0:
         raise PreconditionViolated("floor(s*y) = 0 makes the shrunken search unbounded")
-    sub = _fpts(P, shrunk_t, shrunk_s, budget, _SUB_STOP)
+    nodes = _hypothesis(P, ka, budget)
+    sub = _fpts(P, shrunk_t, shrunk_s, budget - nodes, _SUB_STOP)
+    nodes += sub.nodes_explored
     f_sub = _SUB_STOP if sub.value is None else sub.value
     capped = f_sub == _SUB_STOP
     rhs = rhs_of(f_sub)
-    lhs, holds, used = _rows_within(P, t, s, rhs, budget - sub.nodes_explored)
+    lhs, holds, used = _rows_within(P, t, s, rhs, budget - nodes)
     if capped and not holds:
         raise ResourceLimit(
             f"f_sub >= {_SUB_STOP} and f exceeds the right side at {_SUB_STOP}; verdict open")
     return Lemma22Report(
         k, a, c, t, s, x, y, shrunk_t, shrunk_s, f_sub, capped,
-        lhs, rhs, holds, sub.nodes_explored + used,
+        lhs, rhs, holds, nodes + used,
     )

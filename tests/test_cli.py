@@ -57,8 +57,6 @@ def _perm(text):
     (lambda: permx.inflate(_perm("21"), [_perm("1")]), "2 skeleton entries, 1 blocks"),
     (lambda: permx.inflate(_perm("21"), [_perm("1"), permx.Permutation(())]),
      "inflation blocks must be nonempty"),
-    (lambda: permx.fpts_exact(permx.PermutationMatrix.identity(2), 3, 0),
-     "s = 0 admits unlimited all-zero rows; refusing"),
     (lambda: permx.check_lemma22(permx.to_matrix(_perm("2413")), 1, 2, 5, 5, 0.6, 0.5),
      "pattern admits no 2-block decomposition"),
     (lambda: permx.lemma22_rhs(2, 1, 2, 8, 6, 0.6, 0.95, 0),
@@ -70,7 +68,7 @@ def _perm(text):
      "ex table is missing an entry for n=1"),
 ], ids=[
     "malformed-text", "not-a-bijection", "empty-pattern", "empty-operand",
-    "not-a-permutation-matrix", "arity-mismatch", "empty-block", "zero-row-weight",
+    "not-a-permutation-matrix", "arity-mismatch", "empty-block",
     "not-blockable", "denominator-nonpositive", "bad-constants", "hypothesis-unverified",
     "missing-table-entry",
 ])
@@ -278,30 +276,20 @@ class TestExitCodes:
         assert err.startswith("resource limit")
         assert "Traceback" not in err and "internal error" not in err
 
-    def test_lemma21_hypothesis_wider_than_row_masks(self, capsys):
-        # refused before any search: one exfn per n up to 10^20 never ends
-        start = time.perf_counter()
-        code, out, err = invoke(
-            capsys, "check-lemma21", "--pattern", "12", "--a", "1", "--t", "5", "--s", "3",
-            "--hypothesis-n", str(10**20),
-        )
-        assert time.perf_counter() - start < 5
-        assert code == EXIT_RESOURCE
-        assert out == ""
-        assert err.startswith("resource limit") and f"{MAX_WIDTH}-bit" in err
-        assert "Traceback" not in err and "internal error" not in err
-
     @pytest.mark.parametrize("argv", [
-        # the hypothesis searches (exfn up to n = 24) would run first
-        ("check-lemma21", "--pattern", "12", "--a", "1", "--t", "65", "--s", "3",
-         "--hypothesis-n", "24"),
+        # the hypothesis searches (exfn up to n = 4) would run first
+        ("check-lemma21", "--pattern", "12", "--a", "1", "--t", "65", "--s", "3"),
         # ex(2) = 3 > 2^0.5 * 2 fails the hypothesis, but the width is refused first
-        ("check-lemma21", "--pattern", "12", "--a", "0.5", "--t", "65", "--s", "3",
-         "--hypothesis-n", "2"),
-        # the sub-search fpts(12, t=32, s=10) would run first
+        ("check-lemma21", "--pattern", "12", "--a", "0.5", "--t", "65", "--s", "3"),
+        # the hypothesis searches and the sub-search fpts(12, t=32, s=10)
+        # would run first
         ("check-lemma22", "--pattern", "12", "--a", "1", "--c", "2", "--t", "65",
          "--s", "20", "--x", "0.6", "--y", "0.5"),
-    ], ids=["check-lemma21", "check-lemma21-failing-hypothesis", "check-lemma22"])
+        # ex(2) = 3 > 2^0.5 * 2 fails the hypothesis, but the width is refused first
+        ("check-lemma22", "--pattern", "12", "--a", "0.5", "--c", "2", "--t", "65",
+         "--s", "20", "--x", "0.6", "--y", "0.5"),
+    ], ids=["check-lemma21", "check-lemma21-failing-hypothesis", "check-lemma22",
+            "check-lemma22-failing-hypothesis"])
     def test_lemma_host_wider_than_row_masks(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
@@ -327,15 +315,14 @@ class TestExitCodes:
         assert (code, out) == (want, "")
         assert "Traceback" not in err and "internal error" not in err
 
-    @pytest.mark.parametrize("hypothesis_n", ["0", "-5"])
-    def test_lemma21_hypothesis_below_one(self, capsys, hypothesis_n):
-        code, out, err = invoke(
-            capsys, "check-lemma21", "--pattern", "12", "--a", "1", "--t", "5", "--s", "3",
-            "--hypothesis-n", hypothesis_n, "--format", "json",
-        )
-        assert code == EXIT_BAD_INPUT
-        assert out == ""
-        assert err.startswith("rejected") and "hypothesis_n >= 1" in err
+    def test_both_lemma_checks_refuse_a_failing_hypothesis_alike(self, capsys):
+        # ex(1234, 2) = 4 > 2 * 4^0.01, found before any row search
+        lemma21 = invoke(capsys, "check-lemma21", "--pattern", "1234", "--a", "0.01",
+                         "--t", "8", "--s", "8")
+        lemma22 = invoke(capsys, "check-lemma22", "--pattern", "1234", "--a", "0.01",
+                         "--c", "2", "--t", "8", "--s", "8", "--x", "0.6", "--y", "0.7")
+        assert lemma22 == lemma21 == (
+            EXIT_BAD_INPUT, "", "rejected: ex(n=2) = 4 exceeds k^a*n = 2.02792\n")
 
     @pytest.mark.parametrize("argv", [
         ("fpts", "--pattern", "21", "--t", "64", "--s", "64"),
@@ -453,6 +440,20 @@ class TestJsonOutput:
         assert data["proven_optimal"] is True
         assert data["witness"]["cols"] == 3
 
+    @pytest.mark.parametrize("fmt, want", [
+        ("json", '{"nodes_explored":0,"pattern":"12","proven_optimal":true,"s":0,"t":3,'
+                 '"value":null,"witness":{"cols":3,"ones":[],"rows":1}}\n'),
+        ("csv", "nodes_explored,pattern,proven_optimal,s,t,value\n0,12,true,0,3,null\n"),
+        ("text", "nodes_explored = 0\npattern = 12\nproven_optimal = true\ns = 0\nt = 3\n"
+                 'value = null\nwitness = {"cols": 3, "ones": [], "rows": 1}\n'),
+    ])
+    @pytest.mark.parametrize("command", ["fpts", "gpts"])
+    def test_zero_weight_is_a_proven_infinity(self, capsys, command, fmt, want):
+        # s = 0 < k like every thin weight: the zero row repeats forever
+        code, out, err = invoke(capsys, command, "--pattern", "12", "--t", "3", "--s", "0",
+                                "--format", fmt)
+        assert (code, out, err) == (EXIT_OK, want, "")
+
     def test_exfn(self, capsys):
         _, out, _ = invoke(
             capsys, "exfn", "--pattern", "12", "--n", "3", "--format", "json"
@@ -482,20 +483,24 @@ class TestJsonOutput:
         assert (data["shrunk_t"], data["shrunk_s"]) == (2, 2)
         assert data["f_sub_capped"] is False
 
-    def test_check_lemma21_infinite_left_side_fails(self, capsys):
+    def test_check_lemma21_infinite_left_side_fails(self, capsys, monkeypatch):
         # s = 2 < k = 3: rows of ones in two fixed columns avoid 123, so f
-        # is infinite, which refutes the bound 64.6 without a search
+        # is infinite, which refutes the bound 64.6 without a search; the
+        # hypothesis, checked at n = 1 alone, costs one node
+        monkeypatch.setattr("permx.extremal._HYPOTHESIS_N", 1)
         code, out, _ = invoke(
             capsys, "check-lemma21", "--pattern", "123", "--a", "0.5", "--t", "10", "--s", "2",
-            "--hypothesis-n", "1", "--format", "json",
+            "--format", "json",
         )
         data = json.loads(out)
         assert code == EXIT_OK
         assert (data["pass"], data["lhs"], data["nodes"]) == (False, None, 1)
 
-    def test_check_lemma22_flags_capped_sub_search(self, capsys):
+    def test_check_lemma22_flags_capped_sub_search(self, capsys, monkeypatch):
         # the shrunken instance t = s = 1 lets one row repeat forever, so
-        # f_sub is infinite, 64 stands in for it, and the report says so
+        # f_sub is infinite, 64 stands in for it, and the report says so.
+        # a = 0.1 passes the hypothesis at n = 1 alone
+        monkeypatch.setattr("permx.extremal._HYPOTHESIS_N", 1)
         code, out, _ = invoke(
             capsys, "check-lemma22", "--pattern", "21", "--a", "0.1", "--c", "2",
             "--t", "3", "--s", "3", "--x", "0.6", "--y", "0.5", "--format", "json",
@@ -837,6 +842,14 @@ class TestOnePath:
         with pytest.raises(SystemExit) as exc:
             run(["sum", "--left", "1", "--right", "1", "--budget", "10"])
         assert exc.value.code == 2
+
+    def test_lemma21_takes_no_hypothesis_depth(self, capsys):
+        # the hypothesis is checked to n = 4; no flag changes that
+        with pytest.raises(SystemExit) as exc:
+            run(["check-lemma21", "--pattern", "123", "--a", "1", "--t", "7", "--s", "4",
+                 "--hypothesis-n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --hypothesis-n 3" in capsys.readouterr().err
 
     def test_certify_takes_no_tolerance(self, capsys):
         # the certificate's float slack is fixed; no flag loosens it

@@ -793,12 +793,12 @@ def test_occurrence_plan_is_cached_per_pattern():
     assert plan is _occurrence_plan(tuple([2, 4, 1, 3]))
     assert type(plan) is tuple and all(type(entry) is tuple for entry in plan)
     assert 0 < _occurrence_plan.cache_info().maxsize <= 256
-    # check_lemma21 builds a row model of 123 for each of three
+    # check_lemma21 builds a row model of 123 for each of the four
     # hypothesis widths and one for the row search
     _occurrence_plan.cache_clear()
-    check_lemma21(to_matrix(Permutation((1, 2, 3))), 1, 5, 4, hypothesis_n=3)
+    check_lemma21(to_matrix(Permutation((1, 2, 3))), 1, 5, 4)
     info = _occurrence_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 4)
 
 
 def least_budget(search, nodes):

@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -353,8 +354,6 @@ class TestFpts:
             fpts_exact(I2, 0, 1)
         with pytest.raises(PreconditionViolated):
             fpts_exact(I2, 3, -1)
-        with pytest.raises(PreconditionViolated, match="s = 0 admits unlimited all-zero rows"):
-            fpts_exact(I2, 3, 0)
         with pytest.raises(ResourceLimit):
             fpts_exact(I2, 200, 2)
 
@@ -486,20 +485,6 @@ class TestCheckLemma21:
         with pytest.raises(PreconditionViolated):
             check_lemma21(I2, 1, 4, 2)
 
-    @pytest.mark.parametrize("hypothesis_n", [0, -5])
-    def test_hypothesis_n_below_one(self, hypothesis_n, monkeypatch):
-        # an empty hypothesis range would certify nothing; refused before
-        # any search
-        import permx.extremal
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("searched")
-
-        monkeypatch.setattr(permx.extremal, "exfn_exact", no_search)
-        monkeypatch.setattr(permx.extremal, "fpts_exact", no_search)
-        with pytest.raises(PreconditionViolated, match="hypothesis_n >= 1"):
-            check_lemma21(I2, 1, 5, 3, hypothesis_n)
-
     def test_hypothesis_failure(self):
         # ex(2) = 3 > 2 * sqrt(2), so a = 0.5 cannot be verified
         with pytest.raises(PreconditionViolated, match=r"ex\(n=2\) = 3 exceeds k\^a\*n"):
@@ -515,20 +500,35 @@ class TestCheckLemma21:
         with pytest.raises(ResourceLimit, match="budget exhausted while verifying ex at n=2"):
             check_lemma21(I2, 1, 5, 4, budget=2)
 
-    def test_failing_verdict_reports_the_stop(self):
+    def test_failing_verdict_reports_the_stop(self, monkeypatch):
+        # with the hypothesis checked at n = 1 alone, a = 0.01 passes it;
         # the bound is 1.52..., so the search stops at its first host of
         # 2 rows, and two rows of three ones avoid 123: f >= 2 refutes it
-        rep = check_lemma21(pm("123"), 0.01, 3, 3, hypothesis_n=1)
+        monkeypatch.setattr(extremal, "_HYPOTHESIS_N", 1)
+        rep = check_lemma21(pm("123"), 0.01, 3, 3)
         assert (rep.holds, rep.lhs_value, rep.nodes_explored) == (False, 2, 3)
         assert rep.rhs_bound < 2
+        assert rep.hypothesis_checked_upto == 1
 
-    def test_infinite_left_side_fails_without_a_search(self):
+    def test_infinite_left_side_fails_without_a_search(self, monkeypatch):
         # s = 2 < k = 3: f is infinite, so any finite bound fails; only
         # the hypothesis search (ex at n = 1, one node) runs
-        rep = check_lemma21(pm("123"), 0.5, 10, 2, hypothesis_n=1)
+        monkeypatch.setattr(extremal, "_HYPOTHESIS_N", 1)
+        rep = check_lemma21(pm("123"), 0.5, 10, 2)
         assert (rep.holds, rep.lhs_value, rep.nodes_explored) == (False, None, 1)
         assert 64 < rep.rhs_bound < 65
         assert rep.to_jsonable()["lhs"] is None
+
+    def test_infinite_left_side_at_the_full_hypothesis_depth(self):
+        # 6^a = 4 exactly in doubles, and ex(123456, n) = n^2 <= 4n up to
+        # n = 4, so the hypothesis holds (36 nodes); s = 5 < k = 6 makes
+        # f infinite, which refutes the bound 32 without a row search
+        a = math.log(4, 6)
+        assert 6.0 ** a == 4
+        rep = check_lemma21(pm("123456"), a, 8, 5)
+        assert (rep.holds, rep.lhs_value, rep.nodes_explored) == (False, None, 36)
+        assert rep.rhs_bound == 32
+        assert rep.hypothesis_checked_upto == 4
 
     def test_report_shape(self):
         data = check_lemma21(I2, 1, 5, 4).to_jsonable()
@@ -577,15 +577,15 @@ ALL_PATTERNS_TO_4 = [
 
 @pytest.mark.parametrize("text", ALL_PATTERNS_TO_4)
 def test_row_density_dichotomy(text):
-    # s < k: a proven infinity in no nodes, whose one row, stacked k
-    # times, avoids the pattern.  s >= k: a proven value within the
+    # s < k, s = 0 included: a proven infinity in no nodes, whose one
+    # row, stacked k times, avoids the pattern.  s >= k: a proven value within the
     # pigeonhole ceiling, and below its node count a search that runs
     # out of budget returns a shorter avoiding host.  gpts_exact is
     # fpts_exact on the rotated pattern, which has the same k
     P = pm(text)
     k = P.k
     for t in range(1, 7):
-        for s in range(1, t + 1):
+        for s in range(t + 1):
             for search, Q in ((fpts_exact, P), (gpts_exact, rotate90(P))):
                 res = fresh(search, P, t, s)
                 assert res.proven_optimal
@@ -825,14 +825,42 @@ def test_alpha_keeps_integral_float_block_counts():
     assert theorem24_alpha(1, 2.0) == theorem24_alpha(1, 2)
 
 
+@pytest.mark.parametrize("text", ALL_PATTERNS_TO_4)
+def test_both_certifiers_refuse_exactly_where_the_hypothesis_fails(text):
+    # the ex values come from full enumeration, which shares no code with
+    # exfn_exact: the first n <= 4 with ex(n) > k^a * n, if any, is
+    # refused by check_lemma21 and, for a 2-blockable pattern, by
+    # check_lemma22, with one message; otherwise both return a verdict
+    P = pm(text)
+    k = P.k
+    ex = {n: exfn_enumerate(P, n) for n in range(1, 5)}
+    blockable = k >= 2 and count_block_decompositions(parse_permutation(text), 2) > 0
+    for a in (0.01, 0.3, 0.5, 0.8, 1, 1.5):
+        ka = k ** a if isinstance(a, int) else float(k) ** a  # the certifiers' k^a
+        over = [n for n in ex if ex[n] > Fraction(ka) * n]
+        runs = [lambda: check_lemma21(P, a, 20, 20)]
+        if blockable:
+            runs.append(lambda: check_lemma22(P, a, 2, 20, 20, 0.6, 0.5))
+        for run in runs:
+            if over:
+                n = over[0]
+                with pytest.raises(PreconditionViolated) as info:
+                    run()
+                assert str(info.value) == (
+                    f"ex(n={n}) = {ex[n]} exceeds k^a*n = {float(Fraction(ka)) * n:g}")
+            else:
+                assert run().nodes_explored > 0
+
+
 class TestCheckLemma22:
     def test_one_budget_for_both_searches(self):
-        # the sub-search and the left side draw on one budget, so the
-        # reported total is exactly the budget that suffices.  The
-        # sub-instance (s = 1 < k = 3) is infinite, decided in no nodes
+        # the hypothesis searches (101 nodes), the sub-search and the
+        # left side draw on one budget, so the reported total is exactly
+        # the budget that suffices.  The sub-instance (s = 1 < k = 3) is
+        # infinite, decided in no nodes
         P, args = pm("123"), (1, 2, 8, 5, 0.6, 0.3)
         nodes = check_lemma22(P, *args).nodes_explored
-        assert nodes == 344
+        assert nodes == 445
         assert check_lemma22(P, *args, budget=nodes).holds
         with pytest.raises(ResourceLimit):
             check_lemma22(P, *args, budget=nodes - 1)
@@ -859,28 +887,34 @@ class TestCheckLemma22:
                         assert rep.holds, (t, s, x, y)
         assert checked >= 4
 
-    def test_failing_verdict_reports_the_stop(self):
-        # rhs = 2.92... with f_sub = 0, so the left search stops at its
-        # first host of 3 rows: a too-small a shows as a failing verdict
+    def test_failing_verdict_reports_the_stop(self, monkeypatch):
+        # with the hypothesis checked at n = 1 alone (one node), a = 0.01
+        # passes it; rhs = 2.92... with f_sub = 0, so the left search
+        # stops at its first host of 3 rows
+        monkeypatch.setattr(extremal, "_HYPOTHESIS_N", 1)
         rep = check_lemma22(pm("1234"), 0.01, 2, 8, 8, 0.6, 0.7)
         assert (rep.holds, rep.lhs_value, rep.f_sub_value) == (False, 3, 0)
-        assert rep.nodes_explored == 3
+        assert rep.nodes_explored == 4
         assert 2 < rep.rhs_value < 3
 
-    def test_capped_sub_search_only_raises_the_right_side(self):
+    def test_capped_sub_search_only_raises_the_right_side(self, monkeypatch):
         # s = 1 < k = 2 at the shrunken instance: the one-column row
         # repeats forever, so f_sub is infinite, decided in no nodes, and
-        # 64 stands in for it
+        # 64 stands in for it.  a = 0.1 passes the hypothesis at n = 1
+        # alone (one node)
+        monkeypatch.setattr(extremal, "_HYPOTHESIS_N", 1)
         rep = check_lemma22(pm("21"), 0.1, 2, 3, 3, 0.6, 0.5)
         assert (rep.holds, rep.lhs_value, rep.f_sub_value) == (True, 1, 64)
         assert rep.f_sub_capped
-        assert rep.nodes_explored == 1
+        assert rep.nodes_explored == 2
         assert rep.rhs_value > 128
 
-    def test_capped_sub_search_leaves_a_thin_left_side_open(self):
+    def test_capped_sub_search_leaves_a_thin_left_side_open(self, monkeypatch):
         # s = 3 < k = 4 on both sides: f and f_sub are both infinite, so
         # the inequality holds, yet f_sub = 64 puts a finite right side
-        # under an infinite left one: no fail can be proven
+        # under an infinite left one: no fail can be proven.  a = 0.1
+        # passes the hypothesis at n = 1 alone
+        monkeypatch.setattr(extremal, "_HYPOTHESIS_N", 1)
         with pytest.raises(ResourceLimit, match="verdict open"):
             check_lemma22(pm("1234"), 0.1, 2, 8, 3, 0.6, 0.34)
 
@@ -888,7 +922,8 @@ class TestCheckLemma22:
         # s = 4 >= k = 3 while f(123; 4, 1) is infinite.  With f_sub
         # standing in at 1 the right side is 4.26..., and the left search
         # reaches its stop of 5 rows: f > rhs(1) proves nothing about
-        # rhs(f_sub)
+        # rhs(f_sub).  a = 0.01 passes the hypothesis at n = 1 alone
+        monkeypatch.setattr(extremal, "_HYPOTHESIS_N", 1)
         monkeypatch.setattr(extremal, "_SUB_STOP", 1)
         with pytest.raises(ResourceLimit, match="verdict open"):
             check_lemma22(pm("123"), 0.01, 2, 8, 4, 0.6, 0.3)
@@ -896,12 +931,14 @@ class TestCheckLemma22:
         rep = check_lemma22(pm("123"), 0.01, 2, 8, 4, 0.6, 0.3)
         assert (rep.holds, rep.f_sub_value, rep.f_sub_capped) == (True, 64, True)
 
-    @pytest.mark.parametrize("stop, f_sub, nodes", [(5, 4, 140), (4, 4, 140), (3, 3, 132),
-                                                     (1, 1, 121)])
+    @pytest.mark.parametrize("stop, f_sub, nodes", [(5, 4, 141), (4, 4, 141), (3, 3, 133),
+                                                     (1, 1, 122)])
     def test_sub_search_stops_at_its_first_long_host(self, monkeypatch, stop, f_sub, nodes):
         # f(12; 5, 2) = 4 is proven below a stop of 5; a stop of at most 4
         # ends the sub-search at its first host of that many rows, which
-        # then stands in for f_sub, flagged
+        # then stands in for f_sub, flagged.  The nodes include the one
+        # of the hypothesis search at n = 1
+        monkeypatch.setattr(extremal, "_HYPOTHESIS_N", 1)
         monkeypatch.setattr(extremal, "_SUB_STOP", stop)
         extremal._finished.clear()
         rep = check_lemma22(P12, 1, 2, 10, 7, 0.6, 0.3)
@@ -1014,9 +1051,9 @@ def test_budget_below_a_kept_search_runs_out_as_a_fresh_one():
     # first least_budget call keeps both records, the second finds them
     P, args = pm("123"), (1, 2, 8, 5, 0.6, 0.3)
     for _ in range(2):
-        assert least_budget(lambda b: check_lemma22(P, *args, budget=b), 344).holds
+        assert least_budget(lambda b: check_lemma22(P, *args, budget=b), 445).holds
     for _ in range(2):
-        rep = least_budget(lambda b: check_lemma21(P, 1, 5, 4, hypothesis_n=3, budget=b), 41)
+        rep = least_budget(lambda b: check_lemma21(P, 1, 5, 4, budget=b), 117)
         assert rep.holds
     res = fpts_exact(P, 8, 5)
     assert fpts_exact(P, 8, 5, budget=res.nodes_explored) is res
